@@ -1,0 +1,5 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
