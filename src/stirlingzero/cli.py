@@ -18,7 +18,6 @@ zero/consistent; exploratory and not-attempted records never affect it.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -71,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--ledger", help="ledger file path (JSON lines)")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker processes; --jobs 1 is the serial reference path")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes per instance (default 1, the serial "
+                            "reference path)")
 
     p1 = sub.add_parser("part1", help="configuration-sum instances")
     p1.add_argument("--g", type=int, required=True, help="ground-set size (>= 2)")

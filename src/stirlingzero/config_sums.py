@@ -20,6 +20,17 @@ Two independent summation routes are provided:
   inner sum over weight compositions is the degree-w coefficient of the
   truncated product ``prod_i (sum_v P_v(t_i) y^v)``, an exact regrouping.
 
+On numeric grounds the collapsed route runs in Python ints.  With ``D`` the
+lcm of the ground's denominators and ``K`` the lcm of the coefficient
+denominators of ``P_1..P_w``, set ``lam = K * D^2``: then ``lam^v P_v(t)`` is an
+integer for every block sum ``t`` and ``v <= w``.  The substitution
+``y -> y / lam`` is a ring automorphism, so each partition's ``[y^w]`` is
+scaled by exactly ``lam^w`` and the total is ``N / lam^w`` for the integer sum
+``N``.  A block value that the scaling does not clear raises
+:class:`ConsistencyError`.  Every partition is still visited, and the visit
+count is checked against the Bell number.  :func:`sum_ordered` stays in
+``Fraction`` arithmetic, so the two routes share no summation kernel.
+
 Any nonzero total is treated as a potential counterexample and re-verified
 through the independent route (plus a fresh ground set in numeric mode)
 before being reported.
@@ -32,7 +43,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Optional, Union
 
 from .algebra import ConsistencyError, MultiPoly
@@ -47,7 +58,7 @@ from .partitions import (
     unordered_partition_count,
     weight_compositions,
 )
-from .stirling import eval_P, eval_P_symbolic
+from .stirling import eval_P, eval_P_symbolic, stirling_poly
 
 __all__ = [
     "ConfigSumInstance",
@@ -112,13 +123,18 @@ class ConfigSumResult:
 
 
 class _BlockValues:
-    """Per-run cache of P_v(block sum) vectors keyed by block mask."""
+    """Per-run cache of P_v(block sum) vectors keyed by block mask.
 
-    def __init__(self, ground: GroundSet, w_max: int):
+    With ``scale`` set (numeric grounds), each vector is stored as the ints
+    ``scale^v * P_v(t)``; a value the scaling does not clear is an engine bug.
+    """
+
+    def __init__(self, ground: GroundSet, w_max: int, scale: Optional[int] = None):
         self.ground = ground
         self.w_max = w_max
         self._cache = {}
         self._eval = eval_P_symbolic if ground.is_symbolic else eval_P
+        self._powers = None if scale is None else [scale ** v for v in range(w_max + 1)]
 
     def vector(self, mask: int) -> tuple:
         vec = self._cache.get(mask)
@@ -132,8 +148,21 @@ class _BlockValues:
                 t = v if t is None else t + v
                 m ^= low
             vec = tuple(self._eval(v, t) for v in range(self.w_max + 1))
+            if self._powers is not None:
+                vec = _scaled_to_int(vec, self._powers)
             self._cache[mask] = vec
         return vec
+
+
+def _scaled_to_int(vec: tuple, powers: list) -> tuple:
+    out = []
+    for power, value in zip(powers, vec):
+        scaled = power * value
+        if scaled.denominator != 1:
+            raise ConsistencyError(
+                f"block value {value} times scale {power} is not an integer")
+        out.append(scaled.numerator)
+    return tuple(out)
 
 
 def evaluate(wc: WeightedConfiguration, ground: GroundSet) -> SumValue:
@@ -181,37 +210,71 @@ def sum_ordered(inst: ConfigSumInstance) -> ConfigSumResult:
     return ConfigSumResult.build(inst, total, visited, time.perf_counter() - start)
 
 
-def _conv_truncated(acc: list, vec: tuple, w: int) -> list:
-    out = [None] * (w + 1)
+def _conv_truncated(acc, vec: tuple, w: int, zero) -> list:
+    """Coefficients of ``y^0..y^w`` in ``acc(y) * vec(y)``, summed from the ring's zero."""
+    out = [zero] * (w + 1)
     for i, a in enumerate(acc):
         if a == 0:
             continue
         for j in range(w + 1 - i):
-            b = vec[j]
-            term = a * b
-            out[i + j] = term if out[i + j] is None else out[i + j] + term
-    return [Fraction(0) if v is None else v for v in out]
+            out[i + j] = out[i + j] + a * vec[j]
+    return out
+
+
+def _top_coefficient(vectors: list, w: int, zero):
+    """``[y^w]`` of the product of the block series, one coefficient list each."""
+    acc = vectors[0]
+    for vec in vectors[1:-1]:
+        acc = _conv_truncated(acc, vec, w, zero)
+    if len(vectors) == 1:
+        return acc[w]
+    last = vectors[-1]
+    total = zero
+    for i in range(w + 1):
+        total = total + acc[i] * last[w - i]
+    return total
+
+
+def _common_scale(inst: ConfigSumInstance) -> int:
+    """``K * D^2``: scaled by its v-th power, every ``P_v(block sum)`` is an integer.
+
+    ``D`` is the lcm of the ground's denominators (it clears every block sum)
+    and ``K`` the lcm of the coefficient denominators of ``P_1..P_w``; a term
+    of degree ``k <= 2v`` in ``P_v`` then picks up ``K^v D^(2v-k)`` times an
+    integer.
+    """
+    d = lcm(*(v.denominator for v in inst.ground.values))
+    k = lcm(*(c.denominator for v in range(1, inst.w + 1)
+              for c in stirling_poly(v).coeffs))
+    return k * d * d
 
 
 def _collapsed_partial(inst: ConfigSumInstance, handles: Optional[Iterable[int]]):
-    """Sum of collapsed contributions over one slice of the partition stream."""
-    ground = inst.ground
-    values = _BlockValues(ground, inst.w)
-    total = _zero(ground)
-    visited = 0
+    """Sum of collapsed contributions over one slice of the partition stream.
+
+    Symbolic grounds multiply ``MultiPoly`` block series; numeric grounds
+    multiply ints, scaled by :func:`_common_scale` (see the module docstring).
+    """
+    w = inst.w
+    if inst.ground.is_symbolic:
+        zero, scale = MultiPoly.zero(), None
+    else:
+        zero, scale = 0, _common_scale(inst)
+    values = _BlockValues(inst.ground, w, scale)
     if handles is None:
         streams = [iter_unordered_partitions(inst.g)]
     else:
         streams = [iter_unordered_partitions(inst.g, first_block=h) for h in handles]
-    one = MultiPoly.constant(1) if ground.is_symbolic else Fraction(1)
+    signs = [0] + [(-1) ** r * factorial(r - 1) for r in range(1, inst.g + 1)]
+    total = zero
+    visited = 0
     for stream in streams:
         for cfg, r in stream:
-            acc = [one] + [_zero(ground)] * inst.w
-            for mask in cfg.blocks:
-                acc = _conv_truncated(acc, values.vector(mask), inst.w)
-            weight = Fraction((-1) ** r * factorial(r - 1))
-            total = total + acc[inst.w] * weight
+            vectors = [values.vector(mask) for mask in cfg.blocks]
+            total = total + _top_coefficient(vectors, w, zero) * signs[r]
             visited += 1
+    if scale is not None:
+        total = Fraction(total, scale ** w)
     return total, visited
 
 
@@ -220,27 +283,27 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
 
     With ``jobs > 1`` the unordered-partition stream is split by the block
     containing element 0 and slices run in worker processes; exact addition
-    makes the merged total independent of scheduling.
+    makes the merged total independent of scheduling.  Either way the number
+    of partitions visited must be the Bell number of ``g``.
     """
     start = time.perf_counter()
     if jobs <= 1:
         total, visited = _collapsed_partial(inst, None)
-        return ConfigSumResult.build(inst, total, visited, time.perf_counter() - start)
-    handles = split_handles(inst.g)
-    chunks = [handles[i::jobs] for i in range(jobs)]
-    chunks = [c for c in chunks if c]
-    total = _zero(inst.ground)
-    visited = 0
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(_collapsed_partial, inst, chunk) for chunk in chunks]
-        for fut in futures:  # merge in submission order: deterministic
-            part, count = fut.result()
-            total = total + part
-            visited += count
+    else:
+        handles = split_handles(inst.g)
+        chunks = [handles[i::jobs] for i in range(jobs)]
+        chunks = [c for c in chunks if c]
+        total = _zero(inst.ground)
+        visited = 0
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            futures = [pool.submit(_collapsed_partial, inst, chunk) for chunk in chunks]
+            for fut in futures:  # merge in submission order: deterministic
+                part, count = fut.result()
+                total = total + part
+                visited += count
     expected = unordered_partition_count(inst.g)
     if visited != expected:
-        raise ConsistencyError(
-            f"parallel slices visited {visited} partitions, expected {expected}")
+        raise ConsistencyError(f"visited {visited} partitions, expected {expected}")
     return ConfigSumResult.build(inst, total, visited, time.perf_counter() - start)
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from stirlingzero.cli import main
+from stirlingzero.cli import build_parser, main
 from stirlingzero.ledger import read_records
 
 
@@ -118,6 +118,11 @@ class TestSweepCommand:
         assert code == 0
         assert len(records) == 6
         assert all(r["verdict"] == "zero" for r in records)
+
+    def test_jobs_default_is_serial(self):
+        for argv in (["sweep"], ["part1", "--g", "3", "--w", "0", "--c", "2,3,4"],
+                     ["part2", "--H", "3"], ["bridge", "--c", "2,3", "--w", "0"]):
+            assert build_parser().parse_args(argv).jobs == 1
 
     def test_budget_zero_marks_everything(self, tmp_path):
         code, records, _ = run_cli(

@@ -1,10 +1,12 @@
 """Configuration-sum verifier: evaluation, both summation routes, sweeps."""
 
+import multiprocessing
 import random
 from fractions import Fraction
 
 import pytest
 
+from stirlingzero import config_sums
 from stirlingzero.algebra import ConsistencyError, MultiPoly
 from stirlingzero.config_sums import (
     ConfigSumInstance,
@@ -22,6 +24,11 @@ from stirlingzero.partitions import (
     count_weighted_configs,
     unordered_partition_count,
 )
+
+
+# a monkeypatch reaches pool workers only when they are forked
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="pool workers are not forked")
 
 
 def numeric_instance(g, w, values):
@@ -126,6 +133,55 @@ class TestCollapsedSum:
     def test_parallel_symbolic(self):
         inst = symbolic_instance(4, 1)
         assert sum_collapsed(inst, jobs=3).total == sum_collapsed(inst).total
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_dropped_partition_is_caught(self, monkeypatch, jobs):
+        real = config_sums.iter_unordered_partitions
+
+        def lossy(g, first_block=None):
+            # everything but the one-block partition
+            return ((cfg, r) for cfg, r in real(g, first_block) if r != 1)
+
+        monkeypatch.setattr(config_sums, "iter_unordered_partitions", lossy)
+        with pytest.raises(ConsistencyError, match="partitions"):
+            sum_collapsed(numeric_instance(5, 2, [2, 3, 5, 7, 11]), jobs=jobs)
+
+
+def _shift_offset_one(monkeypatch, shift=1):
+    real = config_sums.eval_P
+    monkeypatch.setattr(config_sums, "eval_P",
+                        lambda w, t: real(w, t) + shift if w == 1 else real(w, t))
+
+
+MIXED = [Fraction(5, 2), Fraction(-7, 3), Fraction(4), Fraction(11, 9),
+         Fraction(-3, 4), Fraction(6, 5)]
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("g, w", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 3),
+                                      (6, 1), (6, 2)])
+    def test_positive_control_matches_fraction_oracle(self, monkeypatch, g, w):
+        # offset-1 block values plus one: the identity breaks, and the
+        # integer kernel must still reproduce the Fraction route exactly
+        _shift_offset_one(monkeypatch)
+        inst = numeric_instance(g, w, MIXED[:g])
+        collapsed = sum_collapsed(inst).total
+        assert collapsed == sum_ordered(inst).total
+        assert collapsed != 0
+
+    @needs_fork
+    def test_parallel_positive_control(self, monkeypatch):
+        _shift_offset_one(monkeypatch)
+        inst = numeric_instance(6, 3, MIXED)
+        serial = sum_collapsed(inst, jobs=1).total
+        assert serial != 0
+        assert sum_collapsed(inst, jobs=2).total == serial
+
+    def test_uncleared_block_value_is_an_engine_bug(self, monkeypatch):
+        # 1/3 survives scaling by K * D^2 = 2 for integer grounds at w = 1
+        _shift_offset_one(monkeypatch, Fraction(1, 3))
+        with pytest.raises(ConsistencyError, match="not an integer"):
+            sum_collapsed(numeric_instance(3, 1, [2, 3, 4]))
 
 
 class TestIdentityProperties:
