@@ -19,7 +19,6 @@ from .algebra import (
     MultiPoly,
     PolynomialityError,
     PrecisionError,
-    Rational,
     Series,
     interpolate_in_var,
 )
@@ -34,8 +33,6 @@ from .stirling import (
 from .partitions import (
     Configuration,
     GroundSet,
-    WeightedConfiguration,
-    block_sums,
     count_weighted_configs,
     iter_ordered_partitions,
     iter_unordered_partitions,
@@ -46,7 +43,6 @@ from .config_sums import (
     ConfigSumInstance,
     ConfigSumResult,
     double_check_nonzero,
-    evaluate,
     random_ground,
     sum_collapsed,
     sum_ordered,
@@ -73,18 +69,18 @@ from .bridge import (
 __all__ = [
     "__version__",
     # algebra
-    "Rational", "MultiPoly", "Series", "interpolate_in_var",
+    "MultiPoly", "Series", "interpolate_in_var",
     "EngineError", "PrecisionError", "PolynomialityError",
     "ConsistencyError", "BudgetError",
     # stirling
     "StirlingTriangle", "StirlingPoly", "triangle", "stirling_poly",
     "eval_P", "eval_P_symbolic",
     # partitions
-    "Configuration", "WeightedConfiguration", "GroundSet",
+    "Configuration", "GroundSet",
     "iter_ordered_partitions", "iter_unordered_partitions", "split_handles",
-    "weight_compositions", "block_sums", "count_weighted_configs",
+    "weight_compositions", "count_weighted_configs",
     # configuration sums
-    "ConfigSumInstance", "ConfigSumResult", "evaluate",
+    "ConfigSumInstance", "ConfigSumResult",
     "sum_ordered", "sum_collapsed", "random_ground",
     "double_check_nonzero", "verify_range",
     # series vanishing

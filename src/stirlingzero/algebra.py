@@ -1,8 +1,7 @@
 """Exact scalar, polynomial, and truncated-series arithmetic kernel.
 
-Every number in the engine is a :class:`fractions.Fraction` (re-exported as
-``Rational``); there is no floating point anywhere.  On top of that sit two
-value types:
+Every number in the engine is a :class:`fractions.Fraction`; there is no
+floating point anywhere.  On top of that sit two value types:
 
 * :class:`MultiPoly` -- a sparse multivariate polynomial, stored as a map
   from exponent vectors to nonzero rational coefficients.  A variable may be
@@ -24,11 +23,9 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
     "MultiPoly",
     "Series",
     "interpolate_in_var",

@@ -18,6 +18,7 @@ zero/consistent; exploratory and not-attempted records never affect it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -61,6 +62,13 @@ def _parse_int_list(text: str):
             f"expected a comma-separated list of integers, got {text!r}: {exc}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stirlingzero",
@@ -70,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--ledger", help="ledger file path (JSON lines)")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes per instance (default 1, the serial "
                             "reference path)")
 
@@ -238,11 +246,7 @@ def _run_bridge(args, ledger_path) -> int:
     if args.j_samples:
         overrides["j_samples"] = tuple(args.j_samples)
     try:
-        if overrides:
-            cfg = ExpansionConfig(
-                h_max=overrides.get("h_max", cfg.h_max),
-                s_max=overrides.get("s_max", cfg.s_max),
-                j_samples=overrides.get("j_samples", cfg.j_samples))
+        cfg = dataclasses.replace(cfg, **overrides)
         report = bridge_check(inst, cfg, jobs=args.jobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,8 +49,6 @@ from typing import Iterable, Optional, Union
 from .algebra import ConsistencyError, MultiPoly
 from .partitions import (
     GroundSet,
-    WeightedConfiguration,
-    block_sums,
     count_weighted_configs,
     iter_ordered_partitions,
     iter_unordered_partitions,
@@ -65,7 +63,6 @@ __all__ = [
     "ConfigSumResult",
     "NonzeroConfirmation",
     "SweepEntry",
-    "evaluate",
     "sum_ordered",
     "sum_collapsed",
     "random_ground",
@@ -86,7 +83,6 @@ class ConfigSumInstance:
     g: int
     w: int
     ground: GroundSet
-    mode: str
 
     def __post_init__(self):
         if self.g < 2:
@@ -95,13 +91,14 @@ class ConfigSumInstance:
             raise ValueError(f"need 0 <= w <= g-2, got w={self.w} for g={self.g}")
         if self.ground.g != self.g:
             raise ValueError("ground set size does not match g")
-        expected = "symbolic" if self.ground.is_symbolic else "numeric"
-        if self.mode != expected:
-            raise ValueError(f"mode {self.mode!r} does not match ground set")
 
     @classmethod
     def make(cls, g: int, w: int, ground: GroundSet) -> "ConfigSumInstance":
-        return cls(g, w, ground, "symbolic" if ground.is_symbolic else "numeric")
+        return cls(g, w, ground)
+
+    @property
+    def mode(self) -> str:
+        return "symbolic" if self.ground.is_symbolic else "numeric"
 
 
 @dataclass(frozen=True)
@@ -139,14 +136,7 @@ class _BlockValues:
     def vector(self, mask: int) -> tuple:
         vec = self._cache.get(mask)
         if vec is None:
-            vals = self.ground.values
-            m = mask
-            t = None
-            while m:
-                low = m & -m
-                v = vals[low.bit_length() - 1]
-                t = v if t is None else t + v
-                m ^= low
+            t = self.ground.block_sum(mask)
             vec = tuple(self._eval(v, t) for v in range(self.w_max + 1))
             if self._powers is not None:
                 vec = _scaled_to_int(vec, self._powers)
@@ -163,23 +153,6 @@ def _scaled_to_int(vec: tuple, powers: list) -> tuple:
                 f"block value {value} times scale {power} is not an integer")
         out.append(scaled.numerator)
     return tuple(out)
-
-
-def evaluate(wc: WeightedConfiguration, ground: GroundSet) -> SumValue:
-    """The evaluation attached to one weighted configuration, literally."""
-    wc.check()
-    r = wc.config.block_count
-    sums = block_sums(wc.config, ground)
-    factor = Fraction((-1) ** r, r)
-    if ground.is_symbolic:
-        prod = MultiPoly.constant(1)
-        for weight, t in zip(wc.weights, sums):
-            prod = prod * eval_P_symbolic(weight, t)
-        return prod * factor
-    prod = Fraction(1)
-    for weight, t in zip(wc.weights, sums):
-        prod *= eval_P(weight, t)
-    return prod * factor
 
 
 def _zero(ground: GroundSet) -> SumValue:

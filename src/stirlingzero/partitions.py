@@ -1,8 +1,9 @@
-"""Ordered set partitions, per-block weights, and ground sets.
+"""Set partitions, weight compositions, and ground sets.
 
 Elements of the g-element ground set are bit positions 0..g-1; blocks are
 machine-word bitmasks, so canonical forms are trivially hashable and cheap to
-compare.  Enumeration is streaming (restricted-growth order) and
+compare, and :meth:`GroundSet.block_sum` maps a block to the sum of its
+ground values.  Enumeration is streaming (restricted-growth order) and
 deterministic: identical input always yields identical order.
 
 A stream over unordered partitions can be split into independent sub-streams
@@ -24,13 +25,11 @@ from .algebra import MultiPoly
 
 __all__ = [
     "Configuration",
-    "WeightedConfiguration",
     "GroundSet",
     "iter_ordered_partitions",
     "iter_unordered_partitions",
     "split_handles",
     "weight_compositions",
-    "block_sums",
     "count_weighted_configs",
     "ordered_partition_count",
     "unordered_partition_count",
@@ -53,41 +52,9 @@ class Configuration:
             seen |= mask
         return seen == full
 
-    def check(self) -> None:
-        if not self.is_valid():
-            raise ValueError(f"invalid configuration {self.blocks} over g={self.g}")
-
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def elements(self, i: int) -> tuple:
-        mask = self.blocks[i]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class WeightedConfiguration:
-    """A configuration with one nonnegative weight per block."""
-
-    config: Configuration
-    weights: tuple
-
-    def check(self) -> None:
-        self.config.check()
-        if len(self.weights) != self.config.block_count:
-            raise ValueError("one weight per block required")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weights)
 
 
 @dataclass(frozen=True)
@@ -119,6 +86,17 @@ class GroundSet:
         if not self.is_symbolic:
             raise ValueError("numeric ground set has no variable names")
         return tuple(v.vars[0] for v in self.values)
+
+    def block_sum(self, mask: int):
+        """Sum of the values at the set bits of ``mask``, in element order."""
+        vals = self.values
+        total = None
+        while mask:
+            low = mask & -mask
+            v = vals[low.bit_length() - 1]
+            total = v if total is None else total + v
+            mask ^= low
+        return total
 
     def describe(self) -> str:
         if self.is_symbolic:
@@ -200,24 +178,6 @@ def weight_compositions(w: int, r: int) -> Iterator[tuple]:
     for first in range(w + 1):
         for rest in weight_compositions(w - first, r - 1):
             yield (first,) + rest
-
-
-def block_sums(config: Configuration, ground: GroundSet) -> tuple:
-    """Sum of ground values inside each block, in block order."""
-    if config.g != ground.g:
-        raise ValueError("configuration and ground set sizes differ")
-    vals = ground.values
-    out = []
-    for mask in config.blocks:
-        total = None
-        m = mask
-        while m:
-            low = m & -m
-            v = vals[low.bit_length() - 1]
-            total = v if total is None else total + v
-            m ^= low
-        out.append(total)
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

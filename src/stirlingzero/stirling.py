@@ -26,8 +26,6 @@ __all__ = [
     "stirling_poly",
     "eval_P",
     "eval_P_symbolic",
-    "save_poly_cache",
-    "load_poly_cache",
 ]
 
 
@@ -143,9 +141,6 @@ def _dense_eval(coeffs, t: Fraction) -> Fraction:
 
 # --------------------------------------------------------------- public API
 
-_POLY_CACHE: dict = {}
-
-
 def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
     """Checks pinning the offset-w polynomial uniquely given the offset-(w-1) one.
 
@@ -170,6 +165,7 @@ def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
             f"offset-{w} polynomial does not anchor to the triangle at n={w}")
 
 
+@lru_cache(maxsize=None)
 def stirling_poly(w: int) -> StirlingPoly:
     """The degree-2w polynomial agreeing with ``[n, n-w]`` for integers n >= w.
 
@@ -178,19 +174,13 @@ def stirling_poly(w: int) -> StirlingPoly:
     """
     if w < 0:
         raise ValueError("offset w must be nonnegative")
-    cached = _POLY_CACHE.get(w)
-    if cached is not None:
-        return cached
     if w == 0:
-        poly = StirlingPoly(0, (Fraction(1),))
-    else:
-        tri = triangle(3 * w)
-        points = [(n, tri.entry(n, n - w)) for n in range(w, 3 * w + 1)]
-        coeffs = _dense_interpolate(points)
-        _validate_chain(w, coeffs, stirling_poly(w - 1).coeffs)
-        poly = StirlingPoly(w, tuple(coeffs))
-    _POLY_CACHE[w] = poly
-    return poly
+        return StirlingPoly(0, (Fraction(1),))
+    tri = triangle(3 * w)
+    points = [(n, tri.entry(n, n - w)) for n in range(w, 3 * w + 1)]
+    coeffs = _dense_interpolate(points)
+    _validate_chain(w, coeffs, stirling_poly(w - 1).coeffs)
+    return StirlingPoly(w, tuple(coeffs))
 
 
 def eval_P(w: int, t) -> Fraction:
@@ -208,37 +198,3 @@ def eval_P_symbolic(w: int, t) -> MultiPoly:
         acc = acc * t + c
     return acc
 
-
-def save_poly_cache(path, w_max: int) -> None:
-    """Write coefficient vectors for offsets 0..w_max, one line per offset.
-
-    Each line holds the 2w+1 coefficients (low degree first) as
-    ``numerator/denominator`` tokens.  The file is an optimization only;
-    loading re-validates every row.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        for w in range(w_max + 1):
-            fh.write(" ".join(str(c) for c in stirling_poly(w).coeffs) + "\n")
-
-
-def load_poly_cache(path) -> int:
-    """Load and install cached coefficient vectors; returns how many.
-
-    Every row is re-derived from the previous one via the difference identity
-    plus a triangle anchor, so a tampered or stale file is rejected with
-    :class:`ConsistencyError` rather than trusted.
-    """
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append(tuple(Fraction(tok) for tok in line.split()))
-    prev = None
-    for w, coeffs in enumerate(rows):
-        _validate_chain(w, coeffs, prev)
-        prev = coeffs
-    for w, coeffs in enumerate(rows):
-        _POLY_CACHE[w] = StirlingPoly(w, coeffs)
-    return len(rows)

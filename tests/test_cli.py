@@ -124,6 +124,13 @@ class TestSweepCommand:
                      ["part2", "--H", "3"], ["bridge", "--c", "2,3", "--w", "0"]):
             assert build_parser().parse_args(argv).jobs == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--g-max", "2", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_budget_zero_marks_everything(self, tmp_path):
         code, records, _ = run_cli(
             ["sweep", "--g-max", "4", "--budget-seconds", "0", "--jobs", "1"],

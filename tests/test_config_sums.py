@@ -1,4 +1,4 @@
-"""Configuration-sum verifier: evaluation, both summation routes, sweeps."""
+"""Configuration-sum verifier: both summation routes, the integer kernel, sweeps."""
 
 import multiprocessing
 import random
@@ -7,20 +7,17 @@ from fractions import Fraction
 import pytest
 
 from stirlingzero import config_sums
-from stirlingzero.algebra import ConsistencyError, MultiPoly
+from stirlingzero.algebra import ConsistencyError
 from stirlingzero.config_sums import (
     ConfigSumInstance,
     double_check_nonzero,
-    evaluate,
     random_ground,
     sum_collapsed,
     sum_ordered,
     verify_range,
 )
 from stirlingzero.partitions import (
-    Configuration,
     GroundSet,
-    WeightedConfiguration,
     count_weighted_configs,
     unordered_partition_count,
 )
@@ -37,27 +34,6 @@ def numeric_instance(g, w, values):
 
 def symbolic_instance(g, w):
     return ConfigSumInstance.make(g, w, GroundSet.symbolic(g))
-
-
-class TestEvaluate:
-    def test_two_block_example(self):
-        # blocks {0},{1,2} with weights (0,1) at c=(2,3,4):
-        # (+1)(1/2) * P_0(2) * P_1(7) = 21/2
-        wc = WeightedConfiguration(Configuration(3, (0b001, 0b110)), (0, 1))
-        assert evaluate(wc, GroundSet.numeric([2, 3, 4])) == Fraction(21, 2)
-
-    def test_single_block_weight_zero(self):
-        wc = WeightedConfiguration(Configuration(3, (0b111,)), (0,))
-        assert evaluate(wc, GroundSet.numeric([5, 6, 7])) == -1
-
-    def test_two_singletons(self):
-        wc = WeightedConfiguration(Configuration(2, (0b01, 0b10)), (0, 0))
-        assert evaluate(wc, GroundSet.numeric([9, -4])) == Fraction(1, 2)
-
-    def test_symbolic_evaluation(self):
-        wc = WeightedConfiguration(Configuration(2, (0b11,)), (0,))
-        got = evaluate(wc, GroundSet.symbolic(2))
-        assert got == MultiPoly.constant(-1)
 
 
 class TestInstanceValidation:

@@ -7,9 +7,7 @@ import pytest
 
 from stirlingzero.algebra import MultiPoly
 from stirlingzero.partitions import (
-    Configuration,
     GroundSet,
-    block_sums,
     count_weighted_configs,
     iter_ordered_partitions,
     iter_unordered_partitions,
@@ -115,24 +113,22 @@ class TestWeightCompositions:
 class TestBlockSums:
     def test_numeric(self):
         ground = GroundSet.numeric([2, 3, 4])
-        cfg = Configuration(3, (0b001, 0b110))
-        assert block_sums(cfg, ground) == (Fraction(2), Fraction(7))
+        assert ground.block_sum(0b001) == Fraction(2)
+        assert ground.block_sum(0b110) == Fraction(7)
 
     def test_single_block(self):
         ground = GroundSet.numeric([Fraction(1, 2), 5, -3])
-        cfg = Configuration(3, (0b111,))
-        assert block_sums(cfg, ground) == (Fraction(5, 2),)
+        assert ground.block_sum(0b111) == Fraction(5, 2)
 
     def test_symbolic(self):
         ground = GroundSet.symbolic(2)
-        cfg = Configuration(2, (0b11,))
         c1, c2 = MultiPoly.variable("c1"), MultiPoly.variable("c2")
-        assert block_sums(cfg, ground) == (c1 + c2,)
+        assert ground.block_sum(0b11) == c1 + c2
 
     def test_total_is_ground_total(self):
         ground = GroundSet.numeric([1, 4, 9, 16])
         for cfg in iter_ordered_partitions(4):
-            assert sum(block_sums(cfg, ground)) == 30
+            assert sum(ground.block_sum(mask) for mask in cfg.blocks) == 30
 
 
 class TestCountWeightedConfigs:

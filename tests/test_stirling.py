@@ -8,10 +8,9 @@ import pytest
 from stirlingzero.algebra import ConsistencyError, MultiPoly
 from stirlingzero.stirling import (
     StirlingPoly,
+    _validate_chain,
     eval_P,
     eval_P_symbolic,
-    load_poly_cache,
-    save_poly_cache,
     stirling_poly,
     triangle,
 )
@@ -101,29 +100,23 @@ class TestStirlingPoly:
         assert sym.substitute({"c1": 2, "c2": 3}) == eval_P(2, 5)
 
 
-class TestPolyCacheFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "poly-cache.txt"
-        save_poly_cache(path, 5)
-        assert load_poly_cache(path) == 6
-        assert eval_P(5, 9) == triangle(9).entry(9, 4)
+class TestChainCheck:
+    """Positive controls: each tampered polynomial must be rejected."""
 
-    def test_tampered_file_rejected(self, tmp_path):
-        path = tmp_path / "poly-cache.txt"
-        save_poly_cache(path, 4)
-        lines = path.read_text().splitlines()
-        toks = lines[3].split()
-        toks[1] = str(Fraction(toks[1]) + 1)
-        lines[3] = " ".join(toks)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConsistencyError):
-            load_poly_cache(path)
+    def test_interior_coefficient_changed(self):
+        coeffs = list(stirling_poly(3).coeffs)
+        coeffs[2] += 1
+        with pytest.raises(ConsistencyError, match="difference identity"):
+            _validate_chain(3, tuple(coeffs), stirling_poly(2).coeffs)
 
-    def test_wrong_length_rejected(self, tmp_path):
-        path = tmp_path / "poly-cache.txt"
-        save_poly_cache(path, 2)
-        lines = path.read_text().splitlines()
-        lines[2] = lines[2] + " 7/1"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConsistencyError):
-            load_poly_cache(path)
+    def test_constant_term_changed(self):
+        # a constant shift leaves P(x+1) - P(x) unchanged; only the anchor sees it
+        coeffs = list(stirling_poly(3).coeffs)
+        coeffs[0] += 1
+        with pytest.raises(ConsistencyError, match="anchor"):
+            _validate_chain(3, tuple(coeffs), stirling_poly(2).coeffs)
+
+    def test_wrong_length(self):
+        coeffs = stirling_poly(2).coeffs + (Fraction(7),)
+        with pytest.raises(ConsistencyError, match="degree exactly 4"):
+            _validate_chain(2, coeffs, stirling_poly(1).coeffs)
