@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -610,16 +611,29 @@ class Series:
 
 def _dense_from_nodes(nodes: Sequence[int], skip: int) -> list:
     # coefficients of prod_{m != skip} (X - nodes[m]), low degree first
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for m, x in enumerate(nodes):
         if m == skip:
             continue
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        nxt = [0] * (len(coeffs) + 1)
         for d, c in enumerate(coeffs):
             nxt[d + 1] += c
             nxt[d] -= c * x
         coeffs = nxt
     return coeffs
+
+
+@lru_cache(maxsize=None)
+def _lagrange_rows(nodes: tuple) -> tuple:
+    # rows[i][d]: coefficient of X^d in the i-th Lagrange basis polynomial
+    rows = []
+    for i, x_i in enumerate(nodes):
+        denom = 1
+        for m, x_m in enumerate(nodes):
+            if m != i:
+                denom *= x_i - x_m
+        rows.append(tuple(Fraction(c, denom) for c in _dense_from_nodes(nodes, i)))
+    return tuple(rows)
 
 
 def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiPoly:
@@ -630,6 +644,11 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
     degree at most ``degree_bound`` through them.  Every remaining sample is
     then checked against the fit; a disagreement raises
     :class:`PolynomialityError` (never silently dropped).
+
+    The fit runs coefficient by coefficient: each monomial of the node values
+    gets its own univariate interpolant from the cached Lagrange rows, and a
+    surplus sample is compared, by Horner evaluation, on every monomial that
+    the fit or the sample carries.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -648,21 +667,32 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
             raise ValueError(f"sample values must not involve {var!r}")
         values.append(p)
 
-    nodes = points[:degree_bound + 1]
-    result = MultiPoly.zero()
-    for i, x_i in enumerate(nodes):
-        numer = _dense_from_nodes(nodes, i)
-        denom = Fraction(1)
-        for m, x_m in enumerate(nodes):
-            if m != i:
-                denom *= x_i - x_m
-        basis = MultiPoly(
-            (var,), {(d,): c / denom for d, c in enumerate(numer) if c})
-        result = result + values[i] * basis
+    names = tuple(sorted({var}.union(*(p.vars for p in values)), key=_var_key))
+    flags = frozenset().union(*(p.laurent for p in values))
+    slot = names.index(var)
+    terms = [p._remap(names) for p in values]
 
-    for x, value in zip(points[degree_bound + 1:], values[degree_bound + 1:]):
-        if result.substitute({var: Fraction(x)}) != value:
-            raise PolynomialityError(
-                f"surplus sample at {var}={x} deviates from the degree-"
-                f"{degree_bound} interpolant")
-    return result
+    count = degree_bound + 1
+    rows = _lagrange_rows(tuple(points[:count]))
+    fit = {}
+    for mono in set().union(*terms[:count]):
+        column = [t.get(mono, 0) for t in terms[:count]]
+        fit[mono] = [sum(row[d] * v for row, v in zip(rows, column) if v)
+                     for d in range(count)]
+
+    for x, witness in zip(points[count:], terms[count:]):
+        for mono in fit.keys() | witness.keys():
+            acc = 0
+            for c in reversed(fit.get(mono, ())):
+                acc = acc * x + c
+            if acc != witness.get(mono, 0):
+                raise PolynomialityError(
+                    f"surplus sample at {var}={x} deviates from the degree-"
+                    f"{degree_bound} interpolant")
+
+    out = {}
+    for mono, coeffs in fit.items():
+        for d, c in enumerate(coeffs):
+            if c:
+                out[mono[:slot] + (d,) + mono[slot + 1:]] = c
+    return MultiPoly._raw(names, flags, out)

@@ -100,10 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     p2 = sub.add_parser("part2", help="log-expansion vanishing checks")
     p2.add_argument("--H", type=int, default=4, dest="h_max",
                     help="deepest 1/n order checked")
-    p2.add_argument("--s-max", type=int, default=6,
-                    help="largest u index kept symbolic")
+    p2.add_argument("--s-max", type=int,
+                    help="largest u index kept symbolic (default max(6, H+1))")
     p2.add_argument("--j-samples", type=_parse_int_list,
-                    help="integer j values for the interpolation oracle")
+                    help="integer j values for the interpolation oracle "
+                         "(default H+1 .. 3H+4)")
     add_common(p2)
 
     pb = sub.add_parser("bridge", help="paired check of one bridge instance")
@@ -151,7 +152,6 @@ def _confirmation_extra(conf):
     if conf is None:
         return {}
     extra = {
-        "reverified_by_ordered_route": conf.ordered_agrees,
         "ordered_total": value_str(conf.ordered_total),
     }
     if conf.second_ground is not None:
@@ -211,11 +211,11 @@ def _run_part1(args, ledger_path) -> int:
 
 
 def _run_part2(args, ledger_path) -> int:
-    kwargs = {"h_max": args.h_max, "s_max": args.s_max}
-    if args.j_samples:
-        kwargs["j_samples"] = tuple(args.j_samples)
+    h_max = args.h_max
+    s_max = max(6, h_max + 1) if args.s_max is None else args.s_max
+    j_samples = args.j_samples or range(h_max + 1, 3 * h_max + 5)
     try:
-        cfg = ExpansionConfig(**kwargs)
+        cfg = ExpansionConfig(h_max=h_max, s_max=s_max, j_samples=tuple(j_samples))
         checks = vanishing_report(cfg)
     except (ValueError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)

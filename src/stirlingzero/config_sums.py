@@ -107,16 +107,10 @@ class ConfigSumResult:
     total: SumValue
     configurations_visited: int
     elapsed: float
-    verdict: str
-
-    @classmethod
-    def build(cls, instance, total, visited, elapsed) -> "ConfigSumResult":
-        verdict = "zero" if total == 0 else "nonzero"
-        return cls(instance, total, visited, elapsed, verdict)
 
     @property
-    def is_zero(self) -> bool:
-        return self.verdict == "zero"
+    def verdict(self) -> str:
+        return "zero" if self.total == 0 else "nonzero"
 
 
 class _BlockValues:
@@ -180,7 +174,7 @@ def sum_ordered(inst: ConfigSumInstance) -> ConfigSumResult:
     if visited != expected:
         raise ConsistencyError(
             f"visited {visited} weighted configurations, expected {expected}")
-    return ConfigSumResult.build(inst, total, visited, time.perf_counter() - start)
+    return ConfigSumResult(inst, total, visited, time.perf_counter() - start)
 
 
 def _conv_truncated(acc, vec: tuple, w: int, zero) -> list:
@@ -277,7 +271,7 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     expected = unordered_partition_count(inst.g)
     if visited != expected:
         raise ConsistencyError(f"visited {visited} partitions, expected {expected}")
-    return ConfigSumResult.build(inst, total, visited, time.perf_counter() - start)
+    return ConfigSumResult(inst, total, visited, time.perf_counter() - start)
 
 
 def random_ground(g: int, rng: random.Random) -> GroundSet:
@@ -300,7 +294,6 @@ class NonzeroConfirmation:
     """Outcome of the double-verification protocol for a nonzero total."""
 
     ordered_total: SumValue
-    ordered_agrees: bool
     second_ground: Optional[GroundSet]
     second_total: Optional[SumValue]
 
@@ -331,7 +324,7 @@ def double_check_nonzero(inst: ConfigSumInstance, total: SumValue,
         second_ground = random_ground(inst.g, rng)
         second = sum_collapsed(ConfigSumInstance.make(inst.g, inst.w, second_ground))
         second_total = second.total
-    return NonzeroConfirmation(ordered.total, True, second_ground, second_total)
+    return NonzeroConfirmation(ordered.total, second_ground, second_total)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ whenever ``k >= h + 2``.
 Two independent routes produce the ``a_h``:
 
 * readback from the series exponential at integer j, followed by exact
-  interpolation in j (the literal route, also the polynomiality oracle), and
+  interpolation in j (the literal route, also the polynomiality oracle);
+  one exponential, truncated at the largest sample J, serves every sample,
+  since ``x^s`` with ``s > j`` cannot reach ``x^j``, and
 * a closed form summing over multisets ``{s_1..s_p}`` with
   ``sum (s_i - 1) = h``: each contributes
   ``prod_i(-(-1)^{s_i} u_{s_i}/s_i) * j(j-1)...(j-m+1) / (r^m * aut)``
@@ -140,16 +142,15 @@ class ExpansionCoefficient:
 
 
 @lru_cache(maxsize=None)
-def _generating_coefficient(j: int, u_indices: tuple) -> MultiPoly:
+def _generating_series(order: int, u_indices: tuple) -> Series:
     n = MultiPoly.variable(N)
     r = MultiPoly.variable(R, laurent=True)
     entries = {1: n * r}
     for s in u_indices:
-        if 2 <= s <= j:
+        if 2 <= s <= order:
             # -(n u_s / s) (-x)^s contributes (-1)^(s+1) n u_s / s at x^s
             entries[s] = n * MultiPoly.variable(u_name(s)) * Fraction((-1) ** (s + 1), s)
-    arg = Series.from_dict(X, j, entries)
-    return arg.exp().coefficient(j)
+    return Series.from_dict(X, order, entries).exp()
 
 
 def generating_coefficient(j: int, cfg: ExpansionConfig,
@@ -162,7 +163,7 @@ def generating_coefficient(j: int, cfg: ExpansionConfig,
     if j < 1:
         raise ValueError("need j >= 1")
     indices = cfg.u_indices() if u_indices is None else tuple(sorted(u_indices))
-    return _generating_coefficient(j, tuple(s for s in indices if s <= j))
+    return _generating_series(j, tuple(s for s in indices if s <= j)).coefficient(j)
 
 
 def expansion_coefficients(j: int, gj: MultiPoly) -> list:
@@ -190,8 +191,11 @@ def expansion_coefficients(j: int, gj: MultiPoly) -> list:
 
 
 @lru_cache(maxsize=None)
-def _readback_coefficients(j: int, u_indices: tuple) -> tuple:
-    return tuple(expansion_coefficients(j, _generating_coefficient(j, u_indices)))
+def _readback_coefficients(j: int, order: int, u_indices: tuple) -> tuple:
+    # x^s with s > j cannot reach x^j, so the order-``order`` series holds the
+    # order-j coefficient at x^j: one exponential serves every sample j
+    return tuple(expansion_coefficients(
+        j, _generating_series(order, u_indices).coefficient(j)))
 
 
 @lru_cache(maxsize=None)
@@ -261,10 +265,10 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
         raise BudgetError(
             f"interpolation oracle for order {h} needs {2 * h + 1} samples with "
             f"j >= {h + 1}; only {len(usable)} configured")
-    samples = []
-    for j in usable:
-        trimmed = tuple(s for s in indices if s <= j)
-        samples.append((j, _readback_coefficients(j, trimmed)[h].value))
+    order = max(usable)
+    trimmed = tuple(s for s in indices if s <= order)
+    samples = [(j, _readback_coefficients(j, order, trimmed)[h].value)
+               for j in usable]
     oracle = interpolate_in_var(samples, J, 2 * h)
     if oracle != value:
         raise ConsistencyError(

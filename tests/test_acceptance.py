@@ -234,10 +234,10 @@ def test_criterion_9_exploratory(monkeypatch):
         if (inst.g, inst.w) == (7, 4):
             return ConfigSumResult(
                 real.instance, Fraction(1, 3), real.configurations_visited,
-                real.elapsed, "nonzero")
+                real.elapsed)
         return real
 
-    sentinel = NonzeroConfirmation(Fraction(1, 3), True, None, None)
+    sentinel = NonzeroConfirmation(Fraction(1, 3), None, None)
 
     def fake_check(inst, total, rng=None):
         calls.append((inst.g, inst.w, total))

@@ -274,6 +274,36 @@ class TestInterpolation:
         with pytest.raises(PolynomialityError):
             interpolate_in_var(samples, "j", 2)
 
+    def test_surplus_deviation_in_a_monomial_no_node_has(self):
+        # the nodes fit u*j exactly; the witness adds a v term the fit lacks
+        u, v = var("u"), var("v")
+        samples = [(x, u * x) for x in range(4)] + [(4, u * 4 + v)]
+        with pytest.raises(PolynomialityError):
+            interpolate_in_var(samples, "j", 2)
+
+    def test_surplus_deviation_in_one_monomial_among_many(self):
+        names = ("a", "b", "c", "d", "e")
+
+        def value(x, bump=0):
+            total = var("c") * bump
+            for k, name in enumerate(names):
+                total = total + var(name) * (x ** k + k)
+            return total
+
+        samples = [(x, value(x)) for x in range(-3, 4)]
+        fit = interpolate_in_var(samples, "j", 4)
+        assert fit == value(var("j"))
+        samples[-1] = (3, value(3, bump=Fraction(1, 7)))
+        with pytest.raises(PolynomialityError):
+            interpolate_in_var(samples, "j", 4)
+
+    def test_samples_with_different_registries(self):
+        # the x = 0 and x = 1 samples are constants, the rest carry u/r^2
+        u_over_r2 = var("u").times_power("r", -2, laurent=True)
+        samples = [(x, u_over_r2 * (x * x - x) + x) for x in range(5)]
+        j = var("j")
+        assert interpolate_in_var(samples, "j", 2) == u_over_r2 * (j * j - j) + j
+
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             interpolate_in_var([(0, MultiPoly.constant(1))], "j", 2)

@@ -78,6 +78,20 @@ class TestPart2Command:
             [(1, 3), (2, 4), (3, 5), (3, 6)]
         assert all(r["verdict"] == "zero" for r in records)
 
+    def test_depth_six_derives_its_budget(self, tmp_path):
+        code, records, _ = run_cli(["part2", "--H", "6"], tmp_path)
+        assert code == 0
+        assert {r["params"]["s_max"] for r in records} == {7}
+        assert {r["params"]["j_samples"] for r in records} == \
+            {",".join(map(str, range(7, 23)))}
+        assert all(r["verdict"] == "zero" for r in records)
+
+    def test_default_depth_keeps_its_budget(self, tmp_path):
+        code, records, _ = run_cli(["part2"], tmp_path)
+        assert code == 0
+        assert {(r["params"]["H"], r["params"]["s_max"], r["params"]["j_samples"])
+                for r in records} == {(4, 6, ",".join(map(str, range(5, 17))))}
+
     def test_insufficient_s_max_is_usage_error(self, tmp_path):
         code, records, _ = run_cli(
             ["part2", "--H", "4", "--s-max", "3", "--jobs", "1"], tmp_path)

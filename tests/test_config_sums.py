@@ -207,7 +207,7 @@ class TestDoubleCheckProtocol:
         monkeypatch.setattr("stirlingzero.config_sums.sum_ordered", fake_ordered)
         conf = double_check_nonzero(inst, real.total, random.Random(1))
         assert calls == [inst]
-        assert conf.ordered_agrees
+        assert conf.ordered_total == real.total
         assert conf.second_ground is not None
         assert conf.second_total == 0  # identity holds at the fresh ground set
 

@@ -5,20 +5,26 @@ from math import factorial
 
 import pytest
 
+from stirlingzero import series_vanishing
 from stirlingzero.algebra import (
     BudgetError,
     ConsistencyError,
     MultiPoly,
+    Series,
     interpolate_in_var,
 )
 from stirlingzero.series_vanishing import (
+    X,
     ExpansionCoefficient,
     ExpansionConfig,
+    _generating_series,
+    _readback_coefficients,
     all_vanished,
     expansion_coefficients,
     generating_coefficient,
     log_expansion,
     symbolic_expansion_coefficient,
+    u_name,
     vanishing_report,
 )
 
@@ -58,6 +64,30 @@ class TestGeneratingCoefficient:
     def test_degree_in_n_is_j(self):
         gj = generating_coefficient(6, CFG)
         assert gj.degree_in("n") == 6
+
+
+class TestSharedExponential:
+    # one order-J exponential serves every sample j <= J: x^s with s > j
+    # cannot reach x^j, so its x^j coefficient is the order-j series' one
+    CFG9 = ExpansionConfig(h_max=4, s_max=9, j_samples=tuple(range(5, 14)))
+
+    @pytest.mark.parametrize("jj", [5, 7, 8, 9, 13])
+    def test_coefficient_matches_own_order_series(self, jj):
+        top = max(self.CFG9.j_samples)
+        indices = self.CFG9.u_indices()
+        entries = {1: n * r}
+        for s in indices:
+            if s <= jj:
+                entries[s] = n * MultiPoly.variable(u_name(s)) * Fraction((-1) ** (s + 1), s)
+        own = Series.from_dict(X, jj, entries).exp().coefficient(jj)
+        assert _generating_series(top, indices).coefficient(jj) == own
+        assert generating_coefficient(jj, self.CFG9) == own
+
+    @pytest.mark.parametrize("jj", [5, 13])
+    def test_readback_reads_the_shared_series(self, jj):
+        shared = _readback_coefficients(jj, 13, self.CFG9.u_indices())
+        own = expansion_coefficients(jj, generating_coefficient(jj, self.CFG9))
+        assert [c.value for c in shared] == [c.value for c in own]
 
 
 class TestReadback:
@@ -144,6 +174,20 @@ class TestClosedForm:
             for jj in CFG.j_samples[:4]:
                 coeffs = expansion_coefficients(jj, generating_coefficient(jj, CFG))
                 assert sym.substitute({"j": jj}) == coeffs[h].value
+
+    def test_closed_form_disagreement_is_caught(self, monkeypatch):
+        real = series_vanishing._closed_form
+
+        def bumped(h, u_indices):
+            value = real(h, u_indices)
+            terms = dict(value.terms)
+            first = min(terms)
+            terms[first] += 1
+            return MultiPoly(value.vars, terms, value.laurent)
+
+        monkeypatch.setattr(series_vanishing, "_closed_form", bumped)
+        with pytest.raises(ConsistencyError):
+            symbolic_expansion_coefficient(2, CFG)
 
     def test_budget_too_small_for_oracle(self):
         cfg = ExpansionConfig(h_max=3, s_max=6, j_samples=(4, 5, 6))
