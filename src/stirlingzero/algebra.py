@@ -147,11 +147,6 @@ class MultiPoly:
         flags = frozenset({name}) if laurent else frozenset()
         return cls._raw((name,), flags, {(1,): Fraction(1)})
 
-    @classmethod
-    def variables(cls, names: Iterable[str], laurent: Iterable[str] = ()):
-        flags = frozenset(laurent)
-        return [cls.variable(n, laurent=n in flags) for n in names]
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -455,7 +450,6 @@ class Series:
 
     ``coeffs[k]`` is the MultiPoly coefficient of ``var**k``; the truncation
     order is ``order`` and coefficients beyond it are *unknown*, not zero.
-    Binary operations truncate to the smaller operand order.
     """
 
     __slots__ = ("var", "order", "coeffs")
@@ -491,68 +485,6 @@ class Series:
             raise PrecisionError(
                 f"coefficient {k} requested beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    def truncated(self, order: int) -> "Series":
-        if order > self.order:
-            raise PrecisionError(
-                f"cannot extend truncation order {self.order} to {order}")
-        return Series(self.var, order, self.coeffs[:order + 1])
-
-    def _check_var(self, other: "Series"):
-        if self.var != other.var:
-            raise ValueError(
-                f"mixed expansion variables {self.var!r} and {other.var!r}")
-
-    def __add__(self, other):
-        if isinstance(other, Series):
-            self._check_var(other)
-            order = min(self.order, other.order)
-            return Series(self.var, order,
-                          [a + b for a, b in zip(self.coeffs, other.coeffs)])
-        p = MultiPoly._coerce(other)
-        if p is None:
-            return NotImplemented
-        coeffs = (self.coeffs[0] + p,) + self.coeffs[1:]
-        return Series(self.var, self.order, coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series(self.var, self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, Series):
-            self._check_var(other)
-            order = min(self.order, other.order)
-            return Series(self.var, order,
-                          [a - b for a, b in zip(self.coeffs, other.coeffs)])
-        p = MultiPoly._coerce(other)
-        if p is None:
-            return NotImplemented
-        return self + (-p)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            self._check_var(other)
-            order = min(self.order, other.order)
-            out = [MultiPoly.zero() for _ in range(order + 1)]
-            for i, a in enumerate(self.coeffs[:order + 1]):
-                if a.is_zero():
-                    continue
-                for k in range(i, order + 1):
-                    b = other.coeffs[k - i]
-                    if not b.is_zero():
-                        out[k] = out[k] + a * b
-            return Series(self.var, order, out)
-        p = MultiPoly._coerce(other)
-        if p is None:
-            return NotImplemented
-        return Series(self.var, self.order, [c * p for c in self.coeffs])
-
-    __rmul__ = __mul__
 
     def exp(self) -> "Series":
         """Exponential of a series with zero constant term.
@@ -599,9 +531,6 @@ class Series:
             return NotImplemented
         return (self.var == other.var and self.order == other.order
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.var, self.order, self.coeffs))
 
     def __repr__(self):
         inner = ", ".join(f"{self.var}^{k}: {c.canonical_str()}"

@@ -76,12 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and log-expansion coefficients.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--ledger", help="ledger file path (JSON lines)")
-        p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes per instance (default 1, the serial "
-                            "reference path)")
-
     p1 = sub.add_parser("part1", help="configuration-sum instances")
     p1.add_argument("--g", type=int, required=True, help="ground-set size (>= 2)")
     group_w = p1.add_mutually_exclusive_group(required=True)
@@ -95,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     group_c.add_argument("--symbolic", action="store_true",
                          help="fully symbolic ground set (proves every ground set)")
     p1.add_argument("--seed", type=int, default=0, help="seed for --random grounds")
-    add_common(p1)
 
     p2 = sub.add_parser("part2", help="log-expansion vanishing checks")
     p2.add_argument("--H", type=int, default=4, dest="h_max",
@@ -105,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--j-samples", type=_parse_int_list,
                     help="integer j values for the interpolation oracle "
                          "(default H+1 .. 3H+4)")
-    add_common(p2)
 
     pb = sub.add_parser("bridge", help="paired check of one bridge instance")
     pb.add_argument("--c", type=_parse_int_list, required=True,
@@ -116,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--s-max", type=int, help="override the largest u index")
     pb.add_argument("--j-samples", type=_parse_int_list,
                     help="override the oracle sample points")
-    add_common(pb)
 
     ps = sub.add_parser("sweep", help="default verification band up to --g-max")
     ps.add_argument("--g-max", type=int, default=7)
@@ -131,10 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--budget-seconds", type=float,
                     help="wall-clock budget; leftover instances are marked, not dropped")
     ps.add_argument("--skip-exploratory", action="store_true")
-    add_common(ps)
 
     pr = sub.add_parser("report", help="summarize a ledger file")
-    pr.add_argument("--ledger", help="ledger file path (JSON lines)")
+
+    for p in (p1, p2, pb, ps, pr):
+        p.add_argument("--ledger", help="ledger file path (JSON lines)")
+    for p in (p1, pb, ps):
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker processes per instance (default 1, the serial "
+                            "reference path)")
 
     return parser
 

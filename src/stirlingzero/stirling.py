@@ -5,10 +5,12 @@ factorial ``x (x+1) ... (x+n-1)``.  For a fixed offset ``w``, the diagonal
 ``[n, n-w]`` agrees with a polynomial in ``n`` of degree ``2w``; that
 polynomial, evaluated anywhere, is what the identity checks consume.
 
-Construction of the degree-2w polynomial is interpolation through genuine
-triangle entries at ``n = w .. 3w``, cross-validated against the discrete
-difference identity ``P_w(x+1) - P_w(x) = x * P_{w-1}(x)`` (a direct
-consequence of the triangle recurrence) before anything is returned.
+The degree-2w polynomial is built by the engine's one interpolation routine,
+:func:`~stirlingzero.algebra.interpolate_in_var`, through genuine triangle
+entries at ``n = w .. 3w``.  Before anything is returned it is cross-validated
+against the discrete difference identity ``P_w(x+1) - P_w(x) = x * P_{w-1}(x)``
+(a direct consequence of the triangle recurrence), checked coefficient-wise
+by binomial shift.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from .algebra import ConsistencyError, MultiPoly
+from .algebra import ConsistencyError, MultiPoly, interpolate_in_var
 
 __all__ = [
     "StirlingTriangle",
@@ -72,66 +75,6 @@ class StirlingPoly:
     coeffs: tuple
 
 
-# -------------------------- dense univariate helpers (Fraction, low->high) --
-
-def _dense_trim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
-
-
-def _dense_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _dense_trim(tuple(out))
-
-
-def _dense_shift_by_one(coeffs):
-    # coefficients of p(x+1), via Horner in (x+1)
-    out = ()
-    for c in reversed(coeffs):
-        shifted = [Fraction(0)] * (len(out) + 1)
-        for d, v in enumerate(out):
-            shifted[d + 1] += v
-            shifted[d] += v
-        shifted[0] += c
-        out = tuple(shifted)
-    return _dense_trim(out)
-
-
-def _dense_mul_x(coeffs):
-    return (Fraction(0),) + tuple(coeffs)
-
-
-def _dense_interpolate(points):
-    # Newton's divided differences; exact over Fraction
-    xs = [Fraction(x) for x, _ in points]
-    table = [Fraction(y) for _, y in points]
-    n = len(points)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
-    # expand sum_k table[k] * prod_{i<k} (x - xs[i])
-    coeffs = (Fraction(0),)
-    node = (Fraction(1),)
-    for k in range(n):
-        term = tuple(table[k] * c for c in node)
-        coeffs = tuple(
-            (coeffs[i] if i < len(coeffs) else 0)
-            + (term[i] if i < len(term) else 0)
-            for i in range(max(len(coeffs), len(term))))
-        nxt = [Fraction(0)] * (len(node) + 1)
-        for d, v in enumerate(node):
-            nxt[d + 1] += v
-            nxt[d] -= v * xs[k]
-        node = tuple(nxt)
-    return _dense_trim(coeffs)
-
-
 def _dense_eval(coeffs, t: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
@@ -144,8 +87,11 @@ def _dense_eval(coeffs, t: Fraction) -> Fraction:
 def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
     """Checks pinning the offset-w polynomial uniquely given the offset-(w-1) one.
 
-    The difference identity determines the polynomial up to an additive
-    constant; the anchor value at x = w (a genuine triangle entry) fixes it.
+    The difference identity ``P_w(x+1) - P_w(x) = x * P_{w-1}(x)`` is checked
+    coefficient-wise: by the binomial shift, the ``x**k`` coefficient of
+    ``P(x+1) - P(x)`` is ``sum_{d>k} a_d * C(d, k)``.  The identity determines
+    the polynomial up to an additive constant; the anchor value at x = w (a
+    genuine triangle entry) fixes it.
     """
     if w == 0:
         if tuple(coeffs) != (Fraction(1),):
@@ -155,8 +101,9 @@ def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
         raise ConsistencyError(
             f"offset-{w} polynomial must have degree exactly {2 * w} "
             "with positive leading coefficient")
-    delta = _dense_sub(_dense_shift_by_one(coeffs), coeffs)
-    if delta != _dense_mul_x(_dense_trim(tuple(prev_coeffs))):
+    delta = [sum(coeffs[d] * comb(d, k) for d in range(k + 1, 2 * w + 1))
+             for k in range(2 * w)]
+    if delta != [0, *prev_coeffs]:
         raise ConsistencyError(
             f"difference identity fails for offset {w}: arithmetic bug")
     anchor = triangle(w).entry(w, 0)
@@ -169,18 +116,20 @@ def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
 def stirling_poly(w: int) -> StirlingPoly:
     """The degree-2w polynomial agreeing with ``[n, n-w]`` for integers n >= w.
 
-    Interpolated through triangle entries at ``n = w .. 3w`` and
-    cross-validated against the difference identity before being cached.
+    Interpolated by ``interpolate_in_var`` through triangle entries at
+    ``n = w .. 3w`` and cross-validated against the difference identity
+    before being cached.
     """
     if w < 0:
         raise ValueError("offset w must be nonnegative")
     if w == 0:
         return StirlingPoly(0, (Fraction(1),))
     tri = triangle(3 * w)
-    points = [(n, tri.entry(n, n - w)) for n in range(w, 3 * w + 1)]
-    coeffs = _dense_interpolate(points)
+    fit = interpolate_in_var(
+        [(n, tri.entry(n, n - w)) for n in range(w, 3 * w + 1)], "x", 2 * w)
+    coeffs = tuple(fit.terms.get((d,), Fraction(0)) for d in range(2 * w + 1))
     _validate_chain(w, coeffs, stirling_poly(w - 1).coeffs)
-    return StirlingPoly(w, tuple(coeffs))
+    return StirlingPoly(w, coeffs)
 
 
 def eval_P(w: int, t) -> Fraction:

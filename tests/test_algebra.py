@@ -226,18 +226,6 @@ class TestSeries:
         for k in range(T + 1):
             assert s.coefficient(k) == (n * r) ** k * Fraction(1, factorial(k))
 
-    def test_coefficient_is_linear(self):
-        a, b = var("a"), var("b")
-        s = Series.from_dict("x", 3, {1: a, 2: a * b})
-        t = Series.from_dict("x", 3, {1: b, 2: -(a * b)})
-        for k in range(4):
-            assert (s + t).coefficient(k) == s.coefficient(k) + t.coefficient(k)
-
-    def test_mul_truncates_to_smaller_order(self):
-        s = Series.from_dict("x", 5, {1: 1})
-        t = Series.from_dict("x", 3, {0: 1, 1: 2})
-        assert (s * t).order == 3
-
     @given(unit_free_series(order=6))
     @settings(max_examples=25, deadline=None)
     def test_log_of_exp_roundtrip(self, s):

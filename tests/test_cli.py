@@ -72,7 +72,7 @@ class TestPart1Command:
 class TestPart2Command:
     def test_depth_three(self, tmp_path):
         code, records, _ = run_cli(
-            ["part2", "--H", "3", "--s-max", "6", "--jobs", "1"], tmp_path)
+            ["part2", "--H", "3", "--s-max", "6"], tmp_path)
         assert code == 0
         assert [(r["params"]["h"], r["params"]["k"]) for r in records] == \
             [(1, 3), (2, 4), (3, 5), (3, 6)]
@@ -94,9 +94,15 @@ class TestPart2Command:
 
     def test_insufficient_s_max_is_usage_error(self, tmp_path):
         code, records, _ = run_cli(
-            ["part2", "--H", "4", "--s-max", "3", "--jobs", "1"], tmp_path)
+            ["part2", "--H", "4", "--s-max", "3"], tmp_path)
         assert code == 2
         assert records == []
+
+    def test_jobs_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["part2", "--jobs", "2"], tmp_path)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestBridgeCommand:
@@ -135,7 +141,7 @@ class TestSweepCommand:
 
     def test_jobs_default_is_serial(self):
         for argv in (["sweep"], ["part1", "--g", "3", "--w", "0", "--c", "2,3,4"],
-                     ["part2", "--H", "3"], ["bridge", "--c", "2,3", "--w", "0"]):
+                     ["bridge", "--c", "2,3", "--w", "0"]):
             assert build_parser().parse_args(argv).jobs == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from stirlingzero import stirling
 from stirlingzero.algebra import ConsistencyError, MultiPoly
 from stirlingzero.stirling import (
     StirlingPoly,
@@ -120,3 +121,31 @@ class TestChainCheck:
         coeffs = stirling_poly(2).coeffs + (Fraction(7),)
         with pytest.raises(ConsistencyError, match="degree exactly 4"):
             _validate_chain(2, coeffs, stirling_poly(1).coeffs)
+
+    def test_previous_coefficient_changed(self):
+        prev = list(stirling_poly(2).coeffs)
+        prev[1] += 1
+        with pytest.raises(ConsistencyError, match="difference identity"):
+            _validate_chain(3, stirling_poly(3).coeffs, tuple(prev))
+
+    def test_previous_one_entry_too_long(self):
+        prev = stirling_poly(2).coeffs + (Fraction(7),)
+        with pytest.raises(ConsistencyError, match="difference identity"):
+            _validate_chain(3, stirling_poly(3).coeffs, prev)
+
+    def test_tampered_interpolant_is_rejected(self, monkeypatch):
+        real = stirling.interpolate_in_var
+
+        def bumped(samples, var, degree_bound):
+            fit = real(samples, var, degree_bound)
+            if degree_bound == 6:  # the offset-3 build: bump its x^3 coefficient
+                fit = fit + MultiPoly.variable(var) ** 3
+            return fit
+
+        monkeypatch.setattr(stirling, "interpolate_in_var", bumped)
+        stirling_poly.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError, match="difference identity"):
+                stirling_poly(3)
+        finally:
+            stirling_poly.cache_clear()
