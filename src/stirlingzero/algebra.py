@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -334,6 +334,35 @@ class MultiPoly:
                 out[tuple(vec)] = coeff
         return MultiPoly._raw(self.vars, self.laurent, out)
 
+    def remainder(self, weights: Mapping[str, int], max_weight: Optional[int] = None,
+                  squarefree: Iterable[str] = ()) -> "MultiPoly":
+        """Remainder modulo a monomial ideal: the terms outside it, kept as they are.
+
+        The ideal is generated by every monomial whose weight exceeds
+        ``max_weight`` (``None``: no bound) and by the square of each
+        ``squarefree`` variable.  A monomial's weight is the sum of
+        ``weights[name] * exponent`` over its variables (unlisted ones weigh
+        nothing); weights must be nonnegative and sit on ordinary variables,
+        so that multiplying a monomial never lowers its weight.
+        """
+        slots = []
+        for i, name in enumerate(self.vars):
+            weight = weights.get(name, 0)
+            if weight < 0 or (weight and name in self.laurent):
+                raise ValueError(f"weight {weight} on {name!r} does not define an ideal")
+            if weight:
+                slots.append((i, weight))
+        square = set(squarefree)
+        square_slots = [i for i, name in enumerate(self.vars) if name in square]
+        out = {}
+        for exps, coeff in self.terms.items():
+            if any(exps[i] > 1 for i in square_slots):
+                continue
+            if max_weight is not None and sum(exps[i] * w for i, w in slots) > max_weight:
+                continue
+            out[exps] = coeff
+        return MultiPoly._raw(self.vars, self.laurent, out)
+
     def times_power(self, var: str, power: int, laurent: bool | None = None) -> "MultiPoly":
         """Multiply by ``var**power``; ``power`` may be negative.
 
@@ -486,11 +515,16 @@ class Series:
                 f"coefficient {k} requested beyond truncation order {self.order}")
         return self.coeffs[k]
 
-    def exp(self) -> "Series":
+    def exp(self, reduce: Optional[Callable] = None) -> "Series":
         """Exponential of a series with zero constant term.
 
         Computed by the exact convolution recurrence
         ``k*f_k = sum_{i=1..k} i * s_i * f_{k-i}`` with ``f_0 = 1``.
+
+        ``reduce``, if given, maps every product of the recurrence to its
+        remainder modulo a monomial ideal (see :meth:`MultiPoly.remainder`).
+        Taking that remainder is a ring homomorphism, so each coefficient of
+        the result is the remainder of the true one.
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("series exponential requires a zero constant term")
@@ -501,20 +535,24 @@ class Series:
                 s_i = self.coeffs[i]
                 if s_i.is_zero():
                     continue
-                acc = acc + (s_i * f[k - i]) * Fraction(i, k)
+                product = s_i * f[k - i]
+                if reduce is not None:
+                    product = reduce(product)
+                acc = acc + product * Fraction(i, k)
             f.append(acc)
         return Series(self.var, self.order, f)
 
-    def log(self) -> "Series":
+    def log(self, reduce: Optional[Callable] = None) -> "Series":
         """Logarithm of a series with constant term one.
 
-        Uses ``g_k = s_k - (1/k) sum_{i=1..k-1} i * g_i * s_{k-i}``.
+        Uses ``g_k = s_k - (1/k) sum_{i=1..k-1} i * g_i * s_{k-i}``;
+        ``reduce`` acts on each ``s_k`` and each product as in :meth:`exp`.
         """
         if self.coeffs[0] != 1:
             raise ValueError("series logarithm requires constant term equal to 1")
         g = [MultiPoly.zero()]
         for k in range(1, self.order + 1):
-            acc = self.coeffs[k]
+            acc = self.coeffs[k] if reduce is None else reduce(self.coeffs[k])
             for i in range(1, k):
                 g_i = g[i]
                 if g_i.is_zero():
@@ -522,7 +560,10 @@ class Series:
                 s = self.coeffs[k - i]
                 if s.is_zero():
                     continue
-                acc = acc - (g_i * s) * Fraction(i, k)
+                product = g_i * s
+                if reduce is not None:
+                    product = reduce(product)
+                acc = acc - product * Fraction(i, k)
             g.append(acc)
         return Series(self.var, self.order, g)
 

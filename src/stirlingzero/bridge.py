@@ -86,6 +86,10 @@ def bridge_coefficient(inst: BridgeInstance, cfg: ExpansionConfig) -> MultiPoly:
 
     All u_s with s outside the instance's value set are zeroed before
     expansion; the result is a Laurent polynomial in r, expected to vanish.
+    The target is squarefree in u, so the expansion runs modulo every
+    u_{c_i}^2 (``log_expansion(..., squarefree=True)``): its closed form and
+    interpolation oracle are compared in that quotient ring, where the
+    target coefficient is exact.
     """
     if cfg.h_max < inst.h:
         raise BudgetError(
@@ -94,7 +98,7 @@ def bridge_coefficient(inst: BridgeInstance, cfg: ExpansionConfig) -> MultiPoly:
         raise BudgetError(
             f"not attempted: u index {max(inst.c)} exceeds configured s_max={cfg.s_max}")
     u_indices = tuple(sorted(inst.c))
-    series = log_expansion(cfg, u_indices=u_indices)
+    series = log_expansion(cfg, u_indices=u_indices, squarefree=True)
     names = [u_name(s) for s in u_indices]
     component = (series.coefficient(inst.h)
                  .with_vars([J] + names)

@@ -88,8 +88,24 @@ def write_record(path: str, record: LedgerRecord) -> None:
         fh.flush()
 
 
+def _check_record(obj) -> None:
+    # the fields render_report reads, in the types it reads them as
+    if not isinstance(obj, dict) or not isinstance(obj.get("command"), str):
+        raise ValueError("not a ledger record")
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("params is not an object")
+    for key in ("g", "w"):
+        if key in params and type(params[key]) is not int:
+            raise ValueError(f"params.{key} is not an integer")
+    for key in ("status", "verdict", "value"):
+        if not isinstance(obj.get(key), (str, type(None))):
+            raise ValueError(f"{key} is neither a string nor null")
+
+
 def read_records(path: str):
-    """Parse a ledger; corrupt lines are skipped and reported, never fatal."""
+    """Parse a ledger; corrupt lines and malformed records are skipped and
+    reported, never fatal."""
     records = []
     warnings = []
     if not os.path.exists(path):
@@ -101,8 +117,7 @@ def read_records(path: str):
                 continue
             try:
                 obj = json.loads(line)
-                if not isinstance(obj, dict) or "command" not in obj:
-                    raise ValueError("not a ledger record")
+                _check_record(obj)
                 records.append(obj)
             except (json.JSONDecodeError, ValueError) as exc:
                 warnings.append(f"line {lineno}: skipped corrupt record ({exc})")

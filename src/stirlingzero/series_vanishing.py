@@ -24,6 +24,15 @@ Two independent routes produce the ``a_h``:
 The closed form is the production route; agreement with the interpolation
 oracle (surplus points included) is checked on every use, not optionally.
 
+Both routes run in a quotient ring that keeps every monomial the extracted
+coefficients can see.  The readback exponential drops u-weight above h_max
+(``u_s`` weighs ``s - 1``): weight is additive and nonnegative, so such a
+monomial never feeds an ``a_h`` with ``h <= h_max``, and only those are read
+back.  A caller that reads squarefree u-monomials only (the bridge) also
+drops every ``u_s^2``, in the exponential, the closed form and the log.
+Reduction modulo a monomial ideal is a ring homomorphism, so the closed form
+and the oracle are still compared exactly, in that quotient.
+
 Setting all u_s to zero except a chosen index set is supported directly:
 callers pass ``u_indices`` and every route restricts to multisets drawn from
 it, which is exact at every order (the discarded monomials vanish under the
@@ -141,8 +150,24 @@ class ExpansionCoefficient:
                     f"term with u-weight {weight} in order-{self.h} coefficient")
 
 
+def _quotient(u_indices: tuple, max_weight: Optional[int], squarefree: bool):
+    """Reduction modulo u-weight > ``max_weight`` and, if ``squarefree``, every u_s^2.
+
+    Both generate monomial ideals (weights are additive and nonnegative, and
+    exponents only grow under multiplication), so the map is a ring
+    homomorphism onto the quotient.  ``None`` when there is nothing to drop.
+    """
+    if max_weight is None and not squarefree:
+        return None
+    weights = {u_name(s): _u_weight(s) for s in u_indices}
+    square = tuple(weights) if squarefree else ()
+    return lambda p: p.remainder(weights, max_weight, square)
+
+
 @lru_cache(maxsize=None)
-def _generating_series(order: int, u_indices: tuple) -> Series:
+def _generating_series(order: int, u_indices: tuple, max_weight: Optional[int] = None,
+                       squarefree: bool = False) -> Series:
+    # exact with the defaults; otherwise exact only modulo the _quotient ideal
     n = MultiPoly.variable(N)
     r = MultiPoly.variable(R, laurent=True)
     entries = {1: n * r}
@@ -150,7 +175,8 @@ def _generating_series(order: int, u_indices: tuple) -> Series:
         if 2 <= s <= order:
             # -(n u_s / s) (-x)^s contributes (-1)^(s+1) n u_s / s at x^s
             entries[s] = n * MultiPoly.variable(u_name(s)) * Fraction((-1) ** (s + 1), s)
-    return Series.from_dict(X, order, entries).exp()
+    return Series.from_dict(X, order, entries).exp(
+        reduce=_quotient(u_indices, max_weight, squarefree))
 
 
 def generating_coefficient(j: int, cfg: ExpansionConfig,
@@ -191,11 +217,14 @@ def expansion_coefficients(j: int, gj: MultiPoly) -> list:
 
 
 @lru_cache(maxsize=None)
-def _readback_coefficients(j: int, order: int, u_indices: tuple) -> tuple:
+def _readback_coefficients(j: int, order: int, u_indices: tuple, h_max: int,
+                           squarefree: bool = False) -> tuple:
     # x^s with s > j cannot reach x^j, so the order-``order`` series holds the
-    # order-j coefficient at x^j: one exponential serves every sample j
-    return tuple(expansion_coefficients(
-        j, _generating_series(order, u_indices).coefficient(j)))
+    # order-j coefficient at x^j: one exponential serves every sample j.
+    # That exponential drops u-weight > h_max, which no a_h with h <= h_max
+    # can see; the deeper a_h it yields are wrong and are never returned.
+    gj = _generating_series(order, u_indices, h_max, squarefree).coefficient(j)
+    return tuple(expansion_coefficients(j, gj)[:h_max + 1])
 
 
 @lru_cache(maxsize=None)
@@ -219,12 +248,16 @@ def _partitions(n: int, max_part: Optional[int] = None):
 
 
 @lru_cache(maxsize=None)
-def _closed_form(h: int, u_indices: tuple) -> MultiPoly:
+def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPoly:
+    # each multiset contributes one u-monomial; with ``squarefree`` the
+    # multisets with a repeated index are the terms in the ideal (u_s^2)
     total = MultiPoly.zero()
     allowed = set(u_indices)
     for parts in _partitions(h):
         s_list = [p + 1 for p in parts]
         if any(s not in allowed for s in s_list):
+            continue
+        if squarefree and len(set(s_list)) < len(s_list):
             continue
         m = h + len(s_list)
         coeff = Fraction(1)
@@ -242,21 +275,25 @@ def _closed_form(h: int, u_indices: tuple) -> MultiPoly:
 
 
 def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
-                                   u_indices: Optional[Sequence[int]] = None
-                                   ) -> ExpansionCoefficient:
+                                   u_indices: Optional[Sequence[int]] = None,
+                                   squarefree: bool = False) -> ExpansionCoefficient:
     """a_h(r, j) with j symbolic, via the multiset closed form.
 
     Cross-validation against the interpolation oracle over the configured j
     samples is mandatory: the first 2h+1 samples define the interpolant, the
     rest act as polynomiality witnesses, and any disagreement with the closed
     form aborts with :class:`ConsistencyError`.
+
+    With ``squarefree`` the value is a_h modulo every u_s^2: its terms
+    squarefree in u.  Both routes are then compared in that quotient ring,
+    which is exact there because the reduction is a ring homomorphism.
     """
     if h < 0:
         raise ValueError("need h >= 0")
     if h > cfg.h_max:
         raise BudgetError(f"order {h} beyond configured h_max={cfg.h_max}")
     indices = cfg.u_indices() if u_indices is None else tuple(sorted(u_indices))
-    value = _closed_form(h, indices)
+    value = _closed_form(h, indices, squarefree)
     if h == 0:
         return ExpansionCoefficient(0, value)
 
@@ -267,7 +304,7 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
             f"j >= {h + 1}; only {len(usable)} configured")
     order = max(usable)
     trimmed = tuple(s for s in indices if s <= order)
-    samples = [(j, _readback_coefficients(j, order, trimmed)[h].value)
+    samples = [(j, _readback_coefficients(j, order, trimmed, cfg.h_max, squarefree)[h].value)
                for j in usable]
     oracle = interpolate_in_var(samples, J, 2 * h)
     if oracle != value:
@@ -277,7 +314,8 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
 
 
 def log_expansion(cfg: ExpansionConfig,
-                  u_indices: Optional[Sequence[int]] = None) -> Series:
+                  u_indices: Optional[Sequence[int]] = None,
+                  squarefree: bool = False) -> Series:
     """log(1 + sum_{s>=1} a_s/n^s) truncated at 1/n order h_max.
 
     Orders beyond the truncation cannot feed back into the kept ones, so the
@@ -286,15 +324,23 @@ def log_expansion(cfg: ExpansionConfig,
     u_{s} contributions from the deepest orders; that is rejected rather than
     computed wrong.  An explicit ``u_indices`` set means those u_s are zero
     by assumption, which is exact at every order.
+
+    ``squarefree`` computes the series modulo every u_s^2, for a caller that
+    reads only squarefree u-monomials: exponents only grow under
+    multiplication, so a dropped term never feeds a kept one.  Every a_h is
+    then reduced, and its closed form and interpolation oracle are compared
+    in that quotient.
     """
     if u_indices is None and cfg.s_max < cfg.h_max + 1:
         raise BudgetError(
             f"s_max={cfg.s_max} cannot support exact orders up to h_max={cfg.h_max}; "
             f"need s_max >= {cfg.h_max + 1}")
+    indices = cfg.u_indices() if u_indices is None else tuple(sorted(u_indices))
     coeffs = [MultiPoly.constant(1)]
     for h in range(1, cfg.h_max + 1):
-        coeffs.append(symbolic_expansion_coefficient(h, cfg, u_indices).value)
-    return Series(NINV, cfg.h_max, coeffs).log()
+        coeffs.append(
+            symbolic_expansion_coefficient(h, cfg, u_indices, squarefree=squarefree).value)
+    return Series(NINV, cfg.h_max, coeffs).log(reduce=_quotient(indices, None, squarefree))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .algebra import ConsistencyError, MultiPoly, interpolate_in_var
 
@@ -132,10 +132,30 @@ def stirling_poly(w: int) -> StirlingPoly:
     return StirlingPoly(w, coeffs)
 
 
+@lru_cache(maxsize=None)
+def _integer_coeffs(w: int) -> tuple:
+    # (numerators over one common denominator, that denominator)
+    coeffs = stirling_poly(w).coeffs
+    den = lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * den) for c in coeffs), den
+
+
 def eval_P(w: int, t) -> Fraction:
-    """Exact Horner evaluation of the offset-w polynomial at a rational point."""
-    t = Fraction(t)
-    return _dense_eval(stirling_poly(w).coeffs, t)
+    """Exact evaluation of the offset-w polynomial at a rational point ``p/q``.
+
+    Horner runs in integers on ``q^d * P_w(p/q) * den``, with ``d = 2w`` and
+    ``den`` the common denominator of the coefficients; one Fraction is built
+    at the end.
+    """
+    if not isinstance(t, Fraction):
+        t = Fraction(t)
+    nums, den = _integer_coeffs(w)
+    p, q = t.numerator, t.denominator
+    acc, scale = nums[-1], 1
+    for c in reversed(nums[:-1]):
+        scale *= q
+        acc = acc * p + c * scale
+    return Fraction(acc, den * scale)
 
 
 def eval_P_symbolic(w: int, t) -> MultiPoly:

@@ -162,6 +162,24 @@ class TestExtraction:
         assert got == 5 * r + 7
 
 
+    def test_remainder_drops_heavy_and_squared_terms(self):
+        u2, u3, u4 = var("u2"), var("u3"), var("u4")
+        light = 4 * u4.times_power("r", -2)
+        p = u2 ** 3 + u2 * u3 + light + u2 * u4 + 7 * u3 ** 2 + 1
+        weights = {"u2": 1, "u3": 2, "u4": 3}
+        assert p.remainder(weights, 3) == u2 ** 3 + u2 * u3 + light + 1
+        assert p.remainder(weights, 3, ["u2"]) == u2 * u3 + light + 1
+        assert p.remainder({}, None, ["u3"]) == p - 7 * u3 ** 2
+        assert p.remainder(weights) == p
+
+    def test_remainder_needs_an_ideal(self):
+        r = var("r", laurent=True)
+        with pytest.raises(ValueError):
+            (var("a") + 1).remainder({"a": -1}, 0)
+        with pytest.raises(ValueError):
+            (r + 1).remainder({"r": 1}, 0)
+
+
 # ------------------------------------------------------------------- series
 
 class TestSeries:
@@ -235,6 +253,23 @@ class TestSeries:
     @settings(max_examples=25, deadline=None)
     def test_roundtrip_any_order(self, s):
         assert s.exp().log() == s
+
+    @staticmethod
+    def _reduce(p):
+        return p.remainder({"a": 1, "b": 2}, 4, ["c"])
+
+    @given(unit_free_series(order=6))
+    @settings(max_examples=25, deadline=None)
+    def test_reduced_exp_is_the_remainder_of_exp(self, s):
+        assert s.exp(reduce=self._reduce).coeffs == tuple(
+            self._reduce(c) for c in s.exp().coeffs)
+
+    @given(unit_free_series(order=6))
+    @settings(max_examples=25, deadline=None)
+    def test_reduced_log_is_the_remainder_of_log(self, s):
+        unit = s.exp()
+        assert unit.log(reduce=self._reduce).coeffs == tuple(
+            self._reduce(c) for c in s.coeffs)
 
 
 # -------------------------------------------------------------- interpolation

@@ -2,14 +2,14 @@
 
 import pytest
 
-from stirlingzero.algebra import BudgetError
+from stirlingzero.algebra import BudgetError, MultiPoly
 from stirlingzero.bridge import (
     bridge_check,
     bridge_coefficient,
     bridge_params,
     expansion_budget_for,
 )
-from stirlingzero.series_vanishing import ExpansionConfig
+from stirlingzero.series_vanishing import J, ExpansionConfig, log_expansion, u_name
 
 
 class TestBridgeParams:
@@ -75,3 +75,31 @@ class TestBridgeCheck:
     def test_config_sum_side_uses_collapsed_route(self):
         report = bridge_check(bridge_params((2, 3), 0))
         assert report.config_sum.configurations_visited == 2  # Bell(2)
+
+
+class TestSquarefreeQuotient:
+    """The bridge's log runs modulo every u_{c_i}^2; where the squarefree
+    coefficient is nonzero, it must equal the one of the full log."""
+
+    @staticmethod
+    def _squarefree_part(series, inst, k):
+        names = {u_name(s): 1 for s in inst.c}
+        component = (series.coefficient(inst.h)
+                     .with_vars([J] + list(names))
+                     .coefficient_in(J, k))
+        return component.coefficient_of_monomial(names)
+
+    @pytest.mark.parametrize("c,expected", [((2, 3, 4), 8), ((2, 3, 5), -9),
+                                            ((2, 3, 4, 6), 182)],
+                             ids=["c=2,3,4", "c=2,3,5", "c=2,3,4,6"])
+    def test_reduced_log_keeps_the_nonzero_coefficient(self, c, expected):
+        inst = bridge_params(c, 0)
+        cfg = expansion_budget_for(inst)
+        reduced = log_expansion(cfg, u_indices=c, squarefree=True)
+        full = log_expansion(cfg, u_indices=c)
+        k = inst.h + 1  # outside the vanishing regime: nonzero
+        pinned = MultiPoly.constant(expected).times_power("r", -sum(c))
+        assert self._squarefree_part(full, inst, k) == pinned
+        assert self._squarefree_part(reduced, inst, k) == pinned
+        assert self._squarefree_part(reduced, inst, inst.k).is_zero()
+        assert reduced.coefficient(inst.h) != full.coefficient(inst.h)  # squares dropped

@@ -175,6 +175,22 @@ class TestReportCommand:
         assert code == 0
         assert "g=2: covered w=[0] (complete)" in out
 
+    @pytest.mark.parametrize("params", [{"g": "seven", "w": 0}, ["g", 3]])
+    def test_malformed_record_is_skipped(self, tmp_path, capsys, params):
+        path = tmp_path / "ledger.jsonl"
+        main(["part1", "--g", "2", "--w", "0", "--c", "2,3",
+              "--jobs", "1", "--ledger", str(path)])
+        record = json.loads(path.read_text().splitlines()[0])
+        record["params"] = params
+        with open(path, "a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        capsys.readouterr()
+        code = main(["report", "--ledger", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "ledger records: 1" in out
+        assert "warning: line 2: skipped corrupt record (params" in out
+
 
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):

@@ -68,6 +68,26 @@ class TestLedgerFile:
         assert len(records) == 2
         assert len(warnings) == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("params", {"g": "seven", "w": 0}),
+        ("params", ["g", 3]),
+        ("params", {"g": 3, "w": 1.5}),
+        ("command", 7),
+        ("value", 0),
+        ("verdict", ["zero"]),
+    ], ids=["g-text", "params-list", "w-float", "command-int", "value-int", "verdict-list"])
+    def test_malformed_fields_skipped_with_warning(self, tmp_path, field, value):
+        path = tmp_path / "ledger.jsonl"
+        write_record(str(path), self._record())
+        bad = json.loads(self._record().to_json())
+        bad[field] = value
+        with open(path, "a") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        records, warnings = read_records(str(path))
+        assert len(records) == 1
+        assert len(warnings) == 1 and "line 2" in warnings[0]
+        assert "ledger records: 1" in render_report(records, warnings)
+
     def test_missing_file_is_empty(self, tmp_path):
         records, warnings = read_records(str(tmp_path / "absent.jsonl"))
         assert records == [] and warnings == []

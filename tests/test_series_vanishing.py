@@ -85,9 +85,62 @@ class TestSharedExponential:
 
     @pytest.mark.parametrize("jj", [5, 13])
     def test_readback_reads_the_shared_series(self, jj):
-        shared = _readback_coefficients(jj, 13, self.CFG9.u_indices())
+        # the shared series drops u-weight > h_max; a_0..a_{h_max} are exact
+        h_max = self.CFG9.h_max
+        shared = _readback_coefficients(jj, 13, self.CFG9.u_indices(), h_max)
         own = expansion_coefficients(jj, generating_coefficient(jj, self.CFG9))
-        assert [c.value for c in shared] == [c.value for c in own]
+        assert len(shared) == h_max + 1
+        assert [c.value for c in shared] == [c.value for c in own[:h_max + 1]]
+
+    def test_readback_series_drops_weight_above_h_max(self):
+        h_max, indices = self.CFG9.h_max, self.CFG9.u_indices()
+        full = _generating_series(13, indices).coefficient(13)
+        reduced = _generating_series(13, indices, h_max).coefficient(13)
+        weights = {u_name(s): s - 1 for s in indices}
+        assert reduced == full.remainder(weights, h_max)
+        assert reduced != full
+
+    @pytest.mark.parametrize("jj", [9, 13])
+    def test_squarefree_readback_is_the_reduced_one(self, jj):
+        h_max, indices = self.CFG9.h_max, self.CFG9.u_indices()
+        shared = _readback_coefficients(jj, 13, indices, h_max, True)
+        own = expansion_coefficients(jj, generating_coefficient(jj, self.CFG9))
+        square = [u_name(s) for s in indices]
+        reduced = [c.value.remainder({}, None, square) for c in own[:h_max + 1]]
+        assert [c.value for c in shared] == reduced
+        assert reduced[h_max] != own[h_max].value  # u2^2 terms were there to drop
+
+
+class TestWeightBound:
+    """The readback exponential drops u-weight > h_max; one less is caught."""
+
+    @pytest.fixture
+    def bound_lowered(self, monkeypatch):
+        real = series_vanishing._generating_series
+
+        def lowered(order, u_indices, max_weight=None, squarefree=False):
+            if max_weight is not None:
+                max_weight -= 1
+            return real(order, u_indices, max_weight, squarefree)
+
+        _readback_coefficients.cache_clear()
+        monkeypatch.setattr(series_vanishing, "_generating_series", lowered)
+        yield
+        monkeypatch.undo()
+        _readback_coefficients.cache_clear()
+
+    CFG3 = ExpansionConfig(h_max=3, s_max=4, j_samples=tuple(range(4, 13)))
+
+    def test_bound_h_max_minus_one_is_caught(self, bound_lowered):
+        for h in range(1, self.CFG3.h_max):
+            symbolic_expansion_coefficient(h, self.CFG3)
+        with pytest.raises(ConsistencyError):
+            symbolic_expansion_coefficient(self.CFG3.h_max, self.CFG3)
+
+    def test_bound_h_max_minus_one_is_caught_on_the_bridge(self, bound_lowered):
+        cfg = ExpansionConfig(h_max=6, s_max=4, j_samples=tuple(range(7, 22)))
+        with pytest.raises(ConsistencyError):
+            log_expansion(cfg, u_indices=(2, 3, 4), squarefree=True)
 
 
 class TestReadback:
@@ -178,8 +231,8 @@ class TestClosedForm:
     def test_closed_form_disagreement_is_caught(self, monkeypatch):
         real = series_vanishing._closed_form
 
-        def bumped(h, u_indices):
-            value = real(h, u_indices)
+        def bumped(h, u_indices, squarefree=False):
+            value = real(h, u_indices, squarefree)
             terms = dict(value.terms)
             first = min(terms)
             terms[first] += 1

@@ -1,5 +1,6 @@
 """Stirling triangle and offset-polynomial layer."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -9,6 +10,7 @@ from stirlingzero import stirling
 from stirlingzero.algebra import ConsistencyError, MultiPoly
 from stirlingzero.stirling import (
     StirlingPoly,
+    _dense_eval,
     _validate_chain,
     eval_P,
     eval_P_symbolic,
@@ -86,6 +88,15 @@ class TestStirlingPoly:
         for w in range(1, 9):
             for m in range(w + 1):
                 assert eval_P(w, m) == 0
+
+    @pytest.mark.parametrize("w", range(9))
+    def test_integer_horner_matches_fraction_horner(self, w):
+        rng = random.Random(w)
+        points = [Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(40)]
+        points += [Fraction(0), Fraction(-1), Fraction(7, 1), Fraction(-13, 97)]
+        for t in points:
+            assert eval_P(w, t) == _dense_eval(stirling_poly(w).coeffs, t)
+        assert eval_P(w, 5) == eval_P(w, Fraction(5)) == eval_P(w, "5")
 
     def test_symbolic_matches_numeric(self):
         assert eval_P_symbolic(1, 7) == 21
