@@ -18,20 +18,12 @@ zero/consistent; exploratory and not-attempted records never affect it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from fractions import Fraction
 
-from .algebra import BudgetError, EngineError
-from .bridge import bridge_check, bridge_params, expansion_budget_for
-from .config_sums import (
-    ConfigSumInstance,
-    double_check_nonzero,
-    instance_rng,
-    random_ground,
-    sum_collapsed,
-    verify_range,
-)
+from .algebra import EngineError
+from .bridge import bridge_check, bridge_params
+from .config_sums import instance_rng, random_ground, run_plan, verify_range
 from .ledger import (
     LedgerRecord,
     default_ledger_path,
@@ -103,11 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--c", type=_parse_int_list, required=True,
                     help="distinct integers >= 2, e.g. 2,3,4")
     pb.add_argument("--w", type=int, required=True)
-    pb.add_argument("--H", type=int, dest="h_max",
-                    help="override the auto-sized expansion depth")
-    pb.add_argument("--s-max", type=int, help="override the largest u index")
-    pb.add_argument("--j-samples", type=_parse_int_list,
-                    help="override the oracle sample points")
 
     ps = sub.add_parser("sweep", help="default verification band up to --g-max")
     ps.add_argument("--g-max", type=int, default=7)
@@ -127,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p1, p2, pb, ps, pr):
         p.add_argument("--ledger", help="ledger file path (JSON lines)")
-    for p in (p1, pb, ps):
+    for p in (p1, ps):
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes per instance (default 1, the serial "
                             "reference path)")
@@ -173,36 +160,50 @@ def _run_part1(args, ledger_path) -> int:
         print("error: --random needs a positive count", file=sys.stderr)
         return 2
 
-    failures = 0
-    for w in ws:
-        if args.symbolic:
-            grounds = [(None, GroundSet.symbolic(args.g))]
-        elif args.c is not None:
-            grounds = [(None, GroundSet.numeric(args.c))]
-        else:
-            grounds = [
-                (i, random_ground(args.g, instance_rng(args.seed, args.g, w, i)))
-                for i in range(args.random)
-            ]
-        for index, ground in grounds:
-            inst = ConfigSumInstance.make(args.g, w, ground)
-            result = sum_collapsed(inst, jobs=args.jobs)
-            extra = {}
-            if result.verdict == "nonzero":
-                failures += 1
-                conf = double_check_nonzero(
-                    inst, result.total,
-                    instance_rng(args.seed + 1, args.g, w, index or 0))
-                extra = _confirmation_extra(conf)
-            params = {"g": args.g, "w": w, "mode": inst.mode,
-                      "ground": ground.describe()}
-            if index is not None:
-                params["seed"] = f"{args.seed}/{args.g}/{w}/{index}"
+    g, seed = args.g, args.seed
+    if args.random is not None:
+        plan = [(g, w, "asserted", i, random_ground(g, instance_rng(seed, g, w, i)),
+                 f"{seed}/{g}/{w}/{i}") for w in ws for i in range(args.random)]
+    else:
+        try:
+            ground = GroundSet.symbolic(g) if args.symbolic else GroundSet.numeric(args.c)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        plan = [(g, w, "asserted", 0, ground, None) for w in ws]
+    return _emit_entries("part1", run_plan(plan, seed=seed, jobs=args.jobs),
+                         ledger_path)
+
+
+def _emit_entries(command, entries, ledger_path) -> int:
+    """Write one record per configuration-sum entry as it arrives.
+
+    Returns 1 if an asserted verdict is nonzero, else 0.
+    """
+    failures = not_attempted = 0
+    for entry in entries:
+        params = {"g": entry.g, "w": entry.w, "mode": entry.mode}
+        if entry.seed is not None:
+            params["seed"] = entry.seed
+        if entry.result is None:
+            not_attempted += 1
             _emit(ledger_path, LedgerRecord(
-                command="part1", params=params, status="asserted",
-                verdict=result.verdict, value=value_str(result.total),
-                visited=result.configurations_visited,
-                elapsed=result.elapsed, extra=extra))
+                command=command, params=params, status="not_attempted",
+                verdict=None, value=None))
+            continue
+        params["ground"] = entry.result.instance.ground.describe()
+        if entry.result.verdict == "nonzero" and entry.status == "asserted":
+            failures += 1
+        _emit(ledger_path, LedgerRecord(
+            command=command, params=params, status=entry.status,
+            verdict=entry.result.verdict,
+            value=value_str(entry.result.total),
+            visited=entry.result.configurations_visited,
+            elapsed=entry.result.elapsed,
+            extra=_confirmation_extra(entry.confirmation)))
+    if not_attempted:
+        print(f"warning: {not_attempted} instances not attempted "
+              "(budget exhausted); see ledger", file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -233,39 +234,9 @@ def _run_bridge(args, ledger_path) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cfg = expansion_budget_for(inst)
-    overrides = {}
-    if args.h_max is not None:
-        overrides["h_max"] = args.h_max
-    if args.s_max is not None:
-        overrides["s_max"] = args.s_max
-    if args.j_samples:
-        overrides["j_samples"] = tuple(args.j_samples)
-    try:
-        cfg = dataclasses.replace(cfg, **overrides)
-        report = bridge_check(inst, cfg, jobs=args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print(f"warning: {exc}", file=sys.stderr)
-        _emit(ledger_path, LedgerRecord(
-            command="bridge",
-            params={"c": ",".join(map(str, inst.c)), "w": inst.w,
-                    "k": inst.k, "h": inst.h},
-            status="not_attempted", verdict=None, value=None,
-            extra={"reason": str(exc)}))
-        return 0
+    report = bridge_check(inst)
     verdict = "zero" if (report.coefficient_zero and report.config_sum_zero) \
         else "nonzero"
-    extra = {
-        "bridge_coefficient": value_str(report.coefficient),
-        "config_sum": value_str(report.config_sum.total),
-        "consistent": report.consistent,
-    }
-    if report.ratios is not None:
-        extra["ratio_per_r_power"] = {
-            str(d): str(q) for d, q in sorted(report.ratios.items())}
     _emit(ledger_path, LedgerRecord(
         command="bridge",
         params={"c": ",".join(map(str, inst.c)), "w": inst.w,
@@ -273,11 +244,17 @@ def _run_bridge(args, ledger_path) -> int:
         status="asserted", verdict=verdict,
         value=value_str(report.config_sum.total),
         visited=report.config_sum.configurations_visited,
-        elapsed=report.config_sum.elapsed, extra=extra))
-    return 0 if verdict == "zero" and report.consistent else 1
+        elapsed=report.config_sum.elapsed,
+        extra={"bridge_coefficient": value_str(report.coefficient),
+               "config_sum": value_str(report.config_sum.total),
+               "consistent": report.consistent}))
+    return 0 if verdict == "zero" else 1
 
 
 def _run_sweep(args, ledger_path) -> int:
+    if args.g_max < 2:
+        print("error: need --g-max >= 2", file=sys.stderr)
+        return 2
     entries = verify_range(
         args.g_max,
         symbolic_g_max=args.symbolic_g_max,
@@ -287,31 +264,7 @@ def _run_sweep(args, ledger_path) -> int:
         jobs=args.jobs,
         budget_seconds=args.budget_seconds,
         include_exploratory=not args.skip_exploratory)
-    failures = 0
-    for entry in entries:
-        params = {"g": entry.g, "w": entry.w, "mode": entry.mode}
-        if entry.seed is not None:
-            params["seed"] = entry.seed
-        if entry.result is None:
-            _emit(ledger_path, LedgerRecord(
-                command="sweep", params=params, status="not_attempted",
-                verdict=None, value=None))
-            continue
-        params["ground"] = entry.result.instance.ground.describe()
-        if entry.result.verdict == "nonzero" and entry.status == "asserted":
-            failures += 1
-        _emit(ledger_path, LedgerRecord(
-            command="sweep", params=params, status=entry.status,
-            verdict=entry.result.verdict,
-            value=value_str(entry.result.total),
-            visited=entry.result.configurations_visited,
-            elapsed=entry.result.elapsed,
-            extra=_confirmation_extra(entry.confirmation)))
-    not_attempted = sum(1 for e in entries if e.status == "not_attempted")
-    if not_attempted:
-        print(f"warning: {not_attempted} instances not attempted "
-              "(budget exhausted); see ledger", file=sys.stderr)
-    return 1 if failures else 0
+    return _emit_entries("sweep", entries, ledger_path)
 
 
 def _run_report(args) -> int:

@@ -67,6 +67,7 @@ __all__ = [
     "sum_collapsed",
     "random_ground",
     "double_check_nonzero",
+    "run_plan",
     "verify_range",
     "instance_rng",
     "BASELINE_RANGE",
@@ -370,37 +371,36 @@ def verify_range(g_max: int, *, symbolic_g_max: int = 5,
     for g in range(2, g_max + 1):
         for w in range(0, g - 1):
             asserted = g in asserted_w and w <= asserted_w[g]
+            status = "asserted" if asserted else "exploratory"
             if g <= symbolic_g_max:
-                if asserted:
-                    plan.append((g, w, "symbolic", "asserted", 0))
-                else:
-                    plan.append((g, w, "symbolic", "exploratory", 0))
-            else:
-                status = "asserted" if asserted else "exploratory"
-                if status == "exploratory" and not include_exploratory:
-                    continue
+                plan.append((g, w, status, 0, GroundSet.symbolic(g), None))
+            elif asserted or include_exploratory:
                 count = numeric_samples.get(g, 3) if asserted else exploratory_samples
-                for i in range(count):
-                    plan.append((g, w, "numeric", status, i))
+                plan += [(g, w, status, i, random_ground(g, instance_rng(seed, g, w, i)),
+                          f"{seed}/{g}/{w}/{i}") for i in range(count)]
+    return list(run_plan(plan, seed=seed, jobs=jobs, deadline=deadline))
 
-    entries = []
-    for g, w, mode, status, index in plan:
-        if deadline is not None and time.monotonic() > deadline:
-            entries.append(SweepEntry(g, w, mode, "not_attempted", index,
-                                      str(seed), None, None))
-            continue
-        if mode == "symbolic":
-            ground = GroundSet.symbolic(g)
-            entry_seed = None
-        else:
-            ground = random_ground(g, instance_rng(seed, g, w, index))
-            entry_seed = f"{seed}/{g}/{w}/{index}"
+
+def run_plan(plan: Iterable[tuple], *, seed: int, jobs: int,
+             deadline: Optional[float] = None):
+    """Run planned ``(g, w, status, index, ground, entry_seed)`` instances in order.
+
+    Yields one :class:`SweepEntry` per planned instance as soon as it is
+    done.  A nonzero total is re-verified by :func:`double_check_nonzero`,
+    its fresh ground drawn from ``instance_rng(seed + 1, g, w, index)``.
+    Once ``time.monotonic()`` passes ``deadline`` the remaining instances
+    are yielded as ``not_attempted`` entries, never dropped.
+    """
+    for g, w, status, index, ground, entry_seed in plan:
         inst = ConfigSumInstance.make(g, w, ground)
+        if deadline is not None and time.monotonic() > deadline:
+            yield SweepEntry(g, w, inst.mode, "not_attempted", index, str(seed),
+                             None, None)
+            continue
         result = sum_collapsed(inst, jobs=jobs)
         confirmation = None
         if result.verdict == "nonzero":
             confirmation = double_check_nonzero(
                 inst, result.total, instance_rng(seed + 1, g, w, index))
-        entries.append(SweepEntry(g, w, mode, status, index, entry_seed,
-                                  result, confirmation))
-    return entries
+        yield SweepEntry(g, w, inst.mode, status, index, entry_seed,
+                         result, confirmation)

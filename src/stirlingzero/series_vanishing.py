@@ -195,19 +195,20 @@ def generating_coefficient(j: int, cfg: ExpansionConfig,
 def expansion_coefficients(j: int, gj: MultiPoly) -> list:
     """Read a_0 .. a_{j-1} off the x^j generating coefficient.
 
-    ``a_h`` is the n^{j-h} coefficient of ``j! * gj`` divided by r^j; the
-    function re-assembles the expansion and demands it reproduce ``gj``
-    exactly before returning.
+    ``a_h`` is the n^{j-h} coefficient of ``j! * gj`` divided by r^j, zero
+    where that power is absent; one split by the power of n yields them
+    all.  The function re-assembles the expansion and demands it reproduce
+    ``gj`` exactly before returning.
     """
-    scaled = gj * factorial(j)
-    for degree, _ in scaled.extract_by_degree(N):
+    by_degree = dict((gj * factorial(j)).extract_by_degree(N))
+    for degree in by_degree:
         if not 1 <= degree <= j:
             raise ValueError(
                 f"generating coefficient carries n^{degree}, outside 1..{j}")
     out = []
     rebuilt = MultiPoly.zero()
     for h in range(j):
-        value = scaled.coefficient_in(N, j - h).times_power(R, -j)
+        value = by_degree.get(j - h, MultiPoly.zero()).times_power(R, -j)
         out.append(ExpansionCoefficient(h, value))
         rebuilt = rebuilt + value.times_power(R, j).times_power(N, j - h)
     if rebuilt * Fraction(1, factorial(j)) != gj:

@@ -2,14 +2,14 @@
 
 import pytest
 
-from stirlingzero.algebra import BudgetError, MultiPoly
+from stirlingzero.algebra import MultiPoly
 from stirlingzero.bridge import (
     bridge_check,
     bridge_coefficient,
     bridge_params,
     expansion_budget_for,
 )
-from stirlingzero.series_vanishing import J, ExpansionConfig, log_expansion, u_name
+from stirlingzero.series_vanishing import J, log_expansion, u_name
 
 
 class TestBridgeParams:
@@ -47,19 +47,7 @@ class TestBridgeParams:
 class TestBridgeCoefficient:
     def test_smallest_instance_vanishes(self):
         inst = bridge_params((2, 3), 0)
-        assert bridge_coefficient(inst, expansion_budget_for(inst)).is_zero()
-
-    def test_budget_too_shallow(self):
-        inst = bridge_params((2, 3), 0)  # needs h_max >= 3
-        cfg = ExpansionConfig(h_max=2, s_max=3, j_samples=tuple(range(3, 12)))
-        with pytest.raises(BudgetError):
-            bridge_coefficient(inst, cfg)
-
-    def test_budget_missing_u_index(self):
-        inst = bridge_params((2, 4), 0)
-        cfg = ExpansionConfig(h_max=4, s_max=3, j_samples=tuple(range(5, 18)))
-        with pytest.raises(BudgetError):
-            bridge_coefficient(inst, cfg)
+        assert bridge_coefficient(inst).is_zero()
 
 
 class TestBridgeCheck:
@@ -70,7 +58,6 @@ class TestBridgeCheck:
         assert report.coefficient_zero
         assert report.config_sum_zero
         assert report.consistent
-        assert report.ratios is None
 
     def test_config_sum_side_uses_collapsed_route(self):
         report = bridge_check(bridge_params((2, 3), 0))

@@ -4,9 +4,13 @@ import json
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
+from stirlingzero import bridge
 from stirlingzero.cli import build_parser, main
+from stirlingzero.config_sums import ConfigSumResult
 from stirlingzero.ledger import read_records
 
 
@@ -68,6 +72,13 @@ class TestPart1Command:
             tmp_path)
         assert code == 2
 
+    def test_repeated_ground_value_is_usage_error(self, tmp_path, capsys):
+        code, records, _ = run_cli(
+            ["part1", "--g", "3", "--w", "0", "--c", "2,2,3"], tmp_path)
+        assert code == 2
+        assert records == []
+        assert "error: ground values must be pairwise distinct" in capsys.readouterr().err
+
 
 class TestPart2Command:
     def test_depth_three(self, tmp_path):
@@ -107,8 +118,7 @@ class TestPart2Command:
 
 class TestBridgeCommand:
     def test_smallest_instance(self, tmp_path):
-        code, records, _ = run_cli(
-            ["bridge", "--c", "2,3", "--w", "0", "--jobs", "1"], tmp_path)
+        code, records, _ = run_cli(["bridge", "--c", "2,3", "--w", "0"], tmp_path)
         assert code == 0
         rec = records[0]
         assert rec["verdict"] == "zero"
@@ -117,18 +127,35 @@ class TestBridgeCommand:
         assert rec["extra"]["bridge_coefficient"] == "0"
 
     def test_invalid_params_are_usage_errors(self, tmp_path):
-        code, _, _ = run_cli(
-            ["bridge", "--c", "1,3", "--w", "0", "--jobs", "1"], tmp_path)
+        code, _, _ = run_cli(["bridge", "--c", "1,3", "--w", "0"], tmp_path)
         assert code == 2
 
-    def test_too_small_budget_marks_not_attempted(self, tmp_path):
-        code, records, _ = run_cli(
-            ["bridge", "--c", "2,3", "--w", "0", "--H", "2",
-             "--j-samples", "3,4,5,6,7,8,9", "--jobs", "1"],
-            tmp_path)
-        assert code == 0
-        assert records[0]["status"] == "not_attempted"
-        assert records[0]["verdict"] is None
+    @pytest.mark.parametrize("option,value", [("--H", "2"), ("--s-max", "9"),
+                                              ("--j-samples", "3,4"), ("--jobs", "2")])
+    def test_budget_and_jobs_are_not_options(self, tmp_path, capsys, option, value):
+        # the budget is derived from (c, w), and one instance needs no pool
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bridge", "--c", "2,3", "--w", "0", option, value], tmp_path)
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+
+    def test_nonzero_config_sum_fails_the_run(self, tmp_path, monkeypatch):
+        # positive control: a nonzero sum beside a vanishing coefficient
+        real_sum = bridge.sum_collapsed
+
+        def nonzero_sum(inst):
+            real = real_sum(inst)
+            return ConfigSumResult(real.instance, Fraction(1, 3),
+                                   real.configurations_visited, real.elapsed)
+
+        monkeypatch.setattr(bridge, "sum_collapsed", nonzero_sum)
+        report = bridge.bridge_check(bridge.bridge_params((2, 3, 4), 1))
+        assert report.coefficient_zero and not report.consistent
+        code, records, _ = run_cli(["bridge", "--c", "2,3,4", "--w", "1"], tmp_path)
+        assert code == 1
+        assert records[0]["verdict"] == "nonzero"
+        assert records[0]["value"] == "1/3"
+        assert records[0]["extra"]["consistent"] is False
 
 
 class TestSweepCommand:
@@ -140,8 +167,7 @@ class TestSweepCommand:
         assert all(r["verdict"] == "zero" for r in records)
 
     def test_jobs_default_is_serial(self):
-        for argv in (["sweep"], ["part1", "--g", "3", "--w", "0", "--c", "2,3,4"],
-                     ["bridge", "--c", "2,3", "--w", "0"]):
+        for argv in (["sweep"], ["part1", "--g", "3", "--w", "0", "--c", "2,3,4"]):
             assert build_parser().parse_args(argv).jobs == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -150,6 +176,12 @@ class TestSweepCommand:
             main(["sweep", "--g-max", "2", "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_g_max_below_two_is_usage_error(self, tmp_path, capsys):
+        code, records, _ = run_cli(["sweep", "--g-max", "1"], tmp_path)
+        assert code == 2
+        assert records == []
+        assert "error: need --g-max >= 2" in capsys.readouterr().err
 
     def test_budget_zero_marks_everything(self, tmp_path):
         code, records, _ = run_cli(

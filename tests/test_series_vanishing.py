@@ -155,6 +155,11 @@ class TestReadback:
         assert coeffs[1].value == over_r(-3 * u2, 2)
         assert coeffs[2].value == over_r(2 * u3, 3)
 
+    def test_absent_power_of_n_reads_zero(self):
+        # without u_2 no term has u-weight 1, so n^{j-1} is absent
+        coeffs = expansion_coefficients(3, generating_coefficient(3, CFG, u_indices=(3,)))
+        assert [c.value for c in coeffs] == [1, 0, over_r(2 * u3, 3)]
+
     @pytest.mark.parametrize("jj", range(1, 8))
     def test_order_zero_always_one(self, jj):
         coeffs = expansion_coefficients(jj, generating_coefficient(jj, CFG))
