@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from fractions import Fraction
 
 from .algebra import EngineError
 from .bridge import bridge_check, bridge_params
-from .config_sums import instance_rng, random_ground, run_plan, verify_range
+from .config_sums import (ConfigSumInstance, SweepEntry, random_entries, run_plan,
+                          sweep_plan)
 from .ledger import (
     LedgerRecord,
     default_ledger_path,
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     group_c = p1.add_mutually_exclusive_group(required=True)
     group_c.add_argument("--c", type=_parse_rational_list,
                          help="explicit ground values, e.g. 2,3,4 or 5/2,-1,7")
-    group_c.add_argument("--random", type=int, metavar="COUNT",
+    group_c.add_argument("--random", type=_positive_int, metavar="COUNT",
                          help="COUNT seeded random rational ground sets")
     group_c.add_argument("--symbolic", action="store_true",
                          help="fully symbolic ground set (proves every ground set)")
@@ -84,12 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p2 = sub.add_parser("part2", help="log-expansion vanishing checks")
     p2.add_argument("--H", type=int, default=4, dest="h_max",
-                    help="deepest 1/n order checked")
-    p2.add_argument("--s-max", type=int,
-                    help="largest u index kept symbolic (default max(6, H+1))")
-    p2.add_argument("--j-samples", type=_parse_int_list,
-                    help="integer j values for the interpolation oracle "
-                         "(default H+1 .. 3H+4)")
+                    help="deepest 1/n order checked; u indices up to max(6, H+1) "
+                         "stay symbolic and the oracle samples j = H+1 .. 3H+4")
 
     pb = sub.add_parser("bridge", help="paired check of one bridge instance")
     pb.add_argument("--c", type=_parse_int_list, required=True,
@@ -147,30 +145,17 @@ def _run_part1(args, ledger_path) -> int:
     if args.g < 2:
         print("error: need --g >= 2", file=sys.stderr)
         return 2
-    ws = list(range(args.g - 1)) if args.all_w else [args.w]
-    for w in ws:
-        if not 0 <= w <= args.g - 2:
-            print(f"error: w={w} outside 0..g-2", file=sys.stderr)
-            return 2
-    if args.c is not None and len(args.c) != args.g:
-        print(f"error: --c lists {len(args.c)} values but --g is {args.g}",
-              file=sys.stderr)
-        return 2
-    if args.random is not None and args.random < 1:
-        print("error: --random needs a positive count", file=sys.stderr)
-        return 2
-
     g, seed = args.g, args.seed
-    if args.random is not None:
-        plan = [(g, w, "asserted", i, random_ground(g, instance_rng(seed, g, w, i)),
-                 f"{seed}/{g}/{w}/{i}") for w in ws for i in range(args.random)]
-    else:
-        try:
+    ws = list(range(g - 1)) if args.all_w else [args.w]
+    try:  # ConfigSumInstance rejects a w outside 0..g-2 and a ground of the wrong size
+        if args.random is not None:
+            plan = [e for w in ws for e in random_entries(g, w, "asserted", args.random, seed)]
+        else:
             ground = GroundSet.symbolic(g) if args.symbolic else GroundSet.numeric(args.c)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        plan = [(g, w, "asserted", 0, ground, None) for w in ws]
+            plan = [SweepEntry(ConfigSumInstance(g, w, ground), "asserted") for w in ws]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return _emit_entries("part1", run_plan(plan, seed=seed, jobs=args.jobs),
                          ledger_path)
 
@@ -182,7 +167,9 @@ def _emit_entries(command, entries, ledger_path) -> int:
     """
     failures = not_attempted = 0
     for entry in entries:
-        params = {"g": entry.g, "w": entry.w, "mode": entry.mode}
+        inst = entry.instance
+        params = {"g": inst.g, "w": inst.w, "mode": inst.mode,
+                  "ground": inst.ground.describe()}
         if entry.seed is not None:
             params["seed"] = entry.seed
         if entry.result is None:
@@ -191,7 +178,6 @@ def _emit_entries(command, entries, ledger_path) -> int:
                 command=command, params=params, status="not_attempted",
                 verdict=None, value=None))
             continue
-        params["ground"] = entry.result.instance.ground.describe()
         if entry.result.verdict == "nonzero" and entry.status == "asserted":
             failures += 1
         _emit(ledger_path, LedgerRecord(
@@ -209,10 +195,9 @@ def _emit_entries(command, entries, ledger_path) -> int:
 
 def _run_part2(args, ledger_path) -> int:
     h_max = args.h_max
-    s_max = max(6, h_max + 1) if args.s_max is None else args.s_max
-    j_samples = args.j_samples or range(h_max + 1, 3 * h_max + 5)
     try:
-        cfg = ExpansionConfig(h_max=h_max, s_max=s_max, j_samples=tuple(j_samples))
+        cfg = ExpansionConfig(h_max=h_max, s_max=max(6, h_max + 1),
+                              j_samples=tuple(range(h_max + 1, 3 * h_max + 5)))
         checks = vanishing_report(cfg)
     except (ValueError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -255,15 +240,15 @@ def _run_sweep(args, ledger_path) -> int:
     if args.g_max < 2:
         print("error: need --g-max >= 2", file=sys.stderr)
         return 2
-    entries = verify_range(
+    deadline = None if args.budget_seconds is None else time.monotonic() + args.budget_seconds
+    plan = sweep_plan(
         args.g_max,
         symbolic_g_max=args.symbolic_g_max,
         numeric_samples={6: args.samples_g6, 7: args.samples_g7},
         exploratory_samples=args.exploratory_samples,
         seed=args.seed,
-        jobs=args.jobs,
-        budget_seconds=args.budget_seconds,
         include_exploratory=not args.skip_exploratory)
+    entries = run_plan(plan, seed=args.seed, jobs=args.jobs, deadline=deadline)
     return _emit_entries("sweep", entries, ledger_path)
 
 

@@ -41,10 +41,10 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .algebra import ConsistencyError, MultiPoly
 from .partitions import (
@@ -67,6 +67,8 @@ __all__ = [
     "sum_collapsed",
     "random_ground",
     "double_check_nonzero",
+    "random_entries",
+    "sweep_plan",
     "run_plan",
     "verify_range",
     "instance_rng",
@@ -330,20 +332,76 @@ def double_check_nonzero(inst: ConfigSumInstance, total: SumValue,
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """One planned instance of a verification sweep, with its outcome."""
+    """One planned configuration-sum instance; :func:`run_plan` fills in its outcome.
 
-    g: int
-    w: int
-    mode: str
+    ``seed`` names a random ground's ``instance_rng`` draw, ``"seed/g/w/i"``.
+    """
+
+    instance: ConfigSumInstance
     status: str  # asserted | exploratory | not_attempted
-    sample_index: int
-    seed: Optional[str]
-    result: Optional[ConfigSumResult]
-    confirmation: Optional[NonzeroConfirmation]
+    sample_index: int = 0
+    seed: Optional[str] = None  # None for symbolic and explicit grounds
+    result: Optional[ConfigSumResult] = None
+    confirmation: Optional[NonzeroConfirmation] = None
 
 
 def instance_rng(seed: int, g: int, w: int, index: int) -> random.Random:
     return random.Random(f"{seed}/{g}/{w}/{index}")
+
+
+def random_entries(g: int, w: int, status: str, count: int, seed: int) -> list:
+    """Entries ``0..count-1`` at ``(g, w)``, ground ``i`` from ``instance_rng(seed, g, w, i)``."""
+    grounds = (random_ground(g, instance_rng(seed, g, w, i)) for i in range(count))
+    return [SweepEntry(ConfigSumInstance(g, w, ground), status, i, f"{seed}/{g}/{w}/{i}")
+            for i, ground in enumerate(grounds)]
+
+
+def sweep_plan(g_max: int, *, symbolic_g_max: int = 5,
+               numeric_samples: Optional[dict] = None,
+               exploratory_samples: int = 1, seed: int = 0,
+               include_exploratory: bool = True) -> list:
+    """The default verification sweep up to ``g_max``, as unrun entries in run order.
+
+    Ground-set policy: symbolic (proves the identity for every ground set)
+    through ``symbolic_g_max``; seeded numeric sampling above that.  Within
+    the baseline range the instances are asserted; beyond it (g = 7 with
+    w > 3, or g >= 8) they are exploratory.
+    """
+    numeric_samples = dict(numeric_samples or {6: 10, 7: 5})
+    asserted_w = dict(BASELINE_RANGE)
+    plan = []
+    for g in range(2, g_max + 1):
+        for w in range(0, g - 1):
+            asserted = g in asserted_w and w <= asserted_w[g]
+            status = "asserted" if asserted else "exploratory"
+            if g <= symbolic_g_max:
+                plan.append(SweepEntry(ConfigSumInstance(g, w, GroundSet.symbolic(g)), status))
+            elif asserted or include_exploratory:
+                count = numeric_samples.get(g, 3) if asserted else exploratory_samples
+                plan += random_entries(g, w, status, count, seed)
+    return plan
+
+
+def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
+             deadline: Optional[float] = None) -> Iterator[SweepEntry]:
+    """Run planned entries in order, yielding each with its ``result`` as soon as it is done.
+
+    A nonzero total also gets the ``confirmation`` of :func:`double_check_nonzero`,
+    whose fresh ground is drawn from ``instance_rng(seed + 1, g, w, sample_index)``.
+    Once ``time.monotonic()`` passes ``deadline`` the remaining entries are
+    yielded unrun as ``not_attempted``, never dropped.
+    """
+    for entry in plan:
+        if deadline is not None and time.monotonic() > deadline:
+            yield replace(entry, status="not_attempted")
+            continue
+        inst = entry.instance
+        result = sum_collapsed(inst, jobs=jobs)
+        confirmation = None
+        if result.verdict == "nonzero":
+            confirmation = double_check_nonzero(
+                inst, result.total, instance_rng(seed + 1, inst.g, inst.w, entry.sample_index))
+        yield replace(entry, result=result, confirmation=confirmation)
 
 
 def verify_range(g_max: int, *, symbolic_g_max: int = 5,
@@ -352,55 +410,10 @@ def verify_range(g_max: int, *, symbolic_g_max: int = 5,
                  seed: int = 0, jobs: int = 1,
                  budget_seconds: Optional[float] = None,
                  include_exploratory: bool = True) -> list:
-    """Run the default verification sweep up to ``g_max``.
-
-    Ground-set policy: symbolic (proves the identity for every ground set)
-    through ``symbolic_g_max``; seeded numeric sampling above that.  Within
-    the baseline range the instances are asserted; beyond it (g = 7 with
-    w > 3, or g >= 8) they are recorded as exploratory.  When the time budget
-    runs out remaining instances are emitted as explicit ``not_attempted``
-    entries, never silently dropped.
-    """
-    if g_max < 2:
-        raise ValueError("need g_max >= 2")
-    numeric_samples = dict(numeric_samples or {6: 10, 7: 5})
-    asserted_w = dict(BASELINE_RANGE)
+    """:func:`sweep_plan` run through :func:`run_plan`, as a list of entries."""
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-
-    plan = []
-    for g in range(2, g_max + 1):
-        for w in range(0, g - 1):
-            asserted = g in asserted_w and w <= asserted_w[g]
-            status = "asserted" if asserted else "exploratory"
-            if g <= symbolic_g_max:
-                plan.append((g, w, status, 0, GroundSet.symbolic(g), None))
-            elif asserted or include_exploratory:
-                count = numeric_samples.get(g, 3) if asserted else exploratory_samples
-                plan += [(g, w, status, i, random_ground(g, instance_rng(seed, g, w, i)),
-                          f"{seed}/{g}/{w}/{i}") for i in range(count)]
+    plan = sweep_plan(g_max, symbolic_g_max=symbolic_g_max,
+                      numeric_samples=numeric_samples,
+                      exploratory_samples=exploratory_samples, seed=seed,
+                      include_exploratory=include_exploratory)
     return list(run_plan(plan, seed=seed, jobs=jobs, deadline=deadline))
-
-
-def run_plan(plan: Iterable[tuple], *, seed: int, jobs: int,
-             deadline: Optional[float] = None):
-    """Run planned ``(g, w, status, index, ground, entry_seed)`` instances in order.
-
-    Yields one :class:`SweepEntry` per planned instance as soon as it is
-    done.  A nonzero total is re-verified by :func:`double_check_nonzero`,
-    its fresh ground drawn from ``instance_rng(seed + 1, g, w, index)``.
-    Once ``time.monotonic()`` passes ``deadline`` the remaining instances
-    are yielded as ``not_attempted`` entries, never dropped.
-    """
-    for g, w, status, index, ground, entry_seed in plan:
-        inst = ConfigSumInstance.make(g, w, ground)
-        if deadline is not None and time.monotonic() > deadline:
-            yield SweepEntry(g, w, inst.mode, "not_attempted", index, str(seed),
-                             None, None)
-            continue
-        result = sum_collapsed(inst, jobs=jobs)
-        confirmation = None
-        if result.verdict == "nonzero":
-            confirmation = double_check_nonzero(
-                inst, result.total, instance_rng(seed + 1, g, w, index))
-        yield SweepEntry(g, w, inst.mode, status, index, entry_seed,
-                         result, confirmation)

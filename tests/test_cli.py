@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingzero import bridge
+from stirlingzero import bridge, config_sums
 from stirlingzero.cli import build_parser, main
 from stirlingzero.config_sums import ConfigSumResult
 from stirlingzero.ledger import read_records
@@ -72,6 +72,12 @@ class TestPart1Command:
             tmp_path)
         assert code == 2
 
+    def test_random_count_below_one_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["part1", "--g", "3", "--w", "0", "--random", "0"], tmp_path)
+        assert exc.value.code == 2
+        assert "--random" in capsys.readouterr().err
+
     def test_repeated_ground_value_is_usage_error(self, tmp_path, capsys):
         code, records, _ = run_cli(
             ["part1", "--g", "3", "--w", "0", "--c", "2,2,3"], tmp_path)
@@ -83,7 +89,7 @@ class TestPart1Command:
 class TestPart2Command:
     def test_depth_three(self, tmp_path):
         code, records, _ = run_cli(
-            ["part2", "--H", "3", "--s-max", "6"], tmp_path)
+            ["part2", "--H", "3"], tmp_path)
         assert code == 0
         assert [(r["params"]["h"], r["params"]["k"]) for r in records] == \
             [(1, 3), (2, 4), (3, 5), (3, 6)]
@@ -103,11 +109,13 @@ class TestPart2Command:
         assert {(r["params"]["H"], r["params"]["s_max"], r["params"]["j_samples"])
                 for r in records} == {(4, 6, ",".join(map(str, range(5, 17))))}
 
-    def test_insufficient_s_max_is_usage_error(self, tmp_path):
-        code, records, _ = run_cli(
-            ["part2", "--H", "4", "--s-max", "3"], tmp_path)
-        assert code == 2
-        assert records == []
+    @pytest.mark.parametrize("option,value", [("--s-max", "9"), ("--j-samples", "5,6")])
+    def test_budget_is_not_an_option(self, tmp_path, capsys, option, value):
+        # the budget is derived from --H
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["part2", "--H", "4", option, value], tmp_path)
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
 
     def test_jobs_is_not_an_option(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -185,10 +193,40 @@ class TestSweepCommand:
 
     def test_budget_zero_marks_everything(self, tmp_path):
         code, records, _ = run_cli(
-            ["sweep", "--g-max", "4", "--budget-seconds", "0", "--jobs", "1"],
+            ["sweep", "--g-max", "6", "--budget-seconds", "0", "--samples-g6", "3",
+             "--seed", "8", "--jobs", "1"],
             tmp_path)
         assert code == 0  # no asserted verdict failed; markers are explicit
+        assert len(records) == 10 + 5 * 3  # g <= 5 symbolic, then 3 grounds per (6, w)
         assert all(r["status"] == "not_attempted" for r in records)
+        # each marker names the instance its run would have recorded
+        named = {(p["g"], p["w"], p.get("seed"), p["ground"])
+                 for p in (r["params"] for r in records)}
+        assert len(named) == len(records)
+        for p in (r["params"] for r in records):
+            if p["mode"] == "numeric":
+                assert p["seed"].startswith(f"8/6/{p['w']}/")
+            else:
+                assert "seed" not in p
+
+    def test_records_stream_as_instances_finish(self, tmp_path, monkeypatch):
+        real_sum = config_sums.sum_collapsed
+        calls = []
+
+        def fail_fifth(inst, jobs=1):
+            calls.append(inst)
+            if len(calls) == 5:
+                raise RuntimeError("injected failure in the fifth instance")
+            return real_sum(inst, jobs=jobs)
+
+        monkeypatch.setattr(config_sums, "sum_collapsed", fail_fifth)
+        path = tmp_path / "ledger.jsonl"
+        with pytest.raises(RuntimeError):
+            main(["sweep", "--g-max", "5", "--ledger", str(path)])
+        records, _ = read_records(str(path))
+        assert [(r["params"]["g"], r["params"]["w"]) for r in records] == \
+            [(2, 0), (3, 0), (3, 1), (4, 0)]
+        assert all(r["verdict"] == "zero" for r in records)
 
 
 class TestReportCommand:

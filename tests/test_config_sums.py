@@ -233,7 +233,7 @@ class TestVerifyRange:
     def test_numeric_band_has_seeds_recorded(self):
         entries = verify_range(6, symbolic_g_max=5,
                                numeric_samples={6: 2}, seed=11)
-        numeric = [e for e in entries if e.mode == "numeric"]
+        numeric = [e for e in entries if e.instance.mode == "numeric"]
         assert numeric and all(e.seed is not None for e in numeric)
         assert all(e.result.verdict == "zero" for e in numeric)
 
@@ -246,6 +246,6 @@ class TestVerifyRange:
     def test_reproducible_with_same_seed(self):
         a = verify_range(6, numeric_samples={6: 1}, seed=5)
         b = verify_range(6, numeric_samples={6: 1}, seed=5)
-        grounds_a = [e.result.instance.ground for e in a if e.mode == "numeric"]
-        grounds_b = [e.result.instance.ground for e in b if e.mode == "numeric"]
+        grounds_a = [e.result.instance.ground for e in a if e.instance.mode == "numeric"]
+        grounds_b = [e.result.instance.ground for e in b if e.instance.mode == "numeric"]
         assert grounds_a == grounds_b
