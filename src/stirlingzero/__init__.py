@@ -46,7 +46,6 @@ from .config_sums import (
     random_ground,
     sum_collapsed,
     sum_ordered,
-    verify_range,
 )
 from .series_vanishing import (
     ExpansionCoefficient,
@@ -82,7 +81,7 @@ __all__ = [
     # configuration sums
     "ConfigSumInstance", "ConfigSumResult",
     "sum_ordered", "sum_collapsed", "random_ground",
-    "double_check_nonzero", "verify_range",
+    "double_check_nonzero",
     # series vanishing
     "ExpansionConfig", "ExpansionCoefficient", "VanishingCheck",
     "generating_coefficient", "expansion_coefficients",

@@ -5,8 +5,8 @@ Subcommands
 ``part1``   configuration-sum instances (numeric, seeded-random, or symbolic)
 ``part2``   log-expansion vanishing checks at a configured budget
 ``bridge``  one paired instance: u-monomial coefficient vs configuration sum
-``sweep``   the full default band (g <= 6 all w; g = 7 w <= 3) plus optional
-            exploratory g = 7, w in {4, 5} instances
+``sweep``   the full default band (g <= 6 all w; g = 7 w <= 3) plus
+            exploratory g = 7, w in {4, 5} instances, at fixed sample counts
 ``report``  human-readable summary of a ledger file
 
 Every run appends exact, reproducible records to a JSON-lines ledger (path
@@ -18,6 +18,7 @@ zero/consistent; exploratory and not-attempted records never affect it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -63,6 +64,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _budget_seconds(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stirlingzero",
@@ -98,15 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--g-max", type=int, default=7)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--symbolic-g-max", type=int, default=5)
-    ps.add_argument("--samples-g6", type=int, default=10,
-                    help="seeded ground sets per (6, w) instance")
-    ps.add_argument("--samples-g7", type=int, default=5,
-                    help="seeded ground sets per asserted (7, w) instance")
-    ps.add_argument("--exploratory-samples", type=int, default=1,
-                    help="ground sets per exploratory instance")
-    ps.add_argument("--budget-seconds", type=float,
+    ps.add_argument("--budget-seconds", type=_budget_seconds,
                     help="wall-clock budget; leftover instances are marked, not dropped")
-    ps.add_argument("--skip-exploratory", action="store_true")
 
     pr = sub.add_parser("report", help="summarize a ledger file")
 
@@ -241,20 +242,17 @@ def _run_sweep(args, ledger_path) -> int:
         print("error: need --g-max >= 2", file=sys.stderr)
         return 2
     deadline = None if args.budget_seconds is None else time.monotonic() + args.budget_seconds
-    plan = sweep_plan(
-        args.g_max,
-        symbolic_g_max=args.symbolic_g_max,
-        numeric_samples={6: args.samples_g6, 7: args.samples_g7},
-        exploratory_samples=args.exploratory_samples,
-        seed=args.seed,
-        include_exploratory=not args.skip_exploratory)
+    plan = sweep_plan(args.g_max, symbolic_g_max=args.symbolic_g_max, seed=args.seed)
     entries = run_plan(plan, seed=args.seed, jobs=args.jobs, deadline=deadline)
     return _emit_entries("sweep", entries, ledger_path)
 
 
 def _run_report(args) -> int:
-    path = default_ledger_path(args.ledger)
-    records, warnings = read_records(path)
+    try:
+        records, warnings = read_records(default_ledger_path(args.ledger))
+    except OSError as exc:  # e.g. a directory; a missing file reads as empty
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render_report(records, warnings))
     return 0
 

@@ -70,7 +70,6 @@ __all__ = [
     "random_entries",
     "sweep_plan",
     "run_plan",
-    "verify_range",
     "instance_rng",
     "BASELINE_RANGE",
 ]
@@ -79,6 +78,10 @@ SumValue = Union[Fraction, MultiPoly]
 
 # (g, max asserted w) pairs this engine verifies by default in a sweep
 BASELINE_RANGE = tuple([(g, g - 2) for g in range(2, 7)] + [(7, 3)])
+
+# seeded grounds a sweep draws per numeric (g, w): asserted ones by g (3 for a
+# g not listed), exploratory ones 1; part1 --random draws more with the same seeds
+SWEEP_SAMPLES = {6: 10, 7: 5}
 
 
 @dataclass(frozen=True)
@@ -356,18 +359,14 @@ def random_entries(g: int, w: int, status: str, count: int, seed: int) -> list:
             for i, ground in enumerate(grounds)]
 
 
-def sweep_plan(g_max: int, *, symbolic_g_max: int = 5,
-               numeric_samples: Optional[dict] = None,
-               exploratory_samples: int = 1, seed: int = 0,
-               include_exploratory: bool = True) -> list:
+def sweep_plan(g_max: int, *, symbolic_g_max: int = 5, seed: int = 0) -> list:
     """The default verification sweep up to ``g_max``, as unrun entries in run order.
 
     Ground-set policy: symbolic (proves the identity for every ground set)
-    through ``symbolic_g_max``; seeded numeric sampling above that.  Within
-    the baseline range the instances are asserted; beyond it (g = 7 with
-    w > 3, or g >= 8) they are exploratory.
+    through ``symbolic_g_max``; seeded numeric sampling above that, with the
+    counts of :data:`SWEEP_SAMPLES`.  Within the baseline range the instances
+    are asserted; beyond it (g = 7 with w > 3, or g >= 8) they are exploratory.
     """
-    numeric_samples = dict(numeric_samples or {6: 10, 7: 5})
     asserted_w = dict(BASELINE_RANGE)
     plan = []
     for g in range(2, g_max + 1):
@@ -376,8 +375,8 @@ def sweep_plan(g_max: int, *, symbolic_g_max: int = 5,
             status = "asserted" if asserted else "exploratory"
             if g <= symbolic_g_max:
                 plan.append(SweepEntry(ConfigSumInstance(g, w, GroundSet.symbolic(g)), status))
-            elif asserted or include_exploratory:
-                count = numeric_samples.get(g, 3) if asserted else exploratory_samples
+            else:
+                count = SWEEP_SAMPLES.get(g, 3) if asserted else 1
                 plan += random_entries(g, w, status, count, seed)
     return plan
 
@@ -402,18 +401,3 @@ def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
             confirmation = double_check_nonzero(
                 inst, result.total, instance_rng(seed + 1, inst.g, inst.w, entry.sample_index))
         yield replace(entry, result=result, confirmation=confirmation)
-
-
-def verify_range(g_max: int, *, symbolic_g_max: int = 5,
-                 numeric_samples: Optional[dict] = None,
-                 exploratory_samples: int = 1,
-                 seed: int = 0, jobs: int = 1,
-                 budget_seconds: Optional[float] = None,
-                 include_exploratory: bool = True) -> list:
-    """:func:`sweep_plan` run through :func:`run_plan`, as a list of entries."""
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    plan = sweep_plan(g_max, symbolic_g_max=symbolic_g_max,
-                      numeric_samples=numeric_samples,
-                      exploratory_samples=exploratory_samples, seed=seed,
-                      include_exploratory=include_exploratory)
-    return list(run_plan(plan, seed=seed, jobs=jobs, deadline=deadline))

@@ -104,22 +104,21 @@ def _check_record(obj) -> None:
 
 
 def read_records(path: str):
-    """Parse a ledger; corrupt lines and malformed records are skipped and
-    reported, never fatal."""
+    """Parse a ledger; corrupt lines (not UTF-8 JSON) and malformed records
+    are skipped and reported, never fatal.  A missing file reads as empty."""
     records = []
     warnings = []
     if not os.path.exists(path):
         return records, warnings
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
+            try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                obj = json.loads(line.decode("utf-8"))
                 _check_record(obj)
                 records.append(obj)
-            except (json.JSONDecodeError, ValueError) as exc:
+            except ValueError as exc:
                 warnings.append(f"line {lineno}: skipped corrupt record ({exc})")
     return records, warnings
 

@@ -72,10 +72,10 @@ class GroundSet:
         return cls(vals, False)
 
     @classmethod
-    def symbolic(cls, g: int, prefix: str = "c") -> "GroundSet":
+    def symbolic(cls, g: int) -> "GroundSet":
         if g < 1:
             raise ValueError("need at least one element")
-        vals = tuple(MultiPoly.variable(f"{prefix}{i + 1}") for i in range(g))
+        vals = tuple(MultiPoly.variable(f"c{i + 1}") for i in range(g))
         return cls(vals, True)
 
     @property

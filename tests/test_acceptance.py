@@ -22,9 +22,10 @@ from stirlingzero.config_sums import (
     NonzeroConfirmation,
     instance_rng,
     random_ground,
+    run_plan,
     sum_collapsed,
     sum_ordered,
-    verify_range,
+    sweep_plan,
 )
 from stirlingzero.ledger import read_records
 from stirlingzero.partitions import (
@@ -195,7 +196,6 @@ def test_criterion_8_determinism(tmp_path):
         path = tmp_path / name
         code = main([
             "sweep", "--g-max", "7", "--seed", "20",
-            "--samples-g6", "10", "--samples-g7", "5",
             "--jobs", str(jobs), "--ledger", str(path)])
         assert code == 0
         records, warnings = read_records(str(path))
@@ -245,8 +245,9 @@ def test_criterion_9_exploratory(monkeypatch):
 
     monkeypatch.setattr("stirlingzero.config_sums.sum_collapsed", fake_sum)
     monkeypatch.setattr("stirlingzero.config_sums.double_check_nonzero", fake_check)
-    entries = verify_range(7, numeric_samples={6: 1, 7: 1}, seed=31,
-                           exploratory_samples=1)
+    plan = [e for e in sweep_plan(7, seed=31) if e.instance.g == 7]
+    entries = list(run_plan(plan, seed=31, jobs=1))
+    assert len(entries) == 4 * 5 + 2  # asserted w <= 3, exploratory w = 4, 5
     flagged = [e for e in entries if e.result and e.result.verdict == "nonzero"]
     assert flagged and all(e.confirmation is sentinel for e in flagged)
     assert calls and all(g == 7 and w == 4 for g, w, _ in calls)

@@ -193,11 +193,10 @@ class TestSweepCommand:
 
     def test_budget_zero_marks_everything(self, tmp_path):
         code, records, _ = run_cli(
-            ["sweep", "--g-max", "6", "--budget-seconds", "0", "--samples-g6", "3",
-             "--seed", "8", "--jobs", "1"],
+            ["sweep", "--g-max", "6", "--budget-seconds", "0", "--seed", "8", "--jobs", "1"],
             tmp_path)
         assert code == 0  # no asserted verdict failed; markers are explicit
-        assert len(records) == 10 + 5 * 3  # g <= 5 symbolic, then 3 grounds per (6, w)
+        assert len(records) == 10 + 5 * 10  # g <= 5 symbolic, then 10 grounds per (6, w)
         assert all(r["status"] == "not_attempted" for r in records)
         # each marker names the instance its run would have recorded
         named = {(p["g"], p["w"], p.get("seed"), p["ground"])
@@ -208,6 +207,45 @@ class TestSweepCommand:
                 assert p["seed"].startswith(f"8/6/{p['w']}/")
             else:
                 assert "seed" not in p
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "1e400"])
+    def test_budget_must_be_finite_and_nonnegative(self, tmp_path, capsys, value):
+        path = tmp_path / "ledger.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--g-max", "3", f"--budget-seconds={value}",
+                  "--ledger", str(path)])
+        assert exc.value.code == 2
+        assert "--budget-seconds" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--samples-g6", "-2"],
+        ["--samples-g6", "3"],
+        ["--samples-g7", "5"],
+        ["--exploratory-samples", "1"],
+        ["--skip-exploratory"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_sample_counts_are_not_options(self, tmp_path, capsys, argv):
+        path = tmp_path / "ledger.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--g-max", "6"] + argv + ["--ledger", str(path)])
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_part1_random_draws_the_sweeps_grounds(self, tmp_path):
+        # the way to ask for more samples: part1 --random with the sweep's seed
+        _, swept, _ = run_cli(["sweep", "--g-max", "6", "--seed", "5"], tmp_path, "s.jsonl")
+        _, drawn, _ = run_cli(["part1", "--g", "6", "--all-w", "--random", "10",
+                               "--seed", "5"], tmp_path, "p.jsonl")
+
+        def named(records):
+            return {(p["w"], p["seed"], p["ground"])
+                    for p in (r["params"] for r in records) if p["g"] == 6}
+
+        assert len(named(drawn)) == 5 * 10
+        assert named(drawn) == named(swept)
+        assert all(r["verdict"] == "zero" for r in swept + drawn)
 
     def test_records_stream_as_instances_finish(self, tmp_path, monkeypatch):
         real_sum = config_sums.sum_collapsed
@@ -261,6 +299,25 @@ class TestReportCommand:
         assert "ledger records: 1" in out
         assert "warning: line 2: skipped corrupt record (params" in out
 
+    def test_undecodable_line_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        main(["part1", "--g", "2", "--w", "0", "--c", "2,3", "--ledger", str(path)])
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\n")
+        capsys.readouterr()
+        code = main(["report", "--ledger", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "ledger records: 1" in out
+        assert "warning: line 2: skipped corrupt record ('utf-8' codec" in out
+
+    def test_directory_ledger_is_usage_error(self, tmp_path, capsys):
+        code = main(["report", "--ledger", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
@@ -304,10 +361,11 @@ def _stable_fields(records):
 class TestDeterminism:
     def test_jobs_do_not_change_verdicts_or_values(self, tmp_path):
         # identical campaign, serial vs 8 workers: byte-identical stable fields
-        args = ["sweep", "--g-max", "6", "--symbolic-g-max", "4",
-                "--samples-g6", "2", "--seed", "13"]
+        args = ["sweep", "--g-max", "5", "--symbolic-g-max", "4", "--seed", "13"]
         _, serial, _ = run_cli(args + ["--jobs", "1"], tmp_path, "serial.jsonl")
         _, parallel, _ = run_cli(args + ["--jobs", "8"], tmp_path, "parallel.jsonl")
+        assert len(serial) == 6 + 4 * 3  # symbolic g <= 4, then 3 grounds per (5, w)
+        assert {r["params"]["mode"] for r in serial} == {"symbolic", "numeric"}
         assert _stable_fields(serial) == _stable_fields(parallel)
 
     def test_same_seed_reproduces_byte_identical_values(self, tmp_path):

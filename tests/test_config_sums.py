@@ -2,6 +2,7 @@
 
 import multiprocessing
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,10 @@ from stirlingzero.config_sums import (
     ConfigSumInstance,
     double_check_nonzero,
     random_ground,
+    run_plan,
     sum_collapsed,
     sum_ordered,
-    verify_range,
+    sweep_plan,
 )
 from stirlingzero.partitions import (
     GroundSet,
@@ -223,29 +225,56 @@ class TestDoubleCheckProtocol:
         assert conf.second_also_nonzero is None
 
 
+def run_sweep_plan(g_max, seed, deadline=None, **plan_args):
+    plan = sweep_plan(g_max, seed=seed, **plan_args)
+    return list(run_plan(plan, seed=seed, jobs=1, deadline=deadline))
+
+
+class TestSweepPlan:
+    def test_default_plan(self):
+        symbolic = [(g, w, "asserted", None) for g in range(2, 6) for w in range(g - 1)]
+        g6 = [(6, w, "asserted", f"0/6/{w}/{i}") for w in range(5) for i in range(10)]
+        g7 = [(7, w, "asserted", f"0/7/{w}/{i}") for w in range(4) for i in range(5)]
+        g7 += [(7, w, "exploratory", f"0/7/{w}/0") for w in (4, 5)]
+        plan = sweep_plan(7)
+        assert len(plan) == 82
+        assert [(e.instance.g, e.instance.w, e.status, e.seed) for e in plan] == \
+            symbolic + g6 + g7
+
+    def test_smoke_plan(self):
+        symbolic = [(g, w, "asserted", None) for g in range(2, 5) for w in range(g - 1)]
+        g5 = [(5, w, "asserted", f"2/5/{w}/{i}") for w in range(4) for i in range(3)]
+        plan = sweep_plan(5, symbolic_g_max=4, seed=2)
+        assert len(plan) == 18
+        assert [(e.instance.g, e.instance.w, e.status, e.seed) for e in plan] == \
+            symbolic + g5
+        assert [e.instance.mode for e in plan] == ["symbolic"] * 6 + ["numeric"] * 12
+
+
 class TestVerifyRange:
+    """The sweep's plan run end to end through :func:`run_plan`."""
+
     def test_small_sweep_all_zero(self):
-        entries = verify_range(4, seed=3)
+        entries = run_sweep_plan(4, seed=3)
         assert len(entries) == 6  # (2,0) (3,0) (3,1) (4,0) (4,1) (4,2)
         assert all(e.status == "asserted" for e in entries)
         assert all(e.result.verdict == "zero" for e in entries)
 
     def test_numeric_band_has_seeds_recorded(self):
-        entries = verify_range(6, symbolic_g_max=5,
-                               numeric_samples={6: 2}, seed=11)
+        entries = run_sweep_plan(5, seed=11, symbolic_g_max=4)
         numeric = [e for e in entries if e.instance.mode == "numeric"]
         assert numeric and all(e.seed is not None for e in numeric)
         assert all(e.result.verdict == "zero" for e in numeric)
 
     def test_budget_exhaustion_marks_not_attempted(self):
-        entries = verify_range(5, budget_seconds=0.0, seed=0)
+        entries = run_sweep_plan(5, seed=0, deadline=time.monotonic() - 1)
         assert entries
         assert all(e.status == "not_attempted" for e in entries)
         assert all(e.result is None for e in entries)
 
     def test_reproducible_with_same_seed(self):
-        a = verify_range(6, numeric_samples={6: 1}, seed=5)
-        b = verify_range(6, numeric_samples={6: 1}, seed=5)
+        a = run_sweep_plan(5, seed=5, symbolic_g_max=4)
+        b = run_sweep_plan(5, seed=5, symbolic_g_max=4)
         grounds_a = [e.result.instance.ground for e in a if e.instance.mode == "numeric"]
         grounds_b = [e.result.instance.ground for e in b if e.instance.mode == "numeric"]
         assert grounds_a == grounds_b
