@@ -1,7 +1,10 @@
 """Exact scalar, polynomial, and truncated-series arithmetic kernel.
 
 Every number in the engine is a :class:`fractions.Fraction`; there is no
-floating point anywhere.  On top of that sit two value types:
+floating point anywhere.  The heavy loops (polynomial products, the series
+exponential and logarithm, the interpolation fit) run over Python ints:
+numerators over one shared denominator, with one Fraction built per output
+coefficient at the end.  On top of that sit two value types:
 
 * :class:`MultiPoly` -- a sparse multivariate polynomial, stored as a map
   from exponent vectors to nonzero rational coefficients.  A variable may be
@@ -22,6 +25,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -76,6 +81,51 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+# ------------------------------------------------- integer-numerator kernel
+# A term map {exponents: coefficient} is carried as integer numerators over a
+# denominator kept beside it; ints and Fractions both expose
+# numerator/denominator, so either may come in.
+
+def _numerators(terms: Mapping, den: Optional[int] = None):
+    """``(numerators, den)``: the integer numerators of ``terms`` over ``den``.
+
+    ``den`` defaults to the lcm of the coefficients' denominators; a given
+    one must be a multiple of each of them.
+    """
+    if den is None:
+        den = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _mul_into(out: dict, ta: Mapping, tb: Mapping, scale: int) -> None:
+    # out += scale * ta * tb, on integer coefficients of one registry
+    for ea, a in ta.items():
+        a *= scale
+        for eb, b in tb.items():
+            key = tuple(map(add, ea, eb))
+            acc = out.get(key)
+            out[key] = a * b if acc is None else acc + a * b
+
+
+def _fractions(nums: Mapping, den: int) -> dict:
+    # the stored form: one Fraction per nonzero numerator
+    return {e: Fraction(c, den) for e, c in nums.items() if c}
+
+
+def _reduced(nums: dict, names, flags, reduce: Optional[Callable]) -> dict:
+    # drop zero numerators, then the terms ``reduce`` does not keep
+    nums = {e: c for e, c in nums.items() if c}
+    if reduce is None:
+        return nums
+    return reduce(MultiPoly._raw(names, flags, nums)).terms
+
+
+def _registry(polys, extra: Iterable[str] = ()):
+    # the union of the registries (sorted) and of the Laurent flags
+    names = tuple(sorted(set(extra).union(*(p.vars for p in polys)), key=_var_key))
+    return names, frozenset().union(*(p.laurent for p in polys))
 
 
 class MultiPoly:
@@ -243,14 +293,11 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         names, flags, ta, tb = self._aligned(other)
+        na, da = _numerators(ta)
+        nb, db = _numerators(tb)
         out = {}
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.get(key)
-                out[key] = ca * cb if acc is None else acc + ca * cb
-        return MultiPoly._raw(
-            names, flags, {e: c for e, c in out.items() if c != 0})
+        _mul_into(out, na, nb, 1)
+        return MultiPoly._raw(names, flags, _fractions(out, da * db))
 
     __rmul__ = __mul__
 
@@ -515,57 +562,83 @@ class Series:
                 f"coefficient {k} requested beyond truncation order {self.order}")
         return self.coeffs[k]
 
+    def _over_lcm(self):
+        # every coefficient on one registry, as integer numerators over the
+        # lcm L of all their denominators: (names, flags, [N_0..N_T], L)
+        names, flags = _registry(self.coeffs)
+        terms = [c._remap(names) for c in self.coeffs]
+        den = lcm(*(c.denominator for t in terms for c in t.values()))
+        return names, flags, [_numerators(t, den)[0] for t in terms], den
+
+    def _from_scaled(self, names, flags, scaled, L) -> "Series":
+        # coefficient k is scaled[k] / (k! L^k)
+        return Series(self.var, self.order, [
+            MultiPoly._raw(names, flags, _fractions(t, factorial(k) * L ** k))
+            for k, t in enumerate(scaled)])
+
     def exp(self, reduce: Optional[Callable] = None) -> "Series":
         """Exponential of a series with zero constant term.
 
-        Computed by the exact convolution recurrence
-        ``k*f_k = sum_{i=1..k} i * s_i * f_{k-i}`` with ``f_0 = 1``.
+        The coefficients satisfy ``k*f_k = sum_{i=1..k} i * s_i * f_{k-i}``
+        with ``f_0 = 1``.  The recurrence runs over integers: with ``L`` the
+        lcm of the denominators of every ``s_i`` and ``N_i = L*s_i``, put
+        ``F_k = k! L^k f_k``.  Multiplying the recurrence by ``(k-1)! L^k``
+        gives::
 
-        ``reduce``, if given, maps every product of the recurrence to its
-        remainder modulo a monomial ideal (see :meth:`MultiPoly.remainder`).
-        Taking that remainder is a ring homomorphism, so each coefficient of
-        the result is the remainder of the true one.
+            F_k = sum_{i=1..k} i * N_i * F_{k-i} * (k-1)!/(k-i)! * L^(i-1)
+
+        whose every factor is an integer (``i >= 1``), so each ``F_k`` has
+        integer coefficients by induction from ``F_0 = 1``; one division per
+        output coefficient recovers ``f_k``.
+
+        ``reduce``, if given, maps each ``F_k`` to its remainder modulo a
+        monomial ideal (see :meth:`MultiPoly.remainder`) as soon as it is
+        formed.  Taking that remainder is a ring homomorphism, so each
+        coefficient of the result is the remainder of the true one.
+        ``reduce`` must select terms by monomial only: it receives a
+        MultiPoly whose coefficients are the integers above and must return
+        the terms it keeps, unchanged, on the registry it was given.
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("series exponential requires a zero constant term")
-        f = [MultiPoly.constant(1)]
+        names, flags, nums, L = self._over_lcm()
+        F = [{(0,) * len(names): 1}]
         for k in range(1, self.order + 1):
-            acc = MultiPoly.zero()
+            acc = {}
             for i in range(1, k + 1):
-                s_i = self.coeffs[i]
-                if s_i.is_zero():
-                    continue
-                product = s_i * f[k - i]
-                if reduce is not None:
-                    product = reduce(product)
-                acc = acc + product * Fraction(i, k)
-            f.append(acc)
-        return Series(self.var, self.order, f)
+                if nums[i] and F[k - i]:
+                    scale = i * (factorial(k - 1) // factorial(k - i)) * L ** (i - 1)
+                    _mul_into(acc, nums[i], F[k - i], scale)
+            F.append(_reduced(acc, names, flags, reduce))
+        return self._from_scaled(names, flags, F, L)
 
     def log(self, reduce: Optional[Callable] = None) -> "Series":
         """Logarithm of a series with constant term one.
 
-        Uses ``g_k = s_k - (1/k) sum_{i=1..k-1} i * g_i * s_{k-i}``;
-        ``reduce`` acts on each ``s_k`` and each product as in :meth:`exp`.
+        The coefficients satisfy ``g_k = s_k - (1/k) sum_{i=1..k-1} i * g_i *
+        s_{k-i}`` with ``g_0 = 0``.  With ``L`` and ``N_i = L*s_i`` as in
+        :meth:`exp`, put ``G_k = k! L^k g_k``; multiplying by ``k! L^k``
+        gives::
+
+            G_k = N_k * k! * L^(k-1)
+                  - sum_{i=1..k-1} i * G_i * N_{k-i} * (k-1)!/i! * L^(k-i-1)
+
+        whose every factor is an integer (``i <= k-1``), so every ``G_k`` is
+        integral.  ``reduce`` acts on each ``G_k`` as in :meth:`exp`.
         """
         if self.coeffs[0] != 1:
             raise ValueError("series logarithm requires constant term equal to 1")
-        g = [MultiPoly.zero()]
+        names, flags, nums, L = self._over_lcm()
+        G = [{}]
         for k in range(1, self.order + 1):
-            acc = self.coeffs[k] if reduce is None else reduce(self.coeffs[k])
+            lead = factorial(k) * L ** (k - 1)
+            acc = {e: c * lead for e, c in nums[k].items()}
             for i in range(1, k):
-                g_i = g[i]
-                if g_i.is_zero():
-                    continue
-                s = self.coeffs[k - i]
-                if s.is_zero():
-                    continue
-                product = g_i * s
-                if reduce is not None:
-                    product = reduce(product)
-                acc = acc - product * Fraction(i, k)
-            g.append(acc)
-        return Series(self.var, self.order, g)
+                if G[i] and nums[k - i]:
+                    scale = i * (factorial(k - 1) // factorial(i)) * L ** (k - i - 1)
+                    _mul_into(acc, nums[k - i], G[i], -scale)
+            G.append(_reduced(acc, names, flags, reduce))
+        return self._from_scaled(names, flags, G, L)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -595,37 +668,54 @@ def _dense_from_nodes(nodes: Sequence[int], skip: int) -> list:
 
 @lru_cache(maxsize=None)
 def _lagrange_rows(nodes: tuple) -> tuple:
-    # rows[i][d]: coefficient of X^d in the i-th Lagrange basis polynomial
-    rows = []
+    # (by_degree, den): by_degree[d][i] / den is the coefficient of X^d in
+    # the i-th Lagrange basis polynomial, den the lcm of the basis
+    # denominators; a fit's X^d coefficient is the dot product of
+    # by_degree[d] with the node values, over den
+    denoms = []
     for i, x_i in enumerate(nodes):
         denom = 1
         for m, x_m in enumerate(nodes):
             if m != i:
                 denom *= x_i - x_m
-        rows.append(tuple(Fraction(c, denom) for c in _dense_from_nodes(nodes, i)))
-    return tuple(rows)
+        denoms.append(denom)
+    den = lcm(*denoms)
+    rows = [[c * (den // denom) for c in _dense_from_nodes(nodes, i)]
+            for i, denom in enumerate(denoms)]
+    return tuple(zip(*rows)), den
+
+
+def _integer_point(x) -> int:
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    if isinstance(x, int):
+        return x
+    raise ValueError(f"sample point {x!r} is not an integer")
 
 
 def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiPoly:
     """Exact Lagrange interpolation through polynomial-valued samples.
 
     ``samples`` is a sequence of ``(integer point, MultiPoly value)`` pairs;
-    the first ``degree_bound + 1`` define the unique polynomial in ``var`` of
-    degree at most ``degree_bound`` through them.  Every remaining sample is
-    then checked against the fit; a disagreement raises
-    :class:`PolynomialityError` (never silently dropped).
+    a point may be an int or a Fraction with denominator 1, anything else is
+    rejected.  The first ``degree_bound + 1`` samples define the unique
+    polynomial in ``var`` of degree at most ``degree_bound`` through them.
+    Every remaining sample is then checked against the fit; a disagreement
+    raises :class:`PolynomialityError` (never silently dropped).
 
     The fit runs coefficient by coefficient: each monomial of the node values
-    gets its own univariate interpolant from the cached Lagrange rows, and a
-    surplus sample is compared, by Horner evaluation, on every monomial that
-    the fit or the sample carries.
+    gets its own univariate interpolant, one integer dot product per degree
+    of the cached Lagrange numerators with the node values' numerators over
+    their lcm.  A surplus sample is compared, by integer Horner evaluation
+    of those numerators, on every monomial that the fit or the sample
+    carries.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     if len(samples) < degree_bound + 1:
         raise ValueError(
             f"need at least {degree_bound + 1} samples, got {len(samples)}")
-    points = [int(x) for x, _ in samples]
+    points = [_integer_point(x) for x, _ in samples]
     if len(set(points)) != len(points):
         raise ValueError("sample points must be distinct")
     values = []
@@ -637,32 +727,34 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
             raise ValueError(f"sample values must not involve {var!r}")
         values.append(p)
 
-    names = tuple(sorted({var}.union(*(p.vars for p in values)), key=_var_key))
-    flags = frozenset().union(*(p.laurent for p in values))
+    names, flags = _registry(values, extra=(var,))
     slot = names.index(var)
     terms = [p._remap(names) for p in values]
 
     count = degree_bound + 1
-    rows = _lagrange_rows(tuple(points[:count]))
-    fit = {}
+    by_degree, den = _lagrange_rows(tuple(points[:count]))
+    fit = {}  # monomial -> (numerators of its X^0..X^degree_bound coefficients, denominator)
     for mono in set().union(*terms[:count]):
         column = [t.get(mono, 0) for t in terms[:count]]
-        fit[mono] = [sum(row[d] * v for row, v in zip(rows, column) if v)
-                     for d in range(count)]
+        scale = lcm(*(v.denominator for v in column))
+        column = [v.numerator * (scale // v.denominator) for v in column]
+        fit[mono] = [sum(map(mul, basis, column)) for basis in by_degree], den * scale
 
     for x, witness in zip(points[count:], terms[count:]):
         for mono in fit.keys() | witness.keys():
+            nums, scale = fit.get(mono, ((), 1))
             acc = 0
-            for c in reversed(fit.get(mono, ())):
+            for c in reversed(nums):
                 acc = acc * x + c
-            if acc != witness.get(mono, 0):
+            target = witness.get(mono, 0)
+            if acc * target.denominator != target.numerator * scale:
                 raise PolynomialityError(
                     f"surplus sample at {var}={x} deviates from the degree-"
                     f"{degree_bound} interpolant")
 
     out = {}
-    for mono, coeffs in fit.items():
-        for d, c in enumerate(coeffs):
+    for mono, (nums, scale) in fit.items():
+        for d, c in enumerate(nums):
             if c:
-                out[mono[:slot] + (d,) + mono[slot + 1:]] = c
+                out[mono[:slot] + (d,) + mono[slot + 1:]] = Fraction(c, scale)
     return MultiPoly._raw(names, flags, out)

@@ -58,14 +58,20 @@ def _parse_int_list(text: str):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as a usage error
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 def _budget_seconds(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {text!r}") from None
     if not 0 <= value < math.inf:  # NaN fails every comparison
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value

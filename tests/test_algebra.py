@@ -36,6 +36,88 @@ def polys(draw, names=("a", "b", "c"), max_terms=4, max_exp=3):
 
 
 @st.composite
+def mixed_series(draw, order):
+    # coefficients in a, b, c and a Laurent r with denominators up to 12,
+    # and one coefficient forced to zero somewhere in the middle
+    gap = draw(st.integers(1, order))
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    entries = {}
+    for k in range(1, order + 1):
+        if k == gap:
+            continue
+        r_term = MultiPoly(("r",), {(draw(st.integers(-2, 2)),): draw(rational)},
+                           laurent=("r",))
+        entries[k] = draw(polys(max_terms=3, max_exp=2)) + r_term
+    return Series.from_dict("x", order, entries)
+
+
+# the parent recurrences over Fraction coefficients, kept as the reference
+# for the integer-numerator kernel
+
+def fraction_product(p, q):
+    # term-pair product with Fraction arithmetic throughout
+    pa = p.with_vars(q.vars, q.laurent)
+    qa = q.with_vars(p.vars, p.laurent)
+    out = {}
+    for ea, ca in pa.terms.items():
+        for eb, cb in qa.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return MultiPoly(pa.vars, out, pa.laurent)
+
+
+def reference_exp(s, reduce=None):
+    # k*f_k = sum_{i=1..k} i * s_i * f_{k-i}
+    f = [MultiPoly.constant(1)]
+    for k in range(1, s.order + 1):
+        acc = MultiPoly.zero()
+        for i in range(1, k + 1):
+            if s.coeffs[i].is_zero():
+                continue
+            product = fraction_product(s.coeffs[i], f[k - i])
+            if reduce is not None:
+                product = reduce(product)
+            acc = acc + product * Fraction(i, k)
+        f.append(acc)
+    return tuple(f)
+
+
+def reference_log(s, reduce=None):
+    # g_k = s_k - (1/k) sum_{i=1..k-1} i * g_i * s_{k-i}
+    g = [MultiPoly.zero()]
+    for k in range(1, s.order + 1):
+        acc = s.coeffs[k] if reduce is None else reduce(s.coeffs[k])
+        for i in range(1, k):
+            product = fraction_product(g[i], s.coeffs[k - i])
+            if reduce is not None:
+                product = reduce(product)
+            acc = acc - product * Fraction(i, k)
+        g.append(acc)
+    return tuple(g)
+
+
+def reference_fit(samples, var_name, degree_bound):
+    # sum_i v_i * prod_{m != i} (X - x_m) / (x_i - x_m), in Fraction arithmetic
+    x = var(var_name)
+    nodes = samples[:degree_bound + 1]
+    total = MultiPoly.zero()
+    for i, (x_i, v_i) in enumerate(nodes):
+        basis = MultiPoly.constant(1)
+        for m, (x_m, _) in enumerate(nodes):
+            if m != i:
+                basis = fraction_product(basis, (x - x_m) * Fraction(1, x_i - x_m))
+        total = total + fraction_product(basis, MultiPoly._coerce(v_i))
+    return total
+
+
+REDUCTIONS = {
+    "none": None,
+    "weight": lambda p: p.remainder({"a": 1, "b": 2}, 3),
+    "squarefree": lambda p: p.remainder({}, None, ["a", "b", "c"]),
+}
+
+
+@st.composite
 def unit_free_series(draw, order):
     entries = {}
     for k in range(1, order + 1):
@@ -106,6 +188,13 @@ class TestMultiPoly:
         r = var("r", laurent=True)
         p = r.times_power("r", -3)  # r^-2
         assert p.substitute({"r": 2}) == Fraction(1, 4)
+
+    @given(polys(), polys())
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_fraction_reference(self, p, q):
+        r = var("r", laurent=True)
+        p = p * Fraction(1, 3) + r.times_power("r", -3) * Fraction(5, 7)
+        assert (p * q).terms == fraction_product(p, q).terms
 
     @given(polys(), polys(), polys())
     @settings(max_examples=60, deadline=None)
@@ -254,6 +343,30 @@ class TestSeries:
     def test_roundtrip_any_order(self, s):
         assert s.exp().log() == s
 
+    @given(st.integers(1, 7).flatmap(mixed_series), st.sampled_from(sorted(REDUCTIONS)))
+    @settings(max_examples=60, deadline=None)
+    def test_exp_matches_fraction_reference(self, s, reduction):
+        reduce = REDUCTIONS[reduction]
+        assert s.exp(reduce=reduce).coeffs == reference_exp(s, reduce)
+
+    @given(st.integers(1, 7).flatmap(mixed_series), st.sampled_from(sorted(REDUCTIONS)))
+    @settings(max_examples=60, deadline=None)
+    def test_log_matches_fraction_reference(self, s, reduction):
+        reduce = REDUCTIONS[reduction]
+        unit = Series("x", s.order, (MultiPoly.constant(1),) + s.coeffs[1:])
+        assert unit.log(reduce=reduce).coeffs == reference_log(unit, reduce)
+
+    @given(st.integers(1, 7).flatmap(mixed_series))
+    @settings(max_examples=40, deadline=None)
+    def test_log_of_exp_of_mixed_series(self, s):
+        assert s.exp().log() == s
+
+    def test_coefficients_are_stored_as_fractions(self):
+        s = Series.from_dict("x", 3, {1: var("a") * Fraction(2, 3), 3: 5})
+        for series in (s.exp(), s.exp().log()):
+            assert all(type(c) is Fraction
+                       for p in series.coeffs for c in p.terms.values())
+
     @staticmethod
     def _reduce(p):
         return p.remainder({"a": 1, "b": 2}, 4, ["c"])
@@ -334,6 +447,50 @@ class TestInterpolation:
     def test_sample_values_must_not_involve_var(self):
         with pytest.raises(ValueError):
             interpolate_in_var([(0, var("j")), (1, var("j"))], "j", 1)
+
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=6, unique=True),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_fit_matches_fraction_reference(self, nodes, data):
+        u_over_r = var("u").times_power("r", -1, laurent=True)
+        samples = [(x, data.draw(polys(max_terms=3)) + u_over_r * data.draw(coefficients))
+                   for x in nodes]
+        degree = len(nodes) - 1
+        fit = interpolate_in_var(samples, "j", degree)
+        assert fit == reference_fit(samples, "j", degree)
+        assert all(type(c) is Fraction for c in fit.terms.values())
+
+    @given(st.integers(0, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_surplus_witness_off_by_a_seventh_raises(self, degree, data):
+        # a polynomial in j over a, b, c, sampled at degree + 3 points: the
+        # fit passes, then a bump of 1/7 on one monomial of the witness (or
+        # on one it lacks) must be caught
+        j = var("j")
+        truth = MultiPoly.zero()
+        for d in range(degree + 1):
+            truth = truth + data.draw(polys()) * j ** d
+        samples = [(x, truth.substitute({"j": x})) for x in range(-1, degree + 2)]
+        assert interpolate_in_var(samples, "j", degree) == truth
+        x, witness = samples[-1]
+        choice = data.draw(st.sampled_from(sorted(witness.terms) + [None]))
+        bump = var("v") if choice is None else MultiPoly(witness.vars, {choice: 1})
+        samples[-1] = (x, witness + bump * Fraction(1, 7))
+        with pytest.raises(PolynomialityError):
+            interpolate_in_var(samples, "j", degree)
+
+    @pytest.mark.parametrize("points", [
+        (Fraction(1, 2), Fraction(3, 2)),  # truncated, these fit 5 + 2x for 4 + 2x
+        (0.5, 3), (1.0, 3), ("1", 3),
+    ], ids=["halves", "float-half", "float-one", "text"])
+    def test_non_integral_points_rejected(self, points):
+        samples = list(zip(points, (MultiPoly.constant(5), MultiPoly.constant(7))))
+        with pytest.raises(ValueError):
+            interpolate_in_var(samples, "x", 1)
+
+    def test_integral_fraction_points_accepted(self):
+        samples = [(Fraction(2, 2), MultiPoly.constant(5)), (Fraction(6, 2), 9)]
+        assert interpolate_in_var(samples, "x", 1) == 3 + 2 * var("x")
 
     @given(st.lists(coefficients, min_size=3, max_size=3))
     @settings(max_examples=25, deadline=None)

@@ -347,6 +347,27 @@ class TestEntryPoints:
             main(["part1", "--g", "3"])  # missing required ground choice
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["sweep", "--budget-seconds", "abc"],
+                     "argument --budget-seconds: expected a number of seconds, got 'abc'",
+                     id="budget-seconds"),
+        pytest.param(["sweep", "--jobs", "two"],
+                     "argument --jobs: expected a positive integer, got 'two'",
+                     id="jobs"),
+        pytest.param(["part1", "--g", "3", "--w", "0", "--random", "x"],
+                     "argument --random: expected a positive integer, got 'x'",
+                     id="random"),
+    ])
+    def test_unparsable_value_names_the_expected_type(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "ledger.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--ledger", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "invalid _" not in err
+        assert not path.exists()
+
 
 def _stable_fields(records):
     out = []
