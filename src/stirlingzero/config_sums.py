@@ -19,6 +19,9 @@ Two independent summation routes are provided:
   r! identical ordered terms and carries the factor ``(-1)^r (r-1)!``; the
   inner sum over weight compositions is the degree-w coefficient of the
   truncated product ``prod_i (sum_v P_v(t_i) y^v)``, an exact regrouping.
+  Partitions come block by block, so consecutive ones share their first
+  blocks: the truncated products of those are kept, only the blocks after
+  them are convolved, and ``[y^w]`` is a dot product with the last block.
 
 On numeric grounds the collapsed route runs in Python ints.  With ``D`` the
 lcm of the ground's denominators and ``K`` the lcm of the coefficient
@@ -194,20 +197,6 @@ def _conv_truncated(acc, vec: tuple, w: int, zero) -> list:
     return out
 
 
-def _top_coefficient(vectors: list, w: int, zero):
-    """``[y^w]`` of the product of the block series, one coefficient list each."""
-    acc = vectors[0]
-    for vec in vectors[1:-1]:
-        acc = _conv_truncated(acc, vec, w, zero)
-    if len(vectors) == 1:
-        return acc[w]
-    last = vectors[-1]
-    total = zero
-    for i in range(w + 1):
-        total = total + acc[i] * last[w - i]
-    return total
-
-
 def _common_scale(inst: ConfigSumInstance) -> int:
     """``K * D^2``: scaled by its v-th power, every ``P_v(block sum)`` is an integer.
 
@@ -227,6 +216,9 @@ def _collapsed_partial(inst: ConfigSumInstance, handles: Optional[Iterable[int]]
 
     Symbolic grounds multiply ``MultiPoly`` block series; numeric grounds
     multiply ints, scaled by :func:`_common_scale` (see the module docstring).
+    ``prefix[k]`` holds the truncated product of blocks ``0..k`` of the last
+    partition seen; the next partition keeps the entries of the blocks it
+    shares with that one and convolves only the blocks after them.
     """
     w = inst.w
     if inst.ground.is_symbolic:
@@ -241,10 +233,27 @@ def _collapsed_partial(inst: ConfigSumInstance, handles: Optional[Iterable[int]]
     signs = [0] + [(-1) ** r * factorial(r - 1) for r in range(1, inst.g + 1)]
     total = zero
     visited = 0
+    prefix, held = [], ()
     for stream in streams:
         for cfg, r in stream:
-            vectors = [values.vector(mask) for mask in cfg.blocks]
-            total = total + _top_coefficient(vectors, w, zero) * signs[r]
+            blocks = cfg.blocks
+            keep, limit = 0, min(len(prefix), r - 1)
+            while keep < limit and blocks[keep] == held[keep]:
+                keep += 1
+            del prefix[keep:]
+            for k in range(keep, r - 1):
+                vec = values.vector(blocks[k])
+                prefix.append(_conv_truncated(prefix[-1], vec, w, zero) if k else vec)
+            held = blocks
+            last = values.vector(blocks[-1])
+            if prefix:
+                acc = prefix[-1]
+                top = zero
+                for i in range(w + 1):
+                    top = top + acc[i] * last[w - i]
+            else:
+                top = last[w]
+            total = total + top * signs[r]
             visited += 1
     if scale is not None:
         total = Fraction(total, scale ** w)

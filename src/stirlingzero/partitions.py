@@ -3,8 +3,11 @@
 Elements of the g-element ground set are bit positions 0..g-1; blocks are
 machine-word bitmasks, so canonical forms are trivially hashable and cheap to
 compare, and :meth:`GroundSet.block_sum` maps a block to the sum of its
-ground values.  Enumeration is streaming (restricted-growth order) and
-deterministic: identical input always yields identical order.
+ground values.  Enumeration is streaming and deterministic: identical input
+always yields identical order.  Unordered partitions are walked block by
+block (the block holding the lowest remaining element, then the rest), so
+partitions sharing their first k blocks come out consecutively, which lets
+a consumer reuse work done on a common prefix of blocks.
 
 A stream over unordered partitions can be split into independent sub-streams
 by fixing the block containing element 0 (``first_block``); the sub-streams
@@ -104,54 +107,51 @@ class GroundSet:
         return ",".join(str(v) for v in self.values)
 
 
-def _rgs_blocks(element_bits: Sequence[int]) -> Iterator[tuple]:
-    """All set partitions of the given elements, blocks ordered by first element."""
-    if not element_bits:
-        yield ()
+def _block_walk(rest: int, blocks: list) -> Iterator[tuple]:
+    """Partitions of the elements of ``rest``, appended to ``blocks``, one block per level.
+
+    The next block is the lowest element of ``rest`` together with each subset
+    of the others in turn, so the partitions sharing their first k blocks
+    come out one after another.
+    """
+    if not rest:
+        yield tuple(blocks)
         return
-    blocks = [element_bits[0]]
-
-    def rec(idx):
-        if idx == len(element_bits):
-            yield tuple(blocks)
-            return
-        bit = element_bits[idx]
-        for i in range(len(blocks)):
-            blocks[i] |= bit
-            yield from rec(idx + 1)
-            blocks[i] ^= bit
-        blocks.append(bit)
-        yield from rec(idx + 1)
+    low = rest & -rest
+    others = rest ^ low
+    sub = 0
+    while True:
+        blocks.append(low | sub)
+        yield from _block_walk(others ^ sub, blocks)
         blocks.pop()
-
-    yield from rec(1)
+        if sub == others:
+            return
+        sub = (sub - others) & others  # next subset of ``others`` in increasing order
 
 
 def iter_unordered_partitions(g: int, first_block: int | None = None):
     """Yield ``(configuration, block_count)`` per unordered partition of {0..g-1}.
 
-    Blocks come sorted by smallest element (the restricted-growth canonical
-    form).  With ``first_block`` set, only partitions whose block containing
-    element 0 equals that mask are produced; over all masks from
-    :func:`split_handles` this tiles the full stream exactly once.
+    Blocks come sorted by smallest element (the canonical form), and the
+    stream walks them block by block: partitions that share their first k
+    blocks are yielded consecutively.  With ``first_block`` set, the walk's
+    first level is fixed to that mask (the block containing element 0); over
+    all masks from :func:`split_handles` this tiles the full stream exactly
+    once.
     """
     if g < 1:
         raise ValueError("need at least one element")
     full = (1 << g) - 1
     if first_block is None:
-        bits = [1 << e for e in range(g)]
-        for blocks in _rgs_blocks(bits):
-            cfg = Configuration(g, blocks)
-            assert cfg.is_valid()
-            yield cfg, len(blocks)
-        return
-    if not first_block & 1 or first_block & ~full:
+        walk = _block_walk(full, [])
+    elif not first_block & 1 or first_block & ~full:
         raise ValueError("first_block must contain element 0 and fit the ground set")
-    rest = [1 << e for e in range(1, g) if not first_block & (1 << e)]
-    for blocks in _rgs_blocks(rest):
-        cfg = Configuration(g, (first_block,) + blocks)
+    else:
+        walk = _block_walk(full ^ first_block, [first_block])
+    for blocks in walk:
+        cfg = Configuration(g, blocks)
         assert cfg.is_valid()
-        yield cfg, 1 + len(blocks)
+        yield cfg, len(blocks)
 
 
 def split_handles(g: int) -> list:

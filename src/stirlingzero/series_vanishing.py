@@ -192,22 +192,25 @@ def generating_coefficient(j: int, cfg: ExpansionConfig,
     return _generating_series(j, tuple(s for s in indices if s <= j)).coefficient(j)
 
 
-def expansion_coefficients(j: int, gj: MultiPoly) -> list:
-    """Read a_0 .. a_{j-1} off the x^j generating coefficient.
+def expansion_coefficients(j: int, gj: MultiPoly, h_max: Optional[int] = None) -> list:
+    """Read a_0 .. a_{j-1} off the x^j generating coefficient, or only a_0 .. a_{h_max}.
 
     ``a_h`` is the n^{j-h} coefficient of ``j! * gj`` divided by r^j, zero
     where that power is absent; one split by the power of n yields them
-    all.  The function re-assembles the expansion and demands it reproduce
-    ``gj`` exactly before returning.
+    all.  ``gj`` may carry only the powers n^{j-h} of the orders read, so
+    with ``h_max`` it is the coefficient of a series cut above u-weight
+    ``h_max``.  The function re-assembles the orders it read and demands
+    they reproduce ``gj`` exactly before returning.
     """
+    orders = j if h_max is None else min(j, h_max + 1)
     by_degree = dict((gj * factorial(j)).extract_by_degree(N))
     for degree in by_degree:
-        if not 1 <= degree <= j:
+        if not j - orders < degree <= j:
             raise ValueError(
-                f"generating coefficient carries n^{degree}, outside 1..{j}")
+                f"generating coefficient carries n^{degree}, outside {j - orders + 1}..{j}")
     out = []
     rebuilt = MultiPoly.zero()
-    for h in range(j):
+    for h in range(orders):
         value = by_degree.get(j - h, MultiPoly.zero()).times_power(R, -j)
         out.append(ExpansionCoefficient(h, value))
         rebuilt = rebuilt + value.times_power(R, j).times_power(N, j - h)
@@ -222,10 +225,10 @@ def _readback_coefficients(j: int, order: int, u_indices: tuple, h_max: int,
                            squarefree: bool = False) -> tuple:
     # x^s with s > j cannot reach x^j, so the order-``order`` series holds the
     # order-j coefficient at x^j: one exponential serves every sample j.
-    # That exponential drops u-weight > h_max, which no a_h with h <= h_max
-    # can see; the deeper a_h it yields are wrong and are never returned.
+    # That exponential drops u-weight > h_max, so its x^j coefficient holds
+    # exactly the powers n^{j-h_max} .. n^j that a_0 .. a_{h_max} are read from.
     gj = _generating_series(order, u_indices, h_max, squarefree).coefficient(j)
-    return tuple(expansion_coefficients(j, gj)[:h_max + 1])
+    return tuple(expansion_coefficients(j, gj, h_max))
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,7 @@ from stirlingzero.config_sums import (
 from stirlingzero.partitions import (
     GroundSet,
     count_weighted_configs,
+    iter_unordered_partitions,
     unordered_partition_count,
 )
 
@@ -160,6 +161,51 @@ class TestIntegerKernel:
         _shift_offset_one(monkeypatch, Fraction(1, 3))
         with pytest.raises(ConsistencyError, match="not an integer"):
             sum_collapsed(numeric_instance(3, 1, [2, 3, 4]))
+
+
+def _bump_one_block(monkeypatch, target=0b0110):
+    # only the block {1, 2} sees its sum moved, so the total depends on which
+    # blocks a partition's truncated product was built from
+    real = GroundSet.block_sum
+    monkeypatch.setattr(GroundSet, "block_sum",
+                        lambda self, mask: real(self, mask) + 1 if mask == target
+                        else real(self, mask))
+
+
+class TestPrefixReuse:
+    @pytest.mark.parametrize("g, w", [(5, 3), (6, 2), (6, 4)])
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_mask_dependent_control_numeric(self, monkeypatch, g, w, jobs):
+        _bump_one_block(monkeypatch)
+        inst = numeric_instance(g, w, MIXED[:g])
+        collapsed = sum_collapsed(inst, jobs=jobs).total
+        assert collapsed == sum_ordered(inst).total
+        assert collapsed != 0
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_mask_dependent_control_symbolic(self, monkeypatch, w):
+        _bump_one_block(monkeypatch)
+        inst = symbolic_instance(4, w)
+        collapsed = sum_collapsed(inst).total
+        assert collapsed == sum_ordered(inst).total
+        assert collapsed != 0
+
+    def test_one_convolution_per_shared_prefix(self, monkeypatch):
+        # blocks[:k] with 2 <= k <= r-1 is the product the last block is dotted with
+        # or a step towards it; each is built once, not once per partition
+        prefixes = {cfg.blocks[:k] for cfg, r in iter_unordered_partitions(8)
+                    for k in range(2, r)}
+        calls = []
+        real = config_sums._conv_truncated
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(config_sums, "_conv_truncated", counted)
+        res = sum_collapsed(numeric_instance(8, 6, [2, 3, 5, 7, 11, 13, 17, 19]))
+        assert res.total == 0
+        assert len(calls) == len(prefixes) == 4012
 
 
 class TestIdentityProperties:

@@ -17,6 +17,19 @@ from stirlingzero.partitions import (
     weight_compositions,
 )
 
+def brute_force_partitions(g):
+    """Every set partition of {0..g-1} by inserting elements one at a time, canonical form."""
+    parts = [[]]
+    for e in range(g):
+        grown = []
+        for blocks in parts:
+            for i in range(len(blocks)):
+                grown.append(blocks[:i] + [blocks[i] | 1 << e] + blocks[i + 1:])
+            grown.append(blocks + [1 << e])
+        parts = grown
+    return {tuple(sorted(blocks, key=lambda m: m & -m)) for blocks in parts}
+
+
 FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683}
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}
 
@@ -72,6 +85,27 @@ class TestUnorderedPartitions:
         for cfg, _ in iter_unordered_partitions(5):
             mins = [mask & -mask for mask in cfg.blocks]
             assert mins == sorted(mins)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7])
+    def test_stream_is_the_brute_force_set(self, g):
+        stream = [cfg.blocks for cfg, _ in iter_unordered_partitions(g)]
+        assert len(stream) == len(set(stream))
+        assert set(stream) == brute_force_partitions(g)
+
+    @pytest.mark.parametrize("g", [4, 5, 6, 7])
+    def test_shared_first_blocks_come_out_consecutively(self, g):
+        stream = [cfg.blocks for cfg, _ in iter_unordered_partitions(g)]
+        for k in range(1, g + 1):
+            runs = [key for i, key in enumerate(b[:k] for b in stream)
+                    if i == 0 or key != stream[i - 1][:k]]
+            assert len(runs) == len(set(runs)), f"a run of first {k} blocks is split"
+
+    def test_first_block_fixes_the_first_level(self):
+        for handle in split_handles(6):
+            whole = [cfg.blocks for cfg, _ in iter_unordered_partitions(6)
+                     if cfg.blocks[0] == handle]
+            assert [cfg.blocks for cfg, _ in
+                    iter_unordered_partitions(6, first_block=handle)] == whole
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_split_handles_tile_the_stream(self, g):

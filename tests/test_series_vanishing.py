@@ -180,6 +180,36 @@ class TestReadback:
         with pytest.raises(ValueError):
             expansion_coefficients(2, bad)
 
+    @pytest.mark.parametrize("jj, h_max", [(7, 2), (9, 4), (4, 6)])
+    def test_h_max_reads_the_cut_series(self, jj, h_max):
+        # the series cut above u-weight h_max carries n^{j-h_max} .. n^j only
+        indices = CFG.u_indices()
+        cut = _generating_series(jj, indices, h_max).coefficient(jj)
+        full = expansion_coefficients(jj, generating_coefficient(jj, CFG))
+        got = expansion_coefficients(jj, cut, h_max)
+        assert len(got) == min(jj, h_max + 1)
+        assert [c.value for c in got] == [c.value for c in full[:h_max + 1]]
+
+    def test_h_max_rejects_deeper_powers_of_n(self):
+        # the uncut coefficient carries n^{j-h} for h > h_max: outside the band
+        with pytest.raises(ValueError, match="outside 6..9"):
+            expansion_coefficients(9, generating_coefficient(9, CFG), 3)
+
+    def test_readback_builds_only_the_orders_it_returns(self, monkeypatch):
+        built = []
+        real = ExpansionCoefficient.__post_init__
+
+        def counted(self):
+            built.append(self.h)
+            real(self)
+
+        _readback_coefficients.cache_clear()
+        monkeypatch.setattr(ExpansionCoefficient, "__post_init__", counted)
+        coeffs = _readback_coefficients(13, 13, CFG.u_indices(), 3)
+        monkeypatch.undo()
+        _readback_coefficients.cache_clear()
+        assert built == [c.h for c in coeffs] == [0, 1, 2, 3]
+
     def test_u_weight_is_enforced(self):
         with pytest.raises(ConsistencyError):
             ExpansionCoefficient(2, u2)  # weight 1 != 2
