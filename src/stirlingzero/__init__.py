@@ -31,12 +31,10 @@ from .stirling import (
     triangle,
 )
 from .partitions import (
-    Configuration,
     GroundSet,
     count_weighted_configs,
     iter_ordered_partitions,
     iter_unordered_partitions,
-    split_handles,
     weight_compositions,
 )
 from .config_sums import (
@@ -75,8 +73,7 @@ __all__ = [
     "StirlingTriangle", "StirlingPoly", "triangle", "stirling_poly",
     "eval_P", "eval_P_symbolic",
     # partitions
-    "Configuration", "GroundSet",
-    "iter_ordered_partitions", "iter_unordered_partitions", "split_handles",
+    "GroundSet", "iter_ordered_partitions", "iter_unordered_partitions",
     "weight_compositions", "count_weighted_configs",
     # configuration sums
     "ConfigSumInstance", "ConfigSumResult",

@@ -49,7 +49,10 @@ class BridgeInstance:
 
 def bridge_params(c, w: int) -> BridgeInstance:
     """Validate (c, w) and derive the (k, h) target component."""
-    values = tuple(int(x) for x in c)
+    values = tuple(c)
+    if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in values):
+        raise ValueError(f"ground values must be integers, got {values!r}")
+    values = tuple(int(x) for x in values)
     g = len(values)
     if g < 2:
         raise ValueError("need at least two ground values")

@@ -55,7 +55,6 @@ from .partitions import (
     count_weighted_configs,
     iter_ordered_partitions,
     iter_unordered_partitions,
-    split_handles,
     unordered_partition_count,
     weight_compositions,
 )
@@ -169,10 +168,10 @@ def sum_ordered(inst: ConfigSumInstance) -> ConfigSumResult:
     values = _BlockValues(ground, inst.w)
     total = _zero(ground)
     visited = 0
-    for cfg in iter_ordered_partitions(inst.g):
-        r = cfg.block_count
+    for blocks in iter_ordered_partitions(inst.g):
+        r = len(blocks)
         factor = Fraction((-1) ** r, r)
-        vectors = [values.vector(mask) for mask in cfg.blocks]
+        vectors = [values.vector(mask) for mask in blocks]
         for weights in weight_compositions(inst.w, r):
             prod = vectors[0][weights[0]]
             for i in range(1, r):
@@ -211,8 +210,8 @@ def _common_scale(inst: ConfigSumInstance) -> int:
     return k * d * d
 
 
-def _collapsed_partial(inst: ConfigSumInstance, handles: Optional[Iterable[int]]):
-    """Sum of collapsed contributions over one slice of the partition stream.
+def _collapsed_partial(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
+    """Sum of collapsed contributions over shard ``part`` of ``parts`` of the partition stream.
 
     Symbolic grounds multiply ``MultiPoly`` block series; numeric grounds
     multiply ints, scaled by :func:`_common_scale` (see the module docstring).
@@ -226,35 +225,30 @@ def _collapsed_partial(inst: ConfigSumInstance, handles: Optional[Iterable[int]]
     else:
         zero, scale = 0, _common_scale(inst)
     values = _BlockValues(inst.ground, w, scale)
-    if handles is None:
-        streams = [iter_unordered_partitions(inst.g)]
-    else:
-        streams = [iter_unordered_partitions(inst.g, first_block=h) for h in handles]
     signs = [0] + [(-1) ** r * factorial(r - 1) for r in range(1, inst.g + 1)]
     total = zero
     visited = 0
     prefix, held = [], ()
-    for stream in streams:
-        for cfg, r in stream:
-            blocks = cfg.blocks
-            keep, limit = 0, min(len(prefix), r - 1)
-            while keep < limit and blocks[keep] == held[keep]:
-                keep += 1
-            del prefix[keep:]
-            for k in range(keep, r - 1):
-                vec = values.vector(blocks[k])
-                prefix.append(_conv_truncated(prefix[-1], vec, w, zero) if k else vec)
-            held = blocks
-            last = values.vector(blocks[-1])
-            if prefix:
-                acc = prefix[-1]
-                top = zero
-                for i in range(w + 1):
-                    top = top + acc[i] * last[w - i]
-            else:
-                top = last[w]
-            total = total + top * signs[r]
-            visited += 1
+    for blocks in iter_unordered_partitions(inst.g, part, parts):
+        r = len(blocks)
+        keep, limit = 0, min(len(prefix), r - 1)
+        while keep < limit and blocks[keep] == held[keep]:
+            keep += 1
+        del prefix[keep:]
+        for k in range(keep, r - 1):
+            vec = values.vector(blocks[k])
+            prefix.append(_conv_truncated(prefix[-1], vec, w, zero) if k else vec)
+        held = blocks
+        last = values.vector(blocks[-1])
+        if prefix:
+            acc = prefix[-1]
+            top = zero
+            for i in range(w + 1):
+                top = top + acc[i] * last[w - i]
+        else:
+            top = last[w]
+        total = total + top * signs[r]
+        visited += 1
     if scale is not None:
         total = Fraction(total, scale ** w)
     return total, visited
@@ -263,25 +257,25 @@ def _collapsed_partial(inst: ConfigSumInstance, handles: Optional[Iterable[int]]
 def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     """Order-collapsed sum; exactly equals :func:`sum_ordered` by construction.
 
-    With ``jobs > 1`` the unordered-partition stream is split by the block
-    containing element 0 and slices run in worker processes; exact addition
-    makes the merged total independent of scheduling.  Either way the number
-    of partitions visited must be the Bell number of ``g``.
+    With ``jobs > 1`` the unordered-partition stream is sharded by the block
+    containing element 0 into ``min(jobs, 2^(g-1))`` shards, which run in
+    worker processes; exact addition makes the merged total independent of
+    scheduling.  Either way the number of partitions visited must be the
+    Bell number of ``g``.
     """
     start = time.perf_counter()
     if jobs <= 1:
-        total, visited = _collapsed_partial(inst, None)
+        total, visited = _collapsed_partial(inst)
     else:
-        handles = split_handles(inst.g)
-        chunks = [handles[i::jobs] for i in range(jobs)]
-        chunks = [c for c in chunks if c]
+        parts = min(jobs, 1 << (inst.g - 1))
         total = _zero(inst.ground)
         visited = 0
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_collapsed_partial, inst, chunk) for chunk in chunks]
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            futures = [pool.submit(_collapsed_partial, inst, part, parts)
+                       for part in range(parts)]
             for fut in futures:  # merge in submission order: deterministic
-                part, count = fut.result()
-                total = total + part
+                partial, count = fut.result()
+                total = total + partial
                 visited += count
     expected = unordered_partition_count(inst.g)
     if visited != expected:
@@ -311,12 +305,6 @@ class NonzeroConfirmation:
     ordered_total: SumValue
     second_ground: Optional[GroundSet]
     second_total: Optional[SumValue]
-
-    @property
-    def second_also_nonzero(self) -> Optional[bool]:
-        if self.second_total is None:
-            return None
-        return self.second_total != 0
 
 
 def double_check_nonzero(inst: ConfigSumInstance, total: SumValue,

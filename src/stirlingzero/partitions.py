@@ -1,63 +1,39 @@
 """Set partitions, weight compositions, and ground sets.
 
 Elements of the g-element ground set are bit positions 0..g-1; blocks are
-machine-word bitmasks, so canonical forms are trivially hashable and cheap to
-compare, and :meth:`GroundSet.block_sum` maps a block to the sum of its
-ground values.  Enumeration is streaming and deterministic: identical input
-always yields identical order.  Unordered partitions are walked block by
-block (the block holding the lowest remaining element, then the rest), so
-partitions sharing their first k blocks come out consecutively, which lets
-a consumer reuse work done on a common prefix of blocks.
+machine-word bitmasks, and a partition is a plain tuple of block masks, so
+canonical forms are trivially hashable and cheap to compare, and
+:meth:`GroundSet.block_sum` maps a block to the sum of its ground values.
+Enumeration is streaming and deterministic: identical input always yields
+identical order.  Unordered partitions are walked block by block (the block
+holding the lowest remaining element, then the rest), so partitions sharing
+their first k blocks come out consecutively, which lets a consumer reuse
+work done on a common prefix of blocks.
 
-A stream over unordered partitions can be split into independent sub-streams
-by fixing the block containing element 0 (``first_block``); the sub-streams
-partition the full stream exactly, which is what the parallel sweep code
-relies on.
+The unordered stream is sharded by index: shard ``part`` of ``parts`` takes
+every ``parts``-th choice of the block containing element 0, starting at
+``part``.  The shards tile the stream exactly, each in stream order, which
+is how one configuration-sum instance is split across worker processes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .algebra import MultiPoly
+from .algebra import MultiPoly, _as_fraction
 
 __all__ = [
-    "Configuration",
     "GroundSet",
     "iter_ordered_partitions",
     "iter_unordered_partitions",
-    "split_handles",
     "weight_compositions",
     "count_weighted_configs",
-    "ordered_partition_count",
     "unordered_partition_count",
 ]
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """An ordered sequence of disjoint nonempty blocks covering {0..g-1}."""
-
-    g: int
-    blocks: tuple
-
-    def is_valid(self) -> bool:
-        full = (1 << self.g) - 1
-        seen = 0
-        for mask in self.blocks:
-            if mask == 0 or mask & ~full or mask & seen:
-                return False
-            seen |= mask
-        return seen == full
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -69,7 +45,7 @@ class GroundSet:
 
     @classmethod
     def numeric(cls, values: Sequence) -> "GroundSet":
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(_as_fraction(v) for v in values)
         if len(set(vals)) != len(vals):
             raise ValueError("ground values must be pairwise distinct")
         return cls(vals, False)
@@ -112,7 +88,10 @@ def _block_walk(rest: int, blocks: list) -> Iterator[tuple]:
 
     The next block is the lowest element of ``rest`` together with each subset
     of the others in turn, so the partitions sharing their first k blocks
-    come out one after another.
+    come out one after another.  Every yield is a set partition: each block
+    is nonempty, is drawn from the elements still in ``rest`` and is removed
+    from them before the next level, and a tuple is yielded only once
+    ``rest`` is empty.
     """
     if not rest:
         yield tuple(blocks)
@@ -129,43 +108,29 @@ def _block_walk(rest: int, blocks: list) -> Iterator[tuple]:
         sub = (sub - others) & others  # next subset of ``others`` in increasing order
 
 
-def iter_unordered_partitions(g: int, first_block: int | None = None):
-    """Yield ``(configuration, block_count)`` per unordered partition of {0..g-1}.
+def iter_unordered_partitions(g: int, part: int = 0, parts: int = 1) -> Iterator[tuple]:
+    """Yield each unordered partition of {0..g-1} as a tuple of block masks.
 
     Blocks come sorted by smallest element (the canonical form), and the
     stream walks them block by block: partitions that share their first k
-    blocks are yielded consecutively.  With ``first_block`` set, the walk's
-    first level is fixed to that mask (the block containing element 0); over
-    all masks from :func:`split_handles` this tiles the full stream exactly
-    once.
+    blocks are yielded consecutively.  Shard ``part`` of ``parts`` keeps the
+    first blocks ``(m << 1) | 1`` for ``m = part, part + parts, ...``; the
+    shards ``0..parts-1`` tile the stream, each in stream order.
     """
     if g < 1:
         raise ValueError("need at least one element")
+    if not 0 <= part < parts:
+        raise ValueError(f"need 0 <= part < parts, got part={part}, parts={parts}")
     full = (1 << g) - 1
-    if first_block is None:
-        walk = _block_walk(full, [])
-    elif not first_block & 1 or first_block & ~full:
-        raise ValueError("first_block must contain element 0 and fit the ground set")
-    else:
-        walk = _block_walk(full ^ first_block, [first_block])
-    for blocks in walk:
-        cfg = Configuration(g, blocks)
-        assert cfg.is_valid()
-        yield cfg, len(blocks)
+    for m in range(part, 1 << (g - 1), parts):
+        first = (m << 1) | 1
+        yield from _block_walk(full ^ first, [first])
 
 
-def split_handles(g: int) -> list:
-    """Masks (each containing element 0) indexing independent sub-streams."""
-    return [(m << 1) | 1 for m in range(1 << (g - 1))]
-
-
-def iter_ordered_partitions(g: int) -> Iterator[Configuration]:
+def iter_ordered_partitions(g: int) -> Iterator[tuple]:
     """Every ordered set partition of {0..g-1}, exactly once, deterministically."""
-    for cfg, r in iter_unordered_partitions(g):
-        for perm in itertools.permutations(range(r)):
-            out = Configuration(g, tuple(cfg.blocks[i] for i in perm))
-            assert out.is_valid()
-            yield out
+    for blocks in iter_unordered_partitions(g):
+        yield from itertools.permutations(blocks)
 
 
 def weight_compositions(w: int, r: int) -> Iterator[tuple]:
@@ -182,7 +147,8 @@ def weight_compositions(w: int, r: int) -> Iterator[tuple]:
 
 @lru_cache(maxsize=None)
 def _stirling2(n: int, k: int) -> int:
-    # second kind; test scaffolding for enumeration counts only
+    # second kind; feeds the Bell and weighted-configuration counts the
+    # summation routes check their visits against
     if n == k:
         return 1
     if k == 0 or k > n:
@@ -192,11 +158,6 @@ def _stirling2(n: int, k: int) -> int:
 
 def unordered_partition_count(g: int) -> int:
     return sum(_stirling2(g, r) for r in range(1, g + 1)) if g else 1
-
-
-def ordered_partition_count(g: int) -> int:
-    """Fubini number: ordered set partitions of a g-set."""
-    return sum(factorial(r) * _stirling2(g, r) for r in range(1, g + 1)) if g else 1
 
 
 def count_weighted_configs(g: int, w: int) -> int:

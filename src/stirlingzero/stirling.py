@@ -148,6 +148,8 @@ def eval_P(w: int, t) -> Fraction:
     at the end.
     """
     if not isinstance(t, Fraction):
+        if isinstance(t, float):
+            raise TypeError("expected an exact rational, got float")
         t = Fraction(t)
     nums, den = _integer_coeffs(w)
     p, q = t.numerator, t.denominator

@@ -1,5 +1,7 @@
 """Bridge layer: parameter mapping and paired verifier consistency."""
 
+from fractions import Fraction
+
 import pytest
 
 from stirlingzero.algebra import MultiPoly
@@ -42,6 +44,12 @@ class TestBridgeParams:
             bridge_params((1, 3), 0)          # below 2
         with pytest.raises(ValueError):
             bridge_params((2, 3), 1)          # w > g-2
+
+    def test_non_integral_values_are_rejected_not_truncated(self):
+        for c in [(2.7, 3), (2.0, 3), (Fraction(5, 2), 3), ("2", 3)]:
+            with pytest.raises(ValueError, match="integers"):
+                bridge_params(c, 0)
+        assert bridge_params((Fraction(2), 3), 0).c == (2, 3)
 
 
 class TestBridgeCoefficient:

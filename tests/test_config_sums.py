@@ -113,13 +113,31 @@ class TestCollapsedSum:
         inst = symbolic_instance(4, 1)
         assert sum_collapsed(inst, jobs=3).total == sum_collapsed(inst).total
 
+    @pytest.mark.parametrize("g, jobs", [(2, 3), (3, 5)])
+    def test_more_jobs_than_first_blocks(self, monkeypatch, g, jobs):
+        # 2^(g-1) first blocks, so only that many shards run
+        pools = []
+        real_pool = config_sums.ProcessPoolExecutor
+
+        def recorded(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(config_sums, "ProcessPoolExecutor", recorded)
+        inst = numeric_instance(g, g - 2, MIXED[:g])
+        serial = sum_collapsed(inst)
+        parallel = sum_collapsed(inst, jobs=jobs)
+        assert pools == [1 << (g - 1)]
+        assert parallel.total == serial.total
+        assert parallel.configurations_visited == unordered_partition_count(g)
+
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
     def test_dropped_partition_is_caught(self, monkeypatch, jobs):
         real = config_sums.iter_unordered_partitions
 
-        def lossy(g, first_block=None):
+        def lossy(g, part=0, parts=1):
             # everything but the one-block partition
-            return ((cfg, r) for cfg, r in real(g, first_block) if r != 1)
+            return (blocks for blocks in real(g, part, parts) if len(blocks) != 1)
 
         monkeypatch.setattr(config_sums, "iter_unordered_partitions", lossy)
         with pytest.raises(ConsistencyError, match="partitions"):
@@ -193,8 +211,8 @@ class TestPrefixReuse:
     def test_one_convolution_per_shared_prefix(self, monkeypatch):
         # blocks[:k] with 2 <= k <= r-1 is the product the last block is dotted with
         # or a step towards it; each is built once, not once per partition
-        prefixes = {cfg.blocks[:k] for cfg, r in iter_unordered_partitions(8)
-                    for k in range(2, r)}
+        prefixes = {blocks[:k] for blocks in iter_unordered_partitions(8)
+                    for k in range(2, len(blocks))}
         calls = []
         real = config_sums._conv_truncated
 
@@ -268,7 +286,7 @@ class TestDoubleCheckProtocol:
         inst = symbolic_instance(2, 0)
         conf = double_check_nonzero(inst, sum_ordered(inst).total)
         assert conf.second_ground is None
-        assert conf.second_also_nonzero is None
+        assert conf.second_total is None
 
 
 def run_sweep_plan(g_max, seed, deadline=None, **plan_args):

@@ -11,8 +11,6 @@ from stirlingzero.partitions import (
     count_weighted_configs,
     iter_ordered_partitions,
     iter_unordered_partitions,
-    ordered_partition_count,
-    split_handles,
     unordered_partition_count,
     weight_compositions,
 )
@@ -30,8 +28,19 @@ def brute_force_partitions(g):
     return {tuple(sorted(blocks, key=lambda m: m & -m)) for blocks in parts}
 
 
+def is_set_partition(blocks, g):
+    """Disjoint nonempty blocks inside {0..g-1} that cover it."""
+    full = (1 << g) - 1
+    seen = 0
+    for mask in blocks:
+        if mask == 0 or mask & ~full or mask & seen:
+            return False
+        seen |= mask
+    return seen == full
+
+
 FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683}
-BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}
+BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147}
 
 
 class TestOrderedPartitions:
@@ -42,23 +51,22 @@ class TestOrderedPartitions:
             (0b01, 0b10),
             (0b10, 0b01),
         }
-        assert {cfg.blocks for cfg in got} == expected
+        assert set(got) == expected
         assert len(got) == 3
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
     def test_counts_match_fubini(self, g):
         assert sum(1 for _ in iter_ordered_partitions(g)) == FUBINI[g]
-        assert ordered_partition_count(g) == FUBINI[g]
 
     def test_no_duplicates(self):
         seen = set()
-        for cfg in iter_ordered_partitions(4):
-            assert cfg.blocks not in seen
-            seen.add(cfg.blocks)
+        for blocks in iter_ordered_partitions(4):
+            assert blocks not in seen
+            seen.add(blocks)
 
     def test_every_yield_is_valid(self):
-        for cfg in iter_ordered_partitions(5):
-            assert cfg.is_valid()
+        for blocks in iter_ordered_partitions(5):
+            assert is_set_partition(blocks, 5)
 
     def test_deterministic_order(self):
         assert list(iter_ordered_partitions(4)) == list(iter_ordered_partitions(4))
@@ -72,56 +80,57 @@ class TestUnorderedPartitions:
 
     def test_three_elements_block_count_profile(self):
         by_r = {}
-        for _, r in iter_unordered_partitions(3):
-            by_r[r] = by_r.get(r, 0) + 1
+        for blocks in iter_unordered_partitions(3):
+            by_r[len(blocks)] = by_r.get(len(blocks), 0) + 1
         assert by_r == {1: 1, 2: 3, 3: 1}
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
     def test_factorial_weighted_sum_is_fubini(self, g):
-        assert sum(factorial(r) for _, r in iter_unordered_partitions(g)) == FUBINI[g]
+        assert sum(factorial(len(b)) for b in iter_unordered_partitions(g)) == FUBINI[g]
 
     def test_canonical_block_order(self):
         # blocks sorted by smallest element
-        for cfg, _ in iter_unordered_partitions(5):
-            mins = [mask & -mask for mask in cfg.blocks]
+        for blocks in iter_unordered_partitions(5):
+            mins = [mask & -mask for mask in blocks]
             assert mins == sorted(mins)
 
-    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_stream_is_the_brute_force_set(self, g):
-        stream = [cfg.blocks for cfg, _ in iter_unordered_partitions(g)]
-        assert len(stream) == len(set(stream))
+        stream = list(iter_unordered_partitions(g))
+        assert len(stream) == len(set(stream)) == BELL[g]
         assert set(stream) == brute_force_partitions(g)
 
     @pytest.mark.parametrize("g", [4, 5, 6, 7])
     def test_shared_first_blocks_come_out_consecutively(self, g):
-        stream = [cfg.blocks for cfg, _ in iter_unordered_partitions(g)]
+        stream = list(iter_unordered_partitions(g))
         for k in range(1, g + 1):
             runs = [key for i, key in enumerate(b[:k] for b in stream)
                     if i == 0 or key != stream[i - 1][:k]]
             assert len(runs) == len(set(runs)), f"a run of first {k} blocks is split"
 
     def test_first_block_fixes_the_first_level(self):
-        for handle in split_handles(6):
-            whole = [cfg.blocks for cfg, _ in iter_unordered_partitions(6)
-                     if cfg.blocks[0] == handle]
-            assert [cfg.blocks for cfg, _ in
-                    iter_unordered_partitions(6, first_block=handle)] == whole
+        # with one shard per first block, shard m is the run of first block (m << 1) | 1
+        parts = 1 << 5
+        whole = list(iter_unordered_partitions(6))
+        for part in range(parts):
+            run = [b for b in whole if b[0] == (part << 1) | 1]
+            assert list(iter_unordered_partitions(6, part, parts)) == run
 
-    @pytest.mark.parametrize("g", [2, 3, 4, 5])
-    def test_split_handles_tile_the_stream(self, g):
-        whole = {cfg.blocks for cfg, _ in iter_unordered_partitions(g)}
-        pieces = []
-        for handle in split_handles(g):
-            pieces.extend(
-                cfg.blocks for cfg, _ in iter_unordered_partitions(g, first_block=handle))
-        assert len(pieces) == len(whole)
-        assert set(pieces) == whole
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+    def test_shards_tile_the_stream(self, g):
+        whole = list(iter_unordered_partitions(g))
+        for parts in (1, 2, 3, 4):  # past 2^(g-1) first blocks for g <= 2
+            shards = [list(iter_unordered_partitions(g, part, parts)) for part in range(parts)]
+            assert sorted(sum(shards, []), key=whole.index) == whole
+            for part, shard in enumerate(shards):
+                # the stride of the whole stream's first blocks, in stream order
+                firsts = set(range(1, 1 << g, 2)[part::parts])
+                assert shard == [b for b in whole if b[0] in firsts]
 
-    def test_split_handle_validation(self):
-        with pytest.raises(ValueError):
-            next(iter_unordered_partitions(3, first_block=0b110))
-        with pytest.raises(ValueError):
-            next(iter_unordered_partitions(3, first_block=0b1001))
+    def test_shard_validation(self):
+        for part, parts in [(-1, 2), (2, 2), (3, 2), (0, 0), (0, -1)]:
+            with pytest.raises(ValueError, match="part"):
+                next(iter_unordered_partitions(3, part, parts))
 
 
 class TestWeightCompositions:
@@ -161,8 +170,8 @@ class TestBlockSums:
 
     def test_total_is_ground_total(self):
         ground = GroundSet.numeric([1, 4, 9, 16])
-        for cfg in iter_ordered_partitions(4):
-            assert sum(ground.block_sum(mask) for mask in cfg.blocks) == 30
+        for blocks in iter_ordered_partitions(4):
+            assert sum(ground.block_sum(mask) for mask in blocks) == 30
 
 
 class TestCountWeightedConfigs:
@@ -175,8 +184,8 @@ class TestCountWeightedConfigs:
     @pytest.mark.parametrize("w", [0, 1, 2, 3, 4])
     def test_matches_enumerators(self, g, w):
         total = 0
-        for cfg in iter_ordered_partitions(g):
-            total += sum(1 for _ in weight_compositions(w, cfg.block_count))
+        for blocks in iter_ordered_partitions(g):
+            total += sum(1 for _ in weight_compositions(w, len(blocks)))
         assert total == count_weighted_configs(g, w)
 
 
@@ -184,6 +193,12 @@ class TestGroundSet:
     def test_numeric_distinctness_enforced(self):
         with pytest.raises(ValueError):
             GroundSet.numeric([1, 2, Fraction(2)])
+
+    def test_numeric_takes_exact_rationals_only(self):
+        for bad in (0.1, 2.0, "1/2"):
+            with pytest.raises(TypeError, match="exact rational"):
+                GroundSet.numeric([bad, 2])
+        assert GroundSet.numeric([Fraction(1, 10), 2]).values == (Fraction(1, 10), Fraction(2))
 
     def test_symbolic_names(self):
         g = GroundSet.symbolic(3)

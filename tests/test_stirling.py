@@ -98,6 +98,12 @@ class TestStirlingPoly:
             assert eval_P(w, t) == _dense_eval(stirling_poly(w).coeffs, t)
         assert eval_P(w, 5) == eval_P(w, Fraction(5)) == eval_P(w, "5")
 
+    def test_float_point_is_rejected(self):
+        with pytest.raises(TypeError, match="float"):
+            eval_P(2, 0.1)
+        with pytest.raises(TypeError, match="float"):
+            eval_P_symbolic(2, 5.0)
+
     def test_symbolic_matches_numeric(self):
         assert eval_P_symbolic(1, 7) == 21
         c1, c2 = MultiPoly.variable("c1"), MultiPoly.variable("c2")
