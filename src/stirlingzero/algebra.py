@@ -392,20 +392,17 @@ class MultiPoly:
         nothing); weights must be nonnegative and sit on ordinary variables,
         so that multiplying a monomial never lowers its weight.
         """
-        slots = []
-        for i, name in enumerate(self.vars):
-            weight = weights.get(name, 0)
+        weight_of = [weights.get(name, 0) for name in self.vars]  # one per registry slot
+        for name, weight in zip(self.vars, weight_of):
             if weight < 0 or (weight and name in self.laurent):
                 raise ValueError(f"weight {weight} on {name!r} does not define an ideal")
-            if weight:
-                slots.append((i, weight))
         square = set(squarefree)
         square_slots = [i for i, name in enumerate(self.vars) if name in square]
         out = {}
         for exps, coeff in self.terms.items():
             if any(exps[i] > 1 for i in square_slots):
                 continue
-            if max_weight is not None and sum(exps[i] * w for i, w in slots) > max_weight:
+            if max_weight is not None and sum(map(mul, exps, weight_of)) > max_weight:
                 continue
             out[exps] = coeff
         return MultiPoly._raw(self.vars, self.laurent, out)
@@ -490,6 +487,9 @@ class MultiPoly:
                 return other == 0
             return self.is_constant() and self.constant_value() == other
         if isinstance(other, MultiPoly):
+            if self.vars == other.vars:
+                # one registry: the exponent tuples line up slot for slot
+                return self.terms == other.terms
             return self._canonical() == other._canonical()
         return NotImplemented
 
@@ -652,7 +652,7 @@ class Series:
         return f"Series[{self.var}; T={self.order}]({inner})"
 
 
-def _dense_from_nodes(nodes: Sequence[int], skip: int) -> list:
+def _dense_from_nodes(nodes: Sequence[int], skip: Optional[int] = None) -> list:
     # coefficients of prod_{m != skip} (X - nodes[m]), low degree first
     coeffs = [1]
     for m, x in enumerate(nodes):
@@ -685,12 +685,14 @@ def _lagrange_rows(nodes: tuple) -> tuple:
     return tuple(zip(*rows)), den
 
 
-def _integer_point(x) -> int:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    if isinstance(x, int):
-        return x
-    raise ValueError(f"sample point {x!r} is not an integer")
+def _as_int(value, what: str) -> int:
+    # an int or a Fraction with denominator 1; floats and strings are refused
+    # rather than truncated
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    if isinstance(value, int):
+        return value
+    raise ValueError(f"{what} {value!r} is not an integer")
 
 
 def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiPoly:
@@ -715,7 +717,7 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
     if len(samples) < degree_bound + 1:
         raise ValueError(
             f"need at least {degree_bound + 1} samples, got {len(samples)}")
-    points = [_integer_point(x) for x, _ in samples]
+    points = [_as_int(x, "sample point") for x, _ in samples]
     if len(set(points)) != len(points):
         raise ValueError("sample points must be distinct")
     values = []

@@ -41,10 +41,12 @@ zeroing, they are not truncated away).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -52,6 +54,8 @@ from .algebra import (
     ConsistencyError,
     MultiPoly,
     Series,
+    _as_int,
+    _dense_from_nodes,
     interpolate_in_var,
 )
 
@@ -95,7 +99,9 @@ class ExpansionConfig:
     ``h_max`` is the deepest 1/n order checked, ``s_max`` the largest u-index
     kept as an indeterminate, and ``j_samples`` the integer j values feeding
     the interpolation oracle.  Every sample must satisfy ``j >= h_max + 1``
-    so the readback route reaches order ``h_max`` at each of them.
+    so the readback route reaches order ``h_max`` at each of them.  Each
+    value must be an int or a Fraction with denominator 1; anything else
+    raises ``ValueError`` rather than being truncated.
     """
 
     h_max: int = 4
@@ -103,19 +109,36 @@ class ExpansionConfig:
     j_samples: tuple = tuple(range(5, 17))
 
     def __post_init__(self):
-        if self.h_max < 1:
+        h_max = _as_int(self.h_max, "h_max")
+        s_max = _as_int(self.s_max, "s_max")
+        if h_max < 1:
             raise ValueError("need h_max >= 1")
-        if self.s_max < 2:
+        if s_max < 2:
             raise ValueError("need s_max >= 2")
-        samples = tuple(int(j) for j in self.j_samples)
+        samples = tuple(_as_int(j, "j sample") for j in self.j_samples)
         if len(set(samples)) != len(samples):
             raise ValueError("j samples must be distinct")
-        if any(j < self.h_max + 1 for j in samples):
-            raise ValueError(f"every j sample must be >= h_max+1 = {self.h_max + 1}")
+        if any(j < h_max + 1 for j in samples):
+            raise ValueError(f"every j sample must be >= h_max+1 = {h_max + 1}")
+        object.__setattr__(self, "h_max", h_max)
+        object.__setattr__(self, "s_max", s_max)
         object.__setattr__(self, "j_samples", samples)
 
     def u_indices(self) -> tuple:
         return tuple(range(2, self.s_max + 1))
+
+
+def _u_indices(cfg: ExpansionConfig, u_indices: Optional[Sequence[int]]) -> tuple:
+    """The u-indices a route keeps: ``cfg``'s when ``None``, else sorted without repeats.
+
+    Each index must be an integer >= 2 (``u_s`` starts at ``s = 2``).
+    """
+    if u_indices is None:
+        return cfg.u_indices()
+    indices = {_as_int(s, "u-index") for s in u_indices}
+    if any(s < 2 for s in indices):
+        raise ValueError(f"u-indices must be >= 2, got {sorted(indices)}")
+    return tuple(sorted(indices))
 
 
 @dataclass(frozen=True)
@@ -134,17 +157,18 @@ class ExpansionCoefficient:
             if self.value != 1:
                 raise ConsistencyError("order-0 expansion coefficient must be 1")
             return
-        for name in self.value.used_vars():
+        terms = self.value.terms
+        weight_of = []  # the u-weight of each registry variable
+        for i, name in enumerate(self.value.vars):
             if name.startswith("u") and name[1:].isdigit():
+                weight_of.append(_u_weight(int(name[1:])))
                 continue
-            if name not in (R, J):
+            if name not in (R, J) and any(exps[i] for exps in terms):
                 raise ConsistencyError(
                     f"unexpected variable {name!r} in order-{self.h} coefficient")
-        for exps, _ in self.value.terms.items():
-            weight = 0
-            for name, e in zip(self.value.vars, exps):
-                if name.startswith("u") and name[1:].isdigit():
-                    weight += e * _u_weight(int(name[1:]))
+            weight_of.append(0)
+        for exps in terms:
+            weight = sum(map(mul, exps, weight_of))
             if weight != self.h:
                 raise ConsistencyError(
                     f"term with u-weight {weight} in order-{self.h} coefficient")
@@ -188,7 +212,7 @@ def generating_coefficient(j: int, cfg: ExpansionConfig,
     """
     if j < 1:
         raise ValueError("need j >= 1")
-    indices = cfg.u_indices() if u_indices is None else tuple(sorted(u_indices))
+    indices = _u_indices(cfg, u_indices)
     return _generating_series(j, tuple(s for s in indices if s <= j)).coefficient(j)
 
 
@@ -200,10 +224,12 @@ def expansion_coefficients(j: int, gj: MultiPoly, h_max: Optional[int] = None) -
     all.  ``gj`` may carry only the powers n^{j-h} of the orders read, so
     with ``h_max`` it is the coefficient of a series cut above u-weight
     ``h_max``.  The function re-assembles the orders it read and demands
-    they reproduce ``gj`` exactly before returning.
+    they reproduce ``j! * gj``, the polynomial it split, exactly before
+    returning.
     """
     orders = j if h_max is None else min(j, h_max + 1)
-    by_degree = dict((gj * factorial(j)).extract_by_degree(N))
+    scaled = gj * factorial(j)
+    by_degree = dict(scaled.extract_by_degree(N))
     for degree in by_degree:
         if not j - orders < degree <= j:
             raise ValueError(
@@ -214,7 +240,7 @@ def expansion_coefficients(j: int, gj: MultiPoly, h_max: Optional[int] = None) -
         value = by_degree.get(j - h, MultiPoly.zero()).times_power(R, -j)
         out.append(ExpansionCoefficient(h, value))
         rebuilt = rebuilt + value.times_power(R, j).times_power(N, j - h)
-    if rebuilt * Fraction(1, factorial(j)) != gj:
+    if rebuilt != scaled:
         raise ConsistencyError(
             f"expansion readback at j={j} does not reassemble to the input")
     return out
@@ -232,12 +258,9 @@ def _readback_coefficients(j: int, order: int, u_indices: tuple, h_max: int,
 
 
 @lru_cache(maxsize=None)
-def _falling_factorial(m: int) -> MultiPoly:
-    poly = MultiPoly.constant(1)
-    j = MultiPoly.variable(J)
-    for t in range(m):
-        poly = poly * (j - t)
-    return poly
+def _falling_factorial(m: int) -> tuple:
+    # integer coefficients of j(j-1)...(j-m+1), the j^0 one first
+    return tuple(_dense_from_nodes(range(m)))
 
 
 def _partitions(n: int, max_part: Optional[int] = None):
@@ -253,29 +276,41 @@ def _partitions(n: int, max_part: Optional[int] = None):
 
 @lru_cache(maxsize=None)
 def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPoly:
-    # each multiset contributes one u-monomial; with ``squarefree`` the
-    # multisets with a repeated index are the terms in the ideal (u_s^2)
-    total = MultiPoly.zero()
-    allowed = set(u_indices)
+    """a_h(r, j) as a term map on the registry ``(j, r, u_s for s in u_indices)``.
+
+    Each multiset ``{s_1..s_p}`` drawn from ``u_indices`` with
+    ``sum (s_i - 1) = h`` has ``m = h + p``, automorphism count
+    ``aut = prod over distinct s of mult(s)!`` and the integer coefficients
+    ``c_{m,k}`` of ``j(j-1)...(j-m+1) = sum_k c_{m,k} j^k``.  It gives one
+    term per power of j::
+
+        prod_i((-1)^(s_i+1) / s_i) * c_{m,k} / aut * j^k * r^(-m) * u_{s_1}...u_{s_p}
+
+    Distinct multisets give distinct u-monomials, so no two terms share an
+    exponent vector.  With ``squarefree`` the multisets with a repeated
+    index are skipped: their monomials lie in the ideal (u_s^2).
+    """
+    names = (J, R) + tuple(u_name(s) for s in u_indices)
+    slot = {s: i for i, s in enumerate(u_indices, start=2)}
+    terms = {}
     for parts in _partitions(h):
-        s_list = [p + 1 for p in parts]
-        if any(s not in allowed for s in s_list):
+        mult = Counter(p + 1 for p in parts)
+        if any(s not in slot for s in mult):
             continue
-        if squarefree and len(set(s_list)) < len(s_list):
+        if squarefree and any(count > 1 for count in mult.values()):
             continue
-        m = h + len(s_list)
-        coeff = Fraction(1)
-        mult = {}
-        for s in s_list:
-            coeff *= Fraction((-1) ** (s + 1), s)
-            mult[s] = mult.get(s, 0) + 1
-        for count in mult.values():
-            coeff /= factorial(count)
-        term = _falling_factorial(m) * coeff
-        for s in s_list:
-            term = term * MultiPoly.variable(u_name(s))
-        total = total + term.times_power(R, -m, laurent=True)
-    return total
+        m = h + len(parts)
+        sign = (-1) ** sum((s + 1) * count for s, count in mult.items())
+        den = prod(s ** count * factorial(count) for s, count in mult.items())  # prod s_i * aut
+        exps = [0] * len(names)
+        exps[1] = -m
+        for s, count in mult.items():
+            exps[slot[s]] = count
+        for k, c in enumerate(_falling_factorial(m)):
+            if c:
+                exps[0] = k
+                terms[tuple(exps)] = Fraction(sign * c, den)
+    return MultiPoly(names, terms, laurent=(R,))
 
 
 def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
@@ -296,7 +331,7 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
         raise ValueError("need h >= 0")
     if h > cfg.h_max:
         raise BudgetError(f"order {h} beyond configured h_max={cfg.h_max}")
-    indices = cfg.u_indices() if u_indices is None else tuple(sorted(u_indices))
+    indices = _u_indices(cfg, u_indices)
     value = _closed_form(h, indices, squarefree)
     if h == 0:
         return ExpansionCoefficient(0, value)
@@ -339,11 +374,11 @@ def log_expansion(cfg: ExpansionConfig,
         raise BudgetError(
             f"s_max={cfg.s_max} cannot support exact orders up to h_max={cfg.h_max}; "
             f"need s_max >= {cfg.h_max + 1}")
-    indices = cfg.u_indices() if u_indices is None else tuple(sorted(u_indices))
+    indices = _u_indices(cfg, u_indices)
     coeffs = [MultiPoly.constant(1)]
     for h in range(1, cfg.h_max + 1):
         coeffs.append(
-            symbolic_expansion_coefficient(h, cfg, u_indices, squarefree=squarefree).value)
+            symbolic_expansion_coefficient(h, cfg, indices, squarefree=squarefree).value)
     return Series(NINV, cfg.h_max, coeffs).log(reduce=_quotient(indices, None, squarefree))
 
 

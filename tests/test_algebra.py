@@ -211,6 +211,90 @@ class TestMultiPoly:
         assert (p - p).is_zero()
 
 
+@st.composite
+def equality_pairs(draw):
+    # a polynomial and one that is often equal to it: the same terms (maybe
+    # with one coefficient changed, one term added or one dropped), on the
+    # same registry, a permutation of it, or one with unused variables added
+    names = tuple(draw(st.permutations(("a", "b", "r"))))
+    p = draw(polys(names=names))
+    terms = dict(p.terms)
+    edit = draw(st.sampled_from(("none", "change", "add", "drop")))
+    if edit == "change" and terms:
+        terms[draw(st.sampled_from(sorted(terms)))] += draw(coefficients)
+    elif edit == "add":
+        terms[tuple(draw(st.integers(0, 3)) for _ in names)] = draw(coefficients)
+    elif edit == "drop" and terms:
+        del terms[draw(st.sampled_from(sorted(terms)))]
+    q = MultiPoly(names, terms)
+    registry = draw(st.sampled_from(("same", "permuted", "wider")))
+    if registry == "permuted":
+        order = draw(st.permutations(range(len(names))))
+        q = MultiPoly(tuple(names[i] for i in order),
+                      {tuple(e[i] for i in order): c for e, c in q.terms.items()})
+    elif registry == "wider":
+        q = q.with_vars(["c", "n"])
+    return p, q
+
+
+class TestEquality:
+    """``==`` compares term maps on one registry and canonical forms otherwise."""
+
+    BASE = MultiPoly(("a", "b", "r"),
+                     {(1, 0, -1): Fraction(1, 2), (0, 2, 0): 3, (0, 0, 0): -1},
+                     laurent=("r",))
+
+    def _on_base_registry(self, terms):
+        other = MultiPoly(self.BASE.vars, terms, self.BASE.laurent)
+        assert other.vars == self.BASE.vars
+        return other
+
+    def test_one_coefficient_changed_is_unequal(self):
+        terms = dict(self.BASE.terms)
+        terms[(0, 2, 0)] = Fraction(7, 2)
+        other = self._on_base_registry(terms)
+        assert other != self.BASE
+        assert self.BASE != other
+
+    def test_one_extra_term_is_unequal(self):
+        terms = dict(self.BASE.terms)
+        terms[(2, 0, 0)] = 1
+        other = self._on_base_registry(terms)
+        assert other != self.BASE
+        assert self.BASE != other
+
+    def test_same_terms_in_another_order_are_equal(self):
+        other = self._on_base_registry(dict(reversed(self.BASE.terms.items())))
+        assert other == self.BASE
+        assert hash(other) == hash(self.BASE)
+
+    def test_registries_differing_by_unused_variables_are_equal(self):
+        wider = self.BASE.with_vars(["c", "n"])
+        assert wider.vars != self.BASE.vars
+        assert wider == self.BASE
+        assert self.BASE == wider
+        assert hash(wider) == hash(self.BASE)
+
+    def test_permuted_registry_is_equal(self):
+        order = (2, 0, 1)
+        permuted = MultiPoly(tuple(self.BASE.vars[i] for i in order),
+                             {tuple(e[i] for i in order): c
+                              for e, c in self.BASE.terms.items()},
+                             self.BASE.laurent)
+        assert permuted.vars != self.BASE.vars
+        assert permuted == self.BASE
+        assert hash(permuted) == hash(self.BASE)
+
+    @given(equality_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_canonical_comparison(self, pair):
+        p, q = pair
+        assert (p == q) == (p._canonical() == q._canonical())
+        assert (q == p) == (p == q)
+        if p == q:
+            assert hash(p) == hash(q)
+
+
 class TestExtraction:
     def test_extract_by_degree_example(self):
         j, u2, u3 = var("j"), var("u2"), var("u3")
@@ -260,6 +344,24 @@ class TestExtraction:
         assert p.remainder(weights, 3, ["u2"]) == u2 * u3 + light + 1
         assert p.remainder({}, None, ["u3"]) == p - 7 * u3 ** 2
         assert p.remainder(weights) == p
+
+    def test_remainder_weighs_each_registry_slot(self):
+        # the weighted variables sit after unweighted ones in the registry
+        j, n, u2, u3 = var("j"), var("n"), var("u2"), var("u3")
+        over_r3 = var("r", laurent=True).times_power("r", -4)
+        p = j ** 5 * u2 + n ** 3 * u3 + u2 * u3 * over_r3 + j * n * u2 ** 2 + u3 ** 2
+        assert p.vars == ("j", "n", "r", "u2", "u3")
+        weights = {"u2": 1, "u3": 2}
+        assert p.remainder(weights, 2) == j ** 5 * u2 + n ** 3 * u3 + j * n * u2 ** 2
+        assert p.remainder(weights, 1) == j ** 5 * u2
+
+    @given(polys(names=("a", "u2", "b", "u3")), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_remainder_matches_a_per_term_reference(self, p, max_weight):
+        weights = {"u2": 1, "u3": 2}
+        kept = {e: c for e, c in p.terms.items()
+                if sum(weights.get(name, 0) * x for name, x in zip(p.vars, e)) <= max_weight}
+        assert p.remainder(weights, max_weight).terms == kept
 
     def test_remainder_needs_an_ideal(self):
         r = var("r", laurent=True)

@@ -17,6 +17,8 @@ from stirlingzero.series_vanishing import (
     X,
     ExpansionCoefficient,
     ExpansionConfig,
+    _closed_form,
+    _falling_factorial,
     _generating_series,
     _readback_coefficients,
     all_vanished,
@@ -40,6 +42,37 @@ def over_r(p, power):
 
 
 CFG = ExpansionConfig()
+
+
+def reference_closed_form(h, u_indices, squarefree=False):
+    """a_h(r, j) as a chain of MultiPoly products and sums over the multisets.
+
+    The reference for the production closed form, which writes the same
+    terms straight into a term map.
+    """
+    total = MultiPoly.zero()
+    for parts in series_vanishing._partitions(h):
+        s_list = [p + 1 for p in parts]
+        if any(s not in u_indices for s in s_list):
+            continue
+        if squarefree and len(set(s_list)) < len(s_list):
+            continue
+        m = h + len(s_list)
+        coeff = Fraction(1)
+        mult = {}
+        for s in s_list:
+            coeff *= Fraction((-1) ** (s + 1), s)
+            mult[s] = mult.get(s, 0) + 1
+        for count in mult.values():
+            coeff /= factorial(count)
+        term = MultiPoly.constant(1)
+        for t in range(m):
+            term = term * (j - t)
+        term = term * coeff
+        for s in s_list:
+            term = term * MultiPoly.variable(u_name(s))
+        total = total + term.times_power("r", -m, laurent=True)
+    return total
 
 
 class TestGeneratingCoefficient:
@@ -216,6 +249,32 @@ class TestReadback:
         with pytest.raises(ConsistencyError):
             ExpansionCoefficient(0, u2)
 
+    def test_u_weight_is_read_per_registry_slot(self):
+        # j and r weigh nothing, whatever their place beside the u's
+        good = over_r(j ** 3 * u3 + j * u2 * u2, 4)
+        assert good.vars == ("j", "r", "u2", "u3")
+        ExpansionCoefficient(2, good)
+        with pytest.raises(ConsistencyError, match="u-weight 1"):
+            ExpansionCoefficient(2, good + over_r(j ** 3 * u2, 2))
+
+    def test_unexpected_variable_only_if_used(self):
+        ExpansionCoefficient(1, over_r(u2, 2).with_vars(["n"]))
+        with pytest.raises(ConsistencyError, match="unexpected variable 'n'"):
+            ExpansionCoefficient(1, over_r(u2 * n, 2))
+
+    def test_reassembly_mismatch_is_caught(self, monkeypatch):
+        gj = generating_coefficient(3, CFG)
+        real = MultiPoly.extract_by_degree
+
+        def doubled_lowest(self, var):
+            split = real(self, var)
+            degree, lowest = split[-1]
+            return split[:-1] + [(degree, lowest * 2)]
+
+        monkeypatch.setattr(MultiPoly, "extract_by_degree", doubled_lowest)
+        with pytest.raises(ConsistencyError, match="reassemble"):
+            expansion_coefficients(3, gj)
+
 
 class TestClosedForm:
     def test_order_zero(self):
@@ -277,6 +336,27 @@ class TestClosedForm:
         with pytest.raises(ConsistencyError):
             symbolic_expansion_coefficient(2, CFG)
 
+    def test_falling_factorial_coefficients(self):
+        # j(j-1)(j-2)(j-3) = j^4 - 6j^3 + 11j^2 - 6j
+        assert _falling_factorial(0) == (1,)
+        assert _falling_factorial(4) == (0, -6, 11, -6, 1)
+
+    def test_registry_is_j_r_then_the_u_indices(self):
+        assert _closed_form(2, (2, 3, 5)).vars == ("j", "r", "u2", "u3", "u5")
+
+    @pytest.mark.parametrize("h", range(10))
+    @pytest.mark.parametrize("indices, squarefree", [
+        (tuple(range(2, 11)), False),
+        ((2, 3, 7), False),
+        (tuple(range(2, 11)), True),
+        ((2, 3, 7), True),
+    ], ids=["full", "restricted", "full-squarefree", "restricted-squarefree"])
+    def test_matches_the_product_chain(self, h, indices, squarefree):
+        got = _closed_form(h, indices, squarefree)
+        want = reference_closed_form(h, indices, squarefree)
+        assert got == want
+        assert got.canonical_str() == want.canonical_str()
+
     def test_budget_too_small_for_oracle(self):
         cfg = ExpansionConfig(h_max=3, s_max=6, j_samples=(4, 5, 6))
         with pytest.raises(BudgetError):
@@ -299,6 +379,51 @@ class TestConfigValidation:
     def test_minimum_indices(self):
         with pytest.raises(ValueError):
             ExpansionConfig(h_max=2, s_max=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(h_max=2.5),
+        dict(h_max=Fraction(5, 2)),
+        dict(h_max="3"),
+        dict(s_max=6.0),
+        dict(h_max=2, j_samples=(3.7, 4.2, 5.9, 6.1, 7.5)),
+        dict(h_max=2, j_samples=("3", "4", "5", "6", "7")),
+    ], ids=["h-float", "h-half", "h-text", "s-float", "j-floats", "j-text"])
+    def test_non_integral_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="is not an integer"):
+            ExpansionConfig(**kwargs)
+
+    def test_integral_fractions_read_as_ints(self):
+        cfg = ExpansionConfig(h_max=Fraction(4, 2), s_max=Fraction(5),
+                              j_samples=(Fraction(3), 4, Fraction(10, 2)))
+        assert (cfg.h_max, cfg.s_max, cfg.j_samples) == (2, 5, (3, 4, 5))
+        assert all(type(x) is int for x in (cfg.h_max, cfg.s_max) + cfg.j_samples)
+
+
+class TestUIndices:
+    """Every route reads ``u_indices`` through one normalizer."""
+
+    CFG3 = ExpansionConfig(h_max=3, s_max=4, j_samples=tuple(range(4, 13)))
+    ROUTES = {
+        "generating_coefficient": lambda u: generating_coefficient(4, TestUIndices.CFG3, u),
+        "symbolic_expansion_coefficient":
+            lambda u: symbolic_expansion_coefficient(2, TestUIndices.CFG3, u),
+        "log_expansion": lambda u: log_expansion(TestUIndices.CFG3, u),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("bad", [(0, 3), (1, 2), (2.5, 3), ("3",)],
+                             ids=["zero", "one", "float", "text"])
+    def test_rejected(self, route, bad):
+        with pytest.raises(ValueError, match="u-ind"):
+            self.ROUTES[route](bad)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_repeats_and_order_do_not_matter(self, route):
+        assert self.ROUTES[route]((3, 2, 2, 3)) == self.ROUTES[route]((2, 3))
+
+    def test_squarefree_route_takes_repeats(self):
+        assert (log_expansion(self.CFG3, (2, 2, 3), squarefree=True)
+                == log_expansion(self.CFG3, (2, 3), squarefree=True))
 
 
 class TestLogExpansion:
