@@ -304,7 +304,7 @@ class MultiPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(
-                "only nonnegative integer powers; use times_power for Laurent shifts")
+                "only nonnegative integer powers; multiply by a Laurent monomial instead")
         result = MultiPoly.constant(1)
         base = self
         e = exponent
@@ -348,23 +348,6 @@ class MultiPoly:
                 out[exps[:i] + (0,) + exps[i + 1:]] = coeff
         return MultiPoly._raw(self.vars, self.laurent, out)
 
-    def extract_by_degree(self, var: str):
-        """Split into ``[(degree, coefficient), ...]`` by the power of ``var``.
-
-        Degrees are listed in descending order; multiplying each coefficient
-        by ``var**degree`` and summing reproduces the polynomial exactly.
-        """
-        i = self._index_of(var)
-        buckets = {}
-        for exps, coeff in self.terms.items():
-            key = exps[i]
-            bucket = buckets.setdefault(key, {})
-            bucket[exps[:i] + (0,) + exps[i + 1:]] = coeff
-        return [
-            (deg, MultiPoly._raw(self.vars, self.laurent, terms))
-            for deg, terms in sorted(buckets.items(), reverse=True)
-        ]
-
     def coefficient_of_monomial(self, monomial: Mapping[str, int]) -> "MultiPoly":
         """Coefficient of an exact monomial in the listed variables.
 
@@ -406,30 +389,6 @@ class MultiPoly:
                 continue
             out[exps] = coeff
         return MultiPoly._raw(self.vars, self.laurent, out)
-
-    def times_power(self, var: str, power: int, laurent: bool | None = None) -> "MultiPoly":
-        """Multiply by ``var**power``; ``power`` may be negative.
-
-        The variable is added to the registry if absent (flagged Laurent when
-        ``laurent`` is true, or when the shift itself is negative).  Negative
-        resulting exponents on a non-Laurent variable are rejected.
-        """
-        if power == 0 and var in self.vars:
-            return self
-        base = self
-        if var not in base.vars:
-            base = base.with_vars(
-                [var], laurent=[var] if (laurent or power < 0) else [])
-        i = base.vars.index(var)
-        is_laurent = var in base.laurent
-        out = {}
-        for exps, coeff in base.terms.items():
-            e = exps[i] + power
-            if e < 0 and not is_laurent:
-                raise ValueError(
-                    f"negative exponent on ordinary variable {var!r}")
-            out[exps[:i] + (e,) + exps[i + 1:]] = coeff
-        return MultiPoly._raw(base.vars, base.laurent, out)
 
     def substitute(self, values: Mapping[str, object]) -> "MultiPoly":
         """Replace variables by rationals or polynomials; others are kept.

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ConsistencyError, MultiPoly
+from .algebra import ConsistencyError, MultiPoly, _as_int
 from .config_sums import ConfigSumInstance, ConfigSumResult, sum_collapsed
 from .partitions import GroundSet
 from .series_vanishing import ExpansionConfig, J, log_expansion, u_name
@@ -53,6 +53,7 @@ def bridge_params(c, w: int) -> BridgeInstance:
     if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in values):
         raise ValueError(f"ground values must be integers, got {values!r}")
     values = tuple(int(x) for x in values)
+    w = _as_int(w, "w")
     g = len(values)
     if g < 2:
         raise ValueError("need at least two ground values")

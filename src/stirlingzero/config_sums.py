@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Iterator, Optional, Union
 
-from .algebra import ConsistencyError, MultiPoly
+from .algebra import ConsistencyError, MultiPoly, _as_int
 from .partitions import (
     GroundSet,
     count_weighted_configs,
@@ -93,12 +93,15 @@ class ConfigSumInstance:
     ground: GroundSet
 
     def __post_init__(self):
-        if self.g < 2:
+        g, w = _as_int(self.g, "g"), _as_int(self.w, "w")
+        if g < 2:
             raise ValueError("need g >= 2")
-        if not 0 <= self.w <= self.g - 2:
-            raise ValueError(f"need 0 <= w <= g-2, got w={self.w} for g={self.g}")
-        if self.ground.g != self.g:
+        if not 0 <= w <= g - 2:
+            raise ValueError(f"need 0 <= w <= g-2, got w={w} for g={g}")
+        if self.ground.g != g:
             raise ValueError("ground set size does not match g")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "w", w)
 
     @classmethod
     def make(cls, g: int, w: int, ground: GroundSet) -> "ConfigSumInstance":

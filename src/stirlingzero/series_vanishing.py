@@ -216,34 +216,58 @@ def generating_coefficient(j: int, cfg: ExpansionConfig,
     return _generating_series(j, tuple(s for s in indices if s <= j)).coefficient(j)
 
 
+def _file_orders(j: int, orders: int, gj: MultiPoly) -> list:
+    """File each term of ``gj`` under its order: ``[terms of a_0, terms of a_1, ...]``.
+
+    A term carrying n^d goes to order ``h = j - d``, which must lie in
+    ``0 .. orders-1``; its key drops the n slot and lowers r's exponent by j.
+    Coefficients are filed as they are, before the factor j!.
+    """
+    n_at, r_at = gj._index_of(N), gj._index_of(R)
+    filed = [{} for _ in range(orders)]
+    for exps, coeff in gj.terms.items():
+        h = j - exps[n_at]
+        if not 0 <= h < orders:
+            raise ValueError(
+                f"generating coefficient carries n^{exps[n_at]}, "
+                f"outside {j - orders + 1}..{j}")
+        key = list(exps)
+        key[r_at] -= j
+        del key[n_at]
+        filed[h][tuple(key)] = coeff
+    return filed
+
+
 def expansion_coefficients(j: int, gj: MultiPoly, h_max: Optional[int] = None) -> list:
     """Read a_0 .. a_{j-1} off the x^j generating coefficient, or only a_0 .. a_{h_max}.
 
     ``a_h`` is the n^{j-h} coefficient of ``j! * gj`` divided by r^j, zero
-    where that power is absent; one split by the power of n yields them
-    all.  ``gj`` may carry only the powers n^{j-h} of the orders read, so
-    with ``h_max`` it is the coefficient of a series cut above u-weight
-    ``h_max``.  The function re-assembles the orders it read and demands
-    they reproduce ``j! * gj``, the polynomial it split, exactly before
-    returning.
+    where that power is absent; one pass over the terms of ``gj`` files them
+    all, on ``gj``'s registry without n.  ``gj`` may carry only the powers
+    n^{j-h} of the orders read, so with ``h_max`` it is the coefficient of a
+    series cut above u-weight ``h_max``.  Before returning, the function maps
+    every filed term back (n^{j-h} put in, r raised by j) and demands the
+    result be the term map of ``gj`` exactly.
     """
     orders = j if h_max is None else min(j, h_max + 1)
-    scaled = gj * factorial(j)
-    by_degree = dict(scaled.extract_by_degree(N))
-    for degree in by_degree:
-        if not j - orders < degree <= j:
-            raise ValueError(
-                f"generating coefficient carries n^{degree}, outside {j - orders + 1}..{j}")
-    out = []
-    rebuilt = MultiPoly.zero()
-    for h in range(orders):
-        value = by_degree.get(j - h, MultiPoly.zero()).times_power(R, -j)
-        out.append(ExpansionCoefficient(h, value))
-        rebuilt = rebuilt + value.times_power(R, j).times_power(N, j - h)
-    if rebuilt != scaled:
+    filed = _file_orders(j, orders, gj)
+    n_at, r_at = gj._index_of(N), gj._index_of(R)
+    rebuilt = {}
+    for h, terms in enumerate(filed):
+        for key, coeff in terms.items():
+            exps = list(key)
+            exps.insert(n_at, j - h)
+            exps[r_at] += j
+            rebuilt[tuple(exps)] = coeff
+    if rebuilt != gj.terms:
         raise ConsistencyError(
             f"expansion readback at j={j} does not reassemble to the input")
-    return out
+    names = gj.vars[:n_at] + gj.vars[n_at + 1:]
+    flags = (gj.laurent - {N}) | {R}
+    scale = factorial(j)
+    return [ExpansionCoefficient(h, MultiPoly._raw(
+                names, flags, {key: coeff * scale for key, coeff in terms.items()}))
+            for h, terms in enumerate(filed)]
 
 
 @lru_cache(maxsize=None)

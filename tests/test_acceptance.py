@@ -171,11 +171,12 @@ def test_criterion_6_dual_route():
             samples.append((j, coeffs[h].value))
         oracle = interpolate_in_var(samples, "j", 2 * h)
         assert oracle == symbolic_expansion_coefficient(h, cfg).value
+    n, r = MultiPoly.variable("n"), MultiPoly.variable("r", laurent=True)
     for j in range(1, 11):
         gj = generating_coefficient(j, cfg)
         rebuilt = MultiPoly.zero()
         for c in expansion_coefficients(j, gj):
-            rebuilt = rebuilt + c.value.times_power("r", j).times_power("n", j - c.h)
+            rebuilt = rebuilt + c.value * r ** j * n ** (j - c.h)
         assert rebuilt * Fraction(1, factorial(j)) == gj
 
 

@@ -51,6 +51,14 @@ class TestBridgeParams:
                 bridge_params(c, 0)
         assert bridge_params((Fraction(2), 3), 0).c == (2, 3)
 
+    def test_non_integral_w_is_rejected_not_carried(self):
+        for w in [0.5, 1.0, Fraction(1, 2), "1"]:
+            with pytest.raises(ValueError, match="is not an integer"):
+                bridge_params((2, 3, 4), w)
+        inst = bridge_params((2, 3, 4), Fraction(1))
+        assert (inst.w, inst.k) == (1, 8)
+        assert type(inst.w) is type(inst.k) is int
+
 
 class TestBridgeCoefficient:
     def test_smallest_instance_vanishes(self):
@@ -93,7 +101,7 @@ class TestSquarefreeQuotient:
         reduced = log_expansion(cfg, u_indices=c, squarefree=True)
         full = log_expansion(cfg, u_indices=c)
         k = inst.h + 1  # outside the vanishing regime: nonzero
-        pinned = MultiPoly.constant(expected).times_power("r", -sum(c))
+        pinned = MultiPoly(("r",), {(-sum(c),): expected}, laurent=("r",))
         assert self._squarefree_part(full, inst, k) == pinned
         assert self._squarefree_part(reduced, inst, k) == pinned
         assert self._squarefree_part(reduced, inst, inst.k).is_zero()

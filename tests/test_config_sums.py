@@ -52,6 +52,16 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             ConfigSumInstance.make(3, 0, GroundSet.numeric([1, 2]))
 
+    def test_non_integral_g_and_w_are_rejected_not_carried(self):
+        ground = GroundSet.numeric([1, 2, 3, 5])
+        for g, w in [(4, Fraction(1, 2)), (4.0, 1), (4, 1.0), (4, "1")]:
+            with pytest.raises(ValueError, match="is not an integer"):
+                ConfigSumInstance(g, w, ground)
+        inst = ConfigSumInstance(Fraction(4), Fraction(2), ground)
+        assert (inst.g, inst.w) == (4, 2)
+        assert type(inst.g) is type(inst.w) is int
+        assert sum_collapsed(inst).total == 0
+
 
 class TestOrderedSum:
     def test_g2_symbolic_by_hand(self):

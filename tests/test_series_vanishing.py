@@ -38,7 +38,7 @@ u3 = MultiPoly.variable("u3")
 
 
 def over_r(p, power):
-    return p.times_power("r", -power, laurent=True)
+    return p * MultiPoly(("r",), {(-power,): 1}, laurent=("r",))
 
 
 CFG = ExpansionConfig()
@@ -71,7 +71,7 @@ def reference_closed_form(h, u_indices, squarefree=False):
         term = term * coeff
         for s in s_list:
             term = term * MultiPoly.variable(u_name(s))
-        total = total + term.times_power("r", -m, laurent=True)
+        total = total + over_r(term, m)
     return total
 
 
@@ -205,7 +205,7 @@ class TestReadback:
         coeffs = expansion_coefficients(jj, gj)
         rebuilt = MultiPoly.zero()
         for c in coeffs:
-            rebuilt = rebuilt + c.value.times_power("r", jj).times_power("n", jj - c.h)
+            rebuilt = rebuilt + c.value * r ** jj * n ** (jj - c.h)
         assert rebuilt * Fraction(1, factorial(jj)) == gj
 
     def test_stray_n_power_rejected(self):
@@ -263,17 +263,38 @@ class TestReadback:
             ExpansionCoefficient(1, over_r(u2 * n, 2))
 
     def test_reassembly_mismatch_is_caught(self, monkeypatch):
+        # positive control: one filed order corrupted after the range check
         gj = generating_coefficient(3, CFG)
-        real = MultiPoly.extract_by_degree
+        real = series_vanishing._file_orders
 
-        def doubled_lowest(self, var):
-            split = real(self, var)
-            degree, lowest = split[-1]
-            return split[:-1] + [(degree, lowest * 2)]
+        def doubled_deepest(j, orders, gj):
+            filed = real(j, orders, gj)
+            filed[-1] = {key: 2 * c for key, c in filed[-1].items()}
+            return filed
 
-        monkeypatch.setattr(MultiPoly, "extract_by_degree", doubled_lowest)
+        monkeypatch.setattr(series_vanishing, "_file_orders", doubled_deepest)
         with pytest.raises(ConsistencyError, match="reassemble"):
             expansion_coefficients(3, gj)
+
+    def test_readback_orders_share_the_closed_form_registry(self):
+        # n is read off into the order, so no readback order keeps its slot
+        for c in _readback_coefficients(9, 13, CFG.u_indices(), CFG.h_max)[1:]:
+            assert "n" not in c.value.vars
+            assert ("j",) + c.value.vars == _closed_form(c.h, CFG.u_indices()).vars
+
+    def test_oracle_comparison_needs_no_canonical_form(self, monkeypatch):
+        # closed form and oracle share one registry: __eq__ compares term maps
+        calls = []
+        real = MultiPoly._canonical
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(MultiPoly, "_canonical", counted)
+        for h in range(CFG.h_max + 1):
+            symbolic_expansion_coefficient(h, CFG)
+        assert calls == []
 
 
 class TestClosedForm:
