@@ -19,71 +19,21 @@ from .algebra import (
     MultiPoly,
     PolynomialityError,
     PrecisionError,
-    Series,
-    interpolate_in_var,
 )
-from .stirling import (
-    StirlingPoly,
-    StirlingTriangle,
-    eval_P,
-    eval_P_symbolic,
-    stirling_poly,
-    triangle,
-)
-from .partitions import (
-    GroundSet,
-    count_weighted_configs,
-    iter_ordered_partitions,
-    iter_unordered_partitions,
-    weight_compositions,
-)
-from .config_sums import (
-    ConfigSumInstance,
-    ConfigSumResult,
-    double_check_nonzero,
-    random_ground,
-    sum_collapsed,
-    sum_ordered,
-)
-from .series_vanishing import (
-    ExpansionCoefficient,
-    ExpansionConfig,
-    VanishingCheck,
-    expansion_coefficients,
-    generating_coefficient,
-    log_expansion,
-    symbolic_expansion_coefficient,
-    vanishing_report,
-)
-from .bridge import (
-    BridgeInstance,
-    BridgeReport,
-    bridge_check,
-    bridge_coefficient,
-    bridge_params,
-)
+from .partitions import GroundSet
+from .config_sums import ConfigSumInstance, sum_collapsed, sum_ordered
+from .series_vanishing import ExpansionConfig, vanishing_report
+from .bridge import bridge_check, bridge_params
 
+# the names of README's "Library use"; every other name is imported from its
+# own module (stirlingzero.stirling, stirlingzero.series_vanishing, ...)
 __all__ = [
     "__version__",
-    # algebra
-    "MultiPoly", "Series", "interpolate_in_var",
+    "MultiPoly",
     "EngineError", "PrecisionError", "PolynomialityError",
     "ConsistencyError", "BudgetError",
-    # stirling
-    "StirlingTriangle", "StirlingPoly", "triangle", "stirling_poly",
-    "eval_P", "eval_P_symbolic",
-    # partitions
-    "GroundSet", "iter_ordered_partitions", "iter_unordered_partitions",
-    "weight_compositions", "count_weighted_configs",
-    # configuration sums
-    "ConfigSumInstance", "ConfigSumResult",
-    "sum_ordered", "sum_collapsed", "random_ground",
-    "double_check_nonzero",
-    # series vanishing
-    "ExpansionConfig", "ExpansionCoefficient", "VanishingCheck",
-    "generating_coefficient", "expansion_coefficients",
-    "symbolic_expansion_coefficient", "log_expansion", "vanishing_report",
-    # bridge
-    "BridgeInstance", "BridgeReport", "bridge_params",
-    "bridge_coefficient", "bridge_check",
+    "GroundSet",
+    "ConfigSumInstance", "sum_collapsed", "sum_ordered",
+    "ExpansionConfig", "vanishing_report",
+    "bridge_params", "bridge_check",
 ]

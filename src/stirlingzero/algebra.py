@@ -348,22 +348,6 @@ class MultiPoly:
                 out[exps[:i] + (0,) + exps[i + 1:]] = coeff
         return MultiPoly._raw(self.vars, self.laurent, out)
 
-    def coefficient_of_monomial(self, monomial: Mapping[str, int]) -> "MultiPoly":
-        """Coefficient of an exact monomial in the listed variables.
-
-        Unlisted variables remain free; the listed slots must match the given
-        exponents exactly and are zeroed in the result.
-        """
-        idx = {self._index_of(name): e for name, e in monomial.items()}
-        out = {}
-        for exps, coeff in self.terms.items():
-            if all(exps[i] == e for i, e in idx.items()):
-                vec = list(exps)
-                for i in idx:
-                    vec[i] = 0
-                out[tuple(vec)] = coeff
-        return MultiPoly._raw(self.vars, self.laurent, out)
-
     def remainder(self, weights: Mapping[str, int], max_weight: Optional[int] = None,
                   squarefree: Iterable[str] = ()) -> "MultiPoly":
         """Remainder modulo a monomial ideal: the terms outside it, kept as they are.
@@ -645,11 +629,11 @@ def _lagrange_rows(nodes: tuple) -> tuple:
 
 
 def _as_int(value, what: str) -> int:
-    # an int or a Fraction with denominator 1; floats and strings are refused
-    # rather than truncated
+    # an int or a Fraction with denominator 1; bools, floats and strings are
+    # refused rather than truncated
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{what} {value!r} is not an integer")
 
@@ -684,12 +668,16 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
         p = MultiPoly._coerce(v)
         if p is None:
             raise TypeError(f"sample value {v!r} is not a polynomial")
-        if var in p.used_vars():
-            raise ValueError(f"sample values must not involve {var!r}")
+        if var in p.vars:
+            if var in p.used_vars():
+                raise ValueError(f"sample values must not involve {var!r}")
+            p = p.substitute({var: 0})  # drop the unused slot
         values.append(p)
 
-    names, flags = _registry(values, extra=(var,))
-    slot = names.index(var)
+    # the fit runs on the samples' registry; var's slot goes in at the end
+    out_names, flags = _registry(values, extra=(var,))
+    slot = out_names.index(var)
+    names = out_names[:slot] + out_names[slot + 1:]
     terms = [p._remap(names) for p in values]
 
     count = degree_bound + 1
@@ -717,5 +705,5 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
     for mono, (nums, scale) in fit.items():
         for d, c in enumerate(nums):
             if c:
-                out[mono[:slot] + (d,) + mono[slot + 1:]] = Fraction(c, scale)
-    return MultiPoly._raw(names, flags, out)
+                out[mono[:slot] + (d,) + mono[slot:]] = Fraction(c, scale)
+    return MultiPoly._raw(out_names, flags, out)

@@ -97,13 +97,12 @@ def bridge_coefficient(inst: BridgeInstance) -> MultiPoly:
     u_indices = tuple(sorted(inst.c))
     series = log_expansion(expansion_budget_for(inst), u_indices=u_indices,
                            squarefree=True)
-    names = [u_name(s) for s in u_indices]
-    component = (series.coefficient(inst.h)
-                 .with_vars([J] + names)
-                 .coefficient_in(J, inst.k))
-    monomial = {name: 1 for name in names}  # squarefree: the c_i are distinct
-    assert len(monomial) == inst.g
-    coefficient = component.coefficient_of_monomial(monomial)
+    names = [u_name(s) for s in u_indices]  # squarefree: the c_i are distinct
+    coefficient = (series.coefficient(inst.h)
+                   .with_vars([J] + names)
+                   .coefficient_in(J, inst.k))
+    for name in names:
+        coefficient = coefficient.coefficient_in(name, 1)
     stray = coefficient.used_vars() - {"r"}
     if stray:
         raise ConsistencyError(

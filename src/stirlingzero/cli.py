@@ -127,13 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(path, record, quiet=False):
+def _emit(path, record):
     write_record(path, record)
-    if not quiet:
-        detail = f" value={record.value}" if record.verdict == "nonzero" else ""
-        print(f"[{record.status}] {record.command} "
-              f"{' '.join(f'{k}={v}' for k, v in sorted(record.params.items()))}"
-              f" -> {record.verdict}{detail}")
+    detail = f" value={record.value}" if record.verdict == "nonzero" else ""
+    print(f"[{record.status}] {record.command} "
+          f"{' '.join(f'{k}={v}' for k, v in sorted(record.params.items()))}"
+          f" -> {record.verdict}{detail}")
 
 
 def _confirmation_extra(conf):

@@ -209,7 +209,7 @@ def _common_scale(inst: ConfigSumInstance) -> int:
     """
     d = lcm(*(v.denominator for v in inst.ground.values))
     k = lcm(*(c.denominator for v in range(1, inst.w + 1)
-              for c in stirling_poly(v).coeffs))
+              for c in stirling_poly(v)))
     return k * d * d
 
 

@@ -52,12 +52,10 @@ class LedgerRecord:
     visited: Optional[int] = None
     elapsed: Optional[float] = None
     extra: dict = field(default_factory=dict)
-    timestamp: Optional[str] = None
-    engine: str = ENGINE_VERSION
 
     def to_json(self) -> str:
         payload = {
-            "ts": self.timestamp or time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+            "ts": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
             "command": self.command,
             "params": self.params,
             "status": self.status,
@@ -66,7 +64,7 @@ class LedgerRecord:
             "visited": self.visited,
             "elapsed_s": self.elapsed,
             "extra": self.extra,
-            "engine": self.engine,
+            "engine": ENGINE_VERSION,
         }
         return json.dumps(payload, sort_keys=True)
 

@@ -1,78 +1,42 @@
 """Unsigned Stirling numbers of the first kind and their polynomial extension.
 
-The triangle entry ``[n, k]`` is the coefficient of ``x**k`` in the rising
-factorial ``x (x+1) ... (x+n-1)``.  For a fixed offset ``w``, the diagonal
-``[n, n-w]`` agrees with a polynomial in ``n`` of degree ``2w``; that
-polynomial, evaluated anywhere, is what the identity checks consume.
+``[n, k]`` is the coefficient of ``x**k`` in the rising factorial
+``x (x+1) ... (x+n-1)``, and :func:`stirling_row` reads row ``n`` straight
+off that product, expanded by the engine's node-product routine.  For a
+fixed offset ``w``, the diagonal ``[n, n-w]`` agrees with a polynomial in
+``n`` of degree ``2w``; that polynomial, evaluated anywhere, is what the
+identity checks consume.
 
 The degree-2w polynomial is built by the engine's one interpolation routine,
-:func:`~stirlingzero.algebra.interpolate_in_var`, through genuine triangle
-entries at ``n = w .. 3w``.  Before anything is returned it is cross-validated
-against the discrete difference identity ``P_w(x+1) - P_w(x) = x * P_{w-1}(x)``
-(a direct consequence of the triangle recurrence), checked coefficient-wise
-by binomial shift.
+:func:`~stirlingzero.algebra.interpolate_in_var`, through row entries at
+``n = w .. 3w``.  Before anything is returned it is cross-validated against
+the discrete difference identity ``P_w(x+1) - P_w(x) = x * P_{w-1}(x)`` (a
+direct consequence of the recurrence ``[n+1, k] = [n, k-1] + n [n, k]``),
+checked coefficient-wise by binomial shift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .algebra import ConsistencyError, MultiPoly, interpolate_in_var
+from .algebra import ConsistencyError, MultiPoly, _dense_from_nodes, interpolate_in_var
 
 __all__ = [
-    "StirlingTriangle",
-    "StirlingPoly",
-    "triangle",
+    "stirling_row",
     "stirling_poly",
     "eval_P",
     "eval_P_symbolic",
 ]
 
 
-class StirlingTriangle:
-    """Rows 0..n_max of unsigned Stirling numbers of the first kind."""
-
-    def __init__(self, n_max: int):
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        rows = [(1,)]
-        for n in range(n_max):
-            prev = rows[-1]
-            row = [0] * (n + 2)
-            for k, v in enumerate(prev):
-                row[k + 1] += v          # [n+1, k+1] += [n, k]
-                row[k] += n * v          # [n+1, k]   += n * [n, k]
-            rows.append(tuple(row))
-        self.n_max = n_max
-        self._rows = tuple(rows)
-
-    def row(self, n: int) -> tuple:
-        return self._rows[n]
-
-    def entry(self, n: int, k: int) -> int:
-        """``[n, k]``; zero outside ``0 <= k <= n`` by convention."""
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"row {n} not in triangle of height {self.n_max}")
-        if k < 0 or k > n:
-            return 0
-        return self._rows[n][k]
-
-
 @lru_cache(maxsize=None)
-def triangle(n_max: int) -> StirlingTriangle:
-    """Build (and cache) the triangle with rows 0..n_max."""
-    return StirlingTriangle(n_max)
-
-
-@dataclass(frozen=True)
-class StirlingPoly:
-    """Dense coefficients (low degree first) of the offset-w diagonal polynomial."""
-
-    w: int
-    coeffs: tuple
+def stirling_row(n: int) -> tuple:
+    """``([n, 0], ..., [n, n])``: the coefficients of ``x (x+1) ... (x+n-1)``."""
+    if n < 0:
+        raise ValueError("row index must be nonnegative")
+    return tuple(_dense_from_nodes(range(0, -n, -1)))
 
 
 def _dense_eval(coeffs, t: Fraction) -> Fraction:
@@ -90,8 +54,8 @@ def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
     The difference identity ``P_w(x+1) - P_w(x) = x * P_{w-1}(x)`` is checked
     coefficient-wise: by the binomial shift, the ``x**k`` coefficient of
     ``P(x+1) - P(x)`` is ``sum_{d>k} a_d * C(d, k)``.  The identity determines
-    the polynomial up to an additive constant; the anchor value at x = w (a
-    genuine triangle entry) fixes it.
+    the polynomial up to an additive constant; the anchor value at x = w (the
+    row entry ``[w, 0]``) fixes it.
     """
     if w == 0:
         if tuple(coeffs) != (Fraction(1),):
@@ -106,36 +70,35 @@ def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
     if delta != [0, *prev_coeffs]:
         raise ConsistencyError(
             f"difference identity fails for offset {w}: arithmetic bug")
-    anchor = triangle(w).entry(w, 0)
-    if _dense_eval(coeffs, Fraction(w)) != anchor:
+    if _dense_eval(coeffs, Fraction(w)) != stirling_row(w)[0]:
         raise ConsistencyError(
-            f"offset-{w} polynomial does not anchor to the triangle at n={w}")
+            f"offset-{w} polynomial does not anchor to row {w}")
 
 
 @lru_cache(maxsize=None)
-def stirling_poly(w: int) -> StirlingPoly:
-    """The degree-2w polynomial agreeing with ``[n, n-w]`` for integers n >= w.
+def stirling_poly(w: int) -> tuple:
+    """Coefficients (low degree first) of the degree-2w polynomial agreeing
+    with ``[n, n-w]`` for integers n >= w.
 
-    Interpolated by ``interpolate_in_var`` through triangle entries at
+    Interpolated by ``interpolate_in_var`` through row entries at
     ``n = w .. 3w`` and cross-validated against the difference identity
     before being cached.
     """
     if w < 0:
         raise ValueError("offset w must be nonnegative")
     if w == 0:
-        return StirlingPoly(0, (Fraction(1),))
-    tri = triangle(3 * w)
+        return (Fraction(1),)
     fit = interpolate_in_var(
-        [(n, tri.entry(n, n - w)) for n in range(w, 3 * w + 1)], "x", 2 * w)
+        [(n, stirling_row(n)[n - w]) for n in range(w, 3 * w + 1)], "x", 2 * w)
     coeffs = tuple(fit.terms.get((d,), Fraction(0)) for d in range(2 * w + 1))
-    _validate_chain(w, coeffs, stirling_poly(w - 1).coeffs)
-    return StirlingPoly(w, coeffs)
+    _validate_chain(w, coeffs, stirling_poly(w - 1))
+    return coeffs
 
 
 @lru_cache(maxsize=None)
 def _integer_coeffs(w: int) -> tuple:
     # (numerators over one common denominator, that denominator)
-    coeffs = stirling_poly(w).coeffs
+    coeffs = stirling_poly(w)
     den = lcm(*(c.denominator for c in coeffs))
     return tuple(int(c * den) for c in coeffs), den
 
@@ -165,7 +128,6 @@ def eval_P_symbolic(w: int, t) -> MultiPoly:
     if not isinstance(t, MultiPoly):
         return MultiPoly.constant(eval_P(w, t))
     acc = MultiPoly.zero()
-    for c in reversed(stirling_poly(w).coeffs):
+    for c in reversed(stirling_poly(w)):
         acc = acc * t + c
     return acc
-

@@ -299,7 +299,7 @@ class TestExtraction:
     def test_coefficient_of_monomial(self):
         u2, u3, r = var("u2"), var("u3"), var("r", laurent=True)
         p = 5 * u2 * u3 * r + 2 * u2 ** 2 * r + 7 * u2 * u3
-        got = p.coefficient_of_monomial({"u2": 1, "u3": 1})
+        got = p.coefficient_in("u2", 1).coefficient_in("u3", 1)
         assert got == 5 * r + 7
 
 
@@ -509,6 +509,15 @@ class TestInterpolation:
         samples = [(x, u_over_r2 * (x * x - x) + x) for x in range(5)]
         j = var("j")
         assert interpolate_in_var(samples, "j", 2) == u_over_r2 * (j * j - j) + j
+
+    def test_samples_registering_var_unused(self):
+        # j sits in the samples' registry at exponent 0; the fit drops and
+        # re-inserts its slot
+        u = var("u")
+        samples = [(x, (u * x + 1).with_vars(["j"])) for x in range(4)]
+        fit = interpolate_in_var(samples, "j", 2)
+        assert fit == u * var("j") + 1
+        assert fit.vars == ("j", "u")
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):

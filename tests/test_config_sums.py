@@ -54,7 +54,7 @@ class TestInstanceValidation:
 
     def test_non_integral_g_and_w_are_rejected_not_carried(self):
         ground = GroundSet.numeric([1, 2, 3, 5])
-        for g, w in [(4, Fraction(1, 2)), (4.0, 1), (4, 1.0), (4, "1")]:
+        for g, w in [(4, Fraction(1, 2)), (4.0, 1), (4, 1.0), (4, "1"), (4, True)]:
             with pytest.raises(ValueError, match="is not an integer"):
                 ConfigSumInstance(g, w, ground)
         inst = ConfigSumInstance(Fraction(4), Fraction(2), ground)

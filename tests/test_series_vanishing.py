@@ -408,7 +408,8 @@ class TestConfigValidation:
         dict(s_max=6.0),
         dict(h_max=2, j_samples=(3.7, 4.2, 5.9, 6.1, 7.5)),
         dict(h_max=2, j_samples=("3", "4", "5", "6", "7")),
-    ], ids=["h-float", "h-half", "h-text", "s-float", "j-floats", "j-text"])
+        dict(h_max=True),
+    ], ids=["h-float", "h-half", "h-text", "s-float", "j-floats", "j-text", "h-bool"])
     def test_non_integral_values_rejected(self, kwargs):
         with pytest.raises(ValueError, match="is not an integer"):
             ExpansionConfig(**kwargs)

@@ -1,4 +1,4 @@
-"""Stirling triangle and offset-polynomial layer."""
+"""Stirling rows and offset-polynomial layer."""
 
 import random
 from fractions import Fraction
@@ -9,70 +9,65 @@ import pytest
 from stirlingzero import stirling
 from stirlingzero.algebra import ConsistencyError, MultiPoly
 from stirlingzero.stirling import (
-    StirlingPoly,
     _dense_eval,
     _validate_chain,
     eval_P,
     eval_P_symbolic,
     stirling_poly,
-    triangle,
+    stirling_row,
 )
+
+
+def entry(n, k):
+    """``[n, k]``, zero outside ``0 <= k <= n``."""
+    return stirling_row(n)[k] if 0 <= k <= n else 0
 
 
 class TestTriangle:
     def test_row_zero_is_empty_product(self):
-        assert triangle(0).row(0) == (1,)
+        assert stirling_row(0) == (1,)
 
     def test_row_three(self):
         # x(x+1)(x+2) = 2x + 3x^2 + x^3
-        assert triangle(3).row(3) == (0, 2, 3, 1)
+        assert stirling_row(3) == (0, 2, 3, 1)
 
     def test_row_four(self):
         # row three polynomial times (x+3)
-        assert triangle(4).row(4) == (0, 6, 11, 6, 1)
+        assert stirling_row(4) == (0, 6, 11, 6, 1)
 
     def test_row_sums_are_factorials(self):
-        tri = triangle(12)
         for n in range(13):
-            assert sum(tri.row(n)) == factorial(n)
+            assert sum(stirling_row(n)) == factorial(n)
 
     def test_recurrence_holds_everywhere(self):
-        tri = triangle(10)
         for n in range(10):
+            assert len(stirling_row(n)) == n + 1
             for k in range(n + 2):
-                assert tri.entry(n + 1, k) == tri.entry(n, k - 1) + n * tri.entry(n, k)
-
-    def test_out_of_range_entries_are_zero(self):
-        tri = triangle(5)
-        assert tri.entry(3, 4) == 0
-        assert tri.entry(3, -1) == 0
-        with pytest.raises(ValueError):
-            tri.entry(6, 0)
+                assert entry(n + 1, k) == entry(n, k - 1) + n * entry(n, k)
 
 
 class TestStirlingPoly:
     def test_offset_zero(self):
-        assert stirling_poly(0) == StirlingPoly(0, (Fraction(1),))
+        assert stirling_poly(0) == (Fraction(1),)
         assert eval_P(0, Fraction(355, 113)) == 1
 
     def test_offset_one(self):
         # [n, n-1] = n(n-1)/2
-        assert stirling_poly(1).coeffs == (0, Fraction(-1, 2), Fraction(1, 2))
+        assert stirling_poly(1) == (0, Fraction(-1, 2), Fraction(1, 2))
 
     def test_offset_two(self):
         # (3x^4 - 10x^3 + 9x^2 - 2x)/24
-        assert stirling_poly(2).coeffs == (
+        assert stirling_poly(2) == (
             0, Fraction(-2, 24), Fraction(9, 24), Fraction(-10, 24), Fraction(3, 24))
 
     def test_point_evaluations(self):
         assert eval_P(1, 7) == 21
-        assert eval_P(2, 5) == 35  # equals triangle entry [5, 3]
+        assert eval_P(2, 5) == 35  # equals row entry [5, 3]
 
     def test_matches_triangle_diagonals(self):
-        tri = triangle(32)
         for w in range(9):
             for n in range(w, 3 * w + 9):
-                assert eval_P(w, n) == tri.entry(n, n - w)
+                assert eval_P(w, n) == entry(n, n - w)
 
     def test_difference_identity(self):
         # P_w(x+1) - P_w(x) = x * P_{w-1}(x); degree-2w polynomials agreeing
@@ -80,7 +75,7 @@ class TestStirlingPoly:
         for w in range(1, 9):
             for x in range(2 * w + 2):
                 assert eval_P(w, x + 1) - eval_P(w, x) == x * eval_P(w - 1, x)
-            coeffs = stirling_poly(w).coeffs
+            coeffs = stirling_poly(w)
             assert len(coeffs) == 2 * w + 1 and coeffs[-1] > 0
 
     def test_small_integer_roots(self):
@@ -95,7 +90,7 @@ class TestStirlingPoly:
         points = [Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(40)]
         points += [Fraction(0), Fraction(-1), Fraction(7, 1), Fraction(-13, 97)]
         for t in points:
-            assert eval_P(w, t) == _dense_eval(stirling_poly(w).coeffs, t)
+            assert eval_P(w, t) == _dense_eval(stirling_poly(w), t)
         assert eval_P(w, 5) == eval_P(w, Fraction(5)) == eval_P(w, "5")
 
     def test_float_point_is_rejected(self):
@@ -122,33 +117,33 @@ class TestChainCheck:
     """Positive controls: each tampered polynomial must be rejected."""
 
     def test_interior_coefficient_changed(self):
-        coeffs = list(stirling_poly(3).coeffs)
+        coeffs = list(stirling_poly(3))
         coeffs[2] += 1
         with pytest.raises(ConsistencyError, match="difference identity"):
-            _validate_chain(3, tuple(coeffs), stirling_poly(2).coeffs)
+            _validate_chain(3, tuple(coeffs), stirling_poly(2))
 
     def test_constant_term_changed(self):
         # a constant shift leaves P(x+1) - P(x) unchanged; only the anchor sees it
-        coeffs = list(stirling_poly(3).coeffs)
+        coeffs = list(stirling_poly(3))
         coeffs[0] += 1
         with pytest.raises(ConsistencyError, match="anchor"):
-            _validate_chain(3, tuple(coeffs), stirling_poly(2).coeffs)
+            _validate_chain(3, tuple(coeffs), stirling_poly(2))
 
     def test_wrong_length(self):
-        coeffs = stirling_poly(2).coeffs + (Fraction(7),)
+        coeffs = stirling_poly(2) + (Fraction(7),)
         with pytest.raises(ConsistencyError, match="degree exactly 4"):
-            _validate_chain(2, coeffs, stirling_poly(1).coeffs)
+            _validate_chain(2, coeffs, stirling_poly(1))
 
     def test_previous_coefficient_changed(self):
-        prev = list(stirling_poly(2).coeffs)
+        prev = list(stirling_poly(2))
         prev[1] += 1
         with pytest.raises(ConsistencyError, match="difference identity"):
-            _validate_chain(3, stirling_poly(3).coeffs, tuple(prev))
+            _validate_chain(3, stirling_poly(3), tuple(prev))
 
     def test_previous_one_entry_too_long(self):
-        prev = stirling_poly(2).coeffs + (Fraction(7),)
+        prev = stirling_poly(2) + (Fraction(7),)
         with pytest.raises(ConsistencyError, match="difference identity"):
-            _validate_chain(3, stirling_poly(3).coeffs, prev)
+            _validate_chain(3, stirling_poly(3), prev)
 
     def test_tampered_interpolant_is_rejected(self, monkeypatch):
         real = stirling.interpolate_in_var
