@@ -19,9 +19,15 @@ Two independent summation routes are provided:
   r! identical ordered terms and carries the factor ``(-1)^r (r-1)!``; the
   inner sum over weight compositions is the degree-w coefficient of the
   truncated product ``prod_i (sum_v P_v(t_i) y^v)``, an exact regrouping.
-  Partitions come block by block, so consecutive ones share their first
-  blocks: the truncated products of those are kept, only the blocks after
-  them are convolved, and ``[y^w]`` is a dot product with the last block.
+  That product is met in the middle: a partition of r blocks is split after
+  its first ``ceil(r/2)``.  Partitions come block by block, so consecutive
+  ones share their first blocks, and the truncated products of those are
+  kept on a stack; the product of the remaining blocks is memoized by its
+  block tuple, built from the tuple one block shorter.  Each product is
+  convolved once, and a partition's ``[y^w]`` is one dot product of its two
+  halves.  Every block series has constant term ``P_0 = 1`` (a block value
+  that breaks this raises :class:`ConsistencyError`), so the convolutions
+  and dot products skip the products with ``y^0``.
 
 On numeric grounds the collapsed route runs in Python ints.  With ``D`` the
 lcm of the ground's denominators and ``K`` the lcm of the coefficient
@@ -128,7 +134,9 @@ class _BlockValues:
     """Per-run cache of P_v(block sum) vectors keyed by block mask.
 
     With ``scale`` set (numeric grounds), each vector is stored as the ints
-    ``scale^v * P_v(t)``; a value the scaling does not clear is an engine bug.
+    ``scale^v * P_v(t)``; a value the scaling does not clear is an engine bug,
+    and so is an offset-0 value other than 1, which the collapsed route's
+    products take for granted.
     """
 
     def __init__(self, ground: GroundSet, w_max: int, scale: Optional[int] = None):
@@ -143,6 +151,8 @@ class _BlockValues:
         if vec is None:
             t = self.ground.block_sum(mask)
             vec = tuple(self._eval(v, t) for v in range(self.w_max + 1))
+            if vec[0] != 1:
+                raise ConsistencyError(f"offset-0 block value {vec[0]!r} is not 1")
             if self._powers is not None:
                 vec = _scaled_to_int(vec, self._powers)
             self._cache[mask] = vec
@@ -152,11 +162,11 @@ class _BlockValues:
 def _scaled_to_int(vec: tuple, powers: list) -> tuple:
     out = []
     for power, value in zip(powers, vec):
-        scaled = power * value
-        if scaled.denominator != 1:
+        scaled, rest = divmod(value.numerator * power, value.denominator)
+        if rest:
             raise ConsistencyError(
                 f"block value {value} times scale {power} is not an integer")
-        out.append(scaled.numerator)
+        out.append(scaled)
     return tuple(out)
 
 
@@ -188,14 +198,18 @@ def sum_ordered(inst: ConfigSumInstance) -> ConfigSumResult:
     return ConfigSumResult(inst, total, visited, time.perf_counter() - start)
 
 
-def _conv_truncated(acc, vec: tuple, w: int, zero) -> list:
-    """Coefficients of ``y^0..y^w`` in ``acc(y) * vec(y)``, summed from the ring's zero."""
-    out = [zero] * (w + 1)
-    for i, a in enumerate(acc):
-        if a == 0:
-            continue
-        for j in range(w + 1 - i):
-            out[i + j] = out[i + j] + a * vec[j]
+def _conv_truncated(acc, vec: tuple, w: int) -> list:
+    """Coefficients of ``y^0..y^w`` in ``acc(y) * vec(y)``, both with constant term 1.
+
+    The products with a constant term are additions, so ``[y^n]`` is
+    ``acc[n] + vec[n]`` plus the products of the coefficients of ``y^1..y^(n-1)``.
+    """
+    out = [acc[0]]
+    for n in range(1, w + 1):
+        c = acc[n] + vec[n]
+        for i in range(1, n):
+            c = c + acc[i] * vec[n - i]
+        out.append(c)
     return out
 
 
@@ -218,9 +232,14 @@ def _collapsed_partial(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
 
     Symbolic grounds multiply ``MultiPoly`` block series; numeric grounds
     multiply ints, scaled by :func:`_common_scale` (see the module docstring).
-    ``prefix[k]`` holds the truncated product of blocks ``0..k`` of the last
-    partition seen; the next partition keeps the entries of the blocks it
-    shares with that one and convolves only the blocks after them.
+    A partition of ``r`` blocks is split after its first ``k = ceil(r/2)``.
+    ``prefix[i]`` holds the truncated product of blocks ``0..i`` of ``held``;
+    a partition truncates it only where its first ``k`` blocks differ from
+    ``held``, so a longer matching prefix survives for later partitions.
+    ``suffixes`` maps each tuple of trailing blocks to their truncated
+    product, built from the tuple one block shorter.  The partition's
+    ``[y^w]`` is one dot product of its prefix and suffix products; as every
+    series has constant term 1, the two products with ``y^0`` are additions.
     """
     w = inst.w
     if inst.ground.is_symbolic:
@@ -228,28 +247,40 @@ def _collapsed_partial(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
     else:
         zero, scale = 0, _common_scale(inst)
     values = _BlockValues(inst.ground, w, scale)
+    suffixes = {}
+
+    def suffix(tail: tuple):
+        prod = suffixes.get(tail)
+        if prod is None:
+            vec = values.vector(tail[0])
+            prod = vec if len(tail) == 1 else _conv_truncated(suffix(tail[1:]), vec, w)
+            suffixes[tail] = prod
+        return prod
+
     signs = [0] + [(-1) ** r * factorial(r - 1) for r in range(1, inst.g + 1)]
     total = zero
     visited = 0
-    prefix, held = [], ()
+    prefix, held = [], []
     for blocks in iter_unordered_partitions(inst.g, part, parts):
         r = len(blocks)
-        keep, limit = 0, min(len(prefix), r - 1)
+        k = (r + 1) // 2
+        keep, limit = 0, min(len(held), k)
         while keep < limit and blocks[keep] == held[keep]:
             keep += 1
-        del prefix[keep:]
-        for k in range(keep, r - 1):
-            vec = values.vector(blocks[k])
-            prefix.append(_conv_truncated(prefix[-1], vec, w, zero) if k else vec)
-        held = blocks
-        last = values.vector(blocks[-1])
-        if prefix:
-            acc = prefix[-1]
-            top = zero
-            for i in range(w + 1):
-                top = top + acc[i] * last[w - i]
+        if keep < k:
+            del prefix[keep:], held[keep:]
+            for i in range(keep, k):
+                vec = values.vector(blocks[i])
+                prefix.append(_conv_truncated(prefix[-1], vec, w) if i else vec)
+                held.append(blocks[i])
+        head = prefix[k - 1]
+        if r == 1:
+            top = head[w]
         else:
-            top = last[w]
+            tail = suffix(blocks[k:])
+            top = head[w] + tail[w] if w else head[0]
+            for i in range(1, w):
+                top = top + head[i] * tail[w - i]
         total = total + top * signs[r]
         visited += 1
     if scale is not None:

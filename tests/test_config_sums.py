@@ -4,6 +4,7 @@ import multiprocessing
 import random
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -184,6 +185,18 @@ class TestIntegerKernel:
         assert serial != 0
         assert sum_collapsed(inst, jobs=2).total == serial
 
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_offset_zero_value_must_be_one(self, monkeypatch, symbolic):
+        # the convolutions skip the products with the constant term, so a
+        # block whose P_0 is not exactly 1 must stop the run
+        for name in ("eval_P", "eval_P_symbolic"):
+            real = getattr(config_sums, name)
+            monkeypatch.setattr(config_sums, name,
+                                lambda w, t, real=real: real(w, t) * 2 if w == 0 else real(w, t))
+        inst = symbolic_instance(4, 1) if symbolic else numeric_instance(4, 1, [2, 3, 5, 7])
+        with pytest.raises(ConsistencyError, match="offset-0 block value"):
+            sum_collapsed(inst)
+
     def test_uncleared_block_value_is_an_engine_bug(self, monkeypatch):
         # 1/3 survives scaling by K * D^2 = 2 for integer grounds at w = 1
         _shift_offset_one(monkeypatch, Fraction(1, 3))
@@ -218,11 +231,16 @@ class TestPrefixReuse:
         assert collapsed == sum_ordered(inst).total
         assert collapsed != 0
 
-    def test_one_convolution_per_shared_prefix(self, monkeypatch):
-        # blocks[:k] with 2 <= k <= r-1 is the product the last block is dotted with
-        # or a step towards it; each is built once, not once per partition
-        prefixes = {blocks[:k] for blocks in iter_unordered_partitions(8)
-                    for k in range(2, len(blocks))}
+    def test_one_convolution_per_distinct_prefix_and_suffix(self, monkeypatch):
+        # a partition of r blocks is split after its first k = ceil(r/2): the
+        # prefix products are blocks[:i] for 2 <= i <= k, the suffix products
+        # blocks[-i:] for 2 <= i <= r-k, and each is convolved once, not once
+        # per partition
+        prefixes, suffixes = set(), set()
+        for blocks in iter_unordered_partitions(8):
+            r = len(blocks)
+            prefixes.update(blocks[:i] for i in range(2, (r + 1) // 2 + 1))
+            suffixes.update(blocks[-i:] for i in range(2, r // 2 + 1))
         calls = []
         real = config_sums._conv_truncated
 
@@ -233,7 +251,58 @@ class TestPrefixReuse:
         monkeypatch.setattr(config_sums, "_conv_truncated", counted)
         res = sum_collapsed(numeric_instance(8, 6, [2, 3, 5, 7, 11, 13, 17, 19]))
         assert res.total == 0
-        assert len(calls) == len(prefixes) == 4012
+        assert len(calls) == len(prefixes) + len(suffixes) == 2018
+
+
+def reference_collapsed(inst):
+    """The collapsed sum over prefix products only, each partition's last
+    block dotted with the product of all the others, every convolution
+    summed in full from zero: a second route to :func:`sum_collapsed`'s
+    totals at sizes :func:`sum_ordered` cannot reach."""
+    w = inst.w
+    scale = config_sums._common_scale(inst)
+    values = config_sums._BlockValues(inst.ground, w, scale)
+
+    def conv(acc, vec):
+        out = [0] * (w + 1)
+        for i, a in enumerate(acc):
+            for j in range(w + 1 - i):
+                out[i + j] += a * vec[j]
+        return out
+
+    total = 0
+    prefix, held = [], ()
+    for blocks in iter_unordered_partitions(inst.g):
+        r = len(blocks)
+        keep, limit = 0, min(len(prefix), r - 1)
+        while keep < limit and blocks[keep] == held[keep]:
+            keep += 1
+        del prefix[keep:]
+        for k in range(keep, r - 1):
+            vec = values.vector(blocks[k])
+            prefix.append(conv(prefix[-1], vec) if k else vec)
+        held = blocks
+        last = values.vector(blocks[-1])
+        top = sum(a * b for a, b in zip(prefix[-1], reversed(last))) if prefix else last[w]
+        total += top * (-1) ** r * factorial(r - 1)
+    return Fraction(total, scale ** w)
+
+
+MIXED8 = MIXED + [Fraction(-9, 2), Fraction(13, 7)]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("fault", [_bump_one_block, _shift_offset_one])
+    @pytest.mark.parametrize("g", [7, 8])
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_faulted_totals_agree(self, monkeypatch, fault, g, jobs):
+        # shards build their own suffix products: each must still give the
+        # exact total of the prefix-only route, which is nonzero here
+        fault(monkeypatch)
+        inst = numeric_instance(g, g - 2, MIXED8[:g])
+        expected = reference_collapsed(inst)
+        assert expected != 0
+        assert sum_collapsed(inst, jobs=jobs).total == expected
 
 
 class TestIdentityProperties:
