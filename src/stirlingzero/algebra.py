@@ -76,9 +76,10 @@ def _var_key(name: str):
 
 
 def _as_fraction(value) -> Fraction:
+    # an int or a Fraction; bools, floats and strings are refused
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -375,41 +376,24 @@ class MultiPoly:
         return MultiPoly._raw(self.vars, self.laurent, out)
 
     def substitute(self, values: Mapping[str, object]) -> "MultiPoly":
-        """Replace variables by rationals or polynomials; others are kept.
+        """Replace variables by rationals (ints or Fractions); others are kept.
 
-        Numeric values may be raised to negative (Laurent) exponents;
-        polynomial values may not.
+        A value may be raised to a negative (Laurent) exponent.
         """
-        hit = [name for name in self.vars if name in values]
-        if not hit:
+        scalars = [(i, _as_fraction(values[name])) for i, name in enumerate(self.vars)
+                   if name in values]
+        if not scalars:
             return self
         keep_idx = [i for i, n in enumerate(self.vars) if n not in values]
         kept = tuple(self.vars[i] for i in keep_idx)
-        kept_flags = self.laurent & set(kept)
-        result = MultiPoly._raw(kept, kept_flags, {})
+        out = {}
         for exps, coeff in self.terms.items():
-            scalar = coeff
-            poly_factor = None
-            for i, name in enumerate(self.vars):
-                if name not in values:
-                    continue
-                e = exps[i]
-                if e == 0:
-                    continue
-                v = values[name]
-                if isinstance(v, MultiPoly):
-                    if e < 0:
-                        raise ValueError(
-                            f"cannot raise polynomial value for {name!r} to negative power")
-                    piece = v ** e
-                    poly_factor = piece if poly_factor is None else poly_factor * piece
-                else:
-                    scalar = scalar * _as_fraction(v) ** e
-            base = MultiPoly._raw(
-                kept, kept_flags,
-                {tuple(exps[i] for i in keep_idx): scalar} if scalar else {})
-            result = result + (base if poly_factor is None else base * poly_factor)
-        return result
+            for i, v in scalars:
+                coeff = coeff * v ** exps[i]
+            if coeff:
+                key = tuple(exps[i] for i in keep_idx)
+                out[key] = out.get(key, 0) + coeff
+        return MultiPoly(kept, out, self.laurent & set(kept))
 
     # -------------------------------------------------------- canonical form
 

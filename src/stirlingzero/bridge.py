@@ -18,7 +18,6 @@ The expansion budget is derived from ``(c, w)`` alone
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import ConsistencyError, MultiPoly, _as_int
 from .config_sums import ConfigSumInstance, ConfigSumResult, sum_collapsed
@@ -37,22 +36,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BridgeInstance:
+    """Distinct ground values ``c`` and weight budget ``w``; (k, h) derive from them."""
+
     c: tuple
     w: int
-    k: int
-    h: int
 
     @property
     def g(self) -> int:
         return len(self.c)
 
+    @property
+    def k(self) -> int:
+        return sum(self.c) - self.w
+
+    @property
+    def h(self) -> int:
+        return sum(self.c) - self.g
+
 
 def bridge_params(c, w: int) -> BridgeInstance:
-    """Validate (c, w) and derive the (k, h) target component."""
-    values = tuple(c)
-    if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in values):
-        raise ValueError(f"ground values must be integers, got {values!r}")
-    values = tuple(int(x) for x in values)
+    """Validate (c, w); a bool, float, string or non-integral Fraction is refused."""
+    values = tuple(_as_int(x, "ground value") for x in c)
     w = _as_int(w, "w")
     g = len(values)
     if g < 2:
@@ -63,11 +67,7 @@ def bridge_params(c, w: int) -> BridgeInstance:
         raise ValueError("ground values must be integers >= 2")
     if not 0 <= w <= g - 2:
         raise ValueError(f"need 0 <= w <= g-2, got w={w} for g={g}")
-    total = sum(values)
-    k = total - w
-    h = total - g
-    assert k - h == g - w >= 2
-    return BridgeInstance(values, w, k, h)
+    return BridgeInstance(values, w)
 
 
 def expansion_budget_for(inst: BridgeInstance) -> ExpansionConfig:
@@ -134,7 +134,7 @@ class BridgeReport:
 
 def bridge_check(inst: BridgeInstance) -> BridgeReport:
     """Run both verifiers on one instance and compare their verdicts."""
-    ground = GroundSet.numeric([Fraction(x) for x in inst.c])
+    ground = GroundSet.numeric(inst.c)
     return BridgeReport(
         instance=inst,
         coefficient=bridge_coefficient(inst),

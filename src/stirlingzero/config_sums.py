@@ -342,12 +342,13 @@ class NonzeroConfirmation:
 
 
 def double_check_nonzero(inst: ConfigSumInstance, total: SumValue,
-                         rng: Optional[random.Random] = None) -> NonzeroConfirmation:
+                         rng: random.Random) -> NonzeroConfirmation:
     """Re-verify a nonzero total before it is reported as a counterexample.
 
     The independent ordered route must reproduce the value exactly (a
     disagreement is an engine bug, raised as :class:`ConsistencyError`); in
-    numeric mode the sum is additionally recomputed at a fresh ground set.
+    numeric mode the sum is additionally recomputed at a fresh ground set
+    drawn from ``rng``.
     """
     ordered = sum_ordered(inst)
     if ordered.total != total:
@@ -357,7 +358,6 @@ def double_check_nonzero(inst: ConfigSumInstance, total: SumValue,
     second_ground = None
     second_total = None
     if not inst.ground.is_symbolic:
-        rng = rng or random.Random(0)
         second_ground = random_ground(inst.g, rng)
         second = sum_collapsed(ConfigSumInstance.make(inst.g, inst.w, second_ground))
         second_total = second.total

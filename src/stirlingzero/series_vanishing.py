@@ -69,12 +69,10 @@ __all__ = [
     "ExpansionConfig",
     "ExpansionCoefficient",
     "VanishingCheck",
-    "generating_coefficient",
     "expansion_coefficients",
     "symbolic_expansion_coefficient",
     "log_expansion",
     "vanishing_report",
-    "all_vanished",
 ]
 
 N = "n"
@@ -203,19 +201,6 @@ def _generating_series(order: int, u_indices: tuple, max_weight: Optional[int] =
         reduce=_quotient(u_indices, max_weight, squarefree))
 
 
-def generating_coefficient(j: int, cfg: ExpansionConfig,
-                           u_indices: Optional[Sequence[int]] = None) -> MultiPoly:
-    """Coefficient of x^j of the generating exponential, truncation T = j.
-
-    A polynomial in n of degree j with leading term (n r)^j / j!; u-indices
-    beyond min(j, s_max) cannot reach the extracted orders and are dropped.
-    """
-    if j < 1:
-        raise ValueError("need j >= 1")
-    indices = _u_indices(cfg, u_indices)
-    return _generating_series(j, tuple(s for s in indices if s <= j)).coefficient(j)
-
-
 def _file_orders(j: int, orders: int, gj: MultiPoly) -> list:
     """File each term of ``gj`` under its order: ``[terms of a_0, terms of a_1, ...]``.
 
@@ -342,10 +327,11 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
                                    squarefree: bool = False) -> ExpansionCoefficient:
     """a_h(r, j) with j symbolic, via the multiset closed form.
 
-    Cross-validation against the interpolation oracle over the configured j
-    samples is mandatory: the first 2h+1 samples define the interpolant, the
-    rest act as polynomiality witnesses, and any disagreement with the closed
-    form aborts with :class:`ConsistencyError`.
+    Cross-validation against the interpolation oracle over every configured
+    j sample is mandatory (each is >= h_max + 1, so the readback reaches
+    order h at all of them): the first 2h+1 samples define the interpolant,
+    the rest act as polynomiality witnesses, and any disagreement with the
+    closed form aborts with :class:`ConsistencyError`.
 
     With ``squarefree`` the value is a_h modulo every u_s^2: its terms
     squarefree in u.  Both routes are then compared in that quotient ring,
@@ -360,15 +346,14 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
     if h == 0:
         return ExpansionCoefficient(0, value)
 
-    usable = [j for j in cfg.j_samples if j >= h + 1]
-    if len(usable) < 2 * h + 1:
+    if len(cfg.j_samples) < 2 * h + 1:
         raise BudgetError(
-            f"interpolation oracle for order {h} needs {2 * h + 1} samples with "
-            f"j >= {h + 1}; only {len(usable)} configured")
-    order = max(usable)
+            f"interpolation oracle for order {h} needs {2 * h + 1} samples; "
+            f"only {len(cfg.j_samples)} configured")
+    order = max(cfg.j_samples)
     trimmed = tuple(s for s in indices if s <= order)
     samples = [(j, _readback_coefficients(j, order, trimmed, cfg.h_max, squarefree)[h].value)
-               for j in usable]
+               for j in cfg.j_samples]
     oracle = interpolate_in_var(samples, J, 2 * h)
     if oracle != value:
         raise ConsistencyError(
@@ -413,29 +398,25 @@ class VanishingCheck:
     h: int
     k: int
     value: MultiPoly
-    vanished: bool
     j_degree_at_order: int  # degree in j of the whole n^{-h} coefficient
 
+    @property
+    def vanished(self) -> bool:
+        return self.value.is_zero()
 
-def vanishing_report(cfg: ExpansionConfig,
-                     u_indices: Optional[Sequence[int]] = None) -> list:
-    """Check every j^k component with k >= h+2 for h = 1..h_max.
+
+def vanishing_report(cfg: ExpansionConfig) -> list:
+    """Check every j^k component with k >= h+2 for h = 1..h_max, all u_2..u_{s_max} kept.
 
     The n^{-h} coefficient has j-degree at most 2h, so components from h+2 up
     to max(2h, h+2) decide the claim; a nonzero component is reported
     verbatim as a counterexample candidate, never summarized away.
     """
-    series = log_expansion(cfg, u_indices)
+    series = log_expansion(cfg)
     checks = []
     for h in range(1, cfg.h_max + 1):
         coeff = series.coefficient(h).with_vars([J])
         degree = coeff.degree_in(J)
         for k in range(h + 2, max(2 * h, h + 2) + 1):
-            component = coeff.coefficient_in(J, k)
-            checks.append(VanishingCheck(
-                h, k, component, component.is_zero(), degree))
+            checks.append(VanishingCheck(h, k, coeff.coefficient_in(J, k), degree))
     return checks
-
-
-def all_vanished(checks: Sequence[VanishingCheck]) -> bool:
-    return all(c.vanished for c in checks)

@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .algebra import ConsistencyError, MultiPoly, _dense_from_nodes, interpolate_in_var
+from .algebra import (
+    ConsistencyError, MultiPoly, _as_fraction, _dense_from_nodes, interpolate_in_var)
 
 __all__ = [
     "stirling_row",
@@ -106,14 +107,12 @@ def _integer_coeffs(w: int) -> tuple:
 def eval_P(w: int, t) -> Fraction:
     """Exact evaluation of the offset-w polynomial at a rational point ``p/q``.
 
+    ``t`` must be an int or a Fraction (anything else raises ``TypeError``).
     Horner runs in integers on ``q^d * P_w(p/q) * den``, with ``d = 2w`` and
     ``den`` the common denominator of the coefficients; one Fraction is built
     at the end.
     """
-    if not isinstance(t, Fraction):
-        if isinstance(t, float):
-            raise TypeError("expected an exact rational, got float")
-        t = Fraction(t)
+    t = _as_fraction(t)
     nums, den = _integer_coeffs(w)
     p, q = t.numerator, t.denominator
     acc, scale = nums[-1], 1

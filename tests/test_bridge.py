@@ -46,8 +46,8 @@ class TestBridgeParams:
             bridge_params((2, 3), 1)          # w > g-2
 
     def test_non_integral_values_are_rejected_not_truncated(self):
-        for c in [(2.7, 3), (2.0, 3), (Fraction(5, 2), 3), ("2", 3)]:
-            with pytest.raises(ValueError, match="integers"):
+        for c in [(2.7, 3), (2.0, 3), (Fraction(5, 2), 3), ("2", 3), (True, 3, 4)]:
+            with pytest.raises(ValueError, match="is not an integer"):
                 bridge_params(c, 0)
         assert bridge_params((Fraction(2), 3), 0).c == (2, 3)
 

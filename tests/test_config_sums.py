@@ -363,7 +363,7 @@ class TestDoubleCheckProtocol:
 
     def test_symbolic_skips_second_ground(self):
         inst = symbolic_instance(2, 0)
-        conf = double_check_nonzero(inst, sum_ordered(inst).total)
+        conf = double_check_nonzero(inst, sum_ordered(inst).total, random.Random(1))
         assert conf.second_ground is None
         assert conf.second_total is None
 

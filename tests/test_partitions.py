@@ -195,7 +195,7 @@ class TestGroundSet:
             GroundSet.numeric([1, 2, Fraction(2)])
 
     def test_numeric_takes_exact_rationals_only(self):
-        for bad in (0.1, 2.0, "1/2"):
+        for bad in (0.1, 2.0, "1/2", True):
             with pytest.raises(TypeError, match="exact rational"):
                 GroundSet.numeric([bad, 2])
         assert GroundSet.numeric([Fraction(1, 10), 2]).values == (Fraction(1, 10), Fraction(2))
