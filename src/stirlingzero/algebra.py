@@ -27,9 +27,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import add, mul
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
+# (weights, max_weight, squarefree): the monomial ideal of MultiPoly.remainder
+Ideal = tuple[Mapping[str, int], Optional[int], Iterable[str]]
 
 __all__ = [
     "MultiPoly",
@@ -115,12 +117,41 @@ def _fractions(nums: Mapping, den: int) -> dict:
     return {e: Fraction(c, den) for e, c in nums.items() if c}
 
 
-def _reduced(nums: dict, names, flags, reduce: Optional[Callable]) -> dict:
-    # drop zero numerators, then the terms ``reduce`` does not keep
-    nums = {e: c for e, c in nums.items() if c}
-    if reduce is None:
-        return nums
-    return reduce(MultiPoly._raw(names, flags, nums)).terms
+def _ideal_slots(names, flags, weights: Mapping[str, int], squarefree: Iterable[str]):
+    # (weight of each registry slot, slots of the squarefree variables), once
+    # checked to define a monomial ideal: multiplying a monomial must never
+    # lower its weight, and no exponent of a squared variable may be negative
+    weight_of = [weights.get(name, 0) for name in names]
+    square = set(squarefree)
+    for name, weight in zip(names, weight_of):
+        if weight < 0 or (weight and name in flags):
+            raise ValueError(f"weight {weight} on {name!r} does not define an ideal")
+        if name in square and name in flags:
+            raise ValueError(f"squarefree Laurent {name!r} does not define an ideal")
+    return weight_of, [i for i, name in enumerate(names) if name in square]
+
+
+def _groups(nums: Mapping, weight_of, square_slots) -> list:
+    # the term map split by (weight, bitmask of the squarefree slots it
+    # carries): [(weight, mask, terms)]; the terms lie outside the ideal, so
+    # each squarefree exponent is 0 or 1
+    if not any(weight_of) and not square_slots:
+        return [(0, 0, nums)] if nums else []
+    groups = {}
+    for e, c in nums.items():
+        mask = sum(e[i] << bit for bit, i in enumerate(square_slots))
+        groups.setdefault((sum(map(mul, e, weight_of)), mask), {})[e] = c
+    return [(weight, mask, terms) for (weight, mask), terms in groups.items()]
+
+
+def _mul_groups(out: dict, ga: list, gb: list, scale: int, max_weight: Optional[int]) -> None:
+    # out += scale * a * b modulo the ideal: a product lies in a monomial
+    # ideal exactly when its monomial does, and a pair's monomial does when
+    # the weights overflow or the squarefree masks meet
+    for wa, ma, ta in ga:
+        for wb, mb, tb in gb:
+            if not ma & mb and (max_weight is None or wa + wb <= max_weight):
+                _mul_into(out, ta, tb, scale)
 
 
 def _registry(polys, extra: Iterable[str] = ()):
@@ -357,15 +388,12 @@ class MultiPoly:
         ``max_weight`` (``None``: no bound) and by the square of each
         ``squarefree`` variable.  A monomial's weight is the sum of
         ``weights[name] * exponent`` over its variables (unlisted ones weigh
-        nothing); weights must be nonnegative and sit on ordinary variables,
-        so that multiplying a monomial never lowers its weight.
+        nothing).  Weights must be nonnegative and, like the ``squarefree``
+        variables, sit on ordinary variables, so that multiplying a monomial
+        never lowers its weight and never cancels a square; otherwise
+        ``ValueError`` is raised.
         """
-        weight_of = [weights.get(name, 0) for name in self.vars]  # one per registry slot
-        for name, weight in zip(self.vars, weight_of):
-            if weight < 0 or (weight and name in self.laurent):
-                raise ValueError(f"weight {weight} on {name!r} does not define an ideal")
-        square = set(squarefree)
-        square_slots = [i for i, name in enumerate(self.vars) if name in square]
+        weight_of, square_slots = _ideal_slots(self.vars, self.laurent, weights, squarefree)
         out = {}
         for exps, coeff in self.terms.items():
             if any(exps[i] > 1 for i in square_slots):
@@ -489,13 +517,25 @@ class Series:
                 f"coefficient {k} requested beyond truncation order {self.order}")
         return self.coeffs[k]
 
-    def _over_lcm(self):
+    def _over_lcm(self, ideal: Optional[Ideal]):
         # every coefficient on one registry, as integer numerators over the
-        # lcm L of all their denominators: (names, flags, [N_0..N_T], L)
+        # lcm L of all their denominators, reduced modulo ``ideal``:
+        # (names, flags, [N_0..N_T], L, group, max_weight), where group splits
+        # a term map outside the ideal for _mul_groups
         names, flags = _registry(self.coeffs)
         terms = [c._remap(names) for c in self.coeffs]
         den = lcm(*(c.denominator for t in terms for c in t.values()))
-        return names, flags, [_numerators(t, den)[0] for t in terms], den
+        nums = [_numerators(t, den)[0] for t in terms]
+        if ideal is None:
+            weight_of, square_slots, max_weight = (), (), None
+        else:
+            weights, max_weight, squarefree = ideal
+            weight_of, square_slots = _ideal_slots(names, flags, weights, squarefree)
+            nums = [MultiPoly._raw(names, flags, t).remainder(*ideal).terms for t in nums]
+            if max_weight is None:
+                weight_of = ()  # unbounded: the weights tell no pair apart
+        return (names, flags, nums, den,
+                lambda t: _groups(t, weight_of, square_slots), max_weight)
 
     def _from_scaled(self, names, flags, scaled, L) -> "Series":
         # coefficient k is scaled[k] / (k! L^k)
@@ -503,7 +543,7 @@ class Series:
             MultiPoly._raw(names, flags, _fractions(t, factorial(k) * L ** k))
             for k, t in enumerate(scaled)])
 
-    def exp(self, reduce: Optional[Callable] = None) -> "Series":
+    def exp(self, ideal: Optional[Ideal] = None) -> "Series":
         """Exponential of a series with zero constant term.
 
         The coefficients satisfy ``k*f_k = sum_{i=1..k} i * s_i * f_{k-i}``
@@ -518,28 +558,33 @@ class Series:
         integer coefficients by induction from ``F_0 = 1``; one division per
         output coefficient recovers ``f_k``.
 
-        ``reduce``, if given, maps each ``F_k`` to its remainder modulo a
-        monomial ideal (see :meth:`MultiPoly.remainder`) as soon as it is
-        formed.  Taking that remainder is a ring homomorphism, so each
-        coefficient of the result is the remainder of the true one.
-        ``reduce`` must select terms by monomial only: it receives a
-        MultiPoly whose coefficients are the integers above and must return
-        the terms it keeps, unchanged, on the registry it was given.
+        ``ideal``, if given, is ``(weights, max_weight, squarefree)``, the
+        monomial ideal of :meth:`MultiPoly.remainder` (checked against the
+        series' registry, which raises ``ValueError`` if it defines none).
+        The recurrence then runs in the quotient ring: each ``N_i`` is
+        reduced once on entry, and each operand is split once by weight and
+        by the squarefree variables it carries, so that only the term pairs
+        whose product lies outside the ideal are ever formed.  Taking the
+        remainder is a ring homomorphism, so each coefficient of the result
+        is the remainder of the true one.
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("series exponential requires a zero constant term")
-        names, flags, nums, L = self._over_lcm()
+        names, flags, nums, L, group, max_weight = self._over_lcm(ideal)
+        S = [group(t) for t in nums]
         F = [{(0,) * len(names): 1}]
+        FG = [group(F[0])]
         for k in range(1, self.order + 1):
             acc = {}
             for i in range(1, k + 1):
-                if nums[i] and F[k - i]:
+                if S[i] and FG[k - i]:
                     scale = i * (factorial(k - 1) // factorial(k - i)) * L ** (i - 1)
-                    _mul_into(acc, nums[i], F[k - i], scale)
-            F.append(_reduced(acc, names, flags, reduce))
+                    _mul_groups(acc, S[i], FG[k - i], scale, max_weight)
+            F.append({e: c for e, c in acc.items() if c})
+            FG.append(group(F[k]))
         return self._from_scaled(names, flags, F, L)
 
-    def log(self, reduce: Optional[Callable] = None) -> "Series":
+    def log(self, ideal: Optional[Ideal] = None) -> "Series":
         """Logarithm of a series with constant term one.
 
         The coefficients satisfy ``g_k = s_k - (1/k) sum_{i=1..k-1} i * g_i *
@@ -551,20 +596,24 @@ class Series:
                   - sum_{i=1..k-1} i * G_i * N_{k-i} * (k-1)!/i! * L^(k-i-1)
 
         whose every factor is an integer (``i <= k-1``), so every ``G_k`` is
-        integral.  ``reduce`` acts on each ``G_k`` as in :meth:`exp`.
+        integral.  ``ideal`` makes the recurrence run in the quotient ring,
+        as in :meth:`exp`.
         """
         if self.coeffs[0] != 1:
             raise ValueError("series logarithm requires constant term equal to 1")
-        names, flags, nums, L = self._over_lcm()
+        names, flags, nums, L, group, max_weight = self._over_lcm(ideal)
+        S = [group(t) for t in nums]
         G = [{}]
+        GG = [[]]
         for k in range(1, self.order + 1):
             lead = factorial(k) * L ** (k - 1)
             acc = {e: c * lead for e, c in nums[k].items()}
             for i in range(1, k):
-                if G[i] and nums[k - i]:
+                if GG[i] and S[k - i]:
                     scale = i * (factorial(k - 1) // factorial(i)) * L ** (k - i - 1)
-                    _mul_into(acc, nums[k - i], G[i], -scale)
-            G.append(_reduced(acc, names, flags, reduce))
+                    _mul_groups(acc, S[k - i], GG[i], -scale, max_weight)
+            G.append({e: c for e, c in acc.items() if c})
+            GG.append(group(G[k]))
         return self._from_scaled(names, flags, G, L)
 
     def __eq__(self, other):

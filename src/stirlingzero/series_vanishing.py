@@ -173,17 +173,18 @@ class ExpansionCoefficient:
 
 
 def _quotient(u_indices: tuple, max_weight: Optional[int], squarefree: bool):
-    """Reduction modulo u-weight > ``max_weight`` and, if ``squarefree``, every u_s^2.
+    """The ideal of u-weight > ``max_weight`` and, if ``squarefree``, every u_s^2.
 
-    Both generate monomial ideals (weights are additive and nonnegative, and
-    exponents only grow under multiplication), so the map is a ring
-    homomorphism onto the quotient.  ``None`` when there is nothing to drop.
+    Returned as ``(weights, max_weight, squarefree)`` for the ``ideal``
+    argument of :meth:`Series.exp` and :meth:`Series.log`; ``None`` when
+    there is nothing to drop.  Weights are additive and nonnegative, and
+    exponents only grow under multiplication, so both generate monomial
+    ideals and reduction is a ring homomorphism onto the quotient.
     """
     if max_weight is None and not squarefree:
         return None
     weights = {u_name(s): _u_weight(s) for s in u_indices}
-    square = tuple(weights) if squarefree else ()
-    return lambda p: p.remainder(weights, max_weight, square)
+    return weights, max_weight, tuple(weights) if squarefree else ()
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +199,7 @@ def _generating_series(order: int, u_indices: tuple, max_weight: Optional[int] =
             # -(n u_s / s) (-x)^s contributes (-1)^(s+1) n u_s / s at x^s
             entries[s] = n * MultiPoly.variable(u_name(s)) * Fraction((-1) ** (s + 1), s)
     return Series.from_dict(X, order, entries).exp(
-        reduce=_quotient(u_indices, max_weight, squarefree))
+        ideal=_quotient(u_indices, max_weight, squarefree))
 
 
 def _file_orders(j: int, orders: int, gj: MultiPoly) -> list:
@@ -388,7 +389,7 @@ def log_expansion(cfg: ExpansionConfig,
     for h in range(1, cfg.h_max + 1):
         coeffs.append(
             symbolic_expansion_coefficient(h, cfg, indices, squarefree=squarefree).value)
-    return Series(NINV, cfg.h_max, coeffs).log(reduce=_quotient(indices, None, squarefree))
+    return Series(NINV, cfg.h_max, coeffs).log(ideal=_quotient(indices, None, squarefree))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stirlingzero import algebra
 from stirlingzero.algebra import (
     MultiPoly,
     PolynomialityError,
@@ -71,8 +72,9 @@ def fraction_product(p, q):
     return MultiPoly(pa.vars, out, pa.laurent)
 
 
-def reference_exp(s, reduce=None):
-    # k*f_k = sum_{i=1..k} i * s_i * f_{k-i}
+def reference_exp(s, ideal=None):
+    # k*f_k = sum_{i=1..k} i * s_i * f_{k-i}, each product reduced modulo
+    # ``ideal`` as a whole
     f = [MultiPoly.constant(1)]
     for k in range(1, s.order + 1):
         acc = MultiPoly.zero()
@@ -80,22 +82,23 @@ def reference_exp(s, reduce=None):
             if s.coeffs[i].is_zero():
                 continue
             product = fraction_product(s.coeffs[i], f[k - i])
-            if reduce is not None:
-                product = reduce(product)
+            if ideal is not None:
+                product = product.remainder(*ideal)
             acc = acc + product * Fraction(i, k)
         f.append(acc)
     return tuple(f)
 
 
-def reference_log(s, reduce=None):
-    # g_k = s_k - (1/k) sum_{i=1..k-1} i * g_i * s_{k-i}
+def reference_log(s, ideal=None):
+    # g_k = s_k - (1/k) sum_{i=1..k-1} i * g_i * s_{k-i}, reduced as in
+    # reference_exp
     g = [MultiPoly.zero()]
     for k in range(1, s.order + 1):
-        acc = s.coeffs[k] if reduce is None else reduce(s.coeffs[k])
+        acc = s.coeffs[k] if ideal is None else s.coeffs[k].remainder(*ideal)
         for i in range(1, k):
             product = fraction_product(g[i], s.coeffs[k - i])
-            if reduce is not None:
-                product = reduce(product)
+            if ideal is not None:
+                product = product.remainder(*ideal)
             acc = acc - product * Fraction(i, k)
         g.append(acc)
     return tuple(g)
@@ -115,10 +118,13 @@ def reference_fit(samples, var_name, degree_bound):
     return total
 
 
+# ideals (weights, max_weight, squarefree) for Series.exp/log; mixed_series
+# carries the Laurent r beside them
 REDUCTIONS = {
     "none": None,
-    "weight": lambda p: p.remainder({"a": 1, "b": 2}, 3),
-    "squarefree": lambda p: p.remainder({}, None, ["a", "b", "c"]),
+    "weight": ({"a": 1, "b": 2}, 3, ()),
+    "squarefree": ({}, None, ("a", "b", "c")),
+    "weight and squarefree": ({"a": 1, "b": 2, "c": 1}, 4, ("a", "c")),
 }
 
 
@@ -341,6 +347,8 @@ class TestExtraction:
             (var("a") + 1).remainder({"a": -1}, 0)
         with pytest.raises(ValueError):
             (r + 1).remainder({"r": 1}, 0)
+        with pytest.raises(ValueError):
+            (r * r + 1).remainder({}, None, ["r"])  # r^2 * r^-1 = r
 
 
 # ------------------------------------------------------------------- series
@@ -420,15 +428,15 @@ class TestSeries:
     @given(st.integers(1, 7).flatmap(mixed_series), st.sampled_from(sorted(REDUCTIONS)))
     @settings(max_examples=60, deadline=None)
     def test_exp_matches_fraction_reference(self, s, reduction):
-        reduce = REDUCTIONS[reduction]
-        assert s.exp(reduce=reduce).coeffs == reference_exp(s, reduce)
+        ideal = REDUCTIONS[reduction]
+        assert s.exp(ideal=ideal).coeffs == reference_exp(s, ideal)
 
     @given(st.integers(1, 7).flatmap(mixed_series), st.sampled_from(sorted(REDUCTIONS)))
     @settings(max_examples=60, deadline=None)
     def test_log_matches_fraction_reference(self, s, reduction):
-        reduce = REDUCTIONS[reduction]
+        ideal = REDUCTIONS[reduction]
         unit = Series("x", s.order, (MultiPoly.constant(1),) + s.coeffs[1:])
-        assert unit.log(reduce=reduce).coeffs == reference_log(unit, reduce)
+        assert unit.log(ideal=ideal).coeffs == reference_log(unit, ideal)
 
     @given(st.integers(1, 7).flatmap(mixed_series))
     @settings(max_examples=40, deadline=None)
@@ -441,22 +449,54 @@ class TestSeries:
             assert all(type(c) is Fraction
                        for p in series.coeffs for c in p.terms.values())
 
-    @staticmethod
-    def _reduce(p):
-        return p.remainder({"a": 1, "b": 2}, 4, ["c"])
+    IDEAL = ({"a": 1, "b": 2}, 4, ("c",))
 
     @given(unit_free_series(order=6))
     @settings(max_examples=25, deadline=None)
     def test_reduced_exp_is_the_remainder_of_exp(self, s):
-        assert s.exp(reduce=self._reduce).coeffs == tuple(
-            self._reduce(c) for c in s.exp().coeffs)
+        assert s.exp(ideal=self.IDEAL).coeffs == tuple(
+            c.remainder(*self.IDEAL) for c in s.exp().coeffs)
 
     @given(unit_free_series(order=6))
     @settings(max_examples=25, deadline=None)
     def test_reduced_log_is_the_remainder_of_log(self, s):
         unit = s.exp()
-        assert unit.log(reduce=self._reduce).coeffs == tuple(
-            self._reduce(c) for c in s.coeffs)
+        assert unit.log(ideal=self.IDEAL).coeffs == tuple(
+            c.remainder(*self.IDEAL) for c in s.coeffs)
+
+    @pytest.mark.parametrize("reduction", ["weight", "squarefree", "weight and squarefree"])
+    def test_reduced_kernel_never_forms_a_dropped_term(self, monkeypatch, reduction):
+        # every key the product loop writes into an accumulator lies outside
+        # the ideal, so no product term is formed only to be dropped
+        ideal = REDUCTIONS[reduction]
+        a, b, c = var("a"), var("b"), var("c")
+        s = Series.from_dict("x", 6, {1: a + b + c * r_to(-1), 2: a * c + b ** 2, 3: 2 * c})
+        keys = set()
+        real_mul_into = algebra._mul_into
+
+        def spy(out, ta, tb, scale):
+            keys.update(tuple(x + y for x, y in zip(ea, eb)) for ea in ta for eb in tb)
+            real_mul_into(out, ta, tb, scale)
+
+        monkeypatch.setattr(algebra, "_mul_into", spy)
+        unit = s.exp(ideal=ideal)
+        unit.log(ideal=ideal)
+        assert keys
+        names, flags = unit.coeffs[0].vars, unit.coeffs[0].laurent
+        written = MultiPoly._raw(names, flags, dict.fromkeys(keys, 1))
+        assert written.remainder(*ideal) == written
+
+    @pytest.mark.parametrize("ideal", [
+        ({"a": -1}, 3, ()),   # a negative weight
+        ({"r": 1}, 3, ()),    # a weight on the Laurent r
+        ({}, None, ("r",)),   # r^2 * r^-1 = r
+    ])
+    def test_exp_and_log_need_an_ideal(self, ideal):
+        s = Series.from_dict("x", 3, {1: var("a") + var("r", laurent=True)})
+        with pytest.raises(ValueError):
+            s.exp(ideal=ideal)
+        with pytest.raises(ValueError):
+            Series("x", 3, (MultiPoly.constant(1),) + s.coeffs[1:]).log(ideal=ideal)
 
 
 # -------------------------------------------------------------- interpolation
