@@ -24,14 +24,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, lcm
 from operator import add, mul
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
-Scalar = Union[int, Fraction]
 # (weights, max_weight, squarefree): the monomial ideal of MultiPoly.remainder
 Ideal = tuple[Mapping[str, int], Optional[int], Iterable[str]]
+_EMPTY_IDEAL: Ideal = (MappingProxyType({}), None, ())
 
 __all__ = [
     "MultiPoly",
@@ -517,33 +518,30 @@ class Series:
                 f"coefficient {k} requested beyond truncation order {self.order}")
         return self.coeffs[k]
 
-    def _over_lcm(self, ideal: Optional[Ideal]):
+    def _over_lcm(self, ideal: Ideal):
         # every coefficient on one registry, as integer numerators over the
-        # lcm L of all their denominators, reduced modulo ``ideal``:
-        # (names, flags, [N_0..N_T], L, group, max_weight), where group splits
-        # a term map outside the ideal for _mul_groups
+        # lcm L of all their denominators, reduced modulo ``ideal`` and split
+        # by group (_groups): (names, flags, L, group, max_weight, [N_0..N_T])
         names, flags = _registry(self.coeffs)
+        weights, max_weight, squarefree = ideal
+        weight_of, square_slots = _ideal_slots(names, flags, weights, squarefree)
+        if max_weight is None:
+            weight_of = ()  # unbounded: the weights tell no pair apart
+        group = partial(_groups, weight_of=weight_of, square_slots=square_slots)
         terms = [c._remap(names) for c in self.coeffs]
         den = lcm(*(c.denominator for t in terms for c in t.values()))
-        nums = [_numerators(t, den)[0] for t in terms]
-        if ideal is None:
-            weight_of, square_slots, max_weight = (), (), None
-        else:
-            weights, max_weight, squarefree = ideal
-            weight_of, square_slots = _ideal_slots(names, flags, weights, squarefree)
-            nums = [MultiPoly._raw(names, flags, t).remainder(*ideal).terms for t in nums]
-            if max_weight is None:
-                weight_of = ()  # unbounded: the weights tell no pair apart
-        return (names, flags, nums, den,
-                lambda t: _groups(t, weight_of, square_slots), max_weight)
+        return (names, flags, den, group, max_weight,
+                [group(MultiPoly._raw(names, flags, _numerators(t, den)[0])
+                       .remainder(*ideal).terms) for t in terms])
 
     def _from_scaled(self, names, flags, scaled, L) -> "Series":
-        # coefficient k is scaled[k] / (k! L^k)
-        return Series(self.var, self.order, [
-            MultiPoly._raw(names, flags, _fractions(t, factorial(k) * L ** k))
-            for k, t in enumerate(scaled)])
+        # coefficient k is the groups scaled[k] over k! L^k
+        dens = [factorial(k) * L ** k for k in range(len(scaled))]
+        return Series(self.var, self.order, [MultiPoly._raw(names, flags, {
+            e: Fraction(c, den) for _, _, terms in groups for e, c in terms.items()})
+            for den, groups in zip(dens, scaled)])
 
-    def exp(self, ideal: Optional[Ideal] = None) -> "Series":
+    def exp(self, ideal: Ideal = _EMPTY_IDEAL) -> "Series":
         """Exponential of a series with zero constant term.
 
         The coefficients satisfy ``k*f_k = sum_{i=1..k} i * s_i * f_{k-i}``
@@ -558,33 +556,29 @@ class Series:
         integer coefficients by induction from ``F_0 = 1``; one division per
         output coefficient recovers ``f_k``.
 
-        ``ideal``, if given, is ``(weights, max_weight, squarefree)``, the
-        monomial ideal of :meth:`MultiPoly.remainder` (checked against the
-        series' registry, which raises ``ValueError`` if it defines none).
-        The recurrence then runs in the quotient ring: each ``N_i`` is
-        reduced once on entry, and each operand is split once by weight and
-        by the squarefree variables it carries, so that only the term pairs
-        whose product lies outside the ideal are ever formed.  Taking the
-        remainder is a ring homomorphism, so each coefficient of the result
-        is the remainder of the true one.
+        The recurrence runs in the quotient ring by ``ideal``, the triple
+        ``(weights, max_weight, squarefree)`` of :meth:`MultiPoly.remainder`
+        (default: the empty ideal; a triple that defines no ideal on the
+        series' registry raises ``ValueError``).  Each ``N_i`` is reduced once
+        on entry, and every ``N_i`` and ``F_k`` is held split by weight and by
+        the squarefree variables it carries, so only the term pairs whose
+        product lies outside the ideal are formed.  Taking the remainder is a
+        ring homomorphism, so each coefficient is the remainder of the true one.
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("series exponential requires a zero constant term")
-        names, flags, nums, L, group, max_weight = self._over_lcm(ideal)
-        S = [group(t) for t in nums]
-        F = [{(0,) * len(names): 1}]
-        FG = [group(F[0])]
+        names, flags, L, group, max_weight, S = self._over_lcm(ideal)
+        F = [group({(0,) * len(names): 1})]
         for k in range(1, self.order + 1):
             acc = {}
             for i in range(1, k + 1):
-                if S[i] and FG[k - i]:
+                if S[i] and F[k - i]:
                     scale = i * (factorial(k - 1) // factorial(k - i)) * L ** (i - 1)
-                    _mul_groups(acc, S[i], FG[k - i], scale, max_weight)
-            F.append({e: c for e, c in acc.items() if c})
-            FG.append(group(F[k]))
+                    _mul_groups(acc, S[i], F[k - i], scale, max_weight)
+            F.append(group({e: c for e, c in acc.items() if c}))
         return self._from_scaled(names, flags, F, L)
 
-    def log(self, ideal: Optional[Ideal] = None) -> "Series":
+    def log(self, ideal: Ideal = _EMPTY_IDEAL) -> "Series":
         """Logarithm of a series with constant term one.
 
         The coefficients satisfy ``g_k = s_k - (1/k) sum_{i=1..k-1} i * g_i *
@@ -596,24 +590,21 @@ class Series:
                   - sum_{i=1..k-1} i * G_i * N_{k-i} * (k-1)!/i! * L^(k-i-1)
 
         whose every factor is an integer (``i <= k-1``), so every ``G_k`` is
-        integral.  ``ideal`` makes the recurrence run in the quotient ring,
-        as in :meth:`exp`.
+        integral.  It runs in the quotient ring by ``ideal``, on split
+        ``N_i`` and ``G_k``, as in :meth:`exp`.
         """
         if self.coeffs[0] != 1:
             raise ValueError("series logarithm requires constant term equal to 1")
-        names, flags, nums, L, group, max_weight = self._over_lcm(ideal)
-        S = [group(t) for t in nums]
-        G = [{}]
-        GG = [[]]
+        names, flags, L, group, max_weight, S = self._over_lcm(ideal)
+        G = [[]]
         for k in range(1, self.order + 1):
             lead = factorial(k) * L ** (k - 1)
-            acc = {e: c * lead for e, c in nums[k].items()}
+            acc = {e: c * lead for _, _, terms in S[k] for e, c in terms.items()}
             for i in range(1, k):
-                if GG[i] and S[k - i]:
+                if G[i] and S[k - i]:
                     scale = i * (factorial(k - 1) // factorial(i)) * L ** (k - i - 1)
-                    _mul_groups(acc, S[k - i], GG[i], -scale, max_weight)
-            G.append({e: c for e, c in acc.items() if c})
-            GG.append(group(G[k]))
+                    _mul_groups(acc, S[k - i], G[i], -scale, max_weight)
+            G.append(group({e: c for e, c in acc.items() if c}))
         return self._from_scaled(names, flags, G, L)
 
     def __eq__(self, other):

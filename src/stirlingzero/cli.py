@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ledger", help="ledger file path (JSON lines)")
     for p in (p1, ps):
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes per instance (default 1, the serial "
-                            "reference path)")
+                       help="partition shards per instance, run in at most one worker "
+                            "process per CPU (default 1, the serial reference path)")
 
     return parser
 

@@ -47,6 +47,7 @@ before being reported.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -292,10 +293,10 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     """Order-collapsed sum; exactly equals :func:`sum_ordered` by construction.
 
     With ``jobs > 1`` the unordered-partition stream is sharded by the block
-    containing element 0 into ``min(jobs, 2^(g-1))`` shards, which run in
-    worker processes; exact addition makes the merged total independent of
-    scheduling.  Either way the number of partitions visited must be the
-    Bell number of ``g``.
+    containing element 0 into ``min(jobs, 2^(g-1))`` shards, which run on at
+    most one worker process per CPU; exact addition makes the merged total
+    independent of scheduling.  Either way the number of partitions visited
+    must be the Bell number of ``g``.
     """
     start = time.perf_counter()
     if jobs <= 1:
@@ -304,7 +305,7 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
         parts = min(jobs, 1 << (inst.g - 1))
         total = _zero(inst.ground)
         visited = 0
-        with ProcessPoolExecutor(max_workers=parts) as pool:
+        with ProcessPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_collapsed_partial, inst, part, parts)
                        for part in range(parts)]
             for fut in futures:  # merge in submission order: deterministic

@@ -9,6 +9,7 @@ interruption.  Re-running an instance appends; nothing is ever rewritten.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ def value_str(value) -> str:
     """Exact text form: integer-ratio for scalars, sorted terms for polynomials."""
     if isinstance(value, MultiPoly):
         return value.canonical_str()
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return str(Fraction(value))
     raise TypeError(f"cannot serialize {type(value).__name__} exactly")
 
@@ -99,6 +100,11 @@ def _check_record(obj) -> None:
     for key in ("status", "verdict", "value"):
         if not isinstance(obj.get(key), (str, type(None))):
             raise ValueError(f"{key} is neither a string nor null")
+    if obj.get("visited") is not None and type(obj["visited"]) is not int:
+        raise ValueError("visited is neither an integer nor null")
+    elapsed = obj.get("elapsed_s")
+    if elapsed is not None and not (type(elapsed) in (int, float) and math.isfinite(elapsed)):
+        raise ValueError("elapsed_s is neither a finite number nor null")
 
 
 def read_records(path: str):

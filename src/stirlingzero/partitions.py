@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .algebra import MultiPoly, _as_fraction
+from .algebra import MultiPoly, _as_fraction, _as_int
 
 __all__ = [
     "GroundSet",
@@ -52,6 +52,7 @@ class GroundSet:
 
     @classmethod
     def symbolic(cls, g: int) -> "GroundSet":
+        g = _as_int(g, "ground size")
         if g < 1:
             raise ValueError("need at least one element")
         vals = tuple(MultiPoly.variable(f"c{i + 1}") for i in range(g))

@@ -176,13 +176,11 @@ def _quotient(u_indices: tuple, max_weight: Optional[int], squarefree: bool):
     """The ideal of u-weight > ``max_weight`` and, if ``squarefree``, every u_s^2.
 
     Returned as ``(weights, max_weight, squarefree)`` for the ``ideal``
-    argument of :meth:`Series.exp` and :meth:`Series.log`; ``None`` when
-    there is nothing to drop.  Weights are additive and nonnegative, and
-    exponents only grow under multiplication, so both generate monomial
+    argument of :meth:`Series.exp` and :meth:`Series.log`; with no bound and
+    no squares it is the empty ideal.  Weights are additive and nonnegative,
+    and exponents only grow under multiplication, so both generate monomial
     ideals and reduction is a ring homomorphism onto the quotient.
     """
-    if max_weight is None and not squarefree:
-        return None
     weights = {u_name(s): _u_weight(s) for s in u_indices}
     return weights, max_weight, tuple(weights) if squarefree else ()
 

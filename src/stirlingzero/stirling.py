@@ -40,7 +40,8 @@ def stirling_row(n: int) -> tuple:
     return tuple(_dense_from_nodes(range(0, -n, -1)))
 
 
-def _dense_eval(coeffs, t: Fraction) -> Fraction:
+def _dense_eval(coeffs, t):
+    # Horner on a rational or a MultiPoly t
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * t + c
@@ -58,10 +59,6 @@ def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
     the polynomial up to an additive constant; the anchor value at x = w (the
     row entry ``[w, 0]``) fixes it.
     """
-    if w == 0:
-        if tuple(coeffs) != (Fraction(1),):
-            raise ConsistencyError("offset-0 polynomial must be identically 1")
-        return
     if len(coeffs) != 2 * w + 1 or coeffs[-1] <= 0:
         raise ConsistencyError(
             f"offset-{w} polynomial must have degree exactly {2 * w} "
@@ -123,10 +120,8 @@ def eval_P(w: int, t) -> Fraction:
 
 
 def eval_P_symbolic(w: int, t) -> MultiPoly:
-    """Polynomial composition: the offset-w polynomial evaluated at a MultiPoly."""
+    """Polynomial composition: the offset-w polynomial evaluated at a MultiPoly
+    by :func:`_dense_eval`; a rational ``t`` goes through :func:`eval_P`."""
     if not isinstance(t, MultiPoly):
         return MultiPoly.constant(eval_P(w, t))
-    acc = MultiPoly.zero()
-    for c in reversed(stirling_poly(w)):
-        acc = acc * t + c
-    return acc
+    return _dense_eval(stirling_poly(w), t)

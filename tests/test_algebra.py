@@ -121,7 +121,7 @@ def reference_fit(samples, var_name, degree_bound):
 # ideals (weights, max_weight, squarefree) for Series.exp/log; mixed_series
 # carries the Laurent r beside them
 REDUCTIONS = {
-    "none": None,
+    "none": ({}, None, ()),
     "weight": ({"a": 1, "b": 2}, 3, ()),
     "squarefree": ({}, None, ("a", "b", "c")),
     "weight and squarefree": ({"a": 1, "b": 2, "c": 1}, 4, ("a", "c")),

@@ -1,8 +1,10 @@
 """Configuration-sum verifier: both summation routes, the integer kernel, sweeps."""
 
 import multiprocessing
+import os
 import random
 import time
+from concurrent.futures import Future
 from fractions import Fraction
 from math import factorial
 
@@ -126,7 +128,8 @@ class TestCollapsedSum:
 
     @pytest.mark.parametrize("g, jobs", [(2, 3), (3, 5)])
     def test_more_jobs_than_first_blocks(self, monkeypatch, g, jobs):
-        # 2^(g-1) first blocks, so only that many shards run
+        # 2^(g-1) first blocks, so only that many shards run, on at most one
+        # worker per CPU
         pools = []
         real_pool = config_sums.ProcessPoolExecutor
 
@@ -138,9 +141,41 @@ class TestCollapsedSum:
         inst = numeric_instance(g, g - 2, MIXED[:g])
         serial = sum_collapsed(inst)
         parallel = sum_collapsed(inst, jobs=jobs)
-        assert pools == [1 << (g - 1)]
+        assert pools == [min(1 << (g - 1), os.cpu_count() or 1)]
         assert parallel.total == serial.total
         assert parallel.configurations_visited == unordered_partition_count(g)
+
+    @pytest.mark.parametrize("cpus, jobs, workers, parts", [
+        (3, 2, 2, 2), (3, 5000, 3, 16), (None, 4, 1, 4)])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, jobs, workers, parts):
+        # the shard count stays min(jobs, 2^(g-1)); the one pool gets at most
+        # one worker per CPU.  The stub pool runs each shard inline.
+        pools, shards = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, inst, part, parts):
+                shards.append((part, parts))
+                future = Future()
+                future.set_result(fn(inst, part, parts))
+                return future
+
+        monkeypatch.setattr(config_sums, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(config_sums.os, "cpu_count", lambda: cpus)
+        inst = numeric_instance(5, 3, MIXED[:5])
+        result = sum_collapsed(inst, jobs=jobs)
+        assert pools == [workers]
+        assert shards == [(part, parts) for part in range(parts)]
+        assert result.total == sum_collapsed(inst).total
+        assert result.configurations_visited == unordered_partition_count(5)
 
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
     def test_dropped_partition_is_caught(self, monkeypatch, jobs):

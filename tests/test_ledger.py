@@ -28,8 +28,9 @@ class TestValueStr:
         assert value_str(p) == value_str(c2 + c2 - c1 ** 2)
 
     def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            value_str(0.5)
+        for value in (0.5, True):
+            with pytest.raises(TypeError):
+                value_str(value)
 
 
 class TestLedgerFile:
@@ -75,7 +76,13 @@ class TestLedgerFile:
         ("command", 7),
         ("value", 0),
         ("verdict", ["zero"]),
-    ], ids=["g-text", "params-list", "w-float", "command-int", "value-int", "verdict-list"])
+        ("elapsed_s", float("nan")),
+        ("elapsed_s", True),
+        ("elapsed_s", "0.01"),
+        ("visited", True),
+        ("visited", "5"),
+    ], ids=["g-text", "params-list", "w-float", "command-int", "value-int", "verdict-list",
+            "elapsed-nan", "elapsed-true", "elapsed-text", "visited-true", "visited-text"])
     def test_malformed_fields_skipped_with_warning(self, tmp_path, field, value):
         path = tmp_path / "ledger.jsonl"
         write_record(str(path), self._record())

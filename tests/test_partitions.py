@@ -167,6 +167,8 @@ class TestBlockSums:
         ground = GroundSet.symbolic(2)
         c1, c2 = MultiPoly.variable("c1"), MultiPoly.variable("c2")
         assert ground.block_sum(0b11) == c1 + c2
+        with pytest.raises(ValueError, match="not an integer"):
+            GroundSet.symbolic(True)
 
     def test_total_is_ground_total(self):
         ground = GroundSet.numeric([1, 4, 9, 16])
