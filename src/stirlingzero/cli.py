@@ -11,8 +11,9 @@ Subcommands
 
 Every run appends exact, reproducible records to a JSON-lines ledger (path
 from ``--ledger``, else ``$STIRLINGZERO_LEDGER_DIR/ledger.jsonl``, else
-``./ledger.jsonl``).  Exit status is 0 iff every *asserted* verdict is
-zero/consistent; exploratory and not-attempted records never affect it.
+``./ledger.jsonl``).  Exit status: 0 if every *asserted* verdict is zero, else
+1 (exploratory and not-attempted records never count); 2 if bad input, the
+ledger or an engine error stops the run, keeping the records already written.
 """
 
 from __future__ import annotations
@@ -77,6 +78,12 @@ def _budget_seconds(text: str) -> float:
     return value
 
 
+def _ledger_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stirlingzero",
@@ -118,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("report", help="summarize a ledger file")
 
     for p in (p1, p2, pb, ps, pr):
-        p.add_argument("--ledger", help="ledger file path (JSON lines)")
+        p.add_argument("--ledger", type=_ledger_path, help="ledger file path (JSON lines)")
     for p in (p1, ps):
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="partition shards per instance, run in at most one worker "
@@ -127,156 +134,112 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(path, record):
-    write_record(path, record)
-    detail = f" value={record.value}" if record.verdict == "nonzero" else ""
-    print(f"[{record.status}] {record.command} "
-          f"{' '.join(f'{k}={v}' for k, v in sorted(record.params.items()))}"
-          f" -> {record.verdict}{detail}")
+def _entry_record(command, entry) -> LedgerRecord:
+    inst = entry.instance
+    params = {"g": inst.g, "w": inst.w, "mode": inst.mode,
+              "ground": inst.ground.describe()}
+    if entry.seed is not None:
+        params["seed"] = entry.seed
+    if entry.result is None:
+        return LedgerRecord(command=command, params=params, status="not_attempted",
+                            verdict=None, value=None)
+    extra = {}
+    conf = entry.confirmation
+    if conf is not None:
+        extra["ordered_total"] = value_str(conf.ordered_total)
+        if conf.second_ground is not None:
+            extra["second_ground"] = conf.second_ground.describe()
+            extra["second_total"] = value_str(conf.second_total)
+    return LedgerRecord(
+        command=command, params=params, status=entry.status,
+        verdict=entry.result.verdict,
+        value=value_str(entry.result.total),
+        visited=entry.result.configurations_visited,
+        elapsed=entry.result.elapsed,
+        extra=extra)
 
 
-def _confirmation_extra(conf):
-    if conf is None:
-        return {}
-    extra = {
-        "ordered_total": value_str(conf.ordered_total),
-    }
-    if conf.second_ground is not None:
-        extra["second_ground"] = conf.second_ground.describe()
-        extra["second_total"] = value_str(conf.second_total)
-    return extra
-
-
-def _run_part1(args, ledger_path) -> int:
-    if args.g < 2:
-        print("error: need --g >= 2", file=sys.stderr)
-        return 2
+def _part1(args):
     g, seed = args.g, args.seed
+    if g < 2:  # --all-w at g = 1 plans nothing
+        raise ValueError("need --g >= 2")
     ws = list(range(g - 1)) if args.all_w else [args.w]
-    try:  # ConfigSumInstance rejects a w outside 0..g-2 and a ground of the wrong size
-        if args.random is not None:
-            plan = [e for w in ws for e in random_entries(g, w, "asserted", args.random, seed)]
-        else:
-            ground = GroundSet.symbolic(g) if args.symbolic else GroundSet.numeric(args.c)
-            plan = [SweepEntry(ConfigSumInstance(g, w, ground), "asserted") for w in ws]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _emit_entries("part1", run_plan(plan, seed=seed, jobs=args.jobs),
-                         ledger_path)
+    # ConfigSumInstance rejects a w outside 0..g-2 and a ground of the wrong size
+    if args.random is not None:
+        plan = [e for w in ws for e in random_entries(g, w, "asserted", args.random, seed)]
+    else:
+        ground = GroundSet.symbolic(g) if args.symbolic else GroundSet.numeric(args.c)
+        plan = [SweepEntry(ConfigSumInstance(g, w, ground), "asserted") for w in ws]
+    return (_entry_record("part1", e) for e in run_plan(plan, seed=seed, jobs=args.jobs))
 
 
-def _emit_entries(command, entries, ledger_path) -> int:
-    """Write one record per configuration-sum entry as it arrives.
-
-    Returns 1 if an asserted verdict is nonzero, else 0.
-    """
-    failures = not_attempted = 0
-    for entry in entries:
-        inst = entry.instance
-        params = {"g": inst.g, "w": inst.w, "mode": inst.mode,
-                  "ground": inst.ground.describe()}
-        if entry.seed is not None:
-            params["seed"] = entry.seed
-        if entry.result is None:
-            not_attempted += 1
-            _emit(ledger_path, LedgerRecord(
-                command=command, params=params, status="not_attempted",
-                verdict=None, value=None))
-            continue
-        if entry.result.verdict == "nonzero" and entry.status == "asserted":
-            failures += 1
-        _emit(ledger_path, LedgerRecord(
-            command=command, params=params, status=entry.status,
-            verdict=entry.result.verdict,
-            value=value_str(entry.result.total),
-            visited=entry.result.configurations_visited,
-            elapsed=entry.result.elapsed,
-            extra=_confirmation_extra(entry.confirmation)))
-    if not_attempted:
-        print(f"warning: {not_attempted} instances not attempted "
-              "(budget exhausted); see ledger", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _run_part2(args, ledger_path) -> int:
+def _part2(args):
     h_max = args.h_max
-    try:
-        cfg = ExpansionConfig(h_max=h_max, s_max=max(6, h_max + 1),
-                              j_samples=tuple(range(h_max + 1, 3 * h_max + 5)))
-        checks = vanishing_report(cfg)
-    except (ValueError, EngineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for check in checks:
-        params = {"h": check.h, "k": check.k, "H": cfg.h_max,
-                  "s_max": cfg.s_max, "j_samples": ",".join(map(str, cfg.j_samples))}
-        _emit(ledger_path, LedgerRecord(
-            command="part2", params=params, status="asserted",
-            verdict="zero" if check.vanished else "nonzero",
-            value=value_str(check.value),
-            extra={"j_degree_at_order": check.j_degree_at_order}))
-    return 0 if all(c.vanished for c in checks) else 1
+    cfg = ExpansionConfig(h_max=h_max, s_max=max(6, h_max + 1),
+                          j_samples=tuple(range(h_max + 1, 3 * h_max + 5)))
+    return [LedgerRecord(
+        command="part2",
+        params={"h": check.h, "k": check.k, "H": cfg.h_max,
+                "s_max": cfg.s_max, "j_samples": ",".join(map(str, cfg.j_samples))},
+        status="asserted",
+        verdict="zero" if check.vanished else "nonzero",
+        value=value_str(check.value),
+        extra={"j_degree_at_order": check.j_degree_at_order})
+        for check in vanishing_report(cfg)]
 
 
-def _run_bridge(args, ledger_path) -> int:
-    try:
-        inst = bridge_params(args.c, args.w)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _bridge(args):
+    inst = bridge_params(args.c, args.w)
     report = bridge_check(inst)
-    verdict = "zero" if (report.coefficient_zero and report.config_sum_zero) \
-        else "nonzero"
-    _emit(ledger_path, LedgerRecord(
+    zero = report.coefficient_zero and report.config_sum_zero
+    return [LedgerRecord(
         command="bridge",
         params={"c": ",".join(map(str, inst.c)), "w": inst.w,
                 "k": inst.k, "h": inst.h},
-        status="asserted", verdict=verdict,
+        status="asserted", verdict="zero" if zero else "nonzero",
         value=value_str(report.config_sum.total),
         visited=report.config_sum.configurations_visited,
         elapsed=report.config_sum.elapsed,
         extra={"bridge_coefficient": value_str(report.coefficient),
                "config_sum": value_str(report.config_sum.total),
-               "consistent": report.consistent}))
-    return 0 if verdict == "zero" else 1
+               "consistent": report.consistent})]
 
 
-def _run_sweep(args, ledger_path) -> int:
+def _sweep(args):
     if args.g_max < 2:
-        print("error: need --g-max >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("need --g-max >= 2")
     deadline = None if args.budget_seconds is None else time.monotonic() + args.budget_seconds
     plan = sweep_plan(args.g_max, symbolic_g_max=args.symbolic_g_max, seed=args.seed)
     entries = run_plan(plan, seed=args.seed, jobs=args.jobs, deadline=deadline)
-    return _emit_entries("sweep", entries, ledger_path)
+    return (_entry_record("sweep", e) for e in entries)
 
 
-def _run_report(args) -> int:
-    try:
-        records, warnings = read_records(default_ledger_path(args.ledger))
-    except OSError as exc:  # e.g. a directory; a missing file reads as empty
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_report(records, warnings))
-    return 0
+def _report(args):
+    print(render_report(*read_records(args.ledger)))  # a missing file reads as empty
+    return ()
+
+
+_RUNNERS = {"part1": _part1, "part2": _part2, "bridge": _bridge, "sweep": _sweep,
+            "report": _report}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "report":
-        return _run_report(args)
-    ledger_path = default_ledger_path(args.ledger)
-    if args.command == "part1":
-        return _run_part1(args, ledger_path)
-    if args.command == "part2":
-        return _run_part2(args, ledger_path)
-    if args.command == "bridge":
-        return _run_bridge(args, ledger_path)
-    if args.command == "sweep":
-        return _run_sweep(args, ledger_path)
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    args.ledger = default_ledger_path(args.ledger)
+    failures = not_attempted = 0
+    try:
+        for record in _RUNNERS[args.command](args):
+            write_record(args.ledger, record)
+            detail = f" value={record.value}" if record.verdict == "nonzero" else ""
+            print(f"[{record.status}] {record.command} "
+                  f"{' '.join(f'{k}={v}' for k, v in sorted(record.params.items()))}"
+                  f" -> {record.verdict}{detail}")
+            failures += record.status == "asserted" and record.verdict != "zero"
+            not_attempted += record.status == "not_attempted"
+    except (ValueError, EngineError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not_attempted:
+        print(f"warning: {not_attempted} instances not attempted "
+              "(budget exhausted); see ledger", file=sys.stderr)
+    return 1 if failures else 0

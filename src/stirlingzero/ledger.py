@@ -48,7 +48,7 @@ class LedgerRecord:
     command: str
     params: dict
     status: str                      # asserted | exploratory | not_attempted
-    verdict: Optional[str]           # zero | nonzero | consistent | inconsistent
+    verdict: Optional[str]           # zero | nonzero, or null when not attempted
     value: Optional[str]             # exact serialized value
     visited: Optional[int] = None
     elapsed: Optional[float] = None
@@ -152,11 +152,10 @@ def render_report(records, warnings=()) -> str:
         lines.append("verdicts: " + ", ".join(
             f"{k}={v}" for k, v in sorted(by_verdict.items())))
 
-    nonzero = [r for r in records
-               if r.get("verdict") in ("nonzero", "inconsistent")]
+    nonzero = [r for r in records if r.get("verdict") == "nonzero"]
     if nonzero:
         lines.append("")
-        lines.append("!! NONZERO / INCONSISTENT VERDICTS (counterexample candidates)")
+        lines.append("!! NONZERO VERDICTS (counterexample candidates)")
         for rec in nonzero:
             lines.append(
                 f"  {rec.get('command')} {_fmt_params(rec.get('params', {}))} "

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from stirlingzero import bridge, config_sums
+from stirlingzero.algebra import ConsistencyError
 from stirlingzero.cli import build_parser, main
 from stirlingzero.config_sums import ConfigSumResult
 from stirlingzero.ledger import read_records
@@ -311,12 +312,63 @@ class TestReportCommand:
         assert "ledger records: 1" in out
         assert "warning: line 2: skipped corrupt record ('utf-8' codec" in out
 
-    def test_directory_ledger_is_usage_error(self, tmp_path, capsys):
-        code = main(["report", "--ledger", str(tmp_path)])
+
+COMMANDS = {
+    "part1": ["part1", "--g", "2", "--w", "0", "--c", "2,3"],
+    "part2": ["part2", "--H", "1"],
+    "bridge": ["bridge", "--c", "2,3", "--w", "0"],
+    "sweep": ["sweep", "--g-max", "2"],
+    "report": ["report"],
+}
+
+
+class TestExitStatus:
+    """0 when every asserted verdict is zero, 1 when one is not, 2 when the run stops."""
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_directory_ledger_is_usage_error(self, tmp_path, capsys, argv):
+        code = main(argv + ["--ledger", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_empty_ledger_path_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # an unset shell variable must not fall back to ./ledger.jsonl
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("STIRLINGZERO_LEDGER_DIR", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--ledger", ""])
+        assert exc.value.code == 2
+        assert "--ledger" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_engine_error_stops_the_run_and_keeps_its_records(self, tmp_path, monkeypatch,
+                                                              capsys):
+        real_sum = config_sums.sum_collapsed
+        calls = []
+
+        def fail_third(inst, jobs=1):
+            calls.append(inst)
+            if len(calls) == 3:
+                raise ConsistencyError("injected in the third instance")
+            return real_sum(inst, jobs=jobs)
+
+        monkeypatch.setattr(config_sums, "sum_collapsed", fail_third)
+        code, records, _ = run_cli(["sweep", "--g-max", "4"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: injected in the third instance" in err
+        assert "Traceback" not in err
+        assert [(r["params"]["g"], r["params"]["w"]) for r in records] == [(2, 0), (3, 0)]
+
+    def test_g_below_two_is_usage_error(self, tmp_path, capsys):
+        # --all-w at g = 1 plans no instance, so without the check it would pass
+        code, records, _ = run_cli(["part1", "--g", "1", "--all-w", "--symbolic"], tmp_path)
+        assert code == 2
+        assert records == []
+        assert "error: need --g >= 2" in capsys.readouterr().err
 
 
 class TestEntryPoints:
