@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .algebra import ConsistencyError, MultiPoly, _as_int
 from .config_sums import ConfigSumInstance, ConfigSumResult, sum_collapsed
 from .partitions import GroundSet
-from .series_vanishing import ExpansionConfig, J, log_expansion, u_name
+from .series_vanishing import ExpansionConfig, J, R, log_expansion, u_name
 
 __all__ = [
     "BridgeInstance",
@@ -103,7 +103,7 @@ def bridge_coefficient(inst: BridgeInstance) -> MultiPoly:
                    .coefficient_in(J, inst.k))
     for name in names:
         coefficient = coefficient.coefficient_in(name, 1)
-    stray = coefficient.used_vars() - {"r"}
+    stray = coefficient.used_vars() - {R}
     if stray:
         raise ConsistencyError(
             f"extraction left unexpected variables {sorted(stray)}")

@@ -12,17 +12,21 @@ whenever ``k >= h + 2``.
 
 Two independent routes produce the ``a_h``:
 
-* readback from the series exponential at integer j, followed by exact
-  interpolation in j (the literal route, also the polynomiality oracle);
-  one exponential, truncated at the largest sample J, serves every sample,
-  since ``x^s`` with ``s > j`` cannot reach ``x^j``, and
 * a closed form summing over multisets ``{s_1..s_p}`` with
   ``sum (s_i - 1) = h``: each contributes
   ``prod_i(-(-1)^{s_i} u_{s_i}/s_i) * j(j-1)...(j-m+1) / (r^m * aut)``
-  with ``m = sum s_i`` and ``aut`` the multiset automorphism count.
+  with ``m = sum s_i`` and ``aut`` the multiset automorphism count; this is
+  the production route, and
+* the oracle: readback from the series exponential at integer j, followed
+  by exact interpolation in j with surplus witnesses; one exponential,
+  truncated at the largest sample J, serves every sample, since ``x^s``
+  with ``s > j`` cannot reach ``x^j``.
 
-The closed form is the production route; agreement with the interpolation
-oracle (surplus points included) is checked on every use, not optionally.
+The comparison of the two is the one check on each ``a_h``, made on every
+use.  A term of the wrong u-weight, a stray variable or a misfiled order on
+either side cannot pass it: in a node sample it moves the fit off the
+witnesses or the closed form, in a witness sample it breaks polynomiality,
+and in the closed form it differs from the fit.
 
 Both routes run in a quotient ring that keeps every monomial the extracted
 coefficients can see.  The readback exponential drops u-weight above h_max
@@ -46,7 +50,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -67,7 +70,6 @@ __all__ = [
     "NINV",
     "u_name",
     "ExpansionConfig",
-    "ExpansionCoefficient",
     "VanishingCheck",
     "expansion_coefficients",
     "symbolic_expansion_coefficient",
@@ -139,39 +141,6 @@ def _u_indices(cfg: ExpansionConfig, u_indices: Optional[Sequence[int]]) -> tupl
     return tuple(sorted(indices))
 
 
-@dataclass(frozen=True)
-class ExpansionCoefficient:
-    """One 1/n-order coefficient a_h(r, j); structurally validated on build.
-
-    Every term's total u-weight (sum over u-factors of index-1) must equal h,
-    and the order-0 coefficient is identically 1.
-    """
-
-    h: int
-    value: MultiPoly
-
-    def __post_init__(self):
-        if self.h == 0:
-            if self.value != 1:
-                raise ConsistencyError("order-0 expansion coefficient must be 1")
-            return
-        terms = self.value.terms
-        weight_of = []  # the u-weight of each registry variable
-        for i, name in enumerate(self.value.vars):
-            if name.startswith("u") and name[1:].isdigit():
-                weight_of.append(_u_weight(int(name[1:])))
-                continue
-            if name not in (R, J) and any(exps[i] for exps in terms):
-                raise ConsistencyError(
-                    f"unexpected variable {name!r} in order-{self.h} coefficient")
-            weight_of.append(0)
-        for exps in terms:
-            weight = sum(map(mul, exps, weight_of))
-            if weight != self.h:
-                raise ConsistencyError(
-                    f"term with u-weight {weight} in order-{self.h} coefficient")
-
-
 def _quotient(u_indices: tuple, max_weight: Optional[int], squarefree: bool):
     """The ideal of u-weight > ``max_weight`` and, if ``squarefree``, every u_s^2.
 
@@ -200,14 +169,20 @@ def _generating_series(order: int, u_indices: tuple, max_weight: Optional[int] =
         ideal=_quotient(u_indices, max_weight, squarefree))
 
 
-def _file_orders(j: int, orders: int, gj: MultiPoly) -> list:
-    """File each term of ``gj`` under its order: ``[terms of a_0, terms of a_1, ...]``.
+def expansion_coefficients(j: int, gj: MultiPoly, h_max: Optional[int] = None) -> list:
+    """Read a_0 .. a_{j-1} off the x^j generating coefficient, or only a_0 .. a_{h_max}.
 
-    A term carrying n^d goes to order ``h = j - d``, which must lie in
-    ``0 .. orders-1``; its key drops the n slot and lowers r's exponent by j.
-    Coefficients are filed as they are, before the factor j!.
+    ``a_h`` is the n^{j-h} coefficient of ``j! * gj`` divided by r^j, zero
+    where that power is absent.  One pass over the terms of ``gj`` files each
+    under its order ``h = j - deg_n``, on ``gj``'s registry without n.  ``gj``
+    may carry only the powers n^{j-h} of the orders read, else ``ValueError``;
+    with ``h_max`` it is the coefficient of a series cut above u-weight
+    ``h_max``.  The values are not checked here: the interpolation oracle of
+    :func:`symbolic_expansion_coefficient` compares them with the closed form.
     """
+    orders = j if h_max is None else min(j, h_max + 1)
     n_at, r_at = gj._index_of(N), gj._index_of(R)
+    scale = factorial(j)
     filed = [{} for _ in range(orders)]
     for exps, coeff in gj.terms.items():
         h = j - exps[n_at]
@@ -218,40 +193,10 @@ def _file_orders(j: int, orders: int, gj: MultiPoly) -> list:
         key = list(exps)
         key[r_at] -= j
         del key[n_at]
-        filed[h][tuple(key)] = coeff
-    return filed
-
-
-def expansion_coefficients(j: int, gj: MultiPoly, h_max: Optional[int] = None) -> list:
-    """Read a_0 .. a_{j-1} off the x^j generating coefficient, or only a_0 .. a_{h_max}.
-
-    ``a_h`` is the n^{j-h} coefficient of ``j! * gj`` divided by r^j, zero
-    where that power is absent; one pass over the terms of ``gj`` files them
-    all, on ``gj``'s registry without n.  ``gj`` may carry only the powers
-    n^{j-h} of the orders read, so with ``h_max`` it is the coefficient of a
-    series cut above u-weight ``h_max``.  Before returning, the function maps
-    every filed term back (n^{j-h} put in, r raised by j) and demands the
-    result be the term map of ``gj`` exactly.
-    """
-    orders = j if h_max is None else min(j, h_max + 1)
-    filed = _file_orders(j, orders, gj)
-    n_at, r_at = gj._index_of(N), gj._index_of(R)
-    rebuilt = {}
-    for h, terms in enumerate(filed):
-        for key, coeff in terms.items():
-            exps = list(key)
-            exps.insert(n_at, j - h)
-            exps[r_at] += j
-            rebuilt[tuple(exps)] = coeff
-    if rebuilt != gj.terms:
-        raise ConsistencyError(
-            f"expansion readback at j={j} does not reassemble to the input")
+        filed[h][tuple(key)] = coeff * scale
     names = gj.vars[:n_at] + gj.vars[n_at + 1:]
     flags = (gj.laurent - {N}) | {R}
-    scale = factorial(j)
-    return [ExpansionCoefficient(h, MultiPoly._raw(
-                names, flags, {key: coeff * scale for key, coeff in terms.items()}))
-            for h, terms in enumerate(filed)]
+    return [MultiPoly._raw(names, flags, terms) for terms in filed]
 
 
 @lru_cache(maxsize=None)
@@ -323,14 +268,16 @@ def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPol
 
 def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
                                    u_indices: Optional[Sequence[int]] = None,
-                                   squarefree: bool = False) -> ExpansionCoefficient:
+                                   squarefree: bool = False) -> MultiPoly:
     """a_h(r, j) with j symbolic, via the multiset closed form.
 
-    Cross-validation against the interpolation oracle over every configured
-    j sample is mandatory (each is >= h_max + 1, so the readback reaches
-    order h at all of them): the first 2h+1 samples define the interpolant,
-    the rest act as polynomiality witnesses, and any disagreement with the
-    closed form aborts with :class:`ConsistencyError`.
+    The interpolation oracle over every configured j sample is the one check
+    on the value, and it is mandatory (each sample is >= h_max + 1, so the
+    readback reaches order h at all of them): the first 2h+1 samples define
+    the interpolant, the rest are polynomiality witnesses
+    (:class:`PolynomialityError`), and a fit that differs from the closed
+    form aborts with :class:`ConsistencyError`.  At h = 0 the closed form,
+    identically 1, is returned without an oracle.
 
     With ``squarefree`` the value is a_h modulo every u_s^2: its terms
     squarefree in u.  Both routes are then compared in that quotient ring,
@@ -343,7 +290,7 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
     indices = _u_indices(cfg, u_indices)
     value = _closed_form(h, indices, squarefree)
     if h == 0:
-        return ExpansionCoefficient(0, value)
+        return value
 
     if len(cfg.j_samples) < 2 * h + 1:
         raise BudgetError(
@@ -351,13 +298,13 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
             f"only {len(cfg.j_samples)} configured")
     order = max(cfg.j_samples)
     trimmed = tuple(s for s in indices if s <= order)
-    samples = [(j, _readback_coefficients(j, order, trimmed, cfg.h_max, squarefree)[h].value)
+    samples = [(j, _readback_coefficients(j, order, trimmed, cfg.h_max, squarefree)[h])
                for j in cfg.j_samples]
     oracle = interpolate_in_var(samples, J, 2 * h)
     if oracle != value:
         raise ConsistencyError(
             f"closed form and interpolation oracle disagree at order {h}")
-    return ExpansionCoefficient(h, value)
+    return value
 
 
 def log_expansion(cfg: ExpansionConfig,
@@ -385,8 +332,7 @@ def log_expansion(cfg: ExpansionConfig,
     indices = _u_indices(cfg, u_indices)
     coeffs = [MultiPoly.constant(1)]
     for h in range(1, cfg.h_max + 1):
-        coeffs.append(
-            symbolic_expansion_coefficient(h, cfg, indices, squarefree=squarefree).value)
+        coeffs.append(symbolic_expansion_coefficient(h, cfg, indices, squarefree=squarefree))
     return Series(NINV, cfg.h_max, coeffs).log(ideal=_quotient(indices, None, squarefree))
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingzero.algebra import MultiPoly
+from stirlingzero import bridge
+from stirlingzero.algebra import ConsistencyError, MultiPoly, Series
 from stirlingzero.bridge import (
     bridge_check,
     bridge_coefficient,
@@ -64,6 +65,23 @@ class TestBridgeCoefficient:
     def test_smallest_instance_vanishes(self):
         inst = bridge_params((2, 3), 0)
         assert bridge_coefficient(inst).is_zero()
+
+    def test_stray_variable_after_extraction_is_caught(self, monkeypatch):
+        # positive control: the target j^k u2 u3 term of order h also carries n
+        inst = bridge_params((2, 3), 0)
+        real = bridge.log_expansion
+
+        def with_n(cfg, u_indices=None, squarefree=False):
+            series = real(cfg, u_indices, squarefree)
+            target = MultiPoly(("j", "n", "r", "u2", "u3"), {(inst.k, 1, -5, 1, 1): 1},
+                               laurent=("r",))
+            coeffs = list(series.coeffs)
+            coeffs[inst.h] = coeffs[inst.h] + target
+            return Series(series.var, series.order, coeffs)
+
+        monkeypatch.setattr(bridge, "log_expansion", with_n)
+        with pytest.raises(ConsistencyError, match=r"unexpected variables \['n'\]"):
+            bridge_coefficient(inst)
 
 
 class TestBridgeCheck:

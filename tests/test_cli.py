@@ -363,6 +363,39 @@ class TestExitStatus:
         assert "Traceback" not in err
         assert [(r["params"]["g"], r["params"]["w"]) for r in records] == [(2, 0), (3, 0)]
 
+    def test_control_fault_exits_one_with_confirmed_records(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # positive control end to end: P_1 comes back plus one, as in the benchmark
+        def plus_one(real):
+            return lambda w, t: real(w, t) + 1 if w == 1 else real(w, t)
+
+        monkeypatch.setattr(config_sums, "eval_P", plus_one(config_sums.eval_P))
+        monkeypatch.setattr(config_sums, "eval_P_symbolic",
+                            plus_one(config_sums.eval_P_symbolic))
+        code, records, _ = run_cli(["part1", "--g", "4", "--w", "1", "--c", "2,3,5,7"],
+                                   tmp_path)
+        assert code == 1
+        numeric = records[-1]
+        assert (numeric["status"], numeric["verdict"]) == ("asserted", "nonzero")
+        extra = numeric["extra"]
+        assert sorted(extra) == ["ordered_total", "second_ground", "second_total"]
+        assert extra["ordered_total"] == numeric["value"] != "0"
+        assert extra["second_total"] != "0"
+        code, records, _ = run_cli(["part1", "--g", "3", "--w", "1", "--symbolic"], tmp_path)
+        assert code == 1
+        symbolic = records[-1]
+        assert symbolic["verdict"] == "nonzero"
+        assert symbolic["extra"] == {"ordered_total": symbolic["value"]}
+        capsys.readouterr()
+        assert main(["report", "--ledger", str(tmp_path / "ledger.jsonl")]) == 0
+        out = capsys.readouterr().out
+        flagged = out.split("!! NONZERO VERDICTS (counterexample candidates)\n")[1]
+        assert flagged.splitlines()[:2] == [
+            f"  part1 g=4 ground=2,3,5,7 mode=numeric w=1 status=asserted "
+            f"value={numeric['value']}",
+            f"  part1 g=3 ground=c1,c2,c3 mode=symbolic w=1 status=asserted "
+            f"value={symbolic['value']}"]
+
     def test_g_below_two_is_usage_error(self, tmp_path, capsys):
         # --all-w at g = 1 plans no instance, so without the check it would pass
         code, records, _ = run_cli(["part1", "--g", "1", "--all-w", "--symbolic"], tmp_path)

@@ -87,6 +87,15 @@ class TestOrderedSum:
             res = sum_ordered(numeric_instance(g, w, list(range(2, 2 + g))))
             assert res.configurations_visited == count_weighted_configs(g, w)
 
+    def test_visit_count_mismatch_is_caught(self, monkeypatch):
+        # positive control: the closed-form count one above the walk
+        real = config_sums.count_weighted_configs
+        monkeypatch.setattr(config_sums, "count_weighted_configs",
+                            lambda g, w: real(g, w) + 1)
+        with pytest.raises(ConsistencyError,
+                           match="visited 13 weighted configurations, expected 14"):
+            sum_ordered(numeric_instance(3, 0, [2, 3, 4]))
+
 
 class TestCollapsedSum:
     def test_g3_visits_only_partitions(self):

@@ -63,11 +63,12 @@ class TestLedgerFile:
         write_record(str(path), self._record())
         with open(path, "a") as fh:
             fh.write("{not json\n")
+            fh.write("\n   \n")  # blank lines are skipped without a warning
             fh.write(json.dumps({"no_command": True}) + "\n")
         write_record(str(path), self._record())
         records, warnings = read_records(str(path))
         assert len(records) == 2
-        assert len(warnings) == 2
+        assert [w.split(":")[0] for w in warnings] == ["line 2", "line 5"]
 
     @pytest.mark.parametrize("field,value", [
         ("params", {"g": "seven", "w": 0}),
@@ -129,5 +130,8 @@ class TestReport:
     def test_not_attempted_counted(self):
         out = render_report([{
             "command": "sweep", "params": {"g": 7, "w": 4},
-            "status": "not_attempted", "verdict": None, "value": None}])
-        assert "not attempted" in out
+            "status": "not_attempted", "verdict": None, "value": None}, {
+            "command": "sweep", "params": {"g": 7, "w": 5},
+            "status": "exploratory", "verdict": "zero", "value": "0"}])
+        assert "not attempted (budget exhausted): 1" in out
+        assert "exploratory records: 1 (outside the asserted band" in out

@@ -10,12 +10,12 @@ from stirlingzero.algebra import (
     BudgetError,
     ConsistencyError,
     MultiPoly,
+    PolynomialityError,
     Series,
     interpolate_in_var,
 )
 from stirlingzero.series_vanishing import (
     X,
-    ExpansionCoefficient,
     ExpansionConfig,
     _closed_form,
     _falling_factorial,
@@ -122,8 +122,7 @@ class TestSharedExponential:
         h_max = self.CFG9.h_max
         shared = _readback_coefficients(jj, 13, self.CFG9.u_indices(), h_max)
         own = expansion_coefficients(jj, generating_coefficient(jj, self.CFG9))
-        assert len(shared) == h_max + 1
-        assert [c.value for c in shared] == [c.value for c in own[:h_max + 1]]
+        assert list(shared) == own[:h_max + 1]
 
     def test_readback_series_drops_weight_above_h_max(self):
         h_max, indices = self.CFG9.h_max, self.CFG9.u_indices()
@@ -139,9 +138,9 @@ class TestSharedExponential:
         shared = _readback_coefficients(jj, 13, indices, h_max, True)
         own = expansion_coefficients(jj, generating_coefficient(jj, self.CFG9))
         square = [u_name(s) for s in indices]
-        reduced = [c.value.remainder({}, None, square) for c in own[:h_max + 1]]
-        assert [c.value for c in shared] == reduced
-        assert reduced[h_max] != own[h_max].value  # u2^2 terms were there to drop
+        reduced = [c.remainder({}, None, square) for c in own[:h_max + 1]]
+        assert list(shared) == reduced
+        assert reduced[h_max] != own[h_max]  # u2^2 terms were there to drop
 
 
 class TestWeightBound:
@@ -178,25 +177,22 @@ class TestWeightBound:
 
 class TestReadback:
     def test_j2(self):
-        coeffs = expansion_coefficients(2, generating_coefficient(2, CFG))
-        assert coeffs[0].value == 1
-        assert coeffs[1].value == over_r(-u2, 2)
+        assert expansion_coefficients(2, generating_coefficient(2, CFG)) == [
+            1, over_r(-u2, 2)]
 
     def test_j3(self):
-        coeffs = expansion_coefficients(3, generating_coefficient(3, CFG))
-        assert coeffs[0].value == 1
-        assert coeffs[1].value == over_r(-3 * u2, 2)
-        assert coeffs[2].value == over_r(2 * u3, 3)
+        assert expansion_coefficients(3, generating_coefficient(3, CFG)) == [
+            1, over_r(-3 * u2, 2), over_r(2 * u3, 3)]
 
     def test_absent_power_of_n_reads_zero(self):
         # without u_2 no term has u-weight 1, so n^{j-1} is absent
         coeffs = expansion_coefficients(3, generating_coefficient(3, CFG, u_indices=(3,)))
-        assert [c.value for c in coeffs] == [1, 0, over_r(2 * u3, 3)]
+        assert coeffs == [1, 0, over_r(2 * u3, 3)]
 
     @pytest.mark.parametrize("jj", range(1, 8))
     def test_order_zero_always_one(self, jj):
         coeffs = expansion_coefficients(jj, generating_coefficient(jj, CFG))
-        assert coeffs[0].value == 1
+        assert coeffs[0] == 1
 
     @pytest.mark.parametrize("jj", range(1, 11))
     def test_reassembly_round_trip(self, jj):
@@ -204,8 +200,8 @@ class TestReadback:
         gj = generating_coefficient(jj, CFG)
         coeffs = expansion_coefficients(jj, gj)
         rebuilt = MultiPoly.zero()
-        for c in coeffs:
-            rebuilt = rebuilt + c.value * r ** jj * n ** (jj - c.h)
+        for h, c in enumerate(coeffs):
+            rebuilt = rebuilt + c * r ** jj * n ** (jj - h)
         assert rebuilt * Fraction(1, factorial(jj)) == gj
 
     def test_stray_n_power_rejected(self):
@@ -221,7 +217,7 @@ class TestReadback:
         full = expansion_coefficients(jj, generating_coefficient(jj, CFG))
         got = expansion_coefficients(jj, cut, h_max)
         assert len(got) == min(jj, h_max + 1)
-        assert [c.value for c in got] == [c.value for c in full[:h_max + 1]]
+        assert got == full[:h_max + 1]
 
     def test_h_max_rejects_deeper_powers_of_n(self):
         # the uncut coefficient carries n^{j-h} for h > h_max: outside the band
@@ -230,57 +226,92 @@ class TestReadback:
 
     def test_readback_builds_only_the_orders_it_returns(self, monkeypatch):
         built = []
-        real = ExpansionCoefficient.__post_init__
+        real = series_vanishing.expansion_coefficients
 
-        def counted(self):
-            built.append(self.h)
-            real(self)
+        def counted(j, gj, h_max=None):
+            coeffs = real(j, gj, h_max)
+            built.append(len(coeffs))
+            return coeffs
 
         _readback_coefficients.cache_clear()
-        monkeypatch.setattr(ExpansionCoefficient, "__post_init__", counted)
+        monkeypatch.setattr(series_vanishing, "expansion_coefficients", counted)
         coeffs = _readback_coefficients(13, 13, CFG.u_indices(), 3)
         monkeypatch.undo()
         _readback_coefficients.cache_clear()
-        assert built == [c.h for c in coeffs] == [0, 1, 2, 3]
+        assert built == [len(coeffs)] == [4]
 
-    def test_u_weight_is_enforced(self):
-        with pytest.raises(ConsistencyError):
-            ExpansionCoefficient(2, u2)  # weight 1 != 2
-        with pytest.raises(ConsistencyError):
-            ExpansionCoefficient(0, u2)
+    # Positive controls: a fault in the readback samples reaches the oracle,
+    # the one check on each a_h.  CFG at h = 2 has 5 nodes and 7 witnesses.
 
-    def test_u_weight_is_read_per_registry_slot(self):
-        # j and r weigh nothing, whatever their place beside the u's
-        good = over_r(j ** 3 * u3 + j * u2 * u2, 4)
-        assert good.vars == ("j", "r", "u2", "u3")
-        ExpansionCoefficient(2, good)
-        with pytest.raises(ConsistencyError, match="u-weight 1"):
-            ExpansionCoefficient(2, good + over_r(j ** 3 * u2, 2))
+    @staticmethod
+    def _tamper(monkeypatch, at, h, change):
+        """Let the readback pass order ``h`` through ``change`` at the samples ``at``."""
+        real = series_vanishing._readback_coefficients
 
-    def test_unexpected_variable_only_if_used(self):
-        ExpansionCoefficient(1, over_r(u2, 2).with_vars(["n"]))
-        with pytest.raises(ConsistencyError, match="unexpected variable 'n'"):
-            ExpansionCoefficient(1, over_r(u2 * n, 2))
+        def tampered(j, *args):
+            coeffs = real(j, *args)
+            if j not in at:
+                return coeffs
+            return coeffs[:h] + (change(coeffs[h]),) + coeffs[h + 1:]
 
-    def test_reassembly_mismatch_is_caught(self, monkeypatch):
-        # positive control: one filed order corrupted after the range check
-        gj = generating_coefficient(3, CFG)
-        real = series_vanishing._file_orders
+        monkeypatch.setattr(series_vanishing, "_readback_coefficients", tampered)
 
-        def doubled_deepest(j, orders, gj):
-            filed = real(j, orders, gj)
-            filed[-1] = {key: 2 * c for key, c in filed[-1].items()}
-            return filed
+    def test_u_weight_is_enforced(self, monkeypatch):
+        # u2/r^2 weighs 1, not 2; in a node sample it moves the fit
+        self._tamper(monkeypatch, {5}, 2, lambda v: v + over_r(u2, 2))
+        with pytest.raises(PolynomialityError):  # off the witnesses
+            symbolic_expansion_coefficient(2, CFG)
+        monkeypatch.undo()
+        nodes_only = ExpansionConfig(h_max=2, s_max=3, j_samples=(3, 4, 5, 6, 7))
+        self._tamper(monkeypatch, {3}, 2, lambda v: v + over_r(u2, 2))
+        with pytest.raises(ConsistencyError, match="disagree at order 2"):
+            symbolic_expansion_coefficient(2, nodes_only)  # off the closed form
 
-        monkeypatch.setattr(series_vanishing, "_file_orders", doubled_deepest)
-        with pytest.raises(ConsistencyError, match="reassemble"):
-            expansion_coefficients(3, gj)
+    def test_wrong_weight_in_a_witness_sample_is_caught(self, monkeypatch):
+        self._tamper(monkeypatch, {CFG.j_samples[-1]}, 2, lambda v: v + over_r(u2, 2))
+        with pytest.raises(PolynomialityError, match="surplus sample at j=16"):
+            symbolic_expansion_coefficient(2, CFG)
+
+    def test_unexpected_variable_only_if_used(self, monkeypatch):
+        clean = symbolic_expansion_coefficient(2, CFG)
+        every = set(CFG.j_samples)
+        self._tamper(monkeypatch, every, 2, lambda v: v.with_vars(["n"]))
+        assert symbolic_expansion_coefficient(2, CFG) == clean
+        monkeypatch.undo()
+        # a stray n on a term of the right weight, in every sample: the fit
+        # still passes its witnesses and carries n, which the closed form lacks
+        self._tamper(monkeypatch, every, 2, lambda v: v + n * over_r(u3, 3))
+        with pytest.raises(ConsistencyError, match="disagree at order 2"):
+            symbolic_expansion_coefficient(2, CFG)
+
+    def test_doubled_deepest_order_is_caught(self, monkeypatch):
+        # a misfiled deepest order is polynomial in j, so only the closed form catches it
+        real = series_vanishing.expansion_coefficients
+        cfg = TestUIndices.CFG3
+
+        def doubled_deepest(j, gj, h_max=None):
+            coeffs = real(j, gj, h_max)
+            return coeffs[:-1] + [coeffs[-1] * 2]
+
+        _readback_coefficients.cache_clear()
+        monkeypatch.setattr(series_vanishing, "expansion_coefficients", doubled_deepest)
+        try:
+            for h in range(cfg.h_max):
+                symbolic_expansion_coefficient(h, cfg)
+            with pytest.raises(ConsistencyError, match="disagree at order 3"):
+                symbolic_expansion_coefficient(cfg.h_max, cfg)
+            with pytest.raises(ConsistencyError, match="disagree at order 3"):
+                log_expansion(cfg)
+        finally:
+            monkeypatch.undo()
+            _readback_coefficients.cache_clear()
 
     def test_readback_orders_share_the_closed_form_registry(self):
         # n is read off into the order, so no readback order keeps its slot
-        for c in _readback_coefficients(9, 13, CFG.u_indices(), CFG.h_max)[1:]:
-            assert "n" not in c.value.vars
-            assert ("j",) + c.value.vars == _closed_form(c.h, CFG.u_indices()).vars
+        coeffs = _readback_coefficients(9, 13, CFG.u_indices(), CFG.h_max)
+        for h, c in enumerate(coeffs[1:], start=1):
+            assert "n" not in c.vars
+            assert ("j",) + c.vars == _closed_form(h, CFG.u_indices()).vars
 
     def test_oracle_comparison_needs_no_canonical_form(self, monkeypatch):
         # closed form and oracle share one registry: __eq__ compares term maps
@@ -299,22 +330,22 @@ class TestReadback:
 
 class TestClosedForm:
     def test_order_zero(self):
-        assert symbolic_expansion_coefficient(0, CFG).value == 1
+        assert symbolic_expansion_coefficient(0, CFG) == 1
 
     def test_order_one(self):
         expected = over_r(j * (j - 1) * u2 * Fraction(-1, 2), 2)
-        assert symbolic_expansion_coefficient(1, CFG).value == expected
+        assert symbolic_expansion_coefficient(1, CFG) == expected
 
     def test_order_two(self):
         ff4 = j * (j - 1) * (j - 2) * (j - 3)
         ff3 = j * (j - 1) * (j - 2)
         expected = (over_r(ff4 * u2 * u2 * Fraction(1, 8), 4)
                     + over_r(ff3 * u3 * Fraction(1, 3), 3))
-        assert symbolic_expansion_coefficient(2, CFG).value == expected
+        assert symbolic_expansion_coefficient(2, CFG) == expected
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_j_degree_is_2h(self, h):
-        value = symbolic_expansion_coefficient(h, CFG).value
+        value = symbolic_expansion_coefficient(h, CFG)
         assert value.degree_in("j") == 2 * h
 
     @pytest.mark.parametrize("h", [1, 2, 3])
@@ -323,25 +354,25 @@ class TestClosedForm:
         samples = []
         for jj in range(h + 1, h + 1 + (2 * h + 1) + 2):
             coeffs = expansion_coefficients(jj, generating_coefficient(jj, CFG))
-            samples.append((jj, coeffs[h].value))
+            samples.append((jj, coeffs[h]))
         assert len(samples) == 2 * h + 3
         oracle = interpolate_in_var(samples, "j", 2 * h)
-        assert oracle == symbolic_expansion_coefficient(h, CFG).value
+        assert oracle == symbolic_expansion_coefficient(h, CFG)
 
     def test_order_one_interpolation_from_small_j(self):
         samples = []
         for jj in range(2, 7):
             coeffs = expansion_coefficients(jj, generating_coefficient(jj, CFG))
-            samples.append((jj, coeffs[1].value))
+            samples.append((jj, coeffs[1]))
         fit = interpolate_in_var(samples, "j", 2)
         assert fit == over_r(j * (j - 1) * u2 * Fraction(-1, 2), 2)
 
     def test_matches_readback_at_every_sample(self):
         for h in (1, 2, 3):
-            sym = symbolic_expansion_coefficient(h, CFG).value
+            sym = symbolic_expansion_coefficient(h, CFG)
             for jj in CFG.j_samples[:4]:
                 coeffs = expansion_coefficients(jj, generating_coefficient(jj, CFG))
-                assert sym.substitute({"j": jj}) == coeffs[h].value
+                assert sym.substitute({"j": jj}) == coeffs[h]
 
     def test_closed_form_disagreement_is_caught(self, monkeypatch):
         real = series_vanishing._closed_form
@@ -353,9 +384,14 @@ class TestClosedForm:
             terms[first] += 1
             return MultiPoly(value.vars, terms, value.laurent)
 
-        monkeypatch.setattr(series_vanishing, "_closed_form", bumped)
-        with pytest.raises(ConsistencyError):
-            symbolic_expansion_coefficient(2, CFG)
+        def wrong_weight(h, u_indices, squarefree=False):
+            # j u2/r^2 weighs 1, not 2
+            return real(h, u_indices, squarefree) + j * over_r(u2, 2)
+
+        for fault in (bumped, wrong_weight):
+            monkeypatch.setattr(series_vanishing, "_closed_form", fault)
+            with pytest.raises(ConsistencyError, match="disagree at order 2"):
+                symbolic_expansion_coefficient(2, CFG)
 
     def test_falling_factorial_coefficients(self):
         # j(j-1)(j-2)(j-3) = j^4 - 6j^3 + 11j^2 - 6j
@@ -469,7 +505,7 @@ class TestLogExpansion:
         rebuilt = series.exp()
         assert rebuilt.coefficient(0) == 1
         for h in range(1, 4):
-            assert rebuilt.coefficient(h) == symbolic_expansion_coefficient(h, cfg).value
+            assert rebuilt.coefficient(h) == symbolic_expansion_coefficient(h, cfg)
 
     def test_generic_mode_requires_coverage(self):
         with pytest.raises(BudgetError):
@@ -491,8 +527,8 @@ class TestVanishing:
     def test_j4_cancellation_at_order_two(self):
         # a_2 and a_1^2/2 both carry j^4; the log subtracts them exactly
         cfg = ExpansionConfig(h_max=2)
-        a1 = symbolic_expansion_coefficient(1, cfg).value
-        a2 = symbolic_expansion_coefficient(2, cfg).value
+        a1 = symbolic_expansion_coefficient(1, cfg)
+        a2 = symbolic_expansion_coefficient(2, cfg)
         a2_j4 = a2.coefficient_in("j", 4)
         half_sq_j4 = (a1 * a1 * Fraction(1, 2)).coefficient_in("j", 4)
         assert not a2_j4.is_zero()
