@@ -21,7 +21,7 @@ from .algebra import (
     PrecisionError,
 )
 from .partitions import GroundSet
-from .config_sums import ConfigSumInstance, sum_collapsed, sum_ordered
+from .config_sums import ConfigSumInstance, sum_collapsed, sum_pointed
 from .series_vanishing import ExpansionConfig, vanishing_report
 from .bridge import bridge_check, bridge_params
 
@@ -33,7 +33,7 @@ __all__ = [
     "EngineError", "PrecisionError", "PolynomialityError",
     "ConsistencyError", "BudgetError",
     "GroundSet",
-    "ConfigSumInstance", "sum_collapsed", "sum_ordered",
+    "ConfigSumInstance", "sum_collapsed", "sum_pointed",
     "ExpansionConfig", "vanishing_report",
     "bridge_params", "bridge_check",
 ]

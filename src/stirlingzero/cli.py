@@ -146,7 +146,7 @@ def _entry_record(command, entry) -> LedgerRecord:
     extra = {}
     conf = entry.confirmation
     if conf is not None:
-        extra["ordered_total"] = value_str(conf.ordered_total)
+        extra["oracle_total"] = value_str(conf.oracle_total)
         if conf.second_ground is not None:
             extra["second_ground"] = conf.second_ground.describe()
             extra["second_total"] = value_str(conf.second_total)

@@ -10,15 +10,15 @@ where ``r`` is the block count, ``t_i`` the block sum, and ``P`` the
 offset-diagonal Stirling polynomial.  The conjecture under test is that the
 sum of evaluations over all distinct weighted configurations is exactly zero.
 
-Two independent summation routes are provided:
+Write ``a(S) = sum_v P_v(t_S) y^v``, truncated at ``y^w``, for the block
+series of a set ``S`` of elements.  Two independent summation routes are
+provided:
 
-* :func:`sum_ordered` -- the literal definition, enumerating every ordered
-  configuration and weight composition.  Retained as the oracle.
 * :func:`sum_collapsed` -- the production path.  The evaluation does not
   depend on block order, so an unordered partition with r blocks stands for
   r! identical ordered terms and carries the factor ``(-1)^r (r-1)!``; the
   inner sum over weight compositions is the degree-w coefficient of the
-  truncated product ``prod_i (sum_v P_v(t_i) y^v)``, an exact regrouping.
+  truncated product ``prod_i a(B_i)``, an exact regrouping.
   That product is met in the middle: a partition of r blocks is split after
   its first ``ceil(r/2)``.  Partitions come block by block, so consecutive
   ones share their first blocks, and the truncated products of those are
@@ -28,6 +28,14 @@ Two independent summation routes are provided:
   halves.  Every block series has constant term ``P_0 = 1`` (a block value
   that breaks this raises :class:`ConsistencyError`), so the convolutions
   and dot products skip the products with ``y^0``.
+* :func:`sum_pointed` -- the oracle, with no partition walk.  The signed
+  sum over partitions is ``-[y^w]`` of the set-function log ``l`` of ``a``
+  at the full set (the joint cumulant over the partition lattice; T. P.
+  Speed, *Cumulants and partition lattices*, 1983).  Grouping the
+  partitions of ``S`` by the block ``T`` that holds element 0 gives
+  ``a(S) = sum_{0 in T subset S} l(T) a(S - T)`` with ``a(empty) = 1``, so
+  ``l`` is computed on the sets that hold element 0, in increasing mask
+  order, from ``3^(g-1) - 2^(g-1)`` truncated products.
 
 On numeric grounds the collapsed route runs in Python ints.  With ``D`` the
 lcm of the ground's denominators and ``K`` the lcm of the coefficient
@@ -37,12 +45,13 @@ integer for every block sum ``t`` and ``v <= w``.  The substitution
 scaled by exactly ``lam^w`` and the total is ``N / lam^w`` for the integer sum
 ``N``.  A block value that the scaling does not clear raises
 :class:`ConsistencyError`.  Every partition is still visited, and the visit
-count is checked against the Bell number.  :func:`sum_ordered` stays in
-``Fraction`` arithmetic, so the two routes share no summation kernel.
+count is checked against the Bell number.  :func:`sum_pointed` stays in
+``Fraction`` arithmetic on the unscaled block values, so the two routes
+share no summation kernel.
 
 Any nonzero total is treated as a potential counterexample and re-verified
-through the independent route (plus a fresh ground set in numeric mode)
-before being reported.
+through the oracle (plus a fresh ground set in numeric mode) before being
+reported.
 """
 
 from __future__ import annotations
@@ -57,14 +66,7 @@ from math import factorial, lcm
 from typing import Iterable, Iterator, Optional, Union
 
 from .algebra import ConsistencyError, MultiPoly, _as_int
-from .partitions import (
-    GroundSet,
-    count_weighted_configs,
-    iter_ordered_partitions,
-    iter_unordered_partitions,
-    unordered_partition_count,
-    weight_compositions,
-)
+from .partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
 from .stirling import eval_P, eval_P_symbolic, stirling_poly
 
 __all__ = [
@@ -72,8 +74,8 @@ __all__ = [
     "ConfigSumResult",
     "NonzeroConfirmation",
     "SweepEntry",
-    "sum_ordered",
     "sum_collapsed",
+    "sum_pointed",
     "random_ground",
     "double_check_nonzero",
     "random_entries",
@@ -175,30 +177,6 @@ def _zero(ground: GroundSet) -> SumValue:
     return MultiPoly.zero() if ground.is_symbolic else Fraction(0)
 
 
-def sum_ordered(inst: ConfigSumInstance) -> ConfigSumResult:
-    """Literal sum over every (ordered configuration, weight composition) pair."""
-    start = time.perf_counter()
-    ground = inst.ground
-    values = _BlockValues(ground, inst.w)
-    total = _zero(ground)
-    visited = 0
-    for blocks in iter_ordered_partitions(inst.g):
-        r = len(blocks)
-        factor = Fraction((-1) ** r, r)
-        vectors = [values.vector(mask) for mask in blocks]
-        for weights in weight_compositions(inst.w, r):
-            prod = vectors[0][weights[0]]
-            for i in range(1, r):
-                prod = prod * vectors[i][weights[i]]
-            total = total + prod * factor
-            visited += 1
-    expected = count_weighted_configs(inst.g, inst.w)
-    if visited != expected:
-        raise ConsistencyError(
-            f"visited {visited} weighted configurations, expected {expected}")
-    return ConfigSumResult(inst, total, visited, time.perf_counter() - start)
-
-
 def _conv_truncated(acc, vec: tuple, w: int) -> list:
     """Coefficients of ``y^0..y^w`` in ``acc(y) * vec(y)``, both with constant term 1.
 
@@ -290,7 +268,7 @@ def _collapsed_partial(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
 
 
 def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
-    """Order-collapsed sum; exactly equals :func:`sum_ordered` by construction.
+    """Order-collapsed sum, an exact regrouping of the literal configuration sum.
 
     With ``jobs > 1`` the unordered-partition stream is sharded by the block
     containing element 0 into ``min(jobs, 2^(g-1))`` shards, which run on at
@@ -318,6 +296,32 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     return ConfigSumResult(inst, total, visited, time.perf_counter() - start)
 
 
+def sum_pointed(inst: ConfigSumInstance) -> SumValue:
+    """``-[y^w] l(full)``, ``l`` the set-function log of the block series ``a``.
+
+    ``l(S) = a(S) - sum_{0 in T, T proper subset of S} l(T) a(S - T)``, over
+    the masks ``S`` that hold element 0 in increasing order, so every
+    ``l(T)`` is ready when it is needed.  Each series is truncated at
+    ``y^w``; the arithmetic is ``Fraction`` or ``MultiPoly`` on unscaled
+    block values.
+    """
+    w, full = inst.w, (1 << inst.g) - 1
+    values = _BlockValues(inst.ground, w)
+    logs = {}
+    for mask in range(1, full + 1, 2):
+        series = list(values.vector(mask))
+        rest = mask ^ 1
+        sub = 0
+        while sub != rest:  # T = sub | 1 over the proper subsets sub of rest
+            head, tail = logs[sub | 1], values.vector(rest ^ sub)
+            for n in range(w + 1):
+                for i in range(n + 1):
+                    series[n] = series[n] - head[i] * tail[n - i]
+            sub = (sub - rest) & rest  # next subset of ``rest`` in increasing order
+        logs[mask] = series
+    return -logs[full][w]
+
+
 def random_ground(g: int, rng: random.Random) -> GroundSet:
     """g distinct seeded rationals: integers and proper fractions, signs mixed."""
     values = []
@@ -337,7 +341,7 @@ def random_ground(g: int, rng: random.Random) -> GroundSet:
 class NonzeroConfirmation:
     """Outcome of the double-verification protocol for a nonzero total."""
 
-    ordered_total: SumValue
+    oracle_total: SumValue
     second_ground: Optional[GroundSet]
     second_total: Optional[SumValue]
 
@@ -346,23 +350,23 @@ def double_check_nonzero(inst: ConfigSumInstance, total: SumValue,
                          rng: random.Random) -> NonzeroConfirmation:
     """Re-verify a nonzero total before it is reported as a counterexample.
 
-    The independent ordered route must reproduce the value exactly (a
+    The oracle :func:`sum_pointed` must reproduce the value exactly (a
     disagreement is an engine bug, raised as :class:`ConsistencyError`); in
     numeric mode the sum is additionally recomputed at a fresh ground set
     drawn from ``rng``.
     """
-    ordered = sum_ordered(inst)
-    if ordered.total != total:
+    oracle_total = sum_pointed(inst)
+    if oracle_total != total:
         raise ConsistencyError(
-            "collapsed and ordered routes disagree on a nonzero total: "
-            f"{total!r} vs {ordered.total!r}")
+            "collapsed route and pointed oracle disagree on a nonzero total: "
+            f"{total!r} vs {oracle_total!r}")
     second_ground = None
     second_total = None
     if not inst.ground.is_symbolic:
         second_ground = random_ground(inst.g, rng)
         second = sum_collapsed(ConfigSumInstance.make(inst.g, inst.w, second_ground))
         second_total = second.total
-    return NonzeroConfirmation(ordered.total, second_ground, second_total)
+    return NonzeroConfirmation(oracle_total, second_ground, second_total)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Set partitions, weight compositions, and ground sets.
+"""Unordered set partitions and ground sets.
 
 Elements of the g-element ground set are bit positions 0..g-1; blocks are
 machine-word bitmasks, and a partition is a plain tuple of block masks, so
@@ -18,20 +18,15 @@ is how one configuration-sum instance is split across worker processes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .algebra import MultiPoly, _as_fraction, _as_int
 
 __all__ = [
     "GroundSet",
-    "iter_ordered_partitions",
     "iter_unordered_partitions",
-    "weight_compositions",
-    "count_weighted_configs",
     "unordered_partition_count",
 ]
 
@@ -128,28 +123,10 @@ def iter_unordered_partitions(g: int, part: int = 0, parts: int = 1) -> Iterator
         yield from _block_walk(full ^ first, [first])
 
 
-def iter_ordered_partitions(g: int) -> Iterator[tuple]:
-    """Every ordered set partition of {0..g-1}, exactly once, deterministically."""
-    for blocks in iter_unordered_partitions(g):
-        yield from itertools.permutations(blocks)
-
-
-def weight_compositions(w: int, r: int) -> Iterator[tuple]:
-    """All weak compositions of w into r ordered parts, lexicographically."""
-    if w < 0 or r < 1:
-        raise ValueError("need w >= 0 and r >= 1")
-    if r == 1:
-        yield (w,)
-        return
-    for first in range(w + 1):
-        for rest in weight_compositions(w - first, r - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _stirling2(n: int, k: int) -> int:
-    # second kind; feeds the Bell and weighted-configuration counts the
-    # summation routes check their visits against
+    # second kind; feeds the Bell count the collapsed route checks its
+    # visits against
     if n == k:
         return 1
     if k == 0 or k > n:
@@ -159,12 +136,3 @@ def _stirling2(n: int, k: int) -> int:
 
 def unordered_partition_count(g: int) -> int:
     return sum(_stirling2(g, r) for r in range(1, g + 1)) if g else 1
-
-
-def count_weighted_configs(g: int, w: int) -> int:
-    """Closed-form total the enumerators must reproduce exactly."""
-    if g < 1 or w < 0:
-        raise ValueError("need g >= 1 and w >= 0")
-    return sum(
-        factorial(r) * _stirling2(g, r) * comb(w + r - 1, r - 1)
-        for r in range(1, g + 1))

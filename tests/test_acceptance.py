@@ -24,15 +24,11 @@ from stirlingzero.config_sums import (
     random_ground,
     run_plan,
     sum_collapsed,
-    sum_ordered,
+    sum_pointed,
     sweep_plan,
 )
 from stirlingzero.ledger import read_records
-from stirlingzero.partitions import (
-    GroundSet,
-    count_weighted_configs,
-    iter_ordered_partitions,
-)
+from stirlingzero.partitions import GroundSet
 from stirlingzero.series_vanishing import (
     ExpansionConfig,
     expansion_coefficients,
@@ -43,6 +39,7 @@ from stirlingzero.series_vanishing import (
 from stirlingzero.stirling import eval_P, stirling_poly, stirling_row
 
 from generating_reference import generating_coefficient
+from ordered_reference import count_weighted_configs, iter_ordered_partitions, sum_ordered
 
 FUBINI = {2: 3, 3: 13, 4: 75, 5: 541, 6: 4683}
 
@@ -85,7 +82,7 @@ def test_criterion_2_numeric_band():
                 assert result.total == 0, f"nonzero at g={g} w={w} sample {i}"
 
 
-@criterion(3, "collapsed == ordered on g<=5; enumeration totals exact")
+@criterion(3, "collapsed == pointed == ordered on g<=5; enumeration totals exact")
 def test_criterion_3_oracle_equivalence():
     rng = random.Random(77)
     for g in range(2, 6):
@@ -94,7 +91,7 @@ def test_criterion_3_oracle_equivalence():
                 inst = ConfigSumInstance.make(g, w, ground)
                 ordered = sum_ordered(inst)
                 collapsed = sum_collapsed(inst)
-                assert collapsed.total == ordered.total
+                assert collapsed.total == sum_pointed(inst) == ordered.total
                 assert ordered.configurations_visited == count_weighted_configs(g, w)
     for g, expected in FUBINI.items():
         assert sum(1 for _ in iter_ordered_partitions(g)) == expected

@@ -22,6 +22,15 @@ def run_cli(args, tmp_path, ledger="ledger.jsonl"):
     return code, records, warnings
 
 
+def _p1_plus_one(monkeypatch):
+    # positive control: P_1 comes back plus one, as in the benchmark
+    def plus_one(real):
+        return lambda w, t: real(w, t) + 1 if w == 1 else real(w, t)
+
+    monkeypatch.setattr(config_sums, "eval_P", plus_one(config_sums.eval_P))
+    monkeypatch.setattr(config_sums, "eval_P_symbolic", plus_one(config_sums.eval_P_symbolic))
+
+
 class TestPart1Command:
     def test_explicit_ground(self, tmp_path):
         code, records, _ = run_cli(
@@ -365,27 +374,21 @@ class TestExitStatus:
 
     def test_control_fault_exits_one_with_confirmed_records(self, tmp_path, monkeypatch,
                                                             capsys):
-        # positive control end to end: P_1 comes back plus one, as in the benchmark
-        def plus_one(real):
-            return lambda w, t: real(w, t) + 1 if w == 1 else real(w, t)
-
-        monkeypatch.setattr(config_sums, "eval_P", plus_one(config_sums.eval_P))
-        monkeypatch.setattr(config_sums, "eval_P_symbolic",
-                            plus_one(config_sums.eval_P_symbolic))
+        _p1_plus_one(monkeypatch)
         code, records, _ = run_cli(["part1", "--g", "4", "--w", "1", "--c", "2,3,5,7"],
                                    tmp_path)
         assert code == 1
         numeric = records[-1]
         assert (numeric["status"], numeric["verdict"]) == ("asserted", "nonzero")
         extra = numeric["extra"]
-        assert sorted(extra) == ["ordered_total", "second_ground", "second_total"]
-        assert extra["ordered_total"] == numeric["value"] != "0"
+        assert sorted(extra) == ["oracle_total", "second_ground", "second_total"]
+        assert extra["oracle_total"] == numeric["value"] != "0"
         assert extra["second_total"] != "0"
         code, records, _ = run_cli(["part1", "--g", "3", "--w", "1", "--symbolic"], tmp_path)
         assert code == 1
         symbolic = records[-1]
         assert symbolic["verdict"] == "nonzero"
-        assert symbolic["extra"] == {"ordered_total": symbolic["value"]}
+        assert symbolic["extra"] == {"oracle_total": symbolic["value"]}
         capsys.readouterr()
         assert main(["report", "--ledger", str(tmp_path / "ledger.jsonl")]) == 0
         out = capsys.readouterr().out
@@ -395,6 +398,18 @@ class TestExitStatus:
             f"value={numeric['value']}",
             f"  part1 g=3 ground=c1,c2,c3 mode=symbolic w=1 status=asserted "
             f"value={symbolic['value']}"]
+
+    def test_control_fault_is_confirmed_at_scale(self, tmp_path, monkeypatch):
+        # the oracle confirms a nonzero where a literal walk of every ordered
+        # configuration (318 million at g = 8, w = 6) could not
+        _p1_plus_one(monkeypatch)
+        code, records, _ = run_cli(["part1", "--g", "8", "--w", "6", "--random", "1"],
+                                   tmp_path)
+        assert code == 1
+        [record] = records
+        assert record["verdict"] == "nonzero"
+        assert record["extra"]["oracle_total"] == record["value"] != "0"
+        assert record["extra"]["second_total"] != "0"
 
     def test_g_below_two_is_usage_error(self, tmp_path, capsys):
         # --all-w at g = 1 plans no instance, so without the check it would pass

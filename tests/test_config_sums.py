@@ -18,15 +18,13 @@ from stirlingzero.config_sums import (
     random_ground,
     run_plan,
     sum_collapsed,
-    sum_ordered,
+    sum_pointed,
     sweep_plan,
 )
-from stirlingzero.partitions import (
-    GroundSet,
-    count_weighted_configs,
-    iter_unordered_partitions,
-    unordered_partition_count,
-)
+from stirlingzero.partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
+
+import ordered_reference
+from ordered_reference import count_weighted_configs, sum_ordered
 
 
 # a monkeypatch reaches pool workers only when they are forked
@@ -89,8 +87,8 @@ class TestOrderedSum:
 
     def test_visit_count_mismatch_is_caught(self, monkeypatch):
         # positive control: the closed-form count one above the walk
-        real = config_sums.count_weighted_configs
-        monkeypatch.setattr(config_sums, "count_weighted_configs",
+        real = ordered_reference.count_weighted_configs
+        monkeypatch.setattr(ordered_reference, "count_weighted_configs",
                             lambda g, w: real(g, w) + 1)
         with pytest.raises(ConsistencyError,
                            match="visited 13 weighted configurations, expected 14"):
@@ -115,13 +113,13 @@ class TestCollapsedSum:
         for w in range(g - 1):
             ground = random_ground(g, rng)
             inst = ConfigSumInstance.make(g, w, ground)
-            assert sum_collapsed(inst).total == sum_ordered(inst).total
+            assert sum_collapsed(inst).total == sum_pointed(inst) == sum_ordered(inst).total
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_equals_ordered_symbolic(self, g):
         for w in range(g - 1):
             inst = symbolic_instance(g, w)
-            assert sum_collapsed(inst).total == sum_ordered(inst).total
+            assert sum_collapsed(inst).total == sum_pointed(inst) == sum_ordered(inst).total
 
     def test_parallel_equals_serial(self):
         inst = numeric_instance(6, 3, [2, 3, 5, 7, 11, 13])
@@ -208,17 +206,23 @@ def _shift_offset_one(monkeypatch, shift=1):
 MIXED = [Fraction(5, 2), Fraction(-7, 3), Fraction(4), Fraction(11, 9),
          Fraction(-3, 4), Fraction(6, 5)]
 
+# the largest g at which a fault control also runs the literal walk; past it
+# the collapsed route is compared with the pointed oracle alone
+LITERAL_G_MAX = 5
+
 
 class TestIntegerKernel:
     @pytest.mark.parametrize("g, w", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 3),
                                       (6, 1), (6, 2)])
     def test_positive_control_matches_fraction_oracle(self, monkeypatch, g, w):
         # offset-1 block values plus one: the identity breaks, and the
-        # integer kernel must still reproduce the Fraction route exactly
+        # integer kernel must still reproduce the Fraction routes exactly
         _shift_offset_one(monkeypatch)
         inst = numeric_instance(g, w, MIXED[:g])
         collapsed = sum_collapsed(inst).total
-        assert collapsed == sum_ordered(inst).total
+        assert collapsed == sum_pointed(inst)
+        if g <= LITERAL_G_MAX:
+            assert collapsed == sum_ordered(inst).total
         assert collapsed != 0
 
     @needs_fork
@@ -264,7 +268,9 @@ class TestPrefixReuse:
         _bump_one_block(monkeypatch)
         inst = numeric_instance(g, w, MIXED[:g])
         collapsed = sum_collapsed(inst, jobs=jobs).total
-        assert collapsed == sum_ordered(inst).total
+        assert collapsed == sum_pointed(inst)
+        if g <= LITERAL_G_MAX:
+            assert collapsed == sum_ordered(inst).total
         assert collapsed != 0
 
     @pytest.mark.parametrize("w", [1, 2])
@@ -272,7 +278,7 @@ class TestPrefixReuse:
         _bump_one_block(monkeypatch)
         inst = symbolic_instance(4, w)
         collapsed = sum_collapsed(inst).total
-        assert collapsed == sum_ordered(inst).total
+        assert collapsed == sum_pointed(inst) == sum_ordered(inst).total
         assert collapsed != 0
 
     def test_one_convolution_per_distinct_prefix_and_suffix(self, monkeypatch):
@@ -302,7 +308,7 @@ def reference_collapsed(inst):
     """The collapsed sum over prefix products only, each partition's last
     block dotted with the product of all the others, every convolution
     summed in full from zero: a second route to :func:`sum_collapsed`'s
-    totals at sizes :func:`sum_ordered` cannot reach."""
+    totals at sizes the literal sum cannot reach."""
     w = inst.w
     scale = config_sums._common_scale(inst)
     values = config_sums._BlockValues(inst.ground, w, scale)
@@ -341,12 +347,33 @@ class TestAgainstReference:
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
     def test_faulted_totals_agree(self, monkeypatch, fault, g, jobs):
         # shards build their own suffix products: each must still give the
-        # exact total of the prefix-only route, which is nonzero here
+        # exact total of the prefix-only route, which is nonzero here, and so
+        # must the pointed oracle, which does not shard
         fault(monkeypatch)
         inst = numeric_instance(g, g - 2, MIXED8[:g])
         expected = reference_collapsed(inst)
         assert expected != 0
         assert sum_collapsed(inst, jobs=jobs).total == expected
+        if jobs == 1:
+            assert sum_pointed(inst) == expected
+
+
+class TestPointedOracle:
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_one_block_value_per_pointed_pair(self, monkeypatch, g):
+        # the sets S that hold element 0 and, for each, a(S) and one a(S - T)
+        # per proper T holding 0: sum over S of 2^(|S|-1) = 3^(g-1) lookups,
+        # so 3^(g-1) - 2^(g-1) truncated products
+        calls = []
+        real = config_sums._BlockValues.vector
+
+        def counted(self, mask):
+            calls.append(mask)
+            return real(self, mask)
+
+        monkeypatch.setattr(config_sums._BlockValues, "vector", counted)
+        assert sum_pointed(numeric_instance(g, g - 2, list(range(2, 2 + g)))) == 0
+        assert len(calls) == 3 ** (g - 1)
 
 
 class TestIdentityProperties:
@@ -384,21 +411,33 @@ class TestIdentityProperties:
 
 
 class TestDoubleCheckProtocol:
-    def test_nonzero_is_reverified_through_ordered_route(self, monkeypatch):
+    def test_nonzero_is_reverified_through_pointed_oracle(self, monkeypatch):
         inst = numeric_instance(3, 1, [2, 3, 4])
-        real = sum_ordered(inst)
+        real = sum_pointed(inst)
         calls = []
 
-        def fake_ordered(instance):
+        def fake_pointed(instance):
             calls.append(instance)
             return real
 
-        monkeypatch.setattr("stirlingzero.config_sums.sum_ordered", fake_ordered)
-        conf = double_check_nonzero(inst, real.total, random.Random(1))
+        monkeypatch.setattr(config_sums, "sum_pointed", fake_pointed)
+        conf = double_check_nonzero(inst, real, random.Random(1))
         assert calls == [inst]
-        assert conf.ordered_total == real.total
+        assert conf.oracle_total == real
         assert conf.second_ground is not None
         assert conf.second_total == 0  # identity holds at the fresh ground set
+
+    def test_oracle_disagreement_on_a_real_nonzero_is_caught(self, monkeypatch):
+        # positive control: the faulted total is nonzero on both routes, and
+        # an oracle that is off by one must stop the confirmation
+        _shift_offset_one(monkeypatch)
+        inst = numeric_instance(4, 2, [2, 3, 5, 7])
+        total = sum_collapsed(inst).total
+        assert total != 0
+        assert double_check_nonzero(inst, total, random.Random(1)).oracle_total == total
+        monkeypatch.setattr(config_sums, "sum_pointed", lambda instance: total + 1)
+        with pytest.raises(ConsistencyError, match="disagree"):
+            double_check_nonzero(inst, total, random.Random(1))
 
     def test_route_disagreement_is_an_engine_bug(self):
         inst = numeric_instance(3, 0, [2, 3, 4])
@@ -407,7 +446,7 @@ class TestDoubleCheckProtocol:
 
     def test_symbolic_skips_second_ground(self):
         inst = symbolic_instance(2, 0)
-        conf = double_check_nonzero(inst, sum_ordered(inst).total, random.Random(1))
+        conf = double_check_nonzero(inst, sum_pointed(inst), random.Random(1))
         assert conf.second_ground is None
         assert conf.second_total is None
 

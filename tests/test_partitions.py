@@ -6,14 +6,9 @@ from math import comb, factorial
 import pytest
 
 from stirlingzero.algebra import MultiPoly
-from stirlingzero.partitions import (
-    GroundSet,
-    count_weighted_configs,
-    iter_ordered_partitions,
-    iter_unordered_partitions,
-    unordered_partition_count,
-    weight_compositions,
-)
+from stirlingzero.partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
+
+from ordered_reference import count_weighted_configs, iter_ordered_partitions, weight_compositions
 
 def brute_force_partitions(g):
     """Every set partition of {0..g-1} by inserting elements one at a time, canonical form."""

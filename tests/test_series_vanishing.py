@@ -18,7 +18,6 @@ from stirlingzero.series_vanishing import (
     X,
     ExpansionConfig,
     _closed_form,
-    _falling_factorial,
     _generating_series,
     _readback_coefficients,
     expansion_coefficients,
@@ -27,6 +26,7 @@ from stirlingzero.series_vanishing import (
     u_name,
     vanishing_report,
 )
+from stirlingzero.stirling import stirling_row
 
 from generating_reference import generating_coefficient
 
@@ -394,9 +394,17 @@ class TestClosedForm:
                 symbolic_expansion_coefficient(2, CFG)
 
     def test_falling_factorial_coefficients(self):
-        # j(j-1)(j-2)(j-3) = j^4 - 6j^3 + 11j^2 - 6j
-        assert _falling_factorial(0) == (1,)
-        assert _falling_factorial(4) == (0, -6, 11, -6, 1)
+        # the closed form reads j(j-1)...(j-m+1) = sum_k (-1)^(m-k) [m, k] j^k
+        # off the Stirling row: j(j-1)(j-2)(j-3) = j^4 - 6j^3 + 11j^2 - 6j
+        def signed_row(m):
+            return [(-1) ** (m - k) * c for k, c in enumerate(stirling_row(m))]
+
+        assert signed_row(0) == [1]
+        assert signed_row(4) == [0, -6, 11, -6, 1]
+        for m in range(12):
+            for j in range(m, m + 6):
+                assert sum(c * j ** k for k, c in enumerate(signed_row(m))) == \
+                    factorial(j) // factorial(j - m)
 
     def test_registry_is_j_r_then_the_u_indices(self):
         assert _closed_form(2, (2, 3, 5)).vars == ("j", "r", "u2", "u3", "u5")
