@@ -59,12 +59,12 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Iterator, Optional, Union
 
+from ._pool import ProcessPoolExecutor
 from .algebra import ConsistencyError, MultiPoly, _as_int
 from .partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
 from .stirling import eval_P, eval_P_symbolic, stirling_poly

@@ -128,6 +128,7 @@ class TestCollapsedSum:
         assert serial.total == parallel.total
         assert serial.configurations_visited == parallel.configurations_visited
         assert parallel.configurations_visited == unordered_partition_count(6)
+        assert multiprocessing.active_children() == []  # every worker joined
 
     def test_parallel_symbolic(self):
         inst = symbolic_instance(4, 1)
@@ -195,6 +196,7 @@ class TestCollapsedSum:
         monkeypatch.setattr(config_sums, "iter_unordered_partitions", lossy)
         with pytest.raises(ConsistencyError, match="partitions"):
             sum_collapsed(numeric_instance(5, 2, [2, 3, 5, 7, 11]), jobs=jobs)
+        assert multiprocessing.active_children() == []  # no worker outlives the raise
 
 
 def _shift_offset_one(monkeypatch, shift=1):
