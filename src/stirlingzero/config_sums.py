@@ -18,16 +18,15 @@ provided:
   depend on block order, so an unordered partition with r blocks stands for
   r! identical ordered terms and carries the factor ``(-1)^r (r-1)!``; the
   inner sum over weight compositions is the degree-w coefficient of the
-  truncated product ``prod_i a(B_i)``, an exact regrouping.
-  That product is met in the middle: a partition of r blocks is split after
-  its first ``ceil(r/2)``.  Partitions come block by block, so consecutive
-  ones share their first blocks, and the truncated products of those are
-  kept on a stack; the product of the remaining blocks is memoized by its
-  block tuple, built from the tuple one block shorter.  Each product is
-  convolved once, and a partition's ``[y^w]`` is one dot product of its two
-  halves.  Every block series has constant term ``P_0 = 1`` (a block value
-  that breaks this raises :class:`ConsistencyError`), so the convolutions
-  and dot products skip the products with ``y^0``.
+  truncated product ``prod_i a(B_i)``, an exact regrouping.  It is met in
+  the middle: a partition of r blocks is split after its first
+  ``ceil(r/2)``, and each half's truncated product is memoized by its block
+  tuple, built from the tuple without its last block; the first halves are
+  dropped when the first block changes.  Each product is convolved once, and
+  a partition's ``[y^w]`` is one dot product of its two halves.  Every block
+  series has constant term ``P_0 = 1`` (a block value that breaks this
+  raises :class:`ConsistencyError`), so the convolutions and dot products
+  skip the products with ``y^0``.
 * :func:`sum_pointed` -- the oracle, with no partition walk.  The signed
   sum over partitions is ``-[y^w]`` of the set-function log ``l`` of ``a``
   at the full set (the joint cumulant over the partition lattice; T. P.
@@ -93,6 +92,8 @@ BASELINE_RANGE = tuple([(g, g - 2) for g in range(2, 7)] + [(7, 3)])
 # seeded grounds a sweep draws per numeric (g, w): asserted ones by g (3 for a
 # g not listed), exploratory ones 1; part1 --random draws more with the same seeds
 SWEEP_SAMPLES = {6: 10, 7: 5}
+
+RANDOM_G_MAX = 143  # random_ground's values: the integers -12..12 and k/d, 2 <= d <= 9
 
 
 @dataclass(frozen=True)
@@ -211,52 +212,40 @@ def _collapsed_partial(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
 
     Symbolic grounds multiply ``MultiPoly`` block series; numeric grounds
     multiply ints, scaled by :func:`_common_scale` (see the module docstring).
-    A partition of ``r`` blocks is split after its first ``k = ceil(r/2)``.
-    ``prefix[i]`` holds the truncated product of blocks ``0..i`` of ``held``;
-    a partition truncates it only where its first ``k`` blocks differ from
-    ``held``, so a longer matching prefix survives for later partitions.
-    ``suffixes`` maps each tuple of trailing blocks to their truncated
-    product, built from the tuple one block shorter.  The partition's
-    ``[y^w]`` is one dot product of its prefix and suffix products; as every
-    series has constant term 1, the two products with ``y^0`` are additions.
+    A partition of ``r`` blocks is split after its first ``k = ceil(r/2)``;
+    ``product`` looks each half up by its block tuple and builds a missing one
+    from the tuple without its last block.  Every head starts with the first
+    block, so ``heads`` is cleared when that changes; ``tails`` lasts the
+    shard.  ``[y^w]`` is one dot product of the two halves.
     """
     w = inst.w
-    if inst.ground.is_symbolic:
-        zero, scale = MultiPoly.zero(), None
-    else:
-        zero, scale = 0, _common_scale(inst)
+    scale = None if inst.ground.is_symbolic else _common_scale(inst)
     values = _BlockValues(inst.ground, w, scale)
-    suffixes = {}
 
-    def suffix(tail: tuple):
-        prod = suffixes.get(tail)
+    def product(memo: dict, blocks: tuple):
+        prod = memo.get(blocks)
         if prod is None:
-            vec = values.vector(tail[0])
-            prod = vec if len(tail) == 1 else _conv_truncated(suffix(tail[1:]), vec, w)
-            suffixes[tail] = prod
+            prod = values.vector(blocks[-1])
+            if len(blocks) > 1:
+                prod = _conv_truncated(product(memo, blocks[:-1]), prod, w)
+            memo[blocks] = prod
         return prod
 
     signs = [0] + [(-1) ** r * factorial(r - 1) for r in range(1, inst.g + 1)]
-    total = zero
+    total = MultiPoly.zero() if scale is None else 0
     visited = 0
-    prefix, held = [], []
+    heads, tails, first = {}, {}, None
     for blocks in iter_unordered_partitions(inst.g, part, parts):
+        if blocks[0] != first:
+            heads.clear()
+            first = blocks[0]
         r = len(blocks)
         k = (r + 1) // 2
-        keep, limit = 0, min(len(held), k)
-        while keep < limit and blocks[keep] == held[keep]:
-            keep += 1
-        if keep < k:
-            del prefix[keep:], held[keep:]
-            for i in range(keep, k):
-                vec = values.vector(blocks[i])
-                prefix.append(_conv_truncated(prefix[-1], vec, w) if i else vec)
-                held.append(blocks[i])
-        head = prefix[k - 1]
+        head = product(heads, blocks[:k])
         if r == 1:
             top = head[w]
         else:
-            tail = suffix(blocks[k:])
+            tail = product(tails, blocks[k:])
             top = head[w] + tail[w] if w else head[0]
             for i in range(1, w):
                 top = top + head[i] * tail[w - i]
@@ -322,8 +311,14 @@ def sum_pointed(inst: ConfigSumInstance) -> SumValue:
     return -logs[full][w]
 
 
+def _check_random_g(g: int) -> None:
+    if g > RANDOM_G_MAX:
+        raise ValueError(f"a random ground has at most {RANDOM_G_MAX} distinct values, got g={g}")
+
+
 def random_ground(g: int, rng: random.Random) -> GroundSet:
     """g distinct seeded rationals: integers and proper fractions, signs mixed."""
+    _check_random_g(g)
     values = []
     seen = set()
     while len(values) < g:
@@ -402,7 +397,10 @@ def sweep_plan(g_max: int, *, symbolic_g_max: int = 5, seed: int = 0) -> list:
     through ``symbolic_g_max``; seeded numeric sampling above that, with the
     counts of :data:`SWEEP_SAMPLES`.  Within the baseline range the instances
     are asserted; beyond it (g = 7 with w > 3, or g >= 8) they are exploratory.
+    A ``g_max`` past :data:`RANDOM_G_MAX` is refused before any ground is drawn.
     """
+    if g_max > symbolic_g_max:
+        _check_random_g(g_max)
     asserted_w = dict(BASELINE_RANGE)
     plan = []
     for g in range(2, g_max + 1):

@@ -7,8 +7,8 @@ canonical forms are trivially hashable and cheap to compare, and
 Enumeration is streaming and deterministic: identical input always yields
 identical order.  Unordered partitions are walked block by block (the block
 holding the lowest remaining element, then the rest), so partitions sharing
-their first k blocks come out consecutively, which lets a consumer reuse
-work done on a common prefix of blocks.
+their first k blocks come out consecutively; the collapsed configuration
+sum relies only on k = 1, each first block's partitions coming out together.
 
 The unordered stream is sharded by index: shard ``part`` of ``parts`` takes
 every ``parts``-th choice of the block containing element 0, starting at
@@ -109,9 +109,10 @@ def iter_unordered_partitions(g: int, part: int = 0, parts: int = 1) -> Iterator
 
     Blocks come sorted by smallest element (the canonical form), and the
     stream walks them block by block: partitions that share their first k
-    blocks are yielded consecutively.  Shard ``part`` of ``parts`` keeps the
-    first blocks ``(m << 1) | 1`` for ``m = part, part + parts, ...``; the
-    shards ``0..parts-1`` tile the stream, each in stream order.
+    blocks are yielded consecutively (the collapsed sum needs only k = 1).
+    Shard ``part`` of ``parts`` keeps the first blocks ``(m << 1) | 1`` for
+    ``m = part, part + parts, ...``; the shards ``0..parts-1`` tile the
+    stream, each in stream order.
     """
     if g < 1:
         raise ValueError("need at least one element")

@@ -95,6 +95,13 @@ class TestPart1Command:
         assert records == []
         assert "error: ground values must be pairwise distinct" in capsys.readouterr().err
 
+    def test_random_ground_past_its_support_is_usage_error(self, tmp_path, capsys):
+        code, records, _ = run_cli(["part1", "--g", "144", "--w", "0", "--random", "1"],
+                                   tmp_path)
+        assert code == 2
+        assert records == []
+        assert "error: a random ground has at most 143 distinct values" in capsys.readouterr().err
+
 
 class TestPart2Command:
     def test_depth_three(self, tmp_path):
@@ -200,6 +207,14 @@ class TestSweepCommand:
         assert code == 2
         assert records == []
         assert "error: need --g-max >= 2" in capsys.readouterr().err
+
+    def test_g_max_past_the_random_support_is_usage_error(self, tmp_path, capsys):
+        # refused before any ground is drawn, so the budget is not needed to stop it
+        code, records, _ = run_cli(["sweep", "--g-max", "144", "--budget-seconds", "1"],
+                                   tmp_path)
+        assert code == 2
+        assert records == []
+        assert "error: a random ground has at most 143 distinct values" in capsys.readouterr().err
 
     def test_budget_zero_marks_everything(self, tmp_path):
         code, records, _ = run_cli(

@@ -283,16 +283,17 @@ class TestPrefixReuse:
         assert collapsed == sum_pointed(inst) == sum_ordered(inst).total
         assert collapsed != 0
 
-    def test_one_convolution_per_distinct_prefix_and_suffix(self, monkeypatch):
-        # a partition of r blocks is split after its first k = ceil(r/2): the
-        # prefix products are blocks[:i] for 2 <= i <= k, the suffix products
-        # blocks[-i:] for 2 <= i <= r-k, and each is convolved once, not once
-        # per partition
-        prefixes, suffixes = set(), set()
-        for blocks in iter_unordered_partitions(8):
-            r = len(blocks)
-            prefixes.update(blocks[:i] for i in range(2, (r + 1) // 2 + 1))
-            suffixes.update(blocks[-i:] for i in range(2, r // 2 + 1))
+    @pytest.mark.parametrize("g, convolutions", [(6, 129), (7, 506), (8, 2018)])
+    def test_one_convolution_per_distinct_head_and_tail(self, monkeypatch, g, convolutions):
+        # a partition of r blocks is split after its first k = ceil(r/2), and
+        # a half's product is built from the half without its last block: the
+        # heads blocks[:i] for 2 <= i <= k and the tails blocks[k:k+i] for
+        # 2 <= i <= r-k are each convolved once, not once per partition
+        heads, tails = set(), set()
+        for blocks in iter_unordered_partitions(g):
+            r, k = len(blocks), (len(blocks) + 1) // 2
+            heads.update(blocks[:i] for i in range(2, k + 1))
+            tails.update(blocks[k:k + i] for i in range(2, r - k + 1))
         calls = []
         real = config_sums._conv_truncated
 
@@ -301,9 +302,9 @@ class TestPrefixReuse:
             return real(*args)
 
         monkeypatch.setattr(config_sums, "_conv_truncated", counted)
-        res = sum_collapsed(numeric_instance(8, 6, [2, 3, 5, 7, 11, 13, 17, 19]))
+        res = sum_collapsed(numeric_instance(g, g - 2, [2, 3, 5, 7, 11, 13, 17, 19][:g]))
         assert res.total == 0
-        assert len(calls) == len(prefixes) + len(suffixes) == 2018
+        assert len(calls) == len(heads) + len(tails) == convolutions
 
 
 def reference_collapsed(inst):
@@ -348,9 +349,9 @@ class TestAgainstReference:
     @pytest.mark.parametrize("g", [7, 8])
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
     def test_faulted_totals_agree(self, monkeypatch, fault, g, jobs):
-        # shards build their own suffix products: each must still give the
-        # exact total of the prefix-only route, which is nonzero here, and so
-        # must the pointed oracle, which does not shard
+        # shards build their own products: each must still give the exact
+        # total of the prefix-only route, which is nonzero here, and so must
+        # the pointed oracle, which does not shard
         fault(monkeypatch)
         inst = numeric_instance(g, g - 2, MIXED8[:g])
         expected = reference_collapsed(inst)
@@ -358,6 +359,13 @@ class TestAgainstReference:
         assert sum_collapsed(inst, jobs=jobs).total == expected
         if jobs == 1:
             assert sum_pointed(inst) == expected
+            # the shards summed in this process, no pool needed: a shard skips
+            # first blocks, and no head may outlive its own first block
+            for parts in (3, 5):
+                shards = [config_sums._collapsed_partial(inst, part, parts)
+                          for part in range(parts)]
+                assert sum(total for total, _ in shards) == expected
+                assert sum(visited for _, visited in shards) == unordered_partition_count(g)
 
 
 class TestPointedOracle:
@@ -410,6 +418,29 @@ class TestIdentityProperties:
                   Fraction(-4), Fraction(9, 7)]
         for w in range(4):
             assert sum_collapsed(numeric_instance(5, w, values)).total == 0
+
+
+class TestRandomGround:
+    def test_limit_is_the_size_of_the_support(self):
+        # every value random_ground can draw: the integers -12..12 and k/d, 2 <= d <= 9
+        support = {Fraction(k, d) for k in range(-12, 13) for d in range(1, 10)}
+        assert config_sums.RANDOM_G_MAX == len(support) == 143
+        assert set(random_ground(143, random.Random(7)).values) == support
+
+    def test_past_the_limit_is_refused_before_drawing(self):
+        # the rejection loop could never find a 144th distinct value
+        rng = random.Random(7)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="at most 143 distinct values, got g=144"):
+            random_ground(144, rng)
+        assert rng.getstate() == state
+
+    def test_sweep_plan_is_refused_before_drawing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(config_sums, "random_ground", lambda g, rng: drawn.append(g))
+        with pytest.raises(ValueError, match="at most 143 distinct values, got g=144"):
+            sweep_plan(144)
+        assert drawn == []
 
 
 class TestDoubleCheckProtocol:
