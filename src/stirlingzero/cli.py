@@ -13,7 +13,8 @@ Every run appends exact, reproducible records to a JSON-lines ledger (path
 from ``--ledger``, else ``$STIRLINGZERO_LEDGER_DIR/ledger.jsonl``, else
 ``./ledger.jsonl``).  Exit status: 0 if every *asserted* verdict is zero, else
 1 (exploratory and not-attempted records never count); 2 if bad input, the
-ledger or an engine error stops the run, keeping the records already written.
+ledger, an engine error or a lost pool worker stops the run, keeping the
+records already written.
 """
 
 from __future__ import annotations

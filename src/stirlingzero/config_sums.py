@@ -272,6 +272,9 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
         parts = min(jobs, 1 << (inst.g - 1))
         total = _zero(inst.ground)
         visited = 0
+        # every shard is a fresh fork and needs P_0..P_w: interpolated here,
+        # they reach each worker cached instead of once per shard
+        stirling_poly(inst.w)
         with ProcessPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_collapsed_partial, inst, part, parts)
                        for part in range(parts)]

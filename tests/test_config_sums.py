@@ -1,6 +1,5 @@
 """Configuration-sum verifier: both summation routes, the integer kernel, sweeps."""
 
-import multiprocessing
 import os
 import random
 import time
@@ -24,12 +23,8 @@ from stirlingzero.config_sums import (
 from stirlingzero.partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
 
 import ordered_reference
+from forking import assert_no_child_left, needs_fork
 from ordered_reference import count_weighted_configs, sum_ordered
-
-
-# a monkeypatch reaches pool workers only when they are forked
-needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                reason="pool workers are not forked")
 
 
 def numeric_instance(g, w, values):
@@ -128,7 +123,7 @@ class TestCollapsedSum:
         assert serial.total == parallel.total
         assert serial.configurations_visited == parallel.configurations_visited
         assert parallel.configurations_visited == unordered_partition_count(6)
-        assert multiprocessing.active_children() == []  # every worker joined
+        assert_no_child_left()  # every worker reaped
 
     def test_parallel_symbolic(self):
         inst = symbolic_instance(4, 1)
@@ -196,7 +191,7 @@ class TestCollapsedSum:
         monkeypatch.setattr(config_sums, "iter_unordered_partitions", lossy)
         with pytest.raises(ConsistencyError, match="partitions"):
             sum_collapsed(numeric_instance(5, 2, [2, 3, 5, 7, 11]), jobs=jobs)
-        assert multiprocessing.active_children() == []  # no worker outlives the raise
+        assert_no_child_left()  # no worker outlives the raise
 
 
 def _shift_offset_one(monkeypatch, shift=1):

@@ -1,8 +1,8 @@
 """The process pool: imported on first use, cancelled on a raise, no worker left behind."""
 
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -10,17 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from stirlingzero import config_sums
+from stirlingzero import cli, config_sums
 from stirlingzero._pool import ProcessPoolExecutor
 from stirlingzero.algebra import ConsistencyError
 from stirlingzero.config_sums import ConfigSumInstance, sum_collapsed
 from stirlingzero.partitions import GroundSet
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from forking import assert_no_child_left, needs_fork
 
-# a monkeypatch reaches pool workers only when they are forked
-needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                reason="pool workers are not forked")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # run in a fresh interpreter: what importing the package loads, then what a
 # serial and a parallel sum load, and whether the two totals agree
@@ -31,7 +29,7 @@ from stirlingzero import ConfigSumInstance, GroundSet, sum_collapsed
 
 def pool_stack():
     return sorted(m for m in sys.modules
-                  if m.partition(".")[0] in ("multiprocessing", "concurrent"))
+                  if m.partition(".")[0] in ("multiprocessing", "concurrent", "pickle"))
 
 at_import = pool_stack()
 inst = ConfigSumInstance.make(6, 3, GroundSet.numeric([2, 3, 5, 7, 11, 13]))
@@ -51,8 +49,33 @@ def test_start_up_loads_no_pool_stack():
     seen = json.loads(proc.stdout)
     assert seen["at_import"] == []
     assert seen["at_serial"] == []
-    assert {"multiprocessing", "concurrent.futures"} <= set(seen["after_pool"])
+    # the pool pickles its outcomes and loads nothing of the stdlib pool
+    assert seen["after_pool"] == ["pickle"]
     assert seen["equal"]
+
+
+# stdout is a pipe and PYTHONUNBUFFERED is dropped, so the parent's "before"
+# is still in its buffer when the workers fork: one that flushed it would
+# print it again
+STDOUT_ONCE = """
+from stirlingzero import ConfigSumInstance, GroundSet, sum_collapsed
+print("before")
+sum_collapsed(ConfigSumInstance.make(5, 2, GroundSet.numeric([2, 3, 5, 7, 11])), jobs=3)
+print("after")
+"""
+
+
+def test_workers_leave_the_parents_stdout_alone():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", STDOUT_ONCE], capture_output=True,
+                          text=True, env={**env, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "before\nafter\n"
+
+
+def test_max_workers_below_one_is_rejected():
+    with pytest.raises(ValueError, match="max_workers"):
+        ProcessPoolExecutor(max_workers=0)
 
 
 def test_a_raise_in_the_block_cancels_queued_work():
@@ -62,7 +85,69 @@ def test_a_raise_in_the_block_cancels_queued_work():
             futures = [pool.submit(time.sleep, 0.05) for _ in range(20)]
             raise RuntimeError("stop")
     assert futures[-1].cancelled()
-    assert multiprocessing.active_children() == []
+    assert not futures[0].cancelled()
+    assert_no_child_left()
+
+
+def _payload(i):
+    return bytes([i]) * 300_000  # several pipe buffers' worth
+
+
+def test_results_larger_than_a_pipe_buffer_arrive_whole():
+    # more calls than workers, each outcome longer than a pipe holds
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(_payload, i) for i in range(5)]
+        assert [fut.result() for fut in futures] == [_payload(i) for i in range(5)]
+    assert_no_child_left()
+
+
+def _fails_consistently():
+    raise ConsistencyError("injected fault in the shard")
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("cannot travel")
+        self.handle = lambda: None
+
+
+def _fails_unpicklably():
+    raise _Unpicklable()
+
+
+def _raises(exc):
+    raise exc
+
+
+def test_a_shard_error_keeps_its_type_and_traceback():
+    with pytest.raises(ConsistencyError, match="injected fault in the shard") as info:
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pool.submit(_fails_consistently).result()
+    # the worker's own frames, as the stdlib pool's _RemoteTraceback gave them
+    assert "in _fails_consistently" in str(info.value.__cause__)
+    assert_no_child_left()
+
+
+def test_an_unpicklable_error_arrives_as_its_repr():
+    with pytest.raises(RuntimeError, match=r"_Unpicklable\('cannot travel'\)") as info:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            pool.submit(_fails_unpicklably).result()
+    assert "in _fails_unpicklably" in str(info.value.__cause__)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [SystemExit(0), KeyboardInterrupt()])
+def test_an_exit_in_a_shard_is_an_error_and_goes_no_further(tmp_path, exc):
+    # a child that let the exit unwind would run this test's code after the
+    # block as well, and append its own pid
+    seen = tmp_path / "pids"
+    with pytest.raises(ChildProcessError, match=type(exc).__name__):
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            pool.submit(_raises, exc).result()
+    with open(seen, "a", encoding="utf-8") as out:
+        out.write(f"{os.getpid()}\n")
+    assert_no_child_left()
+    assert seen.read_text(encoding="utf-8") == f"{os.getpid()}\n"
 
 
 @needs_fork
@@ -84,4 +169,35 @@ def test_a_failing_shard_drops_the_queued_ones(monkeypatch):
     with pytest.raises(ConsistencyError, match="injected fault in shard 0"):
         sum_collapsed(inst, jobs=64)
     assert time.perf_counter() - start < 1.5
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_killed_worker_stops_the_run_with_exit_2(monkeypatch, tmp_path, capsys):
+    # shard 1 dies by SIGKILL before it can report: a usage-style exit 2 with
+    # a one-line error, not the status of a nonzero verdict
+    real = config_sums.iter_unordered_partitions
+    parent = os.getpid()
+
+    def second_shard_dies(g, part=0, parts=1):
+        if part == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(g, part, parts)
+
+    monkeypatch.setattr(config_sums, "iter_unordered_partitions", second_shard_dies)
+    status = cli.main(["part1", "--g", "5", "--w", "2", "--random", "1", "--jobs", "2",
+                       "--ledger", str(tmp_path / "ledger.jsonl")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shard process ")
+    assert f"wait status {signal.SIGKILL}" in err
+    assert_no_child_left()
+
+
+def test_jobs_above_one_without_fork_is_an_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.delattr(os, "fork", raising=False)
+    args = ["part1", "--g", "4", "--w", "1", "--random", "1",
+            "--ledger", str(tmp_path / "ledger.jsonl")]
+    assert cli.main(args + ["--jobs", "2"]) == 2
+    assert capsys.readouterr().err == "error: --jobs above 1 needs os.fork, which this platform lacks\n"
+    assert cli.main(args + ["--jobs", "1"]) == 0
