@@ -1,13 +1,12 @@
 """The process pool behind ``sum_collapsed(jobs > 1)``: one fork per shard.
 
-Each submitted call runs in its own child, forked when a worker slot is free.
-The child pickles ``(ok, value or exception, traceback text)`` to a pipe and
-ends with ``os._exit``, so it never returns into the caller's code, never
-runs ``atexit`` handlers and never flushes the parent's stdio buffers.  The
-parent reads whichever running child is readable first, reaps it with
-``waitpid`` and forks the next queued call, so a free CPU takes the next
-shard at once.  Nothing is sent to a child: it inherits the call, so the
-function need not pickle, and a monkeypatch in the parent reaches it.
+Each submitted call is forked at once into its own child (the caller submits
+at most one per CPU), which pickles ``(ok, value or exception, traceback
+text)`` to a pipe and ends with ``os._exit``: it never returns into the
+caller's code, runs ``atexit`` handlers or flushes the parent's stdio.  The
+parent reads whichever child is readable and reaps each at the end of its
+pipe.  A child inherits its call, so the function need not pickle, and a
+monkeypatch in the parent reaches it.
 
 Neither the pool nor the package starts a thread, so each fork copies a
 single-threaded process.  ``pickle`` and ``select`` are imported when the
@@ -20,11 +19,8 @@ pool raises ``OSError``.
 from __future__ import annotations
 
 import os
-from collections import deque
 
 __all__ = ["ProcessPoolExecutor"]
-
-_QUEUED, _RUNNING, _DONE, _CANCELLED = "queued", "running", "done", "cancelled"
 
 
 class _RemoteTraceback(Exception):
@@ -37,20 +33,13 @@ class _RemoteTraceback(Exception):
 class Future:
     """One submitted call; :meth:`result` waits for its child and re-raises its error."""
 
-    def __init__(self, pool: "ProcessPoolExecutor", call):
+    def __init__(self, pool: "ProcessPoolExecutor"):
         self._pool = pool
-        self._call = call
-        self._state = _QUEUED
-        self._outcome = None  # (ok, value or exception)
-
-    def cancelled(self) -> bool:
-        return self._state == _CANCELLED
+        self._outcome = None  # (ok, value or exception) once the child is reaped
 
     def result(self):
-        while self._state in (_QUEUED, _RUNNING):
+        while self._outcome is None:
             self._pool._collect()
-        if self._state == _CANCELLED:
-            raise RuntimeError("the shard was cancelled")
         ok, value = self._outcome
         if ok:
             return value
@@ -87,16 +76,14 @@ def _child(call, r: int, w: int) -> None:
 
 
 class ProcessPoolExecutor:
-    """At most ``max_workers`` forked children at a time, one per submitted call.
+    """One child per submitted call, forked in :meth:`submit`.
 
-    Leaving a ``with`` block on an exception cancels the calls still queued,
-    which are then never forked; either way every running child is waited
-    for and reaped before the block ends.
+    Leaving a ``with`` block on an exception (a shard's error out of
+    :meth:`Future.result`, a Ctrl-C) kills the children still running instead
+    of waiting for them; either way each child is reaped before the block ends.
     """
 
-    def __init__(self, max_workers: int):
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
+    def __init__(self):
         if not hasattr(os, "fork"):
             raise OSError("--jobs above 1 needs os.fork, which this platform lacks")
         import pickle  # loaded here, so each child finds it imported
@@ -104,39 +91,25 @@ class ProcessPoolExecutor:
 
         self._loads = pickle.loads
         self._select = select.select
-        self._max_workers = max_workers
-        self._queued: deque[Future] = deque()
         self._running: dict[int, tuple[Future, int, list[bytes]]] = {}  # fd -> (future, pid, chunks)
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
-        fut = Future(self, (fn, args, kwargs))
-        self._queued.append(fut)
-        self._fill()
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            _child((fn, args, kwargs), r, w)
+        os.close(w)
+        fut = Future(self)
+        self._running[r] = (fut, pid, [])
         return fut
 
-    def _fill(self) -> None:
-        while self._queued and len(self._running) < self._max_workers:
-            fut = self._queued.popleft()
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                self._queued.appendleft(fut)
-                raise
-            if pid == 0:
-                _child(fut._call, r, w)
-            os.close(w)
-            fut._state = _RUNNING
-            self._running[r] = (fut, pid, [])
-
     def _collect(self) -> None:
-        """Read the running children that are readable; file each one that ended.
-
-        Queued calls are forked first, into the slots the last call freed.
-        """
-        self._fill()
+        """Read the running children that are readable; file each one that ended."""
         ready, _, _ = self._select(list(self._running), [], [])
         for fd in ready:
             fut, pid, chunks = self._running[fd]
@@ -156,14 +129,15 @@ class ProcessPoolExecutor:
                 if not ok:
                     value.__cause__ = _RemoteTraceback(text)
                 fut._outcome = (ok, value)
-            fut._state = _DONE
 
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        if cancel_futures:
-            for fut in self._queued:
-                fut._state = _CANCELLED
-            self._queued.clear()
-        while wait and (self._running or self._queued):
+    def shutdown(self, kill: bool = False) -> None:
+        """Reap every child: after it finishes, or with ``kill`` after a ``SIGKILL``."""
+        if kill:
+            import signal
+
+            for _, pid, _ in self._running.values():
+                os.kill(pid, signal.SIGKILL)
+        while self._running:
             self._collect()
 
     def __enter__(self) -> "ProcessPoolExecutor":
@@ -172,5 +146,5 @@ class ProcessPoolExecutor:
     def __exit__(self, exc_type, exc, tb) -> bool:
         # through self.shutdown, so a subclass that overrides shutdown sees
         # the exit
-        self.shutdown(wait=True, cancel_futures=exc_type is not None)
+        self.shutdown(kill=exc_type is not None)
         return False

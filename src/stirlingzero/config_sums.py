@@ -259,23 +259,23 @@ def _collapsed_partial(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
 def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     """Order-collapsed sum, an exact regrouping of the literal configuration sum.
 
-    With ``jobs > 1`` the unordered-partition stream is sharded by the block
-    containing element 0 into ``min(jobs, 2^(g-1))`` shards, which run on at
-    most one worker process per CPU; exact addition makes the merged total
-    independent of scheduling.  Either way the number of partitions visited
-    must be the Bell number of ``g``.
+    With ``jobs > 1`` the unordered-partition stream is cut by partition
+    count into ``min(jobs, CPU count, 2^(g-1))`` near-equal shards, each in
+    its own worker process; exact addition makes the merged total independent
+    of the cut.  Either way the number of partitions visited must be the Bell
+    number of ``g``.
     """
     start = time.perf_counter()
     if jobs <= 1:
         total, visited = _collapsed_partial(inst)
     else:
-        parts = min(jobs, 1 << (inst.g - 1))
+        parts = min(jobs, os.cpu_count() or 1, 1 << (inst.g - 1))
         total = _zero(inst.ground)
         visited = 0
         # every shard is a fresh fork and needs P_0..P_w: interpolated here,
         # they reach each worker cached instead of once per shard
         stirling_poly(inst.w)
-        with ProcessPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor() as pool:
             futures = [pool.submit(_collapsed_partial, inst, part, parts)
                        for part in range(parts)]
             for fut in futures:  # merge in submission order: deterministic

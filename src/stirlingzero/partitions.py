@@ -10,10 +10,11 @@ holding the lowest remaining element, then the rest), so partitions sharing
 their first k blocks come out consecutively; the collapsed configuration
 sum relies only on k = 1, each first block's partitions coming out together.
 
-The unordered stream is sharded by index: shard ``part`` of ``parts`` takes
-every ``parts``-th choice of the block containing element 0, starting at
-``part``.  The shards tile the stream exactly, each in stream order, which
-is how one configuration-sum instance is split across worker processes.
+The unordered stream is sharded by partition count: shard ``part`` of
+``parts`` is one run of consecutive choices of the block containing element
+0, cut so that the shards hold near-equal numbers of partitions.  The shards
+tile the stream exactly, in order, which is how one configuration-sum
+instance is split across worker processes.
 """
 
 from __future__ import annotations
@@ -104,22 +105,45 @@ def _block_walk(rest: int, blocks: list) -> Iterator[tuple]:
         sub = (sub - others) & others  # next subset of ``others`` in increasing order
 
 
+def _first_block_run(g: int, part: int, parts: int) -> range:
+    """The ``m`` of shard ``part``'s first blocks ``(m << 1) | 1``, cut by partition count.
+
+    First block ``m`` heads ``Bell(g - 1 - popcount(m))`` partitions.  It
+    starts the next shard once the midpoint of its partitions reaches that
+    shard's share of ``Bell(g)``, or once no more first blocks are left than
+    shards to start, so only shards past the ``2^(g-1)``-th are empty.
+    """
+    n = 1 << (g - 1)
+    parts = min(parts, n)
+    if part >= parts:
+        return range(0)
+    bell = [unordered_partition_count(k) for k in range(g + 1)]
+    starts, below = [], 0
+    for m in range(n):
+        size = bell[g - 1 - m.bit_count()]
+        if len(starts) <= max(parts * (2 * below + size) // (2 * bell[g]), parts - (n - m)):
+            starts.append(m)
+        below += size
+    starts.append(n)
+    return range(starts[part], starts[part + 1])
+
+
 def iter_unordered_partitions(g: int, part: int = 0, parts: int = 1) -> Iterator[tuple]:
     """Yield each unordered partition of {0..g-1} as a tuple of block masks.
 
     Blocks come sorted by smallest element (the canonical form), and the
     stream walks them block by block: partitions that share their first k
     blocks are yielded consecutively (the collapsed sum needs only k = 1).
-    Shard ``part`` of ``parts`` keeps the first blocks ``(m << 1) | 1`` for
-    ``m = part, part + parts, ...``; the shards ``0..parts-1`` tile the
-    stream, each in stream order.
+    Shard ``part`` of ``parts`` is one run of consecutive first blocks, cut
+    by partition count (:func:`_first_block_run`); the shards
+    ``0..parts-1``, concatenated, are the stream.
     """
     if g < 1:
         raise ValueError("need at least one element")
     if not 0 <= part < parts:
         raise ValueError(f"need 0 <= part < parts, got part={part}, parts={parts}")
     full = (1 << g) - 1
-    for m in range(part, 1 << (g - 1), parts):
+    for m in _first_block_run(g, part, parts):
         first = (m << 1) | 1
         yield from _block_walk(full ^ first, [first])
 

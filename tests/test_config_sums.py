@@ -131,33 +131,36 @@ class TestCollapsedSum:
 
     @pytest.mark.parametrize("g, jobs", [(2, 3), (3, 5)])
     def test_more_jobs_than_first_blocks(self, monkeypatch, g, jobs):
-        # 2^(g-1) first blocks, so only that many shards run, on at most one
-        # worker per CPU
-        pools = []
+        # 2^(g-1) first blocks, so at most that many shards run, and at most
+        # one per CPU, each in its own worker
+        shards = []
         real_pool = config_sums.ProcessPoolExecutor
 
-        def recorded(max_workers):
-            pools.append(max_workers)
-            return real_pool(max_workers=max_workers)
+        class RecordedPool(real_pool):
+            def submit(self, fn, inst, part, parts):
+                shards.append((part, parts))
+                return super().submit(fn, inst, part, parts)
 
-        monkeypatch.setattr(config_sums, "ProcessPoolExecutor", recorded)
+        monkeypatch.setattr(config_sums, "ProcessPoolExecutor", RecordedPool)
         inst = numeric_instance(g, g - 2, MIXED[:g])
         serial = sum_collapsed(inst)
         parallel = sum_collapsed(inst, jobs=jobs)
-        assert pools == [min(1 << (g - 1), os.cpu_count() or 1)]
+        parts = min(1 << (g - 1), os.cpu_count() or 1)
+        assert shards == [(part, parts) for part in range(parts)]
         assert parallel.total == serial.total
         assert parallel.configurations_visited == unordered_partition_count(g)
+        assert_no_child_left()
 
     @pytest.mark.parametrize("cpus, jobs, workers, parts", [
-        (3, 2, 2, 2), (3, 5000, 3, 16), (None, 4, 1, 4)])
+        (3, 2, 2, 2), (3, 5000, 3, 3), (None, 4, 1, 1)])
     def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, jobs, workers, parts):
-        # the shard count stays min(jobs, 2^(g-1)); the one pool gets at most
-        # one worker per CPU.  The stub pool runs each shard inline.
+        # one pool per call, and one worker per shard: min(jobs, CPU count,
+        # 2^(g-1)) of each.  The stub pool runs each shard inline.
         pools, shards = [], []
 
         class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
+            def __init__(self):
+                pools.append(self)
 
             def __enter__(self):
                 return self
@@ -175,7 +178,8 @@ class TestCollapsedSum:
         monkeypatch.setattr(config_sums.os, "cpu_count", lambda: cpus)
         inst = numeric_instance(5, 3, MIXED[:5])
         result = sum_collapsed(inst, jobs=jobs)
-        assert pools == [workers]
+        assert len(pools) == 1
+        assert len(shards) == workers
         assert shards == [(part, parts) for part in range(parts)]
         assert result.total == sum_collapsed(inst).total
         assert result.configurations_visited == unordered_partition_count(5)

@@ -35,7 +35,7 @@ def is_set_partition(blocks, g):
 
 
 FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683}
-BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147}
+BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975}
 
 
 class TestOrderedPartitions:
@@ -114,13 +114,28 @@ class TestUnorderedPartitions:
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
     def test_shards_tile_the_stream(self, g):
         whole = list(iter_unordered_partitions(g))
+        firsts = list(dict.fromkeys(b[0] for b in whole))
         for parts in (1, 2, 3, 4):  # past 2^(g-1) first blocks for g <= 2
             shards = [list(iter_unordered_partitions(g, part, parts)) for part in range(parts)]
-            assert sorted(sum(shards, []), key=whole.index) == whole
-            for part, shard in enumerate(shards):
-                # the stride of the whole stream's first blocks, in stream order
-                firsts = set(range(1, 1 << g, 2)[part::parts])
-                assert shard == [b for b in whole if b[0] in firsts]
+            assert sum(shards, []) == whole
+            for shard in shards:
+                # one run of consecutive first blocks of the whole stream
+                mine = list(dict.fromkeys(b[0] for b in shard))
+                if mine:
+                    start = firsts.index(mine[0])
+                    assert mine == firsts[start:start + len(mine)]
+
+    @pytest.mark.parametrize("g", range(5, 11))
+    def test_two_shards_split_the_partitions_evenly(self, g):
+        sizes = [sum(1 for _ in iter_unordered_partitions(g, part, 2)) for part in range(2)]
+        assert sum(sizes) == BELL[g]
+        assert max(sizes) <= 0.55 * BELL[g]
+
+    @pytest.mark.parametrize("g", range(2, 10))
+    def test_no_shard_is_empty(self, g):
+        for parts in range(1, min(8, 1 << (g - 1)) + 1):
+            for part in range(parts):
+                assert next(iter_unordered_partitions(g, part, parts), None) is not None, (part, parts)
 
     def test_shard_validation(self):
         for part, parts in [(-1, 2), (2, 2), (3, 2), (0, 0), (0, -1)]:

@@ -1,4 +1,4 @@
-"""The process pool: imported on first use, cancelled on a raise, no worker left behind."""
+"""The process pool: imported on first use, killed on a raise, no worker left behind."""
 
 import json
 import os
@@ -73,19 +73,14 @@ def test_workers_leave_the_parents_stdout_alone():
     assert proc.stdout == "before\nafter\n"
 
 
-def test_max_workers_below_one_is_rejected():
-    with pytest.raises(ValueError, match="max_workers"):
-        ProcessPoolExecutor(max_workers=0)
-
-
 def test_a_raise_in_the_block_cancels_queued_work():
-    # one worker, twenty queued sleeps: the raise must not wait for them all
+    # a raise in the block kills the running child instead of waiting out its sleep
+    start = time.perf_counter()
     with pytest.raises(RuntimeError, match="stop"):
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            futures = [pool.submit(time.sleep, 0.05) for _ in range(20)]
+        with ProcessPoolExecutor() as pool:
+            pool.submit(time.sleep, 30)
             raise RuntimeError("stop")
-    assert futures[-1].cancelled()
-    assert not futures[0].cancelled()
+    assert time.perf_counter() - start < 1.5
     assert_no_child_left()
 
 
@@ -94,8 +89,8 @@ def _payload(i):
 
 
 def test_results_larger_than_a_pipe_buffer_arrive_whole():
-    # more calls than workers, each outcome longer than a pipe holds
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    # each outcome longer than a pipe holds
+    with ProcessPoolExecutor() as pool:
         futures = [pool.submit(_payload, i) for i in range(5)]
         assert [fut.result() for fut in futures] == [_payload(i) for i in range(5)]
     assert_no_child_left()
@@ -121,7 +116,7 @@ def _raises(exc):
 
 def test_a_shard_error_keeps_its_type_and_traceback():
     with pytest.raises(ConsistencyError, match="injected fault in the shard") as info:
-        with ProcessPoolExecutor(max_workers=2) as pool:
+        with ProcessPoolExecutor() as pool:
             pool.submit(_fails_consistently).result()
     # the worker's own frames, as the stdlib pool's _RemoteTraceback gave them
     assert "in _fails_consistently" in str(info.value.__cause__)
@@ -130,7 +125,7 @@ def test_a_shard_error_keeps_its_type_and_traceback():
 
 def test_an_unpicklable_error_arrives_as_its_repr():
     with pytest.raises(RuntimeError, match=r"_Unpicklable\('cannot travel'\)") as info:
-        with ProcessPoolExecutor(max_workers=1) as pool:
+        with ProcessPoolExecutor() as pool:
             pool.submit(_fails_unpicklably).result()
     assert "in _fails_unpicklably" in str(info.value.__cause__)
     assert_no_child_left()
@@ -142,7 +137,7 @@ def test_an_exit_in_a_shard_is_an_error_and_goes_no_further(tmp_path, exc):
     # block as well, and append its own pid
     seen = tmp_path / "pids"
     with pytest.raises(ChildProcessError, match=type(exc).__name__):
-        with ProcessPoolExecutor(max_workers=1) as pool:
+        with ProcessPoolExecutor() as pool:
             pool.submit(_raises, exc).result()
     with open(seen, "a", encoding="utf-8") as out:
         out.write(f"{os.getpid()}\n")
@@ -152,14 +147,14 @@ def test_an_exit_in_a_shard_is_an_error_and_goes_no_further(tmp_path, exc):
 
 @needs_fork
 def test_a_failing_shard_drops_the_queued_ones(monkeypatch):
-    # 64 shards on two workers; shard 0 fails at once and every other one
-    # sleeps 0.1 s, so running the queue out would take over 3 s
+    # two shards on two CPUs; shard 0 fails at once and shard 1 sleeps 30 s,
+    # so the error must not wait for it: the pool kills it
     real = config_sums.iter_unordered_partitions
 
     def first_shard_fails(g, part=0, parts=1):
         if part == 0:
             raise ConsistencyError("injected fault in shard 0")
-        time.sleep(0.1)
+        time.sleep(30)
         return real(g, part, parts)
 
     monkeypatch.setattr(config_sums, "iter_unordered_partitions", first_shard_fails)
