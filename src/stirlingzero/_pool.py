@@ -1,12 +1,13 @@
 """The process pool behind ``sum_collapsed(jobs > 1)``: one fork per shard.
 
 Each submitted call is forked at once into its own child (the caller submits
-at most one per CPU), which pickles ``(ok, value or exception, traceback
-text)`` to a pipe and ends with ``os._exit``: it never returns into the
-caller's code, runs ``atexit`` handlers or flushes the parent's stdio.  The
-parent reads whichever child is readable and reaps each at the end of its
-pipe.  A child inherits its call, so the function need not pickle, and a
-monkeypatch in the parent reaches it.
+at most one per usable CPU), which pickles ``(ok, value or exception,
+traceback text)`` to a pipe and ends with ``os._exit``: it never returns into
+the caller's code, runs ``atexit`` handlers or flushes the parent's stdio.  The
+parent reads whichever child is readable, reaps each at the end of its pipe
+and raises the first failure of any child at once.  A child inherits its
+call, so the function need not pickle, and a monkeypatch in the parent
+reaches it.
 
 Neither the pool nor the package starts a thread, so each fork copies a
 single-threaded process.  ``pickle`` and ``select`` are imported when the
@@ -22,28 +23,24 @@ import os
 
 __all__ = ["ProcessPoolExecutor"]
 
+_PENDING = object()
+
 
 class _RemoteTraceback(Exception):
     """The traceback a shard's exception had in its child, as ``__cause__``."""
 
-    def __str__(self) -> str:
-        return self.args[0]
-
 
 class Future:
-    """One submitted call; :meth:`result` waits for its child and re-raises its error."""
+    """One submitted call; :meth:`result` waits for its value, or raises any child's failure."""
 
     def __init__(self, pool: "ProcessPoolExecutor"):
         self._pool = pool
-        self._outcome = None  # (ok, value or exception) once the child is reaped
+        self._value = _PENDING
 
     def result(self):
-        while self._outcome is None:
+        while self._value is _PENDING:
             self._pool._collect()
-        ok, value = self._outcome
-        if ok:
-            return value
-        raise value
+        return self._value
 
 
 def _child(call, r: int, w: int) -> None:
@@ -78,9 +75,8 @@ def _child(call, r: int, w: int) -> None:
 class ProcessPoolExecutor:
     """One child per submitted call, forked in :meth:`submit`.
 
-    Leaving a ``with`` block on an exception (a shard's error out of
-    :meth:`Future.result`, a Ctrl-C) kills the children still running instead
-    of waiting for them; either way each child is reaped before the block ends.
+    Leaving a ``with`` block, normally or on an exception (a shard's error, a
+    Ctrl-C), kills and reaps the children still running.
     """
 
     def __init__(self):
@@ -109,7 +105,9 @@ class ProcessPoolExecutor:
         return fut
 
     def _collect(self) -> None:
-        """Read the running children that are readable; file each one that ended."""
+        """Read the readable children; reap each that ended and raise its failure."""
+        if not self._running:
+            raise ChildProcessError("shard process killed or failed before its result")
         ready, _, _ = self._select(list(self._running), [], [])
         for fd in ready:
             fut, pid, chunks = self._running[fd]
@@ -121,24 +119,23 @@ class ProcessPoolExecutor:
             os.close(fd)
             _, status = os.waitpid(pid, 0)
             if status != 0:
-                error = ChildProcessError(
+                raise ChildProcessError(
                     f"shard process {pid} ended without a result (wait status {status})")
-                fut._outcome = (False, error)
-            else:
-                ok, value, text = self._loads(b"".join(chunks))
-                if not ok:
-                    value.__cause__ = _RemoteTraceback(text)
-                fut._outcome = (ok, value)
+            ok, value, text = self._loads(b"".join(chunks))
+            if not ok:
+                raise value from _RemoteTraceback(text)
+            fut._value = value
 
-    def shutdown(self, kill: bool = False) -> None:
-        """Reap every child: after it finishes, or with ``kill`` after a ``SIGKILL``."""
-        if kill:
+    def shutdown(self) -> None:
+        """Kill every child still running and reap it, its pipe unread."""
+        if self._running:
             import signal
 
-            for _, pid, _ in self._running.values():
+            for fd, (_, pid, _) in self._running.items():
                 os.kill(pid, signal.SIGKILL)
-        while self._running:
-            self._collect()
+                os.waitpid(pid, 0)
+                os.close(fd)
+            self._running.clear()
 
     def __enter__(self) -> "ProcessPoolExecutor":
         return self
@@ -146,5 +143,5 @@ class ProcessPoolExecutor:
     def __exit__(self, exc_type, exc, tb) -> bool:
         # through self.shutdown, so a subclass that overrides shutdown sees
         # the exit
-        self.shutdown(kill=exc_type is not None)
+        self.shutdown()
         return False

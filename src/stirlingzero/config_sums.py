@@ -174,10 +174,6 @@ def _scaled_to_int(vec: tuple, powers: list) -> tuple:
     return tuple(out)
 
 
-def _zero(ground: GroundSet) -> SumValue:
-    return MultiPoly.zero() if ground.is_symbolic else Fraction(0)
-
-
 def _conv_truncated(acc, vec: tuple, w: int) -> list:
     """Coefficients of ``y^0..y^w`` in ``acc(y) * vec(y)``, both with constant term 1.
 
@@ -232,7 +228,7 @@ def _collapsed_partial(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
         return prod
 
     signs = [0] + [(-1) ** r * factorial(r - 1) for r in range(1, inst.g + 1)]
-    total = MultiPoly.zero() if scale is None else 0
+    total = 0
     visited = 0
     heads, tails, first = {}, {}, None
     for blocks in iter_unordered_partitions(inst.g, part, parts):
@@ -256,11 +252,17 @@ def _collapsed_partial(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
     return total, visited
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     """Order-collapsed sum, an exact regrouping of the literal configuration sum.
 
     With ``jobs > 1`` the unordered-partition stream is cut by partition
-    count into ``min(jobs, CPU count, 2^(g-1))`` near-equal shards, each in
+    count into ``min(jobs, usable CPUs, 2^(g-1))`` near-equal shards, each in
     its own worker process; exact addition makes the merged total independent
     of the cut.  Either way the number of partitions visited must be the Bell
     number of ``g``.
@@ -269,8 +271,8 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     if jobs <= 1:
         total, visited = _collapsed_partial(inst)
     else:
-        parts = min(jobs, os.cpu_count() or 1, 1 << (inst.g - 1))
-        total = _zero(inst.ground)
+        parts = min(jobs, _usable_cpus(), 1 << (inst.g - 1))
+        total = 0
         visited = 0
         # every shard is a fresh fork and needs P_0..P_w: interpolated here,
         # they reach each worker cached instead of once per shard

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from stirlingzero.algebra import ConsistencyError
-from stirlingzero.config_sums import ConfigSumResult, _BlockValues, _zero
+from stirlingzero.config_sums import ConfigSumResult, _BlockValues
 from stirlingzero.partitions import _stirling2, iter_unordered_partitions
 
 
@@ -49,7 +49,7 @@ def sum_ordered(inst):
     start = time.perf_counter()
     ground = inst.ground
     values = _BlockValues(ground, inst.w)
-    total = _zero(ground)
+    total = 0
     visited = 0
     for blocks in iter_ordered_partitions(inst.g):
         r = len(blocks)

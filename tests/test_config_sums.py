@@ -1,6 +1,5 @@
 """Configuration-sum verifier: both summation routes, the integer kernel, sweeps."""
 
-import os
 import random
 import time
 from concurrent.futures import Future
@@ -132,7 +131,7 @@ class TestCollapsedSum:
     @pytest.mark.parametrize("g, jobs", [(2, 3), (3, 5)])
     def test_more_jobs_than_first_blocks(self, monkeypatch, g, jobs):
         # 2^(g-1) first blocks, so at most that many shards run, and at most
-        # one per CPU, each in its own worker
+        # one per usable CPU, each in its own worker
         shards = []
         real_pool = config_sums.ProcessPoolExecutor
 
@@ -145,16 +144,16 @@ class TestCollapsedSum:
         inst = numeric_instance(g, g - 2, MIXED[:g])
         serial = sum_collapsed(inst)
         parallel = sum_collapsed(inst, jobs=jobs)
-        parts = min(1 << (g - 1), os.cpu_count() or 1)
+        parts = min(1 << (g - 1), config_sums._usable_cpus())
         assert shards == [(part, parts) for part in range(parts)]
         assert parallel.total == serial.total
         assert parallel.configurations_visited == unordered_partition_count(g)
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus, jobs, workers, parts", [
-        (3, 2, 2, 2), (3, 5000, 3, 3), (None, 4, 1, 1)])
+        (3, 2, 2, 2), (3, 5000, 3, 3), (1, 4, 1, 1)])
     def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, jobs, workers, parts):
-        # one pool per call, and one worker per shard: min(jobs, CPU count,
+        # one pool per call, and one worker per shard: min(jobs, usable CPUs,
         # 2^(g-1)) of each.  The stub pool runs each shard inline.
         pools, shards = [], []
 
@@ -175,7 +174,7 @@ class TestCollapsedSum:
                 return future
 
         monkeypatch.setattr(config_sums, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(config_sums.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(config_sums, "_usable_cpus", lambda: cpus)
         inst = numeric_instance(5, 3, MIXED[:5])
         result = sum_collapsed(inst, jobs=jobs)
         assert len(pools) == 1
@@ -183,6 +182,14 @@ class TestCollapsedSum:
         assert shards == [(part, parts) for part in range(parts)]
         assert result.total == sum_collapsed(inst).total
         assert result.configurations_visited == unordered_partition_count(5)
+
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
+        # the CPU count stands in, and a platform that reports none gets one
+        monkeypatch.delattr(config_sums.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(config_sums.os, "cpu_count", lambda: 3)
+        assert config_sums._usable_cpus() == 3
+        monkeypatch.setattr(config_sums.os, "cpu_count", lambda: None)
+        assert config_sums._usable_cpus() == 1
 
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
     def test_dropped_partition_is_caught(self, monkeypatch, jobs):

@@ -1,4 +1,4 @@
-"""The process pool: imported on first use, killed on a raise, no worker left behind."""
+"""The process pool: imported on first use, stopped by its first error, no worker left behind."""
 
 import json
 import os
@@ -65,6 +65,35 @@ print("after")
 """
 
 
+# run in a fresh interpreter held to one CPU: sum_collapsed forks one shard
+# however many jobs it is asked for
+ONE_CPU = """
+import json, os
+from stirlingzero import ConfigSumInstance, GroundSet, sum_collapsed
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+forks, real_fork = [], os.fork
+
+def counted_fork():
+    pid = real_fork()
+    forks.append(pid)
+    return pid
+
+os.fork = counted_fork
+inst = ConfigSumInstance.make(9, 7, GroundSet.numeric([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+total = sum_collapsed(inst, jobs=64).total
+print(json.dumps({"forks": len(forks), "equal": total == sum_collapsed(inst).total}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity")
+def test_one_usable_cpu_forks_one_shard():
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"forks": 1, "equal": True}
+
+
 def test_workers_leave_the_parents_stdout_alone():
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.run([sys.executable, "-c", STDOUT_ONCE], capture_output=True,
@@ -73,7 +102,7 @@ def test_workers_leave_the_parents_stdout_alone():
     assert proc.stdout == "before\nafter\n"
 
 
-def test_a_raise_in_the_block_cancels_queued_work():
+def test_a_raise_in_the_block_kills_the_running_child():
     # a raise in the block kills the running child instead of waiting out its sleep
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="stop"):
@@ -82,6 +111,19 @@ def test_a_raise_in_the_block_cancels_queued_work():
             raise RuntimeError("stop")
     assert time.perf_counter() - start < 1.5
     assert_no_child_left()
+
+
+def test_leaving_the_block_kills_an_unread_child():
+    # a block left normally does not wait for a result it never read, and
+    # that result is then lost for good rather than awaited forever
+    start = time.perf_counter()
+    with ProcessPoolExecutor() as pool:
+        unread = pool.submit(time.sleep, 30)
+    assert time.perf_counter() - start < 1.5
+    assert_no_child_left()
+    with pytest.raises(ChildProcessError, match="killed"):
+        unread.result()
+    assert time.perf_counter() - start < 1.5
 
 
 def _payload(i):
@@ -146,22 +188,24 @@ def test_an_exit_in_a_shard_is_an_error_and_goes_no_further(tmp_path, exc):
 
 
 @needs_fork
-def test_a_failing_shard_drops_the_queued_ones(monkeypatch):
-    # two shards on two CPUs; shard 0 fails at once and shard 1 sleeps 30 s,
-    # so the error must not wait for it: the pool kills it
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_failing_shard_stops_the_sum_at_once(monkeypatch, failing):
+    # two shards on two CPUs; one fails at once and the other sleeps 30 s,
+    # so the error must not wait for it, whichever shard is read first: the
+    # pool kills the sleeper
     real = config_sums.iter_unordered_partitions
 
-    def first_shard_fails(g, part=0, parts=1):
-        if part == 0:
-            raise ConsistencyError("injected fault in shard 0")
+    def one_shard_fails(g, part=0, parts=1):
+        if part == failing:
+            raise ConsistencyError(f"injected fault in shard {part}")
         time.sleep(30)
         return real(g, part, parts)
 
-    monkeypatch.setattr(config_sums, "iter_unordered_partitions", first_shard_fails)
-    monkeypatch.setattr(config_sums.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(config_sums, "iter_unordered_partitions", one_shard_fails)
+    monkeypatch.setattr(config_sums, "_usable_cpus", lambda: 2)
     inst = ConfigSumInstance.make(8, 6, GroundSet.numeric([2, 3, 5, 7, 11, 13, 17, 19]))
     start = time.perf_counter()
-    with pytest.raises(ConsistencyError, match="injected fault in shard 0"):
+    with pytest.raises(ConsistencyError, match=f"injected fault in shard {failing}"):
         sum_collapsed(inst, jobs=64)
     assert time.perf_counter() - start < 1.5
     assert_no_child_left()
@@ -169,19 +213,25 @@ def test_a_failing_shard_drops_the_queued_ones(monkeypatch):
 
 @needs_fork
 def test_a_killed_worker_stops_the_run_with_exit_2(monkeypatch, tmp_path, capsys):
-    # shard 1 dies by SIGKILL before it can report: a usage-style exit 2 with
-    # a one-line error, not the status of a nonzero verdict
+    # shard 1 dies by SIGKILL before it can report while shard 0 sleeps 30 s:
+    # a usage-style exit 2 with a one-line error at once, not the status of a
+    # nonzero verdict
     real = config_sums.iter_unordered_partitions
     parent = os.getpid()
 
     def second_shard_dies(g, part=0, parts=1):
-        if part == 1 and os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
+        if os.getpid() != parent:
+            if part == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(30)
         return real(g, part, parts)
 
     monkeypatch.setattr(config_sums, "iter_unordered_partitions", second_shard_dies)
+    monkeypatch.setattr(config_sums, "_usable_cpus", lambda: 2)
+    start = time.perf_counter()
     status = cli.main(["part1", "--g", "5", "--w", "2", "--random", "1", "--jobs", "2",
                        "--ledger", str(tmp_path / "ledger.jsonl")])
+    assert time.perf_counter() - start < 1.5
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error: shard process ")
