@@ -23,10 +23,13 @@ provided:
   ``ceil(r/2)``, and each half's truncated product is memoized by its block
   tuple, built from the tuple without its last block; the first halves are
   dropped when the first block changes.  Each product is convolved once, and
-  a partition's ``[y^w]`` is one dot product of its two halves.  Every block
+  a partition's ``[y^w]`` is one dot product of its two halves, added to
+  the sum of its block count ``r``, which is signed once.  Every block
   series has constant term ``P_0 = 1`` (a block value that breaks this
   raises :class:`ConsistencyError`), so the convolutions and dot products
-  skip the products with ``y^0``.
+  skip the products with ``y^0``.  The series of every nonempty mask is
+  evaluated once, before the walk, and with ``jobs > 1`` before the shards
+  fork, so each shard inherits the finished table.
 * :func:`sum_pointed` -- the oracle, with no partition walk.  The signed
   sum over partitions is ``-[y^w]`` of the set-function log ``l`` of ``a``
   at the full set (the joint cumulant over the partition lattice; T. P.
@@ -42,9 +45,10 @@ denominators of ``P_1..P_w``, set ``lam = K * D^2``: then ``lam^v P_v(t)`` is an
 integer for every block sum ``t`` and ``v <= w``.  The substitution
 ``y -> y / lam`` is a ring automorphism, so each partition's ``[y^w]`` is
 scaled by exactly ``lam^w`` and the total is ``N / lam^w`` for the integer sum
-``N``.  A block value that the scaling does not clear raises
-:class:`ConsistencyError`.  Every partition is still visited, and the visit
-count is checked against the Bell number.  :func:`sum_pointed` stays in
+``N``, divided once after the shards' integer partials are merged.  A block
+value that the scaling does not clear raises :class:`ConsistencyError`.
+Every partition is still visited, and the visit count is checked against the
+Bell number.  :func:`sum_pointed` stays in
 ``Fraction`` arithmetic on the unscaled block values, so the two routes
 share no summation kernel.
 
@@ -135,17 +139,20 @@ class ConfigSumResult:
 
 
 class _BlockValues:
-    """Per-run cache of P_v(block sum) vectors keyed by block mask.
+    """An instance's P_v(block sum) vectors keyed by block mask.
 
-    With ``scale`` set (numeric grounds), each vector is stored as the ints
-    ``scale^v * P_v(t)``; a value the scaling does not clear is an engine bug,
-    and so is an offset-0 value other than 1, which the collapsed route's
-    products take for granted.
+    :func:`_block_table` fills every mask before the collapsed walk, and
+    before a pool forks, so each shard inherits the full table;
+    :func:`sum_pointed` reads it lazily.  With ``scale`` set (numeric
+    grounds), each vector is stored as the ints ``scale^v * P_v(t)``; a value
+    the scaling does not clear is an engine bug, and so is an offset-0 value
+    other than 1, which the collapsed route's products take for granted.
     """
 
     def __init__(self, ground: GroundSet, w_max: int, scale: Optional[int] = None):
         self.ground = ground
         self.w_max = w_max
+        self.scale = scale
         self._cache = {}
         self._eval = eval_P_symbolic if ground.is_symbolic else eval_P
         self._powers = None if scale is None else [scale ** v for v in range(w_max + 1)]
@@ -203,20 +210,35 @@ def _common_scale(inst: ConfigSumInstance) -> int:
     return k * d * d
 
 
-def _collapsed_partial(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
-    """Sum of collapsed contributions over shard ``part`` of ``parts`` of the partition stream.
+def _block_table(inst: ConfigSumInstance) -> _BlockValues:
+    """The instance's block values at every nonempty mask, each a block of some partition.
 
-    Symbolic grounds multiply ``MultiPoly`` block series; numeric grounds
-    multiply ints, scaled by :func:`_common_scale` (see the module docstring).
-    A partition of ``r`` blocks is split after its first ``k = ceil(r/2)``;
+    Numeric grounds store ints scaled by :func:`_common_scale`.
+    """
+    scale = None if inst.ground.is_symbolic else _common_scale(inst)
+    values = _BlockValues(inst.ground, inst.w, scale)
+    for mask in range(1, 1 << inst.g):
+        values.vector(mask)
+    return values
+
+
+def _collapsed_partial(inst: ConfigSumInstance, values: _BlockValues,
+                       part: int = 0, parts: int = 1):
+    """Unscaled collapsed sum over shard ``part`` of ``parts`` of the partition stream.
+
+    ``values`` is the instance's table from :func:`_block_table`, which a
+    forked shard inherits.  Symbolic grounds multiply ``MultiPoly`` block
+    series; numeric grounds multiply ints, so the partial is ``values.scale^w``
+    times the shard's share of the total (see the module docstring).  A
+    partition of ``r`` blocks is split after its first ``k = ceil(r/2)``;
     ``product`` looks each half up by its block tuple and builds a missing one
     from the tuple without its last block.  Every head starts with the first
     block, so ``heads`` is cleared when that changes; ``tails`` lasts the
-    shard.  ``[y^w]`` is one dot product of the two halves.
+    shard.  ``[y^w]`` is one dot product of the two halves, added to the sum
+    of its block count ``r``, and each of those sums is multiplied by
+    ``(-1)^r (r-1)!`` once at the end.
     """
     w = inst.w
-    scale = None if inst.ground.is_symbolic else _common_scale(inst)
-    values = _BlockValues(inst.ground, w, scale)
 
     def product(memo: dict, blocks: tuple):
         prod = memo.get(blocks)
@@ -227,8 +249,7 @@ def _collapsed_partial(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
             memo[blocks] = prod
         return prod
 
-    signs = [0] + [(-1) ** r * factorial(r - 1) for r in range(1, inst.g + 1)]
-    total = 0
+    by_count = [0] * (inst.g + 1)
     visited = 0
     heads, tails, first = {}, {}, None
     for blocks in iter_unordered_partitions(inst.g, part, parts):
@@ -245,10 +266,9 @@ def _collapsed_partial(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
             top = head[w] + tail[w] if w else head[0]
             for i in range(1, w):
                 top = top + head[i] * tail[w - i]
-        total = total + top * signs[r]
+        by_count[r] = by_count[r] + top
         visited += 1
-    if scale is not None:
-        total = Fraction(total, scale ** w)
+    total = sum(by_count[r] * ((-1) ** r * factorial(r - 1)) for r in range(1, inst.g + 1))
     return total, visited
 
 
@@ -261,24 +281,24 @@ def _usable_cpus() -> int:
 def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     """Order-collapsed sum, an exact regrouping of the literal configuration sum.
 
+    The instance's block table is built once, before the walk or the fork.
     With ``jobs > 1`` the unordered-partition stream is cut by partition
     count into ``min(jobs, usable CPUs, 2^(g-1))`` near-equal shards, each in
-    its own worker process; exact addition makes the merged total independent
-    of the cut.  Either way the number of partitions visited must be the Bell
-    number of ``g``.
+    its own worker process that inherits the table; exact addition makes the
+    merged total independent of the cut.  The unscaled partials are merged
+    and divided by ``scale^w`` once.  Either way the number of partitions
+    visited must be the Bell number of ``g``.
     """
     start = time.perf_counter()
+    values = _block_table(inst)
     if jobs <= 1:
-        total, visited = _collapsed_partial(inst)
+        total, visited = _collapsed_partial(inst, values)
     else:
         parts = min(jobs, _usable_cpus(), 1 << (inst.g - 1))
         total = 0
         visited = 0
-        # every shard is a fresh fork and needs P_0..P_w: interpolated here,
-        # they reach each worker cached instead of once per shard
-        stirling_poly(inst.w)
         with ProcessPoolExecutor() as pool:
-            futures = [pool.submit(_collapsed_partial, inst, part, parts)
+            futures = [pool.submit(_collapsed_partial, inst, values, part, parts)
                        for part in range(parts)]
             for fut in futures:  # merge in submission order: deterministic
                 partial, count = fut.result()
@@ -287,6 +307,8 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     expected = unordered_partition_count(inst.g)
     if visited != expected:
         raise ConsistencyError(f"visited {visited} partitions, expected {expected}")
+    if values.scale is not None:
+        total = Fraction(total, values.scale ** inst.w)
     return ConfigSumResult(inst, total, visited, time.perf_counter() - start)
 
 

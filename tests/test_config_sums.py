@@ -1,5 +1,6 @@
 """Configuration-sum verifier: both summation routes, the integer kernel, sweeps."""
 
+import os
 import random
 import time
 from concurrent.futures import Future
@@ -136,9 +137,9 @@ class TestCollapsedSum:
         real_pool = config_sums.ProcessPoolExecutor
 
         class RecordedPool(real_pool):
-            def submit(self, fn, inst, part, parts):
-                shards.append((part, parts))
-                return super().submit(fn, inst, part, parts)
+            def submit(self, fn, *args):
+                shards.append(args[-2:])  # (part, parts)
+                return super().submit(fn, *args)
 
         monkeypatch.setattr(config_sums, "ProcessPoolExecutor", RecordedPool)
         inst = numeric_instance(g, g - 2, MIXED[:g])
@@ -148,6 +149,28 @@ class TestCollapsedSum:
         assert shards == [(part, parts) for part in range(parts)]
         assert parallel.total == serial.total
         assert parallel.configurations_visited == unordered_partition_count(g)
+        assert_no_child_left()
+
+    @needs_fork
+    def test_shards_inherit_the_block_table(self, monkeypatch):
+        # the parent evaluates every (v, mask) once before it forks; a shard
+        # that evaluated a block value itself would raise here
+        parent = os.getpid()
+        calls = []
+        real = config_sums.eval_P
+
+        def parent_only(v, t):
+            if os.getpid() != parent:
+                raise AssertionError("a shard evaluated a block value")
+            calls.append((v, t))
+            return real(v, t)
+
+        g, w = 6, 4
+        inst = numeric_instance(g, w, MIXED[:g])
+        serial = sum_collapsed(inst).total
+        monkeypatch.setattr(config_sums, "eval_P", parent_only)
+        assert sum_collapsed(inst, jobs=2).total == serial
+        assert len(calls) == ((1 << g) - 1) * (w + 1)
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus, jobs, workers, parts", [
@@ -167,10 +190,10 @@ class TestCollapsedSum:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, inst, part, parts):
-                shards.append((part, parts))
+            def submit(self, fn, *args):
+                shards.append(args[-2:])  # (part, parts)
                 future = Future()
-                future.set_result(fn(inst, part, parts))
+                future.set_result(fn(*args))
                 return future
 
         monkeypatch.setattr(config_sums, "ProcessPoolExecutor", InlinePool)
@@ -282,10 +305,13 @@ class TestPrefixReuse:
         assert collapsed != 0
 
     @pytest.mark.parametrize("w", [1, 2])
-    def test_mask_dependent_control_symbolic(self, monkeypatch, w):
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_mask_dependent_control_symbolic(self, monkeypatch, w, jobs):
+        # at jobs = 2 the shards return unscaled MultiPoly partials, each
+        # signed per block count, and their merge must still be exact
         _bump_one_block(monkeypatch)
         inst = symbolic_instance(4, w)
-        collapsed = sum_collapsed(inst).total
+        collapsed = sum_collapsed(inst, jobs=jobs).total
         assert collapsed == sum_pointed(inst) == sum_ordered(inst).total
         assert collapsed != 0
 
@@ -366,11 +392,14 @@ class TestAgainstReference:
         if jobs == 1:
             assert sum_pointed(inst) == expected
             # the shards summed in this process, no pool needed: a shard skips
-            # first blocks, and no head may outlive its own first block
+            # first blocks, and no head may outlive its own first block; the
+            # unscaled partials are merged, then scaled once
+            values = config_sums._block_table(inst)
             for parts in (3, 5):
-                shards = [config_sums._collapsed_partial(inst, part, parts)
+                shards = [config_sums._collapsed_partial(inst, values, part, parts)
                           for part in range(parts)]
-                assert sum(total for total, _ in shards) == expected
+                total = sum(partial for partial, _ in shards)
+                assert Fraction(total, values.scale ** inst.w) == expected
                 assert sum(visited for _, visited in shards) == unordered_partition_count(g)
 
 
