@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 from math import factorial, lcm
 from operator import add, mul
 from types import MappingProxyType
@@ -619,12 +620,10 @@ class Series:
         return f"Series[{self.var}; T={self.order}]({inner})"
 
 
-def _dense_from_nodes(nodes: Sequence[int], skip: Optional[int] = None) -> list:
-    # coefficients of prod_{m != skip} (X - nodes[m]), low degree first
+def _dense_from_nodes(nodes: Sequence[int]) -> list:
+    # coefficients of prod (X - x) over the nodes, low degree first
     coeffs = [1]
-    for m, x in enumerate(nodes):
-        if m == skip:
-            continue
+    for x in nodes:
         nxt = [0] * (len(coeffs) + 1)
         for d, c in enumerate(coeffs):
             nxt[d + 1] += c
@@ -633,22 +632,28 @@ def _dense_from_nodes(nodes: Sequence[int], skip: Optional[int] = None) -> list:
     return coeffs
 
 
+def _horner(coeffs: Sequence, x):
+    # sum of coeffs[d] * x^d, low degree first; x an int, Fraction or MultiPoly
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _lagrange_rows(nodes: tuple) -> tuple:
     # (by_degree, den): by_degree[d][i] / den is the coefficient of X^d in
     # the i-th Lagrange basis polynomial, den the lcm of the basis
     # denominators; a fit's X^d coefficient is the dot product of
-    # by_degree[d] with the node values, over den
-    denoms = []
-    for i, x_i in enumerate(nodes):
-        denom = 1
-        for m, x_m in enumerate(nodes):
-            if m != i:
-                denom *= x_i - x_m
-        denoms.append(denom)
+    # by_degree[d] with the node values, over den.  The i-th numerator is
+    # the node product divided by (X - x_i), synthetically from the top
+    # degree down, and its denominator is that quotient at x_i.
+    top_down = _dense_from_nodes(nodes)[:0:-1]
+    quotients = [list(accumulate(top_down, lambda q, c: q * x + c))[::-1]
+                 for x in nodes]
+    denoms = [_horner(q, x) for q, x in zip(quotients, nodes)]
     den = lcm(*denoms)
-    rows = [[c * (den // denom) for c in _dense_from_nodes(nodes, i)]
-            for i, denom in enumerate(denoms)]
+    rows = [[c * (den // denom) for c in q] for q, denom in zip(quotients, denoms)]
     return tuple(zip(*rows)), den
 
 
@@ -716,11 +721,8 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
     for x, witness in zip(points[count:], terms[count:]):
         for mono in fit.keys() | witness.keys():
             nums, scale = fit.get(mono, ((), 1))
-            acc = 0
-            for c in reversed(nums):
-                acc = acc * x + c
             target = witness.get(mono, 0)
-            if acc * target.denominator != target.numerator * scale:
+            if _horner(nums, x) * target.denominator != target.numerator * scale:
                 raise PolynomialityError(
                     f"surplus sample at {var}={x} deviates from the degree-"
                     f"{degree_bound} interpolant")

@@ -13,8 +13,9 @@ Every run appends exact, reproducible records to a JSON-lines ledger (path
 from ``--ledger``, else ``$STIRLINGZERO_LEDGER_DIR/ledger.jsonl``, else
 ``./ledger.jsonl``).  Exit status: 0 if every *asserted* verdict is zero, else
 1 (exploratory and not-attempted records never count); 2 if bad input, the
-ledger, an engine error or a lost pool worker stops the run, keeping the
-records already written.
+ledger, an engine error, a lost pool worker or any other exception stops the
+run, keeping the records already written.  That other exception is a bug,
+so its traceback is printed first.
 """
 
 from __future__ import annotations
@@ -238,6 +239,12 @@ def main(argv=None) -> int:
             failures += record.status == "asserted" and record.verdict != "zero"
             not_attempted += record.status == "not_attempted"
     except (ValueError, EngineError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug, not a verdict: exit 1 would read as a counterexample
+        import traceback
+
+        traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not_attempted:

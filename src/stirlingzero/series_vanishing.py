@@ -58,9 +58,9 @@ from .algebra import (
     MultiPoly,
     Series,
     _as_int,
+    _dense_from_nodes,
     interpolate_in_var,
 )
-from .stirling import stirling_row
 
 __all__ = [
     "N",
@@ -228,9 +228,9 @@ def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPol
     Each multiset ``{s_1..s_p}`` drawn from ``u_indices`` with
     ``sum (s_i - 1) = h`` has ``m = h + p``, automorphism count
     ``aut = prod over distinct s of mult(s)!`` and the integer coefficients
-    ``c_{m,k} = (-1)^(m-k) [m, k]`` of ``j(j-1)...(j-m+1) = sum_k c_{m,k} j^k``,
-    the signed Stirling row :func:`~stirlingzero.stirling.stirling_row`.  It
-    gives one term per power of j::
+    ``c_{m,k}`` of ``j(j-1)...(j-m+1) = sum_k c_{m,k} j^k``, read off the node
+    product over ``0..m-1`` (they are the signed Stirling numbers
+    ``(-1)^(m-k) [m, k]``).  It gives one term per power of j::
 
         prod_i((-1)^(s_i+1) / s_i) * c_{m,k} / aut * j^k * r^(-m) * u_{s_1}...u_{s_p}
 
@@ -254,10 +254,10 @@ def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPol
         exps[1] = -m
         for s, count in mult.items():
             exps[slot[s]] = count
-        for k, c in enumerate(stirling_row(m)):
+        for k, c in enumerate(_dense_from_nodes(range(m))):
             if c:
                 exps[0] = k
-                terms[tuple(exps)] = Fraction((-1) ** (m - k) * sign * c, den)
+                terms[tuple(exps)] = Fraction(sign * c, den)
     return MultiPoly(names, terms, laurent=(R,))
 
 

@@ -2,7 +2,9 @@
 
 ``[n, k]`` is the coefficient of ``x**k`` in the rising factorial
 ``x (x+1) ... (x+n-1)``, and :func:`stirling_row` reads row ``n`` straight
-off that product, expanded by the engine's node-product routine.  For a
+off that product, expanded by the engine's node-product routine.  (The
+log-expansion closed form reads its falling factorials off the same
+routine, over the nodes ``0 .. m-1``, so it needs no Stirling row.)  For a
 fixed offset ``w``, the diagonal ``[n, n-w]`` agrees with a polynomial in
 ``n`` of degree ``2w``; that polynomial, evaluated anywhere, is what the
 identity checks consume.
@@ -22,7 +24,7 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .algebra import (
-    ConsistencyError, MultiPoly, _as_fraction, _dense_from_nodes, interpolate_in_var)
+    ConsistencyError, MultiPoly, _as_fraction, _dense_from_nodes, _horner, interpolate_in_var)
 
 __all__ = [
     "stirling_row",
@@ -38,14 +40,6 @@ def stirling_row(n: int) -> tuple:
     if n < 0:
         raise ValueError("row index must be nonnegative")
     return tuple(_dense_from_nodes(range(0, -n, -1)))
-
-
-def _dense_eval(coeffs, t):
-    # Horner on a rational or a MultiPoly t
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 # --------------------------------------------------------------- public API
@@ -68,7 +62,7 @@ def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
     if delta != [0, *prev_coeffs]:
         raise ConsistencyError(
             f"difference identity fails for offset {w}: arithmetic bug")
-    if _dense_eval(coeffs, Fraction(w)) != stirling_row(w)[0]:
+    if _horner(coeffs, w) != stirling_row(w)[0]:
         raise ConsistencyError(
             f"offset-{w} polynomial does not anchor to row {w}")
 
@@ -121,7 +115,7 @@ def eval_P(w: int, t) -> Fraction:
 
 def eval_P_symbolic(w: int, t) -> MultiPoly:
     """Polynomial composition: the offset-w polynomial evaluated at a MultiPoly
-    by :func:`_dense_eval`; a rational ``t`` goes through :func:`eval_P`."""
+    by the engine's Horner loop; a rational ``t`` goes through :func:`eval_P`."""
     if not isinstance(t, MultiPoly):
         return MultiPoly.constant(eval_P(w, t))
-    return _dense_eval(stirling_poly(w), t)
+    return _horner(stirling_poly(w), t)

@@ -1,7 +1,7 @@
 """Kernel tests: sparse polynomials, truncated series, interpolation."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +116,27 @@ def reference_fit(samples, var_name, degree_bound):
                 basis = fraction_product(basis, (x - x_m) * Fraction(1, x_i - x_m))
         total = total + fraction_product(basis, MultiPoly._coerce(v_i))
     return total
+
+
+def reference_lagrange_rows(nodes):
+    """``_lagrange_rows`` built one basis polynomial at a time.
+
+    Each numerator ``prod_{m != i} (X - x_m)`` is multiplied out on its own
+    and each denominator is ``prod_{m != i} (x_i - x_m)``; the rows are put
+    over the lcm of the denominators and transposed to one row per degree.
+    """
+    numerators, denoms = [], []
+    for i, x_i in enumerate(nodes):
+        num, denom = [1], 1
+        for m, x_m in enumerate(nodes):
+            if m != i:
+                num = [low - x_m * c for low, c in zip([0] + num, num + [0])]
+                denom *= x_i - x_m
+        numerators.append(num)
+        denoms.append(denom)
+    den = lcm(*denoms)
+    rows = [[c * (den // denom) for c in num] for num, denom in zip(numerators, denoms)]
+    return tuple(zip(*rows)), den
 
 
 # ideals (weights, max_weight, squarefree) for Series.exp/log; mixed_series
@@ -582,6 +603,12 @@ class TestInterpolation:
         fit = interpolate_in_var(samples, "j", degree)
         assert fit == reference_fit(samples, "j", degree)
         assert all(type(c) is Fraction for c in fit.terms.values())
+
+    @given(st.lists(st.integers(-30, 60), min_size=1, max_size=12, unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_lagrange_rows_match_one_product_per_basis_polynomial(self, nodes):
+        # the rows come from one node product, by synthetic division
+        assert algebra._lagrange_rows(tuple(nodes)) == reference_lagrange_rows(nodes)
 
     @given(st.integers(0, 4), st.data())
     @settings(max_examples=40, deadline=None)

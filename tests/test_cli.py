@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from forking import assert_no_child_left, needs_fork
 from stirlingzero import bridge, config_sums
 from stirlingzero.algebra import ConsistencyError
 from stirlingzero.cli import build_parser, main
@@ -272,7 +273,7 @@ class TestSweepCommand:
         assert named(drawn) == named(swept)
         assert all(r["verdict"] == "zero" for r in swept + drawn)
 
-    def test_records_stream_as_instances_finish(self, tmp_path, monkeypatch):
+    def test_records_stream_as_instances_finish(self, tmp_path, monkeypatch, capsys):
         real_sum = config_sums.sum_collapsed
         calls = []
 
@@ -284,8 +285,8 @@ class TestSweepCommand:
 
         monkeypatch.setattr(config_sums, "sum_collapsed", fail_fifth)
         path = tmp_path / "ledger.jsonl"
-        with pytest.raises(RuntimeError):
-            main(["sweep", "--g-max", "5", "--ledger", str(path)])
+        assert main(["sweep", "--g-max", "5", "--ledger", str(path)]) == 2
+        assert "error: injected failure in the fifth instance" in capsys.readouterr().err
         records, _ = read_records(str(path))
         assert [(r["params"]["g"], r["params"]["w"]) for r in records] == \
             [(2, 0), (3, 0), (3, 1), (4, 0)]
@@ -386,6 +387,35 @@ class TestExitStatus:
         assert "error: injected in the third instance" in err
         assert "Traceback" not in err
         assert [(r["params"]["g"], r["params"]["w"]) for r in records] == [(2, 0), (3, 0)]
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_any_exception_stops_the_run_with_exit_two(self, tmp_path, monkeypatch, capsys,
+                                                       jobs):
+        # exit 1 would read as a counterexample; a local class does not
+        # pickle, so at --jobs 2 the shard's error arrives as a RuntimeError
+        real_partial = config_sums._collapsed_partial
+
+        class Unpicklable(Exception):
+            pass
+
+        def fail_at_four(inst, values, part=0, parts=1):
+            if inst.g == 4:
+                raise Unpicklable("injected at g = 4")
+            return real_partial(inst, values, part, parts)
+
+        monkeypatch.setattr(config_sums, "_collapsed_partial", fail_at_four)
+        monkeypatch.setattr(config_sums, "_usable_cpus", lambda: 2)
+        code, records, _ = run_cli(["sweep", "--g-max", "5", "--jobs", str(jobs)], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" in err
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ") and "injected at g = 4" in last
+        assert [(r["params"]["g"], r["params"]["w"]) for r in records] == \
+            [(2, 0), (3, 0), (3, 1)]
+        assert all(r["verdict"] == "zero" for r in records)
+        if jobs > 1:
+            assert_no_child_left()
 
     def test_control_fault_exits_one_with_confirmed_records(self, tmp_path, monkeypatch,
                                                             capsys):

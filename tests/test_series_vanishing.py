@@ -12,6 +12,7 @@ from stirlingzero.algebra import (
     MultiPoly,
     PolynomialityError,
     Series,
+    _dense_from_nodes,
     interpolate_in_var,
 )
 from stirlingzero.series_vanishing import (
@@ -394,14 +395,16 @@ class TestClosedForm:
                 symbolic_expansion_coefficient(2, CFG)
 
     def test_falling_factorial_coefficients(self):
-        # the closed form reads j(j-1)...(j-m+1) = sum_k (-1)^(m-k) [m, k] j^k
-        # off the Stirling row: j(j-1)(j-2)(j-3) = j^4 - 6j^3 + 11j^2 - 6j
+        # the closed form reads j(j-1)...(j-m+1) off the node product over
+        # 0..m-1, which is sum_k (-1)^(m-k) [m, k] j^k:
+        # j(j-1)(j-2)(j-3) = j^4 - 6j^3 + 11j^2 - 6j
         def signed_row(m):
             return [(-1) ** (m - k) * c for k, c in enumerate(stirling_row(m))]
 
         assert signed_row(0) == [1]
         assert signed_row(4) == [0, -6, 11, -6, 1]
         for m in range(12):
+            assert _dense_from_nodes(range(m)) == signed_row(m)
             for j in range(m, m + 6):
                 assert sum(c * j ** k for k, c in enumerate(signed_row(m))) == \
                     factorial(j) // factorial(j - m)
