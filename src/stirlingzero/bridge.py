@@ -11,8 +11,6 @@ every u_s zeroed except ``s in {c_i}``, the coefficient of the squarefree
 monomial ``u_{c_1} u_{c_2} ... u_{c_g}`` in the ``[j^k n^{-h}]`` component is
 the quantity tied to the configuration sum.  No proportionality constant
 between the two is assumed: both are checked for vanishing independently.
-The expansion budget is derived from ``(c, w)`` alone
-(:func:`expansion_budget_for`), so it always covers the target component.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ __all__ = [
     "BridgeInstance",
     "BridgeReport",
     "bridge_params",
-    "expansion_budget_for",
     "bridge_coefficient",
     "bridge_check",
 ]
@@ -70,20 +67,6 @@ def bridge_params(c, w: int) -> BridgeInstance:
     return BridgeInstance(values, w)
 
 
-def expansion_budget_for(inst: BridgeInstance) -> ExpansionConfig:
-    """Smallest expansion budget covering the instance's (k, h) extraction.
-
-    The deepest interpolated order is h with j-degree at most 2h, so 2h+1
-    nodes plus two surplus polynomiality witnesses are configured, starting
-    at the smallest admissible sample j = h+1.
-    """
-    h = inst.h
-    return ExpansionConfig(
-        h_max=h,
-        s_max=max(inst.c),
-        j_samples=tuple(range(h + 1, h + 1 + (2 * h + 3))))
-
-
 def bridge_coefficient(inst: BridgeInstance) -> MultiPoly:
     """Coefficient of ``prod_i u_{c_i}`` in the [j^k n^{-h}] log component.
 
@@ -95,7 +78,7 @@ def bridge_coefficient(inst: BridgeInstance) -> MultiPoly:
     target coefficient is exact.
     """
     u_indices = tuple(sorted(inst.c))
-    series = log_expansion(expansion_budget_for(inst), u_indices=u_indices,
+    series = log_expansion(ExpansionConfig(h_max=inst.h), u_indices=u_indices,
                            squarefree=True)
     names = [u_name(s) for s in u_indices]  # squarefree: the c_i are distinct
     coefficient = (series.coefficient(inst.h)

@@ -109,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p2 = sub.add_parser("part2", help="log-expansion vanishing checks")
     p2.add_argument("--H", type=int, default=4, dest="h_max",
-                    help="deepest 1/n order checked; u indices up to max(6, H+1) "
-                         "stay symbolic and the oracle samples j = H+1 .. 3H+4")
+                    help="deepest 1/n order checked; the budget is "
+                         "ExpansionConfig's for depth H")
 
     pb = sub.add_parser("bridge", help="paired check of one bridge instance")
     pb.add_argument("--c", type=_parse_int_list, required=True,
@@ -176,9 +176,7 @@ def _part1(args):
 
 
 def _part2(args):
-    h_max = args.h_max
-    cfg = ExpansionConfig(h_max=h_max, s_max=max(6, h_max + 1),
-                          j_samples=tuple(range(h_max + 1, 3 * h_max + 5)))
+    cfg = ExpansionConfig(h_max=args.h_max)
     return [LedgerRecord(
         command="part2",
         params={"h": check.h, "k": check.k, "H": cfg.h_max,

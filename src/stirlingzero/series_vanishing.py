@@ -102,20 +102,30 @@ class ExpansionConfig:
     so the readback route reaches order ``h_max`` at each of them.  Each
     value must be an int or a Fraction with denominator 1; anything else
     raises ``ValueError`` rather than being truncated.
+
+    A field left out is derived from ``h_max``, so ``ExpansionConfig(h_max=H)``
+    is the whole budget for depth H:
+
+    * ``s_max = max(6, h_max + 1)``: a ``u_s`` weighs ``s - 1``, so one with
+      ``s > h_max + 1`` cannot reach an order ``<= h_max``; the floor of 6
+      changes no value and keeps every shallower depth's recorded budget.
+    * ``j_samples = h_max+1 .. 3*h_max+4``: the ``2h+1`` nodes that fix
+      ``a_h``'s j-degree ``2h`` at ``h = h_max``, plus three witnesses.
     """
 
     h_max: int = 4
-    s_max: int = 6
-    j_samples: tuple = tuple(range(5, 17))
+    s_max: Optional[int] = None
+    j_samples: Optional[tuple] = None
 
     def __post_init__(self):
         h_max = _as_int(self.h_max, "h_max")
-        s_max = _as_int(self.s_max, "s_max")
+        s_max = max(6, h_max + 1) if self.s_max is None else _as_int(self.s_max, "s_max")
         if h_max < 1:
             raise ValueError("need h_max >= 1")
         if s_max < 2:
             raise ValueError("need s_max >= 2")
-        samples = tuple(_as_int(j, "j sample") for j in self.j_samples)
+        samples = tuple(_as_int(j, "j sample") for j in (
+            range(h_max + 1, 3 * h_max + 5) if self.j_samples is None else self.j_samples))
         if len(set(samples)) != len(samples):
             raise ValueError("j samples must be distinct")
         if any(j < h_max + 1 for j in samples):

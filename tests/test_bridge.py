@@ -10,9 +10,8 @@ from stirlingzero.bridge import (
     bridge_check,
     bridge_coefficient,
     bridge_params,
-    expansion_budget_for,
 )
-from stirlingzero.series_vanishing import J, log_expansion, u_name
+from stirlingzero.series_vanishing import ExpansionConfig, J, log_expansion, u_name
 
 
 class TestBridgeParams:
@@ -117,7 +116,7 @@ class TestSquarefreeQuotient:
                              ids=["c=2,3,4", "c=2,3,5", "c=2,3,4,6"])
     def test_reduced_log_keeps_the_nonzero_coefficient(self, c, expected):
         inst = bridge_params(c, 0)
-        cfg = expansion_budget_for(inst)
+        cfg = ExpansionConfig(h_max=inst.h)
         reduced = log_expansion(cfg, u_indices=c, squarefree=True)
         full = log_expansion(cfg, u_indices=c)
         k = inst.h + 1  # outside the vanishing regime: nonzero

@@ -467,6 +467,13 @@ class TestConfigValidation:
         assert (cfg.h_max, cfg.s_max, cfg.j_samples) == (2, 5, (3, 4, 5))
         assert all(type(x) is int for x in (cfg.h_max, cfg.s_max) + cfg.j_samples)
 
+    @pytest.mark.parametrize("h", range(1, 7))
+    def test_depth_alone_is_the_whole_budget(self, h):
+        cfg = ExpansionConfig(h_max=h)
+        assert cfg.s_max == max(6, h + 1)
+        assert cfg.j_samples == tuple(range(h + 1, 3 * h + 5))
+        assert all(check.vanished for check in vanishing_report(cfg))
+
 
 class TestUIndices:
     """Every route reads ``u_indices`` through one normalizer."""
