@@ -94,23 +94,27 @@ def _u_weight(s: int) -> int:
 
 @dataclass(frozen=True)
 class ExpansionConfig:
-    """Budget for the vanishing checks.
+    """Budget for the vanishing checks, and the one place it is checked.
 
     ``h_max`` is the deepest 1/n order checked, ``s_max`` the largest u-index
     kept as an indeterminate, and ``j_samples`` the integer j values feeding
-    the interpolation oracle.  Every sample must satisfy ``j >= h_max + 1``
-    so the readback route reaches order ``h_max`` at each of them.  Each
-    value must be an int or a Fraction with denominator 1; anything else
-    raises ``ValueError`` rather than being truncated.
+    the interpolation oracle.  Each value must be an int or a Fraction with
+    denominator 1; anything else raises ``ValueError`` rather than being
+    truncated.  A budget the routes cannot run exactly is refused here, with
+    ``ValueError``, when it is built:
+
+    * ``s_max >= h_max + 1``: ``u_s`` weighs ``s - 1``, so every u-index up
+      to ``h_max + 1`` reaches an order ``<= h_max``; a smaller ``s_max``
+      would silently drop genuine ``u_s`` terms from the deepest orders.
+    * at least ``2*h_max + 1`` distinct samples, each ``j >= h_max + 1``:
+      the oracle for order h fits j-degree ``2h`` through the first ``2h+1``
+      samples, and the readback reaches order ``h_max`` at each of them.
 
     A field left out is derived from ``h_max``, so ``ExpansionConfig(h_max=H)``
-    is the whole budget for depth H:
-
-    * ``s_max = max(6, h_max + 1)``: a ``u_s`` weighs ``s - 1``, so one with
-      ``s > h_max + 1`` cannot reach an order ``<= h_max``; the floor of 6
-      changes no value and keeps every shallower depth's recorded budget.
-    * ``j_samples = h_max+1 .. 3*h_max+4``: the ``2h+1`` nodes that fix
-      ``a_h``'s j-degree ``2h`` at ``h = h_max``, plus three witnesses.
+    is the whole budget for depth H: ``s_max = max(6, h_max + 1)`` (the floor
+    of 6 changes no value and keeps every shallower depth's recorded budget)
+    and ``j_samples = h_max+1 .. 3*h_max+4``, the ``2h+1`` nodes at
+    ``h = h_max`` plus three witnesses.
     """
 
     h_max: int = 4
@@ -122,33 +126,34 @@ class ExpansionConfig:
         s_max = max(6, h_max + 1) if self.s_max is None else _as_int(self.s_max, "s_max")
         if h_max < 1:
             raise ValueError("need h_max >= 1")
-        if s_max < 2:
-            raise ValueError("need s_max >= 2")
+        if s_max < h_max + 1:
+            raise ValueError(
+                f"s_max={s_max} would drop u_s terms from orders up to h_max={h_max}; "
+                f"need s_max >= {h_max + 1}")
         samples = tuple(_as_int(j, "j sample") for j in (
             range(h_max + 1, 3 * h_max + 5) if self.j_samples is None else self.j_samples))
         if len(set(samples)) != len(samples):
             raise ValueError("j samples must be distinct")
         if any(j < h_max + 1 for j in samples):
             raise ValueError(f"every j sample must be >= h_max+1 = {h_max + 1}")
+        if len(samples) < 2 * h_max + 1:
+            raise ValueError(
+                f"the oracle at order {h_max} needs {2 * h_max + 1} j samples, "
+                f"got {len(samples)}")
         object.__setattr__(self, "h_max", h_max)
         object.__setattr__(self, "s_max", s_max)
         object.__setattr__(self, "j_samples", samples)
 
-    def u_indices(self) -> tuple:
-        return tuple(range(2, self.s_max + 1))
-
-
-def _u_indices(cfg: ExpansionConfig, u_indices: Optional[Sequence[int]]) -> tuple:
-    """The u-indices a route keeps: ``cfg``'s when ``None``, else sorted without repeats.
-
-    Each index must be an integer >= 2 (``u_s`` starts at ``s = 2``).
-    """
-    if u_indices is None:
-        return cfg.u_indices()
-    indices = {_as_int(s, "u-index") for s in u_indices}
-    if any(s < 2 for s in indices):
-        raise ValueError(f"u-indices must be >= 2, got {sorted(indices)}")
-    return tuple(sorted(indices))
+    def u_indices(self, kept: Optional[Sequence[int]] = None) -> tuple:
+        """The u-indices a route keeps: ``2..s_max``, or ``kept`` sorted without
+        repeats and used as given, whatever ``s_max`` is (every other u_s is zero
+        by assumption, exact at every order).  Each must be an integer >= 2."""
+        if kept is None:
+            return tuple(range(2, self.s_max + 1))
+        indices = {_as_int(s, "u-index") for s in kept}
+        if any(s < 2 for s in indices):
+            raise ValueError(f"u-indices must be >= 2, got {sorted(indices)}")
+        return tuple(sorted(indices))
 
 
 def _quotient(u_indices: tuple, max_weight: Optional[int], squarefree: bool):
@@ -277,8 +282,8 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
     """a_h(r, j) with j symbolic, via the multiset closed form.
 
     The interpolation oracle over every configured j sample is the one check
-    on the value, and it is mandatory (each sample is >= h_max + 1, so the
-    readback reaches order h at all of them): the first 2h+1 samples define
+    on the value, and it is mandatory (``cfg`` holds at least 2h+1 samples,
+    each reaching order h in the readback): the first 2h+1 samples define
     the interpolant, the rest are polynomiality witnesses
     (:class:`PolynomialityError`), and a fit that differs from the closed
     form aborts with :class:`ConsistencyError`.  At h = 0 the closed form,
@@ -292,18 +297,13 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
         raise ValueError("need h >= 0")
     if h > cfg.h_max:
         raise BudgetError(f"order {h} beyond configured h_max={cfg.h_max}")
-    indices = _u_indices(cfg, u_indices)
+    indices = cfg.u_indices(u_indices)
     value = _closed_form(h, indices, squarefree)
     if h == 0:
         return value
 
-    if len(cfg.j_samples) < 2 * h + 1:
-        raise BudgetError(
-            f"interpolation oracle for order {h} needs {2 * h + 1} samples; "
-            f"only {len(cfg.j_samples)} configured")
     order = max(cfg.j_samples)
-    trimmed = tuple(s for s in indices if s <= order)
-    samples = [(j, _readback_coefficients(j, order, trimmed, cfg.h_max, squarefree)[h])
+    samples = [(j, _readback_coefficients(j, order, indices, cfg.h_max, squarefree)[h])
                for j in cfg.j_samples]
     oracle = interpolate_in_var(samples, J, 2 * h)
     if oracle != value:
@@ -318,11 +318,8 @@ def log_expansion(cfg: ExpansionConfig,
     """log(1 + sum_{s>=1} a_s/n^s) truncated at 1/n order h_max.
 
     Orders beyond the truncation cannot feed back into the kept ones, so the
-    fixed truncation is exact for every extracted order.  In the generic
-    (all-u) reading, ``s_max < h_max + 1`` would silently drop genuine
-    u_{s} contributions from the deepest orders; that is rejected rather than
-    computed wrong.  An explicit ``u_indices`` set means those u_s are zero
-    by assumption, which is exact at every order.
+    fixed truncation is exact for every extracted order.  The u-indices kept
+    are ``cfg.u_indices(u_indices)``.
 
     ``squarefree`` computes the series modulo every u_s^2, for a caller that
     reads only squarefree u-monomials: exponents only grow under
@@ -330,11 +327,7 @@ def log_expansion(cfg: ExpansionConfig,
     then reduced, and its closed form and interpolation oracle are compared
     in that quotient.
     """
-    if u_indices is None and cfg.s_max < cfg.h_max + 1:
-        raise BudgetError(
-            f"s_max={cfg.s_max} cannot support exact orders up to h_max={cfg.h_max}; "
-            f"need s_max >= {cfg.h_max + 1}")
-    indices = _u_indices(cfg, u_indices)
+    indices = cfg.u_indices(u_indices)
     coeffs = [MultiPoly.constant(1)]
     for h in range(1, cfg.h_max + 1):
         coeffs.append(symbolic_expansion_coefficient(h, cfg, indices, squarefree=squarefree))

@@ -14,7 +14,7 @@ The degree-2w polynomial is built by the engine's one interpolation routine,
 ``n = w .. 3w``.  Before anything is returned it is cross-validated against
 the discrete difference identity ``P_w(x+1) - P_w(x) = x * P_{w-1}(x)`` (a
 direct consequence of the recurrence ``[n+1, k] = [n, k-1] + n [n, k]``),
-checked coefficient-wise by binomial shift.
+checked coefficient-wise by binomial shift, and anchored on ``P_w(0) = 0``.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
     The difference identity ``P_w(x+1) - P_w(x) = x * P_{w-1}(x)`` is checked
     coefficient-wise: by the binomial shift, the ``x**k`` coefficient of
     ``P(x+1) - P(x)`` is ``sum_{d>k} a_d * C(d, k)``.  The identity determines
-    the polynomial up to an additive constant; the anchor value at x = w (the
-    row entry ``[w, 0]``) fixes it.
+    the polynomial up to an additive constant; the zero lemma ``P_w(0) = 0``,
+    off the fit's nodes ``w .. 3w``, fixes it (``P_w`` vanishes at ``x = 0 .. w``
+    for ``w >= 1``: Graham, Knuth and Patashnik, *Concrete Mathematics*, eq. (6.44)).
     """
     if len(coeffs) != 2 * w + 1 or coeffs[-1] <= 0:
         raise ConsistencyError(
@@ -62,9 +63,9 @@ def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
     if delta != [0, *prev_coeffs]:
         raise ConsistencyError(
             f"difference identity fails for offset {w}: arithmetic bug")
-    if _horner(coeffs, w) != stirling_row(w)[0]:
+    if coeffs[0] != 0:
         raise ConsistencyError(
-            f"offset-{w} polynomial does not anchor to row {w}")
+            f"offset-{w} polynomial does not anchor to P_{w}(0) = 0")
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,6 @@
 """The untruncated x^j generating coefficient, the reference for the readback tests."""
 
-from stirlingzero.series_vanishing import _generating_series, _u_indices
+from stirlingzero.series_vanishing import _generating_series
 
 
 def generating_coefficient(j, cfg, u_indices=None):
@@ -11,5 +11,5 @@ def generating_coefficient(j, cfg, u_indices=None):
     """
     if j < 1:
         raise ValueError("need j >= 1")
-    indices = _u_indices(cfg, u_indices)
+    indices = cfg.u_indices(u_indices)
     return _generating_series(j, tuple(s for s in indices if s <= j)).coefficient(j)

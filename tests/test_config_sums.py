@@ -5,7 +5,8 @@ import random
 import time
 from concurrent.futures import Future
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -453,6 +454,30 @@ class TestIdentityProperties:
                   Fraction(-4), Fraction(9, 7)]
         for w in range(4):
             assert sum_collapsed(numeric_instance(5, w, values)).total == 0
+
+
+class TestControlLayer:
+    """At ``w = g-1`` the sum is ``-(prod c)(t-1)(t-2)...(t-g+2)``, ``t = sum c``.
+
+    Both summation routes must come out exactly there, nonzero wherever the
+    closed form is.  ``ConfigSumInstance`` refuses ``w = g-1`` (the claim is
+    for ``w <= g-2``), so the routes are handed a namespace with the three
+    fields they read.
+    """
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_closed_form(self, g):
+        nonzero = 0
+        for seed in range(3):
+            ground = random_ground(g, random.Random(seed))
+            inst = SimpleNamespace(g=g, w=g - 1, ground=ground)
+            t = sum(ground.values)
+            expected = -prod(ground.values) * prod(t - i for i in range(1, g - 1))
+            assert sum_pointed(inst) == expected
+            if g <= 5:
+                assert sum_ordered(inst).total == expected
+            nonzero += expected != 0
+        assert nonzero >= 2  # the control can come out nonzero
 
 
 class TestRandomGround:

@@ -27,5 +27,7 @@ def test_readme_library_use_runs_as_written(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
     section = readme.split("## Library use", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # the depth-only budget a user reaches for first; it must pass ExpansionConfig's checks
+    assert "ExpansionConfig(h_max=3)" in code
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out == "zero\n"

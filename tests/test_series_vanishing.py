@@ -171,7 +171,7 @@ class TestWeightBound:
             symbolic_expansion_coefficient(self.CFG3.h_max, self.CFG3)
 
     def test_bound_h_max_minus_one_is_caught_on_the_bridge(self, bound_lowered):
-        cfg = ExpansionConfig(h_max=6, s_max=4, j_samples=tuple(range(7, 22)))
+        cfg = ExpansionConfig(h_max=6, j_samples=tuple(range(7, 22)))
         with pytest.raises(ConsistencyError):
             log_expansion(cfg, u_indices=(2, 3, 4), squarefree=True)
 
@@ -426,9 +426,10 @@ class TestClosedForm:
         assert got.canonical_str() == want.canonical_str()
 
     def test_budget_too_small_for_oracle(self):
-        cfg = ExpansionConfig(h_max=3, s_max=6, j_samples=(4, 5, 6))
-        with pytest.raises(BudgetError):
-            symbolic_expansion_coefficient(3, cfg)
+        # the oracle at order 3 needs 7 samples: refused when the config is built
+        with pytest.raises(ValueError, match="needs 7 j samples, got 3"):
+            ExpansionConfig(h_max=3, s_max=6, j_samples=(4, 5, 6))
+        ExpansionConfig(h_max=3, s_max=6, j_samples=tuple(range(4, 11)))
 
     def test_order_beyond_h_max(self):
         with pytest.raises(BudgetError):
@@ -437,15 +438,15 @@ class TestClosedForm:
 
 class TestConfigValidation:
     def test_sample_floor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be >= h_max"):
             ExpansionConfig(h_max=4, s_max=6, j_samples=(3, 5, 6))
 
     def test_distinct_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distinct"):
             ExpansionConfig(h_max=2, s_max=4, j_samples=(5, 5, 6))
 
     def test_minimum_indices(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need s_max >= 3"):
             ExpansionConfig(h_max=2, s_max=1)
 
     @pytest.mark.parametrize("kwargs", [
@@ -463,9 +464,18 @@ class TestConfigValidation:
 
     def test_integral_fractions_read_as_ints(self):
         cfg = ExpansionConfig(h_max=Fraction(4, 2), s_max=Fraction(5),
-                              j_samples=(Fraction(3), 4, Fraction(10, 2)))
-        assert (cfg.h_max, cfg.s_max, cfg.j_samples) == (2, 5, (3, 4, 5))
+                              j_samples=(Fraction(3), 4, Fraction(10, 2), 6, Fraction(14, 2)))
+        assert (cfg.h_max, cfg.s_max, cfg.j_samples) == (2, 5, (3, 4, 5, 6, 7))
         assert all(type(x) is int for x in (cfg.h_max, cfg.s_max) + cfg.j_samples)
+
+    def test_s_max_must_reach_every_index_of_weight_h_max(self):
+        # s_max=3 would leave an a_4 of 21 terms in u2, u3: the true a_4 has
+        # 32 terms in u2..u5
+        with pytest.raises(ValueError, match="need s_max >= 5"):
+            ExpansionConfig(h_max=4, s_max=3, j_samples=tuple(range(5, 18)))
+        a4 = symbolic_expansion_coefficient(4, ExpansionConfig(h_max=4, s_max=5))
+        assert len(a4.terms) == 32
+        assert all(a4.degree_in(u_name(s)) > 0 for s in range(2, 6))
 
     @pytest.mark.parametrize("h", range(1, 7))
     def test_depth_alone_is_the_whole_budget(self, h):
@@ -483,6 +493,7 @@ class TestUIndices:
         "symbolic_expansion_coefficient":
             lambda u: symbolic_expansion_coefficient(2, TestUIndices.CFG3, u),
         "log_expansion": lambda u: log_expansion(TestUIndices.CFG3, u),
+        "ExpansionConfig.u_indices": lambda u: TestUIndices.CFG3.u_indices(u),
     }
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -526,13 +537,19 @@ class TestLogExpansion:
             assert rebuilt.coefficient(h) == symbolic_expansion_coefficient(h, cfg)
 
     def test_generic_mode_requires_coverage(self):
-        with pytest.raises(BudgetError):
-            log_expansion(ExpansionConfig(h_max=4, s_max=4))
+        # u5 weighs 4, so s_max=4 cannot carry order 4: refused when built
+        with pytest.raises(ValueError, match="need s_max >= 5"):
+            ExpansionConfig(h_max=4, s_max=4)
 
     def test_restricted_mode_skips_coverage_rule(self):
-        cfg = ExpansionConfig(h_max=4, s_max=4, j_samples=tuple(range(5, 18)))
-        series = log_expansion(cfg, u_indices=(2, 3, 4))
+        # explicit indices are used as given, whatever s_max is: u3 and u5
+        # are zero by assumption, and u9 (beyond s_max, weight 8) is kept
+        cfg = ExpansionConfig(h_max=4, s_max=5, j_samples=tuple(range(5, 18)))
+        series = log_expansion(cfg, u_indices=(2, 4, 9))
         assert series.order == 4
+        assert series.coefficient(4).vars == ("j", "r", "u2", "u4", "u9")
+        assert series.coefficient(3).degree_in("u4") == 1
+        assert series == log_expansion(cfg, u_indices=(2, 4))
 
 
 class TestVanishing:

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from stirlingzero import stirling
-from stirlingzero.algebra import ConsistencyError, MultiPoly, _horner
+from stirlingzero.algebra import ConsistencyError, MultiPoly, Series, _horner
 from stirlingzero.stirling import (
     _validate_chain,
     eval_P,
@@ -79,7 +79,7 @@ class TestStirlingPoly:
             assert len(coeffs) == 2 * w + 1 and coeffs[-1] > 0
 
     def test_small_integer_roots(self):
-        # observed: P_w vanishes at 0..w for w >= 1
+        # P_w vanishes at 0..w for w >= 1 (Concrete Mathematics, eq. (6.44))
         for w in range(1, 9):
             for m in range(w + 1):
                 assert eval_P(w, m) == 0
@@ -114,6 +114,51 @@ class TestStirlingPoly:
         c1, c2 = MultiPoly.variable("c1"), MultiPoly.variable("c2")
         sym = eval_P_symbolic(2, c1 + c2)
         assert sym.substitute({"c1": 2, "c2": 3}) == eval_P(2, 5)
+
+
+def log_degree_profile(polys):
+    """``deg_t [y^m] log F`` for ``m = 1 .. len(polys)-1``, ``F = sum_v P_v(t) y^v``."""
+    t = MultiPoly.variable("t")
+    log = Series("y", len(polys) - 1, [_horner(p, t) for p in polys]).log()
+    return [log.coefficient(m).degree_in("t") for m in range(1, len(polys))]
+
+
+def shifted(coeffs, k):
+    """``coeffs`` plus ``t^k``."""
+    return tuple(c + 1 if d == k else c for d, c in enumerate(coeffs))
+
+
+class TestProfileArgument:
+    """The two facts on the Stirling side of the argument that the sums vanish.
+
+    ``F(t) = sum_v P_v(t) y^v = prod_{i<t} (1 + i y)``, so ``[y^m] log F`` is
+    ``(-1)^(m-1)/m`` times the power sum ``sum_{i<t} i^m``, of degree ``m+1``
+    in ``t``; and ``P_v(0) = 0`` for ``v >= 1``.
+    """
+
+    def test_zero_lemma(self):
+        for v in range(1, 13):
+            assert stirling_poly(v)[0] == 0
+
+    def test_degree_profile(self):
+        assert log_degree_profile([stirling_poly(v) for v in range(11)]) == \
+            [m + 1 for m in range(1, 11)]
+
+    def test_profile_catches_a_raised_degree(self):
+        # positive control: P_2 + t^4 breaks the profile first at m = 2
+        polys = [stirling_poly(v) for v in range(5)]
+        polys[2] = shifted(polys[2], 4)
+        profile = log_degree_profile(polys)
+        assert profile == [2, 4, 6, 8]
+        assert min(m for m, d in enumerate(profile, start=1) if d > m + 1) == 2
+
+    def test_constant_shift_breaks_both_checks(self):
+        # positive control: P_1 + 1 fails the zero lemma and the profile at m = 4
+        polys = [stirling_poly(v) for v in range(5)]
+        polys[1] = shifted(polys[1], 0)
+        assert log_degree_profile(polys) == [2, 3, 4, 6]
+        with pytest.raises(ConsistencyError, match="anchor"):
+            _validate_chain(1, polys[1], stirling_poly(0))
 
 
 class TestChainCheck:
