@@ -640,8 +640,7 @@ def _horner(coeffs: Sequence, x):
     return acc
 
 
-@lru_cache(maxsize=None)
-def _lagrange_rows(nodes: tuple) -> tuple:
+def _lagrange_basis(nodes: Sequence[int]) -> tuple:
     # (by_degree, den): by_degree[d][i] / den is the coefficient of X^d in
     # the i-th Lagrange basis polynomial, den the lcm of the basis
     # denominators; a fit's X^d coefficient is the dot product of
@@ -655,6 +654,12 @@ def _lagrange_rows(nodes: tuple) -> tuple:
     den = lcm(*denoms)
     rows = [[c * (den // denom) for c in q] for q, denom in zip(quotients, denoms)]
     return tuple(zip(*rows)), den
+
+
+# interpolate_in_var's nodes recur from call to call (the Stirling fits, the
+# expansion's j samples), so its rows are cached; a caller whose nodes are
+# new each time (a block table's own block sums) calls the core directly
+_lagrange_rows = lru_cache(maxsize=None)(_lagrange_basis)
 
 
 def _as_int(value, what: str) -> int:

@@ -28,8 +28,8 @@ provided:
   series has constant term ``P_0 = 1`` (a block value that breaks this
   raises :class:`ConsistencyError`), so the convolutions and dot products
   skip the products with ``y^0``.  The series of every nonempty mask is
-  evaluated once, before the walk, and with ``jobs > 1`` before the shards
-  fork, so each shard inherits the finished table.
+  in the instance's block table, built once before the walk, and with
+  ``jobs > 1`` before the shards fork, so each shard inherits it.
 * :func:`sum_pointed` -- the oracle, with no partition walk.  The signed
   sum over partitions is ``-[y^w]`` of the set-function log ``l`` of ``a``
   at the full set (the joint cumulant over the partition lattice; T. P.
@@ -52,6 +52,23 @@ Bell number.  :func:`sum_pointed` stays in
 ``Fraction`` arithmetic on the unscaled block values, so the two routes
 share no summation kernel.
 
+A numeric block table is also built in ints, by an exact fit.  Each mask's
+scaled block sum ``T = D t`` is one int addition
+(:attr:`~stirlingzero.partitions.GroundSet.scaled_sums`), and for each
+``v`` the value ``lam^v P_v(T/D)`` is a polynomial in ``T`` of degree ``2v``
+with integer coefficients.  ``eval_P`` is sampled at the first ``2w+3``
+distinct sums; offset ``v`` is fitted through the first ``2v+1`` of them,
+must reproduce the other ``2(w-v)+2`` exactly, and gives every other sum its
+value by integer Horner.  So the table makes ``(2w+3)(w+1)`` evaluator
+calls, not one per mask and offset.  A ground with fewer than ``2w+3``
+distinct sums has each evaluated directly instead.  The samples come from
+``eval_P``, not from ``stirling_poly``'s coefficients: a fault that keeps
+``eval_P`` a polynomial of degree at most ``2v`` reaches every mask
+unchanged, just as a per-mask evaluation would carry it, and any other fault
+at a sampled sum fails a witness and raises :class:`ConsistencyError`.  The
+pointed oracle still evaluates every mask, so a nonzero total is checked
+against values the fit did not make.
+
 Any nonzero total is treated as a potential counterexample and re-verified
 through the oracle (plus a fresh ground set in numeric mode) before being
 reported.
@@ -64,11 +81,13 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import factorial, lcm
+from operator import mul
 from typing import Iterable, Iterator, Optional, Union
 
 from ._pool import ProcessPoolExecutor
-from .algebra import ConsistencyError, MultiPoly, _as_int
+from .algebra import ConsistencyError, MultiPoly, _as_int, _horner, _lagrange_basis
 from .partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
 from .stirling import eval_P, eval_P_symbolic, stirling_poly
 
@@ -199,12 +218,12 @@ def _conv_truncated(acc, vec: tuple, w: int) -> list:
 def _common_scale(inst: ConfigSumInstance) -> int:
     """``K * D^2``: scaled by its v-th power, every ``P_v(block sum)`` is an integer.
 
-    ``D`` is the lcm of the ground's denominators (it clears every block sum)
-    and ``K`` the lcm of the coefficient denominators of ``P_1..P_w``; a term
-    of degree ``k <= 2v`` in ``P_v`` then picks up ``K^v D^(2v-k)`` times an
-    integer.
+    ``D`` is the lcm of the ground's denominators, read off its
+    ``scaled_sums`` (it clears every block sum), and ``K`` the lcm of the
+    coefficient denominators of ``P_1..P_w``; a term of degree ``k <= 2v`` in
+    ``P_v`` then picks up ``K^v D^(2v-k)`` times an integer.
     """
-    d = lcm(*(v.denominator for v in inst.ground.values))
+    d, _ = inst.ground.scaled_sums
     k = lcm(*(c.denominator for v in range(1, inst.w + 1)
               for c in stirling_poly(v)))
     return k * d * d
@@ -213,13 +232,61 @@ def _common_scale(inst: ConfigSumInstance) -> int:
 def _block_table(inst: ConfigSumInstance) -> _BlockValues:
     """The instance's block values at every nonempty mask, each a block of some partition.
 
-    Numeric grounds store ints scaled by :func:`_common_scale`.
+    Symbolic grounds evaluate every mask.  Numeric grounds store ints scaled
+    by :func:`_common_scale`, one vector per distinct block sum, shared by
+    the masks that have it: ``eval_P`` is sampled, through
+    :meth:`_BlockValues.vector`, at the first ``2w+3`` distinct sums in mask
+    order, and any sum past those is read off the fit of
+    :func:`_fit_block_values` by integer Horner.
     """
-    scale = None if inst.ground.is_symbolic else _common_scale(inst)
-    values = _BlockValues(inst.ground, inst.w, scale)
+    ground, w = inst.ground, inst.w
+    if ground.is_symbolic:
+        values = _BlockValues(ground, w)
+        for mask in range(1, 1 << inst.g):
+            values.vector(mask)
+        return values
+    values = _BlockValues(ground, w, _common_scale(inst))
+    _, sums = ground.scaled_sums
+    firsts = {}  # each distinct scaled block sum -> the first mask that has it
     for mask in range(1, 1 << inst.g):
-        values.vector(mask)
+        firsts.setdefault(sums[mask], mask)
+    count = 2 * w + 3
+    by_sum = {s: values.vector(mask) for s, mask in islice(firsts.items(), count)}
+    rest = list(firsts)[count:]
+    if rest:
+        fits = _fit_block_values(list(by_sum), list(by_sum.values()), w)
+        by_sum.update((s, tuple(_horner(coeffs, s) for coeffs in fits)) for s in rest)
+    values._cache.update((mask, by_sum[sums[mask]]) for mask in range(1, 1 << inst.g))
     return values
+
+
+def _fit_block_values(nodes: list, samples: list, w: int) -> list:
+    """The coefficients of ``lam^v P_v(T/D)`` as a polynomial in ``T``, for ``v = 0..w``.
+
+    ``samples[i]`` is the scaled vector at the scaled block sum ``nodes[i]``,
+    ``2w+3`` of them (``lam`` and ``D`` as in the module docstring).  Offset
+    ``v`` is fitted through the first ``2v+1`` samples by the engine's
+    integer Lagrange rows, uncached since the nodes are this ground's own,
+    and must reproduce the other ``2(w-v)+2`` samples exactly.  Its
+    coefficients must be integers: ``lam^v`` clears every one of them.
+    """
+    fits = []
+    for v in range(w + 1):
+        count = 2 * v + 1
+        by_degree, den = _lagrange_basis(nodes[:count])
+        column = [vec[v] for vec in samples]
+        nums = [sum(map(mul, basis, column)) for basis in by_degree]
+        for x, y in zip(nodes[count:], column[count:]):
+            if _horner(nums, x) != y * den:
+                raise ConsistencyError(
+                    f"offset-{v} block value at scaled block sum {x} is off the "
+                    f"degree-{2 * v} fit through the first {count} sums")
+        if any(c % den for c in nums):
+            raise ConsistencyError(
+                f"offset-{v} block values fit a polynomial in the scaled block sum "
+                "whose coefficients are not integers")
+        fits.append([c // den for c in nums])
+    return fits
 
 
 def _collapsed_partial(inst: ConfigSumInstance, values: _BlockValues,

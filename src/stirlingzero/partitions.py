@@ -3,7 +3,9 @@
 Elements of the g-element ground set are bit positions 0..g-1; blocks are
 machine-word bitmasks, and a partition is a plain tuple of block masks, so
 canonical forms are trivially hashable and cheap to compare, and
-:meth:`GroundSet.block_sum` maps a block to the sum of its ground values.
+:meth:`GroundSet.block_sum` maps a block to the sum of its ground values
+(on a numeric ground, read off one table of integer sums over a common
+denominator, :attr:`GroundSet.scaled_sums`).
 Enumeration is streaming and deterministic: identical input always yields
 identical order.  Unordered partitions are walked block by block (the block
 holding the lowest remaining element, then the rest), so partitions sharing
@@ -20,7 +22,9 @@ instance is split across worker processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterator, Sequence
 
 from .algebra import MultiPoly, _as_fraction, _as_int
@@ -63,8 +67,33 @@ class GroundSet:
             raise ValueError("numeric ground set has no variable names")
         return tuple(v.vars[0] for v in self.values)
 
+    @cached_property
+    def scaled_sums(self) -> tuple:
+        """``(D, sums)`` of a numeric ground, built once on first use.
+
+        ``D`` is the lcm of the values' denominators and ``sums[mask]`` the int
+        ``D`` times the block sum of ``mask``, for every mask below ``2^g``:
+        each is one addition, the mask without its lowest element plus that
+        element.  :meth:`block_sum` reads it, so every route that sums blocks
+        of this ground sees the same sums.
+        """
+        if self.is_symbolic:
+            raise ValueError("a symbolic ground set has no integer block sums")
+        den = lcm(*(v.denominator for v in self.values))
+        scaled = [v.numerator * (den // v.denominator) for v in self.values]
+        sums = [0] * (1 << self.g)
+        for mask in range(1, 1 << self.g):
+            low = mask & -mask
+            sums[mask] = sums[mask ^ low] + scaled[low.bit_length() - 1]
+        return den, tuple(sums)
+
     def block_sum(self, mask: int):
-        """Sum of the values at the set bits of ``mask``, in element order."""
+        """Sum of the values at the set bits of ``mask``: ``sums[mask] / D``
+        from :attr:`scaled_sums` on a numeric ground, added in element order
+        on a symbolic one."""
+        if not self.is_symbolic:
+            den, sums = self.scaled_sums
+            return Fraction(sums[mask], den)
         vals = self.values
         total = None
         while mask:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from stirlingzero import config_sums
+from stirlingzero import algebra, config_sums
 from stirlingzero.algebra import ConsistencyError
 from stirlingzero.config_sums import (
     ConfigSumInstance,
@@ -22,6 +22,7 @@ from stirlingzero.config_sums import (
     sweep_plan,
 )
 from stirlingzero.partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
+from stirlingzero.stirling import stirling_poly
 
 import ordered_reference
 from forking import assert_no_child_left, needs_fork
@@ -154,8 +155,9 @@ class TestCollapsedSum:
 
     @needs_fork
     def test_shards_inherit_the_block_table(self, monkeypatch):
-        # the parent evaluates every (v, mask) once before it forks; a shard
-        # that evaluated a block value itself would raise here
+        # the parent samples eval_P at no more than 2w+3 block sums before it
+        # forks and fits the rest; a shard that evaluated a block value
+        # itself would raise here
         parent = os.getpid()
         calls = []
         real = config_sums.eval_P
@@ -171,7 +173,7 @@ class TestCollapsedSum:
         serial = sum_collapsed(inst).total
         monkeypatch.setattr(config_sums, "eval_P", parent_only)
         assert sum_collapsed(inst, jobs=2).total == serial
-        assert len(calls) == ((1 << g) - 1) * (w + 1)
+        assert len(calls) <= (2 * w + 3) * (w + 1)
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus, jobs, workers, parts", [
@@ -286,11 +288,20 @@ class TestIntegerKernel:
 
 def _bump_one_block(monkeypatch, target=0b0110):
     # only the block {1, 2} sees its sum moved, so the total depends on which
-    # blocks a partition's truncated product was built from
-    real = GroundSet.block_sum
+    # blocks a partition's truncated product was built from.  A numeric
+    # ground's block sums all come from its one integer table, which the
+    # block table, the pointed oracle and every reference read alike; a
+    # symbolic ground adds its values per block
+    real_scaled, real_sum = GroundSet.scaled_sums.func, GroundSet.block_sum
+
+    def scaled_sums(self):
+        den, sums = real_scaled(self)
+        return den, sums[:target] + (sums[target] + den,) + sums[target + 1:]
+
+    monkeypatch.setattr(GroundSet.scaled_sums, "func", scaled_sums)
     monkeypatch.setattr(GroundSet, "block_sum",
-                        lambda self, mask: real(self, mask) + 1 if mask == target
-                        else real(self, mask))
+                        lambda self, mask: real_sum(self, mask) + 1
+                        if self.is_symbolic and mask == target else real_sum(self, mask))
 
 
 class TestPrefixReuse:
@@ -404,6 +415,102 @@ class TestAgainstReference:
                 assert sum(visited for _, visited in shards) == unordered_partition_count(g)
 
 
+def _fault_at_one_sum(monkeypatch, t):
+    # offset 1 plus one at the block sum t alone: no longer a polynomial in t
+    real = config_sums.eval_P
+    monkeypatch.setattr(config_sums, "eval_P",
+                        lambda v, s: real(v, s) + 1 if v == 1 and s == t else real(v, s))
+
+
+class TestBlockTableFit:
+    @pytest.mark.parametrize("g", range(2, 10))
+    def test_table_equals_one_evaluation_per_mask(self, g):
+        # the fit and the direct path give every mask exactly the vector that
+        # its own eval_P calls give
+        for w in range(g - 1):
+            for i in range(2):
+                inst = ConfigSumInstance(g, w, random_ground(g, random.Random(f"table/{g}/{w}/{i}")))
+                table = config_sums._block_table(inst)
+                direct = config_sums._BlockValues(inst.ground, w, config_sums._common_scale(inst))
+                assert table.scale == direct.scale
+                for mask in range(1, 1 << g):
+                    assert table.vector(mask) == direct.vector(mask), (w, i, mask)
+
+    @pytest.mark.parametrize("role", ["node", "witness"])
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_fault_at_one_sampled_sum_is_caught(self, monkeypatch, role, jobs):
+        # with w = 2 the first 7 distinct sums are sampled: offset 1 is fitted
+        # through the first 3 and checked on the other 4
+        g, w = 6, 2
+        inst = numeric_instance(g, w, MIXED[:g])
+        den, sums = inst.ground.scaled_sums
+        distinct = list(dict.fromkeys(sums[1:]))
+        assert len(distinct) > 2 * w + 3  # so the fit runs
+        index = 1 if role == "node" else 2 * w + 2
+        _fault_at_one_sum(monkeypatch, Fraction(distinct[index], den))
+        with pytest.raises(ConsistencyError, match="off the degree-2 fit"):
+            sum_collapsed(inst, jobs=jobs)
+        assert_no_child_left()
+
+    def test_fit_with_fractional_coefficients_is_an_engine_bug(self, monkeypatch):
+        # P_1 = t(t-1)/2 and lam = 2 on an integer ground at w = 1; adding
+        # t(t-1)/4 keeps every scaled value an integer and every witness on
+        # the fit, but the fit's coefficients become 3/2 and -3/2
+        real = config_sums.eval_P
+        monkeypatch.setattr(config_sums, "eval_P",
+                            lambda v, t: real(v, t) + t * (t - 1) / 4 if v == 1 else real(v, t))
+        with pytest.raises(ConsistencyError, match="coefficients are not integers"):
+            sum_collapsed(numeric_instance(4, 1, [2, 3, 5, 7]))
+
+    @pytest.mark.parametrize("values, w", [([-2, -1, 0, 1, 2], 3), ([-1, 0, 1], 1)])
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_few_distinct_sums_take_the_direct_path(self, monkeypatch, values, w, jobs):
+        # 7 and 3 distinct block sums, fewer than the 2w+3 samples a fit
+        # needs: each sum is evaluated once, and nothing is fitted
+        def no_fit(*args):
+            raise AssertionError("the table fitted a ground with few distinct sums")
+
+        monkeypatch.setattr(config_sums, "_fit_block_values", no_fit)
+        calls = []
+        real = config_sums.eval_P
+        monkeypatch.setattr(config_sums, "eval_P",
+                            lambda v, t: calls.append(t) or real(v, t))
+        inst = numeric_instance(len(values), w, values)
+        distinct = set(inst.ground.scaled_sums[1][1:])
+        assert len(distinct) < 2 * w + 3
+        assert sum_collapsed(inst, jobs=jobs).total == 0
+        assert len(calls) == len(distinct) * (w + 1)
+        assert sum_pointed(inst) == 0
+        _shift_offset_one(monkeypatch)  # and a control that comes out nonzero
+        collapsed = sum_collapsed(inst, jobs=jobs).total
+        assert collapsed != 0
+        assert collapsed == sum_pointed(inst) == sum_ordered(inst).total
+        assert_no_child_left()
+
+    def test_fits_leave_the_lagrange_cache_alone(self, monkeypatch):
+        # each ground's nodes are its own block sums, so a cached fit would
+        # add one entry per instance; the engine's fixed node sets are built
+        # first
+        stirling_poly(6)
+        cache = algebra._lagrange_rows.cache_info
+
+        def run(count):
+            rng = random.Random(5)
+            for _ in range(count):
+                g = rng.randint(4, 8)
+                w = rng.randint(1, g - 2)
+                config_sums._block_table(ConfigSumInstance(g, w, random_ground(g, rng)))
+
+        before = cache().currsize
+        run(40)
+        assert cache().currsize == before
+        # positive control: the same fits through the cached rows do grow it
+        monkeypatch.setattr(config_sums, "_lagrange_basis",
+                            lambda nodes: algebra._lagrange_rows(tuple(nodes)))
+        run(5)
+        assert cache().currsize > before
+
+
 class TestPointedOracle:
     @pytest.mark.parametrize("g", range(2, 9))
     def test_one_block_value_per_pointed_pair(self, monkeypatch, g):
@@ -478,6 +585,72 @@ class TestControlLayer:
                 assert sum_ordered(inst).total == expected
             nonzero += expected != 0
         assert nonzero >= 2  # the control can come out nonzero
+
+
+def hypertrees(g):
+    """Every hypertree on {0..g-1}, each a tuple of edge masks, by brute force.
+
+    A set of edges of two or more vertices is a hypertree when it is
+    connected and its vertex-edge incidence graph is a tree, that is when
+    ``sum(|T| - 1) = g - 1``: edge sets with that budget are enumerated and the
+    connected ones kept.
+    """
+    full = (1 << g) - 1
+    edges = [m for m in range(1, full + 1) if m.bit_count() >= 2]
+
+    def connected(chosen):
+        reach, grown = chosen[0], True
+        while grown:
+            grown = False
+            for e in chosen:
+                if e & reach and e | reach != reach:
+                    reach, grown = reach | e, True
+        return reach == full
+
+    def extend(start, budget, chosen):
+        if budget == 0:
+            if connected(chosen):
+                yield tuple(chosen)
+            return
+        for i in range(start, len(edges)):
+            cost = edges[i].bit_count() - 1
+            if cost <= budget:
+                chosen.append(edges[i])
+                yield from extend(i + 1, budget - cost, chosen)
+                chosen.pop()
+
+    return list(extend(0, g - 1, []))
+
+
+class TestHypertreeOracle:
+    """The ``w = g-1`` closed form against a sum over hypertrees.
+
+    ``-sum_H prod_{T in H} (-1)^|T| (|T|-2)! prod_{i in T} c_i`` over the
+    hypertrees ``H`` on the ground's elements is a third route to
+    ``-(prod c)(t-1)...(t-g+2)``, one that neither walks partitions nor
+    evaluates a Stirling polynomial.
+    """
+
+    def test_counts(self):
+        # OEIS A030019: hypertrees on 2..6 labeled vertices
+        assert [len(hypertrees(g)) for g in range(2, 7)] == [1, 4, 29, 311, 4447]
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_sum_over_hypertrees_is_the_closed_form(self, g):
+        trees = hypertrees(g)
+        for seed in range(3):
+            ground = random_ground(g, random.Random(f"hypertree/{g}/{seed}"))
+            c = ground.values
+            weight = {}  # (-1)^|T| (|T|-2)! prod_{i in T} c_i of each edge T
+            for edge in {edge for tree in trees for edge in tree}:
+                size = edge.bit_count()
+                weight[edge] = ((-1) ** size * factorial(size - 2)
+                                * prod(c[i] for i in range(g) if edge >> i & 1))
+            total = sum(prod(weight[edge] for edge in tree) for tree in trees)
+            t = sum(c)
+            expected = -prod(c) * prod(t - i for i in range(1, g - 1))
+            assert -total == expected
+            assert sum_pointed(SimpleNamespace(g=g, w=g - 1, ground=ground)) == expected
 
 
 class TestRandomGround:

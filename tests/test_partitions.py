@@ -180,6 +180,21 @@ class TestBlockSums:
         with pytest.raises(ValueError, match="not an integer"):
             GroundSet.symbolic(True)
 
+    def test_scaled_sums_over_the_common_denominator(self):
+        # every mask's entry is D times the sum of its values, one table per ground
+        values = [Fraction(-7, 6), Fraction(3, 4), Fraction(5), Fraction(-2, 9)]
+        ground = GroundSet.numeric(values)
+        den, sums = ground.scaled_sums
+        assert den == 36
+        assert len(sums) == 16 and sums[0] == 0
+        for mask in range(16):
+            total = sum(v for i, v in enumerate(values) if mask >> i & 1)
+            assert sums[mask] == total * den
+            assert ground.block_sum(mask) == total
+        assert ground.scaled_sums is ground.scaled_sums
+        with pytest.raises(ValueError, match="no integer block sums"):
+            GroundSet.symbolic(2).scaled_sums
+
     def test_total_is_ground_total(self):
         ground = GroundSet.numeric([1, 4, 9, 16])
         for blocks in iter_ordered_partitions(4):
