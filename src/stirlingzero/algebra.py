@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate
 from math import factorial, lcm
 from operator import add, mul
@@ -640,7 +640,7 @@ def _horner(coeffs: Sequence, x):
     return acc
 
 
-def _lagrange_basis(nodes: Sequence[int]) -> tuple:
+def _lagrange_rows(nodes: Sequence[int]) -> tuple:
     # (by_degree, den): by_degree[d][i] / den is the coefficient of X^d in
     # the i-th Lagrange basis polynomial, den the lcm of the basis
     # denominators; a fit's X^d coefficient is the dot product of
@@ -654,12 +654,6 @@ def _lagrange_basis(nodes: Sequence[int]) -> tuple:
     den = lcm(*denoms)
     rows = [[c * (den // denom) for c in q] for q, denom in zip(quotients, denoms)]
     return tuple(zip(*rows)), den
-
-
-# interpolate_in_var's nodes recur from call to call (the Stirling fits, the
-# expansion's j samples), so its rows are cached; a caller whose nodes are
-# new each time (a block table's own block sums) calls the core directly
-_lagrange_rows = lru_cache(maxsize=None)(_lagrange_basis)
 
 
 def _as_int(value, what: str) -> int:
@@ -684,10 +678,10 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
 
     The fit runs coefficient by coefficient: each monomial of the node values
     gets its own univariate interpolant, one integer dot product per degree
-    of the cached Lagrange numerators with the node values' numerators over
-    their lcm.  A surplus sample is compared, by integer Horner evaluation
-    of those numerators, on every monomial that the fit or the sample
-    carries.
+    of the Lagrange numerators, built once per call, with the node values'
+    numerators over their lcm.  A surplus sample is compared, by integer
+    Horner evaluation of those numerators, on every monomial that the fit or
+    the sample carries.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -715,7 +709,7 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
     terms = [p._remap(names) for p in values]
 
     count = degree_bound + 1
-    by_degree, den = _lagrange_rows(tuple(points[:count]))
+    by_degree, den = _lagrange_rows(points[:count])
     fit = {}  # monomial -> (numerators of its X^0..X^degree_bound coefficients, denominator)
     for mono in set().union(*terms[:count]):
         column = [t.get(mono, 0) for t in terms[:count]]

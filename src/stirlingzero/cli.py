@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     group_w.add_argument("--all-w", action="store_true", help="every w in 0..g-2")
     group_c = p1.add_mutually_exclusive_group(required=True)
     group_c.add_argument("--c", type=_parse_rational_list,
-                         help="explicit ground values, e.g. 2,3,4 or 5/2,-1,7")
+                         help="explicit ground values, e.g. 2,3,4 or 5/2,-1,7; "
+                              "write --c=-2,-1,0 when the list starts with -")
     group_c.add_argument("--random", type=_positive_int, metavar="COUNT",
                          help="COUNT seeded random rational ground sets")
     group_c.add_argument("--symbolic", action="store_true",

@@ -57,17 +57,19 @@ scaled block sum ``T = D t`` is one int addition
 (:attr:`~stirlingzero.partitions.GroundSet.scaled_sums`), and for each
 ``v`` the value ``lam^v P_v(T/D)`` is a polynomial in ``T`` of degree ``2v``
 with integer coefficients.  ``eval_P`` is sampled at the first ``2w+3``
-distinct sums; offset ``v`` is fitted through the first ``2v+1`` of them,
-must reproduce the other ``2(w-v)+2`` exactly, and gives every other sum its
-value by integer Horner.  So the table makes ``(2w+3)(w+1)`` evaluator
-calls, not one per mask and offset.  A ground with fewer than ``2w+3``
-distinct sums has each evaluated directly instead.  The samples come from
-``eval_P``, not from ``stirling_poly``'s coefficients: a fault that keeps
-``eval_P`` a polynomial of degree at most ``2v`` reaches every mask
-unchanged, just as a per-mask evaluation would carry it, and any other fault
-at a sampled sum fails a witness and raises :class:`ConsistencyError`.  The
-pointed oracle still evaluates every mask, so a nonzero total is checked
-against values the fit did not make.
+distinct sums, and one :func:`~stirlingzero.algebra.interpolate_in_var` call
+fits the sampled vectors, each written as ``sum_v vec[v] y^v``, in ``T``: its
+``y^v`` part must have degree at most ``2v`` and integer coefficients, and
+gives every other sum its offset-``v`` value by integer Horner.  So the
+table makes ``(2w+3)(w+1)`` evaluator calls, not one per mask and offset.
+A ground with fewer than ``2w+3`` distinct sums has each evaluated directly
+instead.  The samples come from ``eval_P``, not from ``stirling_poly``'s
+coefficients: a fault that keeps ``eval_P`` a polynomial of degree at most
+``2v`` reaches every mask unchanged, just as a per-mask evaluation would
+carry it, and any other fault at a sampled sum fails a witness
+(:class:`~stirlingzero.algebra.PolynomialityError`) or the degree bound
+(:class:`ConsistencyError`).  The pointed oracle still evaluates every mask,
+so a nonzero total is checked against values the fit did not make.
 
 Any nonzero total is treated as a potential counterexample and re-verified
 through the oracle (plus a fresh ground set in numeric mode) before being
@@ -83,11 +85,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from math import factorial, lcm
-from operator import mul
 from typing import Iterable, Iterator, Optional, Union
 
 from ._pool import ProcessPoolExecutor
-from .algebra import ConsistencyError, MultiPoly, _as_int, _horner, _lagrange_basis
+from .algebra import ConsistencyError, MultiPoly, _as_int, _horner, interpolate_in_var
 from .partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
 from .stirling import eval_P, eval_P_symbolic, stirling_poly
 
@@ -236,8 +237,18 @@ def _block_table(inst: ConfigSumInstance) -> _BlockValues:
     by :func:`_common_scale`, one vector per distinct block sum, shared by
     the masks that have it: ``eval_P`` is sampled, through
     :meth:`_BlockValues.vector`, at the first ``2w+3`` distinct sums in mask
-    order, and any sum past those is read off the fit of
-    :func:`_fit_block_values` by integer Horner.
+    order.  If there are more sums, the samples, each written as
+    ``sum_v vec[v] y^v``, go through one :func:`interpolate_in_var` call of
+    degree ``2w`` in the scaled sum ``T``.  Its ``y^v`` part must have degree
+    at most ``2v`` in ``T`` and integer coefficients, and gives every other
+    sum its offset-``v`` value by integer Horner.
+
+    This accepts exactly the samples on which each offset ``v`` lies on one
+    polynomial of degree at most ``2v``.  Such a polynomial has degree at
+    most ``2w``, so it is the unique interpolant's ``y^v`` part through the
+    first ``2w+1`` samples and matches the last two; conversely, an
+    interpolant that matches all ``2w+3`` samples and whose ``y^v`` part has
+    degree at most ``2v`` is such a polynomial.
     """
     ground, w = inst.ground, inst.w
     if ground.is_symbolic:
@@ -254,39 +265,26 @@ def _block_table(inst: ConfigSumInstance) -> _BlockValues:
     by_sum = {s: values.vector(mask) for s, mask in islice(firsts.items(), count)}
     rest = list(firsts)[count:]
     if rest:
-        fits = _fit_block_values(list(by_sum), list(by_sum.values()), w)
-        by_sum.update((s, tuple(_horner(coeffs, s) for coeffs in fits)) for s in rest)
+        fit = interpolate_in_var(
+            [(s, MultiPoly(("y",), {(v,): c for v, c in enumerate(vec)}))
+             for s, vec in by_sum.items()],
+            "T", 2 * w)
+        t_slot, y_slot = fit.vars.index("T"), fit.vars.index("y")
+        coeffs = [[0] * (2 * v + 1) for v in range(w + 1)]
+        for exps, c in fit.terms.items():
+            d, v = exps[t_slot], exps[y_slot]
+            if d > 2 * v:
+                raise ConsistencyError(
+                    f"offset-{v} block values fit a polynomial of degree {d} "
+                    f"in the scaled block sum, above {2 * v}")
+            if c.denominator != 1:
+                raise ConsistencyError(
+                    f"offset-{v} block values fit a polynomial in the scaled block sum "
+                    "whose coefficients are not integers")
+            coeffs[v][d] = c.numerator
+        by_sum.update((s, tuple(_horner(cs, s) for cs in coeffs)) for s in rest)
     values._cache.update((mask, by_sum[sums[mask]]) for mask in range(1, 1 << inst.g))
     return values
-
-
-def _fit_block_values(nodes: list, samples: list, w: int) -> list:
-    """The coefficients of ``lam^v P_v(T/D)`` as a polynomial in ``T``, for ``v = 0..w``.
-
-    ``samples[i]`` is the scaled vector at the scaled block sum ``nodes[i]``,
-    ``2w+3`` of them (``lam`` and ``D`` as in the module docstring).  Offset
-    ``v`` is fitted through the first ``2v+1`` samples by the engine's
-    integer Lagrange rows, uncached since the nodes are this ground's own,
-    and must reproduce the other ``2(w-v)+2`` samples exactly.  Its
-    coefficients must be integers: ``lam^v`` clears every one of them.
-    """
-    fits = []
-    for v in range(w + 1):
-        count = 2 * v + 1
-        by_degree, den = _lagrange_basis(nodes[:count])
-        column = [vec[v] for vec in samples]
-        nums = [sum(map(mul, basis, column)) for basis in by_degree]
-        for x, y in zip(nodes[count:], column[count:]):
-            if _horner(nums, x) != y * den:
-                raise ConsistencyError(
-                    f"offset-{v} block value at scaled block sum {x} is off the "
-                    f"degree-{2 * v} fit through the first {count} sums")
-        if any(c % den for c in nums):
-            raise ConsistencyError(
-                f"offset-{v} block values fit a polynomial in the scaled block sum "
-                "whose coefficients are not integers")
-        fits.append([c // den for c in nums])
-    return fits
 
 
 def _collapsed_partial(inst: ConfigSumInstance, values: _BlockValues,

@@ -70,6 +70,18 @@ class TestPart1Command:
         assert code == 0
         assert records[0]["verdict"] == "zero"
 
+    def test_list_starting_with_a_negative_value_needs_the_equals_form(self, tmp_path, capsys):
+        # argparse reads a spaced "-2,-1,..." as an option, so such a list is
+        # written --c=-2,-1,...
+        code, records, _ = run_cli(
+            ["part1", "--g", "6", "--all-w", "--c=-2,-1,0,1,2,3", "--jobs", "1"], tmp_path)
+        assert code == 0
+        assert [r["verdict"] for r in records] == ["zero"] * 5
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["part1", "--g", "6", "--all-w", "--c", "-2,-1,0,1,2,3"], tmp_path)
+        assert exc.value.code == 2
+        assert "argument --c: expected one argument" in capsys.readouterr().err
+
     def test_ground_length_mismatch_is_usage_error(self, tmp_path):
         code, records, _ = run_cli(
             ["part1", "--g", "3", "--w", "0", "--c", "2,3", "--jobs", "1"],

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from stirlingzero import algebra, config_sums
-from stirlingzero.algebra import ConsistencyError
+from stirlingzero import config_sums
+from stirlingzero.algebra import ConsistencyError, PolynomialityError
 from stirlingzero.config_sums import (
     ConfigSumInstance,
     double_check_nonzero,
@@ -22,7 +22,6 @@ from stirlingzero.config_sums import (
     sweep_plan,
 )
 from stirlingzero.partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
-from stirlingzero.stirling import stirling_poly
 
 import ordered_reference
 from forking import assert_no_child_left, needs_fork
@@ -439,8 +438,8 @@ class TestBlockTableFit:
     @pytest.mark.parametrize("role", ["node", "witness"])
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
     def test_fault_at_one_sampled_sum_is_caught(self, monkeypatch, role, jobs):
-        # with w = 2 the first 7 distinct sums are sampled: offset 1 is fitted
-        # through the first 3 and checked on the other 4
+        # with w = 2 the first 7 distinct sums are sampled: the fit runs
+        # through the first 5 and is checked on the other 2
         g, w = 6, 2
         inst = numeric_instance(g, w, MIXED[:g])
         den, sums = inst.ground.scaled_sums
@@ -448,8 +447,19 @@ class TestBlockTableFit:
         assert len(distinct) > 2 * w + 3  # so the fit runs
         index = 1 if role == "node" else 2 * w + 2
         _fault_at_one_sum(monkeypatch, Fraction(distinct[index], den))
-        with pytest.raises(ConsistencyError, match="off the degree-2 fit"):
+        with pytest.raises(PolynomialityError, match="deviates from the degree-4 interpolant"):
             sum_collapsed(inst, jobs=jobs)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_offset_above_its_own_degree_is_caught(self, monkeypatch, jobs):
+        # P_1 + t^4 passes every witness of the degree-4 fit at w = 2, but
+        # offset 1 may have degree 2 at most
+        real = config_sums.eval_P
+        monkeypatch.setattr(config_sums, "eval_P",
+                            lambda v, t: real(v, t) + t ** 4 if v == 1 else real(v, t))
+        with pytest.raises(ConsistencyError, match="offset-1 "):
+            sum_collapsed(numeric_instance(6, 2, [2, 3, 5, 7, 11, 13]), jobs=jobs)
         assert_no_child_left()
 
     def test_fit_with_fractional_coefficients_is_an_engine_bug(self, monkeypatch):
@@ -470,7 +480,7 @@ class TestBlockTableFit:
         def no_fit(*args):
             raise AssertionError("the table fitted a ground with few distinct sums")
 
-        monkeypatch.setattr(config_sums, "_fit_block_values", no_fit)
+        monkeypatch.setattr(config_sums, "interpolate_in_var", no_fit)
         calls = []
         real = config_sums.eval_P
         monkeypatch.setattr(config_sums, "eval_P",
@@ -487,28 +497,25 @@ class TestBlockTableFit:
         assert collapsed == sum_pointed(inst) == sum_ordered(inst).total
         assert_no_child_left()
 
-    def test_fits_leave_the_lagrange_cache_alone(self, monkeypatch):
-        # each ground's nodes are its own block sums, so a cached fit would
-        # add one entry per instance; the engine's fixed node sets are built
-        # first
-        stirling_poly(6)
-        cache = algebra._lagrange_rows.cache_info
-
-        def run(count):
-            rng = random.Random(5)
-            for _ in range(count):
-                g = rng.randint(4, 8)
-                w = rng.randint(1, g - 2)
-                config_sums._block_table(ConfigSumInstance(g, w, random_ground(g, rng)))
-
-        before = cache().currsize
-        run(40)
-        assert cache().currsize == before
-        # positive control: the same fits through the cached rows do grow it
-        monkeypatch.setattr(config_sums, "_lagrange_basis",
-                            lambda nodes: algebra._lagrange_rows(tuple(nodes)))
-        run(5)
-        assert cache().currsize > before
+    @pytest.mark.parametrize("values, fits", [([0, 1, 2, 3], 0), ([0, 1, 2, 4], 1)])
+    def test_sample_count_boundary(self, monkeypatch, values, fits):
+        # at w = 2 a fit takes 2w+3 = 7 samples: 7 distinct sums (0..6) are
+        # all sampled and nothing is fitted, 8 (0..7) leave one to Horner.
+        # P_1 + 2 makes the totals nonzero (P_1 + 1 leaves both at 0 here)
+        calls = []
+        real = config_sums.interpolate_in_var
+        monkeypatch.setattr(config_sums, "interpolate_in_var",
+                            lambda *args: calls.append(args) or real(*args))
+        inst = numeric_instance(4, 2, values)
+        assert len(set(inst.ground.scaled_sums[1][1:])) == 7 + fits
+        _shift_offset_one(monkeypatch, shift=2)
+        table = config_sums._block_table(inst)
+        direct = config_sums._BlockValues(inst.ground, 2, config_sums._common_scale(inst))
+        assert [table.vector(m) for m in range(1, 16)] == [direct.vector(m) for m in range(1, 16)]
+        assert len(calls) == fits
+        total = sum_collapsed(inst).total
+        assert total != 0
+        assert total == sum_pointed(inst)
 
 
 class TestPointedOracle:
