@@ -7,9 +7,9 @@ the caller's code, runs ``atexit`` handlers or flushes the parent's stdio.  The
 parent reads whichever child is readable, reaps each at the end of its pipe
 and raises the first failure of any child at once.  A child inherits its
 call, so the function and its arguments need not pickle, a monkeypatch in
-the parent reaches it, and what the parent built before the fork (the
-instance's block table, for ``sum_collapsed``) is read copy-on-write, not
-rebuilt.
+the parent reaches it, and what the parent built before the fork (for
+``sum_collapsed``, the instance's block table, a plain list of one vector per
+mask) is read copy-on-write, not rebuilt.
 
 Neither the pool nor the package starts a thread, so each fork copies a
 single-threaded process.  ``pickle`` and ``select`` are imported when the

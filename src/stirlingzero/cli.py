@@ -191,7 +191,9 @@ def _part2(args):
 
 def _bridge(args):
     inst = bridge_params(args.c, args.w)
+    start = time.perf_counter()
     report = bridge_check(inst)
+    elapsed = time.perf_counter() - start  # both verifiers
     zero = report.coefficient_zero and report.config_sum_zero
     return [LedgerRecord(
         command="bridge",
@@ -200,7 +202,7 @@ def _bridge(args):
         status="asserted", verdict="zero" if zero else "nonzero",
         value=value_str(report.config_sum.total),
         visited=report.config_sum.configurations_visited,
-        elapsed=report.config_sum.elapsed,
+        elapsed=elapsed,
         extra={"bridge_coefficient": value_str(report.coefficient),
                "config_sum": value_str(report.config_sum.total),
                "consistent": report.consistent})]

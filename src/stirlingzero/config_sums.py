@@ -28,8 +28,9 @@ provided:
   series has constant term ``P_0 = 1`` (a block value that breaks this
   raises :class:`ConsistencyError`), so the convolutions and dot products
   skip the products with ``y^0``.  The series of every nonempty mask is
-  in the instance's block table, built once before the walk, and with
-  ``jobs > 1`` before the shards fork, so each shard inherits it.
+  in the instance's block table, plain data indexed by mask, built once
+  before the walk, and with ``jobs > 1`` before the shards fork, so each
+  shard inherits it.
 * :func:`sum_pointed` -- the oracle, with no partition walk.  The signed
   sum over partitions is ``-[y^w]`` of the set-function log ``l`` of ``a``
   at the full set (the joint cumulant over the partition lattice; T. P.
@@ -53,12 +54,13 @@ Bell number.  :func:`sum_pointed` stays in
 share no summation kernel.
 
 A numeric block table is also built in ints, by an exact fit.  Each mask's
-scaled block sum ``T = D t`` is one int addition
+scaled block sum ``T = D t`` is read off the ground's one block-sum table
 (:attr:`~stirlingzero.partitions.GroundSet.scaled_sums`), and for each
 ``v`` the value ``lam^v P_v(T/D)`` is a polynomial in ``T`` of degree ``2v``
 with integer coefficients.  ``eval_P`` is sampled at the first ``2w+3``
-distinct sums, and one :func:`~stirlingzero.algebra.interpolate_in_var` call
-fits the sampled vectors, each written as ``sum_v vec[v] y^v``, in ``T``: its
+distinct sums, through the same lazy evaluator as the oracle, and scaled to
+ints; one :func:`~stirlingzero.algebra.interpolate_in_var` call fits the
+sampled vectors, each written as ``sum_v vec[v] y^v``, in ``T``: its
 ``y^v`` part must have degree at most ``2v`` and integer coefficients, and
 gives every other sum its offset-``v`` value by integer Horner.  So the
 table makes ``(2w+3)(w+1)`` evaluator calls, not one per mask and offset.
@@ -159,23 +161,19 @@ class ConfigSumResult:
 
 
 class _BlockValues:
-    """An instance's P_v(block sum) vectors keyed by block mask.
+    """An instance's unscaled P_v(block sum) vectors keyed by block mask, each
+    evaluated on first use.
 
-    :func:`_block_table` fills every mask before the collapsed walk, and
-    before a pool forks, so each shard inherits the full table;
-    :func:`sum_pointed` reads it lazily.  With ``scale`` set (numeric
-    grounds), each vector is stored as the ints ``scale^v * P_v(t)``; a value
-    the scaling does not clear is an engine bug, and so is an offset-0 value
-    other than 1, which the collapsed route's products take for granted.
+    :func:`sum_pointed` reads it, and so does :func:`_block_table` for the
+    samples it scales and fits.  An offset-0 value other than 1, which the
+    collapsed route's products take for granted, is an engine bug.
     """
 
-    def __init__(self, ground: GroundSet, w_max: int, scale: Optional[int] = None):
+    def __init__(self, ground: GroundSet, w_max: int):
         self.ground = ground
         self.w_max = w_max
-        self.scale = scale
         self._cache = {}
         self._eval = eval_P_symbolic if ground.is_symbolic else eval_P
-        self._powers = None if scale is None else [scale ** v for v in range(w_max + 1)]
 
     def vector(self, mask: int) -> tuple:
         vec = self._cache.get(mask)
@@ -184,8 +182,6 @@ class _BlockValues:
             vec = tuple(self._eval(v, t) for v in range(self.w_max + 1))
             if vec[0] != 1:
                 raise ConsistencyError(f"offset-0 block value {vec[0]!r} is not 1")
-            if self._powers is not None:
-                vec = _scaled_to_int(vec, self._powers)
             self._cache[mask] = vec
         return vec
 
@@ -230,14 +226,17 @@ def _common_scale(inst: ConfigSumInstance) -> int:
     return k * d * d
 
 
-def _block_table(inst: ConfigSumInstance) -> _BlockValues:
-    """The instance's block values at every nonempty mask, each a block of some partition.
+def _block_table(inst: ConfigSumInstance) -> tuple:
+    """``(table, scale)``: the instance's block values at every nonempty mask,
+    each a block of some partition, and the numeric scale.
 
-    Symbolic grounds evaluate every mask.  Numeric grounds store ints scaled
-    by :func:`_common_scale`, one vector per distinct block sum, shared by
-    the masks that have it: ``eval_P`` is sampled, through
-    :meth:`_BlockValues.vector`, at the first ``2w+3`` distinct sums in mask
-    order.  If there are more sums, the samples, each written as
+    ``table[mask]`` is the mask's vector (index 0, the empty mask, is no
+    block).  Symbolic grounds evaluate every mask, and ``scale`` is ``None``.
+    Numeric grounds store ints scaled by ``scale``, :func:`_common_scale`,
+    one vector per distinct block sum, shared by the masks that have it:
+    ``eval_P`` is sampled, through :meth:`_BlockValues.vector`, at the first
+    ``2w+3`` distinct sums in mask order, and each sample is scaled to ints.
+    If there are more sums, the samples, each written as
     ``sum_v vec[v] y^v``, go through one :func:`interpolate_in_var` call of
     degree ``2w`` in the scaled sum ``T``.  Its ``y^v`` part must have degree
     at most ``2v`` in ``T`` and integer coefficients, and gives every other
@@ -250,19 +249,19 @@ def _block_table(inst: ConfigSumInstance) -> _BlockValues:
     interpolant that matches all ``2w+3`` samples and whose ``y^v`` part has
     degree at most ``2v`` is such a polynomial.
     """
-    ground, w = inst.ground, inst.w
+    ground, w, masks = inst.ground, inst.w, range(1, 1 << inst.g)
+    values = _BlockValues(ground, w)
     if ground.is_symbolic:
-        values = _BlockValues(ground, w)
-        for mask in range(1, 1 << inst.g):
-            values.vector(mask)
-        return values
-    values = _BlockValues(ground, w, _common_scale(inst))
+        return [None] + [values.vector(mask) for mask in masks], None
+    scale = _common_scale(inst)
+    powers = [scale ** v for v in range(w + 1)]
     _, sums = ground.scaled_sums
     firsts = {}  # each distinct scaled block sum -> the first mask that has it
-    for mask in range(1, 1 << inst.g):
+    for mask in masks:
         firsts.setdefault(sums[mask], mask)
     count = 2 * w + 3
-    by_sum = {s: values.vector(mask) for s, mask in islice(firsts.items(), count)}
+    by_sum = {s: _scaled_to_int(values.vector(mask), powers)
+              for s, mask in islice(firsts.items(), count)}
     rest = list(firsts)[count:]
     if rest:
         fit = interpolate_in_var(
@@ -283,18 +282,18 @@ def _block_table(inst: ConfigSumInstance) -> _BlockValues:
                     "whose coefficients are not integers")
             coeffs[v][d] = c.numerator
         by_sum.update((s, tuple(_horner(cs, s) for cs in coeffs)) for s in rest)
-    values._cache.update((mask, by_sum[sums[mask]]) for mask in range(1, 1 << inst.g))
-    return values
+    return [None] + [by_sum[sums[mask]] for mask in masks], scale
 
 
-def _collapsed_partial(inst: ConfigSumInstance, values: _BlockValues,
+def _collapsed_partial(inst: ConfigSumInstance, table: list,
                        part: int = 0, parts: int = 1):
     """Unscaled collapsed sum over shard ``part`` of ``parts`` of the partition stream.
 
-    ``values`` is the instance's table from :func:`_block_table`, which a
-    forked shard inherits.  Symbolic grounds multiply ``MultiPoly`` block
-    series; numeric grounds multiply ints, so the partial is ``values.scale^w``
-    times the shard's share of the total (see the module docstring).  A
+    ``table`` is the instance's block table from :func:`_block_table`, which
+    a forked shard inherits; the walk reads ``table[mask]`` and evaluates
+    nothing.  Symbolic grounds multiply ``MultiPoly`` block series; numeric
+    grounds multiply ints, so the partial is ``scale^w`` times the shard's
+    share of the total (see the module docstring).  A
     partition of ``r`` blocks is split after its first ``k = ceil(r/2)``;
     ``product`` looks each half up by its block tuple and builds a missing one
     from the tuple without its last block.  Every head starts with the first
@@ -308,7 +307,7 @@ def _collapsed_partial(inst: ConfigSumInstance, values: _BlockValues,
     def product(memo: dict, blocks: tuple):
         prod = memo.get(blocks)
         if prod is None:
-            prod = values.vector(blocks[-1])
+            prod = table[blocks[-1]]
             if len(blocks) > 1:
                 prod = _conv_truncated(product(memo, blocks[:-1]), prod, w)
             memo[blocks] = prod
@@ -351,19 +350,20 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     count into ``min(jobs, usable CPUs, 2^(g-1))`` near-equal shards, each in
     its own worker process that inherits the table; exact addition makes the
     merged total independent of the cut.  The unscaled partials are merged
-    and divided by ``scale^w`` once.  Either way the number of partitions
-    visited must be the Bell number of ``g``.
+    and, on a numeric ground, divided by the table's ``scale^w`` once.
+    Either way the number of partitions visited must be the Bell number of
+    ``g``.
     """
     start = time.perf_counter()
-    values = _block_table(inst)
+    table, scale = _block_table(inst)
     if jobs <= 1:
-        total, visited = _collapsed_partial(inst, values)
+        total, visited = _collapsed_partial(inst, table)
     else:
         parts = min(jobs, _usable_cpus(), 1 << (inst.g - 1))
         total = 0
         visited = 0
         with ProcessPoolExecutor() as pool:
-            futures = [pool.submit(_collapsed_partial, inst, values, part, parts)
+            futures = [pool.submit(_collapsed_partial, inst, table, part, parts)
                        for part in range(parts)]
             for fut in futures:  # merge in submission order: deterministic
                 partial, count = fut.result()
@@ -372,8 +372,8 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     expected = unordered_partition_count(inst.g)
     if visited != expected:
         raise ConsistencyError(f"visited {visited} partitions, expected {expected}")
-    if values.scale is not None:
-        total = Fraction(total, values.scale ** inst.w)
+    if scale is not None:
+        total = Fraction(total, scale ** inst.w)
     return ConfigSumResult(inst, total, visited, time.perf_counter() - start)
 
 

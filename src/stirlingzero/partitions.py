@@ -3,9 +3,10 @@
 Elements of the g-element ground set are bit positions 0..g-1; blocks are
 machine-word bitmasks, and a partition is a plain tuple of block masks, so
 canonical forms are trivially hashable and cheap to compare, and
-:meth:`GroundSet.block_sum` maps a block to the sum of its ground values
-(on a numeric ground, read off one table of integer sums over a common
-denominator, :attr:`GroundSet.scaled_sums`).
+:meth:`GroundSet.block_sum` maps a block to the sum of its ground values,
+read off the ground's one block-sum table, :attr:`GroundSet.scaled_sums`
+(ints over a common denominator on a numeric ground, ``MultiPoly`` on a
+symbolic one).
 Enumeration is streaming and deterministic: identical input always yields
 identical order.  Unordered partitions are walked block by block (the block
 holding the lowest remaining element, then the rest), so partitions sharing
@@ -69,39 +70,33 @@ class GroundSet:
 
     @cached_property
     def scaled_sums(self) -> tuple:
-        """``(D, sums)`` of a numeric ground, built once on first use.
+        """``(D, sums)``, the ground's one block-sum table, built once on first use.
 
-        ``D`` is the lcm of the values' denominators and ``sums[mask]`` the int
-        ``D`` times the block sum of ``mask``, for every mask below ``2^g``:
-        each is one addition, the mask without its lowest element plus that
-        element.  :meth:`block_sum` reads it, so every route that sums blocks
-        of this ground sees the same sums.
+        ``sums[mask]`` is ``D`` times the block sum of ``mask``, for every mask
+        below ``2^g``: each is one addition, the lowest element plus the mask
+        without it.  On a numeric ground ``D`` is the lcm of the values'
+        denominators and the sums are ints; on a symbolic ground ``D = 1``
+        and the sums are ``MultiPoly``, in element order.  :meth:`block_sum`
+        reads it, so every route that sums blocks of this ground sees the
+        same sums.
         """
         if self.is_symbolic:
-            raise ValueError("a symbolic ground set has no integer block sums")
-        den = lcm(*(v.denominator for v in self.values))
-        scaled = [v.numerator * (den // v.denominator) for v in self.values]
+            den, scaled = 1, self.values
+        else:
+            den = lcm(*(v.denominator for v in self.values))
+            scaled = [v.numerator * (den // v.denominator) for v in self.values]
         sums = [0] * (1 << self.g)
         for mask in range(1, 1 << self.g):
             low = mask & -mask
-            sums[mask] = sums[mask ^ low] + scaled[low.bit_length() - 1]
+            sums[mask] = scaled[low.bit_length() - 1] + sums[mask ^ low]
         return den, tuple(sums)
 
     def block_sum(self, mask: int):
-        """Sum of the values at the set bits of ``mask``: ``sums[mask] / D``
-        from :attr:`scaled_sums` on a numeric ground, added in element order
-        on a symbolic one."""
-        if not self.is_symbolic:
-            den, sums = self.scaled_sums
-            return Fraction(sums[mask], den)
-        vals = self.values
-        total = None
-        while mask:
-            low = mask & -mask
-            v = vals[low.bit_length() - 1]
-            total = v if total is None else total + v
-            mask ^= low
-        return total
+        """Sum of the values at the set bits of ``mask``, ``sums[mask] / D``
+        from :attr:`scaled_sums`: a ``Fraction`` on a numeric ground, the
+        ``MultiPoly`` itself on a symbolic one, and 0 for the empty mask."""
+        den, sums = self.scaled_sums
+        return sums[mask] if self.is_symbolic else Fraction(sums[mask], den)
 
     def describe(self) -> str:
         if self.is_symbolic:

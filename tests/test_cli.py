@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from fractions import Fraction
 
@@ -194,6 +195,20 @@ class TestBridgeCommand:
         assert records[0]["verdict"] == "nonzero"
         assert records[0]["value"] == "1/3"
         assert records[0]["extra"]["consistent"] is False
+
+    def test_elapsed_times_the_whole_check(self, tmp_path, monkeypatch):
+        # the record times both verifiers, so a slow expansion shows in the
+        # report's slowest instances, not the configuration sum's time alone
+        real = bridge.bridge_coefficient
+
+        def slow(inst):
+            time.sleep(0.05)
+            return real(inst)
+
+        monkeypatch.setattr(bridge, "bridge_coefficient", slow)
+        code, records, _ = run_cli(["bridge", "--c", "2,3,4", "--w", "1"], tmp_path)
+        assert code == 0
+        assert records[0]["elapsed_s"] >= 0.05
 
 
 class TestSweepCommand:

@@ -287,20 +287,16 @@ class TestIntegerKernel:
 
 def _bump_one_block(monkeypatch, target=0b0110):
     # only the block {1, 2} sees its sum moved, so the total depends on which
-    # blocks a partition's truncated product was built from.  A numeric
-    # ground's block sums all come from its one integer table, which the
-    # block table, the pointed oracle and every reference read alike; a
-    # symbolic ground adds its values per block
-    real_scaled, real_sum = GroundSet.scaled_sums.func, GroundSet.block_sum
+    # blocks a partition's truncated product was built from.  Every ground's
+    # block sums, numeric or symbolic, come from its one table, which the
+    # block table, the pointed oracle and every reference read alike
+    real_scaled = GroundSet.scaled_sums.func
 
     def scaled_sums(self):
         den, sums = real_scaled(self)
         return den, sums[:target] + (sums[target] + den,) + sums[target + 1:]
 
     monkeypatch.setattr(GroundSet.scaled_sums, "func", scaled_sums)
-    monkeypatch.setattr(GroundSet, "block_sum",
-                        lambda self, mask: real_sum(self, mask) + 1
-                        if self.is_symbolic and mask == target else real_sum(self, mask))
 
 
 class TestPrefixReuse:
@@ -350,14 +346,21 @@ class TestPrefixReuse:
         assert len(calls) == len(heads) + len(tails) == convolutions
 
 
+def _scaled(vec, scale):
+    # the ints scale^v * P_v(t), each checked to be exact
+    out = tuple(value * scale ** v for v, value in enumerate(vec))
+    assert all(value.denominator == 1 for value in out)
+    return tuple(int(value) for value in out)
+
+
 def reference_collapsed(inst):
     """The collapsed sum over prefix products only, each partition's last
     block dotted with the product of all the others, every convolution
-    summed in full from zero: a second route to :func:`sum_collapsed`'s
-    totals at sizes the literal sum cannot reach."""
+    summed in full from zero, on each mask's own evaluation: a second route
+    to :func:`sum_collapsed`'s totals at sizes the literal sum cannot reach."""
     w = inst.w
     scale = config_sums._common_scale(inst)
-    values = config_sums._BlockValues(inst.ground, w, scale)
+    values = config_sums._BlockValues(inst.ground, w)
 
     def conv(acc, vec):
         out = [0] * (w + 1)
@@ -375,10 +378,10 @@ def reference_collapsed(inst):
             keep += 1
         del prefix[keep:]
         for k in range(keep, r - 1):
-            vec = values.vector(blocks[k])
+            vec = _scaled(values.vector(blocks[k]), scale)
             prefix.append(conv(prefix[-1], vec) if k else vec)
         held = blocks
-        last = values.vector(blocks[-1])
+        last = _scaled(values.vector(blocks[-1]), scale)
         top = sum(a * b for a, b in zip(prefix[-1], reversed(last))) if prefix else last[w]
         total += top * (-1) ** r * factorial(r - 1)
     return Fraction(total, scale ** w)
@@ -405,12 +408,12 @@ class TestAgainstReference:
             # the shards summed in this process, no pool needed: a shard skips
             # first blocks, and no head may outlive its own first block; the
             # unscaled partials are merged, then scaled once
-            values = config_sums._block_table(inst)
+            table, scale = config_sums._block_table(inst)
             for parts in (3, 5):
-                shards = [config_sums._collapsed_partial(inst, values, part, parts)
+                shards = [config_sums._collapsed_partial(inst, table, part, parts)
                           for part in range(parts)]
                 total = sum(partial for partial, _ in shards)
-                assert Fraction(total, values.scale ** inst.w) == expected
+                assert Fraction(total, scale ** inst.w) == expected
                 assert sum(visited for _, visited in shards) == unordered_partition_count(g)
 
 
@@ -429,11 +432,11 @@ class TestBlockTableFit:
         for w in range(g - 1):
             for i in range(2):
                 inst = ConfigSumInstance(g, w, random_ground(g, random.Random(f"table/{g}/{w}/{i}")))
-                table = config_sums._block_table(inst)
-                direct = config_sums._BlockValues(inst.ground, w, config_sums._common_scale(inst))
-                assert table.scale == direct.scale
+                table, scale = config_sums._block_table(inst)
+                direct = config_sums._BlockValues(inst.ground, w)
+                assert scale == config_sums._common_scale(inst)
                 for mask in range(1, 1 << g):
-                    assert table.vector(mask) == direct.vector(mask), (w, i, mask)
+                    assert table[mask] == _scaled(direct.vector(mask), scale), (w, i, mask)
 
     @pytest.mark.parametrize("role", ["node", "witness"])
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
@@ -509,13 +512,36 @@ class TestBlockTableFit:
         inst = numeric_instance(4, 2, values)
         assert len(set(inst.ground.scaled_sums[1][1:])) == 7 + fits
         _shift_offset_one(monkeypatch, shift=2)
-        table = config_sums._block_table(inst)
-        direct = config_sums._BlockValues(inst.ground, 2, config_sums._common_scale(inst))
-        assert [table.vector(m) for m in range(1, 16)] == [direct.vector(m) for m in range(1, 16)]
+        table, scale = config_sums._block_table(inst)
+        direct = config_sums._BlockValues(inst.ground, 2)
+        assert table[1:] == [_scaled(direct.vector(m), scale) for m in range(1, 16)]
         assert len(calls) == fits
         total = sum_collapsed(inst).total
         assert total != 0
         assert total == sum_pointed(inst)
+
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_walk_reads_only_the_table(self, monkeypatch, symbolic):
+        # once the table is built, no block value is evaluated again: the
+        # walk's total is the serial total with the evaluator disabled.
+        # Offset 1 plus one makes that total nonzero on both kinds of ground
+        for name in ("eval_P", "eval_P_symbolic"):
+            real = getattr(config_sums, name)
+            monkeypatch.setattr(config_sums, name,
+                                lambda v, t, real=real: real(v, t) + 1 if v == 1 else real(v, t))
+        inst = symbolic_instance(4, 2) if symbolic else numeric_instance(6, 4, MIXED)
+        serial = sum_collapsed(inst).total
+        assert serial != 0
+        table, scale = config_sums._block_table(inst)
+        assert (scale is None) == symbolic
+
+        def no_evaluation(self, mask):
+            raise AssertionError("the walk evaluated a block value")
+
+        monkeypatch.setattr(config_sums._BlockValues, "vector", no_evaluation)
+        total, visited = config_sums._collapsed_partial(inst, table)
+        assert (total if symbolic else Fraction(total, scale ** inst.w)) == serial
+        assert visited == unordered_partition_count(inst.g)
 
 
 class TestPointedOracle:

@@ -127,6 +127,26 @@ class TestReport:
         assert "g=5: covered w=[0, 1, 2, 3] (complete)" in out
         assert "g=6" in out  # uncovered rows still listed
 
+    def test_slowest_instances_section(self):
+        # the five longest elapsed_s, slowest first; untimed records are left out
+        records = [{"command": "part1", "params": {"g": g, "w": 0}, "status": "asserted",
+                    "verdict": "zero", "value": "0", "elapsed_s": seconds}
+                   for g, seconds in [(2, 0.5), (3, 2.25), (4, 0.001), (5, 1), (6, 0.75),
+                                      (7, 3.125)]]
+        records.append({"command": "part2", "params": {"h": 1, "k": 3}, "status": "asserted",
+                        "verdict": "zero", "value": "0", "elapsed_s": None})
+        lines = render_report(records).splitlines()
+        top = lines.index("slowest instances:")
+        assert lines[top + 1:top + 6] == [
+            "     3.125s  part1 g=7 w=0",
+            "     2.250s  part1 g=3 w=0",
+            "     1.000s  part1 g=5 w=0",
+            "     0.750s  part1 g=6 w=0",
+            "     0.500s  part1 g=2 w=0",
+        ]
+        assert "part1 g=4 w=0" not in "\n".join(lines[top:])
+        assert "part2" not in "\n".join(lines[top:])
+
     def test_not_attempted_counted(self):
         out = render_report([{
             "command": "sweep", "params": {"g": 7, "w": 4},

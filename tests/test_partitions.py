@@ -192,8 +192,25 @@ class TestBlockSums:
             assert sums[mask] == total * den
             assert ground.block_sum(mask) == total
         assert ground.scaled_sums is ground.scaled_sums
-        with pytest.raises(ValueError, match="no integer block sums"):
-            GroundSet.symbolic(2).scaled_sums
+        assert GroundSet.symbolic(2).scaled_sums[0] == 1  # symbolic sums need no denominator
+
+    def test_symbolic_table_holds_the_element_order_sums(self):
+        ground = GroundSet.symbolic(4)
+        den, sums = ground.scaled_sums
+        assert den == 1
+        assert len(sums) == 16
+        for mask in range(1, 16):
+            members = [v for i, v in enumerate(ground.values) if mask >> i & 1]
+            total = members[0]
+            for v in members[1:]:
+                total = total + v
+            assert sums[mask] == total
+            assert ground.block_sum(mask) is sums[mask]
+        assert ground.scaled_sums is ground.scaled_sums
+
+    def test_empty_block_sums_to_zero(self):
+        assert GroundSet.numeric([Fraction(1, 2), 3]).block_sum(0) == 0
+        assert GroundSet.symbolic(2).block_sum(0) == 0
 
     def test_total_is_ground_total(self):
         ground = GroundSet.numeric([1, 4, 9, 16])
