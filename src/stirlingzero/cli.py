@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .algebra import EngineError
 from .bridge import bridge_check, bridge_params
-from .config_sums import (ConfigSumInstance, SweepEntry, random_entries, run_plan,
-                          sweep_plan)
+from .config_sums import (ConfigSumInstance, SweepEntry, double_check_nonzero, instance_rng,
+                          random_entries, run_plan, sweep_plan)
 from .ledger import (
     LedgerRecord,
     default_ledger_path,
@@ -44,20 +44,15 @@ from .series_vanishing import ExpansionConfig, vanishing_report
 __all__ = ["main", "build_parser"]
 
 
-def _parse_rational_list(text: str):
-    try:
-        return [Fraction(tok) for tok in text.split(",") if tok.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of rationals, got {text!r}: {exc}")
-
-
-def _parse_int_list(text: str):
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of integers, got {text!r}: {exc}")
+def _list_of(kind, plural: str):
+    # an argparse type: a comma-separated list of ``kind``, empty items skipped
+    def parse(text: str):
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip()]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {plural}, got {text!r}: {exc}")
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -99,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     group_w.add_argument("--w", type=int, help="single weight budget")
     group_w.add_argument("--all-w", action="store_true", help="every w in 0..g-2")
     group_c = p1.add_mutually_exclusive_group(required=True)
-    group_c.add_argument("--c", type=_parse_rational_list,
+    group_c.add_argument("--c", type=_list_of(Fraction, "rationals"),
                          help="explicit ground values, e.g. 2,3,4 or 5/2,-1,7; "
                               "write --c=-2,-1,0 when the list starts with -")
     group_c.add_argument("--random", type=_positive_int, metavar="COUNT",
@@ -114,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "ExpansionConfig's for depth H")
 
     pb = sub.add_parser("bridge", help="paired check of one bridge instance")
-    pb.add_argument("--c", type=_parse_int_list, required=True,
+    pb.add_argument("--c", type=_list_of(int, "integers"), required=True,
                     help="distinct integers >= 2, e.g. 2,3,4")
     pb.add_argument("--w", type=int, required=True)
 
@@ -137,6 +132,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _confirmation_extra(conf) -> dict:
+    # a nonzero total's double check, as ledger fields; none for a zero total
+    if conf is None:
+        return {}
+    extra = {"oracle_total": value_str(conf.oracle_total)}
+    if conf.second_ground is not None:  # numeric grounds only
+        extra.update(second_ground=conf.second_ground.describe(),
+                     second_total=value_str(conf.second_total))
+    return extra
+
+
 def _entry_record(command, entry) -> LedgerRecord:
     inst = entry.instance
     params = {"g": inst.g, "w": inst.w, "mode": inst.mode,
@@ -146,20 +152,13 @@ def _entry_record(command, entry) -> LedgerRecord:
     if entry.result is None:
         return LedgerRecord(command=command, params=params, status="not_attempted",
                             verdict=None, value=None)
-    extra = {}
-    conf = entry.confirmation
-    if conf is not None:
-        extra["oracle_total"] = value_str(conf.oracle_total)
-        if conf.second_ground is not None:
-            extra["second_ground"] = conf.second_ground.describe()
-            extra["second_total"] = value_str(conf.second_total)
     return LedgerRecord(
         command=command, params=params, status=entry.status,
         verdict=entry.result.verdict,
         value=value_str(entry.result.total),
         visited=entry.result.configurations_visited,
         elapsed=entry.result.elapsed,
-        extra=extra)
+        extra=_confirmation_extra(entry.confirmation))
 
 
 def _part1(args):
@@ -193,7 +192,10 @@ def _bridge(args):
     inst = bridge_params(args.c, args.w)
     start = time.perf_counter()
     report = bridge_check(inst)
-    elapsed = time.perf_counter() - start  # both verifiers
+    # a nonzero total is confirmed as run_plan confirms one at seed 0
+    confirmation = None if report.config_sum_zero else double_check_nonzero(
+        report.config_sum.instance, report.config_sum.total, instance_rng(1, inst.g, inst.w, 0))
+    elapsed = time.perf_counter() - start  # both verifiers and the confirmation
     zero = report.coefficient_zero and report.config_sum_zero
     return [LedgerRecord(
         command="bridge",
@@ -205,7 +207,8 @@ def _bridge(args):
         elapsed=elapsed,
         extra={"bridge_coefficient": value_str(report.coefficient),
                "config_sum": value_str(report.config_sum.total),
-               "consistent": report.consistent})]
+               "consistent": report.consistent,
+               **_confirmation_extra(confirmation)})]
 
 
 def _sweep(args):

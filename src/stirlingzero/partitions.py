@@ -5,8 +5,8 @@ machine-word bitmasks, and a partition is a plain tuple of block masks, so
 canonical forms are trivially hashable and cheap to compare, and
 :meth:`GroundSet.block_sum` maps a block to the sum of its ground values,
 read off the ground's one block-sum table, :attr:`GroundSet.scaled_sums`
-(ints over a common denominator on a numeric ground, ``MultiPoly`` on a
-symbolic one).
+(ints over a common denominator on a numeric ground; on a symbolic one,
+``MultiPoly`` in ``Q[c1..cg]``, whose coordinates share one registry).
 Enumeration is streaming and deterministic: identical input always yields
 identical order.  Unordered partitions are walked block by block (the block
 holding the lowest remaining element, then the rest), so partitions sharing
@@ -39,34 +39,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroundSet:
-    """g distinct values: all exact rationals, or all named indeterminates."""
+    """g distinct values: all exact rationals, or the coordinates of ``Q[c1..cg]``,
+    each on the ring's one registry ``("c1", ..., "cg")``; the values say which."""
 
     values: tuple
-    is_symbolic: bool
 
     @classmethod
     def numeric(cls, values: Sequence) -> "GroundSet":
         vals = tuple(_as_fraction(v) for v in values)
         if len(set(vals)) != len(vals):
             raise ValueError("ground values must be pairwise distinct")
-        return cls(vals, False)
+        return cls(vals)
 
     @classmethod
     def symbolic(cls, g: int) -> "GroundSet":
         g = _as_int(g, "ground size")
         if g < 1:
             raise ValueError("need at least one element")
-        vals = tuple(MultiPoly.variable(f"c{i + 1}") for i in range(g))
-        return cls(vals, True)
+        names = tuple(f"c{i + 1}" for i in range(g))
+        return cls(tuple(MultiPoly(names, {tuple(int(j == i) for j in range(g)): 1})
+                         for i in range(g)))
 
     @property
     def g(self) -> int:
         return len(self.values)
 
-    def names(self) -> tuple:
-        if not self.is_symbolic:
-            raise ValueError("numeric ground set has no variable names")
-        return tuple(v.vars[0] for v in self.values)
+    @property
+    def is_symbolic(self) -> bool:  # a nonempty tuple of MultiPoly
+        return bool(self.values) and all(isinstance(v, MultiPoly) for v in self.values)
 
     @cached_property
     def scaled_sums(self) -> tuple:
@@ -76,9 +76,9 @@ class GroundSet:
         below ``2^g``: each is one addition, the lowest element plus the mask
         without it.  On a numeric ground ``D`` is the lcm of the values'
         denominators and the sums are ints; on a symbolic ground ``D = 1``
-        and the sums are ``MultiPoly``, in element order.  :meth:`block_sum`
-        reads it, so every route that sums blocks of this ground sees the
-        same sums.
+        and the sums are ``MultiPoly`` on the ring's one registry.
+        :meth:`block_sum` reads it, so every route that sums blocks of this
+        ground sees the same sums.
         """
         if self.is_symbolic:
             den, scaled = 1, self.values
@@ -100,7 +100,7 @@ class GroundSet:
 
     def describe(self) -> str:
         if self.is_symbolic:
-            return ",".join(self.names())
+            return ",".join(self.values[0].vars)
         return ",".join(str(v) for v in self.values)
 
 

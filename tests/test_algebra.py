@@ -196,6 +196,25 @@ class TestMultiPoly:
         with pytest.raises(TypeError, match="exact rational"):
             MultiPoly.constant(value)
 
+    @pytest.mark.parametrize("args, message", [
+        ((("a", "a"),), "duplicate variable names"),
+        ((("a",), None, ("r",)), "Laurent flags refer to unregistered variables"),
+        ((("a", "b"), {(1,): 1}), "does not match registry of 2 variables"),
+    ], ids=["duplicate-name", "unregistered-laurent", "short-exponents"])
+    def test_constructor_rejects_an_inconsistent_registry(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            MultiPoly(*args)
+
+    def test_rational_minus_polynomial(self):
+        a = var("a")
+        assert 1 - a == MultiPoly(("a",), {(0,): 1, (1,): -1})
+        assert Fraction(1, 2) - a + a == Fraction(1, 2)
+
+    def test_degree_in(self):
+        assert MultiPoly.zero().degree_in("a") == -1
+        assert var("a").degree_in("b") == 0
+        assert (var("a") ** 3 + var("b")).degree_in("a") == 3
+
     def test_constant_value(self):
         assert MultiPoly.constant(Fraction(7, 2)).constant_value() == Fraction(7, 2)
         assert MultiPoly.zero().constant_value() == 0
@@ -385,6 +404,16 @@ class TestSeries:
         expected = Series.from_dict(
             "x", 2, {0: MultiPoly.constant(1), 1: a, 2: a ** 2 * Fraction(1, 2)})
         assert s.exp() == expected
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Series("x", -1), ValueError, "truncation order must be nonnegative"),
+        (lambda: Series("x", 2, [1, 0.5]), TypeError, "bad series coefficient 0.5"),
+        (lambda: Series.from_dict("x", 2, {3: 1}), ValueError, r"index 3 outside 0\.\.2"),
+        (lambda: Series("x", 2).coefficient(-1), ValueError, "negative coefficient index"),
+    ], ids=["negative-order", "float-coefficient", "index-past-order", "negative-index"])
+    def test_bad_input_is_rejected(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
 
     def test_exp_rejects_unit(self):
         s = Series.from_dict("x", 2, {0: MultiPoly.constant(1)})
@@ -587,6 +616,15 @@ class TestInterpolation:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             interpolate_in_var([(0, MultiPoly.constant(1))], "j", 2)
+
+    @pytest.mark.parametrize("samples, degree, message", [
+        ([(0, 1)], -1, "degree bound must be nonnegative"),
+        ([(1, 5), (1, 5)], 1, "sample points must be distinct"),
+    ], ids=["negative-degree", "repeated-point"])
+    def test_bad_fit_request_is_rejected(self, samples, degree, message):
+        samples = [(x, MultiPoly.constant(v)) for x, v in samples]
+        with pytest.raises(ValueError, match=message):
+            interpolate_in_var(samples, "x", degree)
 
     def test_sample_values_must_not_involve_var(self):
         with pytest.raises(ValueError):

@@ -5,15 +5,12 @@ import subprocess
 import sys
 import time
 
-from fractions import Fraction
-
 import pytest
 
 from forking import assert_no_child_left, needs_fork
 from stirlingzero import bridge, config_sums
 from stirlingzero.algebra import ConsistencyError
 from stirlingzero.cli import build_parser, main
-from stirlingzero.config_sums import ConfigSumResult
 from stirlingzero.ledger import read_records
 
 
@@ -179,22 +176,39 @@ class TestBridgeCommand:
         assert option in capsys.readouterr().err
 
     def test_nonzero_config_sum_fails_the_run(self, tmp_path, monkeypatch):
-        # positive control: a nonzero sum beside a vanishing coefficient
-        real_sum = bridge.sum_collapsed
-
-        def nonzero_sum(inst):
-            real = real_sum(inst)
-            return ConfigSumResult(real.instance, Fraction(1, 3),
-                                   real.configurations_visited, real.elapsed)
-
-        monkeypatch.setattr(bridge, "sum_collapsed", nonzero_sum)
-        report = bridge.bridge_check(bridge.bridge_params((2, 3, 4), 1))
+        # positive control: a nonzero sum beside a vanishing coefficient.  The
+        # P_1 + 1 fault reaches both configuration-sum routes, so the oracle
+        # confirms the total (1 here), as part1 and sweep confirm theirs
+        _p1_plus_one(monkeypatch)
+        report = bridge.bridge_check(bridge.bridge_params((2, 3, 5, 7), 1))
         assert report.coefficient_zero and not report.consistent
-        code, records, _ = run_cli(["bridge", "--c", "2,3,4", "--w", "1"], tmp_path)
+        code, records, _ = run_cli(["bridge", "--c", "2,3,5,7", "--w", "1"], tmp_path)
         assert code == 1
         assert records[0]["verdict"] == "nonzero"
-        assert records[0]["value"] == "1/3"
-        assert records[0]["extra"]["consistent"] is False
+        assert records[0]["value"] == "1"
+        extra = records[0]["extra"]
+        assert extra["consistent"] is False
+        assert extra["oracle_total"] == records[0]["value"]
+        assert extra["second_ground"] == config_sums.random_ground(
+            4, config_sums.instance_rng(1, 4, 1, 0)).describe()
+        assert extra["second_total"] != "0"
+
+    def test_unconfirmed_nonzero_total_stops_the_run(self, tmp_path, monkeypatch, capsys):
+        # a collapsed-route fault the oracle does not share is an engine
+        # error, not a counterexample: exit 2 and no record
+        real_table = config_sums._block_table
+
+        def faulted(inst):
+            table, scale = real_table(inst)
+            table = list(table)
+            table[0b011] = (table[0b011][0], *(x + 1 for x in table[0b011][1:]))
+            return table, scale
+
+        monkeypatch.setattr(config_sums, "_block_table", faulted)
+        code, records, _ = run_cli(["bridge", "--c", "2,3,5,7", "--w", "1"], tmp_path)
+        assert code == 2
+        assert records == []
+        assert "collapsed route and pointed oracle disagree" in capsys.readouterr().err
 
     def test_elapsed_times_the_whole_check(self, tmp_path, monkeypatch):
         # the record times both verifiers, so a slow expansion shows in the
@@ -529,6 +543,12 @@ class TestEntryPoints:
         pytest.param(["part1", "--g", "3", "--w", "0", "--random", "x"],
                      "argument --random: expected a positive integer, got 'x'",
                      id="random"),
+        pytest.param(["part1", "--g", "2", "--w", "0", "--c", "2,x"],
+                     "argument --c: expected a comma-separated list of rationals, got '2,x'",
+                     id="part1-c"),
+        pytest.param(["bridge", "--w", "0", "--c", "2,x"],
+                     "argument --c: expected a comma-separated list of integers, got '2,x'",
+                     id="bridge-c"),
     ])
     def test_unparsable_value_names_the_expected_type(self, tmp_path, capsys, argv, message):
         path = tmp_path / "ledger.jsonl"

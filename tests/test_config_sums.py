@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from stirlingzero import config_sums
-from stirlingzero.algebra import ConsistencyError, PolynomialityError
+from stirlingzero.algebra import ConsistencyError, MultiPoly, PolynomialityError
 from stirlingzero.config_sums import (
     ConfigSumInstance,
     double_check_nonzero,
@@ -575,7 +575,7 @@ class TestIdentityProperties:
         for w in range(3):
             sym = sum_collapsed(symbolic_instance(4, w)).total
             num = sum_collapsed(numeric_instance(4, w, values)).total
-            names = GroundSet.symbolic(4).names()
+            names = GroundSet.symbolic(4).values[0].vars
             assert sym.substitute(dict(zip(names, values))) == num
 
     def test_relabeling_invariance(self):
@@ -594,6 +594,34 @@ class TestIdentityProperties:
                   Fraction(-4), Fraction(9, 7)]
         for w in range(4):
             assert sum_collapsed(numeric_instance(5, w, values)).total == 0
+
+
+class TestSymbolicRing:
+    """A symbolic ground computes in ``Q[c1..cg]``, on the ring's one registry."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_block_table_is_on_the_ring(self, g):
+        names = tuple(f"c{i + 1}" for i in range(g))
+        for w in range(g - 1):
+            table, scale = config_sums._block_table(symbolic_instance(g, w))
+            assert scale is None
+            assert all(vec[v].vars == names for vec in table[1:] for v in range(1, w + 1))
+
+    def test_no_two_registries_merge(self, monkeypatch):
+        # a constant on the empty registry may still meet a ring element, but
+        # no sum or product takes the union of two nonempty registries
+        real = MultiPoly._aligned
+        merges = []
+
+        def counted(self, other):
+            if self.vars and other.vars and (self.vars, self.laurent) != (other.vars, other.laurent):
+                merges.append((self.vars, other.vars))
+            return real(self, other)
+
+        monkeypatch.setattr(MultiPoly, "_aligned", counted)
+        inst = symbolic_instance(4, 2)
+        assert sum_collapsed(inst).total == sum_pointed(inst) == 0
+        assert merges == []
 
 
 class TestControlLayer:

@@ -1,5 +1,6 @@
 """Enumeration layer: ordered/unordered partitions, weights, ground sets."""
 
+from dataclasses import fields
 from fractions import Fraction
 from math import comb, factorial
 
@@ -137,6 +138,10 @@ class TestUnorderedPartitions:
             for part in range(parts):
                 assert next(iter_unordered_partitions(g, part, parts), None) is not None, (part, parts)
 
+    def test_needs_an_element(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            next(iter_unordered_partitions(0))
+
     def test_shard_validation(self):
         for part, parts in [(-1, 2), (2, 2), (3, 2), (0, 0), (0, -1)]:
             with pytest.raises(ValueError, match="part"):
@@ -246,8 +251,39 @@ class TestGroundSet:
 
     def test_symbolic_names(self):
         g = GroundSet.symbolic(3)
-        assert g.names() == ("c1", "c2", "c3")
+        assert all(v.vars == ("c1", "c2", "c3") for v in g.values)
+        assert g.describe() == "c1,c2,c3"
         assert g.is_symbolic
+
+    def test_values_are_the_only_field(self):
+        # the kind and the names of a ground are read off its values
+        assert [f.name for f in fields(GroundSet)] == ["values"]
+        assert not hasattr(GroundSet, "names")
+        with pytest.raises(TypeError):
+            GroundSet((Fraction(1), Fraction(2)), True)
+
+    @pytest.mark.parametrize("ground, symbolic", [
+        (GroundSet.symbolic(3), True),
+        (GroundSet.numeric([]), False),
+        (GroundSet.numeric([1, 2]), False),
+    ], ids=["symbolic", "empty", "numeric"])
+    def test_is_symbolic_reads_the_values(self, ground, symbolic):
+        assert ground.is_symbolic is symbolic
+
+    @pytest.mark.parametrize("g", [1, 2, 4, 10])
+    def test_symbolic_ground_is_one_ring(self, g):
+        # every coordinate and every nonempty block sum on one registry, in
+        # numeric order (c10 after c9)
+        ground = GroundSet.symbolic(g)
+        names = tuple(f"c{i + 1}" for i in range(g))
+        assert all(v.vars == names for v in ground.values)
+        assert [v.used_vars() for v in ground.values] == [{name} for name in names]
+        _, sums = ground.scaled_sums
+        assert all(sums[mask].vars == names for mask in range(1, 1 << g))
+
+    def test_symbolic_needs_an_element(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            GroundSet.symbolic(0)
 
     def test_describe(self):
         assert GroundSet.numeric([Fraction(1, 2), 3]).describe() == "1/2,3"

@@ -435,6 +435,10 @@ class TestClosedForm:
         with pytest.raises(BudgetError):
             symbolic_expansion_coefficient(CFG.h_max + 1, CFG)
 
+    def test_negative_order(self):
+        with pytest.raises(ValueError, match="need h >= 0"):
+            symbolic_expansion_coefficient(-1, CFG)
+
 
 class TestConfigValidation:
     def test_sample_floor(self):
@@ -444,6 +448,10 @@ class TestConfigValidation:
     def test_distinct_samples(self):
         with pytest.raises(ValueError, match="distinct"):
             ExpansionConfig(h_max=2, s_max=4, j_samples=(5, 5, 6))
+
+    def test_depth_must_be_positive(self):
+        with pytest.raises(ValueError, match="need h_max >= 1"):
+            ExpansionConfig(h_max=0)
 
     def test_minimum_indices(self):
         with pytest.raises(ValueError, match="need s_max >= 3"):

@@ -102,6 +102,14 @@ class TestStirlingPoly:
             with pytest.raises(TypeError, match="exact rational"):
                 eval_P(1, t)
 
+    @pytest.mark.parametrize("build, message", [
+        (stirling_row, "row index must be nonnegative"),
+        (stirling_poly, "offset w must be nonnegative"),
+    ], ids=["row", "poly"])
+    def test_negative_index_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(-1)
+
     def test_symbolic_matches_numeric(self):
         assert eval_P_symbolic(1, 7) == 21
         c1, c2 = MultiPoly.variable("c1"), MultiPoly.variable("c2")
