@@ -16,6 +16,12 @@ coefficient at the end.  On top of that sit two value types:
   in the type and never inferred; asking for a coefficient beyond it raises
   :class:`PrecisionError` instead of silently returning zero.
 
+Inside :meth:`Series.exp` and :meth:`Series.log` a monomial is one int, not
+an exponent tuple: each slot is a signed fixed-width digit of the key
+(:class:`_Packer`), wide enough for every exponent the recurrence can form,
+so multiplying two monomials is adding two ints.  A tuple is built again only
+for each output term.
+
 All values are immutable after construction and may be shared freely across
 threads or pickled to worker processes.
 """
@@ -23,8 +29,8 @@ threads or pickled to worker processes.
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 from math import factorial, lcm
 from operator import add, mul
@@ -133,27 +139,84 @@ def _ideal_slots(names, flags, weights: Mapping[str, int], squarefree: Iterable[
     return weight_of, [i for i, name in enumerate(names) if name in square]
 
 
-def _groups(nums: Mapping, weight_of, square_slots) -> list:
+class _Packer:
+    """Exponent tuples of one registry packed into ints, and back.
+
+    Slot ``i`` of a tuple ``e`` is the signed digit ``e_i * B**i`` of the key
+    ``sum_i e_i * B**i``, with ``B = 256**size`` and ``size`` the fewest bytes
+    (1, 2, 4, 8, 16, ...) whose half range ``H = B/2`` exceeds ``bound``.
+    Packing is additive, ``pack(e) + pack(f) == pack(e + f)``, because it is
+    linear in ``e``.  It is injective on the tuples whose every slot lies in
+    ``-bound..bound``: adding ``O = sum_i H * B**i`` gives the base-``B``
+    digits ``e_i + H``, each in ``1..2H-1``, which are unique, so
+    :meth:`unpack` reads a sum back exactly as long as the summed slots stay
+    within the bound.  Flipping the top bit of each such digit (``^ O``)
+    leaves ``e_i`` in two's complement, so both directions are one ``bytes``
+    object through ``struct``'s signed codes, in C.
+    """
+
+    __slots__ = ("_length", "_offset", "_encode", "_decode")
+
+    def __init__(self, width: int, bound: int):
+        size = 1
+        while 1 << (8 * size - 1) <= bound:
+            size *= 2
+        self._length = width * size
+        self._offset = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * width,
+                                      "little")
+        if size <= 8:
+            digits = struct.Struct(f"<{width}{'bhiq'[size.bit_length() - 1]}")
+            self._encode, self._decode = digits.pack, digits.unpack
+        else:  # wider than struct's widest integer: one conversion per slot
+            cuts = [slice(i, i + size) for i in range(0, self._length, size)]
+            self._encode = lambda *e: b"".join(x.to_bytes(size, "little", signed=True) for x in e)
+            self._decode = lambda data: tuple(
+                int.from_bytes(data[c], "little", signed=True) for c in cuts)
+
+    def pack(self, exps) -> int:
+        return (int.from_bytes(self._encode(*exps), "little") ^ self._offset) - self._offset
+
+    def unpack(self, key: int) -> tuple:
+        return self._decode(((key + self._offset) ^ self._offset).to_bytes(self._length, "little"))
+
+
+def _mul_packed(out: dict, ta: Mapping, tb: Mapping, scale: int) -> None:
+    # _mul_into on packed keys (_Packer): adding two keys multiplies the monomials
+    for ea, a in ta.items():
+        a *= scale
+        for eb, b in tb.items():
+            key = ea + eb
+            acc = out.get(key)
+            out[key] = a * b if acc is None else acc + a * b
+
+
+def _groups(nums: Mapping, weight_of, square_slots, pack) -> dict:
     # the term map split by (weight, bitmask of the squarefree slots it
-    # carries): [(weight, mask, terms)]; the terms lie outside the ideal, so
-    # each squarefree exponent is 0 or 1
-    if not any(weight_of) and not square_slots:
-        return [(0, 0, nums)] if nums else []
+    # carries), with packed keys: {(weight, mask): {key: c}}; the terms lie
+    # outside the ideal, so each squarefree exponent is 0 or 1
     groups = {}
     for e, c in nums.items():
         mask = sum(e[i] << bit for bit, i in enumerate(square_slots))
-        groups.setdefault((sum(map(mul, e, weight_of)), mask), {})[e] = c
-    return [(weight, mask, terms) for (weight, mask), terms in groups.items()]
+        groups.setdefault((sum(map(mul, e, weight_of)), mask), {})[pack(e)] = c
+    return groups
 
 
-def _mul_groups(out: dict, ga: list, gb: list, scale: int, max_weight: Optional[int]) -> None:
-    # out += scale * a * b modulo the ideal: a product lies in a monomial
-    # ideal exactly when its monomial does, and a pair's monomial does when
-    # the weights overflow or the squarefree masks meet
-    for wa, ma, ta in ga:
-        for wb, mb, tb in gb:
+def _mul_groups(out: dict, ga: dict, gb: dict, scale: int, max_weight: Optional[int]) -> None:
+    # out += scale * a * b modulo the ideal, all three split as _groups: a
+    # product lies in a monomial ideal exactly when its monomial does, and a
+    # pair's monomial does when the weights overflow or the squarefree masks
+    # meet.  Weights add and disjoint masks join, so each product's group is
+    # known from its factors' and no key is read.
+    for (wa, ma), ta in ga.items():
+        for (wb, mb), tb in gb.items():
             if not ma & mb and (max_weight is None or wa + wb <= max_weight):
-                _mul_into(out, ta, tb, scale)
+                _mul_packed(out.setdefault((wa + wb, ma | mb), {}), ta, tb, scale)
+
+
+def _nonzero(groups: dict) -> dict:
+    # the split term map without its zero coefficients and empty groups
+    return {g: kept for g, terms in groups.items()
+            if (kept := {e: c for e, c in terms.items() if c})}
 
 
 def _registry(polys, extra: Iterable[str] = ()):
@@ -280,6 +343,14 @@ class MultiPoly:
         return out
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a scalar goes into the constant term, on this registry
+            zero = (0,) * len(self.vars)
+            out = dict(self.terms)
+            acc = out.pop(zero, 0) + _as_fraction(other)
+            if acc:
+                out[zero] = acc
+            return MultiPoly._raw(self.vars, self.laurent, out)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -521,25 +592,31 @@ class Series:
 
     def _over_lcm(self, ideal: Ideal):
         # every coefficient on one registry, as integer numerators over the
-        # lcm L of all their denominators, reduced modulo ``ideal`` and split
-        # by group (_groups): (names, flags, L, group, max_weight, [N_0..N_T])
+        # lcm L of all their denominators, reduced modulo ``ideal``, split by
+        # group and packed (_groups): (names, flags, L, packer, max_weight,
+        # [N_0..N_T]).  A recurrence coefficient of index k <= T is a sum of
+        # products of at most k input terms, so no slot of its keys exceeds
+        # T times the largest input exponent, the packer's bound.
         names, flags = _registry(self.coeffs)
         weights, max_weight, squarefree = ideal
         weight_of, square_slots = _ideal_slots(names, flags, weights, squarefree)
         if max_weight is None:
             weight_of = ()  # unbounded: the weights tell no pair apart
-        group = partial(_groups, weight_of=weight_of, square_slots=square_slots)
         terms = [c._remap(names) for c in self.coeffs]
         den = lcm(*(c.denominator for t in terms for c in t.values()))
-        return (names, flags, den, group, max_weight,
-                [group(MultiPoly._raw(names, flags, _numerators(t, den)[0])
-                       .remainder(*ideal).terms) for t in terms])
+        reduced = [MultiPoly._raw(names, flags, _numerators(t, den)[0]).remainder(*ideal).terms
+                   for t in terms]
+        bound = self.order * max((abs(x) for t in reduced for e in t for x in e), default=0)
+        packer = _Packer(len(names), bound)
+        return (names, flags, den, packer, max_weight,
+                [_groups(t, weight_of, square_slots, packer.pack) for t in reduced])
 
-    def _from_scaled(self, names, flags, scaled, L) -> "Series":
-        # coefficient k is the groups scaled[k] over k! L^k
+    def _from_scaled(self, names, flags, scaled, L, unpack) -> "Series":
+        # coefficient k is the groups scaled[k] over k! L^k, a tuple rebuilt
+        # from each packed key
         dens = [factorial(k) * L ** k for k in range(len(scaled))]
         return Series(self.var, self.order, [MultiPoly._raw(names, flags, {
-            e: Fraction(c, den) for _, _, terms in groups for e, c in terms.items()})
+            unpack(e): Fraction(c, den) for terms in groups.values() for e, c in terms.items()})
             for den, groups in zip(dens, scaled)])
 
     def exp(self, ideal: Ideal = _EMPTY_IDEAL) -> "Series":
@@ -565,19 +642,20 @@ class Series:
         the squarefree variables it carries, so only the term pairs whose
         product lies outside the ideal are formed.  Taking the remainder is a
         ring homomorphism, so each coefficient is the remainder of the true one.
+        Monomials are packed ints (:class:`_Packer`) from entry to output.
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("series exponential requires a zero constant term")
-        names, flags, L, group, max_weight, S = self._over_lcm(ideal)
-        F = [group({(0,) * len(names): 1})]
+        names, flags, L, packer, max_weight, S = self._over_lcm(ideal)
+        F = [{(0, 0): {0: 1}}]
         for k in range(1, self.order + 1):
             acc = {}
             for i in range(1, k + 1):
                 if S[i] and F[k - i]:
                     scale = i * (factorial(k - 1) // factorial(k - i)) * L ** (i - 1)
                     _mul_groups(acc, S[i], F[k - i], scale, max_weight)
-            F.append(group({e: c for e, c in acc.items() if c}))
-        return self._from_scaled(names, flags, F, L)
+            F.append(_nonzero(acc))
+        return self._from_scaled(names, flags, F, L, packer.unpack)
 
     def log(self, ideal: Ideal = _EMPTY_IDEAL) -> "Series":
         """Logarithm of a series with constant term one.
@@ -591,22 +669,22 @@ class Series:
                   - sum_{i=1..k-1} i * G_i * N_{k-i} * (k-1)!/i! * L^(k-i-1)
 
         whose every factor is an integer (``i <= k-1``), so every ``G_k`` is
-        integral.  It runs in the quotient ring by ``ideal``, on split
-        ``N_i`` and ``G_k``, as in :meth:`exp`.
+        integral.  It runs in the quotient ring by ``ideal``, on split and
+        packed ``N_i`` and ``G_k``, as in :meth:`exp`.
         """
         if self.coeffs[0] != 1:
             raise ValueError("series logarithm requires constant term equal to 1")
-        names, flags, L, group, max_weight, S = self._over_lcm(ideal)
-        G = [[]]
+        names, flags, L, packer, max_weight, S = self._over_lcm(ideal)
+        G = [{}]
         for k in range(1, self.order + 1):
             lead = factorial(k) * L ** (k - 1)
-            acc = {e: c * lead for _, _, terms in S[k] for e, c in terms.items()}
+            acc = {g: {e: c * lead for e, c in terms.items()} for g, terms in S[k].items()}
             for i in range(1, k):
                 if G[i] and S[k - i]:
                     scale = i * (factorial(k - 1) // factorial(i)) * L ** (k - i - 1)
                     _mul_groups(acc, S[k - i], G[i], -scale, max_weight)
-            G.append(group({e: c for e, c in acc.items() if c}))
-        return self._from_scaled(names, flags, G, L)
+            G.append(_nonzero(acc))
+        return self._from_scaled(names, flags, G, L, packer.unpack)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -633,9 +711,12 @@ def _dense_from_nodes(nodes: Sequence[int]) -> list:
 
 
 def _horner(coeffs: Sequence, x):
-    # sum of coeffs[d] * x^d, low degree first; x an int, Fraction or MultiPoly
-    acc = 0
-    for c in reversed(coeffs):
+    # sum of coeffs[d] * x^d, low degree first; x an int, Fraction or MultiPoly.
+    # The accumulator starts at the top coefficient, so on a MultiPoly x every
+    # step stays on x's registry (a scalar times x, plus a scalar)
+    top_down = reversed(coeffs)
+    acc = next(top_down, 0)
+    for c in top_down:
         acc = acc * x + c
     return acc
 

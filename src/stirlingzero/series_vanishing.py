@@ -22,11 +22,11 @@ Two independent routes produce the ``a_h``:
   truncated at the largest sample J, serves every sample, since ``x^s``
   with ``s > j`` cannot reach ``x^j``.
 
-The comparison of the two is the one check on each ``a_h``, made on every
-use.  A term of the wrong u-weight, a stray variable or a misfiled order on
-either side cannot pass it: in a node sample it moves the fit off the
-witnesses or the closed form, in a witness sample it breaks polynomiality,
-and in the closed form it differs from the fit.
+The comparison of the two is the one check on each ``a_h``, made once per
+distinct input.  A term of the wrong u-weight, a stray variable or a
+misfiled order on either side cannot pass it: in a node sample it moves the
+fit off the witnesses or the closed form, in a witness sample it breaks
+polynomiality, and in the closed form it differs from the fit.
 
 Both routes run in a quotient ring that keeps every monomial the extracted
 coefficients can see.  The readback exponential drops u-weight above h_max
@@ -276,6 +276,25 @@ def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPol
     return MultiPoly(names, terms, laurent=(R,))
 
 
+@lru_cache(maxsize=None)
+def _checked_coefficient(h: int, cfg: ExpansionConfig, u_indices: tuple,
+                         squarefree: bool) -> MultiPoly:
+    # the closed form a_h, compared with its interpolation oracle once per
+    # distinct input: a bridge's w values share one depth h and one u-index
+    # set, so the second w refits nothing
+    value = _closed_form(h, u_indices, squarefree)
+    if h == 0:
+        return value
+    order = max(cfg.j_samples)
+    samples = [(j, _readback_coefficients(j, order, u_indices, cfg.h_max, squarefree)[h])
+               for j in cfg.j_samples]
+    oracle = interpolate_in_var(samples, J, 2 * h)
+    if oracle != value:
+        raise ConsistencyError(
+            f"closed form and interpolation oracle disagree at order {h}")
+    return value
+
+
 def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
                                    u_indices: Optional[Sequence[int]] = None,
                                    squarefree: bool = False) -> MultiPoly:
@@ -287,7 +306,9 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
     the interpolant, the rest are polynomiality witnesses
     (:class:`PolynomialityError`), and a fit that differs from the closed
     form aborts with :class:`ConsistencyError`.  At h = 0 the closed form,
-    identically 1, is returned without an oracle.
+    identically 1, is returned without an oracle.  The check is made once
+    per distinct input ``(h, cfg, u-indices, squarefree)``, with the
+    u-indices as ``cfg.u_indices`` normalizes them, and its value is kept.
 
     With ``squarefree`` the value is a_h modulo every u_s^2: its terms
     squarefree in u.  Both routes are then compared in that quotient ring,
@@ -297,19 +318,7 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
         raise ValueError("need h >= 0")
     if h > cfg.h_max:
         raise BudgetError(f"order {h} beyond configured h_max={cfg.h_max}")
-    indices = cfg.u_indices(u_indices)
-    value = _closed_form(h, indices, squarefree)
-    if h == 0:
-        return value
-
-    order = max(cfg.j_samples)
-    samples = [(j, _readback_coefficients(j, order, indices, cfg.h_max, squarefree)[h])
-               for j in cfg.j_samples]
-    oracle = interpolate_in_var(samples, J, 2 * h)
-    if oracle != value:
-        raise ConsistencyError(
-            f"closed form and interpolation oracle disagree at order {h}")
-    return value
+    return _checked_coefficient(h, cfg, cfg.u_indices(u_indices), bool(squarefree))
 
 
 def log_expansion(cfg: ExpansionConfig,

@@ -119,4 +119,4 @@ def eval_P_symbolic(w: int, t) -> MultiPoly:
     by the engine's Horner loop; a rational ``t`` goes through :func:`eval_P`."""
     if not isinstance(t, MultiPoly):
         return MultiPoly.constant(eval_P(w, t))
-    return _horner(stirling_poly(w), t)
+    return MultiPoly._coerce(_horner(stirling_poly(w), t))  # w = 0: the constant 1

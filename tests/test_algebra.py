@@ -256,6 +256,29 @@ class TestMultiPoly:
     def test_additive_inverse(self, p):
         assert (p - p).is_zero()
 
+    @given(polys(), coefficients | st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_sum_stays_on_the_registry(self, p, q):
+        # p + q adds q into p's constant term; merging p with the constant q
+        # on the empty registry gives the same polynomial
+        total, merged = p + q, p + MultiPoly.constant(q)
+        assert total.vars == p.vars
+        assert total == q + p == merged
+        assert total.canonical_str() == merged.canonical_str()
+        assert (total - q).terms == p.terms
+        assert p + 0 == p
+
+    @given(st.lists(coefficients | st.integers(-3, 3), max_size=5), polys(max_terms=3, max_exp=2))
+    @settings(max_examples=40, deadline=None)
+    def test_horner_on_a_polynomial_stays_on_its_registry(self, coeffs, x):
+        expected = MultiPoly.zero()
+        for d, c in enumerate(coeffs):
+            expected = expected + fraction_product(x ** d, MultiPoly.constant(c))
+        value = algebra._horner(coeffs, x)
+        assert value == expected
+        if isinstance(value, MultiPoly) and len(coeffs) > 1 and coeffs[-1]:
+            assert value.vars == x.vars
+
 
 @st.composite
 def equality_pairs(draw):
@@ -514,24 +537,70 @@ class TestSeries:
         assert unit.log(ideal=self.IDEAL).coeffs == tuple(
             c.remainder(*self.IDEAL) for c in s.coeffs)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_packer_round_trip_and_additivity(self, data):
+        # up to ``order`` exponent tuples, each slot within -top..top (the
+        # negative ones as on a Laurent r), packed with bound order * top:
+        # each key reads back, and a sum of keys is the key of the slot sums
+        width = data.draw(st.integers(1, 5), label="width")
+        order = data.draw(st.integers(1, 8), label="order")
+        top = data.draw(st.sampled_from([1, 7, 200, 2 ** 15, 2 ** 15 + 3, 2 ** 62, 2 ** 70]))
+        slot = st.integers(-top, top)
+        terms = data.draw(st.lists(st.tuples(*[slot] * width), min_size=1, max_size=order))
+        terms[0] = (data.draw(st.sampled_from([top, -top])),) + terms[0][1:]
+        packer = algebra._Packer(width, order * top)
+        keys = [packer.pack(e) for e in terms]
+        assert [packer.unpack(k) for k in keys] == terms
+        total = tuple(map(sum, zip(*terms)))
+        assert packer.pack(total) == sum(keys)
+        assert packer.unpack(sum(keys)) == total
+
+    @pytest.mark.parametrize("bound", [0, 127, 128, 2 ** 15 - 1, 2 ** 15, 2 ** 63 - 1, 2 ** 63])
+    def test_packer_digit_grows_at_its_edge(self, bound):
+        # the digit holds -bound..bound whatever the width; it never wraps
+        packer = algebra._Packer(3, bound)
+        for e in [(bound, -bound, 0), (-bound, 0, bound), (0, 0, 0)]:
+            assert packer.unpack(packer.pack(e)) == e
+        assert packer.pack((bound, -bound, 1)) + packer.pack((-bound, bound, -1)) == 0
+
+    def test_exponents_beyond_a_byte_and_a_short(self):
+        # a 2^15 exponent times the order needs 4-byte digits, and a Laurent
+        # r^-1 a negative one; both recurrences agree with the references
+        big = MultiPoly(("a", "r"), {(2 ** 15, -1): Fraction(1, 3), (1, 0): 2}, laurent=("r",))
+        s = Series.from_dict("x", 4, {1: big, 3: var("b") * r_to(-2)})
+        assert s.exp().coeffs == reference_exp(s)
+        unit = s.exp()
+        assert unit.log().coeffs == reference_log(unit)
+        assert unit.coefficient(4).degree_in("a") == 4 * 2 ** 15
+
     @pytest.mark.parametrize("reduction", ["weight", "squarefree", "weight and squarefree"])
     def test_reduced_kernel_never_forms_a_dropped_term(self, monkeypatch, reduction):
         # every key the product loop writes into an accumulator lies outside
-        # the ideal, so no product term is formed only to be dropped
+        # the ideal, so no product term is formed only to be dropped; the
+        # loop adds packed keys, decoded here by the packer of its call
         ideal = REDUCTIONS[reduction]
         a, b, c = var("a"), var("b"), var("c")
         s = Series.from_dict("x", 6, {1: a + b + c * r_to(-1), 2: a * c + b ** 2, 3: 2 * c})
-        keys = set()
-        real_mul_into = algebra._mul_into
+        packers, keys = [], set()
+        real_mul_packed = algebra._mul_packed
+
+        class RecordedPacker(algebra._Packer):
+            __slots__ = ()
+
+            def __init__(self, width, bound):
+                super().__init__(width, bound)
+                packers.append(self)
 
         def spy(out, ta, tb, scale):
-            keys.update(tuple(x + y for x, y in zip(ea, eb)) for ea in ta for eb in tb)
-            real_mul_into(out, ta, tb, scale)
+            keys.update(packers[-1].unpack(ea + eb) for ea in ta for eb in tb)
+            real_mul_packed(out, ta, tb, scale)
 
-        monkeypatch.setattr(algebra, "_mul_into", spy)
+        monkeypatch.setattr(algebra, "_Packer", RecordedPacker)
+        monkeypatch.setattr(algebra, "_mul_packed", spy)
         unit = s.exp(ideal=ideal)
         unit.log(ideal=ideal)
-        assert keys
+        assert len(packers) == 2 and keys
         names, flags = unit.coeffs[0].vars, unit.coeffs[0].laurent
         written = MultiPoly._raw(names, flags, dict.fromkeys(keys, 1))
         assert written.remainder(*ideal) == written

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingzero import bridge
+from stirlingzero import algebra, bridge, series_vanishing
 from stirlingzero.algebra import ConsistencyError, MultiPoly, Series
 from stirlingzero.bridge import (
     bridge_check,
@@ -95,6 +95,36 @@ class TestBridgeCheck:
     def test_config_sum_side_uses_collapsed_route(self):
         report = bridge_check(bridge_params((2, 3), 0))
         assert report.config_sum.configurations_visited == 2  # Bell(2)
+
+    def test_second_w_refits_nothing(self, monkeypatch):
+        # every w of one c shares the depth h and the u-indices, so the
+        # checked a_1..a_h of the first check serve the second: no fit in j
+        # is made again, and no Lagrange node tuple is built twice
+        rows, fits = [], []
+        real_rows, real_fit = algebra._lagrange_rows, series_vanishing.interpolate_in_var
+
+        def counted_rows(nodes):
+            rows.append(tuple(nodes))
+            return real_rows(nodes)
+
+        def counted_fit(samples, var, degree_bound):
+            fits.append(degree_bound)
+            return real_fit(samples, var, degree_bound)
+
+        series_vanishing._checked_coefficient.cache_clear()
+        monkeypatch.setattr(algebra, "_lagrange_rows", counted_rows)
+        monkeypatch.setattr(series_vanishing, "interpolate_in_var", counted_fit)
+        try:
+            first = bridge_check(bridge_params((2, 3, 7), 0))
+            assert fits == [2 * h for h in range(1, first.instance.h + 1)]
+            before = len(rows)
+            second = bridge_check(bridge_params((2, 3, 7), 1))
+        finally:
+            series_vanishing._checked_coefficient.cache_clear()
+        assert len(fits) == first.instance.h  # none for the second check
+        assert len(rows) > before  # its block-table fit, on the ground's block sums
+        assert len(rows) == len(set(rows))
+        assert first.consistent and second.consistent
 
 
 class TestSquarefreeQuotient:

@@ -22,6 +22,7 @@ from stirlingzero.config_sums import (
     sweep_plan,
 )
 from stirlingzero.partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
+from stirlingzero.stirling import eval_P_symbolic
 
 import ordered_reference
 from forking import assert_no_child_left, needs_fork
@@ -622,6 +623,27 @@ class TestSymbolicRing:
         inst = symbolic_instance(4, 2)
         assert sum_collapsed(inst).total == sum_pointed(inst) == 0
         assert merges == []
+
+    def test_block_sums_and_values_merge_no_registry(self, monkeypatch):
+        # a scalar is added into a ring element's constant term, and Horner
+        # starts at the top coefficient, so the block-sum table and every
+        # P_v value at its sums stay on the ring's registry: no operand on
+        # another registry, the empty one included, is ever merged
+        real = MultiPoly._aligned
+        merges = []
+
+        def counted(self, other):
+            if (self.vars, self.laurent) != (other.vars, other.laurent):
+                merges.append((self.vars, other.vars))
+            return real(self, other)
+
+        monkeypatch.setattr(MultiPoly, "_aligned", counted)
+        ground = GroundSet.symbolic(6)
+        _, sums = ground.scaled_sums
+        values = [eval_P_symbolic(v, t) for t in sums[1:] for v in range(1, 5)]
+        assert merges == []
+        assert {value.vars for value in values} == {ground.values[0].vars}
+        assert sums[0b101] == ground.values[0] + ground.values[2]
 
 
 class TestControlLayer:

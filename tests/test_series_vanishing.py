@@ -45,6 +45,15 @@ def over_r(p, power):
 CFG = ExpansionConfig()
 
 
+@pytest.fixture(autouse=True)
+def fresh_checks():
+    # each checked a_h is kept once made; a test that injects a fault needs
+    # the check to run again, and must not leave its value behind
+    series_vanishing._checked_coefficient.cache_clear()
+    yield
+    series_vanishing._checked_coefficient.cache_clear()
+
+
 def reference_closed_form(h, u_indices, squarefree=False):
     """a_h(r, j) as a chain of MultiPoly products and sums over the multisets.
 
@@ -276,9 +285,12 @@ class TestReadback:
     def test_unexpected_variable_only_if_used(self, monkeypatch):
         clean = symbolic_expansion_coefficient(2, CFG)
         every = set(CFG.j_samples)
+        recheck = series_vanishing._checked_coefficient.cache_clear
+        recheck()
         self._tamper(monkeypatch, every, 2, lambda v: v.with_vars(["n"]))
         assert symbolic_expansion_coefficient(2, CFG) == clean
         monkeypatch.undo()
+        recheck()
         # a stray n on a term of the right weight, in every sample: the fit
         # still passes its witnesses and carries n, which the closed form lacks
         self._tamper(monkeypatch, every, 2, lambda v: v + n * over_r(u3, 3))
@@ -514,6 +526,14 @@ class TestUIndices:
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_repeats_and_order_do_not_matter(self, route):
         assert self.ROUTES[route]((3, 2, 2, 3)) == self.ROUTES[route]((2, 3))
+
+    def test_one_checked_value_per_normalized_input(self):
+        # any sequence of u-indices is accepted; the check is made once per
+        # normalized input and the value it checked is kept
+        value = symbolic_expansion_coefficient(2, self.CFG3, [3, 2, 2])
+        assert symbolic_expansion_coefficient(2, self.CFG3, (2, 3)) is value
+        assert symbolic_expansion_coefficient(2, self.CFG3, range(2, 4)) is value
+        assert symbolic_expansion_coefficient(2, self.CFG3, (2, 3), squarefree=True) is not value
 
     def test_squarefree_route_takes_repeats(self):
         assert (log_expansion(self.CFG3, (2, 2, 3), squarefree=True)
