@@ -390,8 +390,8 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _as_fraction(other)
-            if other == 0:
-                return MultiPoly.zero()
+            if other == 0:  # the zero polynomial on this registry
+                return MultiPoly._raw(self.vars, self.laurent, {})
             return MultiPoly._raw(
                 self.vars, self.laurent,
                 {e: c * other for e, c in self.terms.items()})

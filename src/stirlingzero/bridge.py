@@ -15,7 +15,7 @@ between the two is assumed: both are checked for vanishing independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import ConsistencyError, MultiPoly, _as_int
 from .config_sums import ConfigSumInstance, ConfigSumResult, sum_collapsed
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BridgeInstance:
+class BridgeInstance(NamedTuple):
     """Distinct ground values ``c`` and weight budget ``w``; (k, h) derive from them."""
 
     c: tuple
@@ -93,8 +92,7 @@ def bridge_coefficient(inst: BridgeInstance) -> MultiPoly:
     return coefficient
 
 
-@dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(NamedTuple):
     """Paired outcome of both verifiers on one bridge instance."""
 
     instance: BridgeInstance

@@ -83,11 +83,10 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from math import factorial, lcm
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from ._pool import ProcessPoolExecutor
 from .algebra import ConsistencyError, MultiPoly, _as_int, _horner, interpolate_in_var
@@ -122,22 +121,21 @@ SWEEP_SAMPLES = {6: 10, 7: 5}
 RANDOM_G_MAX = 143  # random_ground's values: the integers -12..12 and k/d, 2 <= d <= 9
 
 
-@dataclass(frozen=True)
-class ConfigSumInstance:
-    g: int
-    w: int
-    ground: GroundSet
+class ConfigSumInstance(NamedTuple("_ConfigSumInstance",
+                                   [("g", int), ("w", int), ("ground", GroundSet)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        g, w = _as_int(self.g, "g"), _as_int(self.w, "w")
+    def __new__(cls, g: int, w: int, ground: GroundSet):
+        g, w = _as_int(g, "g"), _as_int(w, "w")
         if g < 2:
             raise ValueError("need g >= 2")
         if not 0 <= w <= g - 2:
             raise ValueError(f"need 0 <= w <= g-2, got w={w} for g={g}")
-        if self.ground.g != g:
+        if ground.g != g:
             raise ValueError("ground set size does not match g")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "w", w)
+        return super().__new__(cls, g, w, ground)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     @classmethod
     def make(cls, g: int, w: int, ground: GroundSet) -> "ConfigSumInstance":
@@ -148,8 +146,7 @@ class ConfigSumInstance:
         return "symbolic" if self.ground.is_symbolic else "numeric"
 
 
-@dataclass(frozen=True)
-class ConfigSumResult:
+class ConfigSumResult(NamedTuple):
     instance: ConfigSumInstance
     total: SumValue
     configurations_visited: int
@@ -424,8 +421,7 @@ def random_ground(g: int, rng: random.Random) -> GroundSet:
     return GroundSet.numeric(values)
 
 
-@dataclass(frozen=True)
-class NonzeroConfirmation:
+class NonzeroConfirmation(NamedTuple):
     """Outcome of the double-verification protocol for a nonzero total."""
 
     oracle_total: SumValue
@@ -456,8 +452,7 @@ def double_check_nonzero(inst: ConfigSumInstance, total: SumValue,
     return NonzeroConfirmation(oracle_total, second_ground, second_total)
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     """One planned configuration-sum instance; :func:`run_plan` fills in its outcome.
 
     ``seed`` names a random ground's ``instance_rng`` draw, ``"seed/g/w/i"``.
@@ -518,7 +513,7 @@ def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
     """
     for entry in plan:
         if deadline is not None and time.monotonic() > deadline:
-            yield replace(entry, status="not_attempted")
+            yield entry._replace(status="not_attempted")
             continue
         inst = entry.instance
         result = sum_collapsed(inst, jobs=jobs)
@@ -526,4 +521,4 @@ def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
         if result.verdict == "nonzero":
             confirmation = double_check_nonzero(
                 inst, result.total, instance_rng(seed + 1, inst.g, inst.w, entry.sample_index))
-        yield replace(entry, result=result, confirmation=confirmation)
+        yield entry._replace(result=result, confirmation=confirmation)

@@ -12,9 +12,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import MultiPoly
 from .config_sums import BASELINE_RANGE
@@ -43,8 +42,7 @@ def value_str(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} exactly")
 
 
-@dataclass(frozen=True)
-class LedgerRecord:
+class LedgerRecord(NamedTuple):
     command: str
     params: dict
     status: str                      # asserted | exploratory | not_attempted
@@ -52,7 +50,7 @@ class LedgerRecord:
     value: Optional[str]             # exact serialized value
     visited: Optional[int] = None
     elapsed: Optional[float] = None
-    extra: dict = field(default_factory=dict)
+    extra: Optional[dict] = None     # written as {}
 
     def to_json(self) -> str:
         payload = {
@@ -64,7 +62,7 @@ class LedgerRecord:
             "value": self.value,
             "visited": self.visited,
             "elapsed_s": self.elapsed,
-            "extra": self.extra,
+            "extra": {} if self.extra is None else self.extra,
             "engine": ENGINE_VERSION,
         }
         return json.dumps(payload, sort_keys=True)

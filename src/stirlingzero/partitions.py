@@ -22,11 +22,10 @@ instance is split across worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import MultiPoly, _as_fraction, _as_int
 
@@ -37,12 +36,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(NamedTuple("_GroundSet", [("values", tuple)])):
     """g distinct values: all exact rationals, or the coordinates of ``Q[c1..cg]``,
     each on the ring's one registry ``("c1", ..., "cg")``; the values say which."""
 
-    values: tuple
+    # no __slots__: cached_property keeps scaled_sums in the instance __dict__,
+    # writing it directly, so every assignment can be refused
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroundSet is immutable: cannot set {name!r}")
 
     @classmethod
     def numeric(cls, values: Sequence) -> "GroundSet":

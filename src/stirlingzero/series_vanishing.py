@@ -46,11 +46,10 @@ zeroing, they are not truncated away).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
     BudgetError,
@@ -92,8 +91,8 @@ def _u_weight(s: int) -> int:
     return s - 1
 
 
-@dataclass(frozen=True)
-class ExpansionConfig:
+class ExpansionConfig(NamedTuple("_ExpansionConfig",
+                                 [("h_max", int), ("s_max", int), ("j_samples", tuple)])):
     """Budget for the vanishing checks, and the one place it is checked.
 
     ``h_max`` is the deepest 1/n order checked, ``s_max`` the largest u-index
@@ -101,7 +100,7 @@ class ExpansionConfig:
     the interpolation oracle.  Each value must be an int or a Fraction with
     denominator 1; anything else raises ``ValueError`` rather than being
     truncated.  A budget the routes cannot run exactly is refused here, with
-    ``ValueError``, when it is built:
+    ``ValueError``, whenever it is built (``_replace`` too):
 
     * ``s_max >= h_max + 1``: ``u_s`` weighs ``s - 1``, so every u-index up
       to ``h_max + 1`` reaches an order ``<= h_max``; a smaller ``s_max``
@@ -117,13 +116,12 @@ class ExpansionConfig:
     ``h = h_max`` plus three witnesses.
     """
 
-    h_max: int = 4
-    s_max: Optional[int] = None
-    j_samples: Optional[tuple] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        h_max = _as_int(self.h_max, "h_max")
-        s_max = max(6, h_max + 1) if self.s_max is None else _as_int(self.s_max, "s_max")
+    def __new__(cls, h_max: int = 4, s_max: Optional[int] = None,
+                j_samples: Optional[Sequence[int]] = None):
+        h_max = _as_int(h_max, "h_max")
+        s_max = max(6, h_max + 1) if s_max is None else _as_int(s_max, "s_max")
         if h_max < 1:
             raise ValueError("need h_max >= 1")
         if s_max < h_max + 1:
@@ -131,7 +129,7 @@ class ExpansionConfig:
                 f"s_max={s_max} would drop u_s terms from orders up to h_max={h_max}; "
                 f"need s_max >= {h_max + 1}")
         samples = tuple(_as_int(j, "j sample") for j in (
-            range(h_max + 1, 3 * h_max + 5) if self.j_samples is None else self.j_samples))
+            range(h_max + 1, 3 * h_max + 5) if j_samples is None else j_samples))
         if len(set(samples)) != len(samples):
             raise ValueError("j samples must be distinct")
         if any(j < h_max + 1 for j in samples):
@@ -140,9 +138,9 @@ class ExpansionConfig:
             raise ValueError(
                 f"the oracle at order {h_max} needs {2 * h_max + 1} j samples, "
                 f"got {len(samples)}")
-        object.__setattr__(self, "h_max", h_max)
-        object.__setattr__(self, "s_max", s_max)
-        object.__setattr__(self, "j_samples", samples)
+        return super().__new__(cls, h_max, s_max, samples)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def u_indices(self, kept: Optional[Sequence[int]] = None) -> tuple:
         """The u-indices a route keeps: ``2..s_max``, or ``kept`` sorted without
@@ -343,8 +341,7 @@ def log_expansion(cfg: ExpansionConfig,
     return Series(NINV, cfg.h_max, coeffs).log(ideal=_quotient(indices, None, squarefree))
 
 
-@dataclass(frozen=True)
-class VanishingCheck:
+class VanishingCheck(NamedTuple):
     """Verdict for one (h, k) component of the log expansion."""
 
     h: int

@@ -279,6 +279,16 @@ class TestMultiPoly:
         if isinstance(value, MultiPoly) and len(coeffs) > 1 and coeffs[-1]:
             assert value.vars == x.vars
 
+    def test_zero_product_stays_on_the_registry(self):
+        # a zero scalar product is the zero polynomial on x's own registry, so
+        # _horner with a zero top coefficient merges no registry either
+        x = MultiPoly.variable("a") + MultiPoly.variable("r", laurent=True)
+        for zero in (x * 0, 0 * x, x * Fraction(0), algebra._horner([0, 0], x),
+                     algebra._horner([0, 0, 0], x)):
+            assert zero == 0 and zero.is_zero()
+            assert (zero.vars, zero.laurent) == (x.vars, x.laurent)
+        assert algebra._horner([3, 0], x).vars == x.vars
+
 
 @st.composite
 def equality_pairs(draw):

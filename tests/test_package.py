@@ -1,12 +1,19 @@
-"""Package surface: every exported name resolves, and README's example runs."""
+"""Package surface: every exported name resolves, README's example runs, and the
+CLI's import loads no dataclass machinery."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import stirlingzero
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # __main__ runs the CLI and version holds a constant; neither declares __all__
 SUBMODULES = sorted(
@@ -31,3 +38,14 @@ def test_readme_library_use_runs_as_written(capsys):
     assert "ExpansionConfig(h_max=3)" in code
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out == "zero\n"
+
+
+def test_start_up_loads_no_dataclass_machinery():
+    # a fresh interpreter, since pytest itself loads these: the records are
+    # NamedTuples, so the CLI's import needs no dataclasses and no inspect
+    code = ("import json, sys; import stirlingzero.cli; print(json.dumps(sorted(m for m in "
+            "('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') if m in sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -497,6 +497,25 @@ class TestConfigValidation:
         assert len(a4.terms) == 32
         assert all(a4.degree_in(u_name(s)) > 0 for s in range(2, 6))
 
+    def test_one_budget_built_different_ways_is_one_key(self):
+        # h_max = 3 derives s_max = 6 and j_samples = 4..13
+        budgets = [
+            ExpansionConfig(h_max=3),
+            ExpansionConfig(3, 6, range(4, 14)),
+            ExpansionConfig(h_max=Fraction(3), s_max=Fraction(12, 2), j_samples=list(range(4, 14))),
+            ExpansionConfig(h_max=2)._replace(h_max=3, j_samples=range(4, 14)),
+            ExpansionConfig._make([3, 6, tuple(range(4, 14))]),
+        ]
+        first = budgets[0]
+        assert first == (3, 6, tuple(range(4, 14)))
+        for cfg in budgets[1:]:
+            assert type(cfg) is ExpansionConfig
+            assert cfg == first and hash(cfg) == hash(first)
+        # so the checked a_h made for one is the one every other reads
+        value = symbolic_expansion_coefficient(2, first)
+        assert all(symbolic_expansion_coefficient(2, cfg) is value for cfg in budgets)
+        assert series_vanishing._checked_coefficient.cache_info().currsize == 1
+
     @pytest.mark.parametrize("h", range(1, 7))
     def test_depth_alone_is_the_whole_budget(self, h):
         cfg = ExpansionConfig(h_max=h)
