@@ -22,11 +22,15 @@ Two independent routes produce the ``a_h``:
   truncated at the largest sample J, serves every sample, since ``x^s``
   with ``s > j`` cannot reach ``x^j``.
 
-The comparison of the two is the one check on each ``a_h``, made once per
-distinct input.  A term of the wrong u-weight, a stray variable or a
-misfiled order on either side cannot pass it: in a node sample it moves the
-fit off the witnesses or the closed form, in a witness sample it breaks
-polynomiality, and in the closed form it differs from the fit.
+The comparison of the two is the one check on each ``a_h``.  A term of
+the wrong u-weight, a stray variable or a misfiled order on either side
+cannot pass it: in a node sample it moves the fit off the witnesses or the
+closed form, in a witness sample it breaks polynomiality, and in the closed
+form it differs from the fit.
+
+Part-2 state is kept per budget ``(ExpansionConfig, normalized u-indices,
+squarefree)``: the readback samples and the log with every ``a_h`` checked,
+so production checks each ``a_h`` once per budget.
 
 Both routes run in a quotient ring that keeps every monomial the extracted
 coefficients can see.  The readback exponential drops u-weight above h_max
@@ -167,7 +171,6 @@ def _quotient(u_indices: tuple, max_weight: Optional[int], squarefree: bool):
     return weights, max_weight, tuple(weights) if squarefree else ()
 
 
-@lru_cache(maxsize=None)
 def _generating_series(order: int, u_indices: tuple, max_weight: Optional[int] = None,
                        squarefree: bool = False) -> Series:
     # exact with the defaults; otherwise exact only modulo the _quotient ideal
@@ -213,14 +216,12 @@ def expansion_coefficients(j: int, gj: MultiPoly, h_max: Optional[int] = None) -
 
 
 @lru_cache(maxsize=None)
-def _readback_coefficients(j: int, order: int, u_indices: tuple, h_max: int,
-                           squarefree: bool = False) -> tuple:
-    # x^s with s > j cannot reach x^j, so the order-``order`` series holds the
-    # order-j coefficient at x^j: one exponential serves every sample j.
-    # That exponential drops u-weight > h_max, so its x^j coefficient holds
-    # exactly the powers n^{j-h_max} .. n^j that a_0 .. a_{h_max} are read from.
-    gj = _generating_series(order, u_indices, h_max, squarefree).coefficient(j)
-    return tuple(expansion_coefficients(j, gj, h_max))
+def _readback(cfg: ExpansionConfig, u_indices: tuple, squarefree: bool) -> dict:
+    # {j: (a_0 .. a_{h_max})} at every sample j, all read off the one cut
+    # exponential of the module docstring, which is not kept
+    series = _generating_series(max(cfg.j_samples), u_indices, cfg.h_max, squarefree)
+    return {j: tuple(expansion_coefficients(j, series.coefficient(j), cfg.h_max))
+            for j in cfg.j_samples}
 
 
 def _partitions(n: int, max_part: Optional[int] = None):
@@ -234,7 +235,6 @@ def _partitions(n: int, max_part: Optional[int] = None):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPoly:
     """a_h(r, j) as a term map on the registry ``(j, r, u_s for s in u_indices)``.
 
@@ -274,25 +274,6 @@ def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPol
     return MultiPoly(names, terms, laurent=(R,))
 
 
-@lru_cache(maxsize=None)
-def _checked_coefficient(h: int, cfg: ExpansionConfig, u_indices: tuple,
-                         squarefree: bool) -> MultiPoly:
-    # the closed form a_h, compared with its interpolation oracle once per
-    # distinct input: a bridge's w values share one depth h and one u-index
-    # set, so the second w refits nothing
-    value = _closed_form(h, u_indices, squarefree)
-    if h == 0:
-        return value
-    order = max(cfg.j_samples)
-    samples = [(j, _readback_coefficients(j, order, u_indices, cfg.h_max, squarefree)[h])
-               for j in cfg.j_samples]
-    oracle = interpolate_in_var(samples, J, 2 * h)
-    if oracle != value:
-        raise ConsistencyError(
-            f"closed form and interpolation oracle disagree at order {h}")
-    return value
-
-
 def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
                                    u_indices: Optional[Sequence[int]] = None,
                                    squarefree: bool = False) -> MultiPoly:
@@ -304,19 +285,28 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
     the interpolant, the rest are polynomiality witnesses
     (:class:`PolynomialityError`), and a fit that differs from the closed
     form aborts with :class:`ConsistencyError`.  At h = 0 the closed form,
-    identically 1, is returned without an oracle.  The check is made once
-    per distinct input ``(h, cfg, u-indices, squarefree)``, with the
-    u-indices as ``cfg.u_indices`` normalizes them, and its value is kept.
+    identically 1, is returned without an oracle.  No value is kept: every
+    call runs the oracle, on the readback samples kept per budget ``(cfg,
+    u-indices as cfg.u_indices normalizes them, squarefree)``.
 
     With ``squarefree`` the value is a_h modulo every u_s^2: its terms
     squarefree in u.  Both routes are then compared in that quotient ring,
     which is exact there because the reduction is a ring homomorphism.
     """
+    h = _as_int(h, "h")
     if h < 0:
         raise ValueError("need h >= 0")
     if h > cfg.h_max:
         raise BudgetError(f"order {h} beyond configured h_max={cfg.h_max}")
-    return _checked_coefficient(h, cfg, cfg.u_indices(u_indices), bool(squarefree))
+    indices, squarefree = cfg.u_indices(u_indices), bool(squarefree)
+    value = _closed_form(h, indices, squarefree)
+    if h == 0:
+        return value
+    samples = [(j, coeffs[h]) for j, coeffs in _readback(cfg, indices, squarefree).items()]
+    if interpolate_in_var(samples, J, 2 * h) != value:
+        raise ConsistencyError(
+            f"closed form and interpolation oracle disagree at order {h}")
+    return value
 
 
 def log_expansion(cfg: ExpansionConfig,
@@ -325,8 +315,9 @@ def log_expansion(cfg: ExpansionConfig,
     """log(1 + sum_{s>=1} a_s/n^s) truncated at 1/n order h_max.
 
     Orders beyond the truncation cannot feed back into the kept ones, so the
-    fixed truncation is exact for every extracted order.  The u-indices kept
-    are ``cfg.u_indices(u_indices)``.
+    fixed truncation is exact for every extracted order.  The series is made
+    once per budget ``(cfg, cfg.u_indices(u_indices), squarefree)`` and
+    shared, so callers must not mutate it.
 
     ``squarefree`` computes the series modulo every u_s^2, for a caller that
     reads only squarefree u-monomials: exponents only grow under
@@ -334,11 +325,15 @@ def log_expansion(cfg: ExpansionConfig,
     then reduced, and its closed form and interpolation oracle are compared
     in that quotient.
     """
-    indices = cfg.u_indices(u_indices)
+    return _checked_log(cfg, cfg.u_indices(u_indices), bool(squarefree))
+
+
+@lru_cache(maxsize=None)
+def _checked_log(cfg: ExpansionConfig, u_indices: tuple, squarefree: bool) -> Series:
     coeffs = [MultiPoly.constant(1)]
     for h in range(1, cfg.h_max + 1):
-        coeffs.append(symbolic_expansion_coefficient(h, cfg, indices, squarefree=squarefree))
-    return Series(NINV, cfg.h_max, coeffs).log(ideal=_quotient(indices, None, squarefree))
+        coeffs.append(symbolic_expansion_coefficient(h, cfg, u_indices, squarefree))
+    return Series(NINV, cfg.h_max, coeffs).log(ideal=_quotient(u_indices, None, squarefree))
 
 
 class VanishingCheck(NamedTuple):

@@ -1,5 +1,7 @@
 """The untruncated x^j generating coefficient, the reference for the readback tests."""
 
+from functools import lru_cache
+
 from stirlingzero.series_vanishing import _generating_series
 
 
@@ -12,4 +14,10 @@ def generating_coefficient(j, cfg, u_indices=None):
     if j < 1:
         raise ValueError("need j >= 1")
     indices = cfg.u_indices(u_indices)
-    return _generating_series(j, tuple(s for s in indices if s <= j)).coefficient(j)
+    return _coefficient(j, tuple(s for s in indices if s <= j))
+
+
+@lru_cache(maxsize=None)
+def _coefficient(j, u_indices):
+    # the production series is not kept, and many tests read the same few
+    return _generating_series(j, u_indices).coefficient(j)

@@ -97,11 +97,13 @@ class TestBridgeCheck:
         assert report.config_sum.configurations_visited == 2  # Bell(2)
 
     def test_second_w_refits_nothing(self, monkeypatch):
-        # every w of one c shares the depth h and the u-indices, so the
-        # checked a_1..a_h of the first check serve the second: no fit in j
-        # is made again, and no Lagrange node tuple is built twice
-        rows, fits = [], []
+        # every w of one c shares the budget (depth h, u-indices, squarefree),
+        # so the checked log of the first check serves the second: no a_h is
+        # checked or fitted in j again, no Series.log is taken again, and no
+        # Lagrange node tuple is built twice
+        rows, fits, coeffs, logs = [], [], [], []
         real_rows, real_fit = algebra._lagrange_rows, series_vanishing.interpolate_in_var
+        real_coeff, real_log = series_vanishing.symbolic_expansion_coefficient, Series.log
 
         def counted_rows(nodes):
             rows.append(tuple(nodes))
@@ -111,17 +113,30 @@ class TestBridgeCheck:
             fits.append(degree_bound)
             return real_fit(samples, var, degree_bound)
 
-        series_vanishing._checked_coefficient.cache_clear()
+        def counted_coeff(h, *args, **kwargs):
+            coeffs.append(h)
+            return real_coeff(h, *args, **kwargs)
+
+        def counted_log(self, *args, **kwargs):
+            logs.append(self.order)
+            return real_log(self, *args, **kwargs)
+
+        series_vanishing._checked_log.cache_clear()
         monkeypatch.setattr(algebra, "_lagrange_rows", counted_rows)
         monkeypatch.setattr(series_vanishing, "interpolate_in_var", counted_fit)
+        monkeypatch.setattr(series_vanishing, "symbolic_expansion_coefficient", counted_coeff)
+        monkeypatch.setattr(Series, "log", counted_log)
         try:
             first = bridge_check(bridge_params((2, 3, 7), 0))
-            assert fits == [2 * h for h in range(1, first.instance.h + 1)]
+            h = first.instance.h
+            assert fits == [2 * k for k in range(1, h + 1)]
             before = len(rows)
             second = bridge_check(bridge_params((2, 3, 7), 1))
         finally:
-            series_vanishing._checked_coefficient.cache_clear()
-        assert len(fits) == first.instance.h  # none for the second check
+            series_vanishing._checked_log.cache_clear()
+        assert len(fits) == h  # none for the second check
+        assert coeffs == list(range(1, h + 1))
+        assert logs == [h]
         assert len(rows) > before  # its block-table fit, on the ground's block sums
         assert len(rows) == len(set(rows))
         assert first.consistent and second.consistent

@@ -20,7 +20,7 @@ from stirlingzero.series_vanishing import (
     ExpansionConfig,
     _closed_form,
     _generating_series,
-    _readback_coefficients,
+    _readback,
     expansion_coefficients,
     log_expansion,
     symbolic_expansion_coefficient,
@@ -45,13 +45,19 @@ def over_r(p, power):
 CFG = ExpansionConfig()
 
 
+def clear_budgets():
+    series_vanishing._readback.cache_clear()
+    series_vanishing._checked_log.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def fresh_checks():
-    # each checked a_h is kept once made; a test that injects a fault needs
-    # the check to run again, and must not leave its value behind
-    series_vanishing._checked_coefficient.cache_clear()
+    # the readback samples and the checked log are kept per budget; a test
+    # that counts their work or injects a fault below them needs them made
+    # again, and must not leave a faulted value behind
+    clear_budgets()
     yield
-    series_vanishing._checked_coefficient.cache_clear()
+    clear_budgets()
 
 
 def reference_closed_form(h, u_indices, squarefree=False):
@@ -130,7 +136,7 @@ class TestSharedExponential:
     def test_readback_reads_the_shared_series(self, jj):
         # the shared series drops u-weight > h_max; a_0..a_{h_max} are exact
         h_max = self.CFG9.h_max
-        shared = _readback_coefficients(jj, 13, self.CFG9.u_indices(), h_max)
+        shared = _readback(self.CFG9, self.CFG9.u_indices(), False)[jj]
         own = expansion_coefficients(jj, generating_coefficient(jj, self.CFG9))
         assert list(shared) == own[:h_max + 1]
 
@@ -145,7 +151,7 @@ class TestSharedExponential:
     @pytest.mark.parametrize("jj", [9, 13])
     def test_squarefree_readback_is_the_reduced_one(self, jj):
         h_max, indices = self.CFG9.h_max, self.CFG9.u_indices()
-        shared = _readback_coefficients(jj, 13, indices, h_max, True)
+        shared = _readback(self.CFG9, indices, True)[jj]
         own = expansion_coefficients(jj, generating_coefficient(jj, self.CFG9))
         square = [u_name(s) for s in indices]
         reduced = [c.remainder({}, None, square) for c in own[:h_max + 1]]
@@ -158,6 +164,8 @@ class TestWeightBound:
 
     @pytest.fixture
     def bound_lowered(self, monkeypatch):
+        # fresh_checks clears the readback before and after, so each budget's
+        # samples come from the lowered series and none is left behind
         real = series_vanishing._generating_series
 
         def lowered(order, u_indices, max_weight=None, squarefree=False):
@@ -165,11 +173,7 @@ class TestWeightBound:
                 max_weight -= 1
             return real(order, u_indices, max_weight, squarefree)
 
-        _readback_coefficients.cache_clear()
         monkeypatch.setattr(series_vanishing, "_generating_series", lowered)
-        yield
-        monkeypatch.undo()
-        _readback_coefficients.cache_clear()
 
     CFG3 = ExpansionConfig(h_max=3, s_max=4, j_samples=tuple(range(4, 13)))
 
@@ -243,12 +247,11 @@ class TestReadback:
             built.append(len(coeffs))
             return coeffs
 
-        _readback_coefficients.cache_clear()
+        cfg = ExpansionConfig(h_max=3)
         monkeypatch.setattr(series_vanishing, "expansion_coefficients", counted)
-        coeffs = _readback_coefficients(13, 13, CFG.u_indices(), 3)
-        monkeypatch.undo()
-        _readback_coefficients.cache_clear()
-        assert built == [len(coeffs)] == [4]
+        coeffs = _readback(cfg, cfg.u_indices(), False)
+        assert list(coeffs) == list(cfg.j_samples)
+        assert built == [len(c) for c in coeffs.values()] == [4] * len(cfg.j_samples)
 
     # Positive controls: a fault in the readback samples reaches the oracle,
     # the one check on each a_h.  CFG at h = 2 has 5 nodes and 7 witnesses.
@@ -256,15 +259,13 @@ class TestReadback:
     @staticmethod
     def _tamper(monkeypatch, at, h, change):
         """Let the readback pass order ``h`` through ``change`` at the samples ``at``."""
-        real = series_vanishing._readback_coefficients
+        real = series_vanishing._readback
 
-        def tampered(j, *args):
-            coeffs = real(j, *args)
-            if j not in at:
-                return coeffs
-            return coeffs[:h] + (change(coeffs[h]),) + coeffs[h + 1:]
+        def tampered(*budget):
+            return {j: coeffs[:h] + (change(coeffs[h]),) + coeffs[h + 1:] if j in at else coeffs
+                    for j, coeffs in real(*budget).items()}
 
-        monkeypatch.setattr(series_vanishing, "_readback_coefficients", tampered)
+        monkeypatch.setattr(series_vanishing, "_readback", tampered)
 
     def test_u_weight_is_enforced(self, monkeypatch):
         # u2/r^2 weighs 1, not 2; in a node sample it moves the fit
@@ -283,14 +284,12 @@ class TestReadback:
             symbolic_expansion_coefficient(2, CFG)
 
     def test_unexpected_variable_only_if_used(self, monkeypatch):
+        # every call runs its oracle, so no cache is cleared between them
         clean = symbolic_expansion_coefficient(2, CFG)
         every = set(CFG.j_samples)
-        recheck = series_vanishing._checked_coefficient.cache_clear
-        recheck()
         self._tamper(monkeypatch, every, 2, lambda v: v.with_vars(["n"]))
         assert symbolic_expansion_coefficient(2, CFG) == clean
         monkeypatch.undo()
-        recheck()
         # a stray n on a term of the right weight, in every sample: the fit
         # still passes its witnesses and carries n, which the closed form lacks
         self._tamper(monkeypatch, every, 2, lambda v: v + n * over_r(u3, 3))
@@ -306,22 +305,18 @@ class TestReadback:
             coeffs = real(j, gj, h_max)
             return coeffs[:-1] + [coeffs[-1] * 2]
 
-        _readback_coefficients.cache_clear()
+        # fresh_checks clears the readback, so it is read through the fault
         monkeypatch.setattr(series_vanishing, "expansion_coefficients", doubled_deepest)
-        try:
-            for h in range(cfg.h_max):
-                symbolic_expansion_coefficient(h, cfg)
-            with pytest.raises(ConsistencyError, match="disagree at order 3"):
-                symbolic_expansion_coefficient(cfg.h_max, cfg)
-            with pytest.raises(ConsistencyError, match="disagree at order 3"):
-                log_expansion(cfg)
-        finally:
-            monkeypatch.undo()
-            _readback_coefficients.cache_clear()
+        for h in range(cfg.h_max):
+            symbolic_expansion_coefficient(h, cfg)
+        with pytest.raises(ConsistencyError, match="disagree at order 3"):
+            symbolic_expansion_coefficient(cfg.h_max, cfg)
+        with pytest.raises(ConsistencyError, match="disagree at order 3"):
+            log_expansion(cfg)
 
     def test_readback_orders_share_the_closed_form_registry(self):
         # n is read off into the order, so no readback order keeps its slot
-        coeffs = _readback_coefficients(9, 13, CFG.u_indices(), CFG.h_max)
+        coeffs = _readback(CFG, CFG.u_indices(), False)[9]
         for h, c in enumerate(coeffs[1:], start=1):
             assert "n" not in c.vars
             assert ("j",) + c.vars == _closed_form(h, CFG.u_indices()).vars
@@ -451,6 +446,15 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="need h >= 0"):
             symbolic_expansion_coefficient(-1, CFG)
 
+    @pytest.mark.parametrize("h", [True, 2.0, "2"], ids=["bool", "float", "text"])
+    def test_non_integral_order_rejected(self, h):
+        with pytest.raises(ValueError, match="is not an integer"):
+            symbolic_expansion_coefficient(h, CFG)
+
+    def test_integral_fraction_order_reads_as_int(self):
+        assert symbolic_expansion_coefficient(Fraction(2), CFG) == \
+            symbolic_expansion_coefficient(2, CFG)
+
 
 class TestConfigValidation:
     def test_sample_floor(self):
@@ -511,10 +515,12 @@ class TestConfigValidation:
         for cfg in budgets[1:]:
             assert type(cfg) is ExpansionConfig
             assert cfg == first and hash(cfg) == hash(first)
-        # so the checked a_h made for one is the one every other reads
+        # so the readback and the checked log made for one serve every other
         value = symbolic_expansion_coefficient(2, first)
-        assert all(symbolic_expansion_coefficient(2, cfg) is value for cfg in budgets)
-        assert series_vanishing._checked_coefficient.cache_info().currsize == 1
+        assert all(symbolic_expansion_coefficient(2, cfg) == value for cfg in budgets)
+        assert all(log_expansion(cfg) == log_expansion(first) for cfg in budgets)
+        assert series_vanishing._readback.cache_info().currsize == 1
+        assert series_vanishing._checked_log.cache_info().currsize == 1
 
     @pytest.mark.parametrize("h", range(1, 7))
     def test_depth_alone_is_the_whole_budget(self, h):
@@ -547,16 +553,70 @@ class TestUIndices:
         assert self.ROUTES[route]((3, 2, 2, 3)) == self.ROUTES[route]((2, 3))
 
     def test_one_checked_value_per_normalized_input(self):
-        # any sequence of u-indices is accepted; the check is made once per
-        # normalized input and the value it checked is kept
+        # any sequence of u-indices is accepted; the readback and the checked
+        # log are kept once per normalized input
         value = symbolic_expansion_coefficient(2, self.CFG3, [3, 2, 2])
-        assert symbolic_expansion_coefficient(2, self.CFG3, (2, 3)) is value
-        assert symbolic_expansion_coefficient(2, self.CFG3, range(2, 4)) is value
-        assert symbolic_expansion_coefficient(2, self.CFG3, (2, 3), squarefree=True) is not value
+        series = log_expansion(self.CFG3, [3, 2, 2])
+        for same in ((2, 3), range(2, 4)):
+            assert symbolic_expansion_coefficient(2, self.CFG3, same) == value
+            assert log_expansion(self.CFG3, same) == series
+        assert series_vanishing._readback.cache_info().currsize == 1
+        assert series_vanishing._checked_log.cache_info().currsize == 1
+        assert symbolic_expansion_coefficient(2, self.CFG3, (2, 3), squarefree=True) != value
+        assert series_vanishing._readback.cache_info().currsize == 2
 
     def test_squarefree_route_takes_repeats(self):
         assert (log_expansion(self.CFG3, (2, 2, 3), squarefree=True)
                 == log_expansion(self.CFG3, (2, 3), squarefree=True))
+
+
+class TestKeptPerBudget:
+    """The readback and the checked log are kept per budget; no value is."""
+
+    def test_second_log_on_one_budget_redoes_nothing(self, monkeypatch):
+        logs, coeffs = [], []
+        real_log, real_coeff = Series.log, series_vanishing.symbolic_expansion_coefficient
+
+        def counted_log(self, *args, **kwargs):
+            logs.append(self.order)
+            return real_log(self, *args, **kwargs)
+
+        def counted_coeff(h, *args, **kwargs):
+            coeffs.append(h)
+            return real_coeff(h, *args, **kwargs)
+
+        monkeypatch.setattr(Series, "log", counted_log)
+        monkeypatch.setattr(series_vanishing, "symbolic_expansion_coefficient", counted_coeff)
+        first = log_expansion(CFG)
+        assert log_expansion(CFG, range(2, CFG.s_max + 1)) is first
+        assert logs == [CFG.h_max]
+        assert coeffs == list(range(1, CFG.h_max + 1))
+
+    def test_fault_after_a_clean_check_is_caught(self, monkeypatch):
+        # no value is kept, so a fault patched in after a clean check reaches
+        # the next check with no cache cleared
+        symbolic_expansion_coefficient(2, CFG)
+        TestReadback._tamper(monkeypatch, {CFG.j_samples[-1]}, 2, lambda v: v + over_r(u2, 2))
+        with pytest.raises(PolynomialityError, match="surplus sample at j=16"):
+            symbolic_expansion_coefficient(2, CFG)
+
+    def test_one_exponential_per_budget(self, monkeypatch):
+        built = []
+        real = series_vanishing._generating_series
+
+        def counted(order, *args):
+            built.append(order)
+            return real(order, *args)
+
+        monkeypatch.setattr(series_vanishing, "_generating_series", counted)
+        for _ in range(2):
+            for h in range(CFG.h_max + 1):
+                symbolic_expansion_coefficient(h, CFG)
+        log_expansion(CFG)
+        assert built == [max(CFG.j_samples)]
+        series_vanishing._readback.cache_clear()
+        symbolic_expansion_coefficient(1, CFG)
+        assert built == [max(CFG.j_samples)] * 2
 
 
 class TestLogExpansion:
