@@ -6,11 +6,10 @@ exponential and logarithm, the interpolation fit) run over Python ints:
 numerators over one shared denominator, with one Fraction built per output
 coefficient at the end.  On top of that sit two value types:
 
-* :class:`MultiPoly` -- a sparse multivariate polynomial, stored as a map
-  from exponent vectors to nonzero rational coefficients.  A variable may be
-  flagged *Laurent*, which permits negative exponents (used for the variable
-  that gets divided out of series coefficients); ordinary variables reject
-  them.
+* :class:`MultiPoly` -- a sparse multivariate Laurent polynomial, stored as
+  a map from integer exponent vectors to nonzero rational coefficients.  Any
+  exponent may be negative (the variable that gets divided out of series
+  coefficients carries negative powers).
 * :class:`Series` -- a truncated power series in a single expansion variable
   whose coefficients are MultiPoly values.  The truncation order is explicit
   in the type and never inferred; asking for a coefficient beyond it raises
@@ -94,6 +93,16 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _as_int(value, what: str) -> int:
+    # an int or a Fraction with denominator 1; bools, floats and strings are
+    # refused rather than truncated
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
 # ------------------------------------------------- integer-numerator kernel
 # A term map {exponents: coefficient} is carried as integer numerators over a
 # denominator kept beside it; ints and Fractions both expose
@@ -125,18 +134,31 @@ def _fractions(nums: Mapping, den: int) -> dict:
     return {e: Fraction(c, den) for e, c in nums.items() if c}
 
 
-def _ideal_slots(names, flags, weights: Mapping[str, int], squarefree: Iterable[str]):
+def _ideal_slots(names, exponents: Iterable[tuple], weights: Mapping[str, int],
+                 squarefree: Iterable[str]):
     # (weight of each registry slot, slots of the squarefree variables), once
-    # checked to define a monomial ideal: multiplying a monomial must never
-    # lower its weight, and no exponent of a squared variable may be negative
+    # checked to define a monomial ideal on the exponent tuples it reduces:
+    # multiplying two of their monomials must never lower a weight or cancel
+    # a square, so no weight is negative, and no weighted or squarefree slot
+    # holds a negative exponent
     weight_of = [weights.get(name, 0) for name in names]
     square = set(squarefree)
-    for name, weight in zip(names, weight_of):
-        if weight < 0 or (weight and name in flags):
-            raise ValueError(f"weight {weight} on {name!r} does not define an ideal")
-        if name in square and name in flags:
-            raise ValueError(f"squarefree Laurent {name!r} does not define an ideal")
+    lowest = [min(slot) for slot in zip(*exponents)] or [0] * len(names)
+    for name, weight, low in zip(names, weight_of, lowest):
+        if weight < 0 or (weight and low < 0):
+            raise ValueError(f"weight {weight} on {name!r} (lowest exponent {low}) "
+                             "does not define an ideal")
+        if name in square and low < 0:
+            raise ValueError(f"squarefree {name!r} (lowest exponent {low}) "
+                             "does not define an ideal")
     return weight_of, [i for i, name in enumerate(names) if name in square]
+
+
+def _outside(terms: Mapping, weight_of, square_slots, max_weight: Optional[int]) -> dict:
+    # the terms outside the ideal of _ideal_slots' slots, kept as they are
+    return {e: c for e, c in terms.items()
+            if not any(e[i] > 1 for i in square_slots)
+            and (max_weight is None or sum(map(mul, e, weight_of)) <= max_weight)}
 
 
 class _Packer:
@@ -220,58 +242,49 @@ def _nonzero(groups: dict) -> dict:
 
 
 def _registry(polys, extra: Iterable[str] = ()):
-    # the union of the registries (sorted) and of the Laurent flags
-    names = tuple(sorted(set(extra).union(*(p.vars for p in polys)), key=_var_key))
-    return names, frozenset().union(*(p.laurent for p in polys))
+    # the union of the registries, sorted
+    return tuple(sorted(set(extra).union(*(p.vars for p in polys)), key=_var_key))
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with exact rational coefficients.
+    """Sparse multivariate Laurent polynomial with exact rational coefficients.
 
-    ``vars`` is the ordered registry of variable names, ``laurent`` the subset
-    allowed negative exponents, and ``terms`` maps exponent tuples (one slot
-    per registered variable) to nonzero Fractions.  Binary operations union
-    the registries of their operands automatically.  Equality and hashing are
-    semantic: registries that differ only by unused variables compare equal.
+    ``vars`` is the ordered registry of variable names and ``terms`` maps
+    integer exponent tuples (one slot per registered variable, of either
+    sign) to nonzero Fractions.  Binary operations union the registries of
+    their operands automatically.  Equality and hashing are semantic:
+    registries that differ only by unused variables compare equal.
     """
 
-    __slots__ = ("vars", "laurent", "terms", "_key")
+    __slots__ = ("vars", "terms", "_key")
 
-    def __init__(self, vars: Iterable[str] = (), terms: Mapping | None = None,
-                 laurent: Iterable[str] = ()):
+    def __init__(self, vars: Iterable[str] = (), terms: Mapping | None = None):
         names = tuple(vars)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names in registry")
-        flags = frozenset(laurent)
-        if not flags <= set(names):
-            raise ValueError("Laurent flags refer to unregistered variables")
         clean = {}
         if terms:
             width = len(names)
             for exps, coeff in terms.items():
                 exps = tuple(exps)
+                if any(type(e) is not int for e in exps):  # plain ints skip a call each
+                    exps = tuple(_as_int(e, "exponent") for e in exps)
                 if len(exps) != width:
                     raise ValueError(
                         f"exponent vector {exps} does not match registry of {width} variables")
                 coeff = _as_fraction(coeff)
-                if coeff == 0:
-                    continue
-                for name, e in zip(names, exps):
-                    if e < 0 and name not in flags:
-                        raise ValueError(
-                            f"negative exponent on ordinary variable {name!r}")
-                clean[exps] = coeff
+                if coeff:
+                    clean[exps] = coeff
         self.vars = names
-        self.laurent = flags
         self.terms = clean
         self._key = None
 
     @classmethod
-    def _raw(cls, names, flags, terms) -> "MultiPoly":
-        # internal fast path: inputs already canonical (no zero coefficients)
+    def _raw(cls, names, terms) -> "MultiPoly":
+        # internal fast path: inputs already canonical (int exponents, no
+        # zero coefficients)
         self = object.__new__(cls)
         self.vars = names
-        self.laurent = flags
         self.terms = terms
         self._key = None
         return self
@@ -280,19 +293,18 @@ class MultiPoly:
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls._raw((), frozenset(), {})
+        return cls._raw((), {})
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
         value = _as_fraction(value)
         if value == 0:
             return cls.zero()
-        return cls._raw((), frozenset(), {(): value})
+        return cls._raw((), {(): value})
 
     @classmethod
-    def variable(cls, name: str, laurent: bool = False) -> "MultiPoly":
-        flags = frozenset({name}) if laurent else frozenset()
-        return cls._raw((name,), flags, {(1,): Fraction(1)})
+    def variable(cls, name: str) -> "MultiPoly":
+        return cls._raw((name,), {(1,): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -323,11 +335,10 @@ class MultiPoly:
         return None
 
     def _aligned(self, other: "MultiPoly"):
-        if self.vars == other.vars and self.laurent == other.laurent:
-            return self.vars, self.laurent, self.terms, other.terms
+        if self.vars == other.vars:
+            return self.vars, self.terms, other.terms
         names = tuple(sorted(set(self.vars) | set(other.vars), key=_var_key))
-        flags = self.laurent | other.laurent
-        return names, flags, self._remap(names), other._remap(names)
+        return names, self._remap(names), other._remap(names)
 
     def _remap(self, names):
         if names == self.vars:
@@ -350,11 +361,11 @@ class MultiPoly:
             acc = out.pop(zero, 0) + _as_fraction(other)
             if acc:
                 out[zero] = acc
-            return MultiPoly._raw(self.vars, self.laurent, out)
+            return MultiPoly._raw(self.vars, out)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        names, flags, ta, tb = self._aligned(other)
+        names, ta, tb = self._aligned(other)
         out = dict(ta)
         for exps, coeff in tb.items():
             acc = out.get(exps)
@@ -366,14 +377,12 @@ class MultiPoly:
                     del out[exps]
                 else:
                     out[exps] = acc
-        return MultiPoly._raw(names, flags, out)
+        return MultiPoly._raw(names, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._raw(
-            self.vars, self.laurent,
-            {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -391,18 +400,16 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = _as_fraction(other)
             if other == 0:  # the zero polynomial on this registry
-                return MultiPoly._raw(self.vars, self.laurent, {})
-            return MultiPoly._raw(
-                self.vars, self.laurent,
-                {e: c * other for e, c in self.terms.items()})
+                return MultiPoly._raw(self.vars, {})
+            return MultiPoly._raw(self.vars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        names, flags, ta, tb = self._aligned(other)
+        names, ta, tb = self._aligned(other)
         na, da = _numerators(ta)
         nb, db = _numerators(tb)
         out = {}
         _mul_into(out, na, nb, 1)
-        return MultiPoly._raw(names, flags, _fractions(out, da * db))
+        return MultiPoly._raw(names, _fractions(out, da * db))
 
     __rmul__ = __mul__
 
@@ -428,12 +435,10 @@ class MultiPoly:
         except ValueError:
             raise ValueError(f"unknown variable {var!r}") from None
 
-    def with_vars(self, names: Iterable[str], laurent: Iterable[str] = ()) -> "MultiPoly":
+    def with_vars(self, names: Iterable[str]) -> "MultiPoly":
         """Extend the registry with ``names`` (at exponent zero everywhere)."""
-        extra = MultiPoly(tuple(n for n in names), None,
-                          frozenset(laurent) & set(names))
-        merged, flags, terms, _ = self._aligned(extra)
-        return MultiPoly._raw(merged, flags, terms)
+        merged, terms, _ = self._aligned(MultiPoly(names))
+        return MultiPoly._raw(merged, terms)
 
     def degree_in(self, var: str) -> int:
         """Largest exponent of ``var``; -1 for the zero polynomial."""
@@ -451,7 +456,7 @@ class MultiPoly:
         for exps, coeff in self.terms.items():
             if exps[i] == power:
                 out[exps[:i] + (0,) + exps[i + 1:]] = coeff
-        return MultiPoly._raw(self.vars, self.laurent, out)
+        return MultiPoly._raw(self.vars, out)
 
     def remainder(self, weights: Mapping[str, int], max_weight: Optional[int] = None,
                   squarefree: Iterable[str] = ()) -> "MultiPoly":
@@ -462,24 +467,17 @@ class MultiPoly:
         ``squarefree`` variable.  A monomial's weight is the sum of
         ``weights[name] * exponent`` over its variables (unlisted ones weigh
         nothing).  Weights must be nonnegative and, like the ``squarefree``
-        variables, sit on ordinary variables, so that multiplying a monomial
-        never lowers its weight and never cancels a square; otherwise
-        ``ValueError`` is raised.
+        variables, sit on variables with no negative exponent in this
+        polynomial, so that multiplying its monomials never lowers a weight
+        and never cancels a square; otherwise ``ValueError`` is raised.
         """
-        weight_of, square_slots = _ideal_slots(self.vars, self.laurent, weights, squarefree)
-        out = {}
-        for exps, coeff in self.terms.items():
-            if any(exps[i] > 1 for i in square_slots):
-                continue
-            if max_weight is not None and sum(map(mul, exps, weight_of)) > max_weight:
-                continue
-            out[exps] = coeff
-        return MultiPoly._raw(self.vars, self.laurent, out)
+        weight_of, square_slots = _ideal_slots(self.vars, self.terms, weights, squarefree)
+        return MultiPoly._raw(self.vars, _outside(self.terms, weight_of, square_slots, max_weight))
 
     def substitute(self, values: Mapping[str, object]) -> "MultiPoly":
         """Replace variables by rationals (ints or Fractions); others are kept.
 
-        A value may be raised to a negative (Laurent) exponent.
+        A value may be raised to a negative exponent.
         """
         scalars = [(i, _as_fraction(values[name])) for i, name in enumerate(self.vars)
                    if name in values]
@@ -494,7 +492,7 @@ class MultiPoly:
             if coeff:
                 key = tuple(exps[i] for i in keep_idx)
                 out[key] = out.get(key, 0) + coeff
-        return MultiPoly(kept, out, self.laurent & set(kept))
+        return MultiPoly(kept, out)
 
     # -------------------------------------------------------- canonical form
 
@@ -593,29 +591,31 @@ class Series:
     def _over_lcm(self, ideal: Ideal):
         # every coefficient on one registry, as integer numerators over the
         # lcm L of all their denominators, reduced modulo ``ideal``, split by
-        # group and packed (_groups): (names, flags, L, packer, max_weight,
-        # [N_0..N_T]).  A recurrence coefficient of index k <= T is a sum of
-        # products of at most k input terms, so no slot of its keys exceeds
-        # T times the largest input exponent, the packer's bound.
-        names, flags = _registry(self.coeffs)
+        # group and packed (_groups): (names, L, packer, max_weight,
+        # [N_0..N_T]).  The ideal is checked once, on every input term.  A
+        # recurrence coefficient of index k <= T is a sum of products of at
+        # most k input terms, so no slot of its keys exceeds T times the
+        # largest input exponent, the packer's bound.
+        names = _registry(self.coeffs)
         weights, max_weight, squarefree = ideal
-        weight_of, square_slots = _ideal_slots(names, flags, weights, squarefree)
+        terms = [c._remap(names) for c in self.coeffs]
+        weight_of, square_slots = _ideal_slots(names, [e for t in terms for e in t],
+                                               weights, squarefree)
+        den = lcm(*(c.denominator for t in terms for c in t.values()))
+        reduced = [_outside(_numerators(t, den)[0], weight_of, square_slots, max_weight)
+                   for t in terms]
         if max_weight is None:
             weight_of = ()  # unbounded: the weights tell no pair apart
-        terms = [c._remap(names) for c in self.coeffs]
-        den = lcm(*(c.denominator for t in terms for c in t.values()))
-        reduced = [MultiPoly._raw(names, flags, _numerators(t, den)[0]).remainder(*ideal).terms
-                   for t in terms]
         bound = self.order * max((abs(x) for t in reduced for e in t for x in e), default=0)
         packer = _Packer(len(names), bound)
-        return (names, flags, den, packer, max_weight,
+        return (names, den, packer, max_weight,
                 [_groups(t, weight_of, square_slots, packer.pack) for t in reduced])
 
-    def _from_scaled(self, names, flags, scaled, L, unpack) -> "Series":
+    def _from_scaled(self, names, scaled, L, unpack) -> "Series":
         # coefficient k is the groups scaled[k] over k! L^k, a tuple rebuilt
         # from each packed key
         dens = [factorial(k) * L ** k for k in range(len(scaled))]
-        return Series(self.var, self.order, [MultiPoly._raw(names, flags, {
+        return Series(self.var, self.order, [MultiPoly._raw(names, {
             unpack(e): Fraction(c, den) for terms in groups.values() for e, c in terms.items()})
             for den, groups in zip(dens, scaled)])
 
@@ -637,16 +637,18 @@ class Series:
         The recurrence runs in the quotient ring by ``ideal``, the triple
         ``(weights, max_weight, squarefree)`` of :meth:`MultiPoly.remainder`
         (default: the empty ideal; a triple that defines no ideal on the
-        series' registry raises ``ValueError``).  Each ``N_i`` is reduced once
-        on entry, and every ``N_i`` and ``F_k`` is held split by weight and by
-        the squarefree variables it carries, so only the term pairs whose
-        product lies outside the ideal are formed.  Taking the remainder is a
-        ring homomorphism, so each coefficient is the remainder of the true one.
-        Monomials are packed ints (:class:`_Packer`) from entry to output.
+        series' terms raises ``ValueError``: a negative weight, or a weight
+        or square on a variable that carries a negative exponent).  Each
+        ``N_i`` is reduced once on entry, and every ``N_i`` and ``F_k`` is
+        held split by weight and by the squarefree variables it carries, so
+        only the term pairs whose product lies outside the ideal are formed.
+        Taking the remainder is a ring homomorphism, so each coefficient is
+        the remainder of the true one.  Monomials are packed ints
+        (:class:`_Packer`) from entry to output.
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("series exponential requires a zero constant term")
-        names, flags, L, packer, max_weight, S = self._over_lcm(ideal)
+        names, L, packer, max_weight, S = self._over_lcm(ideal)
         F = [{(0, 0): {0: 1}}]
         for k in range(1, self.order + 1):
             acc = {}
@@ -655,7 +657,7 @@ class Series:
                     scale = i * (factorial(k - 1) // factorial(k - i)) * L ** (i - 1)
                     _mul_groups(acc, S[i], F[k - i], scale, max_weight)
             F.append(_nonzero(acc))
-        return self._from_scaled(names, flags, F, L, packer.unpack)
+        return self._from_scaled(names, F, L, packer.unpack)
 
     def log(self, ideal: Ideal = _EMPTY_IDEAL) -> "Series":
         """Logarithm of a series with constant term one.
@@ -674,7 +676,7 @@ class Series:
         """
         if self.coeffs[0] != 1:
             raise ValueError("series logarithm requires constant term equal to 1")
-        names, flags, L, packer, max_weight, S = self._over_lcm(ideal)
+        names, L, packer, max_weight, S = self._over_lcm(ideal)
         G = [{}]
         for k in range(1, self.order + 1):
             lead = factorial(k) * L ** (k - 1)
@@ -684,7 +686,7 @@ class Series:
                     scale = i * (factorial(k - 1) // factorial(i)) * L ** (k - i - 1)
                     _mul_groups(acc, S[k - i], G[i], -scale, max_weight)
             G.append(_nonzero(acc))
-        return self._from_scaled(names, flags, G, L, packer.unpack)
+        return self._from_scaled(names, G, L, packer.unpack)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -737,16 +739,6 @@ def _lagrange_rows(nodes: Sequence[int]) -> tuple:
     return tuple(zip(*rows)), den
 
 
-def _as_int(value, what: str) -> int:
-    # an int or a Fraction with denominator 1; bools, floats and strings are
-    # refused rather than truncated
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{what} {value!r} is not an integer")
-
-
 def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiPoly:
     """Exact Lagrange interpolation through polynomial-valued samples.
 
@@ -784,7 +776,7 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
         values.append(p)
 
     # the fit runs on the samples' registry; var's slot goes in at the end
-    out_names, flags = _registry(values, extra=(var,))
+    out_names = _registry(values, extra=(var,))
     slot = out_names.index(var)
     names = out_names[:slot] + out_names[slot + 1:]
     terms = [p._remap(names) for p in values]
@@ -812,4 +804,4 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
         for d, c in enumerate(nums):
             if c:
                 out[mono[:slot] + (d,) + mono[slot:]] = Fraction(c, scale)
-    return MultiPoly._raw(out_names, flags, out)
+    return MultiPoly._raw(out_names, out)

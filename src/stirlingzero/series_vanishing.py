@@ -4,7 +4,7 @@ The object under study is the x^j coefficient of
 
     exp( n*r*x - sum_{s>=2} (n*u_s/s) * (-x)^s )
 
-with n, r, j and the u_s kept fully symbolic (r as a Laurent variable, since
+with n, r, j and the u_s kept fully symbolic (r with negative powers, since
 it gets divided out).  Factoring out ``n^j r^j / j!`` turns that coefficient
 into ``sum_{h=0}^{j-1} a_h(r, j) / n^h``; the claim under test is that every
 ``j^k n^{-h}`` coefficient of ``log(1 + sum_{s>=1} a_s/n^s)`` vanishes
@@ -175,7 +175,7 @@ def _generating_series(order: int, u_indices: tuple, max_weight: Optional[int] =
                        squarefree: bool = False) -> Series:
     # exact with the defaults; otherwise exact only modulo the _quotient ideal
     n = MultiPoly.variable(N)
-    r = MultiPoly.variable(R, laurent=True)
+    r = MultiPoly.variable(R)
     entries = {1: n * r}
     for s in u_indices:
         if 2 <= s <= order:
@@ -211,8 +211,7 @@ def expansion_coefficients(j: int, gj: MultiPoly, h_max: Optional[int] = None) -
         del key[n_at]
         filed[h][tuple(key)] = coeff * scale
     names = gj.vars[:n_at] + gj.vars[n_at + 1:]
-    flags = (gj.laurent - {N}) | {R}
-    return [MultiPoly._raw(names, flags, terms) for terms in filed]
+    return [MultiPoly._raw(names, terms) for terms in filed]
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +270,7 @@ def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPol
             if c:
                 exps[0] = k
                 terms[tuple(exps)] = Fraction(sign * c, den)
-    return MultiPoly(names, terms, laurent=(R,))
+    return MultiPoly(names, terms)
 
 
 def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,

@@ -72,8 +72,7 @@ class TestBridgeCoefficient:
 
         def with_n(cfg, u_indices=None, squarefree=False):
             series = real(cfg, u_indices, squarefree)
-            target = MultiPoly(("j", "n", "r", "u2", "u3"), {(inst.k, 1, -5, 1, 1): 1},
-                               laurent=("r",))
+            target = MultiPoly(("j", "n", "r", "u2", "u3"), {(inst.k, 1, -5, 1, 1): 1})
             coeffs = list(series.coeffs)
             coeffs[inst.h] = coeffs[inst.h] + target
             return Series(series.var, series.order, coeffs)
@@ -165,7 +164,7 @@ class TestSquarefreeQuotient:
         reduced = log_expansion(cfg, u_indices=c, squarefree=True)
         full = log_expansion(cfg, u_indices=c)
         k = inst.h + 1  # outside the vanishing regime: nonzero
-        pinned = MultiPoly(("r",), {(-sum(c),): expected}, laurent=("r",))
+        pinned = MultiPoly(("r",), {(-sum(c),): expected})
         assert self._squarefree_part(full, inst, k) == pinned
         assert self._squarefree_part(reduced, inst, k) == pinned
         assert self._squarefree_part(reduced, inst, inst.k).is_zero()

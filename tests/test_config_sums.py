@@ -615,7 +615,7 @@ class TestSymbolicRing:
         merges = []
 
         def counted(self, other):
-            if self.vars and other.vars and (self.vars, self.laurent) != (other.vars, other.laurent):
+            if self.vars and other.vars and self.vars != other.vars:
                 merges.append((self.vars, other.vars))
             return real(self, other)
 
@@ -633,7 +633,7 @@ class TestSymbolicRing:
         merges = []
 
         def counted(self, other):
-            if (self.vars, self.laurent) != (other.vars, other.laurent):
+            if self.vars != other.vars:
                 merges.append((self.vars, other.vars))
             return real(self, other)
 

@@ -32,14 +32,14 @@ from stirlingzero.stirling import stirling_row
 from generating_reference import generating_coefficient
 
 n = MultiPoly.variable("n")
-r = MultiPoly.variable("r", laurent=True)
+r = MultiPoly.variable("r")
 j = MultiPoly.variable("j")
 u2 = MultiPoly.variable("u2")
 u3 = MultiPoly.variable("u3")
 
 
 def over_r(p, power):
-    return p * MultiPoly(("r",), {(-power,): 1}, laurent=("r",))
+    return p * MultiPoly(("r",), {(-power,): 1})
 
 
 CFG = ExpansionConfig()
@@ -390,7 +390,7 @@ class TestClosedForm:
             terms = dict(value.terms)
             first = min(terms)
             terms[first] += 1
-            return MultiPoly(value.vars, terms, value.laurent)
+            return MultiPoly(value.vars, terms)
 
         def wrong_weight(h, u_indices, squarefree=False):
             # j u2/r^2 weighs 1, not 2
