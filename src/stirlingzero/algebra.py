@@ -27,7 +27,6 @@ threads or pickled to worker processes.
 
 from __future__ import annotations
 
-import re
 import struct
 from fractions import Fraction
 from itertools import accumulate
@@ -36,7 +35,8 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-# (weights, max_weight, squarefree): the monomial ideal of MultiPoly.remainder
+# (weights, max_weight, squarefree): the monomial ideal generated by the monomials
+# heavier than max_weight (None: no bound) and the squares of the squarefree variables
 Ideal = tuple[Mapping[str, int], Optional[int], Iterable[str]]
 _EMPTY_IDEAL: Ideal = (MappingProxyType({}), None, ())
 
@@ -72,16 +72,12 @@ class BudgetError(EngineError):
     """The configured budget is too small for the requested computation."""
 
 
-_VAR_RE = re.compile(r"^([A-Za-z_]+?)(\d*)$")
-
-
 def _var_key(name: str):
-    # "u10" sorts after "u2"; bare names sort before numbered ones
-    m = _VAR_RE.match(name)
-    if m is None:
-        return (name, -1)
-    head, digits = m.groups()
-    return (head, int(digits) if digits else -1)
+    # the one, total variable order: "u2" before "u10", a bare name before numbered
+    # ones, and the whole name last ("a01" before "a1"), so no set order leaks out
+    head = name.rstrip("0123456789")
+    digits = name[len(head):]
+    return head, int(digits) if digits else -1, name
 
 
 def _as_fraction(value) -> Fraction:
@@ -309,16 +305,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()))
-
     def used_vars(self) -> frozenset:
         return frozenset(
             name for i, name in enumerate(self.vars)
@@ -337,7 +323,7 @@ class MultiPoly:
     def _aligned(self, other: "MultiPoly"):
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
-        names = tuple(sorted(set(self.vars) | set(other.vars), key=_var_key))
+        names = _registry((self, other))
         return names, self._remap(names), other._remap(names)
 
     def _remap(self, names):
@@ -458,42 +444,6 @@ class MultiPoly:
                 out[exps[:i] + (0,) + exps[i + 1:]] = coeff
         return MultiPoly._raw(self.vars, out)
 
-    def remainder(self, weights: Mapping[str, int], max_weight: Optional[int] = None,
-                  squarefree: Iterable[str] = ()) -> "MultiPoly":
-        """Remainder modulo a monomial ideal: the terms outside it, kept as they are.
-
-        The ideal is generated by every monomial whose weight exceeds
-        ``max_weight`` (``None``: no bound) and by the square of each
-        ``squarefree`` variable.  A monomial's weight is the sum of
-        ``weights[name] * exponent`` over its variables (unlisted ones weigh
-        nothing).  Weights must be nonnegative and, like the ``squarefree``
-        variables, sit on variables with no negative exponent in this
-        polynomial, so that multiplying its monomials never lowers a weight
-        and never cancels a square; otherwise ``ValueError`` is raised.
-        """
-        weight_of, square_slots = _ideal_slots(self.vars, self.terms, weights, squarefree)
-        return MultiPoly._raw(self.vars, _outside(self.terms, weight_of, square_slots, max_weight))
-
-    def substitute(self, values: Mapping[str, object]) -> "MultiPoly":
-        """Replace variables by rationals (ints or Fractions); others are kept.
-
-        A value may be raised to a negative exponent.
-        """
-        scalars = [(i, _as_fraction(values[name])) for i, name in enumerate(self.vars)
-                   if name in values]
-        if not scalars:
-            return self
-        keep_idx = [i for i, n in enumerate(self.vars) if n not in values]
-        kept = tuple(self.vars[i] for i in keep_idx)
-        out = {}
-        for exps, coeff in self.terms.items():
-            for i, v in scalars:
-                coeff = coeff * v ** exps[i]
-            if coeff:
-                key = tuple(exps[i] for i in keep_idx)
-                out[key] = out.get(key, 0) + coeff
-        return MultiPoly(kept, out)
-
     # -------------------------------------------------------- canonical form
 
     def _canonical(self):
@@ -509,9 +459,7 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not self.terms:
-                return other == 0
-            return self.is_constant() and self.constant_value() == other
+            return self.terms == ({(0,) * len(self.vars): other} if other else {})
         if isinstance(other, MultiPoly):
             if self.vars == other.vars:
                 # one registry: the exponent tuples line up slot for slot
@@ -634,17 +582,19 @@ class Series:
         integer coefficients by induction from ``F_0 = 1``; one division per
         output coefficient recovers ``f_k``.
 
-        The recurrence runs in the quotient ring by ``ideal``, the triple
-        ``(weights, max_weight, squarefree)`` of :meth:`MultiPoly.remainder`
-        (default: the empty ideal; a triple that defines no ideal on the
-        series' terms raises ``ValueError``: a negative weight, or a weight
-        or square on a variable that carries a negative exponent).  Each
-        ``N_i`` is reduced once on entry, and every ``N_i`` and ``F_k`` is
-        held split by weight and by the squarefree variables it carries, so
-        only the term pairs whose product lies outside the ideal are formed.
-        Taking the remainder is a ring homomorphism, so each coefficient is
-        the remainder of the true one.  Monomials are packed ints
-        (:class:`_Packer`) from entry to output.
+        The recurrence runs in the quotient ring by ``ideal`` (default: none),
+        the triple ``(weights, max_weight, squarefree)`` of the monomial ideal
+        generated by every monomial whose weight, the sum of ``weights[name]
+        * exponent``, exceeds ``max_weight`` (``None``: no bound), and by the
+        square of each ``squarefree`` variable.  A triple that defines no
+        ideal on the series' terms raises ``ValueError``: a negative weight,
+        or a weight or square on a variable with a negative exponent.  Each
+        ``N_i`` is reduced (its terms in the ideal dropped) once on entry,
+        and every ``N_i`` and ``F_k`` is held split by weight and by the
+        squarefree variables it carries, so only the term pairs whose product
+        lies outside the ideal are formed.  Reduction is a ring homomorphism,
+        so each coefficient is the true one reduced.  Monomials are packed
+        ints (:class:`_Packer`) from entry to output.
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("series exponential requires a zero constant term")
@@ -769,10 +719,12 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
         p = MultiPoly._coerce(v)
         if p is None:
             raise TypeError(f"sample value {v!r} is not a polynomial")
-        if var in p.vars:
-            if var in p.used_vars():
+        if var in p.vars:  # a registered slot must be unused, and is dropped
+            i = p.vars.index(var)
+            if any(e[i] for e in p.terms):
                 raise ValueError(f"sample values must not involve {var!r}")
-            p = p.substitute({var: 0})  # drop the unused slot
+            p = MultiPoly._raw(p.vars[:i] + p.vars[i + 1:],
+                               {e[:i] + e[i + 1:]: c for e, c in p.terms.items()})
         values.append(p)
 
     # the fit runs on the samples' registry; var's slot goes in at the end

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .algebra import EngineError
 from .bridge import bridge_check, bridge_params
-from .config_sums import (ConfigSumInstance, SweepEntry, double_check_nonzero, instance_rng,
-                          random_entries, run_plan, sweep_plan)
+from .config_sums import (ConfigSumInstance, SweepEntry, double_check_nonzero, random_entries,
+                          run_plan, seeded_rng, sweep_plan)
 from .ledger import (
     LedgerRecord,
     default_ledger_path,
@@ -192,9 +192,9 @@ def _bridge(args):
     inst = bridge_params(args.c, args.w)
     start = time.perf_counter()
     report = bridge_check(inst)
-    # a nonzero total is confirmed as run_plan confirms one at seed 0
+    _, rng = seeded_rng(0, inst.g, inst.w, 0, confirming=True)  # run_plan's, entry 0 at seed 0
     confirmation = None if report.config_sum_zero else double_check_nonzero(
-        report.config_sum.instance, report.config_sum.total, instance_rng(1, inst.g, inst.w, 0))
+        report.config_sum.instance, report.config_sum.total, rng)
     elapsed = time.perf_counter() - start  # both verifiers and the confirmation
     zero = report.coefficient_zero and report.config_sum_zero
     return [LedgerRecord(

@@ -105,7 +105,7 @@ __all__ = [
     "random_entries",
     "sweep_plan",
     "run_plan",
-    "instance_rng",
+    "seeded_rng",
     "BASELINE_RANGE",
 ]
 
@@ -455,7 +455,7 @@ def double_check_nonzero(inst: ConfigSumInstance, total: SumValue,
 class SweepEntry(NamedTuple):
     """One planned configuration-sum instance; :func:`run_plan` fills in its outcome.
 
-    ``seed`` names a random ground's ``instance_rng`` draw, ``"seed/g/w/i"``.
+    ``seed`` is a random ground's :func:`seeded_rng` label, ``"seed/g/w/i"``.
     """
 
     instance: ConfigSumInstance
@@ -466,15 +466,18 @@ class SweepEntry(NamedTuple):
     confirmation: Optional[NonzeroConfirmation] = None
 
 
-def instance_rng(seed: int, g: int, w: int, index: int) -> random.Random:
-    return random.Random(f"{seed}/{g}/{w}/{index}")
+def seeded_rng(seed: int, g: int, w: int, index: int, *, confirming: bool = False):
+    """``(label, rng)``: a run at ``seed`` draws ground ``index`` at ``(g, w)`` from an rng
+    seeded with ``"seed/g/w/index"``, and the one confirming its nonzero total at ``seed + 1``."""
+    label = f"{seed + confirming}/{g}/{w}/{index}"
+    return label, random.Random(label)
 
 
 def random_entries(g: int, w: int, status: str, count: int, seed: int) -> list:
-    """Entries ``0..count-1`` at ``(g, w)``, ground ``i`` from ``instance_rng(seed, g, w, i)``."""
-    grounds = (random_ground(g, instance_rng(seed, g, w, i)) for i in range(count))
-    return [SweepEntry(ConfigSumInstance(g, w, ground), status, i, f"{seed}/{g}/{w}/{i}")
-            for i, ground in enumerate(grounds)]
+    """Entries ``0..count-1`` at ``(g, w)``, ground ``i`` drawn by ``seeded_rng(seed, g, w, i)``."""
+    draws = (seeded_rng(seed, g, w, i) for i in range(count))
+    return [SweepEntry(ConfigSumInstance(g, w, random_ground(g, rng)), status, i, label)
+            for i, (label, rng) in enumerate(draws)]
 
 
 def sweep_plan(g_max: int, *, symbolic_g_max: int = 5, seed: int = 0) -> list:
@@ -507,7 +510,7 @@ def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
     """Run planned entries in order, yielding each with its ``result`` as soon as it is done.
 
     A nonzero total also gets the ``confirmation`` of :func:`double_check_nonzero`,
-    whose fresh ground is drawn from ``instance_rng(seed + 1, g, w, sample_index)``.
+    whose fresh ground is drawn by ``seeded_rng(seed, g, w, sample_index, confirming=True)``.
     Once ``time.monotonic()`` passes ``deadline`` the remaining entries are
     yielded unrun as ``not_attempted``, never dropped.
     """
@@ -519,6 +522,6 @@ def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
         result = sum_collapsed(inst, jobs=jobs)
         confirmation = None
         if result.verdict == "nonzero":
-            confirmation = double_check_nonzero(
-                inst, result.total, instance_rng(seed + 1, inst.g, inst.w, entry.sample_index))
+            _, rng = seeded_rng(seed, inst.g, inst.w, entry.sample_index, confirming=True)
+            confirmation = double_check_nonzero(inst, result.total, rng)
         yield entry._replace(result=result, confirmation=confirmation)

@@ -20,9 +20,9 @@ from stirlingzero.config_sums import (
     ConfigSumInstance,
     ConfigSumResult,
     NonzeroConfirmation,
-    instance_rng,
     random_ground,
     run_plan,
+    seeded_rng,
     sum_collapsed,
     sum_pointed,
     sweep_plan,
@@ -77,7 +77,7 @@ def test_criterion_2_numeric_band():
     for g, w_top, samples, seed in ((6, 4, 10, 20), (7, 3, 5, 21)):
         for w in range(w_top + 1):
             for i in range(samples):
-                ground = random_ground(g, instance_rng(seed, g, w, i))
+                ground = random_ground(g, seeded_rng(seed, g, w, i)[1])
                 result = sum_collapsed(ConfigSumInstance.make(g, w, ground))
                 assert result.total == 0, f"nonzero at g={g} w={w} sample {i}"
 
@@ -216,7 +216,7 @@ def test_criterion_9_exploratory(monkeypatch):
     budget = 300.0
     start = time.monotonic()
     for w in (4, 5):
-        ground = random_ground(7, instance_rng(31, 7, w, 0))
+        ground = random_ground(7, seeded_rng(31, 7, w, 0)[1])
         result = sum_collapsed(ConfigSumInstance.make(7, w, ground))
         assert result.verdict in ("zero", "nonzero")  # recorded, not asserted
     assert time.monotonic() - start < budget

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, ledger output, exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from forking import assert_no_child_left, needs_fork
 from stirlingzero import bridge, config_sums
 from stirlingzero.algebra import ConsistencyError
 from stirlingzero.cli import build_parser, main
-from stirlingzero.ledger import read_records
+from stirlingzero.ledger import read_records, value_str
 
 
 def run_cli(args, tmp_path, ledger="ledger.jsonl"):
@@ -189,9 +190,22 @@ class TestBridgeCommand:
         extra = records[0]["extra"]
         assert extra["consistent"] is False
         assert extra["oracle_total"] == records[0]["value"]
+        # the second ground is drawn under the label "seed+1/g/w/index" at seed 0
         assert extra["second_ground"] == config_sums.random_ground(
-            4, config_sums.instance_rng(1, 4, 1, 0)).describe()
+            4, random.Random("1/4/1/0")).describe()
         assert extra["second_total"] != "0"
+
+    def test_nonzero_total_is_confirmed_where_run_plan_confirms_it(self, tmp_path, monkeypatch):
+        # the bridge's configuration sum is confirmed as run_plan confirms
+        # entry 0 of a plan run at seed 0: at the same second ground
+        _p1_plus_one(monkeypatch)
+        code, records, _ = run_cli(["bridge", "--c", "2,3,5,7", "--w", "1"], tmp_path)
+        inst = bridge.bridge_check(bridge.bridge_params((2, 3, 5, 7), 1)).config_sum.instance
+        [entry] = config_sums.run_plan([config_sums.SweepEntry(inst, "asserted")], seed=0, jobs=1)
+        assert code == 1 and entry.confirmation.second_ground is not None
+        extra = records[0]["extra"]
+        assert extra["second_ground"] == entry.confirmation.second_ground.describe()
+        assert extra["second_total"] == value_str(entry.confirmation.second_total)
 
     def test_unconfirmed_nonzero_total_stops_the_run(self, tmp_path, monkeypatch, capsys):
         # a collapsed-route fault the oracle does not share is an engine
