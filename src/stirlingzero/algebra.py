@@ -400,12 +400,12 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        e = _as_int(exponent, "exponent")  # as the constructor reads exponents
+        if e < 0:
             raise ValueError(
                 "only nonnegative integer powers; multiply by a Laurent monomial instead")
         result = MultiPoly.constant(1)
         base = self
-        e = exponent
         while e:
             if e & 1:
                 result = result * base
@@ -468,7 +468,10 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._canonical())
+        names, terms = self._canonical()
+        if not names:  # a constant equals its scalar, so it hashes as that scalar
+            return hash(terms[0][1] if terms else 0)
+        return hash((names, terms))
 
     def canonical_str(self) -> str:
         """Deterministic text form (sorted term list), fit for ledgers/diffs."""

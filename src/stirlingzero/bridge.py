@@ -15,10 +15,11 @@ between the two is assumed: both are checked for vanishing independently.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .algebra import ConsistencyError, MultiPoly, _as_int
-from .config_sums import ConfigSumInstance, ConfigSumResult, sum_collapsed
+from .config_sums import (ConfigSumInstance, ConfigSumResult, NonzeroConfirmation,
+                          SweepEntry, run_plan)
 from .partitions import GroundSet
 from .series_vanishing import ExpansionConfig, J, R, log_expansion, u_name
 
@@ -72,14 +73,13 @@ def bridge_coefficient(inst: BridgeInstance) -> MultiPoly:
     All u_s with s outside the instance's value set are zeroed before
     expansion; the result is a Laurent polynomial in r, expected to vanish.
     The target is squarefree in u, so the expansion runs modulo every
-    u_{c_i}^2 (``log_expansion(..., squarefree=True)``): its closed form and
-    interpolation oracle are compared in that quotient ring, where the
-    target coefficient is exact.
+    u_{c_i}^2 (a ``squarefree`` budget): its closed form and interpolation
+    oracle are compared in that quotient ring, where the target coefficient
+    is exact.  Every w of one c shares the budget, so they share one log.
     """
-    u_indices = tuple(sorted(inst.c))
-    series = log_expansion(ExpansionConfig(h_max=inst.h), u_indices=u_indices,
-                           squarefree=True)
-    names = [u_name(s) for s in u_indices]  # squarefree: the c_i are distinct
+    cfg = ExpansionConfig(h_max=inst.h, u_indices=inst.c, squarefree=True)
+    series = log_expansion(cfg)
+    names = [u_name(s) for s in cfg.u_indices]  # squarefree: the c_i are distinct
     coefficient = (series.coefficient(inst.h)
                    .with_vars([J] + names)
                    .coefficient_in(J, inst.k))
@@ -98,6 +98,7 @@ class BridgeReport(NamedTuple):
     instance: BridgeInstance
     coefficient: MultiPoly
     config_sum: ConfigSumResult
+    confirmation: Optional[NonzeroConfirmation] = None  # of a nonzero total
 
     @property
     def coefficient_zero(self) -> bool:
@@ -114,9 +115,9 @@ class BridgeReport(NamedTuple):
 
 
 def bridge_check(inst: BridgeInstance) -> BridgeReport:
-    """Run both verifiers on one instance and compare their verdicts."""
-    ground = GroundSet.numeric(inst.c)
-    return BridgeReport(
-        instance=inst,
-        coefficient=bridge_coefficient(inst),
-        config_sum=sum_collapsed(ConfigSumInstance.make(inst.g, inst.w, ground)))
+    """Run both verifiers on one instance; the sum runs as a one-entry plan at
+    seed 0, so :func:`run_plan` confirms a nonzero total as it does in any plan."""
+    coefficient = bridge_coefficient(inst)
+    plan = [SweepEntry(ConfigSumInstance(inst.g, inst.w, GroundSet.numeric(inst.c)), "asserted")]
+    [entry] = run_plan(plan, seed=0, jobs=1)
+    return BridgeReport(inst, coefficient, entry.result, entry.confirmation)

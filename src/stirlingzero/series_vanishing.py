@@ -28,9 +28,10 @@ cannot pass it: in a node sample it moves the fit off the witnesses or the
 closed form, in a witness sample it breaks polynomiality, and in the closed
 form it differs from the fit.
 
-Part-2 state is kept per budget ``(ExpansionConfig, normalized u-indices,
-squarefree)``: the readback samples and the log with every ``a_h`` checked,
-so production checks each ``a_h`` once per budget.
+Part-2 state is kept per budget, one :class:`ExpansionConfig` value that
+carries the u-indices and the quotient too: the readback samples and the
+log with every ``a_h`` checked, so production checks each ``a_h`` once per
+budget.
 
 Both routes run in a quotient ring that keeps every monomial the extracted
 coefficients can see.  The readback exponential drops u-weight above h_max
@@ -42,9 +43,9 @@ Reduction modulo a monomial ideal is a ring homomorphism, so the closed form
 and the oracle are still compared exactly, in that quotient.
 
 Setting all u_s to zero except a chosen index set is supported directly:
-callers pass ``u_indices`` and every route restricts to multisets drawn from
-it, which is exact at every order (the discarded monomials vanish under the
-zeroing, they are not truncated away).
+the budget's ``u_indices`` restrict every route to multisets drawn from
+them, which is exact at every order (the discarded monomials vanish under
+the zeroing, they are not truncated away).
 """
 
 from __future__ import annotations
@@ -96,15 +97,21 @@ def _u_weight(s: int) -> int:
 
 
 class ExpansionConfig(NamedTuple("_ExpansionConfig",
-                                 [("h_max", int), ("s_max", int), ("j_samples", tuple)])):
+                                 [("h_max", int), ("s_max", int), ("j_samples", tuple),
+                                  ("u_indices", tuple), ("squarefree", bool)])):
     """Budget for the vanishing checks, and the one place it is checked.
 
     ``h_max`` is the deepest 1/n order checked, ``s_max`` the largest u-index
     kept as an indeterminate, and ``j_samples`` the integer j values feeding
-    the interpolation oracle.  Each value must be an int or a Fraction with
-    denominator 1; anything else raises ``ValueError`` rather than being
-    truncated.  A budget the routes cannot run exactly is refused here, with
-    ``ValueError``, whenever it is built (``_replace`` too):
+    the interpolation oracle.  ``u_indices`` are the u-indices every route
+    keeps, sorted without repeats; every other u_s is zero by assumption,
+    which is exact at every order, so given indices are used whatever
+    ``s_max`` is.  ``squarefree`` (exactly ``True`` or ``False``) runs every
+    route modulo each u_s^2, for a caller that reads squarefree u-monomials
+    only.  Each number must be an int or a Fraction with denominator 1, and
+    each u-index at least 2; anything else raises ``ValueError`` rather than
+    being truncated.  A budget the routes cannot run exactly is refused here,
+    with ``ValueError``, whenever it is built (``_replace`` too):
 
     * ``s_max >= h_max + 1``: ``u_s`` weighs ``s - 1``, so every u-index up
       to ``h_max + 1`` reaches an order ``<= h_max``; a smaller ``s_max``
@@ -117,13 +124,16 @@ class ExpansionConfig(NamedTuple("_ExpansionConfig",
     is the whole budget for depth H: ``s_max = max(6, h_max + 1)`` (the floor
     of 6 changes no value and keeps every shallower depth's recorded budget)
     and ``j_samples = h_max+1 .. 3*h_max+4``, the ``2h+1`` nodes at
-    ``h = h_max`` plus three witnesses.
+    ``h = h_max`` plus three witnesses; ``u_indices = 2..s_max``.  A field
+    once derived is a field like any other: ``_replace(s_max=...)`` keeps
+    the u-indices it had.
     """
 
     __slots__ = ()
 
     def __new__(cls, h_max: int = 4, s_max: Optional[int] = None,
-                j_samples: Optional[Sequence[int]] = None):
+                j_samples: Optional[Sequence[int]] = None,
+                u_indices: Optional[Sequence[int]] = None, squarefree: bool = False):
         h_max = _as_int(h_max, "h_max")
         s_max = max(6, h_max + 1) if s_max is None else _as_int(s_max, "s_max")
         if h_max < 1:
@@ -142,20 +152,15 @@ class ExpansionConfig(NamedTuple("_ExpansionConfig",
             raise ValueError(
                 f"the oracle at order {h_max} needs {2 * h_max + 1} j samples, "
                 f"got {len(samples)}")
-        return super().__new__(cls, h_max, s_max, samples)
+        indices = tuple(range(2, s_max + 1)) if u_indices is None else tuple(
+            sorted({_as_int(s, "u-index") for s in u_indices}))
+        if indices and indices[0] < 2:
+            raise ValueError(f"u-indices must be >= 2, got {list(indices)}")
+        if squarefree is not True and squarefree is not False:
+            raise ValueError(f"squarefree {squarefree!r} is not True or False")
+        return super().__new__(cls, h_max, s_max, samples, indices, squarefree)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
-
-    def u_indices(self, kept: Optional[Sequence[int]] = None) -> tuple:
-        """The u-indices a route keeps: ``2..s_max``, or ``kept`` sorted without
-        repeats and used as given, whatever ``s_max`` is (every other u_s is zero
-        by assumption, exact at every order).  Each must be an integer >= 2."""
-        if kept is None:
-            return tuple(range(2, self.s_max + 1))
-        indices = {_as_int(s, "u-index") for s in kept}
-        if any(s < 2 for s in indices):
-            raise ValueError(f"u-indices must be >= 2, got {sorted(indices)}")
-        return tuple(sorted(indices))
 
 
 def _quotient(u_indices: tuple, max_weight: Optional[int], squarefree: bool):
@@ -215,10 +220,10 @@ def expansion_coefficients(j: int, gj: MultiPoly, h_max: Optional[int] = None) -
 
 
 @lru_cache(maxsize=None)
-def _readback(cfg: ExpansionConfig, u_indices: tuple, squarefree: bool) -> dict:
+def _readback(cfg: ExpansionConfig) -> dict:
     # {j: (a_0 .. a_{h_max})} at every sample j, all read off the one cut
     # exponential of the module docstring, which is not kept
-    series = _generating_series(max(cfg.j_samples), u_indices, cfg.h_max, squarefree)
+    series = _generating_series(max(cfg.j_samples), cfg.u_indices, cfg.h_max, cfg.squarefree)
     return {j: tuple(expansion_coefficients(j, series.coefficient(j), cfg.h_max))
             for j in cfg.j_samples}
 
@@ -273,9 +278,7 @@ def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPol
     return MultiPoly(names, terms)
 
 
-def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
-                                   u_indices: Optional[Sequence[int]] = None,
-                                   squarefree: bool = False) -> MultiPoly:
+def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig) -> MultiPoly:
     """a_h(r, j) with j symbolic, via the multiset closed form.
 
     The interpolation oracle over every configured j sample is the one check
@@ -285,10 +288,9 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
     (:class:`PolynomialityError`), and a fit that differs from the closed
     form aborts with :class:`ConsistencyError`.  At h = 0 the closed form,
     identically 1, is returned without an oracle.  No value is kept: every
-    call runs the oracle, on the readback samples kept per budget ``(cfg,
-    u-indices as cfg.u_indices normalizes them, squarefree)``.
+    call runs the oracle, on the readback samples kept per budget ``cfg``.
 
-    With ``squarefree`` the value is a_h modulo every u_s^2: its terms
+    With ``cfg.squarefree`` the value is a_h modulo every u_s^2: its terms
     squarefree in u.  Both routes are then compared in that quotient ring,
     which is exact there because the reduction is a ring homomorphism.
     """
@@ -297,42 +299,34 @@ def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig,
         raise ValueError("need h >= 0")
     if h > cfg.h_max:
         raise BudgetError(f"order {h} beyond configured h_max={cfg.h_max}")
-    indices, squarefree = cfg.u_indices(u_indices), bool(squarefree)
-    value = _closed_form(h, indices, squarefree)
+    value = _closed_form(h, cfg.u_indices, cfg.squarefree)
     if h == 0:
         return value
-    samples = [(j, coeffs[h]) for j, coeffs in _readback(cfg, indices, squarefree).items()]
+    samples = [(j, coeffs[h]) for j, coeffs in _readback(cfg).items()]
     if interpolate_in_var(samples, J, 2 * h) != value:
         raise ConsistencyError(
             f"closed form and interpolation oracle disagree at order {h}")
     return value
 
 
-def log_expansion(cfg: ExpansionConfig,
-                  u_indices: Optional[Sequence[int]] = None,
-                  squarefree: bool = False) -> Series:
-    """log(1 + sum_{s>=1} a_s/n^s) truncated at 1/n order h_max.
+@lru_cache(maxsize=None)
+def log_expansion(cfg: ExpansionConfig) -> Series:
+    """log(1 + sum_{s>=1} a_s/n^s) truncated at 1/n order h_max, every a_h checked.
 
     Orders beyond the truncation cannot feed back into the kept ones, so the
     fixed truncation is exact for every extracted order.  The series is made
-    once per budget ``(cfg, cfg.u_indices(u_indices), squarefree)`` and
-    shared, so callers must not mutate it.
+    once per budget ``cfg`` and shared, so callers must not mutate it.
 
-    ``squarefree`` computes the series modulo every u_s^2, for a caller that
-    reads only squarefree u-monomials: exponents only grow under
-    multiplication, so a dropped term never feeds a kept one.  Every a_h is
-    then reduced, and its closed form and interpolation oracle are compared
-    in that quotient.
+    With ``cfg.squarefree`` the series is computed modulo every u_s^2:
+    exponents only grow under multiplication, so a dropped term never feeds
+    a kept one.  Every a_h is then reduced, and its closed form and
+    interpolation oracle are compared in that quotient.
     """
-    return _checked_log(cfg, cfg.u_indices(u_indices), bool(squarefree))
-
-
-@lru_cache(maxsize=None)
-def _checked_log(cfg: ExpansionConfig, u_indices: tuple, squarefree: bool) -> Series:
     coeffs = [MultiPoly.constant(1)]
     for h in range(1, cfg.h_max + 1):
-        coeffs.append(symbolic_expansion_coefficient(h, cfg, u_indices, squarefree))
-    return Series(NINV, cfg.h_max, coeffs).log(ideal=_quotient(u_indices, None, squarefree))
+        coeffs.append(symbolic_expansion_coefficient(h, cfg))
+    return Series(NINV, cfg.h_max, coeffs).log(
+        ideal=_quotient(cfg.u_indices, None, cfg.squarefree))
 
 
 class VanishingCheck(NamedTuple):
@@ -349,7 +343,7 @@ class VanishingCheck(NamedTuple):
 
 
 def vanishing_report(cfg: ExpansionConfig) -> list:
-    """Check every j^k component with k >= h+2 for h = 1..h_max, all u_2..u_{s_max} kept.
+    """Check every j^k component with k >= h+2 for h = 1..h_max, on the budget ``cfg``.
 
     The n^{-h} coefficient has j-degree at most 2h, so components from h+2 up
     to max(2h, h+2) decide the claim; a nonzero component is reported

@@ -212,8 +212,17 @@ class TestMultiPoly:
 
     def test_an_integral_fraction_exponent_reads_as_an_int(self):
         p = MultiPoly(("a",), {(Fraction(2),): 1})
-        assert p == var("a") ** 2
+        assert p == var("a") ** 2 == var("a") ** Fraction(4, 2)
         assert [type(e) for exps in p.terms for e in exps] == [int]
+        assert var("a") ** Fraction(0) == 1
+
+    @pytest.mark.parametrize("exponent", [True, False, 2.0, "2"],
+                             ids=["true", "false", "float", "text"])
+    def test_power_refuses_the_exponents_the_constructor_refuses(self, exponent):
+        with pytest.raises(ValueError, match=f"exponent {exponent!r} is not an integer"):
+            var("a") ** exponent
+        with pytest.raises(ValueError, match=f"exponent {exponent!r} is not an integer"):
+            MultiPoly(("a",), {(exponent,): 1})
 
     @pytest.mark.parametrize("value", [True, 0.5, "1"], ids=["bool", "float", "text"])
     def test_constant_takes_exact_rationals_only(self, value):
@@ -394,6 +403,30 @@ class TestEquality:
         assert (q == p) == (p == q)
         if p == q:
             assert hash(p) == hash(q)
+
+
+class TestHashContract:
+    """A polynomial equal to a scalar hashes as that scalar, under every hash seed."""
+
+    def test_a_constant_hashes_as_its_scalar(self):
+        x = var("x")
+        pairs = [(MultiPoly.constant(2), 2),
+                 (MultiPoly.constant(Fraction(-1, 3)), Fraction(-1, 3)),
+                 (MultiPoly.zero(), 0), (x - x, 0), ((x + 2) - x, 2),
+                 (x * MultiPoly(("x",), {(-1,): Fraction(3, 2)}), Fraction(3, 2))]
+        for poly, scalar in pairs:
+            assert poly == scalar and hash(poly) == hash(scalar)
+        assert len({MultiPoly.constant(2), 2, Fraction(2)}) == 1
+        assert len({x - x, 0}) == 1
+        assert {Fraction(3, 2): "found"}[MultiPoly.constant(Fraction(3, 2))] == "found"
+
+    @given(signed_polys, st.integers(-5, 5) | coefficients)
+    @settings(max_examples=100, deadline=None)
+    def test_equal_to_a_scalar_means_the_same_hash(self, p, c):
+        shifted = p - p + c  # c on p's registry
+        assert shifted == c and hash(shifted) == hash(c)
+        if p == c:
+            assert hash(p) == hash(c)
 
 
 # a fresh interpreter's merged registry of a01 and a1, and its text form

@@ -70,8 +70,8 @@ class TestBridgeCoefficient:
         inst = bridge_params((2, 3), 0)
         real = bridge.log_expansion
 
-        def with_n(cfg, u_indices=None, squarefree=False):
-            series = real(cfg, u_indices, squarefree)
+        def with_n(cfg):
+            series = real(cfg)
             target = MultiPoly(("j", "n", "r", "u2", "u3"), {(inst.k, 1, -5, 1, 1): 1})
             coeffs = list(series.coeffs)
             coeffs[inst.h] = coeffs[inst.h] + target
@@ -96,7 +96,7 @@ class TestBridgeCheck:
         assert report.config_sum.configurations_visited == 2  # Bell(2)
 
     def test_second_w_refits_nothing(self, monkeypatch):
-        # every w of one c shares the budget (depth h, u-indices, squarefree),
+        # every w of one c shares the budget (depth h, u-indices c, squarefree),
         # so the checked log of the first check serves the second: no a_h is
         # checked or fitted in j again, no Series.log is taken again, and no
         # Lagrange node tuple is built twice
@@ -120,7 +120,7 @@ class TestBridgeCheck:
             logs.append(self.order)
             return real_log(self, *args, **kwargs)
 
-        series_vanishing._checked_log.cache_clear()
+        series_vanishing.log_expansion.cache_clear()
         monkeypatch.setattr(algebra, "_lagrange_rows", counted_rows)
         monkeypatch.setattr(series_vanishing, "interpolate_in_var", counted_fit)
         monkeypatch.setattr(series_vanishing, "symbolic_expansion_coefficient", counted_coeff)
@@ -132,7 +132,7 @@ class TestBridgeCheck:
             before = len(rows)
             second = bridge_check(bridge_params((2, 3, 7), 1))
         finally:
-            series_vanishing._checked_log.cache_clear()
+            series_vanishing.log_expansion.cache_clear()
         assert len(fits) == h  # none for the second check
         assert coeffs == list(range(1, h + 1))
         assert logs == [h]
@@ -160,9 +160,9 @@ class TestSquarefreeQuotient:
                              ids=["c=2,3,4", "c=2,3,5", "c=2,3,4,6"])
     def test_reduced_log_keeps_the_nonzero_coefficient(self, c, expected):
         inst = bridge_params(c, 0)
-        cfg = ExpansionConfig(h_max=inst.h)
-        reduced = log_expansion(cfg, u_indices=c, squarefree=True)
-        full = log_expansion(cfg, u_indices=c)
+        cfg = ExpansionConfig(h_max=inst.h, u_indices=c)
+        reduced = log_expansion(cfg._replace(squarefree=True))
+        full = log_expansion(cfg)
         k = inst.h + 1  # outside the vanishing regime: nonzero
         pinned = MultiPoly(("r",), {(-sum(c),): expected})
         assert self._squarefree_part(full, inst, k) == pinned

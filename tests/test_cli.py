@@ -196,16 +196,20 @@ class TestBridgeCommand:
         assert extra["second_total"] != "0"
 
     def test_nonzero_total_is_confirmed_where_run_plan_confirms_it(self, tmp_path, monkeypatch):
-        # the bridge's configuration sum is confirmed as run_plan confirms
-        # entry 0 of a plan run at seed 0: at the same second ground
+        # bridge_check confirms its configuration sum as run_plan confirms
+        # entry 0 of a plan run at seed 0, at the same second ground, and the
+        # command records that confirmation
         _p1_plus_one(monkeypatch)
+        report = bridge.bridge_check(bridge.bridge_params((2, 3, 5, 7), 1))
+        plan = [config_sums.SweepEntry(report.config_sum.instance, "asserted")]
+        [entry] = config_sums.run_plan(plan, seed=0, jobs=1)
+        assert report.confirmation == entry.confirmation
+        assert report.confirmation.second_ground is not None
         code, records, _ = run_cli(["bridge", "--c", "2,3,5,7", "--w", "1"], tmp_path)
-        inst = bridge.bridge_check(bridge.bridge_params((2, 3, 5, 7), 1)).config_sum.instance
-        [entry] = config_sums.run_plan([config_sums.SweepEntry(inst, "asserted")], seed=0, jobs=1)
-        assert code == 1 and entry.confirmation.second_ground is not None
+        assert code == 1
         extra = records[0]["extra"]
-        assert extra["second_ground"] == entry.confirmation.second_ground.describe()
-        assert extra["second_total"] == value_str(entry.confirmation.second_total)
+        assert extra["second_ground"] == report.confirmation.second_ground.describe()
+        assert extra["second_total"] == value_str(report.confirmation.second_total)
 
     def test_unconfirmed_nonzero_total_stops_the_run(self, tmp_path, monkeypatch, capsys):
         # a collapsed-route fault the oracle does not share is an engine

@@ -48,7 +48,7 @@ CFG = ExpansionConfig()
 
 def clear_budgets():
     series_vanishing._readback.cache_clear()
-    series_vanishing._checked_log.cache_clear()
+    series_vanishing.log_expansion.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -124,7 +124,7 @@ class TestSharedExponential:
     @pytest.mark.parametrize("jj", [5, 7, 8, 9, 13])
     def test_coefficient_matches_own_order_series(self, jj):
         top = max(self.CFG9.j_samples)
-        indices = self.CFG9.u_indices()
+        indices = self.CFG9.u_indices
         entries = {1: n * r}
         for s in indices:
             if s <= jj:
@@ -137,12 +137,12 @@ class TestSharedExponential:
     def test_readback_reads_the_shared_series(self, jj):
         # the shared series drops u-weight > h_max; a_0..a_{h_max} are exact
         h_max = self.CFG9.h_max
-        shared = _readback(self.CFG9, self.CFG9.u_indices(), False)[jj]
+        shared = _readback(self.CFG9)[jj]
         own = expansion_coefficients(jj, generating_coefficient(jj, self.CFG9))
         assert list(shared) == own[:h_max + 1]
 
     def test_readback_series_drops_weight_above_h_max(self):
-        h_max, indices = self.CFG9.h_max, self.CFG9.u_indices()
+        h_max, indices = self.CFG9.h_max, self.CFG9.u_indices
         full = _generating_series(13, indices).coefficient(13)
         reduced = _generating_series(13, indices, h_max).coefficient(13)
         weights = {u_name(s): s - 1 for s in indices}
@@ -151,8 +151,8 @@ class TestSharedExponential:
 
     @pytest.mark.parametrize("jj", [9, 13])
     def test_squarefree_readback_is_the_reduced_one(self, jj):
-        h_max, indices = self.CFG9.h_max, self.CFG9.u_indices()
-        shared = _readback(self.CFG9, indices, True)[jj]
+        h_max, indices = self.CFG9.h_max, self.CFG9.u_indices
+        shared = _readback(self.CFG9._replace(squarefree=True))[jj]
         own = expansion_coefficients(jj, generating_coefficient(jj, self.CFG9))
         square = [u_name(s) for s in indices]
         reduced = [remainder(c, {}, None, square) for c in own[:h_max + 1]]
@@ -185,9 +185,10 @@ class TestWeightBound:
             symbolic_expansion_coefficient(self.CFG3.h_max, self.CFG3)
 
     def test_bound_h_max_minus_one_is_caught_on_the_bridge(self, bound_lowered):
-        cfg = ExpansionConfig(h_max=6, j_samples=tuple(range(7, 22)))
+        cfg = ExpansionConfig(h_max=6, j_samples=tuple(range(7, 22)), u_indices=(2, 3, 4),
+                              squarefree=True)
         with pytest.raises(ConsistencyError):
-            log_expansion(cfg, u_indices=(2, 3, 4), squarefree=True)
+            log_expansion(cfg)
 
 
 class TestReadback:
@@ -201,7 +202,7 @@ class TestReadback:
 
     def test_absent_power_of_n_reads_zero(self):
         # without u_2 no term has u-weight 1, so n^{j-1} is absent
-        coeffs = expansion_coefficients(3, generating_coefficient(3, CFG, u_indices=(3,)))
+        coeffs = expansion_coefficients(3, generating_coefficient(3, CFG._replace(u_indices=(3,))))
         assert coeffs == [1, 0, over_r(2 * u3, 3)]
 
     @pytest.mark.parametrize("jj", range(1, 8))
@@ -227,8 +228,7 @@ class TestReadback:
     @pytest.mark.parametrize("jj, h_max", [(7, 2), (9, 4), (4, 6)])
     def test_h_max_reads_the_cut_series(self, jj, h_max):
         # the series cut above u-weight h_max carries n^{j-h_max} .. n^j only
-        indices = CFG.u_indices()
-        cut = _generating_series(jj, indices, h_max).coefficient(jj)
+        cut = _generating_series(jj, CFG.u_indices, h_max).coefficient(jj)
         full = expansion_coefficients(jj, generating_coefficient(jj, CFG))
         got = expansion_coefficients(jj, cut, h_max)
         assert len(got) == min(jj, h_max + 1)
@@ -250,7 +250,7 @@ class TestReadback:
 
         cfg = ExpansionConfig(h_max=3)
         monkeypatch.setattr(series_vanishing, "expansion_coefficients", counted)
-        coeffs = _readback(cfg, cfg.u_indices(), False)
+        coeffs = _readback(cfg)
         assert list(coeffs) == list(cfg.j_samples)
         assert built == [len(c) for c in coeffs.values()] == [4] * len(cfg.j_samples)
 
@@ -262,9 +262,9 @@ class TestReadback:
         """Let the readback pass order ``h`` through ``change`` at the samples ``at``."""
         real = series_vanishing._readback
 
-        def tampered(*budget):
+        def tampered(cfg):
             return {j: coeffs[:h] + (change(coeffs[h]),) + coeffs[h + 1:] if j in at else coeffs
-                    for j, coeffs in real(*budget).items()}
+                    for j, coeffs in real(cfg).items()}
 
         monkeypatch.setattr(series_vanishing, "_readback", tampered)
 
@@ -317,10 +317,10 @@ class TestReadback:
 
     def test_readback_orders_share_the_closed_form_registry(self):
         # n is read off into the order, so no readback order keeps its slot
-        coeffs = _readback(CFG, CFG.u_indices(), False)[9]
+        coeffs = _readback(CFG)[9]
         for h, c in enumerate(coeffs[1:], start=1):
             assert "n" not in c.vars
-            assert ("j",) + c.vars == _closed_form(h, CFG.u_indices()).vars
+            assert ("j",) + c.vars == _closed_form(h, CFG.u_indices).vars
 
     def test_oracle_comparison_needs_no_canonical_form(self, monkeypatch):
         # closed form and oracle share one registry: __eq__ compares term maps
@@ -503,25 +503,43 @@ class TestConfigValidation:
         assert all(a4.degree_in(u_name(s)) > 0 for s in range(2, 6))
 
     def test_one_budget_built_different_ways_is_one_key(self):
-        # h_max = 3 derives s_max = 6 and j_samples = 4..13
+        # h_max = 3 derives s_max = 6, j_samples = 4..13 and u_indices = 2..6
         budgets = [
             ExpansionConfig(h_max=3),
             ExpansionConfig(3, 6, range(4, 14)),
             ExpansionConfig(h_max=Fraction(3), s_max=Fraction(12, 2), j_samples=list(range(4, 14))),
             ExpansionConfig(h_max=2)._replace(h_max=3, j_samples=range(4, 14)),
             ExpansionConfig._make([3, 6, tuple(range(4, 14))]),
+            # the u-indices: in another order, with repeats, as Fractions,
+            # through _replace, and 2..s_max given explicitly
+            ExpansionConfig(h_max=3, u_indices=(6, 4, 2, 5, 3)),
+            ExpansionConfig(h_max=3, u_indices=(2, 3, 3, 4, 5, 6, 2)),
+            ExpansionConfig(h_max=3, u_indices=(Fraction(2), 3, Fraction(8, 2), 5, Fraction(6))),
+            ExpansionConfig(h_max=3, u_indices=(2, 3))._replace(u_indices=[5, 2, 6, 3, 4]),
+            ExpansionConfig(h_max=3, u_indices=range(2, 7)),
         ]
         first = budgets[0]
-        assert first == (3, 6, tuple(range(4, 14)))
+        assert first == (3, 6, tuple(range(4, 14)), (2, 3, 4, 5, 6), False)
+        assert ExpansionConfig._fields == ("h_max", "s_max", "j_samples", "u_indices",
+                                           "squarefree")
         for cfg in budgets[1:]:
             assert type(cfg) is ExpansionConfig
             assert cfg == first and hash(cfg) == hash(first)
+            assert all(type(s) is int for s in cfg.u_indices)
         # so the readback and the checked log made for one serve every other
         value = symbolic_expansion_coefficient(2, first)
         assert all(symbolic_expansion_coefficient(2, cfg) == value for cfg in budgets)
-        assert all(log_expansion(cfg) == log_expansion(first) for cfg in budgets)
+        assert all(log_expansion(cfg) is log_expansion(first) for cfg in budgets)
         assert series_vanishing._readback.cache_info().currsize == 1
-        assert series_vanishing._checked_log.cache_info().currsize == 1
+        assert series_vanishing.log_expansion.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("value", [1, 0, "yes", None, 1.0],
+                             ids=["one", "zero", "text", "none", "float"])
+    def test_squarefree_is_exactly_a_bool(self, value):
+        with pytest.raises(ValueError, match="is not True or False"):
+            ExpansionConfig(h_max=2, squarefree=value)
+        with pytest.raises(ValueError, match="is not True or False"):
+            ExpansionConfig(h_max=2)._replace(squarefree=value)
 
     @pytest.mark.parametrize("h", range(1, 7))
     def test_depth_alone_is_the_whole_budget(self, h):
@@ -532,14 +550,16 @@ class TestConfigValidation:
 
 
 class TestUIndices:
-    """Every route reads ``u_indices`` through one normalizer."""
+    """``ExpansionConfig`` normalizes ``u_indices`` once, built directly or by ``_replace``."""
 
     CFG3 = ExpansionConfig(h_max=3, s_max=4, j_samples=tuple(range(4, 13)))
     ROUTES = {
         "symbolic_expansion_coefficient":
-            lambda u: symbolic_expansion_coefficient(2, TestUIndices.CFG3, u),
-        "log_expansion": lambda u: log_expansion(TestUIndices.CFG3, u),
-        "ExpansionConfig.u_indices": lambda u: TestUIndices.CFG3.u_indices(u),
+            lambda u: symbolic_expansion_coefficient(2, TestUIndices.CFG3._replace(u_indices=u)),
+        "log_expansion": lambda u: log_expansion(
+            ExpansionConfig(h_max=3, s_max=4, j_samples=range(4, 13), u_indices=u)),
+        "ExpansionConfig.u_indices": lambda u: ExpansionConfig(
+            h_max=3, s_max=4, j_samples=range(4, 13), u_indices=u).u_indices,
     }
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -555,20 +575,27 @@ class TestUIndices:
 
     def test_one_checked_value_per_normalized_input(self):
         # any sequence of u-indices is accepted; the readback and the checked
-        # log are kept once per normalized input
-        value = symbolic_expansion_coefficient(2, self.CFG3, [3, 2, 2])
-        series = log_expansion(self.CFG3, [3, 2, 2])
+        # log are kept once per normalized budget
+        value = symbolic_expansion_coefficient(2, self.CFG3._replace(u_indices=[3, 2, 2]))
+        series = log_expansion(self.CFG3._replace(u_indices=[3, 2, 2]))
         for same in ((2, 3), range(2, 4)):
-            assert symbolic_expansion_coefficient(2, self.CFG3, same) == value
-            assert log_expansion(self.CFG3, same) == series
+            cfg = self.CFG3._replace(u_indices=same)
+            assert cfg.u_indices == (2, 3)
+            assert symbolic_expansion_coefficient(2, cfg) == value
+            assert log_expansion(cfg) is series
         assert series_vanishing._readback.cache_info().currsize == 1
-        assert series_vanishing._checked_log.cache_info().currsize == 1
-        assert symbolic_expansion_coefficient(2, self.CFG3, (2, 3), squarefree=True) != value
+        assert series_vanishing.log_expansion.cache_info().currsize == 1
+        # the squarefree quotient is another budget, with its own state
+        squarefree = cfg._replace(squarefree=True)
+        assert symbolic_expansion_coefficient(2, squarefree) != value
+        assert log_expansion(squarefree) is not series
         assert series_vanishing._readback.cache_info().currsize == 2
+        assert series_vanishing.log_expansion.cache_info().currsize == 2
 
     def test_squarefree_route_takes_repeats(self):
-        assert (log_expansion(self.CFG3, (2, 2, 3), squarefree=True)
-                == log_expansion(self.CFG3, (2, 3), squarefree=True))
+        cfg = self.CFG3._replace(squarefree=True)
+        assert (log_expansion(cfg._replace(u_indices=(2, 2, 3)))
+                is log_expansion(cfg._replace(u_indices=(2, 3))))
 
 
 class TestKeptPerBudget:
@@ -589,7 +616,7 @@ class TestKeptPerBudget:
         monkeypatch.setattr(Series, "log", counted_log)
         monkeypatch.setattr(series_vanishing, "symbolic_expansion_coefficient", counted_coeff)
         first = log_expansion(CFG)
-        assert log_expansion(CFG, range(2, CFG.s_max + 1)) is first
+        assert log_expansion(ExpansionConfig(u_indices=range(2, CFG.s_max + 1))) is first
         assert logs == [CFG.h_max]
         assert coeffs == list(range(1, CFG.h_max + 1))
 
@@ -653,11 +680,11 @@ class TestLogExpansion:
         # explicit indices are used as given, whatever s_max is: u3 and u5
         # are zero by assumption, and u9 (beyond s_max, weight 8) is kept
         cfg = ExpansionConfig(h_max=4, s_max=5, j_samples=tuple(range(5, 18)))
-        series = log_expansion(cfg, u_indices=(2, 4, 9))
+        series = log_expansion(cfg._replace(u_indices=(2, 4, 9)))
         assert series.order == 4
         assert series.coefficient(4).vars == ("j", "r", "u2", "u4", "u9")
         assert series.coefficient(3).degree_in("u4") == 1
-        assert series == log_expansion(cfg, u_indices=(2, 4))
+        assert series == log_expansion(cfg._replace(u_indices=(2, 4)))
 
 
 class TestVanishing:
@@ -689,8 +716,8 @@ class TestVanishing:
             assert c.j_degree_at_order <= c.h + 1
 
     def test_restricted_u_sets_also_vanish(self):
-        cfg = ExpansionConfig(h_max=3, s_max=4, j_samples=tuple(range(4, 15)))
-        series = log_expansion(cfg, u_indices=(2, 4))
+        cfg = ExpansionConfig(h_max=3, s_max=4, j_samples=tuple(range(4, 15)), u_indices=(2, 4))
+        series = log_expansion(cfg)
         for h in range(1, cfg.h_max + 1):
             coeff = series.coefficient(h).with_vars(["j"])
             for k in range(h + 2, max(2 * h, h + 2) + 1):
