@@ -42,36 +42,22 @@ provided:
 
 On numeric grounds the collapsed route runs in Python ints.  With ``D`` the
 lcm of the ground's denominators and ``K`` the lcm of the coefficient
-denominators of ``P_1..P_w``, set ``lam = K * D^2``: then ``lam^v P_v(t)`` is an
+denominators of ``P_1..P_w``, ``lam = K * D^2`` makes ``lam^v P_v(t)`` an
 integer for every block sum ``t`` and ``v <= w``.  The substitution
 ``y -> y / lam`` is a ring automorphism, so each partition's ``[y^w]`` is
-scaled by exactly ``lam^w`` and the total is ``N / lam^w`` for the integer sum
-``N``, divided once after the shards' integer partials are merged.  A block
-value that the scaling does not clear raises :class:`ConsistencyError`.
-Every partition is still visited, and the visit count is checked against the
-Bell number.  :func:`sum_pointed` stays in
-``Fraction`` arithmetic on the unscaled block values, so the two routes
-share no summation kernel.
+scaled by exactly ``lam^w``, and the merged integer total is divided by
+``lam^w`` once (a symbolic ground has ``lam = 1``).  :func:`sum_pointed`
+stays in ``Fraction`` arithmetic on the unscaled block values, so the two
+routes share no summation kernel.
 
-A numeric block table is also built in ints, by an exact fit.  Each mask's
-scaled block sum ``T = D t`` is read off the ground's one block-sum table
-(:attr:`~stirlingzero.partitions.GroundSet.scaled_sums`), and for each
-``v`` the value ``lam^v P_v(T/D)`` is a polynomial in ``T`` of degree ``2v``
-with integer coefficients.  ``eval_P`` is sampled at the first ``2w+3``
-distinct sums, through the same lazy evaluator as the oracle, and scaled to
-ints; one :func:`~stirlingzero.algebra.interpolate_in_var` call fits the
-sampled vectors, each written as ``sum_v vec[v] y^v``, in ``T``: its
-``y^v`` part must have degree at most ``2v`` and integer coefficients, and
-gives every other sum its offset-``v`` value by integer Horner.  So the
-table makes ``(2w+3)(w+1)`` evaluator calls, not one per mask and offset.
-A ground with fewer than ``2w+3`` distinct sums has each evaluated directly
-instead.  The samples come from ``eval_P``, not from ``stirling_poly``'s
-coefficients: a fault that keeps ``eval_P`` a polynomial of degree at most
-``2v`` reaches every mask unchanged, just as a per-mask evaluation would
-carry it, and any other fault at a sampled sum fails a witness
-(:class:`~stirlingzero.algebra.PolynomialityError`) or the degree bound
-(:class:`ConsistencyError`).  The pointed oracle still evaluates every mask,
-so a nonzero total is checked against values the fit did not make.
+Every block table comes from one exact fit per offset (:func:`_block_table`)
+through the ground's evaluator at fixed points, not from ``stirling_poly``'s
+coefficients: a fault that keeps the evaluator a polynomial of degree at
+most ``2v`` reaches every mask as a per-mask evaluation would carry it, and
+any other fault at a sampled point fails a witness
+(:class:`~stirlingzero.algebra.PolynomialityError`).  The pointed oracle
+evaluates every mask, so a nonzero total is checked against values the fit
+did not make.
 
 Any nonzero total is treated as a potential counterexample and re-verified
 through the oracle (plus a fresh ground set in numeric mode) before being
@@ -84,7 +70,6 @@ import os
 import random
 import time
 from fractions import Fraction
-from itertools import islice
 from math import factorial, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -159,12 +144,9 @@ class ConfigSumResult(NamedTuple):
 
 class _BlockValues:
     """An instance's unscaled P_v(block sum) vectors keyed by block mask, each
-    evaluated on first use.
-
-    :func:`sum_pointed` reads it, and so does :func:`_block_table` for the
-    samples it scales and fits.  An offset-0 value other than 1, which the
-    collapsed route's products take for granted, is an engine bug.
-    """
+    evaluated on first use: :func:`sum_pointed`'s per-mask evaluator, sharing
+    none of :func:`_block_table`'s fits.  An offset-0 value other than 1, which
+    the collapsed route's products take for granted, is an engine bug."""
 
     def __init__(self, ground: GroundSet, w_max: int):
         self.ground = ground
@@ -181,17 +163,6 @@ class _BlockValues:
                 raise ConsistencyError(f"offset-0 block value {vec[0]!r} is not 1")
             self._cache[mask] = vec
         return vec
-
-
-def _scaled_to_int(vec: tuple, powers: list) -> tuple:
-    out = []
-    for power, value in zip(powers, vec):
-        scaled, rest = divmod(value.numerator * power, value.denominator)
-        if rest:
-            raise ConsistencyError(
-                f"block value {value} times scale {power} is not an integer")
-        out.append(scaled)
-    return tuple(out)
 
 
 def _conv_truncated(acc, vec: tuple, w: int) -> list:
@@ -224,62 +195,37 @@ def _common_scale(inst: ConfigSumInstance) -> int:
 
 
 def _block_table(inst: ConfigSumInstance) -> tuple:
-    """``(table, scale)``: the instance's block values at every nonempty mask,
-    each a block of some partition, and the numeric scale.
+    """``(table, scale)``: every nonempty mask's block values, times ``scale^v``
+    at offset ``v``, shared by the masks with one block sum (index 0 is no block).
 
-    ``table[mask]`` is the mask's vector (index 0, the empty mask, is no
-    block).  Symbolic grounds evaluate every mask, and ``scale`` is ``None``.
-    Numeric grounds store ints scaled by ``scale``, :func:`_common_scale`,
-    one vector per distinct block sum, shared by the masks that have it:
-    ``eval_P`` is sampled, through :meth:`_BlockValues.vector`, at the first
-    ``2w+3`` distinct sums in mask order, and each sample is scaled to ints.
-    If there are more sums, the samples, each written as
-    ``sum_v vec[v] y^v``, go through one :func:`interpolate_in_var` call of
-    degree ``2w`` in the scaled sum ``T``.  Its ``y^v`` part must have degree
-    at most ``2v`` in ``T`` and integer coefficients, and gives every other
-    sum its offset-``v`` value by integer Horner.
-
-    This accepts exactly the samples on which each offset ``v`` lies on one
-    polynomial of degree at most ``2v``.  Such a polynomial has degree at
-    most ``2w``, so it is the unique interpolant's ``y^v`` part through the
-    first ``2w+1`` samples and matches the last two; conversely, an
-    interpolant that matches all ``2w+3`` samples and whose ``y^v`` part has
-    degree at most ``2v`` is such a polynomial.
+    The ground's kind chooses only the evaluator, the scale (:func:`_common_scale`,
+    or 1 on a symbolic ground) and whether the fits must have integer
+    coefficients (on a numeric ground, whose entries are then ints).  Offset
+    ``v`` is one :func:`interpolate_in_var` fit of degree ``2v`` through the
+    evaluator at ``T/D``, ``T = 0 .. 2w+2``, times ``scale^v``: its last
+    ``2(w-v)+2`` samples are witnesses.  The offset-0 fit must be the constant
+    1.  Horner reads every fit at each distinct scaled block sum.
     """
-    ground, w, masks = inst.ground, inst.w, range(1, 1 << inst.g)
-    values = _BlockValues(ground, w)
-    if ground.is_symbolic:
-        return [None] + [values.vector(mask) for mask in masks], None
-    scale = _common_scale(inst)
-    powers = [scale ** v for v in range(w + 1)]
-    _, sums = ground.scaled_sums
-    firsts = {}  # each distinct scaled block sum -> the first mask that has it
-    for mask in masks:
-        firsts.setdefault(sums[mask], mask)
-    count = 2 * w + 3
-    by_sum = {s: _scaled_to_int(values.vector(mask), powers)
-              for s, mask in islice(firsts.items(), count)}
-    rest = list(firsts)[count:]
-    if rest:
-        fit = interpolate_in_var(
-            [(s, MultiPoly(("y",), {(v,): c for v, c in enumerate(vec)}))
-             for s, vec in by_sum.items()],
-            "T", 2 * w)
-        t_slot, y_slot = fit.vars.index("T"), fit.vars.index("y")
-        coeffs = [[0] * (2 * v + 1) for v in range(w + 1)]
-        for exps, c in fit.terms.items():
-            d, v = exps[t_slot], exps[y_slot]
-            if d > 2 * v:
-                raise ConsistencyError(
-                    f"offset-{v} block values fit a polynomial of degree {d} "
-                    f"in the scaled block sum, above {2 * v}")
-            if c.denominator != 1:
-                raise ConsistencyError(
-                    f"offset-{v} block values fit a polynomial in the scaled block sum "
-                    "whose coefficients are not integers")
-            coeffs[v][d] = c.numerator
-        by_sum.update((s, tuple(_horner(cs, s) for cs in coeffs)) for s in rest)
-    return [None] + [by_sum[sums[mask]] for mask in masks], scale
+    den, sums = inst.ground.scaled_sums
+    integral = not inst.ground.is_symbolic
+    evaluate, scale = (eval_P, _common_scale(inst)) if integral else (eval_P_symbolic, 1)
+    points = [Fraction(t, den) for t in range(2 * inst.w + 3)]
+    coeffs = []
+    for v in range(inst.w + 1):
+        fit = interpolate_in_var([(t, evaluate(v, x) * scale ** v) for t, x in enumerate(points)],
+                                 "T", 2 * v)
+        cs = [fit.terms.get((d,), 0) for d in range(2 * v + 1)]
+        fractional = [c for c in cs if c.denominator != 1] if integral else []
+        if fractional:
+            raise ConsistencyError(
+                f"offset-{v} block values fit a polynomial in the scaled block sum "
+                f"whose coefficients are not integers ({fractional[0]} is not an integer)")
+        coeffs.append([c.numerator for c in cs] if integral else cs)
+    if coeffs[0] != [1]:
+        raise ConsistencyError(f"offset-0 block values fit {coeffs[0]}, not the constant 1")
+    # offset 0 is that 1 in the block sum's own ring, so a w = 0 total keeps its type
+    by_sum = {t: (t ** 0, *(_horner(cs, t) for cs in coeffs[1:])) for t in set(sums[1:])}
+    return [None] + [by_sum[t] for t in sums[1:]], scale
 
 
 def _collapsed_partial(inst: ConfigSumInstance, table: list,
@@ -288,16 +234,15 @@ def _collapsed_partial(inst: ConfigSumInstance, table: list,
 
     ``table`` is the instance's block table from :func:`_block_table`, which
     a forked shard inherits; the walk reads ``table[mask]`` and evaluates
-    nothing.  Symbolic grounds multiply ``MultiPoly`` block series; numeric
-    grounds multiply ints, so the partial is ``scale^w`` times the shard's
-    share of the total (see the module docstring).  A
-    partition of ``r`` blocks is split after its first ``k = ceil(r/2)``;
-    ``product`` looks each half up by its block tuple and builds a missing one
-    from the tuple without its last block.  Every head starts with the first
-    block, so ``heads`` is cleared when that changes; ``tails`` lasts the
-    shard.  ``[y^w]`` is one dot product of the two halves, added to the sum
-    of its block count ``r``, and each of those sums is multiplied by
-    ``(-1)^r (r-1)!`` once at the end.
+    nothing.  It multiplies ``MultiPoly`` block series on a symbolic ground
+    and ints on a numeric one, and returns ``scale^w`` times the shard's
+    share of the total.  A partition of ``r`` blocks is split after its first
+    ``k = ceil(r/2)``; ``product`` looks each half up by its block tuple and
+    builds a missing one from the tuple without its last block.  Every head
+    starts with the first block, so ``heads`` is cleared when that changes;
+    ``tails`` lasts the shard.  ``[y^w]`` is one dot product of the two
+    halves, added to the sum of its block count ``r``, and each of those sums
+    is multiplied by ``(-1)^r (r-1)!`` once at the end.
     """
     w = inst.w
 
@@ -347,9 +292,8 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     count into ``min(jobs, usable CPUs, 2^(g-1))`` near-equal shards, each in
     its own worker process that inherits the table; exact addition makes the
     merged total independent of the cut.  The unscaled partials are merged
-    and, on a numeric ground, divided by the table's ``scale^w`` once.
-    Either way the number of partitions visited must be the Bell number of
-    ``g``.
+    and divided by the table's ``scale^w`` once, on every ground, and the
+    number of partitions visited must be the Bell number of ``g``.
     """
     start = time.perf_counter()
     table, scale = _block_table(inst)
@@ -369,9 +313,8 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     expected = unordered_partition_count(inst.g)
     if visited != expected:
         raise ConsistencyError(f"visited {visited} partitions, expected {expected}")
-    if scale is not None:
-        total = Fraction(total, scale ** inst.w)
-    return ConfigSumResult(inst, total, visited, time.perf_counter() - start)
+    return ConfigSumResult(inst, total * Fraction(1, scale ** inst.w), visited,
+                           time.perf_counter() - start)
 
 
 def sum_pointed(inst: ConfigSumInstance) -> SumValue:

@@ -38,28 +38,38 @@ __all__ = [
 
 class GroundSet(NamedTuple("_GroundSet", [("values", tuple)])):
     """g distinct values: all exact rationals, or the coordinates of ``Q[c1..cg]``,
-    each on the ring's one registry ``("c1", ..., "cg")``; the values say which."""
+    each on the ring's one registry ``("c1", ..., "cg")``; the values say which,
+    and are checked however the ground is built (rationals stored as Fractions)."""
 
     # no __slots__: cached_property keeps scaled_sums in the instance __dict__,
     # writing it directly, so every assignment can be refused
     def __setattr__(self, name, value):
         raise AttributeError(f"GroundSet is immutable: cannot set {name!r}")
 
+    def __new__(cls, values: Sequence):
+        values = tuple(values)
+        if values and all(isinstance(v, MultiPoly) for v in values):
+            if any(v.vars != c.vars or v.terms != c.terms
+                   for v, c in zip(values, _coordinates(len(values)))):
+                raise ValueError("symbolic ground values must be the coordinates c1..cg")
+        else:
+            values = tuple(_as_fraction(v) for v in values)
+            if len(set(values)) != len(values):
+                raise ValueError("ground values must be pairwise distinct")
+        return super().__new__(cls, values)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
     @classmethod
     def numeric(cls, values: Sequence) -> "GroundSet":
-        vals = tuple(_as_fraction(v) for v in values)
-        if len(set(vals)) != len(vals):
-            raise ValueError("ground values must be pairwise distinct")
-        return cls(vals)
+        return cls(_as_fraction(v) for v in values)
 
     @classmethod
     def symbolic(cls, g: int) -> "GroundSet":
         g = _as_int(g, "ground size")
         if g < 1:
             raise ValueError("need at least one element")
-        names = tuple(f"c{i + 1}" for i in range(g))
-        return cls(tuple(MultiPoly(names, {tuple(int(j == i) for j in range(g)): 1})
-                         for i in range(g)))
+        return cls(_coordinates(g))
 
     @property
     def g(self) -> int:
@@ -103,6 +113,13 @@ class GroundSet(NamedTuple("_GroundSet", [("values", tuple)])):
         if self.is_symbolic:
             return ",".join(self.values[0].vars)
         return ",".join(str(v) for v in self.values)
+
+
+def _coordinates(g: int) -> tuple:
+    # c1..cg as MultiPoly, each on the one registry ("c1", ..., "cg")
+    names = tuple(f"c{i + 1}" for i in range(g))
+    return tuple(MultiPoly(names, {tuple(int(j == i) for j in range(g)): 1})
+                 for i in range(g))
 
 
 def _block_walk(rest: int, blocks: list) -> Iterator[tuple]:

@@ -124,9 +124,9 @@ class ExpansionConfig(NamedTuple("_ExpansionConfig",
     is the whole budget for depth H: ``s_max = max(6, h_max + 1)`` (the floor
     of 6 changes no value and keeps every shallower depth's recorded budget)
     and ``j_samples = h_max+1 .. 3*h_max+4``, the ``2h+1`` nodes at
-    ``h = h_max`` plus three witnesses; ``u_indices = 2..s_max``.  A field
-    once derived is a field like any other: ``_replace(s_max=...)`` keeps
-    the u-indices it had.
+    ``h = h_max`` plus three witnesses; ``u_indices = 2..s_max``.  Derived
+    u-indices follow a new ``s_max`` through ``_replace``; every other field,
+    derived or given, is kept by it, and checked.
     """
 
     __slots__ = ()
@@ -152,7 +152,7 @@ class ExpansionConfig(NamedTuple("_ExpansionConfig",
             raise ValueError(
                 f"the oracle at order {h_max} needs {2 * h_max + 1} j samples, "
                 f"got {len(samples)}")
-        indices = tuple(range(2, s_max + 1)) if u_indices is None else tuple(
+        indices = _DerivedIndices(range(2, s_max + 1)) if u_indices is None else tuple(
             sorted({_as_int(s, "u-index") for s in u_indices}))
         if indices and indices[0] < 2:
             raise ValueError(f"u-indices must be >= 2, got {list(indices)}")
@@ -161,6 +161,15 @@ class ExpansionConfig(NamedTuple("_ExpansionConfig",
         return super().__new__(cls, h_max, s_max, samples, indices, squarefree)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
+    def _replace(self, **changes):  # derived u-indices follow the new s_max
+        if type(self.u_indices) is _DerivedIndices:
+            changes.setdefault("u_indices", None)
+        return super()._replace(**changes)
+
+
+class _DerivedIndices(tuple):
+    """Derived u-indices, equal to the plain tuple; only ``_replace`` derives them again."""
 
 
 def _quotient(u_indices: tuple, max_weight: Optional[int], squarefree: bool):

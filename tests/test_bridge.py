@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingzero import algebra, bridge, series_vanishing
+from stirlingzero import bridge, config_sums, series_vanishing
 from stirlingzero.algebra import ConsistencyError, MultiPoly, Series
 from stirlingzero.bridge import (
     bridge_check,
@@ -99,18 +99,21 @@ class TestBridgeCheck:
         # every w of one c shares the budget (depth h, u-indices c, squarefree),
         # so the checked log of the first check serves the second: no a_h is
         # checked or fitted in j again, no Series.log is taken again, and no
-        # Lagrange node tuple is built twice
-        rows, fits, coeffs, logs = [], [], [], []
-        real_rows, real_fit = algebra._lagrange_rows, series_vanishing.interpolate_in_var
+        # part-2 Lagrange node tuple is built twice.  Each check's block table
+        # still fits its own offsets, on nodes from 0, in config_sums
+        nodes, fits, table_fits, coeffs, logs = [], [], [], [], []
+        real_fit = series_vanishing.interpolate_in_var
+        real_table_fit = config_sums.interpolate_in_var
         real_coeff, real_log = series_vanishing.symbolic_expansion_coefficient, Series.log
-
-        def counted_rows(nodes):
-            rows.append(tuple(nodes))
-            return real_rows(nodes)
 
         def counted_fit(samples, var, degree_bound):
             fits.append(degree_bound)
+            nodes.append(tuple(x for x, _ in samples[:degree_bound + 1]))
             return real_fit(samples, var, degree_bound)
+
+        def counted_table_fit(samples, var, degree_bound):
+            table_fits.append(degree_bound)
+            return real_table_fit(samples, var, degree_bound)
 
         def counted_coeff(h, *args, **kwargs):
             coeffs.append(h)
@@ -121,23 +124,23 @@ class TestBridgeCheck:
             return real_log(self, *args, **kwargs)
 
         series_vanishing.log_expansion.cache_clear()
-        monkeypatch.setattr(algebra, "_lagrange_rows", counted_rows)
         monkeypatch.setattr(series_vanishing, "interpolate_in_var", counted_fit)
+        monkeypatch.setattr(config_sums, "interpolate_in_var", counted_table_fit)
         monkeypatch.setattr(series_vanishing, "symbolic_expansion_coefficient", counted_coeff)
         monkeypatch.setattr(Series, "log", counted_log)
         try:
             first = bridge_check(bridge_params((2, 3, 7), 0))
             h = first.instance.h
             assert fits == [2 * k for k in range(1, h + 1)]
-            before = len(rows)
+            assert table_fits == [0]
             second = bridge_check(bridge_params((2, 3, 7), 1))
         finally:
             series_vanishing.log_expansion.cache_clear()
         assert len(fits) == h  # none for the second check
         assert coeffs == list(range(1, h + 1))
         assert logs == [h]
-        assert len(rows) > before  # its block-table fit, on the ground's block sums
-        assert len(rows) == len(set(rows))
+        assert len(nodes) == len(set(nodes))
+        assert table_fits == [0, 0, 2]  # the second table fits offsets 0 and 1
         assert first.consistent and second.consistent
 
 

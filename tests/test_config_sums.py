@@ -156,9 +156,9 @@ class TestCollapsedSum:
 
     @needs_fork
     def test_shards_inherit_the_block_table(self, monkeypatch):
-        # the parent samples eval_P at no more than 2w+3 block sums before it
-        # forks and fits the rest; a shard that evaluated a block value
-        # itself would raise here
+        # the parent samples eval_P at 2w+3 points per offset before it forks
+        # and reads every block sum off the fits; a shard that evaluated a
+        # block value itself would raise here
         parent = os.getpid()
         calls = []
         real = config_sums.eval_P
@@ -174,7 +174,7 @@ class TestCollapsedSum:
         serial = sum_collapsed(inst).total
         monkeypatch.setattr(config_sums, "eval_P", parent_only)
         assert sum_collapsed(inst, jobs=2).total == serial
-        assert len(calls) <= (2 * w + 3) * (w + 1)
+        assert len(calls) == (2 * w + 3) * (w + 1)
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus, jobs, workers, parts", [
@@ -281,7 +281,8 @@ class TestIntegerKernel:
             sum_collapsed(inst)
 
     def test_uncleared_block_value_is_an_engine_bug(self, monkeypatch):
-        # 1/3 survives scaling by K * D^2 = 2 for integer grounds at w = 1
+        # 1/3 survives scaling by K * D^2 = 2 for integer grounds at w = 1:
+        # the offset-1 fit's constant term is 2/3
         _shift_offset_one(monkeypatch, Fraction(1, 3))
         with pytest.raises(ConsistencyError, match="not an integer"):
             sum_collapsed(numeric_instance(3, 1, [2, 3, 4]))
@@ -420,7 +421,7 @@ class TestAgainstReference:
 
 
 def _fault_at_one_sum(monkeypatch, t):
-    # offset 1 plus one at the block sum t alone: no longer a polynomial in t
+    # offset 1 plus one at the point t alone: no longer a polynomial in t
     real = config_sums.eval_P
     monkeypatch.setattr(config_sums, "eval_P",
                         lambda v, s: real(v, s) + 1 if v == 1 and s == t else real(v, s))
@@ -429,8 +430,8 @@ def _fault_at_one_sum(monkeypatch, t):
 class TestBlockTableFit:
     @pytest.mark.parametrize("g", range(2, 10))
     def test_table_equals_one_evaluation_per_mask(self, g):
-        # the fit and the direct path give every mask exactly the vector that
-        # its own eval_P calls give
+        # the fits give every mask exactly the vector that its own eval_P
+        # calls give
         for w in range(g - 1):
             for i in range(2):
                 inst = ConfigSumInstance(g, w, random_ground(g, random.Random(f"table/{g}/{w}/{i}")))
@@ -443,27 +444,25 @@ class TestBlockTableFit:
     @pytest.mark.parametrize("role", ["node", "witness"])
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
     def test_fault_at_one_sampled_sum_is_caught(self, monkeypatch, role, jobs):
-        # with w = 2 the first 7 distinct sums are sampled: the fit runs
-        # through the first 5 and is checked on the other 2
+        # with w = 2 each offset is sampled at T = 0..6: offset 1's fit runs
+        # through T = 0..2 and is checked on T = 3..6
         g, w = 6, 2
         inst = numeric_instance(g, w, MIXED[:g])
-        den, sums = inst.ground.scaled_sums
-        distinct = list(dict.fromkeys(sums[1:]))
-        assert len(distinct) > 2 * w + 3  # so the fit runs
+        den, _ = inst.ground.scaled_sums
         index = 1 if role == "node" else 2 * w + 2
-        _fault_at_one_sum(monkeypatch, Fraction(distinct[index], den))
-        with pytest.raises(PolynomialityError, match="deviates from the degree-4 interpolant"):
+        _fault_at_one_sum(monkeypatch, Fraction(index, den))
+        with pytest.raises(PolynomialityError, match="deviates from the degree-2 interpolant"):
             sum_collapsed(inst, jobs=jobs)
         assert_no_child_left()
 
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
     def test_offset_above_its_own_degree_is_caught(self, monkeypatch, jobs):
-        # P_1 + t^4 passes every witness of the degree-4 fit at w = 2, but
-        # offset 1 may have degree 2 at most
+        # P_1 + t^4 lies on a polynomial of degree 4 <= 2w at w = 2, but
+        # offset 1 is fitted with degree 2, so its witnesses deviate
         real = config_sums.eval_P
         monkeypatch.setattr(config_sums, "eval_P",
                             lambda v, t: real(v, t) + t ** 4 if v == 1 else real(v, t))
-        with pytest.raises(ConsistencyError, match="offset-1 "):
+        with pytest.raises(PolynomialityError, match="deviates from the degree-2 interpolant"):
             sum_collapsed(numeric_instance(6, 2, [2, 3, 5, 7, 11, 13]), jobs=jobs)
         assert_no_child_left()
 
@@ -479,22 +478,15 @@ class TestBlockTableFit:
 
     @pytest.mark.parametrize("values, w", [([-2, -1, 0, 1, 2], 3), ([-1, 0, 1], 1)])
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
-    def test_few_distinct_sums_take_the_direct_path(self, monkeypatch, values, w, jobs):
-        # 7 and 3 distinct block sums, fewer than the 2w+3 samples a fit
-        # needs: each sum is evaluated once, and nothing is fitted
-        def no_fit(*args):
-            raise AssertionError("the table fitted a ground with few distinct sums")
-
-        monkeypatch.setattr(config_sums, "interpolate_in_var", no_fit)
-        calls = []
-        real = config_sums.eval_P
-        monkeypatch.setattr(config_sums, "eval_P",
-                            lambda v, t: calls.append(t) or real(v, t))
+    def test_few_distinct_sums_still_sum_exactly(self, monkeypatch, values, w, jobs):
+        # 7 and 3 distinct block sums, fewer than the 2w+3 samples of each
+        # offset: the fit reads every one, and the totals are exact
         inst = numeric_instance(len(values), w, values)
-        distinct = set(inst.ground.scaled_sums[1][1:])
-        assert len(distinct) < 2 * w + 3
+        assert len(set(inst.ground.scaled_sums[1][1:])) < 2 * w + 3
+        table, scale = config_sums._block_table(inst)
+        direct = config_sums._BlockValues(inst.ground, w)
+        assert table[1:] == [_scaled(direct.vector(m), scale) for m in range(1, 1 << inst.g)]
         assert sum_collapsed(inst, jobs=jobs).total == 0
-        assert len(calls) == len(distinct) * (w + 1)
         assert sum_pointed(inst) == 0
         _shift_offset_one(monkeypatch)  # and a control that comes out nonzero
         collapsed = sum_collapsed(inst, jobs=jobs).total
@@ -502,30 +494,31 @@ class TestBlockTableFit:
         assert collapsed == sum_pointed(inst) == sum_ordered(inst).total
         assert_no_child_left()
 
-    @pytest.mark.parametrize("values, fits", [([0, 1, 2, 3], 0), ([0, 1, 2, 4], 1)])
-    def test_sample_count_boundary(self, monkeypatch, values, fits):
-        # at w = 2 a fit takes 2w+3 = 7 samples: 7 distinct sums (0..6) are
-        # all sampled and nothing is fitted, 8 (0..7) leave one to Horner.
-        # P_1 + 2 makes the totals nonzero (P_1 + 1 leaves both at 0 here)
-        calls = []
-        real = config_sums.interpolate_in_var
+    @pytest.mark.parametrize("inst", [
+        symbolic_instance(5, 3),
+        numeric_instance(5, 3, [-2, -1, 0, 1, 2]),
+        ConfigSumInstance(7, 5, random_ground(7, random.Random("calls/7"))),
+    ], ids=["symbolic", "few-sums", "random-g7"])
+    def test_one_fit_per_offset_from_2w_plus_3_evaluations(self, monkeypatch, inst):
+        # every ground, however many distinct block sums it has, samples
+        # each offset at the same 2w+3 points, and fits each once
+        calls, fits = [], []
+        for name in ("eval_P", "eval_P_symbolic"):
+            real = getattr(config_sums, name)
+            monkeypatch.setattr(config_sums, name,
+                                lambda v, t, real=real: calls.append((v, t)) or real(v, t))
+        real_fit = config_sums.interpolate_in_var
         monkeypatch.setattr(config_sums, "interpolate_in_var",
-                            lambda *args: calls.append(args) or real(*args))
-        inst = numeric_instance(4, 2, values)
-        assert len(set(inst.ground.scaled_sums[1][1:])) == 7 + fits
-        _shift_offset_one(monkeypatch, shift=2)
-        table, scale = config_sums._block_table(inst)
-        direct = config_sums._BlockValues(inst.ground, 2)
-        assert table[1:] == [_scaled(direct.vector(m), scale) for m in range(1, 16)]
-        assert len(calls) == fits
-        total = sum_collapsed(inst).total
-        assert total != 0
-        assert total == sum_pointed(inst)
+                            lambda *args: fits.append(args[2]) or real_fit(*args))
+        config_sums._block_table(inst)
+        w = inst.w
+        assert len(calls) == (2 * w + 3) * (w + 1)
+        assert fits == [2 * v for v in range(w + 1)]
 
     @pytest.mark.parametrize("symbolic", [False, True])
     def test_walk_reads_only_the_table(self, monkeypatch, symbolic):
         # once the table is built, no block value is evaluated again: the
-        # walk's total is the serial total with the evaluator disabled.
+        # walk's total is the serial total with the evaluators disabled.
         # Offset 1 plus one makes that total nonzero on both kinds of ground
         for name in ("eval_P", "eval_P_symbolic"):
             real = getattr(config_sums, name)
@@ -535,14 +528,16 @@ class TestBlockTableFit:
         serial = sum_collapsed(inst).total
         assert serial != 0
         table, scale = config_sums._block_table(inst)
-        assert (scale is None) == symbolic
+        assert scale == (1 if symbolic else config_sums._common_scale(inst))
 
-        def no_evaluation(self, mask):
+        def no_evaluation(*args):
             raise AssertionError("the walk evaluated a block value")
 
+        for name in ("eval_P", "eval_P_symbolic"):
+            monkeypatch.setattr(config_sums, name, no_evaluation)
         monkeypatch.setattr(config_sums._BlockValues, "vector", no_evaluation)
         total, visited = config_sums._collapsed_partial(inst, table)
-        assert (total if symbolic else Fraction(total, scale ** inst.w)) == serial
+        assert total * Fraction(1, scale ** inst.w) == serial
         assert visited == unordered_partition_count(inst.g)
 
 
@@ -606,8 +601,22 @@ class TestSymbolicRing:
         names = tuple(f"c{i + 1}" for i in range(g))
         for w in range(g - 1):
             table, scale = config_sums._block_table(symbolic_instance(g, w))
-            assert scale is None
+            assert scale == 1
             assert all(vec[v].vars == names for vec in table[1:] for v in range(1, w + 1))
+            assert all(type(vec[0]) is MultiPoly and vec[0] == 1 for vec in table[1:])
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_block_table_is_the_per_mask_evaluation(self, g):
+        # the fits through rational samples, read at each symbolic block sum,
+        # equal eval_P_symbolic there, so a symbolic total still covers every ground
+        for w in range(g - 1):
+            inst = symbolic_instance(g, w)
+            table, scale = config_sums._block_table(inst)
+            direct = config_sums._BlockValues(inst.ground, w)
+            for mask in range(1, 1 << g):
+                expected = tuple(scale ** v * value
+                                 for v, value in enumerate(direct.vector(mask)))
+                assert table[mask] == expected, (w, mask)
 
     def test_no_two_registries_merge(self, monkeypatch):
         # a constant on the empty registry may still meet a ring element, but

@@ -248,6 +248,36 @@ class TestGroundSet:
                 GroundSet.numeric([bad, 2])
         assert GroundSet.numeric([Fraction(1, 10), 2]).values == (Fraction(1, 10), Fraction(2))
 
+    @pytest.mark.parametrize("values", [(True, 2, 3), (1.5, 2.0, 3.0), ("1/2", 2)],
+                             ids=["bool", "float", "text"])
+    def test_constructor_takes_exact_rationals_only(self, values):
+        # every way of building a ground checks it, not only GroundSet.numeric
+        with pytest.raises(TypeError, match="exact rational"):
+            GroundSet(values)
+        with pytest.raises(TypeError, match="exact rational"):
+            GroundSet.numeric([1, 2])._replace(values=values)
+        with pytest.raises(TypeError, match="exact rational"):
+            GroundSet._make([values])
+
+    def test_constructor_stores_distinct_fractions(self):
+        ground = GroundSet((1, Fraction(1, 2)))
+        assert ground == GroundSet.numeric([1, Fraction(1, 2)])
+        assert all(type(v) is Fraction for v in ground.values)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            GroundSet((1, Fraction(2, 2)))
+
+    def test_symbolic_values_must_be_the_coordinates(self):
+        c = GroundSet.symbolic(3).values
+        assert GroundSet(c) == GroundSet.symbolic(3)
+        assert GroundSet((MultiPoly.variable("c1"),)) == GroundSet.symbolic(1)
+        for bad in (c[::-1], (c[0], c[1], c[0]), (c[0] + c[1], c[1], c[2]), (c[0] * 2, c[1], c[2]),
+                    tuple(v.with_vars(("c1", "c2", "c3", "c4")) for v in c),
+                    (MultiPoly.variable("c1"), MultiPoly.variable("c2"))):
+            with pytest.raises(ValueError, match="coordinates"):
+                GroundSet(bad)
+        with pytest.raises(TypeError, match="exact rational"):
+            GroundSet.numeric(c)
+
     def test_symbolic_names(self):
         g = GroundSet.symbolic(3)
         assert all(v.vars == ("c1", "c2", "c3") for v in g.values)

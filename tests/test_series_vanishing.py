@@ -533,6 +533,27 @@ class TestConfigValidation:
         assert series_vanishing._readback.cache_info().currsize == 1
         assert series_vanishing.log_expansion.cache_info().currsize == 1
 
+    def test_derived_u_indices_follow_a_new_s_max(self):
+        # a budget deepened by _replace keeps every u_s up to its new s_max
+        deeper = ExpansionConfig(h_max=4)._replace(h_max=6, s_max=7, j_samples=range(7, 23))
+        assert deeper.u_indices == (2, 3, 4, 5, 6, 7)
+        assert deeper == ExpansionConfig(h_max=6, s_max=7, j_samples=range(7, 23))
+        assert ExpansionConfig(h_max=4)._replace(s_max=9).u_indices == tuple(range(2, 10))
+        assert ExpansionConfig(h_max=4)._replace(s_max=9, u_indices=(2, 3)).u_indices == (2, 3)
+        # and stay derived through a second _replace
+        assert deeper._replace(s_max=8).u_indices == tuple(range(2, 9))
+
+    @pytest.mark.parametrize("given", [(2, 3, 7), tuple(range(2, 7))], ids=["some", "2..6"])
+    def test_given_u_indices_are_kept_by_replace(self, given):
+        # given indices are kept whatever s_max becomes, even when they equal
+        # the ones h_max = 4 derives, and so are indices read off another config
+        for cfg in (ExpansionConfig(h_max=4, u_indices=given),
+                    ExpansionConfig(h_max=4)._replace(u_indices=given)):
+            assert cfg._replace(s_max=9).u_indices == given
+            assert cfg._replace(h_max=6, s_max=7, j_samples=range(7, 23)).u_indices == given
+        derived = ExpansionConfig(h_max=4).u_indices
+        assert ExpansionConfig(h_max=4, u_indices=derived)._replace(s_max=9).u_indices == derived
+
     @pytest.mark.parametrize("value", [1, 0, "yes", None, 1.0],
                              ids=["one", "zero", "text", "none", "float"])
     def test_squarefree_is_exactly_a_bool(self, value):
