@@ -494,6 +494,32 @@ class TestBlockTableFit:
         assert collapsed == sum_pointed(inst) == sum_ordered(inst).total
         assert_no_child_left()
 
+    @pytest.mark.parametrize("values, extra", [([0, 1, 2, 3], 0), ([0, 1, 2, 4], 1)])
+    def test_sample_count_boundary(self, monkeypatch, values, extra):
+        # at w = 2 each offset takes 2w+3 = 7 samples: 7 distinct sums (0..6)
+        # and 8 (0..7) cost the same 7 evaluations and one fit per offset,
+        # and Horner reads every sum. P_1 + 2 makes the totals nonzero
+        # (P_1 + 1 leaves both at 0 here)
+        w = 2
+        _shift_offset_one(monkeypatch, shift=2)
+        calls, fits = [], []
+        real = config_sums.eval_P
+        monkeypatch.setattr(config_sums, "eval_P",
+                            lambda v, t: calls.append((v, t)) or real(v, t))
+        real_fit = config_sums.interpolate_in_var
+        monkeypatch.setattr(config_sums, "interpolate_in_var",
+                            lambda *args: fits.append(args[2]) or real_fit(*args))
+        inst = numeric_instance(4, w, values)
+        assert len(set(inst.ground.scaled_sums[1][1:])) == 2 * w + 3 + extra
+        table, scale = config_sums._block_table(inst)
+        assert len(calls) == (2 * w + 3) * (w + 1)
+        assert fits == [2 * v for v in range(w + 1)]
+        direct = config_sums._BlockValues(inst.ground, w)
+        assert table[1:] == [_scaled(direct.vector(m), scale) for m in range(1, 16)]
+        total = sum_collapsed(inst).total
+        assert total != 0
+        assert total == sum_pointed(inst)
+
     @pytest.mark.parametrize("inst", [
         symbolic_instance(5, 3),
         numeric_instance(5, 3, [-2, -1, 0, 1, 2]),
