@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import factorial, lcm
 from operator import add, mul
@@ -676,8 +677,10 @@ def _horner(coeffs: Sequence, x):
     return acc
 
 
-def _lagrange_rows(nodes: Sequence[int]) -> tuple:
-    # (by_degree, den): by_degree[d][i] / den is the coefficient of X^d in
+@lru_cache(maxsize=128)
+def _lagrange_rows(nodes: tuple) -> tuple:
+    # (by_degree, den), immutable and kept per node tuple: every block table
+    # fits the nodes 0..2v.  by_degree[d][i] / den is the coefficient of X^d in
     # the i-th Lagrange basis polynomial, den the lcm of the basis
     # denominators; a fit's X^d coefficient is the dot product of
     # by_degree[d] with the node values, over den.  The i-th numerator is
@@ -704,7 +707,7 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
 
     The fit runs coefficient by coefficient: each monomial of the node values
     gets its own univariate interpolant, one integer dot product per degree
-    of the Lagrange numerators, built once per call, with the node values'
+    of the Lagrange numerators, built once per node tuple, with the node values'
     numerators over their lcm.  A surplus sample is compared, by integer
     Horner evaluation of those numerators, on every monomial that the fit or
     the sample carries.
@@ -737,7 +740,7 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
     terms = [p._remap(names) for p in values]
 
     count = degree_bound + 1
-    by_degree, den = _lagrange_rows(points[:count])
+    by_degree, den = _lagrange_rows(tuple(points[:count]))
     fit = {}  # monomial -> (numerators of its X^0..X^degree_bound coefficients, denominator)
     for mono in set().union(*terms[:count]):
         column = [t.get(mono, 0) for t in terms[:count]]

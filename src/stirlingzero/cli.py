@@ -125,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ledger", type=_ledger_path, help="ledger file path (JSON lines)")
     for p in (p1, ps):
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes per instance, at most one per usable CPU "
-                            "(default 1, the serial reference path)")
+                       help="worker processes, at most one per usable CPU: instances run "
+                            "side by side, one worker each, and a lone instance is split "
+                            "across them (default 1, the serial reference path)")
 
     return parser
 

@@ -69,6 +69,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import deque
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
@@ -284,6 +285,56 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+class _Walk(NamedTuple):
+    """One instance's partition walk, started by :func:`_start_collapsed`:
+    ``pool`` is None when ``shards`` already holds the walk's one
+    ``(partial, visited)``, else ``shards`` are its futures, in shard order."""
+
+    inst: ConfigSumInstance
+    scale: int
+    pool: Optional[ProcessPoolExecutor]
+    shards: list
+    start: float
+
+
+def _start_collapsed(inst: ConfigSumInstance, parts: Optional[int]) -> _Walk:
+    """Build ``inst``'s block table, then walk its partition stream: here when
+    ``parts`` is None, else in ``parts`` shards, one forked worker each, which
+    inherit the table and run while this process goes on."""
+    start = time.perf_counter()
+    table, scale = _block_table(inst)
+    if parts is None:
+        return _Walk(inst, scale, None, [_collapsed_partial(inst, table)], start)
+    pool = ProcessPoolExecutor()
+    try:
+        shards = [pool.submit(_collapsed_partial, inst, table, part, parts)
+                  for part in range(parts)]
+    except BaseException:
+        pool.shutdown()
+        raise
+    return _Walk(inst, scale, pool, shards, start)
+
+
+def _finish_collapsed(walk: _Walk) -> ConfigSumResult:
+    """Merge a started walk's shards in shard order (deterministic), check the
+    Bell count and divide by ``scale^w``; a pool is shut down, its workers
+    reaped, whether or not every shard reports.  ``elapsed`` runs from the
+    walk's start to here."""
+    partials = walk.shards
+    if walk.pool is not None:
+        with walk.pool:
+            partials = [fut.result() for fut in walk.shards]
+    total, visited = partials[0]
+    for partial, count in partials[1:]:
+        total = total + partial
+        visited += count
+    expected = unordered_partition_count(walk.inst.g)
+    if visited != expected:
+        raise ConsistencyError(f"visited {visited} partitions, expected {expected}")
+    return ConfigSumResult(walk.inst, total * Fraction(1, walk.scale ** walk.inst.w), visited,
+                           time.perf_counter() - walk.start)
+
+
 def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     """Order-collapsed sum, an exact regrouping of the literal configuration sum.
 
@@ -293,28 +344,12 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     its own worker process that inherits the table; exact addition makes the
     merged total independent of the cut.  The unscaled partials are merged
     and divided by the table's ``scale^w`` once, on every ground, and the
-    number of partitions visited must be the Bell number of ``g``.
+    number of partitions visited must be the Bell number of ``g``.  This is
+    :func:`_finish_collapsed` applied to :func:`_start_collapsed`, the pair
+    :func:`run_plan` runs side by side for a plan of several entries.
     """
-    start = time.perf_counter()
-    table, scale = _block_table(inst)
-    if jobs <= 1:
-        total, visited = _collapsed_partial(inst, table)
-    else:
-        parts = min(jobs, _usable_cpus(), 1 << (inst.g - 1))
-        total = 0
-        visited = 0
-        with ProcessPoolExecutor() as pool:
-            futures = [pool.submit(_collapsed_partial, inst, table, part, parts)
-                       for part in range(parts)]
-            for fut in futures:  # merge in submission order: deterministic
-                partial, count = fut.result()
-                total = total + partial
-                visited += count
-    expected = unordered_partition_count(inst.g)
-    if visited != expected:
-        raise ConsistencyError(f"visited {visited} partitions, expected {expected}")
-    return ConfigSumResult(inst, total * Fraction(1, scale ** inst.w), visited,
-                           time.perf_counter() - start)
+    parts = min(jobs, _usable_cpus(), 1 << (inst.g - 1)) if jobs > 1 else None
+    return _finish_collapsed(_start_collapsed(inst, parts))
 
 
 def sum_pointed(inst: ConfigSumInstance) -> SumValue:
@@ -448,23 +483,58 @@ def sweep_plan(g_max: int, *, symbolic_g_max: int = 5, seed: int = 0) -> list:
     return plan
 
 
+def _confirmed(entry: SweepEntry, result: ConfigSumResult, seed: int) -> SweepEntry:
+    # the entry with its result, and a nonzero total's double check
+    confirmation = None
+    if result.verdict == "nonzero":
+        inst = entry.instance
+        _, rng = seeded_rng(seed, inst.g, inst.w, entry.sample_index, confirming=True)
+        confirmation = double_check_nonzero(inst, result.total, rng)
+    return entry._replace(result=result, confirmation=confirmation)
+
+
 def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
              deadline: Optional[float] = None) -> Iterator[SweepEntry]:
-    """Run planned entries in order, yielding each with its ``result`` as soon as it is done.
+    """Run planned entries, yielding each in plan order with its ``result`` as soon as it is done.
 
     A nonzero total also gets the ``confirmation`` of :func:`double_check_nonzero`,
     whose fresh ground is drawn by ``seeded_rng(seed, g, w, sample_index, confirming=True)``.
-    Once ``time.monotonic()`` passes ``deadline`` the remaining entries are
-    yielded unrun as ``not_attempted``, never dropped.
+    With ``jobs > 1`` a plan of several entries runs up to ``min(jobs, usable CPUs)``
+    of them side by side, each walked whole by one worker of its own pool, while
+    this process builds the next entry's table and hands back finished ones; a
+    lone entry is sharded as :func:`sum_collapsed` shards it.  ``deadline`` is
+    read when an entry would start: once ``time.monotonic()`` passes it, the
+    entries already running finish and the rest are yielded unrun as
+    ``not_attempted``, never dropped.  Leaving the generator, on an error or
+    on close, kills and reaps the workers still running.
     """
-    for entry in plan:
-        if deadline is not None and time.monotonic() > deadline:
-            yield entry._replace(status="not_attempted")
-            continue
-        inst = entry.instance
-        result = sum_collapsed(inst, jobs=jobs)
-        confirmation = None
-        if result.verdict == "nonzero":
-            _, rng = seeded_rng(seed, inst.g, inst.w, entry.sample_index, confirming=True)
-            confirmation = double_check_nonzero(inst, result.total, rng)
-        yield entry._replace(result=result, confirmation=confirmation)
+    plan = list(plan)
+    if jobs <= 1 or len(plan) == 1:
+        for entry in plan:
+            if deadline is not None and time.monotonic() > deadline:
+                yield entry._replace(status="not_attempted")
+                continue
+            yield _confirmed(entry, sum_collapsed(entry.instance, jobs=jobs), seed)
+        return
+    slots = min(jobs, _usable_cpus())
+    todo, running = deque(plan), deque()  # running: (entry, walk) in plan order
+
+    def fill():
+        while todo and len(running) < slots:
+            if deadline is not None and time.monotonic() > deadline:
+                return
+            entry = todo.popleft()
+            running.append((entry, _start_collapsed(entry.instance, 1)))
+
+    try:
+        fill()
+        while running:
+            done, walk = running.popleft()
+            result = _finish_collapsed(walk)
+            fill()  # the freed slot works while this entry is handed back
+            yield _confirmed(done, result, seed)
+    finally:
+        for _, walk in running:
+            walk.pool.shutdown()
+    for entry in todo:
+        yield entry._replace(status="not_attempted")

@@ -813,6 +813,23 @@ class TestInterpolation:
         # the rows come from one node product, by synthetic division
         assert algebra._lagrange_rows(tuple(nodes)) == reference_lagrange_rows(nodes)
 
+    def test_rows_are_kept_per_node_tuple_and_witnesses_still_checked(self):
+        # a fit from kept rows equals one from rows built afresh, and a bad
+        # witness after a cache hit still raises
+        u, j = var("u"), var("j")
+        samples = [(x, u * x * x + x) for x in range(5)]
+        algebra._lagrange_rows.cache_clear()
+        fresh = interpolate_in_var(samples, "j", 2)
+        assert interpolate_in_var(samples, "j", 2) == fresh == u * j * j + j
+        assert algebra._lagrange_rows.cache_info()[:2] == (1, 1)  # hits, misses
+        by_degree, den = algebra._lagrange_rows((0, 1, 2))
+        assert (by_degree, den) == algebra._lagrange_rows.__wrapped__((0, 1, 2))
+        assert type(by_degree) is tuple and all(type(row) is tuple for row in by_degree)
+        samples[-1] = (4, samples[-1][1] + Fraction(1, 7))
+        with pytest.raises(PolynomialityError, match="surplus sample at j=4"):
+            interpolate_in_var(samples, "j", 2)
+        assert algebra._lagrange_rows.cache_info().misses == 1
+
     @given(st.integers(0, 4), st.data())
     @settings(max_examples=40, deadline=None)
     def test_surplus_witness_off_by_a_seventh_raises(self, degree, data):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -246,3 +247,165 @@ def test_jobs_above_one_without_fork_is_an_error(monkeypatch, tmp_path, capsys):
     assert cli.main(args + ["--jobs", "2"]) == 2
     assert capsys.readouterr().err == "error: --jobs above 1 needs os.fork, which this platform lacks\n"
     assert cli.main(args + ["--jobs", "1"]) == 0
+
+
+# ------------------------------------------------ planned entries side by side
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Count the pools config_sums builds on two usable CPUs: the submits of
+    each, and the most open (built, not yet shut down) at one time."""
+    seen = SimpleNamespace(submits=[], open=0, most_open=0)
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self):
+            super().__init__()
+            self.index = len(seen.submits)
+            self.closed = False
+            seen.submits.append(0)
+            seen.open += 1
+            seen.most_open = max(seen.most_open, seen.open)
+
+        def submit(self, fn, /, *args, **kwargs):
+            seen.submits[self.index] += 1
+            return super().submit(fn, *args, **kwargs)
+
+        def shutdown(self):
+            if not self.closed:
+                self.closed = True
+                seen.open -= 1
+            super().shutdown()
+
+    monkeypatch.setattr(config_sums, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(config_sums, "_usable_cpus", lambda: 2)
+    return seen
+
+
+def _run(argv, tmp_path, capsys, name):
+    path = tmp_path / f"{name}.jsonl"
+    code = cli.main(argv + ["--ledger", str(path)])
+    captured = capsys.readouterr()
+    records = [{k: v for k, v in json.loads(line).items() if k not in ("ts", "elapsed_s")}
+               for line in path.read_text(encoding="utf-8").splitlines()]
+    return code, records, captured
+
+
+def _g_w(records):
+    return [(r["params"]["g"], r["params"]["w"], r["status"]) for r in records]
+
+
+@needs_fork
+@pytest.mark.parametrize("perturbed", [False, True], ids=["zero", "nonzero"])
+def test_a_sweep_runs_one_single_worker_pool_per_record(pools, monkeypatch, tmp_path,
+                                                        capsys, perturbed):
+    # symbolic g = 2..4 and numeric g = 5; with P_1 + 1 every total at w > 0
+    # is nonzero, so its record also carries the parent's double check
+    if perturbed:
+        def plus_one(real):
+            return lambda w, t: real(w, t) + 1 if w == 1 else real(w, t)
+
+        monkeypatch.setattr(config_sums, "eval_P", plus_one(config_sums.eval_P))
+        monkeypatch.setattr(config_sums, "eval_P_symbolic",
+                            plus_one(config_sums.eval_P_symbolic))
+    argv = ["sweep", "--g-max", "5", "--symbolic-g-max", "4", "--seed", "3"]
+    serial = _run(argv + ["--jobs", "1"], tmp_path, capsys, "serial")
+    assert pools.submits == []
+    side_by_side = _run(argv + ["--jobs", "2"], tmp_path, capsys, "parallel")
+    assert side_by_side == serial
+    code, records, _ = serial
+    assert code == int(perturbed) and len(records) == 6 + 4 * 3
+    assert [("oracle_total" in r["extra"]) for r in records] == [
+        perturbed and r["params"]["w"] > 0 for r in records]
+    assert pools.submits == [1] * len(records)
+    assert pools.most_open == 2 and pools.open == 0
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_lone_entry_is_still_sharded(pools, tmp_path, capsys):
+    argv = ["part1", "--g", "5", "--w", "2", "--random", "1"]
+    serial = _run(argv + ["--jobs", "1"], tmp_path, capsys, "serial")
+    assert _run(argv + ["--jobs", "2"], tmp_path, capsys, "parallel") == serial
+    assert pools.submits == [2]
+    assert_no_child_left()
+
+
+def _fault_at(g_w, fault):
+    # the walk of entry (g, w) = g_w runs fault() first; every later entry
+    # sleeps 30 s in its worker, so a run that waited for one would show
+    real = config_sums._collapsed_partial
+
+    def partial(inst, table, part=0, parts=1):
+        if (inst.g, inst.w) == g_w:
+            fault()
+        elif (inst.g, inst.w) > g_w:
+            time.sleep(30)
+        return real(inst, table, part, parts)
+    return partial
+
+
+def _injected():
+    raise ConsistencyError("injected at g = 3, w = 1")
+
+
+@needs_fork
+@pytest.mark.parametrize("fault, error", [
+    (_injected, "error: injected at g = 3, w = 1\n"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "error: shard process "),
+], ids=["shard-error", "killed-worker"])
+def test_a_failure_with_a_later_entry_in_flight_stops_the_run(pools, monkeypatch, tmp_path,
+                                                               capsys, fault, error):
+    # entries (2,0), (3,0), (3,1), (4,0), ...: when (3,1) fails, (4,0) runs
+    # beside it and must be killed, not awaited
+    monkeypatch.setattr(config_sums, "_collapsed_partial", _fault_at((3, 1), fault))
+    start = time.perf_counter()
+    code, records, captured = _run(["sweep", "--g-max", "5", "--jobs", "2"], tmp_path, capsys,
+                                   "failure")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert captured.err.startswith(error) and captured.err.count("\n") == 1
+    assert _g_w(records) == [(2, 0, "asserted"), (3, 0, "asserted")]
+    assert pools.open == 0 and pools.most_open == 2
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_deadline_passed_mid_run_lets_running_entries_finish(pools, monkeypatch, tmp_path,
+                                                               capsys):
+    # the clock config_sums reads jumps an hour once (3,0) is collected; (3,1)
+    # is running by then and finishes, and no later entry starts
+    real_finish = config_sums._finish_collapsed
+    skew = [0.0]
+
+    def finish(walk):
+        result = real_finish(walk)
+        if (walk.inst.g, walk.inst.w) == (3, 0):
+            skew[0] = 3600.0
+        return result
+
+    clock = SimpleNamespace(perf_counter=time.perf_counter,
+                            monotonic=lambda: time.monotonic() + skew[0])
+    monkeypatch.setattr(config_sums, "_finish_collapsed", finish)
+    monkeypatch.setattr(config_sums, "time", clock)
+    code, records, captured = _run(["sweep", "--g-max", "5", "--jobs", "2",
+                                    "--budget-seconds", "60"], tmp_path, capsys, "budget")
+    assert code == 0
+    assert "warning: 7 instances not attempted" in captured.err
+    assert _g_w(records) == [(2, 0, "asserted"), (3, 0, "asserted"), (3, 1, "asserted")] + [
+        (g, w, "not_attempted") for g in (4, 5) for w in range(g - 1)]
+    assert all(r["verdict"] == "zero" for r in records[:3])
+    assert pools.submits == [1] * 3 and pools.open == 0
+    assert_no_child_left()
+
+
+@needs_fork
+def test_closing_the_run_early_kills_the_entries_in_flight(pools, monkeypatch):
+    monkeypatch.setattr(config_sums, "_collapsed_partial", _fault_at((2, 0), lambda: None))
+    entries = config_sums.run_plan(config_sums.sweep_plan(4), seed=0, jobs=2)
+    start = time.perf_counter()
+    first = next(entries)
+    assert first.result.total == 0 and pools.open == 2
+    entries.close()
+    assert time.perf_counter() - start < 5
+    assert pools.open == 0
+    assert_no_child_left()
