@@ -174,9 +174,10 @@ class _Packer:
     object through ``struct``'s signed codes, in C.
     """
 
-    __slots__ = ("_length", "_offset", "_encode", "_decode")
+    __slots__ = ("bound", "_length", "_offset", "_encode", "_decode")
 
     def __init__(self, width: int, bound: int):
+        self.bound = bound
         size = 1
         while 1 << (8 * size - 1) <= bound:
             size *= 2
@@ -207,6 +208,44 @@ def _mul_packed(out: dict, ta: Mapping, tb: Mapping, scale: int) -> None:
             key = ea + eb
             acc = out.get(key)
             out[key] = a * b if acc is None else acc + a * b
+
+
+class _IntPoly(dict):
+    """Int coefficients by packed monomial key (:class:`_Packer`), zeros kept: it adds
+    and multiplies with itself and with ints, and pickles as the dict it is; the
+    registry and the packer that give its keys meaning stay with the caller."""
+
+    __slots__ = ()
+
+    @classmethod
+    def packed(cls, x, names, packer: _Packer) -> "_IntPoly":  # x: int, or int coefficients
+        return cls({packer.pack(e): int(c) for e, c in MultiPoly._coerce(x)._remap(names).items()})
+
+    def unpacked(self, names, packer: _Packer, den: int = 1) -> "MultiPoly":
+        # over den, on names; each exponent must lie in the packer's range, 0..bound
+        top, out = packer.pack((packer.bound,) * len(names)), {}
+        for key, c in self.items():
+            exps = packer.unpack(key) if 0 <= key <= top else (-1,)  # else past every slot
+            if min(exps) < 0 or max(exps) > packer.bound:
+                raise ConsistencyError(f"key {key} packs an exponent outside 0..{packer.bound}")
+            out[exps] = Fraction(c, den)
+        return MultiPoly(names, out)  # which drops the zeros
+
+    def __add__(self, other):
+        big, small = sorted((self, {0: other} if isinstance(other, int) else other), key=len)[::-1]
+        out = _IntPoly(big)  # copied in C; the loop runs over the smaller map
+        for key, c in small.items():
+            out[key] = out.get(key, 0) + c
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        out = _IntPoly()  # an int is the constant, key 0
+        _mul_packed(out, self, {0: other} if isinstance(other, int) else other, 1)
+        return out
+
+    __rmul__ = __mul__
 
 
 def _groups(nums: Mapping, weight_of, square_slots, pack) -> dict:

@@ -40,15 +40,14 @@ provided:
   ``l`` is computed on the sets that hold element 0, in increasing mask
   order, from ``3^(g-1) - 2^(g-1)`` truncated products.
 
-On numeric grounds the collapsed route runs in Python ints.  With ``D`` the
-lcm of the ground's denominators and ``K`` the lcm of the coefficient
-denominators of ``P_1..P_w``, ``lam = K * D^2`` makes ``lam^v P_v(t)`` an
-integer for every block sum ``t`` and ``v <= w``.  The substitution
-``y -> y / lam`` is a ring automorphism, so each partition's ``[y^w]`` is
-scaled by exactly ``lam^w``, and the merged integer total is divided by
-``lam^w`` once (a symbolic ground has ``lam = 1``).  :func:`sum_pointed`
-stays in ``Fraction`` arithmetic on the unscaled block values, so the two
-routes share no summation kernel.
+The collapsed route runs in integers.  With ``D`` the lcm of the ground's
+denominators (1 on a symbolic ground) and ``K`` the lcm of the coefficient
+denominators of ``P_1..P_w``, ``lam = K * D^2`` makes each ``lam^v P_v(t)``,
+``v <= w``, an integer or an integer polynomial in ``c1..cg``.  ``y -> y / lam``
+is a ring automorphism, so each ``[y^w]`` is scaled by exactly ``lam^w``, and
+the merged total (ints, or packed ``_IntPoly`` unpacked into ``MultiPoly``) is
+divided by it once.  :func:`sum_pointed` stays in ``Fraction`` arithmetic on
+the unscaled block values, so the two routes share no summation kernel.
 
 Every block table comes from one exact fit per offset (:func:`_block_table`)
 through the ground's evaluator at fixed points, not from ``stirling_poly``'s
@@ -75,7 +74,8 @@ from math import factorial, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from ._pool import ProcessPoolExecutor
-from .algebra import ConsistencyError, MultiPoly, _as_int, _horner, interpolate_in_var
+from .algebra import (ConsistencyError, MultiPoly, _as_int, _horner, _IntPoly, _Packer,
+                      interpolate_in_var)
 from .partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
 from .stirling import eval_P, eval_P_symbolic, stirling_poly
 
@@ -195,37 +195,41 @@ def _common_scale(inst: ConfigSumInstance) -> int:
     return k * d * d
 
 
+def _ring(inst: ConfigSumInstance) -> tuple:
+    """``(registry, packer)`` of a symbolic table: each ``[y^n]`` has degree at most ``2w``."""
+    return inst.ground.values[0].vars, _Packer(inst.g, 2 * inst.w)
+
+
 def _block_table(inst: ConfigSumInstance) -> tuple:
     """``(table, scale)``: every nonempty mask's block values, times ``scale^v``
     at offset ``v``, shared by the masks with one block sum (index 0 is no block).
 
-    The ground's kind chooses only the evaluator, the scale (:func:`_common_scale`,
-    or 1 on a symbolic ground) and whether the fits must have integer
-    coefficients (on a numeric ground, whose entries are then ints).  Offset
-    ``v`` is one :func:`interpolate_in_var` fit of degree ``2v`` through the
-    evaluator at ``T/D``, ``T = 0 .. 2w+2``, times ``scale^v``: its last
-    ``2(w-v)+2`` samples are witnesses.  The offset-0 fit must be the constant
-    1.  Horner reads every fit at each distinct scaled block sum.
+    ``scale`` is :func:`_common_scale`, so every fit must have integer coefficients.
+    Offset ``v`` is one :func:`interpolate_in_var` fit of degree ``2v`` through the
+    ground's evaluator at ``T/D``, ``T = 0 .. 2w+2``, times ``scale^v``: its last
+    ``2(w-v)+2`` samples are witnesses.  The offset-0 fit must be the constant 1.
+    Horner reads every fit at each distinct scaled block sum; a symbolic ground's
+    ``MultiPoly`` values are each packed as made (:func:`_ring`), so none is kept.
     """
     den, sums = inst.ground.scaled_sums
-    integral = not inst.ground.is_symbolic
-    evaluate, scale = (eval_P, _common_scale(inst)) if integral else (eval_P_symbolic, 1)
+    evaluate, scale = (eval_P_symbolic if inst.ground.is_symbolic else eval_P), _common_scale(inst)
     points = [Fraction(t, den) for t in range(2 * inst.w + 3)]
     coeffs = []
     for v in range(inst.w + 1):
         fit = interpolate_in_var([(t, evaluate(v, x) * scale ** v) for t, x in enumerate(points)],
                                  "T", 2 * v)
         cs = [fit.terms.get((d,), 0) for d in range(2 * v + 1)]
-        fractional = [c for c in cs if c.denominator != 1] if integral else []
+        fractional = [c for c in cs if c.denominator != 1]
         if fractional:
             raise ConsistencyError(
                 f"offset-{v} block values fit a polynomial in the scaled block sum "
                 f"whose coefficients are not integers ({fractional[0]} is not an integer)")
-        coeffs.append([c.numerator for c in cs] if integral else cs)
+        coeffs.append([c.numerator for c in cs])
     if coeffs[0] != [1]:
         raise ConsistencyError(f"offset-0 block values fit {coeffs[0]}, not the constant 1")
-    # offset 0 is that 1 in the block sum's own ring, so a w = 0 total keeps its type
-    by_sum = {t: (t ** 0, *(_horner(cs, t) for cs in coeffs[1:])) for t in set(sums[1:])}
+    ring = _ring(inst) if inst.ground.is_symbolic else None
+    by_sum = {t: tuple([_horner(cs, t) if ring is None else _IntPoly.packed(_horner(cs, t), *ring)
+                        for cs in coeffs]) for t in set(sums[1:])}
     return [None] + [by_sum[t] for t in sums[1:]], scale
 
 
@@ -235,9 +239,9 @@ def _collapsed_partial(inst: ConfigSumInstance, table: list,
 
     ``table`` is the instance's block table from :func:`_block_table`, which
     a forked shard inherits; the walk reads ``table[mask]`` and evaluates
-    nothing.  It multiplies ``MultiPoly`` block series on a symbolic ground
-    and ints on a numeric one, and returns ``scale^w`` times the shard's
-    share of the total.  A partition of ``r`` blocks is split after its first
+    nothing.  It multiplies what the table holds, ints or packed ``_IntPoly``,
+    and returns ``scale^w`` times the shard's share of the total, of that
+    type.  A partition of ``r`` blocks is split after its first
     ``k = ceil(r/2)``; ``product`` looks each half up by its block tuple and
     builds a missing one from the tuple without its last block.  Every head
     starts with the first block, so ``heads`` is cleared when that changes;
@@ -317,9 +321,9 @@ def _start_collapsed(inst: ConfigSumInstance, parts: Optional[int]) -> _Walk:
 
 def _finish_collapsed(walk: _Walk) -> ConfigSumResult:
     """Merge a started walk's shards in shard order (deterministic), check the
-    Bell count and divide by ``scale^w``; a pool is shut down, its workers
-    reaped, whether or not every shard reports.  ``elapsed`` runs from the
-    walk's start to here."""
+    Bell count and divide by ``scale^w``, unpacking a symbolic total onto the
+    ring; a pool is shut down, its workers reaped, whether or not every shard
+    reports.  ``elapsed`` runs from the walk's start to here."""
     partials = walk.shards
     if walk.pool is not None:
         with walk.pool:
@@ -331,8 +335,9 @@ def _finish_collapsed(walk: _Walk) -> ConfigSumResult:
     expected = unordered_partition_count(walk.inst.g)
     if visited != expected:
         raise ConsistencyError(f"visited {visited} partitions, expected {expected}")
-    return ConfigSumResult(walk.inst, total * Fraction(1, walk.scale ** walk.inst.w), visited,
-                           time.perf_counter() - walk.start)
+    inst, den = walk.inst, walk.scale ** walk.inst.w
+    total = total.unpacked(*_ring(inst), den) if inst.ground.is_symbolic else Fraction(total, den)
+    return ConfigSumResult(inst, total, visited, time.perf_counter() - walk.start)
 
 
 def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stirlingzero import algebra
 from stirlingzero.algebra import (
+    ConsistencyError,
     MultiPoly,
     PolynomialityError,
     PrecisionError,
@@ -715,6 +717,51 @@ class TestSeries:
 
 
 # -------------------------------------------------------------- interpolation
+
+class TestIntPoly:
+    """The packed integer polynomial: int coefficients on packed monomials."""
+
+    NAMES = ("a", "b", "c")
+
+    @given(polys(max_exp=2), polys(max_exp=2), st.integers(-4, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_ring_operations_are_the_multipoly_ones(self, p, q, k):
+        # integer coefficients (every denominator divides 60) and exponents up
+        # to 2, so a product's stay within the packer's bound 4
+        p, q = p * 60, q * 60
+        packer = algebra._Packer(3, 4)
+        a, b = (algebra._IntPoly.packed(x, self.NAMES, packer) for x in (p, q))
+        for packed, expected in [(a + b, p + q), (a * b, p * q), (a * k, p * k), (k * a, p * k),
+                                 (a + k, p + k), (k + a, p + k), (a, p)]:
+            assert packed.unpacked(self.NAMES, packer) == expected
+            assert packed.unpacked(self.NAMES, packer).vars == self.NAMES
+        assert (a * b).unpacked(self.NAMES, packer, 7) == p * q * Fraction(1, 7)
+
+    def test_pickles_as_its_dict(self):
+        packer = algebra._Packer(3, 4)
+        p = algebra._IntPoly.packed(var("a") * 3 - 2, self.NAMES, packer)
+        copy = pickle.loads(pickle.dumps(p))
+        assert type(copy) is algebra._IntPoly and copy == p
+        assert copy.unpacked(self.NAMES, packer) == var("a") * 3 - 2
+
+    def test_zero_coefficients_are_dropped_on_unpacking(self):
+        packer = algebra._Packer(3, 4)
+        p = algebra._IntPoly.packed(var("b") + 1, self.NAMES, packer)
+        assert (p + p * -1).unpacked(self.NAMES, packer).terms == {}
+        assert (p + p * -1) == {key: 0 for key in p}
+
+    @pytest.mark.parametrize("key", [
+        lambda pack: pack((5, 0, 0)),   # one past the bound
+        lambda pack: pack((0, -1, 0)),  # below zero
+        lambda pack: 200 << 16,         # a digit past the packer's slot range
+        lambda pack: 1 << 40,           # past every slot
+    ], ids=["above", "below", "wide-digit", "past-every-slot"])
+    def test_unpacking_refuses_an_exponent_outside_the_bound(self, key):
+        packer = algebra._Packer(3, 4)
+        p = algebra._IntPoly({packer.pack((1, 0, 0)): 2, key(packer.pack): 1})
+        with pytest.raises(ConsistencyError, match="outside 0..4"):
+            p.unpacked(self.NAMES, packer)
+
 
 class TestInterpolation:
     def test_constant_fit(self):

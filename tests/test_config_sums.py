@@ -5,6 +5,7 @@ import random
 import time
 from concurrent.futures import Future
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -233,9 +234,11 @@ class TestCollapsedSum:
 
 
 def _shift_offset_one(monkeypatch, shift=1):
-    real = config_sums.eval_P
-    monkeypatch.setattr(config_sums, "eval_P",
-                        lambda w, t: real(w, t) + shift if w == 1 else real(w, t))
+    # on both evaluators, so a symbolic ground's fits see the shift too
+    for name in ("eval_P", "eval_P_symbolic"):
+        real = getattr(config_sums, name)
+        monkeypatch.setattr(config_sums, name, lambda w, t, real=real:
+                            real(w, t) + shift if w == 1 else real(w, t))
 
 
 MIXED = [Fraction(5, 2), Fraction(-7, 3), Fraction(4), Fraction(11, 9),
@@ -280,12 +283,15 @@ class TestIntegerKernel:
         with pytest.raises(ConsistencyError, match="offset-0 block value"):
             sum_collapsed(inst)
 
-    def test_uncleared_block_value_is_an_engine_bug(self, monkeypatch):
-        # 1/3 survives scaling by K * D^2 = 2 for integer grounds at w = 1:
-        # the offset-1 fit's constant term is 2/3
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_uncleared_block_value_is_an_engine_bug(self, monkeypatch, symbolic):
+        # 1/3 survives scaling by K * D^2 = 2 for integer grounds at w = 1, and
+        # by K = 2 on a symbolic one (D = 1): the offset-1 fit's constant term is 2/3
         _shift_offset_one(monkeypatch, Fraction(1, 3))
+        inst = symbolic_instance(3, 1) if symbolic else numeric_instance(3, 1, [2, 3, 4])
+        assert config_sums._common_scale(inst) == 2
         with pytest.raises(ConsistencyError, match="not an integer"):
-            sum_collapsed(numeric_instance(3, 1, [2, 3, 4]))
+            sum_collapsed(inst)
 
 
 def _bump_one_block(monkeypatch, target=0b0110):
@@ -466,15 +472,19 @@ class TestBlockTableFit:
             sum_collapsed(numeric_instance(6, 2, [2, 3, 5, 7, 11, 13]), jobs=jobs)
         assert_no_child_left()
 
-    def test_fit_with_fractional_coefficients_is_an_engine_bug(self, monkeypatch):
-        # P_1 = t(t-1)/2 and lam = 2 on an integer ground at w = 1; adding
-        # t(t-1)/4 keeps every scaled value an integer and every witness on
-        # the fit, but the fit's coefficients become 3/2 and -3/2
-        real = config_sums.eval_P
-        monkeypatch.setattr(config_sums, "eval_P",
-                            lambda v, t: real(v, t) + t * (t - 1) / 4 if v == 1 else real(v, t))
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_fit_with_fractional_coefficients_is_an_engine_bug(self, monkeypatch, symbolic):
+        # P_1 = t(t-1)/2 and lam = 2 at w = 1, on an integer ground and on a
+        # symbolic one alike; adding t(t-1)/4 keeps every scaled value an
+        # integer and every witness on the fit, but the fit's coefficients
+        # become 3/2 and -3/2
+        for name in ("eval_P", "eval_P_symbolic"):
+            real = getattr(config_sums, name)
+            monkeypatch.setattr(config_sums, name, lambda v, t, real=real:
+                                real(v, t) + t * (t - 1) / 4 if v == 1 else real(v, t))
+        inst = symbolic_instance(4, 1) if symbolic else numeric_instance(4, 1, [2, 3, 5, 7])
         with pytest.raises(ConsistencyError, match="coefficients are not integers"):
-            sum_collapsed(numeric_instance(4, 1, [2, 3, 5, 7]))
+            sum_collapsed(inst)
 
     @pytest.mark.parametrize("values, w", [([-2, -1, 0, 1, 2], 3), ([-1, 0, 1], 1)])
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
@@ -554,7 +564,7 @@ class TestBlockTableFit:
         serial = sum_collapsed(inst).total
         assert serial != 0
         table, scale = config_sums._block_table(inst)
-        assert scale == (1 if symbolic else config_sums._common_scale(inst))
+        assert scale == config_sums._common_scale(inst)
 
         def no_evaluation(*args):
             raise AssertionError("the walk evaluated a block value")
@@ -563,6 +573,8 @@ class TestBlockTableFit:
             monkeypatch.setattr(config_sums, name, no_evaluation)
         monkeypatch.setattr(config_sums._BlockValues, "vector", no_evaluation)
         total, visited = config_sums._collapsed_partial(inst, table)
+        if symbolic:  # the packed partial, read back onto the ring
+            total = total.unpacked(*config_sums._ring(inst))
         assert total * Fraction(1, scale ** inst.w) == serial
         assert visited == unordered_partition_count(inst.g)
 
@@ -624,12 +636,19 @@ class TestSymbolicRing:
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_block_table_is_on_the_ring(self, g):
+        # the scale is the numeric ground's K * D^2 with D = 1, and every entry,
+        # offset 0 included, unpacks onto the ring's one registry
         names = tuple(f"c{i + 1}" for i in range(g))
         for w in range(g - 1):
-            table, scale = config_sums._block_table(symbolic_instance(g, w))
-            assert scale == 1
-            assert all(vec[v].vars == names for vec in table[1:] for v in range(1, w + 1))
-            assert all(type(vec[0]) is MultiPoly and vec[0] == 1 for vec in table[1:])
+            inst = symbolic_instance(g, w)
+            table, scale = config_sums._block_table(inst)
+            assert scale == config_sums._common_scale(inst)
+            assert inst.ground.scaled_sums[0] == 1
+            ring_names, packer = config_sums._ring(inst)
+            assert ring_names == names
+            unpacked = [[value.unpacked(names, packer) for value in vec] for vec in table[1:]]
+            assert all(value.vars == names for vec in unpacked for value in vec)
+            assert all(vec[0] == 1 for vec in unpacked)
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_block_table_is_the_per_mask_evaluation(self, g):
@@ -639,10 +658,12 @@ class TestSymbolicRing:
             inst = symbolic_instance(g, w)
             table, scale = config_sums._block_table(inst)
             direct = config_sums._BlockValues(inst.ground, w)
+            names, packer = config_sums._ring(inst)
             for mask in range(1, 1 << g):
                 expected = tuple(scale ** v * value
                                  for v, value in enumerate(direct.vector(mask)))
-                assert table[mask] == expected, (w, mask)
+                assert tuple(value.unpacked(names, packer) for value in table[mask]) == expected, \
+                    (w, mask)
 
     def test_no_two_registries_merge(self, monkeypatch):
         # a constant on the empty registry may still meet a ring element, but
@@ -682,6 +703,18 @@ class TestSymbolicRing:
         assert sums[0b101] == ground.values[0] + ground.values[2]
 
 
+def closed_form(ground):
+    # -(prod c)(t-1)(t-2)...(t-g+2), t = sum c: the sum at w = g-1
+    t = sum(ground.values)
+    return -prod(ground.values) * prod(t - i for i in range(1, ground.g - 1))
+
+
+@lru_cache(maxsize=None)
+def pointed_at_top(ground):
+    # the pointed oracle at w = g-1, computed once per ground for every jobs value
+    return sum_pointed(SimpleNamespace(g=ground.g, w=ground.g - 1, ground=ground))
+
+
 class TestControlLayer:
     """At ``w = g-1`` the sum is ``-(prod c)(t-1)(t-2)...(t-g+2)``, ``t = sum c``.
 
@@ -697,13 +730,31 @@ class TestControlLayer:
         for seed in range(3):
             ground = random_ground(g, random.Random(seed))
             inst = SimpleNamespace(g=g, w=g - 1, ground=ground)
-            t = sum(ground.values)
-            expected = -prod(ground.values) * prod(t - i for i in range(1, g - 1))
+            expected = closed_form(ground)
             assert sum_pointed(inst) == expected
             if g <= 5:
                 assert sum_ordered(inst).total == expected
             nonzero += expected != 0
         assert nonzero >= 2  # the control can come out nonzero
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_collapsed_closed_form(self, g, jobs):
+        # the production route, packed on a symbolic ground, against the closed
+        # form and the pointed oracle, on the first two seeded random grounds
+        # where the closed form is nonzero, and on the symbolic one
+        rng, grounds = random.Random(f"control/{g}"), []
+        while len(grounds) < 2:
+            ground = random_ground(g, rng)
+            if closed_form(ground):
+                grounds.append(ground)
+        for ground in grounds + [GroundSet.symbolic(g)]:
+            inst = SimpleNamespace(g=g, w=g - 1, ground=ground)
+            expected = closed_form(ground)
+            total = sum_collapsed(inst, jobs=jobs).total
+            assert total == expected == pointed_at_top(ground)
+            assert total != 0
+        assert_no_child_left()
 
 
 def hypertrees(g):
