@@ -168,7 +168,7 @@ def _part1(args):
     ws = list(range(g - 1)) if args.all_w else [args.w]
     # ConfigSumInstance rejects a w outside 0..g-2 and a ground of the wrong size
     if args.random is not None:
-        plan = [e for w in ws for e in random_entries(g, w, "asserted", args.random, seed)]
+        plan = (e for w in ws for e in random_entries(g, w, "asserted", args.random, seed))
     else:
         ground = GroundSet.symbolic(g) if args.symbolic else GroundSet.numeric(args.c)
         plan = [SweepEntry(ConfigSumInstance(g, w, ground), "asserted") for w in ws]

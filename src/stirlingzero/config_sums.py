@@ -29,8 +29,9 @@ provided:
   raises :class:`ConsistencyError`), so the convolutions and dot products
   skip the products with ``y^0``.  The series of every nonempty mask is
   in the instance's block table, plain data indexed by mask, built once
-  before the walk, and with ``jobs > 1`` before the shards fork, so each
-  shard inherits it.
+  before the walk: with ``jobs > 1`` before the shards fork, so each shard
+  inherits it, and for an entry :func:`run_plan` runs side by side in its
+  one worker.
 * :func:`sum_pointed` -- the oracle, with no partition walk.  The signed
   sum over partitions is ``-[y^w]`` of the set-function log ``l`` of ``a``
   at the full set (the joint cumulant over the partition lattice; T. P.
@@ -70,6 +71,7 @@ import random
 import time
 from collections import deque
 from fractions import Fraction
+from itertools import chain, islice
 from math import factorial, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -301,18 +303,28 @@ class _Walk(NamedTuple):
     start: float
 
 
+def _walk_whole(inst: ConfigSumInstance):
+    """A side-by-side entry's worker: build ``inst``'s block table, then walk it whole."""
+    return _collapsed_partial(inst, _block_table(inst)[0])
+
+
 def _start_collapsed(inst: ConfigSumInstance, parts: Optional[int]) -> _Walk:
-    """Build ``inst``'s block table, then walk its partition stream: here when
-    ``parts`` is None, else in ``parts`` shards, one forked worker each, which
-    inherit the table and run while this process goes on."""
+    """Walk ``inst``'s partition stream: here when ``parts`` is None, else in
+    forked workers that run while this process goes on.  ``parts = 0`` forks one
+    worker that builds the block table and walks it whole, so this process
+    computes only the :func:`_common_scale` it divides by; otherwise the table
+    is built here and ``parts`` shards, one worker each, inherit it."""
     start = time.perf_counter()
-    table, scale = _block_table(inst)
-    if parts is None:
-        return _Walk(inst, scale, None, [_collapsed_partial(inst, table)], start)
+    if parts == 0:
+        scale, calls = _common_scale(inst), [(_walk_whole, inst)]
+    else:
+        table, scale = _block_table(inst)
+        if parts is None:
+            return _Walk(inst, scale, None, [_collapsed_partial(inst, table)], start)
+        calls = [(_collapsed_partial, inst, table, part, parts) for part in range(parts)]
     pool = ProcessPoolExecutor()
     try:
-        shards = [pool.submit(_collapsed_partial, inst, table, part, parts)
-                  for part in range(parts)]
+        shards = [pool.submit(*call) for call in calls]
     except BaseException:
         pool.shutdown()
         raise
@@ -456,36 +468,35 @@ def seeded_rng(seed: int, g: int, w: int, index: int, *, confirming: bool = Fals
     return label, random.Random(label)
 
 
-def random_entries(g: int, w: int, status: str, count: int, seed: int) -> list:
-    """Entries ``0..count-1`` at ``(g, w)``, ground ``i`` drawn by ``seeded_rng(seed, g, w, i)``."""
+def random_entries(g: int, w: int, status: str, count: int, seed: int) -> Iterator[SweepEntry]:
+    """Entries ``0..count-1`` at ``(g, w)``, ground ``i`` drawn by ``seeded_rng(seed, g, w, i)``
+    when entry ``i`` is reached."""
     draws = (seeded_rng(seed, g, w, i) for i in range(count))
-    return [SweepEntry(ConfigSumInstance(g, w, random_ground(g, rng)), status, i, label)
-            for i, (label, rng) in enumerate(draws)]
+    return (SweepEntry(ConfigSumInstance(g, w, random_ground(g, rng)), status, i, label)
+            for i, (label, rng) in enumerate(draws))
 
 
-def sweep_plan(g_max: int, *, symbolic_g_max: int = 5, seed: int = 0) -> list:
-    """The default verification sweep up to ``g_max``, as unrun entries in run order.
+def sweep_plan(g_max: int, *, symbolic_g_max: int = 5, seed: int = 0) -> Iterator[SweepEntry]:
+    """The default verification sweep up to ``g_max``: an iterator of unrun entries
+    in run order, each ground made when its entry is reached.
 
     Ground-set policy: symbolic (proves the identity for every ground set)
     through ``symbolic_g_max``; seeded numeric sampling above that, with the
     counts of :data:`SWEEP_SAMPLES`.  Within the baseline range the instances
     are asserted; beyond it (g = 7 with w > 3, or g >= 8) they are exploratory.
-    A ``g_max`` past :data:`RANDOM_G_MAX` is refused before any ground is drawn.
+    A ``g_max`` past :data:`RANDOM_G_MAX` is refused here, before any ground is drawn.
     """
     if g_max > symbolic_g_max:
         _check_random_g(g_max)
     asserted_w = dict(BASELINE_RANGE)
-    plan = []
-    for g in range(2, g_max + 1):
-        for w in range(0, g - 1):
-            asserted = g in asserted_w and w <= asserted_w[g]
-            status = "asserted" if asserted else "exploratory"
-            if g <= symbolic_g_max:
-                plan.append(SweepEntry(ConfigSumInstance(g, w, GroundSet.symbolic(g)), status))
-            else:
-                count = SWEEP_SAMPLES.get(g, 3) if asserted else 1
-                plan += random_entries(g, w, status, count, seed)
-    return plan
+
+    def entries(g: int, w: int):
+        asserted = g in asserted_w and w <= asserted_w[g]
+        status = "asserted" if asserted else "exploratory"
+        if g <= symbolic_g_max:
+            return [SweepEntry(ConfigSumInstance(g, w, GroundSet.symbolic(g)), status)]
+        return random_entries(g, w, status, SWEEP_SAMPLES.get(g, 3) if asserted else 1, seed)
+    return (entry for g in range(2, g_max + 1) for w in range(g - 1) for entry in entries(g, w))
 
 
 def _confirmed(entry: SweepEntry, result: ConfigSumResult, seed: int) -> SweepEntry:
@@ -504,32 +515,36 @@ def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
 
     A nonzero total also gets the ``confirmation`` of :func:`double_check_nonzero`,
     whose fresh ground is drawn by ``seeded_rng(seed, g, w, sample_index, confirming=True)``.
-    With ``jobs > 1`` a plan of several entries runs up to ``min(jobs, usable CPUs)``
-    of them side by side, each walked whole by one worker of its own pool, while
-    this process builds the next entry's table and hands back finished ones; a
+    ``plan`` is read as entries start, at most two ahead to tell a lone entry
+    from a plan, and no entry is kept once it is yielded.  With ``jobs > 1`` a
+    plan of several entries runs up to ``min(jobs, usable CPUs)`` of them side
+    by side, each in one worker of its own pool that builds the entry's block
+    table and walks it whole, while this process hands back finished ones; a
     lone entry is sharded as :func:`sum_collapsed` shards it.  ``deadline`` is
     read when an entry would start: once ``time.monotonic()`` passes it, the
     entries already running finish and the rest are yielded unrun as
     ``not_attempted``, never dropped.  Leaving the generator, on an error or
     on close, kills and reaps the workers still running.
     """
-    plan = list(plan)
-    if jobs <= 1 or len(plan) == 1:
-        for entry in plan:
+    plan = iter(plan)
+    head = deque(islice(plan, 2))
+    todo = chain((head.popleft() for _ in range(len(head))), plan)
+    if jobs <= 1 or len(head) == 1:
+        for entry in todo:
             if deadline is not None and time.monotonic() > deadline:
                 yield entry._replace(status="not_attempted")
                 continue
             yield _confirmed(entry, sum_collapsed(entry.instance, jobs=jobs), seed)
         return
     slots = min(jobs, _usable_cpus())
-    todo, running = deque(plan), deque()  # running: (entry, walk) in plan order
+    running = deque()  # (entry, walk) in plan order
 
     def fill():
-        while todo and len(running) < slots:
-            if deadline is not None and time.monotonic() > deadline:
+        while len(running) < slots and (deadline is None or time.monotonic() <= deadline):
+            entry = next(todo, None)
+            if entry is None:
                 return
-            entry = todo.popleft()
-            running.append((entry, _start_collapsed(entry.instance, 1)))
+            running.append((entry, _start_collapsed(entry.instance, 0)))
 
     try:
         fill()

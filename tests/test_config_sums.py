@@ -1,11 +1,13 @@
 """Configuration-sum verifier: both summation routes, the integer kernel, sweeps."""
 
+import gc
 import os
 import random
 import time
 from concurrent.futures import Future
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -898,7 +900,7 @@ class TestSweepPlan:
         g6 = [(6, w, "asserted", f"0/6/{w}/{i}") for w in range(5) for i in range(10)]
         g7 = [(7, w, "asserted", f"0/7/{w}/{i}") for w in range(4) for i in range(5)]
         g7 += [(7, w, "exploratory", f"0/7/{w}/0") for w in (4, 5)]
-        plan = sweep_plan(7)
+        plan = list(sweep_plan(7))
         assert len(plan) == 82
         assert [(e.instance.g, e.instance.w, e.status, e.seed) for e in plan] == \
             symbolic + g6 + g7
@@ -906,11 +908,24 @@ class TestSweepPlan:
     def test_smoke_plan(self):
         symbolic = [(g, w, "asserted", None) for g in range(2, 5) for w in range(g - 1)]
         g5 = [(5, w, "asserted", f"2/5/{w}/{i}") for w in range(4) for i in range(3)]
-        plan = sweep_plan(5, symbolic_g_max=4, seed=2)
+        plan = list(sweep_plan(5, symbolic_g_max=4, seed=2))
         assert len(plan) == 18
         assert [(e.instance.g, e.instance.w, e.status, e.seed) for e in plan] == \
             symbolic + g5
         assert [e.instance.mode for e in plan] == ["symbolic"] * 6 + ["numeric"] * 12
+
+    def test_each_ground_is_drawn_when_its_entry_is_reached(self, monkeypatch):
+        # sweep_plan(80) plans 3221 entries; its ten symbolic ones come first
+        # and draw nothing, and the first numeric one costs exactly one draw
+        drawn = []
+        real = config_sums.random_ground
+        monkeypatch.setattr(config_sums, "random_ground",
+                            lambda g, rng: drawn.append(g) or real(g, rng))
+        plan = sweep_plan(80)
+        assert all(e.instance.mode == "symbolic" for e in islice(plan, 10)) and drawn == []
+        first = next(plan)
+        assert drawn == [6] and first.seed == "0/6/0/0"
+        assert first.instance.ground == real(6, config_sums.seeded_rng(0, 6, 0, 0)[1])
 
 
 class TestVerifyRange:
@@ -933,6 +948,21 @@ class TestVerifyRange:
         assert entries
         assert all(e.status == "not_attempted" for e in entries)
         assert all(e.result is None for e in entries)
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_a_run_holds_only_the_entries_in_flight(self, jobs):
+        # sweep_plan(6) is 60 entries; each ground is drawn when its entry
+        # starts and let go once the entry is handed back, so the live
+        # GroundSets never outnumber the entries in flight
+        def live():
+            return sum(isinstance(o, GroundSet) for o in gc.get_objects())
+
+        before, most, done = live(), 0, 0
+        for entry in run_plan(sweep_plan(6), seed=0, jobs=jobs):
+            assert entry.result.verdict == "zero"
+            most, done = max(most, live() - before), done + 1
+        assert done == 60 and most <= 5
+        assert_no_child_left()
 
     def test_reproducible_with_same_seed(self):
         a = run_sweep_plan(5, seed=5, symbolic_g_max=4)

@@ -330,6 +330,33 @@ def test_a_lone_entry_is_still_sharded(pools, tmp_path, capsys):
     assert_no_child_left()
 
 
+@needs_fork
+def test_each_block_table_is_built_where_its_walk_runs(pools, monkeypatch, tmp_path, capsys):
+    # --jobs 1 builds each entry's table here; at --jobs 2 a plan of several
+    # entries builds each in the entry's one worker, and a lone entry builds
+    # its table here, once, before its shards fork
+    parent, built = os.getpid(), []
+    real = config_sums._block_table
+
+    def counted(inst):
+        if os.getpid() == parent:
+            built.append(inst.w)
+        return real(inst)
+
+    monkeypatch.setattr(config_sums, "_block_table", counted)
+    band = ["part1", "--g", "4", "--all-w", "--random", "1"]
+    serial = _run(band + ["--jobs", "1"], tmp_path, capsys, "serial")
+    assert built == [0, 1, 2] and pools.submits == []
+    built.clear()
+    assert _run(band + ["--jobs", "2"], tmp_path, capsys, "side-by-side") == serial
+    assert built == [] and pools.submits == [1, 1, 1]
+    code, records, _ = _run(["part1", "--g", "4", "--w", "2", "--random", "1", "--jobs", "2"],
+                            tmp_path, capsys, "lone")
+    assert built == [2] and pools.submits == [1, 1, 1, 2]
+    assert (code, records) == (serial[0], serial[1][2:])
+    assert_no_child_left()
+
+
 def _fault_at(g_w, fault):
     # the walk of entry (g, w) = g_w runs fault() first; every later entry
     # sleeps 30 s in its worker, so a run that waited for one would show
