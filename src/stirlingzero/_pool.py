@@ -1,21 +1,21 @@
 """The process pool behind ``jobs > 1``: one fork per submitted call.
 
 ``sum_collapsed`` submits one call per shard of an instance; ``run_plan``
-opens one pool per instance, with one call that builds the instance's block
-table and walks it whole, and keeps several open side by side.  Either way at
-most one child runs per usable CPU.  Each submitted call is forked at once
-into its own child, which pickles ``(ok, value or exception, traceback text)``
-to a pipe and ends with ``os._exit``: it never returns into the caller's code,
-runs ``atexit`` handlers or flushes the parent's stdio.  The parent reads
-whichever child is readable, reaps each at the end of its pipe and raises the
-first failure of any child at once.  A child inherits its call, so the
-function and its arguments need not pickle, a monkeypatch in the parent
-reaches it, and what the parent built before the fork (for ``sum_collapsed``'s
-shards, the instance's block table, a plain list of one vector per mask) is
-read copy-on-write, not rebuilt.  A child forked while other pools are open
-inherits the read ends of their pipes and never touches them; each write end
-is closed in the parent right after its fork, so the end of a pipe still marks
-the end of its own child.
+opens one pool per instance, with one call that walks it whole, and keeps
+several open side by side.  Each call builds the instance's block table in its
+own child.  Either way at most one child runs per usable CPU.  Each submitted
+call is forked at once into its own child, which pickles ``(ok, value or
+exception, traceback text)`` to a pipe and ends with ``os._exit``: it never
+returns into the caller's code, runs ``atexit`` handlers or flushes the
+parent's stdio.  The parent reads whichever child is readable, reaps each at
+the end of its pipe and raises the first failure of any child at once.  A
+child inherits its call, so the function and its arguments need not pickle, a
+monkeypatch in the parent reaches it, and what the parent cached before the
+fork (the offset polynomials' coefficients) is read copy-on-write, not
+rebuilt.  A child forked while other pools are open inherits the read ends of
+their pipes and never touches them; each write end is closed in the parent
+right after its fork, so the end of a pipe still marks the end of its own
+child.
 
 Neither the pool nor the package starts a thread, so each fork copies a
 single-threaded process.  ``pickle`` and ``select`` are imported when the

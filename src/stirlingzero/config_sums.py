@@ -28,10 +28,9 @@ provided:
   series has constant term ``P_0 = 1`` (a block value that breaks this
   raises :class:`ConsistencyError`), so the convolutions and dot products
   skip the products with ``y^0``.  The series of every nonempty mask is
-  in the instance's block table, plain data indexed by mask, built once
-  before the walk: with ``jobs > 1`` before the shards fork, so each shard
-  inherits it, and for an entry :func:`run_plan` runs side by side in its
-  one worker.
+  in the instance's block table, plain data indexed by mask, built by the
+  process that walks, before its walk: here at ``jobs = 1``, else in each
+  forked worker, one per shard or per entry run side by side.
 * :func:`sum_pointed` -- the oracle, with no partition walk.  The signed
   sum over partitions is ``-[y^w]`` of the set-function log ``l`` of ``a``
   at the full set (the joint cumulant over the partition lattice; T. P.
@@ -72,7 +71,7 @@ import time
 from collections import deque
 from fractions import Fraction
 from itertools import chain, islice
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from ._pool import ProcessPoolExecutor
@@ -239,8 +238,8 @@ def _collapsed_partial(inst: ConfigSumInstance, table: list,
                        part: int = 0, parts: int = 1):
     """Unscaled collapsed sum over shard ``part`` of ``parts`` of the partition stream.
 
-    ``table`` is the instance's block table from :func:`_block_table`, which
-    a forked shard inherits; the walk reads ``table[mask]`` and evaluates
+    ``table`` is the instance's block table from :func:`_block_table`, built
+    in the walking process; the walk reads ``table[mask]`` and evaluates
     nothing.  It multiplies what the table holds, ints or packed ``_IntPoly``,
     and returns ``scale^w`` times the shard's share of the total, of that
     type.  A partition of ``r`` blocks is split after its first
@@ -292,9 +291,9 @@ def _usable_cpus() -> int:
 
 
 class _Walk(NamedTuple):
-    """One instance's partition walk, started by :func:`_start_collapsed`:
-    ``pool`` is None when ``shards`` already holds the walk's one
-    ``(partial, visited)``, else ``shards`` are its futures, in shard order."""
+    """One instance's partition walk, started by :func:`_start_collapsed`: ``pool``
+    is None when :func:`_finish_collapsed` walks it, else ``shards`` are its
+    workers' futures, in shard order, timed from ``start``."""
 
     inst: ConfigSumInstance
     scale: int
@@ -303,28 +302,30 @@ class _Walk(NamedTuple):
     start: float
 
 
-def _walk_whole(inst: ConfigSumInstance):
-    """A side-by-side entry's worker: build ``inst``'s block table, then walk it whole."""
-    return _collapsed_partial(inst, _block_table(inst)[0])
+def _walk(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
+    """Build ``inst``'s block table in this process, then walk shard ``part`` of ``parts``."""
+    return _collapsed_partial(inst, _block_table(inst)[0], part, parts)
 
 
-def _start_collapsed(inst: ConfigSumInstance, parts: Optional[int]) -> _Walk:
-    """Walk ``inst``'s partition stream: here when ``parts`` is None, else in
-    forked workers that run while this process goes on.  ``parts = 0`` forks one
-    worker that builds the block table and walks it whole, so this process
-    computes only the :func:`_common_scale` it divides by; otherwise the table
-    is built here and ``parts`` shards, one worker each, inherit it."""
+def _shards(inst: ConfigSumInstance, jobs: int) -> int:
+    """The workers :func:`sum_collapsed` forks: ``min(jobs, usable CPUs, 2^(g-1))``, none at 1."""
+    return min(jobs, _usable_cpus(), 1 << (inst.g - 1)) if jobs > 1 else 0
+
+
+def _start_collapsed(inst: ConfigSumInstance, parts: int) -> _Walk:
+    """Start ``inst``'s partition walk: ``parts`` forked workers, one per shard, that
+    run while this process goes on, or at ``parts = 0`` none, so that
+    :func:`_finish_collapsed` walks it here.  Either way every walk runs
+    :func:`_walk` and builds its own block table; this process computes only
+    the :func:`_common_scale` it divides by, before any fork, which leaves
+    ``stirling_poly(1..w)`` cached for the workers."""
     start = time.perf_counter()
-    if parts == 0:
-        scale, calls = _common_scale(inst), [(_walk_whole, inst)]
-    else:
-        table, scale = _block_table(inst)
-        if parts is None:
-            return _Walk(inst, scale, None, [_collapsed_partial(inst, table)], start)
-        calls = [(_collapsed_partial, inst, table, part, parts) for part in range(parts)]
+    scale = _common_scale(inst)
+    if not parts:
+        return _Walk(inst, scale, None, [], start)
     pool = ProcessPoolExecutor()
     try:
-        shards = [pool.submit(*call) for call in calls]
+        shards = [pool.submit(_walk, inst, part, parts) for part in range(parts)]
     except BaseException:
         pool.shutdown()
         raise
@@ -332,12 +333,15 @@ def _start_collapsed(inst: ConfigSumInstance, parts: Optional[int]) -> _Walk:
 
 
 def _finish_collapsed(walk: _Walk) -> ConfigSumResult:
-    """Merge a started walk's shards in shard order (deterministic), check the
-    Bell count and divide by ``scale^w``, unpacking a symbolic total onto the
-    ring; a pool is shut down, its workers reaped, whether or not every shard
-    reports.  ``elapsed`` runs from the walk's start to here."""
-    partials = walk.shards
-    if walk.pool is not None:
+    """Walk an unforked walk here, timing only that, or collect a forked one's
+    shards; merge them in shard order (deterministic), check the Bell count and
+    divide by ``scale^w``, unpacking a symbolic total onto the ring.  A pool is
+    shut down, its workers reaped, whether or not every shard reports."""
+    if walk.pool is None:
+        start = time.perf_counter()
+        partials = [_walk(walk.inst)]
+    else:
+        start = walk.start
         with walk.pool:
             partials = [fut.result() for fut in walk.shards]
     total, visited = partials[0]
@@ -349,24 +353,23 @@ def _finish_collapsed(walk: _Walk) -> ConfigSumResult:
         raise ConsistencyError(f"visited {visited} partitions, expected {expected}")
     inst, den = walk.inst, walk.scale ** walk.inst.w
     total = total.unpacked(*_ring(inst), den) if inst.ground.is_symbolic else Fraction(total, den)
-    return ConfigSumResult(inst, total, visited, time.perf_counter() - walk.start)
+    return ConfigSumResult(inst, total, visited, time.perf_counter() - start)
 
 
 def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     """Order-collapsed sum, an exact regrouping of the literal configuration sum.
 
-    The instance's block table is built once, before the walk or the fork.
-    With ``jobs > 1`` the unordered-partition stream is cut by partition
-    count into ``min(jobs, usable CPUs, 2^(g-1))`` near-equal shards, each in
-    its own worker process that inherits the table; exact addition makes the
-    merged total independent of the cut.  The unscaled partials are merged
-    and divided by the table's ``scale^w`` once, on every ground, and the
-    number of partitions visited must be the Bell number of ``g``.  This is
-    :func:`_finish_collapsed` applied to :func:`_start_collapsed`, the pair
-    :func:`run_plan` runs side by side for a plan of several entries.
+    With ``jobs = 1`` the instance is walked here.  With ``jobs > 1`` the
+    unordered-partition stream is cut by partition count into
+    ``min(jobs, usable CPUs, 2^(g-1))`` near-equal shards, each in its own
+    worker process that builds the instance's block table and walks its
+    shard; exact addition makes the merged total independent of the cut.
+    The unscaled partials are merged and divided by ``scale^w`` once, on
+    every ground, and the number of partitions visited must be the Bell
+    number of ``g``.  This is :func:`_finish_collapsed` applied to
+    :func:`_start_collapsed`, the pair :func:`run_plan` runs apart.
     """
-    parts = min(jobs, _usable_cpus(), 1 << (inst.g - 1)) if jobs > 1 else None
-    return _finish_collapsed(_start_collapsed(inst, parts))
+    return _finish_collapsed(_start_collapsed(inst, _shards(inst, jobs)))
 
 
 def sum_pointed(inst: ConfigSumInstance) -> SumValue:
@@ -404,15 +407,16 @@ def random_ground(g: int, rng: random.Random) -> GroundSet:
     """g distinct seeded rationals: integers and proper fractions, signs mixed."""
     _check_random_g(g)
     values = []
-    seen = set()
+    seen = set()  # lowest-terms (numerator, denominator) pairs, cheaper to hash than a Fraction
     while len(values) < g:
         if rng.random() < 0.5:
-            q = Fraction(rng.randint(-12, 12))
+            key = (rng.randint(-12, 12), 1)
         else:
-            q = Fraction(rng.randint(-12, 12), rng.randint(2, 9))
-        if q not in seen:
-            seen.add(q)
-            values.append(q)
+            n, d = rng.randint(-12, 12), rng.randint(2, 9)
+            key = (n // gcd(n, d), d // gcd(n, d))
+        if key not in seen:
+            seen.add(key)
+            values.append(Fraction(*key))
     return GroundSet.numeric(values)
 
 
@@ -499,16 +503,6 @@ def sweep_plan(g_max: int, *, symbolic_g_max: int = 5, seed: int = 0) -> Iterato
     return (entry for g in range(2, g_max + 1) for w in range(g - 1) for entry in entries(g, w))
 
 
-def _confirmed(entry: SweepEntry, result: ConfigSumResult, seed: int) -> SweepEntry:
-    # the entry with its result, and a nonzero total's double check
-    confirmation = None
-    if result.verdict == "nonzero":
-        inst = entry.instance
-        _, rng = seeded_rng(seed, inst.g, inst.w, entry.sample_index, confirming=True)
-        confirmation = double_check_nonzero(inst, result.total, rng)
-    return entry._replace(result=result, confirmation=confirmation)
-
-
 def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
              deadline: Optional[float] = None) -> Iterator[SweepEntry]:
     """Run planned entries, yielding each in plan order with its ``result`` as soon as it is done.
@@ -516,27 +510,23 @@ def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
     A nonzero total also gets the ``confirmation`` of :func:`double_check_nonzero`,
     whose fresh ground is drawn by ``seeded_rng(seed, g, w, sample_index, confirming=True)``.
     ``plan`` is read as entries start, at most two ahead to tell a lone entry
-    from a plan, and no entry is kept once it is yielded.  With ``jobs > 1`` a
-    plan of several entries runs up to ``min(jobs, usable CPUs)`` of them side
-    by side, each in one worker of its own pool that builds the entry's block
-    table and walks it whole, while this process hands back finished ones; a
-    lone entry is sharded as :func:`sum_collapsed` shards it.  ``deadline`` is
+    from a plan, and no entry is kept once it is yielded.  Entries start in
+    slots; the one a finished entry frees starts the next entry before the
+    finished one is confirmed and handed back.  At ``jobs = 1`` one slot
+    starts each entry lazily, to be walked here when it is finished.  At
+    ``jobs > 1`` a lone entry is sharded as :func:`sum_collapsed` shards it,
+    and a plan runs up to ``min(jobs, usable CPUs)`` entries side by side,
+    each walked whole by the one worker of its own pool.  ``deadline`` is
     read when an entry would start: once ``time.monotonic()`` passes it, the
-    entries already running finish and the rest are yielded unrun as
+    entries already started finish and the rest are yielded unrun as
     ``not_attempted``, never dropped.  Leaving the generator, on an error or
     on close, kills and reaps the workers still running.
     """
     plan = iter(plan)
     head = deque(islice(plan, 2))
+    side_by_side = jobs > 1 and len(head) > 1
     todo = chain((head.popleft() for _ in range(len(head))), plan)
-    if jobs <= 1 or len(head) == 1:
-        for entry in todo:
-            if deadline is not None and time.monotonic() > deadline:
-                yield entry._replace(status="not_attempted")
-                continue
-            yield _confirmed(entry, sum_collapsed(entry.instance, jobs=jobs), seed)
-        return
-    slots = min(jobs, _usable_cpus())
+    slots = min(jobs, _usable_cpus()) if side_by_side else 1
     running = deque()  # (entry, walk) in plan order
 
     def fill():
@@ -544,17 +534,24 @@ def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
             entry = next(todo, None)
             if entry is None:
                 return
-            running.append((entry, _start_collapsed(entry.instance, 0)))
+            parts = 1 if side_by_side else _shards(entry.instance, jobs)
+            running.append((entry, _start_collapsed(entry.instance, parts)))
 
     try:
         fill()
         while running:
             done, walk = running.popleft()
             result = _finish_collapsed(walk)
-            fill()  # the freed slot works while this entry is handed back
-            yield _confirmed(done, result, seed)
+            fill()  # the freed slot starts the next entry while this one is handed back
+            confirmation = None
+            if result.verdict == "nonzero":
+                inst = done.instance
+                _, rng = seeded_rng(seed, inst.g, inst.w, done.sample_index, confirming=True)
+                confirmation = double_check_nonzero(inst, result.total, rng)
+            yield done._replace(result=result, confirmation=confirmation)
     finally:
         for _, walk in running:
-            walk.pool.shutdown()
+            if walk.pool is not None:
+                walk.pool.shutdown()
     for entry in todo:
         yield entry._replace(status="not_attempted")

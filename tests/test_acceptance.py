@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 
+from stirlingzero import config_sums
 from stirlingzero.algebra import MultiPoly, interpolate_in_var
 from stirlingzero.bridge import bridge_check, bridge_params
 from stirlingzero.cli import main
@@ -224,11 +225,11 @@ def test_criterion_9_exploratory(monkeypatch):
     # a nonzero verdict must route through the double-verification protocol
     # before being reported; simulate one, since none exists in range
     calls = []
-    real_sum = sum_collapsed
+    real_finish = config_sums._finish_collapsed
 
-    def fake_sum(inst, jobs=1):
-        real = real_sum(inst, jobs=jobs)
-        if (inst.g, inst.w) == (7, 4):
+    def fake_finish(walk):
+        real = real_finish(walk)
+        if (walk.inst.g, walk.inst.w) == (7, 4):
             return ConfigSumResult(
                 real.instance, Fraction(1, 3), real.configurations_visited,
                 real.elapsed)
@@ -240,7 +241,7 @@ def test_criterion_9_exploratory(monkeypatch):
         calls.append((inst.g, inst.w, total))
         return sentinel
 
-    monkeypatch.setattr("stirlingzero.config_sums.sum_collapsed", fake_sum)
+    monkeypatch.setattr(config_sums, "_finish_collapsed", fake_finish)
     monkeypatch.setattr("stirlingzero.config_sums.double_check_nonzero", fake_check)
     plan = [e for e in sweep_plan(7, seed=31) if e.instance.g == 7]
     entries = list(run_plan(plan, seed=31, jobs=1))

@@ -4,6 +4,7 @@ import gc
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +18,7 @@ from stirlingzero import config_sums
 from stirlingzero.algebra import ConsistencyError, MultiPoly, PolynomialityError
 from stirlingzero.config_sums import (
     ConfigSumInstance,
+    SweepEntry,
     double_check_nonzero,
     random_ground,
     run_plan,
@@ -158,26 +160,27 @@ class TestCollapsedSum:
         assert_no_child_left()
 
     @needs_fork
-    def test_shards_inherit_the_block_table(self, monkeypatch):
-        # the parent samples eval_P at 2w+3 points per offset before it forks
-        # and reads every block sum off the fits; a shard that evaluated a
-        # block value itself would raise here
-        parent = os.getpid()
-        calls = []
+    def test_each_shard_builds_its_own_block_table(self, monkeypatch, tmp_path):
+        # the parent evaluates no block value; each shard samples eval_P at
+        # 2w+3 points per offset and reads every block sum off its own fits
+        parent, log = os.getpid(), tmp_path / "calls"
         real = config_sums.eval_P
 
-        def parent_only(v, t):
-            if os.getpid() != parent:
-                raise AssertionError("a shard evaluated a block value")
-            calls.append((v, t))
+        def logged(v, t):
+            if os.getpid() == parent:
+                raise AssertionError("the parent evaluated a block value")
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             return real(v, t)
 
         g, w = 6, 4
         inst = numeric_instance(g, w, MIXED[:g])
         serial = sum_collapsed(inst).total
-        monkeypatch.setattr(config_sums, "eval_P", parent_only)
+        monkeypatch.setattr(config_sums, "eval_P", logged)
         assert sum_collapsed(inst, jobs=2).total == serial
-        assert len(calls) == (2 * w + 3) * (w + 1)
+        per_shard = Counter(log.read_text().split())
+        assert len(per_shard) == min(2, config_sums._usable_cpus())
+        assert set(per_shard.values()) == {(2 * w + 3) * (w + 1)}
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus, jobs, workers, parts", [
@@ -832,6 +835,29 @@ class TestRandomGround:
         assert config_sums.RANDOM_G_MAX == len(support) == 143
         assert set(random_ground(143, random.Random(7)).values) == support
 
+    def test_draws_match_a_plain_fraction_reference(self):
+        # random_ground keys its seen-set by int pairs; the reference keys it
+        # by Fraction.  The values, their order and the rng's state afterwards
+        # must agree on every label, up to the full support at g = 143
+        def reference(g, rng):
+            values, seen = [], set()
+            while len(values) < g:
+                if rng.random() < 0.5:
+                    q = Fraction(rng.randint(-12, 12))
+                else:
+                    q = Fraction(rng.randint(-12, 12), rng.randint(2, 9))
+                if q not in seen:
+                    seen.add(q)
+                    values.append(q)
+            return tuple(values)
+
+        for g in (2, 3, 6, 7, 20, 80, 143):
+            for i in range(40):
+                label, rng = config_sums.seeded_rng(0, g, g - 2, i)
+                _, ref_rng = config_sums.seeded_rng(0, g, g - 2, i)
+                assert random_ground(g, rng).values == reference(g, ref_rng), label
+                assert rng.getstate() == ref_rng.getstate(), label
+
     def test_past_the_limit_is_refused_before_drawing(self):
         # the rejection loop could never find a 144th distinct value
         rng = random.Random(7)
@@ -963,6 +989,17 @@ class TestVerifyRange:
             most, done = max(most, live() - before), done + 1
         assert done == 60 and most <= 5
         assert_no_child_left()
+
+    def test_a_serial_record_times_only_its_own_walk(self):
+        # at jobs=1 the next entry is started before a finished one is handed
+        # back, but walked only when it is finished, so the time the caller
+        # spends between records is not charged to the next one
+        inst = numeric_instance(4, 2, [2, 3, 5, 7])
+        entries = run_plan([SweepEntry(inst, "asserted")] * 2, seed=0, jobs=1)
+        next(entries)
+        time.sleep(0.3)
+        second = next(entries)
+        assert second.result.total == 0 and second.result.elapsed < 0.3
 
     def test_reproducible_with_same_seed(self):
         a = run_sweep_plan(5, seed=5, symbolic_g_max=4)

@@ -333,8 +333,8 @@ def test_a_lone_entry_is_still_sharded(pools, tmp_path, capsys):
 @needs_fork
 def test_each_block_table_is_built_where_its_walk_runs(pools, monkeypatch, tmp_path, capsys):
     # --jobs 1 builds each entry's table here; at --jobs 2 a plan of several
-    # entries builds each in the entry's one worker, and a lone entry builds
-    # its table here, once, before its shards fork
+    # entries builds each in the entry's one worker, and each shard of a lone
+    # entry builds its own
     parent, built = os.getpid(), []
     real = config_sums._block_table
 
@@ -352,7 +352,7 @@ def test_each_block_table_is_built_where_its_walk_runs(pools, monkeypatch, tmp_p
     assert built == [] and pools.submits == [1, 1, 1]
     code, records, _ = _run(["part1", "--g", "4", "--w", "2", "--random", "1", "--jobs", "2"],
                             tmp_path, capsys, "lone")
-    assert built == [2] and pools.submits == [1, 1, 1, 2]
+    assert built == [] and pools.submits == [1, 1, 1, 2]
     assert (code, records) == (serial[0], serial[1][2:])
     assert_no_child_left()
 
