@@ -30,7 +30,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import factorial, lcm
 from operator import add, mul
 from types import MappingProxyType
@@ -151,13 +151,6 @@ def _ideal_slots(names, exponents: Iterable[tuple], weights: Mapping[str, int],
     return weight_of, [i for i, name in enumerate(names) if name in square]
 
 
-def _outside(terms: Mapping, weight_of, square_slots, max_weight: Optional[int]) -> dict:
-    # the terms outside the ideal of _ideal_slots' slots, kept as they are
-    return {e: c for e, c in terms.items()
-            if not any(e[i] > 1 for i in square_slots)
-            and (max_weight is None or sum(map(mul, e, weight_of)) <= max_weight)}
-
-
 class _Packer:
     """Exponent tuples of one registry packed into ints, and back.
 
@@ -248,14 +241,16 @@ class _IntPoly(dict):
     __rmul__ = __mul__
 
 
-def _groups(nums: Mapping, weight_of, square_slots, pack) -> dict:
-    # the term map split by (weight, bitmask of the squarefree slots it
-    # carries), with packed keys: {(weight, mask): {key: c}}; the terms lie
-    # outside the ideal, so each squarefree exponent is 0 or 1
+def _groups(nums: Mapping, weight_of, square_slots, max_weight: Optional[int], pack) -> dict:
+    # the term map reduced modulo the ideal of _ideal_slots' slots and split by
+    # (weight, bitmask of the squarefree slots it carries) in one pass, with
+    # packed keys: {(weight, mask): {key: c}}; a kept squarefree exponent is 0 or 1
     groups = {}
     for e, c in nums.items():
-        mask = sum(e[i] << bit for bit, i in enumerate(square_slots))
-        groups.setdefault((sum(map(mul, e, weight_of)), mask), {})[pack(e)] = c
+        weight = sum(map(mul, e, weight_of))
+        if (max_weight is None or weight <= max_weight) and all(e[i] < 2 for i in square_slots):
+            mask = sum(e[i] << bit for bit, i in enumerate(square_slots))
+            groups.setdefault((weight, mask), {})[pack(e)] = c
     return groups
 
 
@@ -582,25 +577,24 @@ class Series:
     def _over_lcm(self, ideal: Ideal):
         # every coefficient on one registry, as integer numerators over the
         # lcm L of all their denominators, reduced modulo ``ideal``, split by
-        # group and packed (_groups): (names, L, packer, max_weight,
+        # group and packed in one pass (_groups): (names, L, packer, max_weight,
         # [N_0..N_T]).  The ideal is checked once, on every input term.  A
         # recurrence coefficient of index k <= T is a sum of products of at
         # most k input terms, so no slot of its keys exceeds T times the
-        # largest input exponent, the packer's bound.
+        # largest exponent of any input term, reduced away or not: the bound.
         names = _registry(self.coeffs)
         weights, max_weight, squarefree = ideal
         terms = [c._remap(names) for c in self.coeffs]
         weight_of, square_slots = _ideal_slots(names, [e for t in terms for e in t],
                                                weights, squarefree)
         den = lcm(*(c.denominator for t in terms for c in t.values()))
-        reduced = [_outside(_numerators(t, den)[0], weight_of, square_slots, max_weight)
-                   for t in terms]
         if max_weight is None:
             weight_of = ()  # unbounded: the weights tell no pair apart
-        bound = self.order * max((abs(x) for t in reduced for e in t for x in e), default=0)
+        bound = self.order * max(map(abs, chain.from_iterable(chain(*terms))), default=0)
         packer = _Packer(len(names), bound)
         return (names, den, packer, max_weight,
-                [_groups(t, weight_of, square_slots, packer.pack) for t in reduced])
+                [_groups(_numerators(t, den)[0], weight_of, square_slots, max_weight,
+                         packer.pack) for t in terms])
 
     def _from_scaled(self, names, scaled, L, unpack) -> "Series":
         # coefficient k is the groups scaled[k] over k! L^k, a tuple rebuilt

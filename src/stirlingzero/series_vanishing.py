@@ -248,6 +248,12 @@ def _partitions(n: int, max_part: Optional[int] = None):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
+def _falling(m: int) -> tuple:
+    # c_{m,0} .. c_{m,m} of j(j-1)...(j-m+1), low degree first, kept per m
+    return tuple(_dense_from_nodes(range(m)))
+
+
 def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPoly:
     """a_h(r, j) as a term map on the registry ``(j, r, u_s for s in u_indices)``.
 
@@ -255,13 +261,14 @@ def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPol
     ``sum (s_i - 1) = h`` has ``m = h + p``, automorphism count
     ``aut = prod over distinct s of mult(s)!`` and the integer coefficients
     ``c_{m,k}`` of ``j(j-1)...(j-m+1) = sum_k c_{m,k} j^k``, read off the node
-    product over ``0..m-1`` (they are the signed Stirling numbers
-    ``(-1)^(m-k) [m, k]``).  It gives one term per power of j::
+    product over ``0..m-1`` once per ``m`` (they are the signed Stirling
+    numbers ``(-1)^(m-k) [m, k]``).  It gives one term per power of j::
 
         prod_i((-1)^(s_i+1) / s_i) * c_{m,k} / aut * j^k * r^(-m) * u_{s_1}...u_{s_p}
 
     Distinct multisets give distinct u-monomials, so no two terms share an
-    exponent vector.  With ``squarefree`` the multisets with a repeated
+    exponent vector; with int exponents and nonzero coefficients the map is
+    canonical as built.  With ``squarefree`` the multisets with a repeated
     index are skipped: their monomials lie in the ideal (u_s^2).
     """
     names = (J, R) + tuple(u_name(s) for s in u_indices)
@@ -269,9 +276,7 @@ def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPol
     terms = {}
     for parts in _partitions(h):
         mult = Counter(p + 1 for p in parts)
-        if any(s not in slot for s in mult):
-            continue
-        if squarefree and any(count > 1 for count in mult.values()):
+        if any(s not in slot for s in mult) or (squarefree and len(mult) < len(parts)):
             continue
         m = h + len(parts)
         sign = (-1) ** sum((s + 1) * count for s, count in mult.items())
@@ -280,11 +285,11 @@ def _closed_form(h: int, u_indices: tuple, squarefree: bool = False) -> MultiPol
         exps[1] = -m
         for s, count in mult.items():
             exps[slot[s]] = count
-        for k, c in enumerate(_dense_from_nodes(range(m))):
+        for k, c in enumerate(_falling(m)):
             if c:
                 exps[0] = k
                 terms[tuple(exps)] = Fraction(sign * c, den)
-    return MultiPoly(names, terms)
+    return MultiPoly._raw(names, terms)
 
 
 def symbolic_expansion_coefficient(h: int, cfg: ExpansionConfig) -> MultiPoly:

@@ -132,6 +132,24 @@ def reference_fit(samples, var_name, degree_bound):
     return total
 
 
+def reference_outside(nums, weight_of, square_slots, max_weight):
+    # the parent's first pass over a Series input: the terms outside the
+    # ideal, kept as they are
+    return {e: c for e, c in nums.items()
+            if not any(e[i] > 1 for i in square_slots)
+            and (max_weight is None or sum(w * x for w, x in zip(weight_of, e)) <= max_weight)}
+
+
+def reference_groups(nums, weight_of, square_slots, pack):
+    # the parent's second pass: the reduced terms split by (weight, mask)
+    groups = {}
+    for e, c in nums.items():
+        mask = sum(e[i] << bit for bit, i in enumerate(square_slots))
+        weight = sum(w * x for w, x in zip(weight_of, e))
+        groups.setdefault((weight, mask), {})[pack(e)] = c
+    return groups
+
+
 def reference_lagrange_rows(nodes):
     """``_lagrange_rows`` built one basis polynomial at a time.
 
@@ -654,6 +672,25 @@ class TestSeries:
         total = tuple(map(sum, zip(*terms)))
         assert packer.pack(total) == sum(keys)
         assert packer.unpack(sum(keys)) == total
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_groups_match_outside_then_groups(self, data):
+        # _groups reduces and splits each input term in one pass; it must
+        # give what the two passes of reference_outside and reference_groups
+        # give, on exponents of either sign in every slot, with a weight bound
+        # or without (the weights then dropped, as _over_lcm drops them)
+        width = data.draw(st.integers(1, 5), label="width")
+        exps = st.tuples(*[st.integers(-3, 3)] * width)
+        nums = data.draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool), max_size=12))
+        weight_of = data.draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
+        max_weight = data.draw(st.none() | st.integers(-2, 8), label="max_weight")
+        square_slots = sorted(data.draw(st.sets(st.integers(0, width - 1)), label="squares"))
+        split_by = [] if max_weight is None else weight_of
+        pack = algebra._Packer(width, 3).pack
+        want = reference_groups(reference_outside(nums, weight_of, square_slots, max_weight),
+                                split_by, square_slots, pack)
+        assert algebra._groups(nums, split_by, square_slots, max_weight, pack) == want
 
     @pytest.mark.parametrize("bound", [0, 127, 128, 2 ** 15 - 1, 2 ** 15, 2 ** 63 - 1, 2 ** 63])
     def test_packer_digit_grows_at_its_edge(self, bound):

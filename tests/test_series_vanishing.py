@@ -413,9 +413,47 @@ class TestClosedForm:
         assert signed_row(4) == [0, -6, 11, -6, 1]
         for m in range(12):
             assert _dense_from_nodes(range(m)) == signed_row(m)
+            assert series_vanishing._falling(m) == tuple(signed_row(m))
             for j in range(m, m + 6):
                 assert sum(c * j ** k for k, c in enumerate(signed_row(m))) == \
                     factorial(j) // factorial(j - m)
+
+    def test_a_tampered_falling_factorial_row_is_caught(self, monkeypatch):
+        # positive control for the cached rows: the j^5 coefficient of row
+        # m = 5 read as 2.  Row m is read at order h when a multiset has
+        # p = m - h parts, 1 <= p <= h, so first at h = 3 ({2, 3}); orders 1
+        # and 2 do not read it and still pass
+        real = series_vanishing._falling
+
+        def tampered(m):
+            row = real(m)
+            return row[:-1] + (row[-1] + 1,) if m == 5 else row
+
+        monkeypatch.setattr(series_vanishing, "_falling", tampered)
+        for h in (1, 2):
+            assert symbolic_expansion_coefficient(h, CFG) == reference_closed_form(h, CFG.u_indices)
+        with pytest.raises(ConsistencyError, match="disagree at order 3"):
+            symbolic_expansion_coefficient(3, CFG)
+        with pytest.raises(ConsistencyError, match="disagree at order 3"):
+            vanishing_report(CFG)
+
+    @pytest.mark.parametrize("h", range(1, 11))
+    @pytest.mark.parametrize("indices, squarefree", [
+        (tuple(range(2, 12)), False),
+        (tuple(range(2, 12)), True),
+        ((2, 3, 7), False),
+    ], ids=["plain", "squarefree", "narrowed"])
+    def test_closed_form_is_canonical_as_built(self, h, indices, squarefree):
+        # the closed form skips the constructor's checks: its terms must be
+        # what the constructor would keep, int exponent tuples of the
+        # registry's width and nonzero Fraction coefficients
+        cf = _closed_form(h, indices, squarefree)
+        assert cf == MultiPoly(cf.vars, cf.terms)
+        assert cf.terms
+        for exps, c in cf.terms.items():
+            assert type(exps) is tuple and len(exps) == len(cf.vars)
+            assert all(type(e) is int for e in exps)
+            assert type(c) is Fraction and c != 0
 
     def test_registry_is_j_r_then_the_u_indices(self):
         assert _closed_form(2, (2, 3, 5)).vars == ("j", "r", "u2", "u3", "u5")
