@@ -728,6 +728,24 @@ def _lagrange_rows(nodes: tuple) -> tuple:
     return tuple(zip(*rows)), den
 
 
+def _fit(points: Sequence[int], values: Sequence, degree: int, var: str) -> tuple:
+    # (nums, den): nums[d] / den is the X^d coefficient of the polynomial through the
+    # first degree + 1 distinct int points, one dot product of _lagrange_rows per
+    # degree; every later point is a witness, checked by integer Horner.  A value
+    # that is not an int or a Fraction raises TypeError (_as_fraction), not dropped
+    values = [_as_fraction(v) for v in values]
+    count = degree + 1
+    by_degree, den = _lagrange_rows(tuple(points[:count]))
+    scale = lcm(*(v.denominator for v in values[:count]))
+    column = [v.numerator * (scale // v.denominator) for v in values[:count]]
+    nums, den = [sum(map(mul, basis, column)) for basis in by_degree], den * scale
+    for x, v in zip(points[count:], values[count:]):
+        if _horner(nums, x) * v.denominator != v.numerator * den:
+            raise PolynomialityError(
+                f"surplus sample at {var}={x} deviates from the degree-{degree} interpolant")
+    return nums, den
+
+
 def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiPoly:
     """Exact Lagrange interpolation through polynomial-valued samples.
 
@@ -738,12 +756,11 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
     Every remaining sample is then checked against the fit; a disagreement
     raises :class:`PolynomialityError` (never silently dropped).
 
-    The fit runs coefficient by coefficient: each monomial of the node values
-    gets its own univariate interpolant, one integer dot product per degree
-    of the Lagrange numerators, built once per node tuple, with the node values'
-    numerators over their lcm.  A surplus sample is compared, by integer
-    Horner evaluation of those numerators, on every monomial that the fit or
-    the sample carries.
+    The fit runs coefficient by coefficient: every monomial that any sample
+    carries, nodes and witnesses alike, gets one witnessed scalar fit
+    (``_fit``, the kernel of every interpolation in the engine) of its
+    coefficients over all the samples, so a witness that strays on a monomial
+    no node has fails too.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -771,28 +788,10 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
     slot = out_names.index(var)
     names = out_names[:slot] + out_names[slot + 1:]
     terms = [p._remap(names) for p in values]
-
-    count = degree_bound + 1
-    by_degree, den = _lagrange_rows(tuple(points[:count]))
-    fit = {}  # monomial -> (numerators of its X^0..X^degree_bound coefficients, denominator)
-    for mono in set().union(*terms[:count]):
-        column = [t.get(mono, 0) for t in terms[:count]]
-        scale = lcm(*(v.denominator for v in column))
-        column = [v.numerator * (scale // v.denominator) for v in column]
-        fit[mono] = [sum(map(mul, basis, column)) for basis in by_degree], den * scale
-
-    for x, witness in zip(points[count:], terms[count:]):
-        for mono in fit.keys() | witness.keys():
-            nums, scale = fit.get(mono, ((), 1))
-            target = witness.get(mono, 0)
-            if _horner(nums, x) * target.denominator != target.numerator * scale:
-                raise PolynomialityError(
-                    f"surplus sample at {var}={x} deviates from the degree-"
-                    f"{degree_bound} interpolant")
-
     out = {}
-    for mono, (nums, scale) in fit.items():
+    for mono in set().union(*terms):
+        nums, den = _fit(points, [t.get(mono, 0) for t in terms], degree_bound, var)
         for d, c in enumerate(nums):
             if c:
-                out[mono[:slot] + (d,) + mono[slot:]] = Fraction(c, scale)
+                out[mono[:slot] + (d,) + mono[slot:]] = Fraction(c, den)
     return MultiPoly._raw(out_names, out)

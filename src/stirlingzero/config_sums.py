@@ -75,8 +75,7 @@ from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from ._pool import ProcessPoolExecutor
-from .algebra import (ConsistencyError, MultiPoly, _as_int, _horner, _IntPoly, _Packer,
-                      interpolate_in_var)
+from .algebra import ConsistencyError, MultiPoly, _as_int, _fit, _horner, _IntPoly, _Packer
 from .partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
 from .stirling import eval_P, eval_P_symbolic, stirling_poly
 
@@ -206,26 +205,26 @@ def _block_table(inst: ConfigSumInstance) -> tuple:
     at offset ``v``, shared by the masks with one block sum (index 0 is no block).
 
     ``scale`` is :func:`_common_scale`, so every fit must have integer coefficients.
-    Offset ``v`` is one :func:`interpolate_in_var` fit of degree ``2v`` through the
-    ground's evaluator at ``T/D``, ``T = 0 .. 2w+2``, times ``scale^v``: its last
-    ``2(w-v)+2`` samples are witnesses.  The offset-0 fit must be the constant 1.
+    Offset ``v`` is one ``algebra._fit`` of degree ``2v`` through the ground's
+    evaluator at ``T/D``, ``T = 0 .. 2w+2``, times ``scale^v``: its last
+    ``2(w-v)+2`` samples are witnesses, and a sample that is not an int or a
+    ``Fraction`` raises ``TypeError``.  The offset-0 fit must be the constant 1.
     Horner reads every fit at each distinct scaled block sum; a symbolic ground's
     ``MultiPoly`` values are each packed as made (:func:`_ring`), so none is kept.
     """
     den, sums = inst.ground.scaled_sums
     evaluate, scale = (eval_P_symbolic if inst.ground.is_symbolic else eval_P), _common_scale(inst)
-    points = [Fraction(t, den) for t in range(2 * inst.w + 3)]
+    points = range(2 * inst.w + 3)
     coeffs = []
     for v in range(inst.w + 1):
-        fit = interpolate_in_var([(t, evaluate(v, x) * scale ** v) for t, x in enumerate(points)],
-                                 "T", 2 * v)
-        cs = [fit.terms.get((d,), 0) for d in range(2 * v + 1)]
-        fractional = [c for c in cs if c.denominator != 1]
+        nums, fit_den = _fit(points, [evaluate(v, Fraction(t, den)) * scale ** v for t in points],
+                             2 * v, "T")
+        fractional = [Fraction(c, fit_den) for c in nums if c % fit_den]
         if fractional:
             raise ConsistencyError(
                 f"offset-{v} block values fit a polynomial in the scaled block sum "
                 f"whose coefficients are not integers ({fractional[0]} is not an integer)")
-        coeffs.append([c.numerator for c in cs])
+        coeffs.append([c // fit_den for c in nums])
     if coeffs[0] != [1]:
         raise ConsistencyError(f"offset-0 block values fit {coeffs[0]}, not the constant 1")
     ring = _ring(inst) if inst.ground.is_symbolic else None

@@ -9,8 +9,8 @@ fixed offset ``w``, the diagonal ``[n, n-w]`` agrees with a polynomial in
 ``n`` of degree ``2w``; that polynomial, evaluated anywhere, is what the
 identity checks consume.
 
-The degree-2w polynomial is built by the engine's one interpolation routine,
-:func:`~stirlingzero.algebra.interpolate_in_var`, through row entries at
+The degree-2w polynomial is built by the engine's one interpolation kernel,
+the witnessed scalar fit ``algebra._fit``, through the integer row entries at
 ``n = w .. 3w``.  Before anything is returned it is cross-validated against
 the discrete difference identity ``P_w(x+1) - P_w(x) = x * P_{w-1}(x)`` (a
 direct consequence of the recurrence ``[n+1, k] = [n, k-1] + n [n, k]``),
@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .algebra import (
-    ConsistencyError, MultiPoly, _as_fraction, _dense_from_nodes, _horner, interpolate_in_var)
+    ConsistencyError, MultiPoly, _as_fraction, _dense_from_nodes, _fit, _horner)
 
 __all__ = [
     "stirling_row",
@@ -73,17 +73,17 @@ def stirling_poly(w: int) -> tuple:
     """Coefficients (low degree first) of the degree-2w polynomial agreeing
     with ``[n, n-w]`` for integers n >= w.
 
-    Interpolated by ``interpolate_in_var`` through row entries at
-    ``n = w .. 3w`` and cross-validated against the difference identity
-    before being cached.
+    Fitted by ``algebra._fit`` through the row entries at ``n = w .. 3w``,
+    numbers fitted as numbers, and cross-validated against the difference
+    identity before being cached.
     """
     if w < 0:
         raise ValueError("offset w must be nonnegative")
     if w == 0:
         return (Fraction(1),)
-    fit = interpolate_in_var(
-        [(n, stirling_row(n)[n - w]) for n in range(w, 3 * w + 1)], "x", 2 * w)
-    coeffs = tuple(fit.terms.get((d,), Fraction(0)) for d in range(2 * w + 1))
+    points = range(w, 3 * w + 1)
+    nums, den = _fit(points, [stirling_row(n)[n - w] for n in points], 2 * w, "x")
+    coeffs = tuple(Fraction(c, den) for c in nums)
     _validate_chain(w, coeffs, stirling_poly(w - 1))
     return coeffs
 
@@ -114,9 +114,9 @@ def eval_P(w: int, t) -> Fraction:
     return Fraction(acc, den * scale)
 
 
-def eval_P_symbolic(w: int, t) -> MultiPoly:
-    """Polynomial composition: the offset-w polynomial evaluated at a MultiPoly
-    by the engine's Horner loop; a rational ``t`` goes through :func:`eval_P`."""
+def eval_P_symbolic(w: int, t) -> MultiPoly | Fraction:
+    """Polynomial composition: the offset-w polynomial evaluated at a MultiPoly by the
+    engine's Horner loop; a rational ``t`` gives :func:`eval_P`'s ``Fraction``."""
     if not isinstance(t, MultiPoly):
-        return MultiPoly.constant(eval_P(w, t))
+        return eval_P(w, t)
     return MultiPoly._coerce(_horner(stirling_poly(w), t))  # w = 0: the constant 1

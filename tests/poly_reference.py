@@ -1,8 +1,11 @@
-"""Per-term references for MultiPoly: reduction modulo a monomial ideal, substitution.
+"""Per-term references for MultiPoly: reduction modulo a monomial ideal, substitution,
+and a plain-Fraction Lagrange fit.
 
 Each walks a polynomial's terms one at a time, by variable name, and shares
 no code with the reduction inside ``Series.exp``/``Series.log``, so the
 tests that compare the two check the kernel against an independent route.
+The fit builds one basis polynomial at a time in ``Fraction`` arithmetic,
+sharing nothing with the integer kernel ``algebra._fit``.
 """
 
 from fractions import Fraction
@@ -43,3 +46,22 @@ def substitute(p, values):
                 key.append(e)
         out[tuple(key)] = out.get(tuple(key), 0) + coeff
     return MultiPoly(kept, out)
+
+
+def lagrange_coefficients(points, values, degree):
+    """Coefficients, low degree first, of the polynomial of degree at most ``degree``
+    through the first ``degree + 1`` pairs of ``points`` and ``values``.
+
+    ``sum_i v_i * prod_{m != i} (X - x_m) / (x_i - x_m)``, each basis
+    polynomial multiplied out on its own, one ``Fraction`` per coefficient.
+    """
+    nodes = list(zip(points, values))[:degree + 1]
+    total = [Fraction(0)] * (degree + 1)
+    for i, (x_i, v_i) in enumerate(nodes):
+        basis = [Fraction(v_i)]
+        for m, (x_m, _) in enumerate(nodes):
+            if m != i:
+                basis = [(low - x_m * c) / (x_i - x_m) for low, c in zip([0] + basis, basis + [0])]
+        for d, c in enumerate(basis):
+            total[d] += c
+    return total

@@ -22,7 +22,7 @@ from stirlingzero.algebra import (
     interpolate_in_var,
 )
 
-from poly_reference import remainder, substitute
+from poly_reference import lagrange_coefficients, remainder, substitute
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -800,6 +800,40 @@ class TestIntPoly:
             p.unpacked(self.NAMES, packer)
 
 
+class TestScalarFit:
+    """``algebra._fit``, the one kernel of every interpolation, against a
+    plain-``Fraction`` Lagrange reference."""
+
+    @given(st.integers(0, 8), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_fit_matches_fraction_reference(self, degree, data):
+        points = data.draw(st.lists(st.integers(-40, 40), min_size=degree + 1,
+                                    max_size=degree + 4, unique=True))
+        nodes = data.draw(st.lists(st.integers(-50, 50) | coefficients,
+                                   min_size=degree + 1, max_size=degree + 1))
+        truth = lagrange_coefficients(points, nodes, degree)
+        values = nodes + [sum(c * x ** d for d, c in enumerate(truth))
+                          for x in points[degree + 1:]]
+        nums, den = algebra._fit(points, values, degree, "T")
+        assert type(den) is int and den > 0 and all(type(c) is int for c in nums)
+        assert [Fraction(c, den) for c in nums] == truth
+        if len(points) > degree + 1:  # a witness off the polynomial names its point
+            i = data.draw(st.integers(degree + 1, len(points) - 1))
+            values[i] += data.draw(coefficients)
+            with pytest.raises(PolynomialityError,
+                               match=f"surplus sample at T={points[i]} deviates"):
+                algebra._fit(points, values, degree, "T")
+
+    @pytest.mark.parametrize("bad", [True, var("z"), MultiPoly.constant(3), 1.0],
+                             ids=["bool", "variable", "constant-poly", "float"])
+    @pytest.mark.parametrize("at", [0, 3], ids=["node", "witness"])
+    def test_a_value_that_is_not_a_rational_is_refused(self, bad, at):
+        values = [1, Fraction(1, 2), 7, 5]
+        values[at] = bad
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            algebra._fit(range(4), values, 2, "T")
+
+
 class TestInterpolation:
     def test_constant_fit(self):
         one = MultiPoly.constant(1)
@@ -899,13 +933,15 @@ class TestInterpolation:
 
     def test_rows_are_kept_per_node_tuple_and_witnesses_still_checked(self):
         # a fit from kept rows equals one from rows built afresh, and a bad
-        # witness after a cache hit still raises
+        # witness after a cache hit still raises.  Each of the two monomials
+        # (u and 1) is one _fit, so two calls read the rows four times, and
+        # the node tuple's rows are built once
         u, j = var("u"), var("j")
         samples = [(x, u * x * x + x) for x in range(5)]
         algebra._lagrange_rows.cache_clear()
         fresh = interpolate_in_var(samples, "j", 2)
         assert interpolate_in_var(samples, "j", 2) == fresh == u * j * j + j
-        assert algebra._lagrange_rows.cache_info()[:2] == (1, 1)  # hits, misses
+        assert algebra._lagrange_rows.cache_info()[:2] == (3, 1)  # hits, misses
         by_degree, den = algebra._lagrange_rows((0, 1, 2))
         assert (by_degree, den) == algebra._lagrange_rows.__wrapped__((0, 1, 2))
         assert type(by_degree) is tuple and all(type(row) is tuple for row in by_degree)

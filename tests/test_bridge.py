@@ -103,7 +103,7 @@ class TestBridgeCheck:
         # still fits its own offsets, on nodes from 0, in config_sums
         nodes, fits, table_fits, coeffs, logs = [], [], [], [], []
         real_fit = series_vanishing.interpolate_in_var
-        real_table_fit = config_sums.interpolate_in_var
+        real_table_fit = config_sums._fit
         real_coeff, real_log = series_vanishing.symbolic_expansion_coefficient, Series.log
 
         def counted_fit(samples, var, degree_bound):
@@ -111,9 +111,9 @@ class TestBridgeCheck:
             nodes.append(tuple(x for x, _ in samples[:degree_bound + 1]))
             return real_fit(samples, var, degree_bound)
 
-        def counted_table_fit(samples, var, degree_bound):
-            table_fits.append(degree_bound)
-            return real_table_fit(samples, var, degree_bound)
+        def counted_table_fit(points, values, degree, var):
+            table_fits.append(degree)
+            return real_table_fit(points, values, degree, var)
 
         def counted_coeff(h, *args, **kwargs):
             coeffs.append(h)
@@ -125,7 +125,7 @@ class TestBridgeCheck:
 
         series_vanishing.log_expansion.cache_clear()
         monkeypatch.setattr(series_vanishing, "interpolate_in_var", counted_fit)
-        monkeypatch.setattr(config_sums, "interpolate_in_var", counted_table_fit)
+        monkeypatch.setattr(config_sums, "_fit", counted_table_fit)
         monkeypatch.setattr(series_vanishing, "symbolic_expansion_coefficient", counted_coeff)
         monkeypatch.setattr(Series, "log", counted_log)
         try:

@@ -10,7 +10,7 @@ import pytest
 
 from forking import assert_no_child_left, needs_fork
 from stirlingzero import bridge, config_sums
-from stirlingzero.algebra import ConsistencyError
+from stirlingzero.algebra import ConsistencyError, MultiPoly
 from stirlingzero.cli import build_parser, main
 from stirlingzero.ledger import read_records, value_str
 
@@ -31,7 +31,32 @@ def _p1_plus_one(monkeypatch):
     monkeypatch.setattr(config_sums, "eval_P_symbolic", plus_one(config_sums.eval_P_symbolic))
 
 
+def _stray_term_at_offset_one(monkeypatch):
+    # a stray variable in the offset-1 value at every rational point
+    z = MultiPoly.variable("z")
+    for name in ("eval_P", "eval_P_symbolic"):
+        real = getattr(config_sums, name)
+        monkeypatch.setattr(config_sums, name, lambda v, t, real=real: real(v, t) + z
+                            if v == 1 and not isinstance(t, MultiPoly) else real(v, t))
+
+
 class TestPart1Command:
+    @pytest.mark.parametrize("ground", [["--c", "2,3,5,7"], ["--symbolic"]],
+                             ids=["numeric", "symbolic"])
+    @pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=needs_fork)])
+    def test_a_stray_term_stops_the_run(self, monkeypatch, tmp_path, capsys, ground, jobs):
+        # positive control: a block value that is not a rational is an engine
+        # error, exit 2 with no verdict and no record, not a zero verdict
+        _stray_term_at_offset_one(monkeypatch)
+        code, records, _ = run_cli(["part1", "--g", "4", "--w", "1", *ground, "--jobs", jobs],
+                                   tmp_path)
+        out = capsys.readouterr()
+        assert code == 2
+        assert records == []
+        assert " -> " not in out.out
+        assert "expected an exact rational, got MultiPoly" in out.err
+        assert_no_child_left()
+
     def test_explicit_ground(self, tmp_path):
         code, records, _ = run_cli(
             ["part1", "--g", "3", "--w", "0", "--c", "2,3,4", "--jobs", "1"],
@@ -244,6 +269,23 @@ class TestBridgeCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("symbolic_g_max", ["5", "2"], ids=["symbolic", "numeric"])
+    @pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=needs_fork)])
+    def test_a_stray_term_stops_the_sweep(self, monkeypatch, tmp_path, capsys,
+                                          symbolic_g_max, jobs):
+        # the fault reaches offset 1 only, first at g = 3, w = 1: the sweep
+        # exits 2 there, and only the w = 0 entries before it have a verdict
+        _stray_term_at_offset_one(monkeypatch)
+        code, records, _ = run_cli(["sweep", "--g-max", "4", "--symbolic-g-max", symbolic_g_max,
+                                    "--jobs", jobs], tmp_path)
+        out = capsys.readouterr()
+        assert code == 2
+        assert {(r["params"]["g"], r["params"]["w"]) for r in records} == {(2, 0), (3, 0)}
+        lines = out.out.splitlines()
+        assert len(lines) == len(records) and all(" w=0 " in line for line in lines)
+        assert "expected an exact rational, got MultiPoly" in out.err
+        assert_no_child_left()
+
     def test_small_band(self, tmp_path):
         code, records, _ = run_cli(
             ["sweep", "--g-max", "4", "--jobs", "1"], tmp_path)

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from stirlingzero import config_sums
+from stirlingzero import config_sums, stirling
 from stirlingzero.algebra import ConsistencyError, MultiPoly, PolynomialityError
 from stirlingzero.config_sums import (
     ConfigSumInstance,
@@ -27,7 +27,7 @@ from stirlingzero.config_sums import (
     sweep_plan,
 )
 from stirlingzero.partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
-from stirlingzero.stirling import eval_P_symbolic
+from stirlingzero.stirling import eval_P_symbolic, stirling_poly
 
 import ordered_reference
 from forking import assert_no_child_left, needs_fork
@@ -438,7 +438,54 @@ def _fault_at_one_sum(monkeypatch, t):
                         lambda v, s: real(v, s) + 1 if v == 1 and s == t else real(v, s))
 
 
+def _stray_term_at_offset_one(monkeypatch):
+    # a stray variable in the offset-1 value at every rational point, on both
+    # evaluators: a fit read back only at the pure powers of T would drop it
+    z = MultiPoly.variable("z")
+    for name in ("eval_P", "eval_P_symbolic"):
+        real = getattr(config_sums, name)
+        monkeypatch.setattr(config_sums, name, lambda v, t, real=real: real(v, t) + z
+                            if v == 1 and not isinstance(t, MultiPoly) else real(v, t))
+
+
 class TestBlockTableFit:
+    @pytest.mark.parametrize("symbolic", [False, True])
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_a_stray_term_in_a_sample_is_refused(self, monkeypatch, symbolic, jobs):
+        # positive control: a sample that is not a rational raises, where
+        # dropping its stray term read offset 1 as zero and the verdict as zero
+        _stray_term_at_offset_one(monkeypatch)
+        inst = symbolic_instance(4, 1) if symbolic else numeric_instance(4, 1, [2, 3, 5, 7])
+        with pytest.raises(TypeError, match="expected an exact rational, got MultiPoly"):
+            sum_collapsed(inst, jobs=jobs)
+        assert_no_child_left()
+
+    def test_numeric_route_builds_no_multipoly(self, monkeypatch):
+        # numbers are fitted as numbers: with the Stirling fits made afresh,
+        # a numeric table, both summation routes and stirling_poly itself
+        # construct no MultiPoly, by either constructor
+        inst = numeric_instance(6, 4, MIXED)
+        made = []
+        real_init, real_raw = MultiPoly.__init__, MultiPoly.__dict__["_raw"].__func__
+
+        def counted_init(self, *args, **kwargs):
+            made.append("__init__")
+            real_init(self, *args, **kwargs)
+
+        def counted_raw(cls, *args):
+            made.append("_raw")
+            return real_raw(cls, *args)
+
+        monkeypatch.setattr(MultiPoly, "__init__", counted_init)
+        monkeypatch.setattr(MultiPoly, "_raw", classmethod(counted_raw))
+        stirling_poly.cache_clear()
+        stirling._integer_coeffs.cache_clear()
+        assert stirling_poly(3)[-1] == Fraction(1, 48)  # the leading coefficient 1/(2^w w!)
+        config_sums._block_table(inst)
+        assert sum_collapsed(inst, jobs=1).total == 0
+        assert sum_pointed(inst) == 0
+        assert made == []
+
     @pytest.mark.parametrize("g", range(2, 10))
     def test_table_equals_one_evaluation_per_mask(self, g):
         # the fits give every mask exactly the vector that its own eval_P
@@ -521,8 +568,8 @@ class TestBlockTableFit:
         real = config_sums.eval_P
         monkeypatch.setattr(config_sums, "eval_P",
                             lambda v, t: calls.append((v, t)) or real(v, t))
-        real_fit = config_sums.interpolate_in_var
-        monkeypatch.setattr(config_sums, "interpolate_in_var",
+        real_fit = config_sums._fit
+        monkeypatch.setattr(config_sums, "_fit",
                             lambda *args: fits.append(args[2]) or real_fit(*args))
         inst = numeric_instance(4, w, values)
         assert len(set(inst.ground.scaled_sums[1][1:])) == 2 * w + 3 + extra
@@ -548,8 +595,8 @@ class TestBlockTableFit:
             real = getattr(config_sums, name)
             monkeypatch.setattr(config_sums, name,
                                 lambda v, t, real=real: calls.append((v, t)) or real(v, t))
-        real_fit = config_sums.interpolate_in_var
-        monkeypatch.setattr(config_sums, "interpolate_in_var",
+        real_fit = config_sums._fit
+        monkeypatch.setattr(config_sums, "_fit",
                             lambda *args: fits.append(args[2]) or real_fit(*args))
         config_sums._block_table(inst)
         w = inst.w

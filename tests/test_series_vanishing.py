@@ -747,6 +747,25 @@ class TestLogExpansion:
 
 
 class TestVanishing:
+    def test_a_j_power_above_2h_is_checked(self, monkeypatch):
+        # positive control: a j^5 n^-2 term lies above 2h = 4 at h = 2, so a
+        # report that stopped at k = max(2h, h+2) passed it; it must fail
+        # [j^5 n^-2], and that component alone
+        real = series_vanishing.log_expansion
+        j = MultiPoly.variable("j")
+
+        def with_j5(cfg):
+            series = real(cfg)
+            coeffs = list(series.coeffs)
+            coeffs[2] = coeffs[2] + j ** 5
+            return Series(series.var, series.order, coeffs)
+
+        monkeypatch.setattr(series_vanishing, "log_expansion", with_j5)
+        checks = vanishing_report(ExpansionConfig(h_max=3))
+        assert [(c.h, c.k) for c in checks if not c.vanished] == [(2, 5)]
+        assert {c.j_degree_at_order for c in checks if c.h == 2} == {5}
+        assert [(c.h, c.k) for c in checks] == [(1, 3), (2, 4), (2, 5), (3, 5), (3, 6)]
+
     def test_order_one_degree_bound(self):
         checks = vanishing_report(ExpansionConfig(h_max=1, s_max=6))
         assert [(c.h, c.k) for c in checks] == [(1, 3)]

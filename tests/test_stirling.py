@@ -204,15 +204,15 @@ class TestChainCheck:
             _validate_chain(3, stirling_poly(3), prev)
 
     def test_tampered_interpolant_is_rejected(self, monkeypatch):
-        real = stirling.interpolate_in_var
+        real = stirling._fit
 
-        def bumped(samples, var, degree_bound):
-            fit = real(samples, var, degree_bound)
-            if degree_bound == 6:  # the offset-3 build: bump its x^3 coefficient
-                fit = fit + MultiPoly.variable(var) ** 3
-            return fit
+        def bumped(points, values, degree, var):
+            nums, den = real(points, values, degree, var)
+            if degree == 6:  # the offset-3 build: bump its x^3 coefficient by one
+                nums = nums[:3] + [nums[3] + den] + nums[4:]
+            return nums, den
 
-        monkeypatch.setattr(stirling, "interpolate_in_var", bumped)
+        monkeypatch.setattr(stirling, "_fit", bumped)
         stirling_poly.cache_clear()
         try:
             with pytest.raises(ConsistencyError, match="difference identity"):
