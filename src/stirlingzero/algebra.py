@@ -15,11 +15,11 @@ coefficient at the end.  On top of that sit two value types:
   in the type and never inferred; asking for a coefficient beyond it raises
   :class:`PrecisionError` instead of silently returning zero.
 
-Inside :meth:`Series.exp` and :meth:`Series.log` a monomial is one int, not
-an exponent tuple: each slot is a signed fixed-width digit of the key
-(:class:`_Packer`), wide enough for every exponent the recurrence can form,
-so multiplying two monomials is adding two ints.  A tuple is built again only
-for each output term.
+Inside every product (:meth:`MultiPoly.__mul__`, :meth:`Series.exp` and
+:meth:`Series.log`) a monomial is one int, not an exponent tuple: each slot
+is a signed fixed-width digit of the key (:class:`_Packer`), wide enough for
+every exponent the product can form, so multiplying two monomials is adding
+two ints.  A tuple is built again only for each output term.
 
 All values are immutable after construction and may be shared freely across
 threads or pickled to worker processes.
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
 from math import factorial, lcm
-from operator import add, mul
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -116,21 +116,6 @@ def _numerators(terms: Mapping, den: Optional[int] = None):
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
-def _mul_into(out: dict, ta: Mapping, tb: Mapping, scale: int) -> None:
-    # out += scale * ta * tb, on integer coefficients of one registry
-    for ea, a in ta.items():
-        a *= scale
-        for eb, b in tb.items():
-            key = tuple(map(add, ea, eb))
-            acc = out.get(key)
-            out[key] = a * b if acc is None else acc + a * b
-
-
-def _fractions(nums: Mapping, den: int) -> dict:
-    # the stored form: one Fraction per nonzero numerator
-    return {e: Fraction(c, den) for e, c in nums.items() if c}
-
-
 def _ideal_slots(names, exponents: Iterable[tuple], weights: Mapping[str, int],
                  squarefree: Iterable[str]):
     # (weight of each registry slot, slots of the squarefree variables), once
@@ -194,7 +179,8 @@ class _Packer:
 
 
 def _mul_packed(out: dict, ta: Mapping, tb: Mapping, scale: int) -> None:
-    # _mul_into on packed keys (_Packer): adding two keys multiplies the monomials
+    # out += scale * ta * tb, on integer coefficients by packed key (_Packer):
+    # adding two keys multiplies the monomials
     for ea, a in ta.items():
         a *= scale
         for eb, b in tb.items():
@@ -212,7 +198,8 @@ class _IntPoly(dict):
 
     @classmethod
     def packed(cls, x, names, packer: _Packer) -> "_IntPoly":  # x: int, or int coefficients
-        return cls({packer.pack(e): int(c) for e, c in MultiPoly._coerce(x)._remap(names).items()})
+        return cls({packer.pack(e): _as_int(c, "coefficient")
+                    for e, c in MultiPoly._coerce(x, names)._remap(names).items()})
 
     def unpacked(self, names, packer: _Packer, den: int = 1) -> "MultiPoly":
         # over den, on names; each exponent must lie in the packer's range, 0..bound
@@ -328,10 +315,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
-        value = _as_fraction(value)
-        if value == 0:
-            return cls.zero()
-        return cls._raw((), {(): value})
+        return cls._coerce(_as_fraction(value))
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -348,11 +332,13 @@ class MultiPoly:
     # ----------------------------------------------------------- arithmetic
 
     @classmethod
-    def _coerce(cls, value):
+    def _coerce(cls, value, names=()):
+        # a MultiPoly as it is, a rational as the constant on names, else None
         if isinstance(value, MultiPoly):
             return value
         if isinstance(value, (int, Fraction)):
-            return cls.constant(value)
+            value = _as_fraction(value)
+            return cls._raw(names, {(0,) * len(names): value} if value else {})
         return None
 
     def _aligned(self, other: "MultiPoly"):
@@ -374,16 +360,10 @@ class MultiPoly:
             out[tuple(vec)] = coeff
         return out
 
+    # a scalar operand is the constant on this registry, so every operation
+    # takes its one general path and no registry is merged for it
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a scalar goes into the constant term, on this registry
-            zero = (0,) * len(self.vars)
-            out = dict(self.terms)
-            acc = out.pop(zero, 0) + _as_fraction(other)
-            if acc:
-                out[zero] = acc
-            return MultiPoly._raw(self.vars, out)
-        other = self._coerce(other)
+        other = self._coerce(other, self.vars)
         if other is None:
             return NotImplemented
         names, ta, tb = self._aligned(other)
@@ -406,31 +386,33 @@ class MultiPoly:
         return MultiPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = self._coerce(other, self.vars)
         if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = self._coerce(other, self.vars)
         if other is None:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            if other == 0:  # the zero polynomial on this registry
-                return MultiPoly._raw(self.vars, {})
-            return MultiPoly._raw(self.vars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, MultiPoly):
+        # integer numerators on packed keys: no slot of the product exceeds
+        # twice the largest exponent of either factor, the packer's bound
+        other = self._coerce(other, self.vars)
+        if other is None:
             return NotImplemented
         names, ta, tb = self._aligned(other)
+        packer = _Packer(len(names), 2 * max(map(abs, chain(*ta, *tb)), default=0))
         na, da = _numerators(ta)
         nb, db = _numerators(tb)
         out = {}
-        _mul_into(out, na, nb, 1)
-        return MultiPoly._raw(names, _fractions(out, da * db))
+        _mul_packed(out, {packer.pack(e): c for e, c in na.items()},
+                    {packer.pack(e): c for e, c in nb.items()}, 1)
+        den = da * db
+        return MultiPoly._raw(names, {packer.unpack(k): Fraction(c, den)
+                                      for k, c in out.items() if c})
 
     __rmul__ = __mul__
 

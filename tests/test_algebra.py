@@ -1,6 +1,7 @@
 """Kernel tests: sparse polynomials, truncated series, interpolation."""
 
 import json
+import operator
 import os
 import pickle
 import subprocess
@@ -308,17 +309,48 @@ class TestMultiPoly:
     def test_additive_inverse(self, p):
         assert (p - p).is_zero()
 
-    @given(signed_polys, coefficients | st.integers(-3, 3))
+    @given(signed_polys | polys(names=("b", "a"), min_exp=-3), coefficients | st.integers(-3, 3))
+    @example(MultiPoly(("b", "a"), {(1, 0): 1, (0, -2): Fraction(1, 2)}), 2)
     @settings(max_examples=60, deadline=None)
     def test_scalar_sum_stays_on_the_registry(self, p, q):
-        # p + q adds q into p's constant term; merging p with the constant q
-        # on the empty registry gives the same polynomial
-        total, merged = p + q, p + MultiPoly.constant(q)
-        assert total.vars == p.vars
-        assert total == q + p == merged
-        assert total.canonical_str() == merged.canonical_str()
-        assert (total - q).terms == p.terms
+        # a scalar q is the constant on p's own registry, unsorted or not, under
+        # every operator: each result stays on p.vars and equals the same
+        # operation with the constant q on the empty registry, which merges
+        constant = MultiPoly.constant(q)
+        for op in (operator.add, operator.sub, operator.mul):
+            for value, merged in ((op(p, q), op(p, constant)), (op(q, p), op(constant, p))):
+                assert value.vars == p.vars
+                assert value == merged
+                assert value.canonical_str() == merged.canonical_str()
+        assert (p + q - q).terms == p.terms
         assert p + 0 == p
+
+    @pytest.mark.parametrize("other", [True, 0.5, "1", None],
+                             ids=["bool", "float", "text", "none"])
+    @pytest.mark.parametrize("op", [
+        lambda p, x: p + x, lambda p, x: x + p, lambda p, x: p - x,
+        lambda p, x: x - p, lambda p, x: p * x, lambda p, x: x * p,
+    ], ids=["p+x", "x+p", "p-x", "x-p", "p*x", "x*p"])
+    def test_an_operand_that_is_not_exact_is_refused(self, op, other):
+        with pytest.raises(TypeError):
+            op(var("a") + 1, other)
+
+    @pytest.mark.parametrize("edge", [64, 100, 2 ** 14, 2 ** 30])
+    def test_packed_product_slots_add_across_digit_edges(self, edge):
+        # a slot of twice edge needs a wider digit than edge itself does (the
+        # 1-, 2- and 4-byte edges), so these products form slots, of either
+        # sign, past the widest digit any factor's own exponents need
+        x = MultiPoly(("b", "r", "a"), {(0, -edge, edge): Fraction(1, 3), (0, 0, 1): 2,
+                                        (edge, 0, -edge): Fraction(-5, 7)})
+        y = MultiPoly(("r", "b"), {(edge, edge): 3, (-edge, 0): Fraction(1, 2), (0, 0): -1})
+        empty = MultiPoly((), {(): Fraction(2, 9)})
+        zero = MultiPoly(x.vars, {})
+        for p, q in [(x, x), (x, y), (y, y), (x + y, x - y), (x, empty), (empty, empty),
+                     (x, zero), (zero, y)]:
+            assert (p * q).terms == fraction_product(p, q).terms
+        # the cross terms x*y and -y*x cancel, and none is kept as a zero
+        assert ((x + y) * (x - y)).terms == (fraction_product(x, x) - fraction_product(y, y)).terms
+        assert x ** 3 == fraction_product(fraction_product(x, x), x)
 
     @given(st.lists(coefficients | st.integers(-3, 3), max_size=5), polys(max_terms=3, max_exp=2))
     @settings(max_examples=40, deadline=None)
@@ -786,6 +818,12 @@ class TestIntPoly:
         p = algebra._IntPoly.packed(var("b") + 1, self.NAMES, packer)
         assert (p + p * -1).unpacked(self.NAMES, packer).terms == {}
         assert (p + p * -1) == {key: 0 for key in p}
+
+    def test_packing_refuses_a_coefficient_that_is_not_an_integer(self):
+        # read with int(), the 1/2 was truncated and its term dropped
+        p = MultiPoly(("c1", "c2"), {(1, 0): Fraction(1, 2), (0, 1): 3})
+        with pytest.raises(ValueError, match=r"coefficient Fraction\(1, 2\) is not an integer"):
+            algebra._IntPoly.packed(p, ("c1", "c2"), algebra._Packer(2, 4))
 
     @pytest.mark.parametrize("key", [
         lambda pack: pack((5, 0, 0)),   # one past the bound
