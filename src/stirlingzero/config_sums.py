@@ -289,18 +289,6 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-class _Walk(NamedTuple):
-    """One instance's partition walk, started by :func:`_start_collapsed`: ``pool``
-    is None when :func:`_finish_collapsed` walks it, else ``shards`` are its
-    workers' futures, in shard order, timed from ``start``."""
-
-    inst: ConfigSumInstance
-    scale: int
-    pool: Optional[ProcessPoolExecutor]
-    shards: list
-    start: float
-
-
 def _walk(inst: ConfigSumInstance, part: int = 0, parts: int = 1):
     """Build ``inst``'s block table in this process, then walk shard ``part`` of ``parts``."""
     return _collapsed_partial(inst, _block_table(inst)[0], part, parts)
@@ -311,48 +299,38 @@ def _shards(inst: ConfigSumInstance, jobs: int) -> int:
     return min(jobs, _usable_cpus(), 1 << (inst.g - 1)) if jobs > 1 else 0
 
 
-def _start_collapsed(inst: ConfigSumInstance, parts: int) -> _Walk:
-    """Start ``inst``'s partition walk: ``parts`` forked workers, one per shard, that
-    run while this process goes on, or at ``parts = 0`` none, so that
-    :func:`_finish_collapsed` walks it here.  Either way every walk runs
-    :func:`_walk` and builds its own block table; this process computes only
-    the :func:`_common_scale` it divides by, before any fork, which leaves
-    ``stirling_poly(1..w)`` cached for the workers."""
+def _walking(inst: ConfigSumInstance, parts: int) -> Iterator[Optional[ConfigSumResult]]:
+    """``inst``'s partition walk from fork to result, in two ``next`` steps.
+
+    The first computes the :func:`_common_scale` this process divides by, before
+    any fork, which leaves ``stirling_poly(1..w)`` cached for the workers, and
+    forks ``parts`` workers, one per shard, or at ``parts = 0`` none.  The second
+    walks here, timing only that, or collects the shards; it merges them in shard
+    order (deterministic), checks the Bell count, divides by ``scale^w`` and
+    yields the :class:`ConfigSumResult`.  Every walk runs :func:`_walk`.  Leaving
+    the ``with`` block, on an error or on ``close()``, kills and reaps the workers.
+    """
     start = time.perf_counter()
     scale = _common_scale(inst)
-    if not parts:
-        return _Walk(inst, scale, None, [], start)
-    pool = ProcessPoolExecutor()
-    try:
-        shards = [pool.submit(_walk, inst, part, parts) for part in range(parts)]
-    except BaseException:
-        pool.shutdown()
-        raise
-    return _Walk(inst, scale, pool, shards, start)
-
-
-def _finish_collapsed(walk: _Walk) -> ConfigSumResult:
-    """Walk an unforked walk here, timing only that, or collect a forked one's
-    shards; merge them in shard order (deterministic), check the Bell count and
-    divide by ``scale^w``, unpacking a symbolic total onto the ring.  A pool is
-    shut down, its workers reaped, whether or not every shard reports."""
-    if walk.pool is None:
-        start = time.perf_counter()
-        partials = [_walk(walk.inst)]
+    if parts:
+        with ProcessPoolExecutor() as pool:
+            shards = [pool.submit(_walk, inst, part, parts) for part in range(parts)]
+            yield
+            partials = [fut.result() for fut in shards]
     else:
-        start = walk.start
-        with walk.pool:
-            partials = [fut.result() for fut in walk.shards]
+        yield
+        start = time.perf_counter()
+        partials = [_walk(inst)]
     total, visited = partials[0]
     for partial, count in partials[1:]:
         total = total + partial
         visited += count
-    expected = unordered_partition_count(walk.inst.g)
+    expected = unordered_partition_count(inst.g)
     if visited != expected:
         raise ConsistencyError(f"visited {visited} partitions, expected {expected}")
-    inst, den = walk.inst, walk.scale ** walk.inst.w
+    den = scale ** inst.w
     total = total.unpacked(*_ring(inst), den) if inst.ground.is_symbolic else Fraction(total, den)
-    return ConfigSumResult(inst, total, visited, time.perf_counter() - start)
+    yield ConfigSumResult(inst, total, visited, time.perf_counter() - start)
 
 
 def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
@@ -365,10 +343,12 @@ def sum_collapsed(inst: ConfigSumInstance, jobs: int = 1) -> ConfigSumResult:
     shard; exact addition makes the merged total independent of the cut.
     The unscaled partials are merged and divided by ``scale^w`` once, on
     every ground, and the number of partitions visited must be the Bell
-    number of ``g``.  This is :func:`_finish_collapsed` applied to
-    :func:`_start_collapsed`, the pair :func:`run_plan` runs apart.
+    number of ``g``.  This runs :func:`_walking` through at once, the
+    generator :func:`run_plan` starts and finishes apart.
     """
-    return _finish_collapsed(_start_collapsed(inst, _shards(inst, jobs)))
+    walk = _walking(inst, _shards(inst, jobs))
+    next(walk)
+    return next(walk)
 
 
 def sum_pointed(inst: ConfigSumInstance) -> SumValue:
@@ -510,7 +490,8 @@ def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
     whose fresh ground is drawn by ``seeded_rng(seed, g, w, sample_index, confirming=True)``.
     ``plan`` is read as entries start, at most two ahead to tell a lone entry
     from a plan, and no entry is kept once it is yielded.  Entries start in
-    slots; the one a finished entry frees starts the next entry before the
+    slots, each a :func:`_walking` advanced to its fork and later to its
+    result; the one a finished entry frees starts the next entry before the
     finished one is confirmed and handed back.  At ``jobs = 1`` one slot
     starts each entry lazily, to be walked here when it is finished.  At
     ``jobs > 1`` a lone entry is sharded as :func:`sum_collapsed` shards it,
@@ -519,28 +500,30 @@ def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
     read when an entry would start: once ``time.monotonic()`` passes it, the
     entries already started finish and the rest are yielded unrun as
     ``not_attempted``, never dropped.  Leaving the generator, on an error or
-    on close, kills and reaps the workers still running.
+    on close, closes the walks still running, which kills and reaps their
+    workers.
     """
     plan = iter(plan)
     head = deque(islice(plan, 2))
     side_by_side = jobs > 1 and len(head) > 1
     todo = chain((head.popleft() for _ in range(len(head))), plan)
     slots = min(jobs, _usable_cpus()) if side_by_side else 1
-    running = deque()  # (entry, walk) in plan order
+    running = deque()  # (entry, started _walking) in plan order
 
     def fill():
         while len(running) < slots and (deadline is None or time.monotonic() <= deadline):
             entry = next(todo, None)
             if entry is None:
                 return
-            parts = 1 if side_by_side else _shards(entry.instance, jobs)
-            running.append((entry, _start_collapsed(entry.instance, parts)))
+            walk = _walking(entry.instance, 1 if side_by_side else _shards(entry.instance, jobs))
+            next(walk)
+            running.append((entry, walk))
 
     try:
         fill()
         while running:
             done, walk = running.popleft()
-            result = _finish_collapsed(walk)
+            result = next(walk)
             fill()  # the freed slot starts the next entry while this one is handed back
             confirmation = None
             if result.verdict == "nonzero":
@@ -550,7 +533,6 @@ def run_plan(plan: Iterable[SweepEntry], *, seed: int, jobs: int,
             yield done._replace(result=result, confirmation=confirmation)
     finally:
         for _, walk in running:
-            if walk.pool is not None:
-                walk.pool.shutdown()
+            walk.close()
     for entry in todo:
         yield entry._replace(status="not_attempted")

@@ -225,15 +225,11 @@ def test_criterion_9_exploratory(monkeypatch):
     # a nonzero verdict must route through the double-verification protocol
     # before being reported; simulate one, since none exists in range
     calls = []
-    real_finish = config_sums._finish_collapsed
 
-    def fake_finish(walk):
-        real = real_finish(walk)
-        if (walk.inst.g, walk.inst.w) == (7, 4):
-            return ConfigSumResult(
-                real.instance, Fraction(1, 3), real.configurations_visited,
-                real.elapsed)
-        return real
+    def fake_result(inst, total, visited, elapsed):
+        if (inst.g, inst.w) == (7, 4):
+            total = Fraction(1, 3)
+        return ConfigSumResult(inst, total, visited, elapsed)
 
     sentinel = NonzeroConfirmation(Fraction(1, 3), None, None)
 
@@ -241,7 +237,8 @@ def test_criterion_9_exploratory(monkeypatch):
         calls.append((inst.g, inst.w, total))
         return sentinel
 
-    monkeypatch.setattr(config_sums, "_finish_collapsed", fake_finish)
+    # each walk's result is built in this process once the walk is done
+    monkeypatch.setattr(config_sums, "ConfigSumResult", fake_result)
     monkeypatch.setattr("stirlingzero.config_sums.double_check_nonzero", fake_check)
     plan = [e for e in sweep_plan(7, seed=31) if e.instance.g == 7]
     entries = list(run_plan(plan, seed=31, jobs=1))

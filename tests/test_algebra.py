@@ -335,6 +335,10 @@ class TestMultiPoly:
         with pytest.raises(TypeError):
             op(var("a") + 1, other)
 
+    def test_a_negative_power_is_refused(self):
+        with pytest.raises(ValueError, match="only nonnegative integer powers"):
+            (var("a") + 1) ** -1
+
     @pytest.mark.parametrize("edge", [64, 100, 2 ** 14, 2 ** 30])
     def test_packed_product_slots_add_across_digit_edges(self, edge):
         # a slot of twice edge needs a wider digit than edge itself does (the
@@ -446,6 +450,13 @@ class TestEquality:
         assert permuted.vars != self.BASE.vars
         assert permuted == self.BASE
         assert hash(permuted) == hash(self.BASE)
+
+    @pytest.mark.parametrize("other", [0.5, "1", None], ids=["float", "text", "none"])
+    def test_an_unrelated_object_is_unequal(self, other):
+        # a polynomial's and a series' == decline, so Python compares identities
+        for value in (self.BASE, Series.from_dict("x", 2, {1: self.BASE})):
+            assert value.__eq__(other) is NotImplemented
+            assert not value == other and value != other
 
     @given(equality_pairs())
     @settings(max_examples=200, deadline=None)
@@ -946,6 +957,10 @@ class TestInterpolation:
         samples = [(x, MultiPoly.constant(v)) for x, v in samples]
         with pytest.raises(ValueError, match=message):
             interpolate_in_var(samples, "x", degree)
+
+    def test_a_sample_that_is_not_a_polynomial_is_refused(self):
+        with pytest.raises(TypeError, match="sample value 0.5 is not a polynomial"):
+            interpolate_in_var([(0, MultiPoly.constant(1)), (1, 0.5)], "x", 1)
 
     def test_sample_values_must_not_involve_var(self):
         with pytest.raises(ValueError):

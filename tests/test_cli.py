@@ -375,16 +375,17 @@ class TestSweepCommand:
         assert all(r["verdict"] == "zero" for r in swept + drawn)
 
     def test_records_stream_as_instances_finish(self, tmp_path, monkeypatch, capsys):
-        real_finish = config_sums._finish_collapsed
+        # each walk's result is built in this process once the walk is done
+        real_result = config_sums.ConfigSumResult
         calls = []
 
-        def fail_fifth(walk):
-            calls.append(walk.inst)
+        def fail_fifth(inst, *fields):
+            calls.append(inst)
             if len(calls) == 5:
                 raise RuntimeError("injected failure in the fifth instance")
-            return real_finish(walk)
+            return real_result(inst, *fields)
 
-        monkeypatch.setattr(config_sums, "_finish_collapsed", fail_fifth)
+        monkeypatch.setattr(config_sums, "ConfigSumResult", fail_fifth)
         path = tmp_path / "ledger.jsonl"
         assert main(["sweep", "--g-max", "5", "--ledger", str(path)]) == 2
         assert "error: injected failure in the fifth instance" in capsys.readouterr().err
@@ -472,16 +473,16 @@ class TestExitStatus:
 
     def test_engine_error_stops_the_run_and_keeps_its_records(self, tmp_path, monkeypatch,
                                                               capsys):
-        real_finish = config_sums._finish_collapsed
+        real_result = config_sums.ConfigSumResult
         calls = []
 
-        def fail_third(walk):
-            calls.append(walk.inst)
+        def fail_third(inst, *fields):
+            calls.append(inst)
             if len(calls) == 3:
                 raise ConsistencyError("injected in the third instance")
-            return real_finish(walk)
+            return real_result(inst, *fields)
 
-        monkeypatch.setattr(config_sums, "_finish_collapsed", fail_third)
+        monkeypatch.setattr(config_sums, "ConfigSumResult", fail_third)
         code, records, _ = run_cli(["sweep", "--g-max", "4"], tmp_path)
         err = capsys.readouterr().err
         assert code == 2

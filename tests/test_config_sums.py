@@ -648,6 +648,19 @@ class TestPointedOracle:
         assert sum_pointed(numeric_instance(g, g - 2, list(range(2, 2 + g)))) == 0
         assert len(calls) == 3 ** (g - 1)
 
+    @pytest.mark.parametrize("ground", [GroundSet.numeric([2, 3, 5, 7]), GroundSet.symbolic(4)],
+                             ids=["numeric", "symbolic"])
+    def test_an_offset_0_value_other_than_1_is_refused(self, monkeypatch, ground):
+        # positive control of the guard: every block series must start at 1
+        def two_at_offset_0(real):
+            return lambda v, t: 2 if v == 0 else real(v, t)
+
+        monkeypatch.setattr(config_sums, "eval_P", two_at_offset_0(config_sums.eval_P))
+        monkeypatch.setattr(config_sums, "eval_P_symbolic",
+                            two_at_offset_0(config_sums.eval_P_symbolic))
+        with pytest.raises(ConsistencyError, match="offset-0 block value 2 is not 1"):
+            sum_pointed(ConfigSumInstance.make(4, 2, ground))
+
 
 class TestIdentityProperties:
     @pytest.mark.parametrize("g", [2, 3, 4, 5])

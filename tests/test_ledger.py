@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from stirlingzero.algebra import MultiPoly
+from stirlingzero.cli import main
 from stirlingzero.ledger import (
     LedgerRecord,
+    default_ledger_path,
     read_records,
     render_report,
     value_str,
@@ -99,6 +101,22 @@ class TestLedgerFile:
     def test_missing_file_is_empty(self, tmp_path):
         records, warnings = read_records(str(tmp_path / "absent.jsonl"))
         assert records == [] and warnings == []
+
+    def test_default_path_prefers_the_option_then_the_variable(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("STIRLINGZERO_LEDGER_DIR", raising=False)
+        assert default_ledger_path() == "./ledger.jsonl"
+        monkeypatch.setenv("STIRLINGZERO_LEDGER_DIR", str(tmp_path))
+        assert default_ledger_path() == str(tmp_path / "ledger.jsonl")
+        assert default_ledger_path("mine.jsonl") == "mine.jsonl"
+
+    def test_a_run_without_the_option_writes_to_the_variables_directory(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("STIRLINGZERO_LEDGER_DIR", str(tmp_path / "ledgers"))
+        assert main(["part2", "--H", "1"]) == 0
+        records, warnings = read_records(str(tmp_path / "ledgers" / "ledger.jsonl"))
+        assert not warnings and [r["command"] for r in records] == ["part2"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledgers"]
 
 
 class TestReport:

@@ -240,6 +240,40 @@ def test_a_killed_worker_stops_the_run_with_exit_2(monkeypatch, tmp_path, capsys
     assert_no_child_left()
 
 
+@needs_fork
+def test_a_failed_fork_kills_the_shards_already_forked(monkeypatch, tmp_path, capsys):
+    # the second shard's fork fails while the first shard's worker sleeps
+    # 30 s: the error stops the sum at once and that worker is killed and reaped
+    real_fork, forks, parent = os.fork, [], os.getpid()
+    real_partial = config_sums._collapsed_partial
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) % 2 == 0:
+            raise OSError("injected: no second fork")
+        return real_fork()
+
+    def sleeps_in_a_worker(*args):
+        if os.getpid() != parent:
+            time.sleep(30)
+        return real_partial(*args)
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    monkeypatch.setattr(config_sums, "_collapsed_partial", sleeps_in_a_worker)
+    monkeypatch.setattr(config_sums, "_usable_cpus", lambda: 2)
+    start = time.perf_counter()
+    inst = ConfigSumInstance.make(5, 2, GroundSet.numeric([2, 3, 5, 7, 11]))
+    with pytest.raises(OSError, match="injected: no second fork"):
+        sum_collapsed(inst, jobs=2)
+    assert_no_child_left()
+    status = cli.main(["part1", "--g", "5", "--w", "2", "--random", "1", "--jobs", "2",
+                       "--ledger", str(tmp_path / "ledger.jsonl")])
+    assert time.perf_counter() - start < 1.5
+    assert (status, capsys.readouterr().err) == (2, "error: injected: no second fork\n")
+    assert len(forks) == 4
+    assert_no_child_left()
+
+
 def test_jobs_above_one_without_fork_is_an_error(monkeypatch, tmp_path, capsys):
     monkeypatch.delattr(os, "fork", raising=False)
     args = ["part1", "--g", "4", "--w", "1", "--random", "1",
@@ -399,20 +433,20 @@ def test_a_failure_with_a_later_entry_in_flight_stops_the_run(pools, monkeypatch
 @needs_fork
 def test_a_deadline_passed_mid_run_lets_running_entries_finish(pools, monkeypatch, tmp_path,
                                                                capsys):
-    # the clock config_sums reads jumps an hour once (3,0) is collected; (3,1)
-    # is running by then and finishes, and no later entry starts
-    real_finish = config_sums._finish_collapsed
+    # the clock config_sums reads jumps an hour once (3,0) is collected, when
+    # this process builds its result; (3,1) is running by then and finishes,
+    # and no later entry starts
+    real_result = config_sums.ConfigSumResult
     skew = [0.0]
 
-    def finish(walk):
-        result = real_finish(walk)
-        if (walk.inst.g, walk.inst.w) == (3, 0):
+    def result(inst, *fields):
+        if (inst.g, inst.w) == (3, 0):
             skew[0] = 3600.0
-        return result
+        return real_result(inst, *fields)
 
     clock = SimpleNamespace(perf_counter=time.perf_counter,
                             monotonic=lambda: time.monotonic() + skew[0])
-    monkeypatch.setattr(config_sums, "_finish_collapsed", finish)
+    monkeypatch.setattr(config_sums, "ConfigSumResult", result)
     monkeypatch.setattr(config_sums, "time", clock)
     code, records, captured = _run(["sweep", "--g-max", "5", "--jobs", "2",
                                     "--budget-seconds", "60"], tmp_path, capsys, "budget")
