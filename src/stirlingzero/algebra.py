@@ -615,6 +615,13 @@ class Series:
         so each coefficient is the true one reduced.  Monomials are packed
         ints (:class:`_Packer`) from entry to output.
         """
+        names, L, packer, F = self._exp_scaled(ideal)
+        return self._from_scaled(names, F, L, packer.unpack)
+
+    def _exp_scaled(self, ideal: Ideal):
+        # exp's integer recurrence, for a caller that reads the integers
+        # itself: (names, L, packer, [F_0..F_T]), each F_k = k! L^k f_k held
+        # as groups (_groups) of packed keys and nonzero int coefficients
         if not self.coeffs[0].is_zero():
             raise ValueError("series exponential requires a zero constant term")
         names, L, packer, max_weight, S = self._over_lcm(ideal)
@@ -626,7 +633,7 @@ class Series:
                     scale = i * (factorial(k - 1) // factorial(k - i)) * L ** (i - 1)
                     _mul_groups(acc, S[i], F[k - i], scale, max_weight)
             F.append(_nonzero(acc))
-        return self._from_scaled(names, F, L, packer.unpack)
+        return names, L, packer, F
 
     def log(self, ideal: Ideal = _EMPTY_IDEAL) -> "Series":
         """Logarithm of a series with constant term one.

@@ -20,7 +20,8 @@ Two independent routes produce the ``a_h``:
 * the oracle: readback from the series exponential at integer j, followed
   by exact interpolation in j with surplus witnesses; one exponential,
   truncated at the largest sample J, serves every sample, since ``x^s``
-  with ``s > j`` cannot reach ``x^j``.
+  with ``s > j`` cannot reach ``x^j``; each sample is read straight off
+  its integer recurrence, so no ``Fraction`` series is built.
 
 The comparison of the two is the one check on each ``a_h``.  A term of
 the wrong u-weight, a stray variable or a misfiled order on either side
@@ -75,7 +76,6 @@ __all__ = [
     "u_name",
     "ExpansionConfig",
     "VanishingCheck",
-    "expansion_coefficients",
     "symbolic_expansion_coefficient",
     "log_expansion",
     "vanishing_report",
@@ -185,56 +185,48 @@ def _quotient(u_indices: tuple, max_weight: Optional[int], squarefree: bool):
     return weights, max_weight, tuple(weights) if squarefree else ()
 
 
-def _generating_series(order: int, u_indices: tuple, max_weight: Optional[int] = None,
-                       squarefree: bool = False) -> Series:
-    # exact with the defaults; otherwise exact only modulo the _quotient ideal
-    n = MultiPoly.variable(N)
-    r = MultiPoly.variable(R)
-    entries = {1: n * r}
-    for s in u_indices:
-        if 2 <= s <= order:
-            # -(n u_s / s) (-x)^s contributes (-1)^(s+1) n u_s / s at x^s
-            entries[s] = n * MultiPoly.variable(u_name(s)) * Fraction((-1) ** (s + 1), s)
-    return Series.from_dict(X, order, entries).exp(
-        ideal=_quotient(u_indices, max_weight, squarefree))
-
-
-def expansion_coefficients(j: int, gj: MultiPoly, h_max: Optional[int] = None) -> list:
-    """Read a_0 .. a_{j-1} off the x^j generating coefficient, or only a_0 .. a_{h_max}.
-
-    ``a_h`` is the n^{j-h} coefficient of ``j! * gj`` divided by r^j, zero
-    where that power is absent.  One pass over the terms of ``gj`` files each
-    under its order ``h = j - deg_n``, on ``gj``'s registry without n.  ``gj``
-    may carry only the powers n^{j-h} of the orders read, else ``ValueError``;
-    with ``h_max`` it is the coefficient of a series cut above u-weight
-    ``h_max``.  The values are not checked here: the interpolation oracle of
-    :func:`symbolic_expansion_coefficient` compares them with the closed form.
-    """
-    orders = j if h_max is None else min(j, h_max + 1)
-    n_at, r_at = gj._index_of(N), gj._index_of(R)
-    scale = factorial(j)
-    filed = [{} for _ in range(orders)]
-    for exps, coeff in gj.terms.items():
-        h = j - exps[n_at]
-        if not 0 <= h < orders:
-            raise ValueError(
-                f"generating coefficient carries n^{exps[n_at]}, "
-                f"outside {j - orders + 1}..{j}")
-        key = list(exps)
-        key[r_at] -= j
-        del key[n_at]
-        filed[h][tuple(key)] = coeff * scale
-    names = gj.vars[:n_at] + gj.vars[n_at + 1:]
-    return [MultiPoly._raw(names, terms) for terms in filed]
-
-
 @lru_cache(maxsize=None)
 def _readback(cfg: ExpansionConfig) -> dict:
-    # {j: (a_0 .. a_{h_max})} at every sample j, all read off the one cut
-    # exponential of the module docstring, which is not kept
-    series = _generating_series(max(cfg.j_samples), cfg.u_indices, cfg.h_max, cfg.squarefree)
-    return {j: tuple(expansion_coefficients(j, series.coefficient(j), cfg.h_max))
-            for j in cfg.j_samples}
+    """``{j: (a_0 .. a_{h_max})}`` at every sample j, read off one cut exponential.
+
+    The exponential of the module docstring, truncated at the largest sample
+    and cut modulo the :func:`_quotient` ideal of u-weight above ``h_max``,
+    runs as its integer recurrence (:meth:`Series._exp_scaled`), not kept.
+    ``a_h`` is the n^{j-h} coefficient of ``j! f_j`` over r^j, and
+    ``F_j = j! L^j f_j``, so each term of ``F_j`` is filed under its order
+    ``h = j - deg_n`` without the n slot, r's exponent lowered by j and its
+    coefficient over ``L^j``; an absent power reads zero, and a power of n
+    outside the orders ``0..h_max`` raises ``ValueError``.  The values are
+    checked only by the interpolation oracle of
+    :func:`symbolic_expansion_coefficient`.
+    """
+    top = max(cfg.j_samples)
+    n = MultiPoly.variable(N)
+    entries = {1: n * MultiPoly.variable(R)}
+    for s in cfg.u_indices:
+        if s <= top:
+            # -(n u_s / s) (-x)^s contributes (-1)^(s+1) n u_s / s at x^s
+            entries[s] = n * MultiPoly.variable(u_name(s)) * Fraction((-1) ** (s + 1), s)
+    names, L, packer, F = Series.from_dict(X, top, entries)._exp_scaled(
+        _quotient(cfg.u_indices, cfg.h_max, cfg.squarefree))
+    n_at, r_at = names.index(N), names.index(R)
+    kept = names[:n_at] + names[n_at + 1:]
+    samples = {}
+    for j in cfg.j_samples:
+        den = L ** j
+        filed = [{} for _ in range(cfg.h_max + 1)]
+        for terms in F[j].values():
+            for key, c in terms.items():
+                exps = list(packer.unpack(key))
+                h = j - exps[n_at]
+                if not 0 <= h <= cfg.h_max:
+                    raise ValueError(f"x^{j} coefficient carries n^{exps[n_at]}, "
+                                     f"outside {j - cfg.h_max}..{j}")
+                exps[r_at] -= j
+                del exps[n_at]
+                filed[h][tuple(exps)] = Fraction(c, den)
+        samples[j] = tuple(MultiPoly._raw(kept, terms) for terms in filed)
+    return samples
 
 
 @lru_cache(maxsize=None)

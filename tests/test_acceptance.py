@@ -32,14 +32,13 @@ from stirlingzero.ledger import read_records
 from stirlingzero.partitions import GroundSet
 from stirlingzero.series_vanishing import (
     ExpansionConfig,
-    expansion_coefficients,
     log_expansion,
     symbolic_expansion_coefficient,
     vanishing_report,
 )
 from stirlingzero.stirling import eval_P, stirling_poly, stirling_row
 
-from generating_reference import generating_coefficient
+from generating_reference import expansion_coefficients, generating_coefficient
 from ordered_reference import count_weighted_configs, iter_ordered_partitions, sum_ordered
 
 FUBINI = {2: 3, 3: 13, 4: 75, 5: 541, 6: 4683}

@@ -1,7 +1,9 @@
 """Log-expansion verifier: generating coefficients, dual routes, vanishing."""
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import combinations_with_replacement
+from math import factorial, prod
 
 import pytest
 
@@ -19,9 +21,7 @@ from stirlingzero.series_vanishing import (
     X,
     ExpansionConfig,
     _closed_form,
-    _generating_series,
     _readback,
-    expansion_coefficients,
     log_expansion,
     symbolic_expansion_coefficient,
     u_name,
@@ -29,7 +29,12 @@ from stirlingzero.series_vanishing import (
 )
 from stirlingzero.stirling import stirling_row
 
-from generating_reference import generating_coefficient
+from generating_reference import (
+    expansion_coefficients,
+    generating_coefficient,
+    generating_series,
+    readback,
+)
 from poly_reference import remainder, substitute
 
 n = MultiPoly.variable("n")
@@ -130,7 +135,7 @@ class TestSharedExponential:
             if s <= jj:
                 entries[s] = n * MultiPoly.variable(u_name(s)) * Fraction((-1) ** (s + 1), s)
         own = Series.from_dict(X, jj, entries).exp().coefficient(jj)
-        assert _generating_series(top, indices).coefficient(jj) == own
+        assert generating_series(top, indices).coefficient(jj) == own
         assert generating_coefficient(jj, self.CFG9) == own
 
     @pytest.mark.parametrize("jj", [5, 13])
@@ -143,8 +148,8 @@ class TestSharedExponential:
 
     def test_readback_series_drops_weight_above_h_max(self):
         h_max, indices = self.CFG9.h_max, self.CFG9.u_indices
-        full = _generating_series(13, indices).coefficient(13)
-        reduced = _generating_series(13, indices, h_max).coefficient(13)
+        full = generating_series(13, indices).coefficient(13)
+        reduced = generating_series(13, indices, h_max).coefficient(13)
         weights = {u_name(s): s - 1 for s in indices}
         assert reduced == remainder(full, weights, h_max)
         assert reduced != full
@@ -166,15 +171,17 @@ class TestWeightBound:
     @pytest.fixture
     def bound_lowered(self, monkeypatch):
         # fresh_checks clears the readback before and after, so each budget's
-        # samples come from the lowered series and none is left behind
-        real = series_vanishing._generating_series
+        # samples come from the lowered recurrence and none is left behind.
+        # Only the readback's exponential has a bound: the log's is None
+        real = Series._exp_scaled
 
-        def lowered(order, u_indices, max_weight=None, squarefree=False):
+        def lowered(self, ideal):
+            weights, max_weight, squarefree = ideal
             if max_weight is not None:
                 max_weight -= 1
-            return real(order, u_indices, max_weight, squarefree)
+            return real(self, (weights, max_weight, squarefree))
 
-        monkeypatch.setattr(series_vanishing, "_generating_series", lowered)
+        monkeypatch.setattr(Series, "_exp_scaled", lowered)
 
     CFG3 = ExpansionConfig(h_max=3, s_max=4, j_samples=tuple(range(4, 13)))
 
@@ -228,7 +235,7 @@ class TestReadback:
     @pytest.mark.parametrize("jj, h_max", [(7, 2), (9, 4), (4, 6)])
     def test_h_max_reads_the_cut_series(self, jj, h_max):
         # the series cut above u-weight h_max carries n^{j-h_max} .. n^j only
-        cut = _generating_series(jj, CFG.u_indices, h_max).coefficient(jj)
+        cut = generating_series(jj, CFG.u_indices, h_max).coefficient(jj)
         full = expansion_coefficients(jj, generating_coefficient(jj, CFG))
         got = expansion_coefficients(jj, cut, h_max)
         assert len(got) == min(jj, h_max + 1)
@@ -240,19 +247,22 @@ class TestReadback:
             expansion_coefficients(9, generating_coefficient(9, CFG), 3)
 
     def test_readback_builds_only_the_orders_it_returns(self, monkeypatch):
+        # every polynomial the readback files is on the registry without n:
+        # h_max + 1 of them per sample, and no deeper order
         built = []
-        real = series_vanishing.expansion_coefficients
+        real = MultiPoly._raw.__func__
 
-        def counted(j, gj, h_max=None):
-            coeffs = real(j, gj, h_max)
-            built.append(len(coeffs))
-            return coeffs
+        def counted(cls, names, terms):
+            built.append(names)
+            return real(cls, names, terms)
 
         cfg = ExpansionConfig(h_max=3)
-        monkeypatch.setattr(series_vanishing, "expansion_coefficients", counted)
+        monkeypatch.setattr(MultiPoly, "_raw", classmethod(counted))
         coeffs = _readback(cfg)
         assert list(coeffs) == list(cfg.j_samples)
-        assert built == [len(c) for c in coeffs.values()] == [4] * len(cfg.j_samples)
+        assert [len(c) for c in coeffs.values()] == [4] * len(cfg.j_samples)
+        without_n = ("r",) + tuple(map(u_name, cfg.u_indices))
+        assert built.count(without_n) == 4 * len(cfg.j_samples)
 
     # Positive controls: a fault in the readback samples reaches the oracle,
     # the one check on each a_h.  CFG at h = 2 has 5 nodes and 7 witnesses.
@@ -299,15 +309,8 @@ class TestReadback:
 
     def test_doubled_deepest_order_is_caught(self, monkeypatch):
         # a misfiled deepest order is polynomial in j, so only the closed form catches it
-        real = series_vanishing.expansion_coefficients
         cfg = TestUIndices.CFG3
-
-        def doubled_deepest(j, gj, h_max=None):
-            coeffs = real(j, gj, h_max)
-            return coeffs[:-1] + [coeffs[-1] * 2]
-
-        # fresh_checks clears the readback, so it is read through the fault
-        monkeypatch.setattr(series_vanishing, "expansion_coefficients", doubled_deepest)
+        self._tamper(monkeypatch, set(cfg.j_samples), cfg.h_max, lambda v: v * 2)
         for h in range(cfg.h_max):
             symbolic_expansion_coefficient(h, cfg)
         with pytest.raises(ConsistencyError, match="disagree at order 3"):
@@ -335,6 +338,70 @@ class TestReadback:
         for h in range(CFG.h_max + 1):
             symbolic_expansion_coefficient(h, CFG)
         assert calls == []
+
+
+class TestIntegerReadback:
+    """The readback, read off the exponential's integers, is the ``Fraction`` route's."""
+
+    BUDGETS = {
+        **{f"H{h}": ExpansionConfig(h_max=h) for h in range(1, 11)},
+        **{f"H{h}-squarefree": ExpansionConfig(h_max=h, squarefree=True) for h in range(1, 9)},
+        "237-squarefree-H9": ExpansionConfig(h_max=9, u_indices=(2, 3, 7), squarefree=True),
+        "35-H6": ExpansionConfig(h_max=6, u_indices=(3, 5)),
+        "CFG9": TestSharedExponential.CFG9,
+    }
+
+    @pytest.mark.parametrize("name", BUDGETS)
+    def test_equals_the_fraction_reference_at_every_sample(self, name):
+        cfg = self.BUDGETS[name]
+        got, want = _readback(cfg), readback(cfg)
+        assert list(got) == list(want) == list(cfg.j_samples)
+        for jj in cfg.j_samples:
+            assert list(got[jj]) == want[jj]
+            assert [c.vars for c in got[jj]] == [c.vars for c in want[jj]]
+
+    @staticmethod
+    def _patch_integers(monkeypatch, change):
+        """Let every ``Series._exp_scaled`` result pass through ``change``."""
+        real = Series._exp_scaled
+        monkeypatch.setattr(Series, "_exp_scaled", lambda self, ideal: change(*real(self, ideal)))
+
+    def test_one_power_of_l_short_fails_the_oracle(self, monkeypatch):
+        # positive control: F_j over L^(j-1), not L^j, scales every sample by
+        # L = lcm(2..6) = 60, which only the closed form can tell
+        def one_power_short(names, L, packer, F):
+            assert L == 60
+            return names, L, packer, [{g: {e: c * L for e, c in terms.items()}
+                                       for g, terms in Fk.items()} for Fk in F]
+
+        self._patch_integers(monkeypatch, one_power_short)
+        with pytest.raises(ConsistencyError, match="disagree at order 1"):
+            symbolic_expansion_coefficient(1, CFG)
+
+    @pytest.mark.parametrize("h", [-1, CFG.h_max + 1], ids=["above-n^j", "below-the-orders"])
+    def test_power_of_n_outside_the_orders_is_refused(self, monkeypatch, h):
+        top = max(CFG.j_samples)
+
+        def stray(names, L, packer, F):
+            exps = [0] * len(names)
+            exps[names.index("n")] = top - h
+            F[top] = {**F[top], "stray": {packer.pack(exps): 1}}
+            return names, L, packer, F
+
+        self._patch_integers(monkeypatch, stray)
+        with pytest.raises(ValueError, match=f"carries n\\^{top - h}, outside 12..16"):
+            _readback(CFG)
+
+    def test_readback_never_builds_the_fraction_series(self, monkeypatch):
+        calls = []
+        for name in ("exp", "_from_scaled"):
+            real = getattr(Series, name)
+            monkeypatch.setattr(Series, name, lambda self, *args, _name=name, _real=real, **kw:
+                                calls.append(_name) or _real(self, *args, **kw))
+        _readback(CFG)
+        assert calls == []
+        generating_series(3, CFG.u_indices)  # the counters see the Fraction route
+        assert calls == ["exp", "_from_scaled"]
 
 
 class TestClosedForm:
@@ -689,13 +756,13 @@ class TestKeptPerBudget:
 
     def test_one_exponential_per_budget(self, monkeypatch):
         built = []
-        real = series_vanishing._generating_series
+        real = Series._exp_scaled
 
-        def counted(order, *args):
-            built.append(order)
-            return real(order, *args)
+        def counted(self, *args):
+            built.append(self.order)
+            return real(self, *args)
 
-        monkeypatch.setattr(series_vanishing, "_generating_series", counted)
+        monkeypatch.setattr(Series, "_exp_scaled", counted)
         for _ in range(2):
             for h in range(CFG.h_max + 1):
                 symbolic_expansion_coefficient(h, CFG)
@@ -800,3 +867,60 @@ class TestVanishing:
             coeff = series.coefficient(h).with_vars(["j"])
             for k in range(h + 2, max(2 * h, h + 2) + 1):
                 assert coeff.coefficient_in("j", k).is_zero()
+
+
+def first_layer(h, cfg):
+    """[j^{h+1} n^{-h}] of the log as a sum over multisets, the expected first nonzero layer.
+
+    Each multiset ``c`` of ``g`` u-indices from ``cfg.u_indices`` (without
+    repeats when ``cfg.squarefree``) with ``sum(c_i - 1) = h`` and
+    ``t = sum c_i`` contributes
+    ``(-1)^(t+1) (t-1)! / ((t-g+1)! aut(c)) * r^(-t) * prod u_{c_i}``,
+    ``aut(c)`` the product of the factorials of its multiplicities.
+    """
+    total = MultiPoly.zero()
+    for g in range(1, h + 1):
+        for c in combinations_with_replacement(cfg.u_indices, g):
+            if sum(c) - g != h or (cfg.squarefree and len(set(c)) < g):
+                continue
+            t = sum(c)
+            aut = prod(map(factorial, Counter(c).values()))
+            term = MultiPoly.constant(Fraction((-1) ** (t + 1) * factorial(t - 1),
+                                               factorial(t - g + 1) * aut))
+            for s in c:
+                term = term * MultiPoly.variable(u_name(s))
+            total = total + over_r(term, t)
+    return total
+
+
+def layer_mismatches(series, cfg):
+    """The orders h whose [j^{h+1}] log coefficient is not :func:`first_layer`'s."""
+    return [h for h in range(1, cfg.h_max + 1)
+            if series.coefficient(h).with_vars(["j"]).coefficient_in("j", h + 1)
+            != first_layer(h, cfg)]
+
+
+class TestFirstNonzeroLayer:
+    """The layer just below the vanishing band, k = h + 1, has a closed form."""
+
+    @pytest.mark.parametrize("cfg", [
+        ExpansionConfig(h_max=10),
+        ExpansionConfig(h_max=6, u_indices=(2, 3, 4), squarefree=True),
+        ExpansionConfig(h_max=9, u_indices=(2, 3, 7), squarefree=True),
+        ExpansionConfig(h_max=6, u_indices=(3, 5)),
+    ], ids=["H10", "234-squarefree-H6", "237-squarefree-H9", "35-H6"])
+    def test_log_matches_the_multiset_sum(self, cfg):
+        assert not first_layer(cfg.h_max, cfg).is_zero()
+        assert layer_mismatches(log_expansion(cfg), cfg) == []
+
+    def test_a_tampered_log_coefficient_fails_it(self):
+        # positive control: one coefficient of the h = 3 layer changed
+        cfg = ExpansionConfig(h_max=4)
+        series = log_expansion(cfg)
+        coeffs = list(series.coeffs)
+        layer = coeffs[3]
+        at = layer.vars.index("j")
+        exps = next(e for e in sorted(layer.terms) if e[at] == 4)
+        coeffs[3] = MultiPoly(layer.vars, {**layer.terms, exps: layer.terms[exps] + 1})
+        assert layer_mismatches(series, cfg) == []
+        assert layer_mismatches(Series(series.var, series.order, coeffs), cfg) == [3]
