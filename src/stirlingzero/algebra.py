@@ -578,15 +578,15 @@ class Series:
                 [_groups(_numerators(t, den)[0], weight_of, square_slots, max_weight,
                          packer.pack) for t in terms])
 
-    def _from_scaled(self, names, scaled, L, unpack) -> "Series":
-        # coefficient k is the groups scaled[k] over k! L^k, a tuple rebuilt
-        # from each packed key
-        dens = [factorial(k) * L ** k for k in range(len(scaled))]
+    def _from_scaled(self, names, scaled, L, unpack, egf=False) -> "Series":
+        # coefficient k is the groups scaled[k] over k! L^k (over L^k alone
+        # with egf, so k! f_k), a tuple rebuilt from each packed key
+        dens = [(1 if egf else factorial(k)) * L ** k for k in range(len(scaled))]
         return Series(self.var, self.order, [MultiPoly._raw(names, {
             unpack(e): Fraction(c, den) for terms in groups.values() for e, c in terms.items()})
             for den, groups in zip(dens, scaled)])
 
-    def exp(self, ideal: Ideal = _EMPTY_IDEAL) -> "Series":
+    def exp(self, ideal: Ideal = _EMPTY_IDEAL, *, egf: bool = False) -> "Series":
         """Exponential of a series with zero constant term.
 
         The coefficients satisfy ``k*f_k = sum_{i=1..k} i * s_i * f_{k-i}``
@@ -614,14 +614,11 @@ class Series:
         lies outside the ideal are formed.  Reduction is a ring homomorphism,
         so each coefficient is the true one reduced.  Monomials are packed
         ints (:class:`_Packer`) from entry to output.
-        """
-        names, L, packer, F = self._exp_scaled(ideal)
-        return self._from_scaled(names, F, L, packer.unpack)
 
-    def _exp_scaled(self, ideal: Ideal):
-        # exp's integer recurrence, for a caller that reads the integers
-        # itself: (names, L, packer, [F_0..F_T]), each F_k = k! L^k f_k held
-        # as groups (_groups) of packed keys and nonzero int coefficients
+        With ``egf`` coefficient k is ``k! f_k`` instead, the exponential
+        read as an exponential generating function: ``F_k`` over ``L^k``
+        alone, so the ``k!`` is never divided out to be multiplied back.
+        """
         if not self.coeffs[0].is_zero():
             raise ValueError("series exponential requires a zero constant term")
         names, L, packer, max_weight, S = self._over_lcm(ideal)
@@ -633,7 +630,7 @@ class Series:
                     scale = i * (factorial(k - 1) // factorial(k - i)) * L ** (i - 1)
                     _mul_groups(acc, S[i], F[k - i], scale, max_weight)
             F.append(_nonzero(acc))
-        return names, L, packer, F
+        return self._from_scaled(names, F, L, packer.unpack, egf)
 
     def log(self, ideal: Ideal = _EMPTY_IDEAL) -> "Series":
         """Logarithm of a series with constant term one.

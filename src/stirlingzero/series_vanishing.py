@@ -20,8 +20,9 @@ Two independent routes produce the ``a_h``:
 * the oracle: readback from the series exponential at integer j, followed
   by exact interpolation in j with surplus witnesses; one exponential,
   truncated at the largest sample J, serves every sample, since ``x^s``
-  with ``s > j`` cannot reach ``x^j``; each sample is read straight off
-  its integer recurrence, so no ``Fraction`` series is built.
+  with ``s > j`` cannot reach ``x^j``; it is taken as its exponential
+  generating function, ``j! f_j`` at ``x^j``, so each sample is read off
+  as it stands, with no ``j!`` divided out and multiplied back.
 
 The comparison of the two is the one check on each ``a_h``.  A term of
 the wrong u-weight, a stray variable or a misfiled order on either side
@@ -190,15 +191,14 @@ def _readback(cfg: ExpansionConfig) -> dict:
     """``{j: (a_0 .. a_{h_max})}`` at every sample j, read off one cut exponential.
 
     The exponential of the module docstring, truncated at the largest sample
-    and cut modulo the :func:`_quotient` ideal of u-weight above ``h_max``,
-    runs as its integer recurrence (:meth:`Series._exp_scaled`), not kept.
-    ``a_h`` is the n^{j-h} coefficient of ``j! f_j`` over r^j, and
-    ``F_j = j! L^j f_j``, so each term of ``F_j`` is filed under its order
-    ``h = j - deg_n`` without the n slot, r's exponent lowered by j and its
-    coefficient over ``L^j``; an absent power reads zero, and a power of n
-    outside the orders ``0..h_max`` raises ``ValueError``.  The values are
-    checked only by the interpolation oracle of
-    :func:`symbolic_expansion_coefficient`.
+    and cut modulo the :func:`_quotient` ideal of u-weight above ``h_max``, is
+    taken once as its exponential generating function (``egf``), not kept:
+    its x^j coefficient is ``j! f_j``, whose n^{j-h} coefficient over r^j is
+    ``a_h``.  Each of its terms is filed under its order ``h = j - deg_n``
+    without the n slot and with r's exponent lowered by j; an absent power
+    reads zero, and a power of n outside the orders ``0..h_max`` raises
+    ``ValueError``.  The values are checked only by the interpolation oracle
+    of :func:`symbolic_expansion_coefficient`.
     """
     top = max(cfg.j_samples)
     n = MultiPoly.variable(N)
@@ -207,24 +207,23 @@ def _readback(cfg: ExpansionConfig) -> dict:
         if s <= top:
             # -(n u_s / s) (-x)^s contributes (-1)^(s+1) n u_s / s at x^s
             entries[s] = n * MultiPoly.variable(u_name(s)) * Fraction((-1) ** (s + 1), s)
-    names, L, packer, F = Series.from_dict(X, top, entries)._exp_scaled(
-        _quotient(cfg.u_indices, cfg.h_max, cfg.squarefree))
-    n_at, r_at = names.index(N), names.index(R)
-    kept = names[:n_at] + names[n_at + 1:]
+    series = Series.from_dict(X, top, entries).exp(
+        _quotient(cfg.u_indices, cfg.h_max, cfg.squarefree), egf=True)
     samples = {}
     for j in cfg.j_samples:
-        den = L ** j
+        gj = series.coefficient(j)
+        n_at, r_at = gj._index_of(N), gj._index_of(R)
         filed = [{} for _ in range(cfg.h_max + 1)]
-        for terms in F[j].values():
-            for key, c in terms.items():
-                exps = list(packer.unpack(key))
-                h = j - exps[n_at]
-                if not 0 <= h <= cfg.h_max:
-                    raise ValueError(f"x^{j} coefficient carries n^{exps[n_at]}, "
-                                     f"outside {j - cfg.h_max}..{j}")
-                exps[r_at] -= j
-                del exps[n_at]
-                filed[h][tuple(exps)] = Fraction(c, den)
+        for exps, c in gj.terms.items():
+            h = j - exps[n_at]
+            if not 0 <= h <= cfg.h_max:
+                raise ValueError(f"x^{j} coefficient carries n^{exps[n_at]}, "
+                                 f"outside {j - cfg.h_max}..{j}")
+            key = list(exps)
+            key[r_at] -= j
+            del key[n_at]
+            filed[h][tuple(key)] = c
+        kept = gj.vars[:n_at] + gj.vars[n_at + 1:]
         samples[j] = tuple(MultiPoly._raw(kept, terms) for terms in filed)
     return samples
 

@@ -1,9 +1,9 @@
 """The generating exponential through ``Series.exp`` and ``Fraction``s, the reference for the readback.
 
-Production reads each sample straight off the exponential's integer
-recurrence (``series_vanishing._readback``); this module takes the public
-route instead: the series exponential as ``Fraction`` coefficients, then
-``a_h`` read off the ``x^j`` coefficient times ``j!``.
+Production takes the exponential as its exponential generating function,
+``j! f_j`` at ``x^j``, and reads each sample off it as it stands
+(``series_vanishing._readback``); this module takes the plain exponential,
+``f_j`` at ``x^j``, then reads ``a_h`` off the ``x^j`` coefficient times ``j!``.
 """
 
 from fractions import Fraction

@@ -666,6 +666,14 @@ class TestSeries:
     @given(st.integers(1, 7).flatmap(mixed_series), st.sampled_from(sorted(REDUCTIONS)))
     @example(NEGATIVE_R, "weight and squarefree")
     @settings(max_examples=60, deadline=None)
+    def test_exp_as_egf_is_k_factorial_times_the_reference(self, s, reduction):
+        ideal = REDUCTIONS[reduction]
+        assert s.exp(ideal, egf=True).coeffs == tuple(
+            c * factorial(k) for k, c in enumerate(reference_exp(s, ideal)))
+
+    @given(st.integers(1, 7).flatmap(mixed_series), st.sampled_from(sorted(REDUCTIONS)))
+    @example(NEGATIVE_R, "weight and squarefree")
+    @settings(max_examples=60, deadline=None)
     def test_log_matches_fraction_reference(self, s, reduction):
         ideal = REDUCTIONS[reduction]
         unit = Series("x", s.order, (MultiPoly.constant(1),) + s.coeffs[1:])
@@ -678,7 +686,7 @@ class TestSeries:
 
     def test_coefficients_are_stored_as_fractions(self):
         s = Series.from_dict("x", 3, {1: var("a") * Fraction(2, 3), 3: 5})
-        for series in (s.exp(), s.exp().log()):
+        for series in (s.exp(), s.exp(egf=True), s.exp().log()):
             assert all(type(c) is Fraction
                        for p in series.coeffs for c in p.terms.values())
 

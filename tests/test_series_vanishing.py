@@ -171,17 +171,16 @@ class TestWeightBound:
     @pytest.fixture
     def bound_lowered(self, monkeypatch):
         # fresh_checks clears the readback before and after, so each budget's
-        # samples come from the lowered recurrence and none is left behind.
-        # Only the readback's exponential has a bound: the log's is None
-        real = Series._exp_scaled
+        # samples come from the lowered exponential and none is left behind
+        real = Series.exp
 
-        def lowered(self, ideal):
+        def lowered(self, ideal, **kw):
             weights, max_weight, squarefree = ideal
             if max_weight is not None:
                 max_weight -= 1
-            return real(self, (weights, max_weight, squarefree))
+            return real(self, (weights, max_weight, squarefree), **kw)
 
-        monkeypatch.setattr(Series, "_exp_scaled", lowered)
+        monkeypatch.setattr(Series, "exp", lowered)
 
     CFG3 = ExpansionConfig(h_max=3, s_max=4, j_samples=tuple(range(4, 13)))
 
@@ -340,8 +339,8 @@ class TestReadback:
         assert calls == []
 
 
-class TestIntegerReadback:
-    """The readback, read off the exponential's integers, is the ``Fraction`` route's."""
+class TestEgfReadback:
+    """The readback, read off the exponential as an egf, is the ``Fraction`` route's."""
 
     BUDGETS = {
         **{f"H{h}": ExpansionConfig(h_max=h) for h in range(1, 11)},
@@ -361,47 +360,39 @@ class TestIntegerReadback:
             assert [c.vars for c in got[jj]] == [c.vars for c in want[jj]]
 
     @staticmethod
-    def _patch_integers(monkeypatch, change):
-        """Let every ``Series._exp_scaled`` result pass through ``change``."""
-        real = Series._exp_scaled
-        monkeypatch.setattr(Series, "_exp_scaled", lambda self, ideal: change(*real(self, ideal)))
+    def _patch_exp(monkeypatch, change):
+        """Let every ``Series.exp`` result pass through ``change``."""
+        real = Series.exp
+        monkeypatch.setattr(Series, "exp", lambda self, ideal, **kw: change(real(self, ideal, **kw)))
 
-    def test_one_power_of_l_short_fails_the_oracle(self, monkeypatch):
-        # positive control: F_j over L^(j-1), not L^j, scales every sample by
-        # L = lcm(2..6) = 60, which only the closed form can tell
-        def one_power_short(names, L, packer, F):
-            assert L == 60
-            return names, L, packer, [{g: {e: c * L for e, c in terms.items()}
-                                       for g, terms in Fk.items()} for Fk in F]
-
-        self._patch_integers(monkeypatch, one_power_short)
+    # positive controls: a readback scaled by a constant keeps every sample
+    # polynomial in j, so only the closed form can tell; L = lcm(2..6) = 60
+    @pytest.mark.parametrize("factor", [60, Fraction(1, 60)], ids=["times-L", "over-L"])
+    def test_a_readback_scaled_by_a_power_of_l_fails_the_oracle(self, monkeypatch, factor):
+        self._patch_exp(monkeypatch, lambda series: Series(
+            series.var, series.order, [c * factor for c in series.coeffs]))
         with pytest.raises(ConsistencyError, match="disagree at order 1"):
+            symbolic_expansion_coefficient(1, CFG)
+
+    def test_a_readback_without_the_factorial_fails_the_oracle(self, monkeypatch):
+        # f_j, not j! f_j: every sample over j!, which no polynomial in j fits
+        real = Series.exp
+        monkeypatch.setattr(Series, "exp", lambda self, ideal, **kw: real(self, ideal))
+        with pytest.raises(PolynomialityError):
             symbolic_expansion_coefficient(1, CFG)
 
     @pytest.mark.parametrize("h", [-1, CFG.h_max + 1], ids=["above-n^j", "below-the-orders"])
     def test_power_of_n_outside_the_orders_is_refused(self, monkeypatch, h):
         top = max(CFG.j_samples)
 
-        def stray(names, L, packer, F):
-            exps = [0] * len(names)
-            exps[names.index("n")] = top - h
-            F[top] = {**F[top], "stray": {packer.pack(exps): 1}}
-            return names, L, packer, F
+        def stray(series):
+            coeffs = list(series.coeffs)
+            coeffs[top] = coeffs[top] + n ** (top - h)
+            return Series(series.var, series.order, coeffs)
 
-        self._patch_integers(monkeypatch, stray)
+        self._patch_exp(monkeypatch, stray)
         with pytest.raises(ValueError, match=f"carries n\\^{top - h}, outside 12..16"):
             _readback(CFG)
-
-    def test_readback_never_builds_the_fraction_series(self, monkeypatch):
-        calls = []
-        for name in ("exp", "_from_scaled"):
-            real = getattr(Series, name)
-            monkeypatch.setattr(Series, name, lambda self, *args, _name=name, _real=real, **kw:
-                                calls.append(_name) or _real(self, *args, **kw))
-        _readback(CFG)
-        assert calls == []
-        generating_series(3, CFG.u_indices)  # the counters see the Fraction route
-        assert calls == ["exp", "_from_scaled"]
 
 
 class TestClosedForm:
@@ -755,22 +746,24 @@ class TestKeptPerBudget:
             symbolic_expansion_coefficient(2, CFG)
 
     def test_one_exponential_per_budget(self, monkeypatch):
+        # taken as its egf, so no sample divides out a j! to multiply it back
         built = []
-        real = Series._exp_scaled
+        real = Series.exp
 
-        def counted(self, *args):
-            built.append(self.order)
-            return real(self, *args)
+        def counted(self, *args, **kw):
+            built.append((self.order, kw))
+            return real(self, *args, **kw)
 
-        monkeypatch.setattr(Series, "_exp_scaled", counted)
+        monkeypatch.setattr(Series, "exp", counted)
+        once = (max(CFG.j_samples), {"egf": True})
         for _ in range(2):
             for h in range(CFG.h_max + 1):
                 symbolic_expansion_coefficient(h, CFG)
         log_expansion(CFG)
-        assert built == [max(CFG.j_samples)]
+        assert built == [once]
         series_vanishing._readback.cache_clear()
         symbolic_expansion_coefficient(1, CFG)
-        assert built == [max(CFG.j_samples)] * 2
+        assert built == [once] * 2
 
 
 class TestLogExpansion:
