@@ -27,7 +27,8 @@ provided:
   the sum of its block count ``r``, which is signed once.  Every block
   series has constant term ``P_0 = 1`` (a block value that breaks this
   raises :class:`ConsistencyError`), so the convolutions and dot products
-  skip the products with ``y^0``.  The series of every nonempty mask is
+  skip the products with ``y^0``; both read the index pairs of the rest off
+  one table per ``w``, :func:`_pairs`.  The series of every nonempty mask is
   in the instance's block table, plain data indexed by mask, built by the
   process that walks, before its walk: here at ``jobs = 1``, else in each
   forked worker, one per shard or per entry run side by side.
@@ -70,6 +71,7 @@ import random
 import time
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice
 from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
@@ -166,17 +168,25 @@ class _BlockValues:
         return vec
 
 
+@lru_cache(maxsize=None)
+def _pairs(w: int) -> tuple:
+    """``(n, ((i, n-i) for 1 <= i < n))`` for ``n = 1..w``: the index pairs of ``[y^n]``'s
+    products of two nonconstant coefficients, built once per ``w``."""
+    return tuple((n, tuple((i, n - i) for i in range(1, n))) for n in range(1, w + 1))
+
+
 def _conv_truncated(acc, vec: tuple, w: int) -> list:
     """Coefficients of ``y^0..y^w`` in ``acc(y) * vec(y)``, both with constant term 1.
 
     The products with a constant term are additions, so ``[y^n]`` is
-    ``acc[n] + vec[n]`` plus the products of the coefficients of ``y^1..y^(n-1)``.
+    ``acc[n] + vec[n]`` plus the products of the coefficients of ``y^1..y^(n-1)``,
+    read off row ``n`` of the index-pair table :func:`_pairs`.
     """
     out = [acc[0]]
-    for n in range(1, w + 1):
+    for n, pairs in _pairs(w):
         c = acc[n] + vec[n]
-        for i in range(1, n):
-            c = c + acc[i] * vec[n - i]
+        for i, j in pairs:
+            c += acc[i] * vec[j]
         out.append(c)
     return out
 
@@ -241,44 +251,47 @@ def _collapsed_partial(inst: ConfigSumInstance, table: list,
     in the walking process; the walk reads ``table[mask]`` and evaluates
     nothing.  It multiplies what the table holds, ints or packed ``_IntPoly``,
     and returns ``scale^w`` times the shard's share of the total, of that
-    type.  A partition of ``r`` blocks is split after its first
-    ``k = ceil(r/2)``; ``product`` looks each half up by its block tuple and
-    builds a missing one from the tuple without its last block.  Every head
-    starts with the first block, so ``heads`` is cleared when that changes;
-    ``tails`` lasts the shard.  ``[y^w]`` is one dot product of the two
-    halves, added to the sum of its block count ``r``, and each of those sums
-    is multiplied by ``(-1)^r (r-1)!`` once at the end.
+    type.  A one-block partition's ``[y^w]`` is read straight off the table.
+    Any other partition of ``r`` blocks is split after its first
+    ``k = ceil(r/2)``; each half is looked up in its memo by its block tuple,
+    and ``product`` builds a missing one from the tuple without its last
+    block.  Every head starts with the first block, so ``heads`` is cleared
+    when that changes; ``tails`` lasts the shard.  ``[y^w]`` is one dot
+    product of the two halves over the last row of :func:`_pairs`, added to
+    the sum of its block count ``r``, and each of those sums is multiplied by
+    ``(-1)^r (r-1)!`` once at the end.
     """
     w = inst.w
+    last = _pairs(w)[-1][1] if w else ()
 
-    def product(memo: dict, blocks: tuple):
-        prod = memo.get(blocks)
-        if prod is None:
-            prod = table[blocks[-1]]
-            if len(blocks) > 1:
-                prod = _conv_truncated(product(memo, blocks[:-1]), prod, w)
-            memo[blocks] = prod
+    def product(memo: dict, blocks: tuple):  # a half its memo lacks
+        prod = table[blocks[-1]]
+        if len(blocks) > 1:
+            prefix = blocks[:-1]
+            prod = _conv_truncated(memo.get(prefix) or product(memo, prefix), prod, w)
+        memo[blocks] = prod
         return prod
 
     by_count = [0] * (inst.g + 1)
     visited = 0
     heads, tails, first = {}, {}, None
     for blocks in iter_unordered_partitions(inst.g, part, parts):
+        visited += 1
+        r = len(blocks)
+        if r == 1:
+            by_count[1] += table[blocks[0]][w]
+            continue
         if blocks[0] != first:
             heads.clear()
             first = blocks[0]
-        r = len(blocks)
         k = (r + 1) // 2
-        head = product(heads, blocks[:k])
-        if r == 1:
-            top = head[w]
-        else:
-            tail = product(tails, blocks[k:])
-            top = head[w] + tail[w] if w else head[0]
-            for i in range(1, w):
-                top = top + head[i] * tail[w - i]
-        by_count[r] = by_count[r] + top
-        visited += 1
+        head, tail = blocks[:k], blocks[k:]
+        head = heads.get(head) or product(heads, head)
+        tail = tails.get(tail) or product(tails, tail)
+        top = head[w] + tail[w] if w else head[0]
+        for i, j in last:
+            top += head[i] * tail[j]
+        by_count[r] += top
     total = sum(by_count[r] * ((-1) ** r * factorial(r - 1)) for r in range(1, inst.g + 1))
     return total, visited
 

@@ -130,21 +130,29 @@ def _block_walk(rest: int, blocks: list) -> Iterator[tuple]:
     come out one after another.  Every yield is a set partition: each block
     is nonempty, is drawn from the elements still in ``rest`` and is removed
     from them before the next level, and a tuple is yielded only once
-    ``rest`` is empty.
+    ``rest`` is empty.  One loop runs the levels off an explicit stack of
+    ``(lowest element, others, current subset)``, in the order a recursion
+    level by level would take them.
     """
-    if not rest:
-        yield tuple(blocks)
-        return
-    low = rest & -rest
-    others = rest ^ low
-    sub = 0
+    stack = []
     while True:
-        blocks.append(low | sub)
-        yield from _block_walk(others ^ sub, blocks)
-        blocks.pop()
-        if sub == others:
+        while rest:  # open each level at its first block, the lowest element alone
+            low = rest & -rest
+            rest ^= low
+            stack.append((low, rest, 0))
+            blocks.append(low)
+        yield tuple(blocks)
+        while stack:  # the deepest level with a subset left takes its next one
+            low, others, sub = stack.pop()
+            blocks.pop()
+            if sub != others:
+                sub = (sub - others) & others  # next subset of ``others`` in increasing order
+                stack.append((low, others, sub))
+                blocks.append(low | sub)
+                rest = others ^ sub
+                break
+        else:
             return
-        sub = (sub - others) & others  # next subset of ``others`` in increasing order
 
 
 def _first_block_run(g: int, part: int, parts: int) -> range:

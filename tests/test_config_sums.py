@@ -360,6 +360,86 @@ class TestPrefixReuse:
         assert len(calls) == len(heads) + len(tails) == convolutions
 
 
+def naive_truncated(a, b, w):
+    """``[y^0..y^w]`` of ``a(y) * b(y)``, every product of the two written out."""
+    out = []
+    for n in range(w + 1):
+        c = 0
+        for i in range(n + 1):
+            c = c + a[i] * b[n - i]
+        out.append(c)
+    return out
+
+
+def _nonzero(x):
+    # an int as it is, a packed _IntPoly without the zeros it keeps
+    return x if isinstance(x, int) else {key: c for key, c in x.items() if c}
+
+
+def _int_series(rng, w):
+    return (1,) + tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(w))
+
+
+@lru_cache(maxsize=None)
+def _packed_values():
+    # the packed 1 and every nonconstant entry of a symbolic g = 4 block table;
+    # each has degree at most 4 in a slot, so products of up to 31 of them
+    # stay inside the one-byte slots of the table's packer
+    table, _ = config_sums._block_table(symbolic_instance(4, 2))
+    return table[1][0], [vec[v] for vec in table[1:] for v in (1, 2)]
+
+
+def _packed_series(rng, w):
+    one, values = _packed_values()
+    return (one,) + tuple(rng.choice(values) for _ in range(w))
+
+
+class TestTruncatedProducts:
+    @pytest.mark.parametrize("series", [_int_series, _packed_series], ids=["ints", "packed"])
+    @pytest.mark.parametrize("w", range(10))
+    def test_convolution_is_the_naive_product(self, series, w):
+        rng = random.Random(f"conv/{w}")
+        for _ in range(5):
+            acc, vec = series(rng, w), series(rng, w)
+            got = config_sums._conv_truncated(list(acc), vec, w)
+            assert list(map(_nonzero, got)) == list(map(_nonzero, naive_truncated(acc, vec, w)))
+
+    @pytest.mark.parametrize("series, g", [(_int_series, 5), (_packed_series, 4)],
+                             ids=["ints", "packed"])
+    @pytest.mark.parametrize("w", range(10))
+    def test_walk_is_the_naive_product_per_partition(self, series, g, w):
+        # a random table on g elements, at any w: heads of up to three blocks
+        # (two on the packed table, whose products grow fast), tails of up to
+        # two, and each partition's dot product, against [y^w] of the naive
+        # product of all its blocks
+        rng = random.Random(f"walk/{w}")
+        table = [None] + [series(rng, w) for _ in range(1, 1 << g)]
+        expected = 0
+        for blocks in iter_unordered_partitions(g):
+            prod = table[blocks[0]]
+            for mask in blocks[1:]:
+                prod = naive_truncated(prod, table[mask], w)
+            expected = expected + prod[w] * ((-1) ** len(blocks) * factorial(len(blocks) - 1))
+        total, visited = config_sums._collapsed_partial(SimpleNamespace(g=g, w=w), table)
+        assert visited == unordered_partition_count(g)
+        assert _nonzero(total) == _nonzero(expected)
+
+    def test_a_dropped_index_pair_fails_the_oracle(self, monkeypatch):
+        # positive control: the top row without its last pair, (3, 1) at w = 4,
+        # drops products from the convolutions and the dot products alike
+        inst = numeric_instance(6, 4, MIXED)
+        assert sum_collapsed(inst).total == sum_pointed(inst) == 0
+        real = config_sums._pairs
+
+        def short(w):
+            *rows, (n, pairs) = real(w)
+            return (*rows, (n, pairs[:-1]))
+
+        monkeypatch.setattr(config_sums, "_pairs", short)
+        assert short(4)[-1] == (4, ((1, 3), (2, 2)))
+        assert sum_collapsed(inst).total != sum_pointed(inst)
+
+
 def _scaled(vec, scale):
     # the ints scale^v * P_v(t), each checked to be exact
     out = tuple(value * scale ** v for v, value in enumerate(vec))

@@ -8,6 +8,7 @@ import pytest
 from stirlingzero.algebra import MultiPoly
 from stirlingzero.partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
 
+import partition_reference
 from ordered_reference import count_weighted_configs, iter_ordered_partitions, weight_compositions
 
 def brute_force_partitions(g):
@@ -136,6 +137,18 @@ class TestUnorderedPartitions:
         for parts in range(1, min(8, 1 << (g - 1)) + 1):
             for part in range(parts):
                 assert next(iter_unordered_partitions(g, part, parts), None) is not None, (part, parts)
+
+    @pytest.mark.parametrize("g", range(1, 10))
+    def test_stream_is_the_recursive_reference(self, g):
+        # the stack walk yields the recursion's tuples in the recursion's order
+        assert list(iter_unordered_partitions(g)) == list(partition_reference.unordered_partitions(g))
+
+    @pytest.mark.parametrize("g", range(1, 10))
+    def test_every_shard_is_the_recursive_reference(self, g):
+        for parts in sorted({1, 2, 3, 5, (1 << (g - 1)) + 1}):
+            for part in range(parts):
+                assert (list(iter_unordered_partitions(g, part, parts))
+                        == list(partition_reference.unordered_partitions(g, part, parts))), (part, parts)
 
     def test_needs_an_element(self):
         with pytest.raises(ValueError, match="at least one element"):
