@@ -5,17 +5,19 @@ opens one pool per instance, with one call that walks it whole, and keeps
 several open side by side.  Each call builds the instance's block table in its
 own child.  Either way at most one child runs per usable CPU.  Each submitted
 call is forked at once into its own child, which pickles ``(ok, value or
-exception, traceback text)`` to a pipe and ends with ``os._exit``: it never
-returns into the caller's code, runs ``atexit`` handlers or flushes the
-parent's stdio.  The parent reads whichever child is readable, reaps each at
-the end of its pipe and raises the first failure of any child at once.  A
-child inherits its call, so the function and its arguments need not pickle, a
-monkeypatch in the parent reaches it, and what the parent cached before the
-fork (the offset polynomials' coefficients) is read copy-on-write, not
-rebuilt.  A child forked while other pools are open inherits the read ends of
-their pipes and never touches them; each write end is closed in the parent
-right after its fork, so the end of a pipe still marks the end of its own
-child.
+exception, traceback text)``, writes that one pickle to a pipe and ends with
+``os._exit``: it never returns into the caller's code, runs ``atexit`` handlers
+or flushes the parent's stdio.  A child writes nothing before its outcome is
+pickled, so the parent, selecting over all children, reads a readable one's
+pickle whole to the end of its pipe, reaps it and raises the first failure of
+any child at once; a child that ends without an outcome is a
+``ChildProcessError``.  A child inherits its call, so the function and its
+arguments need not pickle, a monkeypatch in the parent reaches it, and what
+the parent cached before the fork (the offset polynomials' coefficients) is
+read copy-on-write, not rebuilt.  A child forked while other pools are open
+inherits the read ends of their pipes and never touches them; each write end
+is closed in the parent right after its fork, so the end of a pipe still marks
+the end of its own child.
 
 Neither the pool nor the package starts a thread, so each fork copies a
 single-threaded process.  ``pickle`` and ``select`` are imported when the
@@ -51,16 +53,15 @@ class Future:
         return self._value
 
 
-def _child(call, r: int, w: int) -> None:
-    """Run ``call`` in a forked child and pickle its outcome to the pipe ``w``; never returns."""
+def _child(fn, args, r: int, w: int) -> None:
+    """Run ``fn(*args)`` in a forked child and pickle its outcome to ``w``; never returns."""
     status = 1
     try:
         import pickle
 
         os.close(r)
-        fn, args, kwargs = call
         try:
-            data = pickle.dumps((True, fn(*args, **kwargs), None))
+            data = pickle.dumps((True, fn(*args), None))
         except BaseException as exc:  # every outcome goes to the parent
             import traceback
 
@@ -72,9 +73,8 @@ def _child(call, r: int, w: int) -> None:
                 pickle.loads(data)  # an exception that pickles may still not unpickle
             except Exception:
                 data = pickle.dumps((False, RuntimeError(repr(exc)), text))
-        view = memoryview(data)
-        while view:
-            view = view[os.write(w, view):]
+        with open(w, "wb") as out:  # the buffered writer loops over partial writes
+            out.write(data)
         status = 0
     finally:
         os._exit(status)
@@ -95,9 +95,9 @@ class ProcessPoolExecutor:
 
         self._loads = pickle.loads
         self._select = select.select
-        self._running: dict[int, tuple[Future, int, list[bytes]]] = {}  # fd -> (future, pid, chunks)
+        self._running: dict[int, tuple[Future, int]] = {}  # read end -> (future, pid)
 
-    def submit(self, fn, /, *args, **kwargs) -> Future:
+    def submit(self, fn, /, *args) -> Future:
         r, w = os.pipe()
         try:
             pid = os.fork()
@@ -106,30 +106,26 @@ class ProcessPoolExecutor:
             os.close(w)
             raise
         if pid == 0:
-            _child((fn, args, kwargs), r, w)
+            _child(fn, args, r, w)
         os.close(w)
         fut = Future(self)
-        self._running[r] = (fut, pid, [])
+        self._running[r] = (fut, pid)
         return fut
 
     def _collect(self) -> None:
-        """Read the readable children; reap each that ended and raise its failure."""
+        """Read each ready child's pickle whole before dropping and reaping it; raise a failure."""
         if not self._running:
             raise ChildProcessError("shard process killed or failed before its result")
         ready, _, _ = self._select(list(self._running), [], [])
         for fd in ready:
-            fut, pid, chunks = self._running[fd]
-            chunk = os.read(fd, 1 << 16)
-            if chunk:
-                chunks.append(chunk)
-                continue
-            del self._running[fd]
+            data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+            fut, pid = self._running.pop(fd)
             os.close(fd)
             _, status = os.waitpid(pid, 0)
-            if status != 0:
+            if status != 0 or not data:
                 raise ChildProcessError(
                     f"shard process {pid} ended without a result (wait status {status})")
-            ok, value, text = self._loads(b"".join(chunks))
+            ok, value, text = self._loads(data)
             if not ok:
                 raise value from _RemoteTraceback(text)
             fut._value = value
@@ -139,7 +135,7 @@ class ProcessPoolExecutor:
         if self._running:
             import signal
 
-            for fd, (_, pid, _) in self._running.items():
+            for fd, (_, pid) in self._running.items():
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
                 os.close(fd)

@@ -761,23 +761,23 @@ def interpolate_in_var(samples: Sequence, var: str, degree_bound: int) -> MultiP
         p = MultiPoly._coerce(v)
         if p is None:
             raise TypeError(f"sample value {v!r} is not a polynomial")
-        if var in p.vars:  # a registered slot must be unused, and is dropped
+        if var in p.vars:  # a registered slot must be unused
             i = p.vars.index(var)
             if any(e[i] for e in p.terms):
                 raise ValueError(f"sample values must not involve {var!r}")
-            p = MultiPoly._raw(p.vars[:i] + p.vars[i + 1:],
-                               {e[:i] + e[i + 1:]: c for e, c in p.terms.items()})
         values.append(p)
 
-    # the fit runs on the samples' registry; var's slot goes in at the end
-    out_names = _registry(values, extra=(var,))
+    # the fit runs on the samples' own registry, so no sample on it is remapped;
+    # the degree goes into var's slot, 0 where a sample registers var, or in at it
+    names = _registry(values)
+    out_names = _registry((), extra=(*names, var))
     slot = out_names.index(var)
-    names = out_names[:slot] + out_names[slot + 1:]
+    rest = slot + (var in names)
     terms = [p._remap(names) for p in values]
     out = {}
     for mono in set().union(*terms):
         nums, den = _fit(points, [t.get(mono, 0) for t in terms], degree_bound, var)
         for d, c in enumerate(nums):
             if c:
-                out[mono[:slot] + (d,) + mono[slot:]] = Fraction(c, den)
+                out[mono[:slot] + (d,) + mono[rest:]] = Fraction(c, den)
     return MultiPoly._raw(out_names, out)

@@ -945,11 +945,20 @@ class TestInterpolation:
         assert interpolate_in_var(samples, "j", 2) == u_over_r2 * (j * j - j) + j
 
     def test_samples_registering_var_unused(self):
-        # j sits in the samples' registry at exponent 0; the fit drops and
-        # re-inserts its slot
+        # j sits in the samples' registry at exponent 0; the fit writes the
+        # fitted degree into that slot
         u = var("u")
         samples = [(x, (u * x + 1).with_vars(["j"])) for x in range(4)]
         fit = interpolate_in_var(samples, "j", 2)
+        assert fit == u * var("j") + 1
+        assert fit.vars == ("j", "u")
+
+    def test_samples_some_registering_var_unused(self):
+        # the odd samples register j and the even ones do not: the fit's
+        # registry has j's slot, at 0, and the even samples are remapped to it
+        u = var("u")
+        samples = [(x, (u * x + 1).with_vars(["j"]) if x % 2 else u * x + 1) for x in range(5)]
+        fit = interpolate_in_var(samples, "j", 3)
         assert fit == u * var("j") + 1
         assert fit.vars == ("j", "u")
 

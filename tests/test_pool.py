@@ -139,6 +139,14 @@ def test_results_larger_than_a_pipe_buffer_arrive_whole():
     assert_no_child_left()
 
 
+def test_a_child_that_ends_without_an_outcome_is_an_error():
+    # an os._exit(0) in the called code: wait status 0, but an empty pipe
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        with ProcessPoolExecutor() as pool:
+            pool.submit(os._exit, 0).result()
+    assert_no_child_left()
+
+
 def _fails_consistently():
     raise ConsistencyError("injected fault in the shard")
 
@@ -237,6 +245,22 @@ def test_a_killed_worker_stops_the_run_with_exit_2(monkeypatch, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: shard process ")
     assert f"wait status {signal.SIGKILL}" in err
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_worker_that_exits_without_an_outcome_stops_the_run_with_exit_2(monkeypatch, tmp_path,
+                                                                           capsys):
+    # both shards exit 0 before they report: a one-line error, not the
+    # traceback of an unpickled empty pipe
+    monkeypatch.setattr(config_sums, "_walk", lambda *args: os._exit(0))
+    monkeypatch.setattr(config_sums, "_usable_cpus", lambda: 2)
+    status = cli.main(["part1", "--g", "6", "--w", "3", "--random", "1", "--jobs", "2",
+                       "--ledger", str(tmp_path / "ledger.jsonl")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shard process ") and err.count("\n") == 1
+    assert "ended without a result" in err and "Traceback" not in err
     assert_no_child_left()
 
 
