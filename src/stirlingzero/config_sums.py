@@ -42,9 +42,10 @@ provided:
   order, from ``3^(g-1) - 2^(g-1)`` truncated products.
 
 The collapsed route runs in integers.  With ``D`` the lcm of the ground's
-denominators (1 on a symbolic ground) and ``K`` the lcm of the coefficient
-denominators of ``P_1..P_w``, ``lam = K * D^2`` makes each ``lam^v P_v(t)``,
-``v <= w``, an integer or an integer polynomial in ``c1..cg``.  ``y -> y / lam``
+denominators (1 on a symbolic ground) and ``K'`` the least factor whose v-th
+power clears ``P_v``'s coefficients for each ``v <= w``, taken prime by prime
+(:func:`_common_scale`), ``lam = K' * D^2`` makes each ``lam^v P_v(t)``, ``v <= w``,
+an integer or an integer polynomial in ``c1..cg``.  ``y -> y / lam``
 is a ring automorphism, so each ``[y^w]`` is scaled by exactly ``lam^w``, and
 the merged total (ints, or packed ``_IntPoly`` unpacked into ``MultiPoly``) is
 divided by it once.  :func:`sum_pointed` stays in ``Fraction`` arithmetic on
@@ -79,7 +80,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 from ._pool import ProcessPoolExecutor
 from .algebra import ConsistencyError, MultiPoly, _as_int, _fit, _horner, _IntPoly, _Packer
 from .partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
-from .stirling import eval_P, eval_P_symbolic, stirling_poly
+from .stirling import _integer_coeffs, eval_P, eval_P_symbolic
 
 __all__ = [
     "ConfigSumInstance",
@@ -191,18 +192,31 @@ def _conv_truncated(acc, vec: tuple, w: int) -> list:
     return out
 
 
-def _common_scale(inst: ConfigSumInstance) -> int:
-    """``K * D^2``: scaled by its v-th power, every ``P_v(block sum)`` is an integer.
+@lru_cache(maxsize=None)
+def _coeff_scale(w: int) -> int:
+    """``K'(w)`` of :func:`_common_scale`, computed once per ``w``."""
+    scale = 1
+    for v in range(1, w + 1):
+        den, p = _integer_coeffs(v)[1], 1
+        while den > 1:
+            p, e = p + 1, 0
+            while den % p == 0:
+                den, e = den // p, e + 1
+            scale = lcm(scale, p ** -(-e // v))
+    return scale
 
-    ``D`` is the lcm of the ground's denominators, read off its
-    ``scaled_sums`` (it clears every block sum), and ``K`` the lcm of the
-    coefficient denominators of ``P_1..P_w``; a term of degree ``k <= 2v`` in
-    ``P_v`` then picks up ``K^v D^(2v-k)`` times an integer.
+
+def _common_scale(inst: ConfigSumInstance) -> int:
+    """``K' * D^2``: scaled by its v-th power, every ``P_v(block sum)`` is an integer.
+
+    ``D`` is the lcm of the ground's denominators, read off its ``scaled_sums``
+    (it clears every block sum).  ``K'`` holds each prime ``p`` to the power
+    ``max_{v <= w} ceil(e_p(K_v) / v)``, ``K_v`` the lcm of ``P_v``'s denominators:
+    ``f^v`` clears ``P_v`` just when ``v * e_p(f) >= e_p(K_v)`` at every ``p``, so
+    no smaller factor clears them all, and a term of degree ``k <= 2v`` in ``P_v``
+    picks up ``K'^v D^(2v-k)`` times an integer.
     """
-    d, _ = inst.ground.scaled_sums
-    k = lcm(*(c.denominator for v in range(1, inst.w + 1)
-              for c in stirling_poly(v)))
-    return k * d * d
+    return _coeff_scale(inst.w) * inst.ground.scaled_sums[0] ** 2
 
 
 def _ring(inst: ConfigSumInstance) -> tuple:

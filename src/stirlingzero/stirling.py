@@ -42,6 +42,12 @@ def stirling_row(n: int) -> tuple:
     return tuple(_dense_from_nodes(range(0, -n, -1)))
 
 
+def _over_lcm(coeffs) -> tuple:
+    """``(nums, den)``: rationals as integer numerators over their lcm denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
 # --------------------------------------------------------------- public API
 
 def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
@@ -53,17 +59,19 @@ def _validate_chain(w: int, coeffs, prev_coeffs) -> None:
     the polynomial up to an additive constant; the zero lemma ``P_w(0) = 0``,
     off the fit's nodes ``w .. 3w``, fixes it (``P_w`` vanishes at ``x = 0 .. w``
     for ``w >= 1``: Graham, Knuth and Patashnik, *Concrete Mathematics*, eq. (6.44)).
+    Both run on each polynomial's integer numerators over its lcm denominator.
     """
     if len(coeffs) != 2 * w + 1 or coeffs[-1] <= 0:
         raise ConsistencyError(
             f"offset-{w} polynomial must have degree exactly {2 * w} "
             "with positive leading coefficient")
-    delta = [sum(coeffs[d] * comb(d, k) for d in range(k + 1, 2 * w + 1))
+    (nums, den), (prev, prev_den) = _over_lcm(coeffs), _over_lcm(prev_coeffs)
+    delta = [prev_den * sum(nums[d] * comb(d, k) for d in range(k + 1, 2 * w + 1))
              for k in range(2 * w)]
-    if delta != [0, *prev_coeffs]:
+    if delta != [0, *(den * c for c in prev)]:
         raise ConsistencyError(
             f"difference identity fails for offset {w}: arithmetic bug")
-    if coeffs[0] != 0:
+    if nums[0] != 0:
         raise ConsistencyError(
             f"offset-{w} polynomial does not anchor to P_{w}(0) = 0")
 
@@ -90,10 +98,7 @@ def stirling_poly(w: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _integer_coeffs(w: int) -> tuple:
-    # (numerators over one common denominator, that denominator)
-    coeffs = stirling_poly(w)
-    den = lcm(*(c.denominator for c in coeffs))
-    return tuple(int(c * den) for c in coeffs), den
+    return _over_lcm(stirling_poly(w))
 
 
 def eval_P(w: int, t) -> Fraction:

@@ -290,11 +290,41 @@ class TestIntegerKernel:
 
     @pytest.mark.parametrize("symbolic", [False, True])
     def test_uncleared_block_value_is_an_engine_bug(self, monkeypatch, symbolic):
-        # 1/3 survives scaling by K * D^2 = 2 for integer grounds at w = 1, and
-        # by K = 2 on a symbolic one (D = 1): the offset-1 fit's constant term is 2/3
+        # 1/3 survives the scale lam = K' * D^2 = 2 at w = 1, K' = 2 clearing
+        # P_1 = x(x-1)/2 and D = 1 on an integer or symbolic ground: the
+        # offset-1 fit's constant term is 2/3
         _shift_offset_one(monkeypatch, Fraction(1, 3))
         inst = symbolic_instance(3, 1) if symbolic else numeric_instance(3, 1, [2, 3, 4])
         assert config_sums._common_scale(inst) == 2
+        with pytest.raises(ConsistencyError, match="not an integer"):
+            sum_collapsed(inst)
+
+    def test_scale_is_the_least_that_clears_every_offset(self):
+        # on an integer ground (D = 1) the scale is K'(w): its v-th power clears
+        # every coefficient of P_v, v <= w, and one prime fewer leaves one uncleared
+        def clears(k, w):
+            return all((c * k ** v).denominator == 1
+                       for v in range(1, w + 1) for c in stirling_poly(v))
+
+        for w in range(13):
+            scale = config_sums._common_scale(numeric_instance(w + 2, w, range(w + 2)))
+            assert scale == config_sums._coeff_scale(w)
+            assert clears(scale, w)
+            primes = [p for p in range(2, scale + 1)
+                      if scale % p == 0 and all(p % q for q in range(2, p))]
+            for p in primes:
+                assert not clears(scale // p, w), (w, p)
+            if w <= 6:
+                assert scale == [1, 2, 12, 12, 60, 60, 420][w]
+
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_scale_one_prime_short_is_refused(self, monkeypatch, symbolic):
+        # K'(4) / 2 = 30: 30^2 misses a factor 2 of P_2's denominators, so the
+        # table's integer check, not the scale's derivation, refuses the walk
+        real = config_sums._coeff_scale
+        monkeypatch.setattr(config_sums, "_coeff_scale", lambda w: real(w) // 2 if w == 4 else real(w))
+        inst = symbolic_instance(6, 4) if symbolic else numeric_instance(6, 4, [2, 3, 5, 7, 11, 13])
+        assert config_sums._common_scale(inst) == 30
         with pytest.raises(ConsistencyError, match="not an integer"):
             sum_collapsed(inst)
 

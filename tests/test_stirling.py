@@ -187,6 +187,16 @@ class TestChainCheck:
         with pytest.raises(ConsistencyError, match="anchor"):
             _validate_chain(3, tuple(coeffs), stirling_poly(2))
 
+    def test_interior_coefficient_moved_off_the_denominators(self):
+        # 1/8! carries a 7, which none of P_4's denominators has (their lcm is
+        # 5760): over 5760 the move is 1/7 of a unit, which a truncated
+        # numerator would drop, so only an lcm over the tampered
+        # coefficients keeps it
+        coeffs = list(stirling_poly(4))
+        coeffs[4] += Fraction(1, factorial(8))
+        with pytest.raises(ConsistencyError, match="difference identity"):
+            _validate_chain(4, tuple(coeffs), stirling_poly(3))
+
     def test_wrong_length(self):
         coeffs = stirling_poly(2) + (Fraction(7),)
         with pytest.raises(ConsistencyError, match="degree exactly 4"):
