@@ -1,6 +1,6 @@
 """Exact-arithmetic verifier for two families of vanishing identities.
 
-The first family: for a ground set of g distinct values and a weight budget
+The first family: for g ground values (repeats allowed) and a weight budget
 ``0 <= w <= g-2``, the signed sum of Stirling-polynomial products over all
 weighted ordered set partitions is conjectured to be exactly zero.  The
 second: in the 1/n-logarithm of a matching-style exponential generating

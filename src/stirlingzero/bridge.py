@@ -59,7 +59,8 @@ def bridge_params(c, w: int) -> BridgeInstance:
     if g < 2:
         raise ValueError("need at least two ground values")
     if len(set(values)) != g:
-        raise ValueError("ground values must be distinct")
+        raise ValueError("ground values must be distinct: a repeated value would "
+                         "need the non-squarefree monomial u_c^m")
     if any(x < 2 for x in values):
         raise ValueError("ground values must be integers >= 2")
     if not 0 <= w <= g - 2:

@@ -1,8 +1,8 @@
 """Signed configuration-sum verifier.
 
-For parameters ``g >= 2`` and ``0 <= w <= g-2`` and a ground set of g
-distinct values, every weighted configuration (ordered set partition with
-per-block weights summing to w) is assigned the evaluation
+For ``g >= 2``, ``0 <= w <= g-2`` and g ground values, which may repeat (the
+sum is a polynomial in them), every weighted configuration (ordered set
+partition with per-block weights summing to w) is assigned the evaluation
 
     (-1)^r * (1/r) * prod_i P_{w_i}(t_i)
 
@@ -60,9 +60,9 @@ any other fault at a sampled point fails a witness
 evaluates every mask, so a nonzero total is checked against values the fit
 did not make.
 
-Any nonzero total is treated as a potential counterexample and re-verified
-through the oracle (plus a fresh ground set in numeric mode) before being
-reported.
+A nonzero total is a potential counterexample, re-verified through the oracle
+(and a fresh numeric ground) before it is reported.  :func:`random_ground`
+draws g distinct values, so no seeded ground repeats one.
 """
 
 from __future__ import annotations

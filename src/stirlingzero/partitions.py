@@ -1,8 +1,8 @@
 """Unordered set partitions and ground sets.
 
-Elements of the g-element ground set are bit positions 0..g-1; blocks are
-machine-word bitmasks, and a partition is a plain tuple of block masks, so
-canonical forms are trivially hashable and cheap to compare, and
+Elements of the g-element ground set are bit positions 0..g-1, so two may
+hold one value (the identity is a polynomial one); blocks are bitmasks, and a
+partition is a plain tuple of block masks, hashable and cheap to compare, and
 :meth:`GroundSet.block_sum` maps a block to the sum of its ground values,
 read off the ground's one block-sum table, :attr:`GroundSet.scaled_sums`
 (ints over a common denominator on a numeric ground; on a symbolic one,
@@ -37,9 +37,9 @@ __all__ = [
 
 
 class GroundSet(NamedTuple("_GroundSet", [("values", tuple)])):
-    """g distinct values: all exact rationals, or the coordinates of ``Q[c1..cg]``,
-    each on the ring's one registry ``("c1", ..., "cg")``; the values say which,
-    and are checked however the ground is built (rationals stored as Fractions)."""
+    """g exact rationals, repeats allowed, or the coordinates of ``Q[c1..cg]``, each
+    on the ring's one registry ``("c1", ..., "cg")``; the values say which, and are
+    checked however the ground is built (rationals stored as Fractions)."""
 
     # no __slots__: cached_property keeps scaled_sums in the instance __dict__,
     # writing it directly, so every assignment can be refused
@@ -54,8 +54,6 @@ class GroundSet(NamedTuple("_GroundSet", [("values", tuple)])):
                 raise ValueError("symbolic ground values must be the coordinates c1..cg")
         else:
             values = tuple(_as_fraction(v) for v in values)
-            if len(set(values)) != len(values):
-                raise ValueError("ground values must be pairwise distinct")
         return super().__new__(cls, values)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too

@@ -125,12 +125,20 @@ class TestPart1Command:
         assert exc.value.code == 2
         assert "--random" in capsys.readouterr().err
 
-    def test_repeated_ground_value_is_usage_error(self, tmp_path, capsys):
-        code, records, _ = run_cli(
-            ["part1", "--g", "3", "--w", "0", "--c", "2,2,3"], tmp_path)
-        assert code == 2
-        assert records == []
-        assert "error: ground values must be pairwise distinct" in capsys.readouterr().err
+    @pytest.mark.parametrize("ground, weights, ws", [
+        ("2,2,3", ["--w", "0"], [0]),
+        ("0,0,0", ["--all-w"], [0, 1]),  # the zero lemma, P_v(0) = 0 for v >= 1
+        ("1/2,1/2,3", ["--w", "1"], [1]),
+    ], ids=["repeated-integer", "repeated-zero", "repeated-fraction"])
+    def test_repeated_ground_values_sum_to_zero(self, tmp_path, capsys, ground, weights, ws):
+        # the sum is a polynomial in the ground values, so a repeated value is
+        # one more point: an ordinary ground, walked over all 5 partitions
+        code, records, _ = run_cli(["part1", "--g", "3", *weights, "--c", ground], tmp_path)
+        assert code == 0
+        assert [(r["params"]["w"], r["params"]["ground"], r["status"], r["verdict"],
+                 r["visited"]) for r in records] == [(w, ground, "asserted", "zero", 5)
+                                                     for w in ws]
+        assert capsys.readouterr().err == ""
 
     def test_random_ground_past_its_support_is_usage_error(self, tmp_path, capsys):
         code, records, _ = run_cli(["part1", "--g", "144", "--w", "0", "--random", "1"],
@@ -191,6 +199,14 @@ class TestBridgeCommand:
     def test_invalid_params_are_usage_errors(self, tmp_path):
         code, _, _ = run_cli(["bridge", "--c", "1,3", "--w", "0"], tmp_path)
         assert code == 2
+
+    def test_repeated_value_is_refused_for_its_monomial(self, tmp_path, capsys):
+        # part 1 takes a repeated value, but the bridge's target monomial is
+        # squarefree, one u_c per ground value
+        code, records, _ = run_cli(["bridge", "--c", "2,2,3", "--w", "0"], tmp_path)
+        assert code == 2
+        assert records == []
+        assert "non-squarefree monomial u_c^m" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option,value", [("--H", "2"), ("--s-max", "9"),
                                               ("--j-samples", "3,4"), ("--jobs", "2")])

@@ -932,6 +932,7 @@ class TestControlLayer:
         assert_no_child_left()
 
 
+@lru_cache(maxsize=None)
 def hypertrees(g):
     """Every hypertree on {0..g-1}, each a tuple of edge masks, by brute force.
 
@@ -964,7 +965,24 @@ def hypertrees(g):
                 yield from extend(i + 1, budget - cost, chosen)
                 chosen.pop()
 
-    return list(extend(0, g - 1, []))
+    return tuple(extend(0, g - 1, []))
+
+
+def weighted_hypertree_sum(g, c, phi):
+    # sum over the hypertrees H of prod_{T in H} phi(|T|) prod_{i in T} c_i
+    return sum(prod(phi[edge.bit_count()] * prod(c[i] for i in range(g) if edge >> i & 1)
+                    for edge in tree)
+               for tree in hypertrees(g))
+
+
+def exponential_side(g, c, phi):
+    # (prod c) (g-1)! [z^{g-1}] e^{t Lambda(z)}, Lambda(z) = sum_{m>=1} phi(m+1) z^m / m!,
+    # the exponential by its recurrence n e_n = sum_{k=1}^n k a_k e_{n-k}, a = t Lambda
+    a = [0] + [sum(c) * Fraction(phi[m + 1], factorial(m)) for m in range(1, g)]
+    e = [Fraction(1)]
+    for n in range(1, g):
+        e.append(sum(k * a[k] * e[n - k] for k in range(1, n + 1)) / n)
+    return prod(c) * factorial(g - 1) * e[g - 1]
 
 
 class TestHypertreeOracle:
@@ -996,6 +1014,106 @@ class TestHypertreeOracle:
             expected = -prod(c) * prod(t - i for i in range(1, g - 1))
             assert -total == expected
             assert sum_pointed(SimpleNamespace(g=g, w=g - 1, ground=ground)) == expected
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_any_edge_weights_count_as_the_exponential(self, g):
+        # t * sum_H prod_T phi(|T|) prod_{i in T} c_i = (prod c) (g-1)! [z^{g-1}]
+        # e^{t Lambda(z)} for any weights phi(2..g): multiplied by t, not divided,
+        # so t = 0 needs no case.  Cayley's formula is phi(2) = 1 alone, and the
+        # first kind's phi above gives Lambda = log(1 + z), so (1 + z)^t
+        rng, live, caught = random.Random(f"hypertree-weights/{g}"), 0, 0
+        for _ in range(3):
+            phi = {size: rng.randint(-5, 5) for size in range(2, g + 1)}
+            c = random_ground(g, rng).values
+            expected = exponential_side(g, c, phi)
+            assert sum(c) * weighted_hypertree_sum(g, c, phi) == expected
+            # positive control: phi(3) changed on the hypertree side alone, on
+            # each ground where it can show (g >= 3, and neither t nor a c_i is 0)
+            if g >= 3 and sum(c) * prod(c):
+                live += 1
+                shifted = {**phi, 3: phi[3] + 1}
+                caught += sum(c) * weighted_hypertree_sum(g, c, shifted) != expected
+        assert caught == live and (live > 0 or g == 2)
+
+
+def integer_partitions(n, largest):
+    """Every partition of n into parts of at most ``largest``, in decreasing order."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in integer_partitions(n - part, part):
+            yield (part,) + rest
+
+
+# every (g, w, c) with w+2 <= g <= min(2w, 7) and c = 1 + beta, beta a partition
+# of some n <= 2w-g padded with zeros to g parts (it has at most g-4 parts)
+CERTIFICATE_POINTS = [(g, w, tuple(sorted(1 + b for b in beta + (0,) * (g - len(beta)))))
+                      for w in range(2, 6) for g in range(w + 2, min(2 * w, 7) + 1)
+                      for n in range(2 * w - g + 1) for beta in integer_partitions(n, n)]
+CERTIFICATE_GROUNDS = sorted({c for _, _, c in CERTIFICATE_POINTS}, key=lambda c: (len(c), c))
+# every w <= g-1 of each certificate ground, in order of g: the band, then the top
+CERTIFICATE_SCAN = [(len(c), w, c) for c in CERTIFICATE_GROUNDS for w in range(len(c))]
+
+
+def certificate_instance(c, w):
+    # w = g-1 through a namespace, since ConfigSumInstance refuses it
+    g, ground = len(c), GroundSet.numeric(c)
+    return ConfigSumInstance.make(g, w, ground) if w < g - 1 else \
+        SimpleNamespace(g=g, w=w, ground=ground)
+
+
+class TestCertificatePoints:
+    """Both routes at every point of the weight-by-weight certificate with ``g <= 7``.
+
+    ``S(c, w)`` is symmetric in ``c``, of degree at most ``2w``, and divisible
+    by ``prod c`` (the zero lemma), so ``S = (prod c) q`` with ``q`` symmetric
+    of degree at most ``2w - g``: zero outright for ``g > 2w``.  For
+    ``w+2 <= g <= 2w``, ``q`` vanishing at ``c = 1 + beta`` for every partition
+    ``beta`` of every ``n <= 2w - g`` makes it vanish on the simplex lattice
+    ``{x in N^g : sum x <= 2w - g}``, which is unisolvent for that degree
+    (Chung and Yao, SIAM J. Numer. Anal. 14, 1977), so ``q = 0``.  These
+    points repeat values; each is summed as the multiset ground it is, at
+    every ``w <= g-2`` of its ground (all zero) and at ``w = g-1``, where the
+    sum is the closed form ``-(prod c)(t-1)...(t-g+2)``.
+    """
+
+    EXPECTED = [(g, w, c, 0 if w < g - 1 else closed_form(GroundSet.numeric(c)))
+                for g, w, c in CERTIFICATE_SCAN]
+
+    def test_the_points(self):
+        assert len(CERTIFICATE_POINTS) == 17
+        assert sorted({(g, w) for g, w, _ in CERTIFICATE_POINTS}) == \
+            [(4, 2), (5, 3), (6, 3), (6, 4), (7, 4), (7, 5)]
+        assert len(CERTIFICATE_GROUNDS) == 14
+        assert sum(w < g - 1 for g, w, _ in CERTIFICATE_SCAN) == 73
+        assert all(total for g, w, _, total in self.EXPECTED if w == g - 1)
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_collapsed(self, jobs):
+        assert [(g, w, c, sum_collapsed(certificate_instance(c, w), jobs=jobs).total)
+                for g, w, c in CERTIFICATE_SCAN] == self.EXPECTED
+        assert_no_child_left()
+
+    def test_pointed(self):
+        assert [(g, w, c, sum_pointed(certificate_instance(c, w)))
+                for g, w, c in CERTIFICATE_SCAN] == self.EXPECTED
+
+    def test_p1_plus_t_breaks_the_band_first_at_5_3(self, monkeypatch):
+        # positive control: P_1 + t keeps P_1(0) = 0 and P_1's denominators.
+        # At g = 4 the band still reads 0 and only the top catches it
+        real = config_sums.eval_P
+        monkeypatch.setattr(config_sums, "eval_P",
+                            lambda v, t: real(v, t) + t if v == 1 else real(v, t))
+        top = certificate_instance((1, 1, 1, 1), 3)
+        assert sum_collapsed(top).total == sum_pointed(top) == -10
+        assert closed_form(top.ground) == -6
+        for g, w, c in CERTIFICATE_SCAN:
+            if w < g - 1:
+                inst = certificate_instance(c, w)
+                totals = sum_collapsed(inst).total, sum_pointed(inst)
+                if any(totals):
+                    break
+        assert (g, w, c, totals) == (5, 3, (1, 1, 1, 1, 1), (-15, -15))
 
 
 class TestRandomGround:

@@ -1,4 +1,4 @@
-"""Golden ledgers: five CLI commands rerun and compared with stored runs.
+"""Golden ledgers: six CLI commands rerun and compared with stored runs.
 
 Each file under ``tests/data/golden`` holds one command's arguments, exit
 status, printed lines and ledger records, the records without the timing
@@ -23,6 +23,8 @@ COMMANDS = {
     "bridge_w1": ["bridge", "--c", "2,3,4", "--w", "1"],
     "bridge_w0": ["bridge", "--c", "2,3,4,5,6", "--w", "0"],
     "part1_symbolic": ["part1", "--g", "5", "--all-w", "--symbolic"],
+    # a ground that repeats values: the identity is a polynomial one in them
+    "part1_multiset": ["part1", "--g", "4", "--all-w", "--c", "1,1,2,2"],
 }
 TIMING = ("ts", "elapsed_s")
 
@@ -42,6 +44,14 @@ def run(argv, ledger):
 def test_ledger_matches_golden(name, tmp_path):
     golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert run(COMMANDS[name], tmp_path / "ledger.jsonl") == golden
+
+
+def test_multiset_golden_is_three_asserted_zeros():
+    golden = json.loads((GOLDEN / "part1_multiset.json").read_text(encoding="utf-8"))
+    assert golden["status"] == 0
+    assert [(r["params"]["ground"], r["params"]["w"], r["status"], r["verdict"], r["value"])
+            for r in golden["records"]] == [("1,1,2,2", w, "asserted", "zero", "0")
+                                            for w in range(3)]
 
 
 if __name__ == "__main__":

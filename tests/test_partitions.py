@@ -251,9 +251,15 @@ class TestCountWeightedConfigs:
 
 
 class TestGroundSet:
-    def test_numeric_distinctness_enforced(self):
-        with pytest.raises(ValueError):
-            GroundSet.numeric([1, 2, Fraction(2)])
+    def test_numeric_values_may_repeat(self):
+        # a repeated value is one more point of a polynomial identity: the two
+        # equal values keep their own bit positions and block sums
+        ground = GroundSet.numeric([1, 2, Fraction(2)])
+        assert ground.values == (Fraction(1), Fraction(2), Fraction(2))
+        assert ground.g == 3 and ground.describe() == "1,2,2"
+        assert ground.block_sum(0b010) == ground.block_sum(0b100) == 2
+        assert ground.block_sum(0b011) == ground.block_sum(0b101) == 3
+        assert ground.block_sum(0b111) == 5
 
     def test_numeric_takes_exact_rationals_only(self):
         for bad in (0.1, 2.0, "1/2", True):
@@ -272,12 +278,13 @@ class TestGroundSet:
         with pytest.raises(TypeError, match="exact rational"):
             GroundSet._make([values])
 
-    def test_constructor_stores_distinct_fractions(self):
+    def test_constructor_stores_fractions_repeats_included(self):
         ground = GroundSet((1, Fraction(1, 2)))
         assert ground == GroundSet.numeric([1, Fraction(1, 2)])
         assert all(type(v) is Fraction for v in ground.values)
-        with pytest.raises(ValueError, match="pairwise distinct"):
-            GroundSet((1, Fraction(2, 2)))
+        repeated = GroundSet((1, Fraction(2, 2)))
+        assert repeated == GroundSet.numeric([1, 1])
+        assert all(type(v) is Fraction for v in repeated.values)
 
     def test_symbolic_values_must_be_the_coordinates(self):
         c = GroundSet.symbolic(3).values
