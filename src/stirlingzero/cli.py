@@ -165,8 +165,9 @@ def _part1(args):
     g, seed = args.g, args.seed
     if g < 2:  # --all-w at g = 1 plans nothing
         raise ValueError("need --g >= 2")
+    if not (args.all_w or 0 <= args.w <= g - 2):  # the band, where a zero is claimed
+        raise ValueError(f"need 0 <= w <= g-2, got w={args.w} for g={g}")
     ws = list(range(g - 1)) if args.all_w else [args.w]
-    # ConfigSumInstance rejects a w outside 0..g-2 and a ground of the wrong size
     if args.random is not None:
         plan = (e for w in ws for e in random_entries(g, w, "asserted", args.random, seed))
     else:

@@ -1,14 +1,16 @@
 """Signed configuration-sum verifier.
 
-For ``g >= 2``, ``0 <= w <= g-2`` and g ground values, which may repeat (the
-sum is a polynomial in them), every weighted configuration (ordered set
-partition with per-block weights summing to w) is assigned the evaluation
+For ``g >= 2``, ``w >= 0`` and g ground values, which may repeat (the sum is
+a polynomial in them), every weighted configuration (ordered set partition
+with per-block weights summing to w) is assigned the evaluation
 
     (-1)^r * (1/r) * prod_i P_{w_i}(t_i)
 
 where ``r`` is the block count, ``t_i`` the block sum, and ``P`` the
 offset-diagonal Stirling polynomial.  The conjecture under test is that the
-sum of evaluations over all distinct weighted configurations is exactly zero.
+sum over all distinct weighted configurations is exactly zero for ``w <= g-2``,
+the band that ``part1``, :func:`sweep_plan` and the bridge assert; at ``w = g-1``
+it is the closed form ``-(prod c)(t-1)...(t-g+2)``, ``t = sum c``.
 
 Write ``a(S) = sum_v P_v(t_S) y^v``, truncated at ``y^w``, for the block
 series of a set ``S`` of elements.  Two independent summation routes are
@@ -60,9 +62,8 @@ any other fault at a sampled point fails a witness
 evaluates every mask, so a nonzero total is checked against values the fit
 did not make.
 
-A nonzero total is a potential counterexample, re-verified through the oracle
-(and a fresh numeric ground) before it is reported.  :func:`random_ground`
-draws g distinct values, so no seeded ground repeats one.
+A nonzero total, a potential counterexample, is re-verified through the oracle
+(and a fresh numeric ground of g distinct values, :func:`random_ground`) first.
 """
 
 from __future__ import annotations
@@ -116,10 +117,8 @@ class ConfigSumInstance(NamedTuple("_ConfigSumInstance",
 
     def __new__(cls, g: int, w: int, ground: GroundSet):
         g, w = _as_int(g, "g"), _as_int(w, "w")
-        if g < 2:
-            raise ValueError("need g >= 2")
-        if not 0 <= w <= g - 2:
-            raise ValueError(f"need 0 <= w <= g-2, got w={w} for g={g}")
+        if g < 2 or w < 0:
+            raise ValueError(f"need g >= 2 and w >= 0, got g={g}, w={w}")
         if ground.g != g:
             raise ValueError("ground set size does not match g")
         return super().__new__(cls, g, w, ground)

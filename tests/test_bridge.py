@@ -1,16 +1,20 @@
 """Bridge layer: parameter mapping and paired verifier consistency."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from stirlingzero import bridge, config_sums, series_vanishing
 from stirlingzero.algebra import ConsistencyError, MultiPoly, Series
 from stirlingzero.bridge import (
+    BridgeInstance,
     bridge_check,
     bridge_coefficient,
     bridge_params,
 )
+from stirlingzero.config_sums import ConfigSumInstance, sum_collapsed
+from stirlingzero.partitions import GroundSet
 from stirlingzero.series_vanishing import ExpansionConfig, J, log_expansion, u_name
 
 
@@ -172,3 +176,46 @@ class TestSquarefreeQuotient:
         assert self._squarefree_part(reduced, inst, k) == pinned
         assert self._squarefree_part(reduced, inst, inst.k).is_zero()
         assert reduced.coefficient(inst.h) != full.coefficient(inst.h)  # squares dropped
+
+
+def dictionary_value(c, w):
+    # (-1)^(k+g-1) S(c, w) r^(-sum c) / prod c, S the configuration sum
+    g, k = len(c), sum(c) - w
+    total = sum_collapsed(ConfigSumInstance(g, w, GroundSet.numeric(c))).total
+    return total, MultiPoly(("r",), {(-sum(c),): (-1) ** (k + g - 1) * total / prod(c)})
+
+
+class TestDictionary:
+    """The u-monomial coefficient is the configuration sum at every ``w`` with
+    ``k = sum(c) - w >= 1``, not only in the band, where both sides vanish:
+
+        [j^k u^c n^-h] log(...) = (-1)^(k+g-1) S(c, w) r^(-sum c) / prod c.
+
+    ``bridge_params`` keeps its band check, so the instances are built directly.
+    """
+
+    @pytest.mark.parametrize("c", [(2, 3), (2, 4), (2, 3, 4), (2, 3, 5), (3, 4, 5),
+                                   (2, 3, 4, 5)], ids=lambda c: "c=" + ",".join(map(str, c)))
+    def test_every_w_with_k_at_least_one(self, c):
+        for w in range(sum(c)):
+            total, expected = dictionary_value(c, w)
+            coefficient = bridge_coefficient(BridgeInstance(c, w))
+            assert coefficient == expected, w
+            assert coefficient.is_zero() == (total == 0) == (w <= len(c) - 2), w
+
+    def test_nonzero_layers_of_2_3_4(self):
+        assert bridge_coefficient(BridgeInstance((2, 3, 4), 2)) == \
+            MultiPoly(("r",), {(-9,): 8})
+        assert bridge_coefficient(BridgeInstance((2, 3, 4), 8)) == \
+            MultiPoly(("r",), {(-9,): 1680})
+
+    def test_p1_plus_one_breaks_the_equality(self, monkeypatch):
+        # positive control: the fault reaches the configuration sum alone, in
+        # the band, where both sides would otherwise read zero
+        real = config_sums.eval_P
+        monkeypatch.setattr(config_sums, "eval_P",
+                            lambda v, t: real(v, t) + 1 if v == 1 else real(v, t))
+        total, expected = dictionary_value((2, 3, 4), 1)
+        coefficient = bridge_coefficient(BridgeInstance((2, 3, 4), 1))
+        assert total == -1 and coefficient.is_zero()
+        assert coefficient != expected

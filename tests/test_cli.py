@@ -574,6 +574,25 @@ class TestExitStatus:
         assert record["extra"]["oracle_total"] == record["value"] != "0"
         assert record["extra"]["second_total"] != "0"
 
+    @pytest.mark.parametrize("argv, message", [
+        ("part1 --g 4 --w 3 --c 2,3,5,7", "need 0 <= w <= g-2, got w=3 for g=4"),
+        ("part1 --g 4 --w -1 --c 2,3,5,7", "need 0 <= w <= g-2, got w=-1 for g=4"),
+        ("part1 --g 1 --all-w --c 1", "need --g >= 2"),
+        ("part1 --g 4 --w 3 --random 1", "need 0 <= w <= g-2, got w=3 for g=4"),
+        ("bridge --c 2,3,4 --w 2", "need 0 <= w <= g-2, got w=2 for g=3"),
+    ], ids=["w-above", "w-negative", "g-one", "w-above-random", "bridge-w-above"])
+    def test_outside_the_band_is_refused_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                         argv, message):
+        # an instance takes any w >= 0, so each command checks the band it
+        # claims a zero on, before it draws a ground or writes a record
+        drawn = []
+        monkeypatch.setattr(config_sums, "random_ground", lambda g, rng: drawn.append(g))
+        code = main(argv.split() + ["--ledger", str(tmp_path / "ledger.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert drawn == [] and list(tmp_path.iterdir()) == []
+
     def test_g_below_two_is_usage_error(self, tmp_path, capsys):
         # --all-w at g = 1 plans no instance, so without the check it would pass
         code, records, _ = run_cli(["part1", "--g", "1", "--all-w", "--symbolic"], tmp_path)

@@ -8,24 +8,26 @@ from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import factorial, prod
 from types import SimpleNamespace
 
 import pytest
 
-from stirlingzero import config_sums, stirling
+from stirlingzero import cli, config_sums, stirling
 from stirlingzero.algebra import ConsistencyError, MultiPoly, PolynomialityError
 from stirlingzero.config_sums import (
     ConfigSumInstance,
     SweepEntry,
     double_check_nonzero,
+    random_entries,
     random_ground,
     run_plan,
     sum_collapsed,
     sum_pointed,
     sweep_plan,
 )
+from stirlingzero.ledger import value_str
 from stirlingzero.partitions import GroundSet, iter_unordered_partitions, unordered_partition_count
 from stirlingzero.stirling import eval_P_symbolic, stirling_poly
 
@@ -45,12 +47,16 @@ def symbolic_instance(g, w):
 
 class TestInstanceValidation:
     def test_parameter_ranges(self):
-        with pytest.raises(ValueError):
+        # an instance is any w >= 0: the band w <= g-2 is checked where a zero
+        # is claimed (part1, sweep_plan, bridge_params), not by the type
+        with pytest.raises(ValueError, match="need g >= 2"):
             numeric_instance(1, 0, [3])
-        with pytest.raises(ValueError):
-            numeric_instance(3, 2, [1, 2, 3])  # w > g-2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="w >= 0, got g=3, w=-1"):
             numeric_instance(3, -1, [1, 2, 3])
+        for w in (2, 5):
+            assert numeric_instance(3, w, [1, 2, 3]).w == w
+        # w = g-1 is the closed form -(prod c)(t-1), t = 6
+        assert sum_collapsed(numeric_instance(3, 2, [1, 2, 3])).total == -30
 
     def test_ground_size_must_match(self):
         with pytest.raises(ValueError):
@@ -887,16 +893,15 @@ def closed_form(ground):
 @lru_cache(maxsize=None)
 def pointed_at_top(ground):
     # the pointed oracle at w = g-1, computed once per ground for every jobs value
-    return sum_pointed(SimpleNamespace(g=ground.g, w=ground.g - 1, ground=ground))
+    return sum_pointed(ConfigSumInstance(ground.g, ground.g - 1, ground))
 
 
 class TestControlLayer:
     """At ``w = g-1`` the sum is ``-(prod c)(t-1)(t-2)...(t-g+2)``, ``t = sum c``.
 
     Both summation routes must come out exactly there, nonzero wherever the
-    closed form is.  ``ConfigSumInstance`` refuses ``w = g-1`` (the claim is
-    for ``w <= g-2``), so the routes are handed a namespace with the three
-    fields they read.
+    closed form is.  The claim is for ``w <= g-2``, but an instance takes any
+    ``w >= 0``, so both routes sum this layer on real instances.
     """
 
     @pytest.mark.parametrize("g", range(2, 8))
@@ -904,7 +909,7 @@ class TestControlLayer:
         nonzero = 0
         for seed in range(3):
             ground = random_ground(g, random.Random(seed))
-            inst = SimpleNamespace(g=g, w=g - 1, ground=ground)
+            inst = ConfigSumInstance(g, g - 1, ground)
             expected = closed_form(ground)
             assert sum_pointed(inst) == expected
             if g <= 5:
@@ -924,7 +929,7 @@ class TestControlLayer:
             if closed_form(ground):
                 grounds.append(ground)
         for ground in grounds + [GroundSet.symbolic(g)]:
-            inst = SimpleNamespace(g=g, w=g - 1, ground=ground)
+            inst = ConfigSumInstance(g, g - 1, ground)
             expected = closed_form(ground)
             total = sum_collapsed(inst, jobs=jobs).total
             assert total == expected == pointed_at_top(ground)
@@ -1013,7 +1018,7 @@ class TestHypertreeOracle:
             t = sum(c)
             expected = -prod(c) * prod(t - i for i in range(1, g - 1))
             assert -total == expected
-            assert sum_pointed(SimpleNamespace(g=g, w=g - 1, ground=ground)) == expected
+            assert sum_pointed(ConfigSumInstance(g, g - 1, ground)) == expected
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_any_edge_weights_count_as_the_exponential(self, g):
@@ -1056,10 +1061,7 @@ CERTIFICATE_SCAN = [(len(c), w, c) for c in CERTIFICATE_GROUNDS for w in range(l
 
 
 def certificate_instance(c, w):
-    # w = g-1 through a namespace, since ConfigSumInstance refuses it
-    g, ground = len(c), GroundSet.numeric(c)
-    return ConfigSumInstance.make(g, w, ground) if w < g - 1 else \
-        SimpleNamespace(g=g, w=w, ground=ground)
+    return ConfigSumInstance(len(c), w, GroundSet.numeric(c))
 
 
 class TestCertificatePoints:
@@ -1114,6 +1116,58 @@ class TestCertificatePoints:
                 if any(totals):
                     break
         assert (g, w, c, totals) == (5, 3, (1, 1, 1, 1, 1), (-15, -15))
+
+
+def top_layer_plan():
+    # w = g-1 entries: three seeded random grounds for each g = 2..7, then
+    # every certificate ground (sample index 0)
+    seeded = (e for g in range(2, 8) for e in random_entries(g, g - 1, "asserted", 3, seed=0))
+    return chain(seeded, (SweepEntry(certificate_instance(c, len(c) - 1), "asserted")
+                          for c in CERTIFICATE_GROUNDS))
+
+
+class TestNonzeroPath:
+    """``run_plan`` confirms true nonzero totals: at ``w = g-1`` every total is
+    the closed form, and each nonzero one meets the pointed oracle and a fresh
+    seeded ground, as a counterexample would, and reaches its ledger record."""
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_every_nonzero_total_is_confirmed(self, jobs):
+        verdicts = Counter()
+        for entry in run_plan(top_layer_plan(), seed=0, jobs=jobs):
+            inst, total, conf = entry.instance, entry.result.total, entry.confirmation
+            expected = closed_form(inst.ground)
+            assert total == expected
+            verdicts[entry.seed is not None, entry.result.verdict] += 1
+            if not expected:  # a ground that holds 0, or t in 1..g-2
+                assert entry.result.verdict == "zero" and conf is None
+                continue
+            assert entry.result.verdict == "nonzero"
+            _, rng = config_sums.seeded_rng(0, inst.g, inst.w, entry.sample_index,
+                                            confirming=True)
+            second = random_ground(inst.g, rng)
+            assert conf == (total, second, closed_form(second))
+            assert cli._entry_record("part1", entry).extra == {
+                "oracle_total": value_str(total), "second_ground": second.describe(),
+                "second_total": value_str(closed_form(second))}
+        assert verdicts == {(True, "nonzero"): 15, (True, "zero"): 3,
+                            (False, "nonzero"): len(CERTIFICATE_GROUNDS)}
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_a_shifted_walk_is_caught(self, monkeypatch, jobs):
+        # positive control: the collapsed walk's scaled total plus one, in
+        # every process that walks, must not be confirmed by the oracle
+        real = config_sums._collapsed_partial
+
+        def shifted(inst, table, part=0, parts=1):
+            total, visited = real(inst, table, part, parts)
+            return total + 1, visited
+
+        monkeypatch.setattr(config_sums, "_collapsed_partial", shifted)
+        with pytest.raises(ConsistencyError, match="pointed oracle disagree"):
+            list(run_plan(top_layer_plan(), seed=0, jobs=jobs))
+        assert_no_child_left()
 
 
 class TestRandomGround:

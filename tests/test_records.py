@@ -77,12 +77,11 @@ class TestValidatedRecords:
 
     @pytest.mark.parametrize("change, message", [
         (dict(g=1, ground=GroundSet.numeric([1])), "need g >= 2"),
-        (dict(w=2), "need 0 <= w <= g-2"),
-        (dict(w=-1), "need 0 <= w <= g-2"),
+        (dict(w=-1), "w >= 0, got g=3, w=-1"),
         (dict(ground=GroundSet.numeric([1, 2])), "ground set size does not match g"),
         (dict(w=0.0), "is not an integer"),
         (dict(g=True), "is not an integer"),
-    ], ids=["g-small", "w-large", "w-negative", "ground-size", "w-float", "g-bool"])
+    ], ids=["g-small", "w-negative", "ground-size", "w-float", "g-bool"])
     def test_instance_refuses_built_or_replaced(self, change, message):
         fields = {"g": 3, "w": 1, "ground": self.GROUND, **change}
         with pytest.raises(ValueError, match=message):
@@ -91,6 +90,14 @@ class TestValidatedRecords:
             ConfigSumInstance(3, 1, self.GROUND)._replace(**change)
         with pytest.raises(ValueError, match=message):
             ConfigSumInstance._make(fields.values())
+
+    @pytest.mark.parametrize("w", [2, 9], ids=["w-large", "w-far"])
+    def test_instance_takes_any_w_built_or_replaced(self, w):
+        # the band w <= g-2 is checked where a zero is claimed, not by the type
+        for inst in (ConfigSumInstance(3, w, self.GROUND),
+                     ConfigSumInstance(3, 1, self.GROUND)._replace(w=w),
+                     ConfigSumInstance._make((3, w, self.GROUND))):
+            assert inst == (3, w, self.GROUND) and type(inst) is ConfigSumInstance
 
     def test_instance_replace_normalizes(self):
         inst = ConfigSumInstance(3, 1, self.GROUND)._replace(w=Fraction(0))
